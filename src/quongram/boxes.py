@@ -11,7 +11,7 @@ q_{ij} <-> q_{ji}).  We therefore never need multivariate gcd: a fraction is a
 polynomial numerator over a *multiset* of box factors, and the only
 cancellation mechanism is exact polynomial division by one of them.
 
->>> f = BoxFraction.from_poly(Poly.parse("1 - q12*q21"), word=(1, 2))
+>>> f = BoxFraction.from_poly(Poly.parse("1 - q12*q21"))
 >>> g = f / BoxFactor((1, 2), frozenset({1, 2}))
 >>> print(g)
 1
@@ -19,7 +19,7 @@ cancellation mechanism is exact polynomial division by one of them.
 
 from __future__ import annotations
 
-__all__ = ["BoxFactor", "BoxFraction", "boxfraction_arith"]
+__all__ = ["BoxFactor", "BoxFraction"]
 
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -128,7 +128,7 @@ class BoxFraction:
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def from_poly(p: Poly, word=None) -> "BoxFraction":
+    def from_poly(p: Poly) -> "BoxFraction":
         return BoxFraction(p, ())
 
     @staticmethod
@@ -282,15 +282,6 @@ def _multiset_sub(a: tuple, b: tuple):
             raise ValueError("multiset difference went negative")
         out.extend([f] * m)
     return tuple(sorted(out))
-
-
-def boxfraction_arith(a: BoxFraction, b: BoxFraction, op: str) -> BoxFraction:
-    """Reduced-form add/mul on box fractions (thin named wrapper)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 if __name__ == "__main__":

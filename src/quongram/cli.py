@@ -17,7 +17,6 @@ import itertools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .ring import Poly, GaussRat
@@ -365,28 +364,15 @@ def cmd_verify(args, out) -> int:
         if s not in SUITES:
             raise Usage(f"unknown suite {s!r}; have {', '.join(sorted(SUITES))}")
     rng = random.Random(args.seed)
-    # one pre-seeded generator per check so thread scheduling cannot change
-    # the sampled points
+    # one pre-seeded generator per suite, so what a suite samples does not
+    # depend on how many draws the suites before it make
     rngs = {s: random.Random(rng.randrange(2 ** 62)) for s in names}
-    results = {}
-
-    def run(name):
-        try:
-            return name, True, SUITES[name](args.max_n, rngs[name])
-        except VerifyFailure as e:
-            return name, False, str(e)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for name, ok, msg in pool.map(run, names):
-                results[name] = (ok, msg)
-    else:
-        for name in names:
-            results[name] = run(name)[1:]
-
     failed = False
-    for name in names:  # canonical order regardless of scheduling
-        ok, msg = results[name]
+    for name in names:
+        try:
+            ok, msg = True, SUITES[name](args.max_n, rngs[name])
+        except VerifyFailure as e:
+            ok, msg = False, str(e)
         out.write(f"{'ok  ' if ok else 'FAIL'} {name}: {msg}\n")
         failed = failed or not ok
     return 1 if failed else 0
@@ -401,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quongram",
         description="Gram matrices of multiparametric quon Fock space")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_weight(sp):

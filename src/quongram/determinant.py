@@ -8,10 +8,11 @@ The headline identity: for a multiplicity-free weight ν of size n,
 with □_μ = 1 − ∏_{i≠j∈μ} q_{ij}.  Under q_{ij} ↦ q this collapses to
 ∏_{k=2}^n (1−q^{k(k−1)})^{n!(n−k+1)/(k(k−1))}.
 
-Oracles: dense fraction-free (Bareiss) elimination over exact polynomials,
-orbit-block elimination for the cyclic factors I − R̂(t_{a,b}), dense
-univariate elimination on single-variable slices, and exact Gaussian-integer
-elimination at rational evaluation points.
+Oracles: one fraction-free (Bareiss) elimination engine, run over three
+rings: exact polynomials (the dense matrix, and the orbit blocks of the
+cyclic factors I − R̂(t_{a,b})), Z[q] on single-variable slices, and the
+Gaussian integers at rational evaluation points scaled by their common
+denominator.
 
 >>> print(det_formula(Weight.generic_n(2)))
 (1 - q12*q21)
@@ -190,31 +191,50 @@ def det_one_param(n: int) -> OneParamDet:
 # elimination oracles
 # ---------------------------------------------------------------------------
 
-def det_poly_bareiss(rows) -> Poly:
-    """Fraction-free elimination over exact polynomials; all divisions are
-    exact by the Sylvester minor identity."""
-    n = len(rows)
-    if n == 0:
-        return Poly.one()
-    M = [list(r) for r in rows]
+def _bareiss(M, step, is_zero, zero):
+    """Fraction-free (Bareiss) elimination of the square matrix M, in place.
+
+    step(akk, aij, aik, akj, prev) returns (akk·aij − aik·akj) / prev, a
+    division that is exact by the Sylvester identity; prev is None on the
+    first sweep, where nothing is divided.  Returns (sign, last pivot), so
+    det M = sign · last pivot, or (1, zero) when M is singular."""
+    n = len(M)
     sign = 1
-    prev = Poly.one()
+    prev = None
     for k in range(n - 1):
-        if M[k][k].is_zero():
+        if is_zero(M[k][k]):
             for i in range(k + 1, n):
-                if not M[i][k].is_zero():
+                if not is_zero(M[i][k]):
                     M[k], M[i] = M[i], M[k]
                     sign = -sign
                     break
             else:
-                return Poly.zero()
+                return 1, zero
+        rk = M[k]
+        akk = rk[k]
         for i in range(k + 1, n):
+            ri = M[i]
+            aik = ri[k]
             for j in range(k + 1, n):
-                M[i][j] = (M[k][k] * M[i][j]
-                           - M[i][k] * M[k][j]).exact_div(prev)
-            M[i][k] = Poly.zero()
-        prev = M[k][k]
-    return M[n - 1][n - 1].scale(sign)
+                ri[j] = step(akk, ri[j], aik, rk[j], prev)
+            ri[k] = zero    # frees the eliminated entry as the sweep goes
+        prev = akk
+    return sign, M[n - 1][n - 1]
+
+
+def _poly_step(akk, aij, aik, akj, prev):
+    x = akk * aij - aik * akj
+    return x if prev is None else x.exact_div(prev)
+
+
+def det_poly_bareiss(rows) -> Poly:
+    """Fraction-free elimination over exact polynomials; all divisions are
+    exact by the Sylvester minor identity."""
+    if not rows:
+        return Poly.one()
+    sign, d = _bareiss([list(r) for r in rows], _poly_step,
+                       Poly.is_zero, Poly.zero())
+    return d.scale(sign)
 
 
 def det_elim(nu: Weight, one_param: bool = False) -> Poly:
@@ -353,16 +373,24 @@ def peel_check(p: Poly, formula: DetFormula) -> bool:
 
 # -- exact evaluation-point determinant -------------------------------------
 
-def _gi_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gi_exact_div(x, y):
-    nrm = y[0] * y[0] + y[1] * y[1]
-    num = _gi_mul(x, (y[0], -y[1]))
-    if num[0] % nrm or num[1] % nrm:
+def _gi_step(akk, aij, aik, akj, prev):
+    """The Bareiss step over Gaussian integers (re, im), product and exact
+    division inlined: this is the inner loop of det_point."""
+    a, b = akk
+    c, d = aij
+    e, f = aik
+    g, h = akj
+    re = a * c - b * d - e * g + f * h
+    im = a * d + b * c - e * h - f * g
+    if prev is None:
+        return re, im
+    pr, pi = prev
+    nrm = pr * pr + pi * pi
+    qr, rr = divmod(re * pr + im * pi, nrm)
+    qi, ri = divmod(im * pr - re * pi, nrm)
+    if rr or ri:
         raise ArithmeticError("non-exact Gaussian-integer division")
-    return (num[0] // nrm, num[1] // nrm)
+    return qr, qi
 
 
 def det_point(entries) -> GaussRat:
@@ -371,31 +399,10 @@ def det_point(entries) -> GaussRat:
     n = len(entries)
     if n == 0:
         return GaussRat.of(1)
-    L = 1
-    for row in entries:
-        for v in row:
-            L = L * v.re.denominator // math.gcd(L, v.re.denominator)
-            L = L * v.im.denominator // math.gcd(L, v.im.denominator)
+    L = math.lcm(*(x.denominator for row in entries for v in row
+                   for x in (v.re, v.im)))
     M = [[(int(v.re * L), int(v.im * L)) for v in row] for row in entries]
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        if M[k][k] == (0, 0):
-            for i in range(k + 1, n):
-                if M[i][k] != (0, 0):
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return GaussRat.of(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t1 = _gi_mul(M[k][k], M[i][j])
-                t2 = _gi_mul(M[i][k], M[k][j])
-                M[i][j] = _gi_exact_div((t1[0] - t2[0], t1[1] - t2[1]), prev)
-            M[i][k] = (0, 0)
-        prev = M[k][k]
-    d = M[n - 1][n - 1]
+    sign, d = _bareiss(M, _gi_step, lambda x: x == (0, 0), (0, 0))
     scale = Fraction(1, L) ** n
     return GaussRat(Fraction(sign * d[0]) * scale,
                     Fraction(sign * d[1]) * scale)
@@ -444,33 +451,19 @@ def _u_exact_div(a, b):
     return q
 
 
+def _u_step(akk, aij, aik, akj, prev):
+    x = _u_sub(_u_mul(akk, aij), _u_mul(aik, akj))
+    return x if prev is None else _u_exact_div(x, prev)
+
+
 def det_univariate(rows) -> list:
     """Fraction-free elimination over Z[q]; entries are integer coefficient
     lists (lowest degree first)."""
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return [1]
-    M = [[list(e) for e in row] for row in rows]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if M[k][k] == [0] or not any(M[k][k]):
-            for i in range(k + 1, n):
-                if any(M[i][k]):
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return [0]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = _u_exact_div(
-                    _u_sub(_u_mul(M[k][k], M[i][j]),
-                           _u_mul(M[i][k], M[k][j])), prev)
-            M[i][k] = [0]
-        prev = M[k][k]
-    out = M[n - 1][n - 1]
-    return [sign * c for c in out]
+    sign, d = _bareiss([[list(e) for e in row] for row in rows], _u_step,
+                       lambda x: not any(x), [0])
+    return [sign * c for c in d]
 
 
 def poly_to_univariate(p: Poly, slope) -> list:
@@ -551,27 +544,13 @@ def det_divides(nu: Weight, seed: int = 0) -> bool:
     au = [[poly_to_univariate(e, slope) for e in row] for row in A.entries]
     det_t = det_univariate(tu)
     det_a = det_univariate(au)
-    return _u_divides(det_a, det_t)
-
-
-def _u_divides(b, a) -> bool:
-    """Does b divide a over Q[q]?  Synthetic division with Fraction
-    coefficients, zero remainder required."""
-    a = [Fraction(c) for c in a]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    while len(b) > 1 and not b[-1]:
-        b = b[:-1]
-    if not any(a):
-        return True
-    if len(a) < len(b):
+    # A(0) = I, so det_a has constant term 1 and is primitive; by Gauss's
+    # lemma exact division over Z[q] decides divisibility over Q[q].
+    try:
+        _u_exact_div(det_t, det_a)
+    except ArithmeticError:
         return False
-    for d in range(len(a) - len(b), -1, -1):
-        c = a[d + len(b) - 1] / b[-1]
-        if c:
-            for j, y in enumerate(b):
-                a[d + j] -= c * y
-    return not any(a[:len(b) - 1])
+    return True
 
 
 if __name__ == "__main__":

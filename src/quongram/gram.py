@@ -361,7 +361,6 @@ def _fiber_perms(wi, wj):
     choices = [itertools.permutations(positions[ch]) for ch in letters]
     for combo in itertools.product(*choices):
         inv = [0] * n
-        ok = True
         for ch, perm_of_pos in zip(letters, combo):
             for p, src in zip(targets[ch], perm_of_pos):
                 inv[p - 1] = src
@@ -476,8 +475,8 @@ class Embedding:
         return lambda i: phi[i]
 
     def transfer_entry(self, tilde_matrix: GramMatrix, wi, wj):
-        """A^(ν)_{i,j} as the H-orbit sum Σ_{h∈H} Ã_{ĩ, h·j̃} (entries of the
-        generic model already pushed down along phi)."""
+        """A^(ν)_{i,j} as the H-orbit sum Σ_{h∈H} Ã_{ĩ, h·j̃}.  The entries
+        are summed as given; push them down along phi before or after."""
         ti, tj = self.lift(wi), self.lift(wj)
         total = None
         for h in self.group:

@@ -734,14 +734,9 @@ def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
     f = emb.label_map()
     ent = []
     for wi in basis.words:
-        ti = emb.lift(wi)
         row = []
         for wj in basis.words:
-            tj = emb.lift(wj)
-            total = None
-            for h in emb.group:
-                val = tilde.entry(ti, Word(h(ch) for ch in tj))
-                total = val if total is None else total + val
+            total = emb.transfer_entry(tilde, wi, wj)
             if isinstance(total, Poly):
                 total = BoxFraction(total)
             mapped = total.map_labels(f)

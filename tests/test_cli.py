@@ -110,11 +110,11 @@ def test_verify_single_suite():
     assert code == 2
 
 
-def test_verify_deterministic_across_threads():
+def test_verify_deterministic_for_seed():
     a = run("--seed", "7", "verify", "--suite", "positivity,oracle",
             "--max-n", "3")
-    b = run("--seed", "7", "--threads", "3", "verify",
-            "--suite", "positivity,oracle", "--max-n", "3")
+    b = run("--seed", "7", "verify", "--suite", "positivity,oracle",
+            "--max-n", "3")
     assert a == b and a[0] == 0
 
 

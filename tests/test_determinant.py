@@ -104,6 +104,19 @@ def test_point_determinant_basics():
     assert det_point([]) == one
 
 
+@pytest.mark.parametrize("template, want", [
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),   # zero pivot at k = 1
+])
+def test_zero_pivot_row_swap(template, want):
+    for det, lift in ((det_poly_bareiss, Poly.const),
+                      (det_point, GaussRat.of),
+                      (det_univariate, lambda c: [c])):
+        rows = [[lift(c) for c in row] for row in template]
+        assert det(rows) == lift(want)
+
+
 def test_univariate_slice(rng):
     nu = Weight.generic_n(3)
     slopes = {(i, j): rng.randint(2, 7)
