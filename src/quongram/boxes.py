@@ -19,10 +19,12 @@ cancellation mechanism is exact polynomial division by one of them.
 
 from __future__ import annotations
 
-__all__ = ["BoxFactor", "BoxFraction"]
+__all__ = ["BoxFactor", "BoxFraction", "dot"]
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .ring import Poly, NotDivisible, GaussRat
 
@@ -59,12 +61,16 @@ class BoxFactor:
         if not all(1 <= p <= len(self.word) for p in self.positions):
             raise ValueError(f"positions {set(self.positions)} out of range "
                              f"for word of length {len(self.word)}")
+        # identity and ordering go through the canonical expansion, which
+        # depends only on the sorted letters; computed once, not per hash
+        letters = tuple(sorted(self.word[p - 1] for p in self.positions))
+        object.__setattr__(self, "_key", (self.one_param, letters))
 
     @property
     def letters(self) -> tuple:
         """Letters of the word at the chosen positions (sorted, with
         multiplicity)."""
-        return tuple(sorted(self.word[p - 1] for p in self.positions))
+        return self._key[1]
 
     def expand(self) -> Poly:
         """The factor as a polynomial 1 - prod_{a != b} q_{i_a i_b}."""
@@ -74,18 +80,14 @@ class BoxFactor:
         """The monomial prod_{a != b in T} q_{i_a i_b} (so expand() = 1 - q_part())."""
         return Poly.one() - self.expand()
 
-    # identity and ordering go through the canonical expansion
-    def _key(self):
-        return (self.one_param, self.letters)
-
     def __eq__(self, o):
-        return isinstance(o, BoxFactor) and self._key() == o._key()
+        return isinstance(o, BoxFactor) and self._key == o._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __lt__(self, o):
-        return self._key() < o._key()
+        return self._key < o._key
 
     def map_labels(self, f) -> "BoxFactor":
         return BoxFactor(tuple(f(ch) for ch in self.word), self.positions,
@@ -141,13 +143,7 @@ class BoxFraction:
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, o: "BoxFraction") -> "BoxFraction":
-        if isinstance(o, Poly):
-            o = BoxFraction(o)
-        # least common multiset of box factors
-        lcm = _multiset_max(self.den, o.den)
-        na = self.num * _den_poly(_multiset_sub(lcm, self.den))
-        nb = o.num * _den_poly(_multiset_sub(lcm, o.den))
-        return BoxFraction(na + nb, lcm)
+        return _sum_parts((_parts(self), _parts(o)))
 
     def __radd__(self, o) -> "BoxFraction":
         return self + o
@@ -173,8 +169,8 @@ class BoxFraction:
         return self * o
 
     def __truediv__(self, o) -> "BoxFraction":
-        """Divide by a BoxFactor or by a BoxFraction whose numerator is a
-        product of box factors times +-1 (the only divisions we ever need)."""
+        """Divide by a BoxFactor, the only division the inverse needs;
+        any other divisor raises TypeError."""
         if isinstance(o, BoxFactor):
             return BoxFraction(self.num, self.den + (o,))
         raise TypeError(f"cannot divide BoxFraction by {type(o).__name__}")
@@ -221,7 +217,6 @@ class BoxFraction:
         num = str(self.num)
         if not self.den:
             return num
-        from collections import Counter
         parts = []
         for f, m in sorted(Counter(self.den).items()):
             parts.append(str(f) + (f"^{m}" if m > 1 else ""))
@@ -244,44 +239,71 @@ class BoxFraction:
                            reduce=False)
 
 
+def _parts(x):
+    """Numerator and denominator multiset of a Poly or a BoxFraction."""
+    return (x.num, x.den) if isinstance(x, BoxFraction) else (x, ())
+
+
+def _sum_parts(parts) -> BoxFraction:
+    """Sum of (numerator, denominator multiset) pairs over their least
+    common multiset of box factors, reduced once.
+
+    This is the only summation path; ``+`` is its two-term case.  Each
+    factor of the common denominator is represented by its first
+    occurrence in part order, the one a chain of ``+`` keeps while the
+    factor stays in the running denominator.
+    """
+    common: Counter = Counter()
+    for _, den in parts:
+        common |= Counter(den)
+    num = Poly.zero()
+    for n, den in parts:
+        if not n.is_zero():
+            num = num + n * _den_poly((common - Counter(den)).elements())
+    return BoxFraction(num, common.elements())
+
+
+def dot(xs, ys) -> BoxFraction:
+    """Sum of x*y over paired Polys and BoxFractions, over one common
+    multiset of box factors and reduced once; the products are not reduced
+    on their own.
+
+    >>> b = BoxFactor((1, 2), frozenset({1, 2}))
+    >>> x = BoxFraction(Poly.one(), (b,))
+    >>> print(dot([x, Poly.one()], [Poly.parse("q12*q21"), Poly.one()]))
+    1 / Box{1,2}
+    """
+    parts = []
+    for x, y in zip(xs, ys):
+        (nx, dx), (ny, dy) = _parts(x), _parts(y)
+        n = nx * ny
+        if not n.is_zero():  # as reduced, a zero product has no denominator
+            parts.append((n, dx + dy))
+    return _sum_parts(parts)
+
+
 def _reduce(num: Poly, den: tuple):
-    """Cancel denominator factors that exactly divide the numerator."""
+    """Cancel denominator factors that exactly divide the numerator.
+
+    ``den`` is sorted, so equal factors are adjacent.  Each distinct factor
+    is divided out until its first miss and never tried again: if f does
+    not divide N, it does not divide N/g either.
+    """
     if num.is_zero():
         return num, ()
-    remaining = list(den)
-    progress = True
-    while progress:
-        progress = False
-        for k, f in enumerate(remaining):
+    remaining = []
+    for f, run in groupby(den):
+        run = list(run)
+        p = f.expand()
+        k = 0
+        while k < len(run):
             try:
-                num = num.exact_div(f.expand())
+                num = num.exact_div(p)
             except NotDivisible:
-                continue
-            del remaining[k]
-            progress = True
-            break
+                break
+            k += 1
+        remaining.extend(run[k:])
     return num, tuple(remaining)
-
-
-def _multiset_max(a: tuple, b: tuple):
-    from collections import Counter
-    ca, cb = Counter(a), Counter(b)
-    out = []
-    for f in set(ca) | set(cb):
-        out.extend([f] * max(ca[f], cb[f]))
-    return tuple(sorted(out))
-
-
-def _multiset_sub(a: tuple, b: tuple):
-    from collections import Counter
-    ca = Counter(a)
-    ca.subtract(Counter(b))
-    out = []
-    for f, m in ca.items():
-        if m < 0:
-            raise ValueError("multiset difference went negative")
-        out.extend([f] * m)
-    return tuple(sorted(out))
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ring import Poly, conjugate
+from .boxes import BoxFraction, dot
 from .fock import Word, Weight
 from .perms import Perm, all_perms, cycle
 
@@ -93,18 +94,24 @@ class GramMatrix:
         return [[self.entries[a][b] for b in idx] for a in idx]
 
     def matmul(self, o: "GramMatrix") -> "GramMatrix":
-        n = self.basis.size
-        zero = Poly.zero()
-        out = [[zero for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            row = self.entries[a]
-            for k in range(n):
-                x = row[k]
-                if isinstance(x, Poly) and x.is_zero():
-                    continue
-                orow = o.entries[k]
-                for b in range(n):
-                    out[a][b] = out[a][b] + x * orow[b]
+        """Matrix product.  An entry with a BoxFraction among its operands
+        is one ``dot``: summed over one common box denominator and reduced
+        once, not after every addition."""
+        cols = list(zip(*o.entries))
+        out = []
+        for row in self.entries:
+            live = [k for k, x in enumerate(row)
+                    if not (isinstance(x, Poly) and x.is_zero())]
+            xs = [row[k] for k in live]
+            out_row = []
+            for col in cols:
+                ys = [col[k] for k in live]
+                if all(isinstance(v, Poly) for v in xs + ys):
+                    out_row.append(sum((x * y for x, y in zip(xs, ys)),
+                                       Poly.zero()))
+                else:
+                    out_row.append(dot(xs, ys))
+            out.append(out_row)
         return GramMatrix(self.basis, out)
 
     def to_json(self):

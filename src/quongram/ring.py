@@ -116,8 +116,8 @@ def _mono_conj(m: Mono) -> Mono:
 
 
 class NotDivisible(Exception):
-    """Raised (or returned as a sentinel via Poly.exact_div) when an exact
-    polynomial division has a nonzero remainder."""
+    """Raised by Poly.exact_div when an exact polynomial division has a
+    nonzero remainder or a non-integer quotient."""
 
 
 @dataclass(frozen=True)
@@ -329,9 +329,12 @@ class Poly:
     # -- division ----------------------------------------------------------
     def divmod_single(self, d: "Poly"):
         """Multivariate division by a single divisor: self = q*d + r where no
-        monomial of r is divisible by lm(d). Coefficients may become
-        Fractions in intermediate steps; exact_div insists on an integer
-        result."""
+        monomial of r is divisible by lm(d).  Coefficients may become
+        Fractions in intermediate steps.
+
+        This is the general route; exact_div only takes it for divisors
+        that are neither a monomial nor a binomial 1 - m, which in practice
+        are the Bareiss pivots of det_poly_bareiss."""
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         dm, dc = d.leading()
@@ -367,7 +370,36 @@ class Poly:
         return q, rem
 
     def exact_div(self, d: "Poly") -> "Poly":
-        """Return q with self = d*q, or raise NotDivisible."""
+        """Return q with self = d*q, or raise NotDivisible.
+
+        The divisor's shape picks the method, all with integers only except
+        the last:
+
+        * a monomial ``c*m``: shift every exponent down by ``m`` and divide
+          every coefficient by ``c``;
+        * a binomial ``1 - m`` (every box factor): sum the coefficients
+          along each chain ``u, u*m, u*m^2, ...`` (see ``_div_one_minus``);
+        * anything else: ``divmod_single``, insisting on an integer
+          quotient and no remainder.
+
+        >>> p = Poly.parse("q12 - q12^2*q21")
+        >>> print(p.exact_div(Poly.parse("q12")))
+        1 - q12*q21
+        >>> print(p.exact_div(Poly.parse("1 - q12*q21")))
+        q12
+        >>> print(Poly.parse("1 + 2*q12 + q12^2").exact_div(Poly.parse("1 + q12")))
+        1 + q12
+        """
+        t = d.terms
+        if not t:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(t) == 1:
+            ((dm, dc),) = t.items()
+            return _div_monomial(self.terms, dm, dc)
+        if len(t) == 2 and t.get(()) == 1:
+            dm = next(m for m in t if m)
+            if t[dm] == -1:
+                return _div_one_minus(self.terms, dm)
         q, rem = self.divmod_single(d)
         if rem:
             raise NotDivisible(f"remainder with {len(rem)} terms")
@@ -541,6 +573,67 @@ class Poly:
             m = tuple((tuple(v), e) for v, e in rec["mono"])
             terms[m] = rec["coeff"]
         return Poly(terms)
+
+
+def _div_monomial(terms: Mapping[Mono, int], dm: Mono, dc: int) -> Poly:
+    """Exact quotient by the term dc*dm: exponents shift, coefficients
+    divide."""
+    out = {}
+    for m, c in terms.items():
+        quo = mono_div(m, dm)
+        if quo is None:
+            raise NotDivisible("a monomial is not a multiple of the divisor")
+        c, r = divmod(c, dc)
+        if r:
+            raise NotDivisible("non-integer quotient coefficient")
+        out[quo] = c
+    return Poly(out)
+
+
+def _div_one_minus(terms: Mapping[Mono, int], m: Mono) -> Poly:
+    """Exact quotient by 1 - m for a monomial m != 1.
+
+    Every monomial is u*m^k for one base u that m does not divide; the
+    monomials sharing a base form a chain.  With self = (1 - m)*q, the
+    coefficient of u*m^k in self is q_k - q_(k-1), so q_k is the partial
+    sum of the chain's coefficients up to k, and the division is exact iff
+    every chain sums to zero.  Setting every variable to 1 sends 1 - m to
+    0, so a nonzero total coefficient sum is a quick miss.
+    """
+    if sum(terms.values()):
+        raise NotDivisible("coefficients do not sum to zero")
+    md = dict(m)
+    chains: dict = {}
+    for u, c in terms.items():
+        eu = dict(u)
+        k = min([eu.get(v, 0) // e for v, e in m])
+        if k:
+            u = tuple((v, e) for v, e in ((v, e - k * md.get(v, 0))
+                                          for v, e in u) if e)
+        chain = chains.get(u)
+        if chain is None:
+            chains[u] = {k: c}
+        else:
+            chain[k] = c
+    out = {}
+    powers = {}
+    for u, chain in chains.items():
+        if len(chain) == 1:
+            raise NotDivisible("a chain of one term")
+        top = max(chain)
+        s = 0
+        for k in range(min(chain), top):
+            s += chain.get(k, 0)
+            if s and k:
+                mk = powers.get(k)
+                if mk is None:
+                    mk = powers[k] = tuple((v, e * k) for v, e in m)
+                out[mono_mul(u, mk)] = s
+            elif s:
+                out[u] = s
+        if s + chain[top]:
+            raise NotDivisible("a chain's coefficients do not sum to zero")
+    return Poly(out)
 
 
 def conjugate(p: Poly) -> Poly:

@@ -6,10 +6,11 @@ import pytest
 from quongram.ring import Poly, conjugate
 from quongram.fock import Word, Weight, inner_product
 from quongram.perms import Perm, all_perms, cycle, longest_element
-from quongram.gram import (Basis, DiagOp, OpExpansion, build_generic,
-                           build_degenerate, rhat, mult_factor, q_diag_pair,
-                           q_diag_set, box_diag, factor_A_m, factor_CD,
-                           embed_degenerate)
+from quongram.gram import (Basis, DiagOp, GramMatrix, OpExpansion,
+                           build_generic, build_degenerate, rhat, mult_factor,
+                           q_diag_pair, q_diag_set, box_diag, factor_A_m,
+                           factor_CD, embed_degenerate)
+from quongram.inverse import inv_full
 
 from conftest import small_weights
 
@@ -275,7 +276,6 @@ def test_embedding_orbit_sums():
         tilde = build_generic(emb.generic_weight)
         down = [[e.map_labels(emb.label_map()) for e in row]
                 for row in tilde.entries]
-        from quongram.gram import GramMatrix
         pushed = GramMatrix(tilde.basis, down)
         A = build_degenerate(nu)
         for wi in A.basis.words:
@@ -296,3 +296,39 @@ def test_box_diag_values():
     assert d.value_at(Word((1, 2))) == \
         Poly.one() - Poly.var(1, 2) * Poly.var(2, 1)
     assert q_diag_pair(basis, 1, 2).value_at(Word((2, 1))) == Poly.var(2, 1)
+
+
+# ---------------------------------------------------------------------------
+# matrix product: one common-denominator sum per entry
+# ---------------------------------------------------------------------------
+
+def _matmul_by_additions(x, y):
+    """Reference product: each entry is a left-to-right chain of +."""
+    n = x.basis.size
+    out = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            total = Poly.zero()
+            for k in range(n):
+                if isinstance(x.entries[a][k], Poly) and \
+                        x.entries[a][k].is_zero():
+                    continue
+                total = total + x.entries[a][k] * y.entries[k][b]
+            row.append(total)
+        out.append(row)
+    return GramMatrix(x.basis, out)
+
+
+@pytest.mark.parametrize("one_param", [False, True])
+def test_matmul_matches_entrywise_sums(one_param):
+    nu = Weight.generic_n(3)
+    A = build_generic(nu, one_param)
+    inv = inv_full(nu, "fast", one_param).to_matrix()
+    # both orders give the identity; inv * inv has real denominators
+    for x, y in ((A, inv), (inv, A), (inv, inv)):
+        prod = x.matmul(y)
+        assert prod.to_json() == _matmul_by_additions(x, y).to_json()
+        # every entry comes out reduced
+        for e in itertools.chain.from_iterable(prod.entries):
+            assert not any(f.expand().divides(e.num) for f in e.den)
