@@ -27,7 +27,7 @@ __all__ = [
     "det_one_param", "one_param_exponents", "positivity_check", "det_divides",
     "det_poly_bareiss", "det_single_cycle", "det_point", "det_elim",
     "peel_check", "peel_exponents", "det_factor_chain", "det_univariate",
-    "poly_to_univariate",
+    "poly_to_univariate", "is_inverse",
 ]
 
 import itertools
@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import Poly, GaussRat, NotDivisible, pair_var
+from .ring import Poly, GaussRat, NotDivisible, pair_var, check_assignment
 from .boxes import _box_poly
 from .fock import Word, Weight
 from .perms import Perm, cycle
@@ -393,19 +393,56 @@ def _gi_step(akk, aij, aik, akj, prev):
     return qr, qi
 
 
+def _gauss_ints(values) -> tuple:
+    """(L, ints): L the lcm of the denominators of the GaussRat values, and
+    ints the Gaussian integers L * v as (re, im) pairs, in order."""
+    values = list(values)
+    L = math.lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+    return L, [(v.re.numerator * (L // v.re.denominator),
+                v.im.numerator * (L // v.im.denominator)) for v in values]
+
+
 def det_point(entries) -> GaussRat:
     """Exact determinant of a GaussRat matrix: scale to Gaussian integers by
     the common denominator, run fraction-free elimination, scale back."""
     n = len(entries)
     if n == 0:
         return GaussRat.of(1)
-    L = math.lcm(*(x.denominator for row in entries for v in row
-                   for x in (v.re, v.im)))
-    M = [[(int(v.re * L), int(v.im * L)) for v in row] for row in entries]
+    L, ints = _gauss_ints(v for row in entries for v in row)
+    M = [ints[i * n:(i + 1) * n] for i in range(n)]
     sign, d = _bareiss(M, _gi_step, lambda x: x == (0, 0), (0, 0))
     scale = Fraction(1, L) ** n
     return GaussRat(Fraction(sign * d[0]) * scale,
                     Fraction(sign * d[1]) * scale)
+
+
+def is_inverse(a_rows, b_rows) -> bool:
+    """Exact test of A . B == I for square GaussRat matrices, in integers.
+
+    A is scaled to Gaussian integers by the lcm of all its denominators
+    (L_A) and each column b_j of B by the lcm of that column's own (L_j);
+    then (L_A A)(L_j b_j) must be L_A L_j e_j for every column j.
+
+    >>> h, one = GaussRat.of(1, 2), GaussRat.of(1)
+    >>> is_inverse([[h]], [[one / h]]), is_inverse([[h]], [[h.conj()]])
+    (True, False)
+    """
+    n = len(a_rows)
+    if len(b_rows) != n or any(len(r) != n for r in (*a_rows, *b_rows)):
+        return False
+    la, ints = _gauss_ints(v for row in a_rows for v in row)
+    rows = [ints[i * n:(i + 1) * n] for i in range(n)]
+    for j, col in enumerate(zip(*b_rows)):
+        lb, cb = _gauss_ints(col)
+        target = la * lb
+        for i, row in enumerate(rows):
+            re = im = 0
+            for (ar, ai), (br, bi) in zip(row, cb):
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            if im or re != (target if i == j else 0):
+                return False
+    return True
 
 
 # -- univariate elimination (single-variable slices) -------------------------
@@ -495,14 +532,10 @@ def positivity_check(nu: Weight, assignment, tolerance: float = 1e-9) -> bool:
     floating-point computation: smallest eigenvalue > tolerance."""
     import numpy as np
 
+    check_assignment(assignment, "hermitian")
     for v, val in assignment.items():
-        if v[0] != "q":
-            continue
-        if val.abs2() >= 1:
+        if v[0] == "q" and val.abs2() >= 1:
             raise ValueError(f"|q| < 1 violated at {v}: |q|^2 = {val.abs2()}")
-        mirror = ("q", v[2], v[1])
-        if mirror not in assignment or assignment[mirror] != val.conj():
-            raise ValueError(f"assignment is not hermitian at {v}")
     A = build_degenerate(nu) if not nu.generic else build_generic(nu)
     m = A.basis.size
     num = np.empty((m, m), dtype=complex)

@@ -41,7 +41,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .ring import Poly, GaussRat
+from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
+                   param_value)
 from .boxes import BoxFactor, BoxFraction
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
@@ -56,7 +57,9 @@ from .gram import (Basis, GramMatrix, DiagOp, OpExpansion, rhat, q_mono,
 # scalar universes: where the Lambda recursion computes
 # ---------------------------------------------------------------------------
 
-_UNIVERSE_IDS = itertools.count()
+# symbolic Lambda and sigma values, shared by every symbolic universe
+_SIGMA_MEMO: dict = {}
+_LAMBDA_MEMO: dict = {}
 
 
 class Universe:
@@ -65,9 +68,22 @@ class Universe:
     Symbolic (box fractions over the pair parameters, or over the single
     parameter) or numeric (exact Gaussian-rational values at an assignment).
     The recursion itself is written once against this interface.
+
+    A numeric universe owns its point.  It checks the assignment against
+    its mode once, at construction, with ``ring.check_assignment`` (the
+    check ``Poly.evaluate`` runs), so a bad point raises ValueError before
+    any work.  It caches only values that recur: the value of each pair
+    parameter, and per box factor (keyed like ``BoxFactor``, by its sorted
+    letters) the value of its monomial, which is ``q_block``, and of its
+    inverse, which is ``box_inv``.  It also keeps its own Lambda and sigma
+    memos.  These caches live exactly as long as the universe:
+    ``inverse_matrix_at`` builds one per call, so nothing is left behind
+    for a point nobody will reuse.  Symbolic universes share the
+    module-level memos instead.
     """
 
-    __slots__ = ("one_param", "assignment", "mode", "_tag")
+    __slots__ = ("one_param", "assignment", "mode", "_tag", "sigma_memo",
+                 "lambda_memo", "_pairs", "_boxes")
 
     def __init__(self, one_param: bool = False, assignment=None,
                  mode: str = "free"):
@@ -76,8 +92,13 @@ class Universe:
         self.mode = mode
         if assignment is None:
             self._tag = ("sym", one_param)
+            self.sigma_memo, self.lambda_memo = _SIGMA_MEMO, _LAMBDA_MEMO
         else:
-            self._tag = ("num", next(_UNIVERSE_IDS), mode, one_param)
+            check_assignment(assignment, mode)
+            self._tag = "num"
+            self.sigma_memo, self.lambda_memo = {}, {}
+            self._pairs = {}   # (i, j) -> value of q_ij
+            self._boxes = {}   # BoxFactor -> (value of q-part, 1 / value)
 
     def key(self, letters: tuple):
         # one-parameter symbolic values only depend on interval sizes
@@ -102,24 +123,51 @@ class Universe:
 
     def box_inv(self, letters: tuple, positions):
         """1 / Box over the given 1-based positions of the letter tuple."""
+        box = _box(letters, positions, self.one_param)
         if self.assignment is None:
-            return BoxFraction(Poly.one(),
-                               (_box(letters, positions, self.one_param),))
-        val = _box(letters, positions, self.one_param).expand().evaluate(
-            self.assignment, self.mode)
-        return GaussRat.of(1) / val
+            return BoxFraction(Poly.one(), (box,))
+        return self._box_values(box)[1]
 
     def q_block(self, letters: tuple, positions):
         """The monomial prod_{a != b in positions} q_{letters_a letters_b}."""
         T = sorted(positions)
-        pairs = [(a, b) for a in T for b in T if a != b]
-        mono = q_mono(letters, pairs, self.one_param)
         if self.assignment is None:
-            return BoxFraction(mono)
-        return mono.evaluate(self.assignment, self.mode)
+            pairs = [(a, b) for a in T for b in T if a != b]
+            return BoxFraction(q_mono(letters, pairs, self.one_param))
+        if len(T) < 2:
+            return GaussRat.of(1)
+        # the same monomial as the q-part of the box over these positions
+        return self._box_values(_box(letters, T, self.one_param))[0]
 
     def is_zero(self, v) -> bool:
         return v.is_zero()
+
+    def mono(self, letters, pairs) -> GaussRat:
+        """q_mono(letters, pairs) at the point of a numeric universe: the
+        product of the cached pair values, with no Poly built."""
+        val = None
+        for a, b in pairs:
+            x = self._pair(letters[a - 1], letters[b - 1])
+            val = x if val is None else val * x
+        return GaussRat.of(1) if val is None else val
+
+    def _pair(self, i, j) -> GaussRat:
+        x = self._pairs.get((i, j))
+        if x is None:
+            v = SINGLE_Q if self.one_param else pair_var(i, j)
+            x = self._pairs[(i, j)] = param_value(self.assignment, v,
+                                                  self.mode)
+        return x
+
+    def _box_values(self, box: BoxFactor) -> tuple:
+        vals = self._boxes.get(box)
+        if vals is None:
+            T = range(1, len(box.letters) + 1)
+            q = self.mono(box.letters, [(a, b) for a in T for b in T
+                                        if a != b])
+            one = GaussRat.of(1)
+            vals = self._boxes[box] = (q, one / (one - q))
+        return vals
 
 
 _SYMBOLIC = Universe()
@@ -149,9 +197,6 @@ def _restrict(g: Perm, a: int, b: int) -> Perm:
 # the Lambda recursion
 # ---------------------------------------------------------------------------
 
-_SIGMA_MEMO: dict = {}
-_LAMBDA_MEMO: dict = {}
-
 
 def lambda_sigma(letters, blocks, one_param: bool = False,
                  universe: Universe | None = None):
@@ -174,7 +219,7 @@ def lambda_sigma(letters, blocks, one_param: bool = False,
     letters = tuple(letters)
     blocks = tuple(blocks)
     key = (u.key(letters), blocks)
-    cached = _SIGMA_MEMO.get(key)
+    cached = u.sigma_memo.get(key)
     if cached is not None:
         return cached
     l = len(blocks)
@@ -188,7 +233,7 @@ def lambda_sigma(letters, blocks, one_param: bool = False,
                 term = term * u.box_inv(
                     letters, range(blocks[a - 1][0], blocks[b - 1][1] + 1))
             val = val + term
-    _SIGMA_MEMO[key] = val
+    u.sigma_memo[key] = val
     return val
 
 
@@ -217,7 +262,7 @@ def lambda_scalar(letters, g: Perm, one_param: bool = False,
     if g.n != m:
         raise ValueError(f"permutation degree {g.n} != word length {m}")
     key = (u.key(letters), g)
-    cached = _LAMBDA_MEMO.get(key)
+    cached = u.lambda_memo.get(key)
     if cached is not None:
         return cached
     if g.is_identity():
@@ -230,7 +275,7 @@ def lambda_scalar(letters, g: Perm, one_param: bool = False,
             closed = _closed_form(letters, g, one_param, u)
             assert val == closed, (
                 f"closed-form product disagrees with the recursion at {g}")
-    _LAMBDA_MEMO[key] = val
+    u.lambda_memo[key] = val
     return val
 
 
@@ -709,9 +754,8 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
                                 check_closed=False)
             if val.is_zero():
                 continue
-            mono = q_mono(gw, inv, one_param).evaluate(assignment, mode)
             i = basis.index(gw)
-            ent[i][j] = ent[i][j] + val * mono
+            ent[i][j] = ent[i][j] + val * u.mono(gw, inv)
     return ent
 
 

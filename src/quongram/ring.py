@@ -25,6 +25,7 @@ from __future__ import annotations
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
     "pair_var", "SINGLE_Q", "mono_mul", "mono_key", "conjugate",
+    "check_assignment", "param_value",
 ]
 
 from dataclasses import dataclass
@@ -453,34 +454,17 @@ class Poly:
                  mode: str = "free") -> GaussRat:
         """Exact value under a variable assignment.
 
-        mode 'hermitian' checks x[j,i] = conj(x[i,j]) and x[i,i] real;
-        'symmetric-real' checks x[j,i] = x[i,j] real; 'one-param' maps every
-        pair variable to the single-q value; 'free' imposes nothing.
+        mode 'hermitian' and 'symmetric-real' constrain the assignment, which
+        ``check_assignment`` checks on every call; 'one-param' maps every
+        pair variable to the single-q value (``param_value``); 'free'
+        imposes nothing.
         """
-        if mode == "hermitian":
-            for v, val in assignment.items():
-                if v[0] == "q":
-                    w = ("q", v[2], v[1])
-                    if w not in assignment or assignment[w] != val.conj():
-                        raise ValueError(f"assignment not hermitian at {v}")
-        elif mode == "symmetric-real":
-            for v, val in assignment.items():
-                if v[0] == "q":
-                    if val.im != 0:
-                        raise ValueError("symmetric-real needs real values")
-                    w = ("q", v[2], v[1])
-                    if w not in assignment or assignment[w] != val:
-                        raise ValueError(f"assignment not symmetric at {v}")
+        check_assignment(assignment, mode)
         total = GaussRat.of(0)
         for m, c in self.terms.items():
             val = GaussRat.of(c)
             for v, e in m:
-                if mode == "one-param":
-                    x = assignment[SINGLE_Q]
-                else:
-                    if v not in assignment:
-                        raise KeyError(f"no value for {_var_str(v)}")
-                    x = assignment[v]
+                x = param_value(assignment, v, mode)
                 for _ in range(e):
                     val = val * x
             total = total + val
@@ -634,6 +618,48 @@ def _div_one_minus(terms: Mapping[Mono, int], m: Mono) -> Poly:
         if s + chain[top]:
             raise NotDivisible("a chain's coefficients do not sum to zero")
     return Poly(out)
+
+
+def check_assignment(assignment: Mapping[ParamVar, GaussRat],
+                     mode: str) -> None:
+    """Raise ValueError unless the assignment meets the mode's constraint.
+
+    'hermitian': every pair value has its mirror and x[j,i] = conj(x[i,j]);
+    for i = j that makes x[i,i] real.  'symmetric-real': every pair value is
+    real and x[j,i] = x[i,j].  'one-param' and 'free' impose nothing.
+
+    >>> v = GaussRat.of(1, 2)
+    >>> check_assignment({pair_var(1, 2): v, pair_var(2, 1): v}, "hermitian")
+    Traceback (most recent call last):
+    ...
+    ValueError: assignment not hermitian at ('q', 1, 2)
+    """
+    if mode == "hermitian":
+        for v, val in assignment.items():
+            if v[0] == "q":
+                # the mirror must equal val.conj(), compared part by part
+                w = assignment.get(("q", v[2], v[1]))
+                if (not isinstance(w, GaussRat) or w.re != val.re
+                        or w.im != -val.im):
+                    raise ValueError(f"assignment not hermitian at {v}")
+    elif mode == "symmetric-real":
+        for v, val in assignment.items():
+            if v[0] == "q":
+                if val.im != 0:
+                    raise ValueError("symmetric-real needs real values")
+                w = ("q", v[2], v[1])
+                if w not in assignment or assignment[w] != val:
+                    raise ValueError(f"assignment not symmetric at {v}")
+
+
+def param_value(assignment: Mapping[ParamVar, GaussRat], v: ParamVar,
+                mode: str) -> GaussRat:
+    """The value of variable v under the assignment in the given mode."""
+    if mode == "one-param":
+        return assignment[SINGLE_Q]
+    if v not in assignment:
+        raise KeyError(f"no value for {_var_str(v)}")
+    return assignment[v]
 
 
 def conjugate(p: Poly) -> Poly:

@@ -14,7 +14,9 @@ from quongram.determinant import (det_formula, det_cycle_factor,
                                   det_poly_bareiss, det_single_cycle,
                                   det_point, det_elim, peel_check,
                                   peel_exponents, det_factor_chain,
-                                  det_univariate, poly_to_univariate)
+                                  det_univariate, poly_to_univariate,
+                                  is_inverse)
+from quongram.inverse import inverse_matrix_at
 
 from conftest import hermitian_assignment, small_weights
 
@@ -92,6 +94,37 @@ def test_point_determinant_matches_formula(rng):
         A = build_generic(nu)
         ent = [[e.evaluate(a, "hermitian") for e in row] for row in A.entries]
         assert det_point(ent) == det_formula(nu).evaluate(a)
+
+
+def _product_is_identity(A, B):
+    """A . B == I by GaussRat sums, the slow reference."""
+    n = len(A)
+    return all(
+        sum((A[i][k] * B[k][j] for k in range(n)), GaussRat.of(0))
+        == GaussRat.of(1 if i == j else 0)
+        for i in range(n) for j in range(n))
+
+
+def test_is_inverse_matches_gaussrat_sums(rng):
+    nu = Weight.generic_n(3)
+    a = hermitian_assignment(nu.labels, rng)
+    A = [[e.evaluate(a, "hermitian") for e in row]
+         for row in build_generic(nu).entries]
+    B = inverse_matrix_at(nu, a, "hermitian")
+    assert is_inverse(A, B) and _product_is_identity(A, B)
+    tiny = GaussRat(Fraction(0), Fraction(1, 10 ** 9))
+    for i, j, delta in ((0, 0, GaussRat.of(Fraction(1, 10 ** 9))),
+                        (2, 5, tiny), (5, 1, tiny)):
+        bad = [row[:] for row in B]
+        bad[i][j] = bad[i][j] + delta
+        assert not is_inverse(A, bad) and not _product_is_identity(A, bad)
+    # column 3 times (1 + i/10^9): only the imaginary part of A . B is off
+    turn = GaussRat.of(1) + tiny
+    bad = [[v * turn if j == 3 else v for j, v in enumerate(row)]
+           for row in B]
+    assert not is_inverse(A, bad) and not _product_is_identity(A, bad)
+    assert not is_inverse(A, B[:-1])
+    assert not is_inverse(A, [row[:-1] for row in B])
 
 
 def test_point_determinant_basics():

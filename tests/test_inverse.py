@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from quongram.ring import Poly, GaussRat
+from quongram import inverse
+from quongram.ring import Poly, GaussRat, SINGLE_Q
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
 from quongram.perms import Perm, all_perms, longest_element
@@ -16,7 +18,7 @@ from quongram.inverse import (Universe, lambda_sigma, tree_like,
                               inv_brute, inv_full, inverse_matrix_at,
                               inv_degenerate, zagier_check)
 
-from conftest import hermitian_assignment
+from conftest import hermitian_assignment, symmetric_assignment
 
 
 def one_param_box(k):
@@ -225,6 +227,58 @@ def test_numeric_inverse_matches_symbolic(rng):
     want = table.evaluate(a, "hermitian")
     got = inverse_matrix_at(nu, a, "hermitian")
     assert got == want
+
+
+def _point(labels, rng, mode):
+    """A random point for the mode, with a value for the single q too."""
+    def r():
+        return Fraction(rng.randint(-60, 60), 100)
+
+    if mode == "hermitian":
+        a = hermitian_assignment(labels, rng)
+    elif mode == "symmetric-real":
+        a = symmetric_assignment(labels, rng)
+    else:
+        a = {("q", i, j): GaussRat(r(), r()) for i in labels for j in labels}
+    a[SINGLE_Q] = GaussRat(r(), 0 if mode == "symmetric-real" else r())
+    return a
+
+
+@pytest.mark.parametrize("one_param", [False, True])
+@pytest.mark.parametrize("mode", ["free", "symmetric-real", "one-param"])
+def test_numeric_inverse_matches_symbolic_in_every_mode(rng, mode, one_param):
+    nu = Weight.generic_n(3)
+    a = _point(nu.labels, rng, mode)
+    want = inv_full(nu, "fast", one_param).evaluate(a, mode)
+    assert inverse_matrix_at(nu, a, mode, one_param) == want
+
+
+def test_numeric_inverse_rejects_non_hermitian_point(rng):
+    nu = Weight.generic_n(3)
+    a = hermitian_assignment(nu.labels, rng)
+    a[("q", 2, 1)] = a[("q", 1, 2)]          # mirror not conjugated
+    with pytest.raises(ValueError, match="not hermitian"):
+        inverse_matrix_at(nu, a, "hermitian")
+
+
+def test_numeric_inverse_keeps_no_stale_values(rng):
+    # two points in one process: each call computes from its own point
+    nu = Weight.generic_n(3)
+    table = inv_full(nu, "fast")
+    a, b = (hermitian_assignment(nu.labels, rng) for _ in range(2))
+    got_a = inverse_matrix_at(nu, a, "hermitian")
+    got_b = inverse_matrix_at(nu, b, "hermitian")
+    assert got_a == table.evaluate(a, "hermitian")
+    assert got_b == table.evaluate(b, "hermitian")
+    assert got_a != got_b
+
+
+def test_numeric_inverse_leaves_module_memos_alone(rng):
+    nu = Weight.generic_n(3)
+    lambda_scalar((1, 2, 3), Perm((3, 2, 1)))   # some symbolic entries
+    before = len(inverse._LAMBDA_MEMO), len(inverse._SIGMA_MEMO)
+    inverse_matrix_at(nu, hermitian_assignment(nu.labels, rng), "hermitian")
+    assert (len(inverse._LAMBDA_MEMO), len(inverse._SIGMA_MEMO)) == before
 
 
 def test_numeric_inverse_is_inverse(rng):

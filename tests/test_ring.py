@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quongram.ring import (Poly, GaussRat, NotDivisible, pair_var, SINGLE_Q,
-                           conjugate)
+                           conjugate, check_assignment)
 
 
 def rand_poly(rng, nvars=3, nterms=4, deg=3):
@@ -162,6 +162,59 @@ def test_evaluate_modes(rng):
     bad = {("q", 1, 2): v, ("q", 2, 1): v}
     with pytest.raises(ValueError):
         p.evaluate(bad, "hermitian")
+
+
+def _hermitian_by_conj(a):
+    """The hermitian rule written with conj() and GaussRat equality."""
+    for v, val in a.items():
+        if v[0] == "q":
+            w = ("q", v[2], v[1])
+            if w not in a or a[w] != val.conj():
+                return False
+    return True
+
+
+def _edge_point(case):
+    v = GaussRat(Fraction(1, 3), Fraction(1, 4))
+    d = GaussRat(Fraction(1, 2))
+    a = {("q", 1, 1): d, ("q", 1, 2): v, ("q", 2, 1): v.conj()}
+    if case == "imaginary sign":
+        a[("q", 2, 1)] = v
+    elif case == "missing mirror":
+        del a[("q", 2, 1)]
+    elif case == "complex diagonal":
+        a[("q", 1, 1)] = GaussRat(Fraction(1, 2), Fraction(1, 5))
+    return a
+
+
+@pytest.mark.parametrize("case", ["imaginary sign", "missing mirror",
+                                  "complex diagonal"])
+def test_hermitian_check_edge_cases(case):
+    a = _edge_point(case)
+    assert not _hermitian_by_conj(a)
+    p = Poly.var(1, 1) + Poly.var(1, 2)
+    with pytest.raises(ValueError, match="not hermitian"):
+        p.evaluate(a, "hermitian")
+    with pytest.raises(ValueError, match="not hermitian"):
+        check_assignment(a, "hermitian")
+    # the intact point passes
+    check_assignment(_edge_point("none"), "hermitian")
+
+
+parts = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(st.just("q"), st.integers(1, 2),
+                                 st.integers(1, 2)),
+                       st.builds(GaussRat, parts, parts), max_size=4))
+def test_hermitian_check_matches_conj_rule(a):
+    try:
+        check_assignment(a, "hermitian")
+        ok = True
+    except ValueError:
+        ok = False
+    assert ok == _hermitian_by_conj(a)
 
 
 def test_one_param_specialization():
