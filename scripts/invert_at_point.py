@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Invert a generic n-letter Gram matrix at a random hermitian rational
 point, then verify A . A^-1 = I exactly, over Gaussian integers after
-scaling A and each column of A^-1 by their common denominators.
+scaling A and each column of A^-1 by their common denominators, and
+det A = the factored determinant formula at the same point.
 
 The symbolic n! x n! inverse is far out of reach for n >= 5, but the
 per-permutation coefficient recursion evaluates happily at a point; this is
@@ -16,7 +17,7 @@ import time
 from fractions import Fraction
 
 from quongram.ring import GaussRat
-from quongram.determinant import is_inverse
+from quongram.determinant import det_formula, det_point, is_inverse
 from quongram.fock import Weight
 from quongram.gram import build_generic
 from quongram.inverse import inverse_matrix_at
@@ -43,7 +44,7 @@ def main():
     ap.add_argument("-n", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--skip-verify", action="store_true",
-                    help="only time the inverse, skip the O(size^3) product")
+                    help="only time the inverse, skip both checks")
     args = ap.parse_args()
 
     nu = Weight.generic_n(args.n)
@@ -62,6 +63,10 @@ def main():
     Ap = [[e.evaluate(a, "hermitian") for e in row] for row in A.entries]
     ok = is_inverse(Ap, inv)
     print(f"verify A.A^-1 = I: {'OK' if ok else 'FAILED'}"
+          f" in {time.time() - t0:.1f}s")
+    t0 = time.time()
+    ok = det_point(Ap) == det_formula(nu).evaluate(a)
+    print(f"verify det A = formula: {'OK' if ok else 'FAILED'}"
           f" in {time.time() - t0:.1f}s")
 
 

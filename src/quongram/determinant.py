@@ -14,6 +14,15 @@ cyclic factors I − R̂(t_{a,b})), Z[q] on single-variable slices, and the
 Gaussian integers at rational evaluation points scaled by their common
 denominator.
 
+At a hermitian point (so also at a symmetric-real one) the Gram matrix is
+hermitian.  Every Bareiss pivot is then a leading principal minor, which is
+real, and every intermediate matrix stays hermitian (Sylvester's identity;
+Bareiss, Math. Comp. 22, 1968).  ``det_point`` therefore sweeps only the
+upper triangle of such a matrix and divides by integers, about four times
+faster than the general sweep.  It falls back to the general sweep, with
+complex pivots and row swaps, for any other matrix and whenever a leading
+principal minor vanishes.
+
 >>> print(det_formula(Weight.generic_n(2)))
 (1 - q12*q21)
 >>> print(det_one_param(3))
@@ -191,18 +200,26 @@ def det_one_param(n: int) -> OneParamDet:
 # elimination oracles
 # ---------------------------------------------------------------------------
 
-def _bareiss(M, step, is_zero, zero):
+def _bareiss(M, step, is_zero, zero, _upper=False):
     """Fraction-free (Bareiss) elimination of the square matrix M, in place.
 
     step(akk, aij, aik, akj, prev) returns (akk·aij − aik·akj) / prev, a
     division that is exact by the Sylvester identity; prev is None on the
     first sweep, where nothing is divided.  Returns (sign, last pivot), so
-    det M = sign · last pivot, or (1, zero) when M is singular."""
+    det M = sign · last pivot, or (1, zero) when M is singular.
+
+    With _upper set, M must be hermitian and only its upper triangle is
+    swept: every intermediate matrix stays hermitian, so step receives
+    a_ki = conj(a_ik) in place of a_ik, and no entry below the diagonal is
+    read.  A zero pivot cannot be swapped away without breaking the
+    symmetry, so that sweep returns None instead."""
     n = len(M)
     sign = 1
     prev = None
     for k in range(n - 1):
         if is_zero(M[k][k]):
+            if _upper:
+                return None
             for i in range(k + 1, n):
                 if not is_zero(M[i][k]):
                     M[k], M[i] = M[i], M[k]
@@ -214,8 +231,11 @@ def _bareiss(M, step, is_zero, zero):
         akk = rk[k]
         for i in range(k + 1, n):
             ri = M[i]
-            aik = ri[k]
-            for j in range(k + 1, n):
+            if _upper:
+                aik, first = rk[i], i
+            else:
+                aik, first = ri[k], k + 1
+            for j in range(first, n):
                 ri[j] = step(akk, ri[j], aik, rk[j], prev)
             ri[k] = zero    # frees the eliminated entry as the sweep goes
         prev = akk
@@ -393,6 +413,37 @@ def _gi_step(akk, aij, aik, akj, prev):
     return qr, qi
 
 
+def _gi_herm_step(akk, aij, aki, akj, prev):
+    """The Bareiss step of the hermitian sweep over Gaussian integers:
+    a_ik is conj(aki), and the pivots akk and prev are real (leading
+    principal minors of a hermitian matrix), so their imaginary parts are
+    not read.  Six products and two divisions by an integer."""
+    a = akk[0]
+    c, d = aij
+    e, f = aki
+    g, h = akj
+    re = a * c - e * g - f * h
+    im = a * d - e * h + f * g
+    if prev is None:
+        return re, im
+    p = prev[0]
+    qr, rr = divmod(re, p)
+    qi, ri = divmod(im, p)
+    if rr or ri:
+        raise ArithmeticError("non-exact Gaussian-integer division")
+    return qr, qi
+
+
+def _is_hermitian(M) -> bool:
+    """M[j][i] == conj(M[i][j]) for all i <= j, on (re, im) pairs."""
+    for i, row in enumerate(M):
+        for j in range(i, len(M)):
+            re, im = row[j]
+            if M[j][i] != (re, -im):
+                return False
+    return True
+
+
 def _gauss_ints(values) -> tuple:
     """(L, ints): L the lcm of the denominators of the GaussRat values, and
     ints the Gaussian integers L * v as (re, im) pairs, in order."""
@@ -404,13 +455,33 @@ def _gauss_ints(values) -> tuple:
 
 def det_point(entries) -> GaussRat:
     """Exact determinant of a GaussRat matrix: scale to Gaussian integers by
-    the common denominator, run fraction-free elimination, scale back."""
+    the common denominator, run fraction-free elimination, scale back.
+
+    A hermitian matrix (checked exactly on the scaled integers) takes the
+    hermitian sweep over the upper triangle.  Its pivots are leading
+    principal minors, hence real, so each step divides by an integer.  The
+    imaginary part it computes is returned as is, not forced to 0.  If a
+    leading principal minor vanishes, or the matrix is not hermitian, the
+    general sweep runs on the scaled rows, dividing by complex pivots and
+    swapping rows past zero pivots.
+
+    >>> i = GaussRat.of(0, 1)
+    >>> print(det_point([[GaussRat.of(2), i], [i.conj(), GaussRat.of(3)]]))
+    5
+    """
     n = len(entries)
     if n == 0:
         return GaussRat.of(1)
     L, ints = _gauss_ints(v for row in entries for v in row)
     M = [ints[i * n:(i + 1) * n] for i in range(n)]
-    sign, d = _bareiss(M, _gi_step, lambda x: x == (0, 0), (0, 0))
+    is_zero = (0, 0).__eq__
+    res = None
+    if _is_hermitian(M):
+        res = _bareiss(M, _gi_herm_step, is_zero, (0, 0), _upper=True)
+    if res is None:
+        M = [ints[i * n:(i + 1) * n] for i in range(n)]
+        res = _bareiss(M, _gi_step, is_zero, (0, 0))
+    sign, d = res
     scale = Fraction(1, L) ** n
     return GaussRat(Fraction(sign * d[0]) * scale,
                     Fraction(sign * d[1]) * scale)

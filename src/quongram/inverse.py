@@ -34,12 +34,13 @@ __all__ = [
     "psi_op", "e_op", "d_inverse_op", "c_unimodal_op",
     "inv_chains", "inv_long", "inv_short", "inv_zagier", "inv_full",
     "inv_brute", "inv_degenerate", "inverse_matrix_at",
-    "ZagierReport", "zagier_check",
+    "ZagierReport", "zagier_check", "clear_caches",
 ]
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
                    param_value)
@@ -241,9 +242,21 @@ def _singletons(m: int) -> tuple:
     return tuple((k, k) for k in range(1, m + 1))
 
 
+@lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
 def tree_like(g: Perm) -> bool:
     """Whether the block-reversal sequence of g reaches the identity."""
     return young_sequence(g)[1]
+
+
+def clear_caches() -> None:
+    """Empty the module-level caches: the symbolic Lambda and sigma memos
+    and the per-permutation caches of ``tree_like`` and
+    ``perms.young_data``.  Nothing else holds their entries, so this frees
+    them; later calls recompute the same values."""
+    _SIGMA_MEMO.clear()
+    _LAMBDA_MEMO.clear()
+    tree_like.cache_clear()
+    young_data.cache_clear()
 
 
 def lambda_scalar(letters, g: Perm, one_param: bool = False,

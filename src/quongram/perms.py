@@ -179,8 +179,12 @@ class YoungData:
         return Perm(img)
 
 
+@lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
 def young_data(g: Perm) -> YoungData:
-    """J(g), its interval subdivision, and the block factorization of g."""
+    """J(g), its interval subdivision, and the block factorization of g.
+
+    Cached per permutation: the Lambda recursion asks for the same few
+    permutations tens of thousands of times, and YoungData is immutable."""
     n = g.n
     cuts = []
     total = 0

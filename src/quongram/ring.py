@@ -634,21 +634,32 @@ def check_assignment(assignment: Mapping[ParamVar, GaussRat],
     ...
     ValueError: assignment not hermitian at ('q', 1, 2)
     """
+    # Parts are Fractions (or ints), always in lowest terms with a positive
+    # denominator, so equal values have equal numerators and denominators;
+    # comparing those integers skips Fraction.__eq__ on this hot path.
     if mode == "hermitian":
         for v, val in assignment.items():
             if v[0] == "q":
                 # the mirror must equal val.conj(), compared part by part
                 w = assignment.get(("q", v[2], v[1]))
-                if (not isinstance(w, GaussRat) or w.re != val.re
-                        or w.im != -val.im):
+                if not isinstance(w, GaussRat):
+                    raise ValueError(f"assignment not hermitian at {v}")
+                re, im, wre, wim = val.re, val.im, w.re, w.im
+                if (wre.numerator != re.numerator
+                        or wre.denominator != re.denominator
+                        or wim.numerator != -im.numerator
+                        or wim.denominator != im.denominator):
                     raise ValueError(f"assignment not hermitian at {v}")
     elif mode == "symmetric-real":
         for v, val in assignment.items():
             if v[0] == "q":
-                if val.im != 0:
+                re = val.re
+                if val.im.numerator:
                     raise ValueError("symmetric-real needs real values")
-                w = ("q", v[2], v[1])
-                if w not in assignment or assignment[w] != val:
+                w = assignment.get(("q", v[2], v[1]))
+                if (not isinstance(w, GaussRat) or w.im.numerator
+                        or w.re.numerator != re.numerator
+                        or w.re.denominator != re.denominator):
                     raise ValueError(f"assignment not symmetric at {v}")
 
 

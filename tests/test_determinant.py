@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quongram import determinant
 from quongram.ring import Poly, GaussRat
 from quongram.fock import Weight
 from quongram.gram import build_generic, build_degenerate
@@ -148,6 +150,97 @@ def test_zero_pivot_row_swap(template, want):
                       (det_univariate, lambda c: [c])):
         rows = [[lift(c) for c in row] for row in template]
         assert det(rows) == lift(want)
+
+
+def _leibniz(M):
+    """det M by the permutation expansion, in GaussRat: the slow oracle."""
+    total = GaussRat.of(0)
+    for perm in itertools.permutations(range(len(M))):
+        inversions = sum(perm[x] > perm[y] for x, y in
+                         itertools.combinations(range(len(perm)), 2))
+        t = GaussRat.of(-1 if inversions % 2 else 1)
+        for r, c in enumerate(perm):
+            t = t * M[r][c]
+        total = total + t
+    return total
+
+
+def _spy_sweeps(monkeypatch):
+    """Count the steps det_point's two sweeps take, by step name."""
+    seen = collections.Counter()
+    for name in ("_gi_step", "_gi_herm_step"):
+        def spy(*args, _step=getattr(determinant, name), _name=name):
+            seen[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(determinant, name, spy)
+    return seen
+
+
+def _random_hermitian(n, rng, real):
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 8, 10)))
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = GaussRat(part())
+        for j in range(i + 1, n):
+            v = GaussRat(part(), Fraction(0) if real else part())
+            M[i][j], M[j][i] = v, v.conj()
+    return M
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_hermitian_sweep_matches_general_sweep(rng, monkeypatch, real):
+    """Hermitian and symmetric-real matrices, n <= 6: the hermitian sweep
+    runs unless a leading principal minor of size < n vanishes, and its
+    value equals the general sweep's on the same matrix and the oracle's."""
+    mats = [_random_hermitian(n, rng, real)
+            for n in range(1, 7) for _ in range(4)]
+    seen = _spy_sweeps(monkeypatch)
+    fast, fell_back = [], 0
+    for M in mats:
+        n = len(M)
+        seen.clear()
+        fast.append(det_point(M))
+        assert fast[-1] == _leibniz(M)
+        singular_minor = any(_leibniz([r[:k] for r in M[:k]]).is_zero()
+                             for k in range(1, n))
+        assert (seen["_gi_herm_step"] > 0) == (n > 1 and M[0][0].re != 0)
+        assert (seen["_gi_step"] > 0) == singular_minor
+        fell_back += singular_minor
+    assert fell_back < len(mats) // 4
+    monkeypatch.setattr(determinant, "_is_hermitian", lambda M: False)
+    seen.clear()
+    assert [det_point(M) for M in mats] == fast
+    assert seen["_gi_herm_step"] == 0
+
+
+def test_hermitian_sweep_falls_back_on_a_vanishing_minor(monkeypatch):
+    i = GaussRat.of(0, 1)
+    one, two, zero = GaussRat.of(1), GaussRat.of(2), GaussRat.of(0)
+    cases = [
+        [[zero, one], [one, zero]],
+        [[one, one, zero], [one, one, one], [zero, one, one]],
+        # complex: the leading 2 x 2 minor is 1 - i * (-i) = 0
+        [[one, i, zero], [i.conj(), one, one + i], [zero, one - i, two]],
+    ]
+    seen = _spy_sweeps(monkeypatch)
+    for M in cases:
+        seen.clear()
+        got = det_point(M)
+        assert got == _leibniz(M) and got != zero
+        assert seen["_gi_step"] > 0
+    assert det_point(cases[2]) == GaussRat.of(-2)
+
+
+@pytest.mark.parametrize("where", [(0, 2), (1, 1)])
+def test_nearly_hermitian_takes_the_general_sweep(rng, monkeypatch, where):
+    """One entry off by i/10^9 (off-diagonal, or a non-real diagonal)."""
+    M = _random_hermitian(4, rng, False)
+    r, c = where
+    M[r][c] = M[r][c] + GaussRat(Fraction(0), Fraction(1, 10 ** 9))
+    seen = _spy_sweeps(monkeypatch)
+    assert det_point(M) == _leibniz(M)
+    assert seen["_gi_herm_step"] == 0 and seen["_gi_step"] > 0
 
 
 def test_univariate_slice(rng):

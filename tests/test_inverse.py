@@ -7,7 +7,7 @@ from quongram import inverse
 from quongram.ring import Poly, GaussRat, SINGLE_Q
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
-from quongram.perms import Perm, all_perms, longest_element
+from quongram.perms import Perm, all_perms, longest_element, young_data
 from quongram.gram import (Basis, build_generic, build_degenerate, factor_CD,
                            q_mono)
 from quongram.inverse import (Universe, lambda_sigma, tree_like,
@@ -16,7 +16,7 @@ from quongram.inverse import (Universe, lambda_sigma, tree_like,
                               inv_chains, inv_long, inv_short, e_op,
                               d_inverse_op, c_unimodal_op, inv_zagier,
                               inv_brute, inv_full, inverse_matrix_at,
-                              inv_degenerate, zagier_check)
+                              inv_degenerate, zagier_check, clear_caches)
 
 from conftest import hermitian_assignment, symmetric_assignment
 
@@ -279,6 +279,17 @@ def test_numeric_inverse_leaves_module_memos_alone(rng):
     before = len(inverse._LAMBDA_MEMO), len(inverse._SIGMA_MEMO)
     inverse_matrix_at(nu, hermitian_assignment(nu.labels, rng), "hermitian")
     assert (len(inverse._LAMBDA_MEMO), len(inverse._SIGMA_MEMO)) == before
+
+
+def test_clear_caches_recomputes_the_same_table():
+    nu = Weight.generic_n(3)
+    want = inv_full(nu, "fast").to_json()
+    assert inverse._LAMBDA_MEMO and young_data.cache_info().currsize
+    clear_caches()
+    assert not inverse._LAMBDA_MEMO and not inverse._SIGMA_MEMO
+    assert young_data.cache_info().currsize == 0
+    assert tree_like.cache_info().currsize == 0
+    assert inv_full(nu, "fast").to_json() == want
 
 
 def test_numeric_inverse_is_inverse(rng):

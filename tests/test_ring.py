@@ -184,11 +184,20 @@ def _edge_point(case):
         del a[("q", 2, 1)]
     elif case == "complex diagonal":
         a[("q", 1, 1)] = GaussRat(Fraction(1, 2), Fraction(1, 5))
+    # the mirror's part has the right numerator over another denominator
+    elif case == "real denominator":
+        a[("q", 2, 1)] = GaussRat(Fraction(1, 2), -v.im)
+    elif case == "imaginary denominator":
+        a[("q", 2, 1)] = GaussRat(v.re, Fraction(-1, 5))
+    elif case == "mirror not GaussRat":
+        a[("q", 2, 1)] = (v.re, -v.im)
     return a
 
 
 @pytest.mark.parametrize("case", ["imaginary sign", "missing mirror",
-                                  "complex diagonal"])
+                                  "complex diagonal", "real denominator",
+                                  "imaginary denominator",
+                                  "mirror not GaussRat"])
 def test_hermitian_check_edge_cases(case):
     a = _edge_point(case)
     assert not _hermitian_by_conj(a)
@@ -201,20 +210,56 @@ def test_hermitian_check_edge_cases(case):
     check_assignment(_edge_point("none"), "hermitian")
 
 
+third = GaussRat(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("value, mirror, message", [
+    (third, third, None),
+    (third, None, "not symmetric"),
+    (third, GaussRat(Fraction(1, 2)), "not symmetric"),  # same numerator
+    (third, GaussRat(Fraction(-1, 3)), "not symmetric"),  # same denominator
+    (third, GaussRat(Fraction(1, 3), Fraction(1, 7)), "not symmetric"),
+    (GaussRat(Fraction(1, 3), Fraction(1, 7)), third, "real values"),
+    (third, Fraction(1, 3), "not symmetric"),
+])
+def test_symmetric_check_edge_cases(value, mirror, message):
+    a = {("q", 1, 2): value}      # checked first: dicts keep their order
+    if mirror is not None:
+        a[("q", 2, 1)] = mirror
+    if message is None:
+        check_assignment(a, "symmetric-real")
+        return
+    with pytest.raises(ValueError, match=message):
+        check_assignment(a, "symmetric-real")
+
+
 parts = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 3)])
+points = st.dictionaries(st.tuples(st.just("q"), st.integers(1, 2),
+                                   st.integers(1, 2)),
+                         st.builds(GaussRat, parts, parts), max_size=4)
+
+
+def _check_passes(a, mode):
+    try:
+        check_assignment(a, mode)
+        return True
+    except ValueError:
+        return False
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.tuples(st.just("q"), st.integers(1, 2),
-                                 st.integers(1, 2)),
-                       st.builds(GaussRat, parts, parts), max_size=4))
+@given(points)
 def test_hermitian_check_matches_conj_rule(a):
-    try:
-        check_assignment(a, "hermitian")
-        ok = True
-    except ValueError:
-        ok = False
-    assert ok == _hermitian_by_conj(a)
+    assert _check_passes(a, "hermitian") == _hermitian_by_conj(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points)
+def test_symmetric_check_matches_equality_rule(a):
+    """The symmetric-real rule written with GaussRat equality."""
+    want = all(val.im == 0 and a.get(("q", v[2], v[1])) == val
+               for v, val in a.items())
+    assert _check_passes(a, "symmetric-real") == want
 
 
 def test_one_param_specialization():
