@@ -60,7 +60,7 @@ def main():
         return
     t0 = time.time()
     A = build_generic(nu)
-    Ap = [[e.evaluate(a, "hermitian") for e in row] for row in A.entries]
+    Ap = A.evaluate(a, "hermitian")
     ok = is_inverse(Ap, inv)
     print(f"verify A.A^-1 = I: {'OK' if ok else 'FAILED'}"
           f" in {time.time() - t0:.1f}s")

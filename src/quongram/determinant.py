@@ -43,7 +43,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ring import Poly, GaussRat, NotDivisible, pair_var, check_assignment
 from .boxes import _box_poly
@@ -448,9 +447,12 @@ def _gauss_ints(values) -> tuple:
     """(L, ints): L the lcm of the denominators of the GaussRat values, and
     ints the Gaussian integers L * v as (re, im) pairs, in order."""
     values = list(values)
-    L = math.lcm(*(x.denominator for v in values for x in (v.re, v.im)))
-    return L, [(v.re.numerator * (L // v.re.denominator),
-                v.im.numerator * (L // v.im.denominator)) for v in values]
+    L = math.lcm(*(v.d for v in values))
+    ints = []
+    for v in values:
+        s = L // v.d
+        ints.append((v.a * s, v.b * s))
+    return L, ints
 
 
 def det_point(entries) -> GaussRat:
@@ -482,9 +484,7 @@ def det_point(entries) -> GaussRat:
         M = [ints[i * n:(i + 1) * n] for i in range(n)]
         res = _bareiss(M, _gi_step, is_zero, (0, 0))
     sign, d = res
-    scale = Fraction(1, L) ** n
-    return GaussRat(Fraction(sign * d[0]) * scale,
-                    Fraction(sign * d[1]) * scale)
+    return GaussRat.from_ints(sign * d[0], sign * d[1], L ** n)
 
 
 def is_inverse(a_rows, b_rows) -> bool:
@@ -608,12 +608,8 @@ def positivity_check(nu: Weight, assignment, tolerance: float = 1e-9) -> bool:
         if v[0] == "q" and val.abs2() >= 1:
             raise ValueError(f"|q| < 1 violated at {v}: |q|^2 = {val.abs2()}")
     A = build_degenerate(nu) if not nu.generic else build_generic(nu)
-    m = A.basis.size
-    num = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            v = A.entries[i][j].evaluate(assignment, "hermitian")
-            num[i, j] = float(v.re) + 1j * float(v.im)
+    num = np.array([[complex(v.a / v.d, v.b / v.d) for v in row]
+                    for row in A.evaluate(assignment, "hermitian")])
     eigs = np.linalg.eigvalsh(num)
     return bool(eigs.min() > tolerance)
 

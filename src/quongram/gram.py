@@ -29,7 +29,7 @@ __all__ = [
 import itertools
 from dataclasses import dataclass
 
-from .ring import Poly, conjugate
+from .ring import Poly, check_assignment, conjugate, evaluate_terms
 from .boxes import BoxFraction, dot
 from .fock import Word, Weight
 from .perms import Perm, all_perms, cycle
@@ -113,6 +113,17 @@ class GramMatrix:
                     out_row.append(dot(xs, ys))
             out.append(out_row)
         return GramMatrix(self.basis, out)
+
+    def evaluate(self, assignment, mode: str = "free") -> list:
+        """The Poly entries at an exact point, as rows of GaussRat values.
+
+        The assignment is checked against the mode once
+        (``check_assignment``), then every entry runs the unchecked term
+        loop of ``Poly.evaluate``.
+        """
+        check_assignment(assignment, mode)
+        return [[evaluate_terms(e, assignment, mode) for e in row]
+                for row in self.entries]
 
     def to_json(self):
         return {"weight": str(self.basis.weight),

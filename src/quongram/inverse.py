@@ -74,10 +74,11 @@ class Universe:
     its mode once, at construction, with ``ring.check_assignment`` (the
     check ``Poly.evaluate`` runs), so a bad point raises ValueError before
     any work.  It caches only values that recur: the value of each pair
-    parameter, and per box factor (keyed like ``BoxFactor``, by its sorted
-    letters) the value of its monomial, which is ``q_block``, and of its
-    inverse, which is ``box_inv``.  It also keeps its own Lambda and sigma
-    memos.  These caches live exactly as long as the universe:
+    parameter, and per box factor the value of its monomial, which is
+    ``q_block``, and of its inverse, which is ``box_inv``.  A box is keyed
+    by its sorted letters, the identity a ``BoxFactor`` has, but no
+    ``BoxFactor`` is built.  It also keeps its own Lambda and sigma memos.
+    These caches live exactly as long as the universe:
     ``inverse_matrix_at`` builds one per call, so nothing is left behind
     for a point nobody will reuse.  Symbolic universes share the
     module-level memos instead.
@@ -99,7 +100,7 @@ class Universe:
             self._tag = "num"
             self.sigma_memo, self.lambda_memo = {}, {}
             self._pairs = {}   # (i, j) -> value of q_ij
-            self._boxes = {}   # BoxFactor -> (value of q-part, 1 / value)
+            self._boxes = {}   # sorted letters -> (q-part, 1 / box) values
 
     def key(self, letters: tuple):
         # one-parameter symbolic values only depend on interval sizes
@@ -124,21 +125,21 @@ class Universe:
 
     def box_inv(self, letters: tuple, positions):
         """1 / Box over the given 1-based positions of the letter tuple."""
-        box = _box(letters, positions, self.one_param)
         if self.assignment is None:
-            return BoxFraction(Poly.one(), (box,))
-        return self._box_values(box)[1]
+            return BoxFraction(Poly.one(),
+                               (_box(letters, positions, self.one_param),))
+        return self._box_values(letters, positions)[1]
 
     def q_block(self, letters: tuple, positions):
         """The monomial prod_{a != b in positions} q_{letters_a letters_b}."""
-        T = sorted(positions)
         if self.assignment is None:
+            T = sorted(positions)
             pairs = [(a, b) for a in T for b in T if a != b]
             return BoxFraction(q_mono(letters, pairs, self.one_param))
-        if len(T) < 2:
+        if len(positions) < 2:
             return GaussRat.of(1)
         # the same monomial as the q-part of the box over these positions
-        return self._box_values(_box(letters, T, self.one_param))[0]
+        return self._box_values(letters, positions)[0]
 
     def is_zero(self, v) -> bool:
         return v.is_zero()
@@ -160,14 +161,19 @@ class Universe:
                                                   self.mode)
         return x
 
-    def _box_values(self, box: BoxFactor) -> tuple:
-        vals = self._boxes.get(box)
+    def _box_values(self, letters: tuple, positions) -> tuple:
+        # keyed by what identifies the BoxFactor: its sorted letters, or in
+        # one-parameter mode its size, standing for the letters 1..k
+        if self.one_param:
+            key = tuple(range(1, len(positions) + 1))
+        else:
+            key = tuple(sorted([letters[p - 1] for p in positions]))
+        vals = self._boxes.get(key)
         if vals is None:
-            T = range(1, len(box.letters) + 1)
-            q = self.mono(box.letters, [(a, b) for a in T for b in T
-                                        if a != b])
+            T = range(1, len(key) + 1)
+            q = self.mono(key, [(a, b) for a in T for b in T if a != b])
             one = GaussRat.of(1)
-            vals = self._boxes[box] = (q, one / (one - q))
+            vals = self._boxes[key] = (q, one / (one - q))
         return vals
 
 

@@ -4,7 +4,10 @@ Exact arithmetic for the deformation parameters.
 Values live in three layers:
 
 * ``GaussRat`` -- Gaussian rationals, the exact scalar field used whenever a
-  polynomial identity is checked by evaluation.
+  polynomial identity is checked by evaluation.  A value is one Gaussian
+  integer over one positive denominator, ``(a + b*i) / d`` with
+  ``gcd(a, b, d) = 1``: a canonical triple costs one gcd per operation,
+  where a pair of ``Fraction`` parts would normalize each part on its own.
 * ``Mono`` / ``Poly`` -- multivariate polynomials with integer coefficients in
   the formal parameters ``x[i,j]`` (one commuting indeterminate per ordered
   pair of generator labels, plus a dedicated one-parameter variable ``q``).
@@ -25,11 +28,11 @@ from __future__ import annotations
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
     "pair_var", "SINGLE_Q", "mono_mul", "mono_key", "conjugate",
-    "check_assignment", "param_value",
+    "check_assignment", "evaluate_terms", "param_value",
 ]
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping
 
 # A variable is a tuple: ('q', i, j) for the pair parameter attached to the
@@ -121,55 +124,164 @@ class NotDivisible(Exception):
     nonzero remainder or a non-integer quotient."""
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """Exact Gaussian rational re + im*i."""
+    """Exact Gaussian rational (a + b*i) / d, stored as the three integers.
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    The triple is canonical: ``d > 0`` and ``gcd(a, b, d) = 1``, so equal
+    values have equal triples, and ``==`` and ``hash`` compare them
+    directly.  Each operation is a few integer products and one
+    ``math.gcd(a, b, d)``; two ``Fraction`` parts would each pay their own
+    gcds on every operation.  ``re`` and ``im`` are the parts as
+    ``Fraction``s, built on first use.  Treat an instance as immutable.
+
+    >>> z = GaussRat(Fraction(1, 2), Fraction(-1, 3))
+    >>> z.a, z.b, z.d
+    (3, -2, 6)
+    >>> print(z * 2)
+    (1+-2/3i)
+    >>> z.re
+    Fraction(1, 2)
+    """
+
+    __slots__ = ("a", "b", "d", "_re", "_im")
+
+    def __init__(self, re, im=0):
+        re, im = Fraction(re), Fraction(im)
+        rd, jd = re.denominator, im.denominator
+        d = rd * jd // gcd(rd, jd)
+        # both parts are in lowest terms, so the triple over their lcm is
+        # already canonical
+        self.a = re.numerator * (d // rd)
+        self.b = im.numerator * (d // jd)
+        self.d = d
+        self._re, self._im = re, im
 
     @staticmethod
     def of(re, im=0) -> "GaussRat":
-        return GaussRat(Fraction(re), Fraction(im))
+        if re.__class__ is int and im.__class__ is int:
+            return _raw(re, im, 1)
+        return GaussRat(re, im)
+
+    @staticmethod
+    def from_ints(a: int, b: int, d: int) -> "GaussRat":
+        """(a + b*i) / d for integers a, b and d > 0."""
+        if d <= 0:
+            raise ValueError(f"denominator {d} is not positive")
+        return _reduced(a, b, d)
+
+    @property
+    def re(self) -> Fraction:
+        r = self._re
+        if r is None:
+            r = self._re = Fraction(self.a, self.d)
+        return r
+
+    @property
+    def im(self) -> Fraction:
+        r = self._im
+        if r is None:
+            r = self._im = Fraction(self.b, self.d)
+        return r
 
     def __add__(self, o):
-        return GaussRat(self.re + o.re, self.im + o.im)
+        if o.__class__ is not GaussRat:
+            o = _lift(o)
+            if o is None:
+                return NotImplemented
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a + o.a, self.b + o.b, d)
+        return _reduced(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     def __sub__(self, o):
-        return GaussRat(self.re - o.re, self.im - o.im)
+        if o.__class__ is not GaussRat:
+            o = _lift(o)
+            if o is None:
+                return NotImplemented
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a - o.a, self.b - o.b, d)
+        return _reduced(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return GaussRat(self.re * o, self.im * o)
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        if o.__class__ is not GaussRat:
+            o = _lift(o)
+            if o is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return GaussRat(self.re / o, self.im / o)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
+        if o.__class__ is not GaussRat:
+            o = _lift(o)
+            if o is None:
+                return NotImplemented
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, c, e, f = self.a, self.b, o.a, o.b, o.d
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero GaussRat")
-        return self * o.conj() / n
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
+                        self.d * n)
+
+    def __eq__(self, o):
+        if not isinstance(o, GaussRat):
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.d == o.d
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
 
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _raw(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def __str__(self):
-        if self.im == 0:
+        if not self.b:
             return str(self.re)
         return f"({self.re}+{self.im}i)"
+
+    def __repr__(self):
+        return f"GaussRat(re={self.re!r}, im={self.im!r})"
+
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat of a triple that is already canonical."""
+    r = _new(GaussRat)
+    r.a, r.b, r.d, r._re, r._im = a, b, d, None, None
+    return r
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """The GaussRat (a + b*i) / d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
+
+
+def _lift(o):
+    """An int or Fraction operand as a GaussRat, anything else as None."""
+    if isinstance(o, int):
+        return _raw(o, 0, 1)
+    if isinstance(o, Fraction):
+        return _raw(o.numerator, 0, o.denominator)
+    return None
 
 
 def _var_str(v: ParamVar) -> str:
@@ -457,18 +569,12 @@ class Poly:
         mode 'hermitian' and 'symmetric-real' constrain the assignment, which
         ``check_assignment`` checks on every call; 'one-param' maps every
         pair variable to the single-q value (``param_value``); 'free'
-        imposes nothing.
+        imposes nothing.  To evaluate many polynomials at one point, check
+        it once and call ``evaluate_terms``, as ``GramMatrix.evaluate``
+        does.
         """
         check_assignment(assignment, mode)
-        total = GaussRat.of(0)
-        for m, c in self.terms.items():
-            val = GaussRat.of(c)
-            for v, e in m:
-                x = param_value(assignment, v, mode)
-                for _ in range(e):
-                    val = val * x
-            total = total + val
-        return total
+        return evaluate_terms(self, assignment, mode)
 
     # -- presentation ------------------------------------------------------
     def __str__(self):
@@ -634,33 +740,39 @@ def check_assignment(assignment: Mapping[ParamVar, GaussRat],
     ...
     ValueError: assignment not hermitian at ('q', 1, 2)
     """
-    # Parts are Fractions (or ints), always in lowest terms with a positive
-    # denominator, so equal values have equal numerators and denominators;
-    # comparing those integers skips Fraction.__eq__ on this hot path.
+    # GaussRat triples are canonical, so a value equals the mirror's
+    # conjugate exactly when the triples agree up to the sign of b
     if mode == "hermitian":
         for v, val in assignment.items():
             if v[0] == "q":
-                # the mirror must equal val.conj(), compared part by part
                 w = assignment.get(("q", v[2], v[1]))
-                if not isinstance(w, GaussRat):
-                    raise ValueError(f"assignment not hermitian at {v}")
-                re, im, wre, wim = val.re, val.im, w.re, w.im
-                if (wre.numerator != re.numerator
-                        or wre.denominator != re.denominator
-                        or wim.numerator != -im.numerator
-                        or wim.denominator != im.denominator):
+                if (not isinstance(w, GaussRat) or w.b != -val.b
+                        or w.a != val.a or w.d != val.d):
                     raise ValueError(f"assignment not hermitian at {v}")
     elif mode == "symmetric-real":
         for v, val in assignment.items():
             if v[0] == "q":
-                re = val.re
-                if val.im.numerator:
+                if val.b:
                     raise ValueError("symmetric-real needs real values")
                 w = assignment.get(("q", v[2], v[1]))
-                if (not isinstance(w, GaussRat) or w.im.numerator
-                        or w.re.numerator != re.numerator
-                        or w.re.denominator != re.denominator):
+                if (not isinstance(w, GaussRat) or w.b
+                        or w.a != val.a or w.d != val.d):
                     raise ValueError(f"assignment not symmetric at {v}")
+
+
+def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
+                   mode: str) -> GaussRat:
+    """The value of p under an assignment already checked against the mode
+    (``check_assignment``); the term loop of ``Poly.evaluate``."""
+    total = GaussRat.of(0)
+    for m, c in p.terms.items():
+        val = GaussRat.of(c)
+        for v, e in m:
+            x = param_value(assignment, v, mode)
+            for _ in range(e):
+                val = val * x
+        total = total + val
+    return total
 
 
 def param_value(assignment: Mapping[ParamVar, GaussRat], v: ParamVar,

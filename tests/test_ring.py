@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from quongram.ring import (Poly, GaussRat, NotDivisible, pair_var, SINGLE_Q,
                            conjugate, check_assignment)
+from quongram.fock import Weight
+from quongram.gram import build_generic
+from conftest import hermitian_assignment
 
 
 def rand_poly(rng, nvars=3, nterms=4, deg=3):
@@ -275,3 +279,121 @@ def test_map_labels():
 
 def test_conjugate_helper():
     assert conjugate(Poly.var(1, 2)) == Poly.var(2, 1)
+
+
+# -- GaussRat against a (Fraction, Fraction) reference -------------------------
+
+fracs = st.fractions(min_value=-20, max_value=20, max_denominator=36)
+gauss = st.builds(GaussRat, fracs, fracs)
+operands = st.one_of(gauss, st.integers(-20, 20), fracs)
+
+
+def _ref(x):
+    """x as a (re, im) pair of Fractions."""
+    if isinstance(x, GaussRat):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def _ref_op(name, x, y):
+    (a, b), (c, d) = x, y
+    if name == "add":
+        return a + c, b + d
+    if name == "sub":
+        return a - c, b - d
+    if name == "mul":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    if not n:
+        raise ZeroDivisionError
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+OPS = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+       "mul": lambda x, y: x * y, "div": lambda x, y: x / y}
+
+
+def _canonical(z):
+    assert isinstance(z, GaussRat)
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == (Fraction(z.a, z.d), Fraction(z.b, z.d))
+    return z.re, z.im
+
+
+@settings(max_examples=400, deadline=None)
+@given(gauss, operands)
+def test_gauss_rat_matches_fraction_pairs(x, y):
+    _canonical(x)
+    for name, op in OPS.items():
+        try:
+            want = _ref_op(name, _ref(x), _ref(y))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        assert _canonical(op(x, y)) == want
+    assert _canonical(y * x) == _ref_op("mul", _ref(y), _ref(x))
+    re, im = _ref(x)
+    assert _canonical(-x) == (-re, -im)
+    assert _canonical(x.conj()) == (re, -im)
+    assert x.abs2() == re * re + im * im
+    assert x.is_zero() == (re == 0 and im == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gauss, gauss)
+def test_gauss_rat_equal_values_hash_equally(x, y):
+    same = GaussRat(x.re, x.im)
+    assert same == x and hash(same) == hash(x)
+    if not y.is_zero():
+        back = (x * y) / y
+        assert back == x and hash(back) == hash(x)
+    assert (x == y) == (_ref(x) == _ref(y))
+
+
+def test_gauss_rat_canonical_examples():
+    half = GaussRat(Fraction(2, 4))
+    assert half == GaussRat.of(1) / 2
+    assert hash(half) == hash(GaussRat.of(1) / 2)
+    assert len({half, GaussRat.of(Fraction(1, 2)), GaussRat.of(3, 0) / 6}) == 1
+    z = GaussRat.from_ints(4, -6, 8)
+    assert (z.a, z.b, z.d) == (2, -3, 4)
+    with pytest.raises(ValueError):
+        GaussRat.from_ints(1, 0, -2)
+    assert GaussRat.of(1) != 1 and GaussRat.of(1) != Fraction(1)
+
+
+@pytest.mark.parametrize("value, text, rep", [
+    (GaussRat.of(1, 2), "(1+2i)",
+     "GaussRat(re=Fraction(1, 1), im=Fraction(2, 1))"),
+    (GaussRat(Fraction(1, 2), Fraction(-1, 3)), "(1/2+-1/3i)",
+     "GaussRat(re=Fraction(1, 2), im=Fraction(-1, 3))"),
+    (GaussRat(Fraction(-3, 4)), "-3/4",
+     "GaussRat(re=Fraction(-3, 4), im=Fraction(0, 1))"),
+    (GaussRat.of(0), "0", "GaussRat(re=Fraction(0, 1), im=Fraction(0, 1))"),
+    (GaussRat.of(Fraction(5, 10), 0), "1/2",
+     "GaussRat(re=Fraction(1, 2), im=Fraction(0, 1))"),
+    (GaussRat.of(0, 1) * GaussRat.of(0, 1), "-1",
+     "GaussRat(re=Fraction(-1, 1), im=Fraction(0, 1))"),
+])
+def test_gauss_rat_str_repr(value, text, rep):
+    assert str(value) == text
+    assert repr(value) == rep
+
+
+@pytest.mark.parametrize("zero", [GaussRat.of(0), 0, Fraction(0)])
+def test_gauss_rat_division_by_zero(zero):
+    with pytest.raises(ZeroDivisionError):
+        GaussRat.of(1, 1) / zero
+
+
+def test_gram_matrix_evaluate_matches_entries(rng):
+    nu = Weight.generic_n(3)
+    A = build_generic(nu)
+    a = hermitian_assignment(nu.labels, rng)
+    want = [[e.evaluate(a, "hermitian") for e in row] for row in A.entries]
+    assert A.evaluate(a, "hermitian") == want
+    bad = dict(a)
+    bad[("q", 2, 1)] = a[("q", 2, 1)] + GaussRat.of(1)
+    with pytest.raises(ValueError, match="not hermitian"):
+        A.evaluate(bad, "hermitian")
