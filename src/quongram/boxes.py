@@ -19,14 +19,15 @@ cancellation mechanism is exact polynomial division by one of them.
 
 from __future__ import annotations
 
-__all__ = ["BoxFactor", "BoxFraction", "dot"]
+__all__ = ["BoxFactor", "BoxFraction", "as_part", "product_part", "sum_parts"]
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .ring import Poly, NotDivisible, GaussRat
+from .ring import Poly, NotDivisible, GaussRat, mono_degree
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +50,12 @@ class BoxFactor:
     The canonical identity of the factor is its expansion as a Poly, so two
     factors over different words that expand to the same polynomial cancel
     against each other.
+
+    ``prime`` is set for a multiparameter box over distinct letters.  Its
+    monomial is a product of distinct variables, so the box is irreducible,
+    and two such boxes over different letters are different primes of
+    Z[q].  A one-parameter box is not (1 - q^2 divides 1 - q^6), nor is a
+    box over a repeated letter (1 - q11^2 = (1 - q11)(1 + q11)).
     """
 
     word: tuple
@@ -65,6 +72,8 @@ class BoxFactor:
         # depends only on the sorted letters; computed once, not per hash
         letters = tuple(sorted(self.word[p - 1] for p in self.positions))
         object.__setattr__(self, "_key", (self.one_param, letters))
+        object.__setattr__(self, "prime", not self.one_param
+                           and len(set(letters)) == len(letters))
 
     @property
     def letters(self) -> tuple:
@@ -143,7 +152,7 @@ class BoxFraction:
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, o: "BoxFraction") -> "BoxFraction":
-        return _sum_parts((_parts(self), _parts(o)))
+        return _sum_once((as_part(self), as_part(o)))
 
     def __radd__(self, o) -> "BoxFraction":
         return self + o
@@ -176,16 +185,31 @@ class BoxFraction:
         raise TypeError(f"cannot divide BoxFraction by {type(o).__name__}")
 
     def __eq__(self, o):
-        if isinstance(o, Poly):
-            o = BoxFraction(o)
-        if not isinstance(o, BoxFraction):
+        """Equality of values, by cross multiplication after cancelling
+        the factors both denominators share: each numerator is multiplied
+        only by the factors its side lacks, and equal denominators compare
+        numerators alone.  Exact in every mode, since Z[q] is an integral
+        domain and no box is zero; neither side needs to be reduced."""
+        if not isinstance(o, (BoxFraction, Poly)):
             return NotImplemented
-        # cross multiplication, no reduction needed
-        return self.num * _den_poly(o.den) == o.num * _den_poly(self.den)
+        num, den = as_part(o)
+        if self.den == den:
+            return self.num == num
+        mine, theirs = Counter(self.den), Counter(den)
+        return (self.num * _den_poly((theirs - mine).elements())
+                == num * _den_poly((mine - theirs).elements()))
 
     def __hash__(self):
-        # reduced form is canonical up to ordering of den (sorted in __init__)
-        return hash((self.num, self.den))
+        """Hash of the value with every parameter set to 2: the numerator
+        sum of c*2^deg over the product of the boxes 1 - 2^(k(k-1)), as a
+        Fraction.  No box vanishes there, so equal values hash equally in
+        every mode, also where reduced forms are not unique."""
+        num = sum(c << mono_degree(m) for m, c in self.num.terms.items())
+        den = 1
+        for f in self.den:
+            k = len(f.letters)
+            den *= 1 - (1 << (k * (k - 1)))
+        return hash(Fraction(num, den))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -239,47 +263,69 @@ class BoxFraction:
                            reduce=False)
 
 
-def _parts(x):
+def as_part(x):
     """Numerator and denominator multiset of a Poly or a BoxFraction."""
     return (x.num, x.den) if isinstance(x, BoxFraction) else (x, ())
 
 
-def _sum_parts(parts) -> BoxFraction:
+def product_part(x, y):
+    """x*y for Polys and BoxFractions as a (numerator, denominator
+    multiset) part, not reduced."""
+    (nx, dx), (ny, dy) = as_part(x), as_part(y)
+    return nx * ny, dx + dy
+
+
+def _sum_once(parts) -> BoxFraction:
     """Sum of (numerator, denominator multiset) pairs over their least
     common multiset of box factors, reduced once.
 
-    This is the only summation path; ``+`` is its two-term case.  Each
-    factor of the common denominator is represented by its first
+    Each factor of the common denominator is represented by its first
     occurrence in part order, the one a chain of ``+`` keeps while the
-    factor stays in the running denominator.
+    factor stays in the running denominator.  Numerators over the same
+    denominator are added before they are multiplied up to the common one.
     """
     common: Counter = Counter()
-    for _, den in parts:
-        common |= Counter(den)
-    num = Poly.zero()
+    by_den: dict = {}
     for n, den in parts:
+        den = tuple(sorted(den))
+        if den not in by_den:
+            common |= Counter(den)
+            by_den[den] = n
+        else:
+            by_den[den] = by_den[den] + n
+    num = Poly.zero()
+    for den, n in by_den.items():
         if not n.is_zero():
-            num = num + n * _den_poly((common - Counter(den)).elements())
+            rest = common - Counter(den)
+            num = num + (n * _den_poly(rest.elements()) if rest else n)
     return BoxFraction(num, common.elements())
 
 
-def dot(xs, ys) -> BoxFraction:
-    """Sum of x*y over paired Polys and BoxFractions, over one common
-    multiset of box factors and reduced once; the products are not reduced
-    on their own.
+def sum_parts(parts) -> BoxFraction:
+    """Sum of (numerator, denominator multiset) pairs, reduced: the one
+    rule by which box fractions are summed.
+
+    When every factor is ``prime`` (a multiparameter box over distinct
+    letters), the parts are summed over their least common denominator and
+    reduced once.  The factors are then distinct primes of Z[q], so a value
+    has exactly one reduced form and the order of summation cannot show in
+    the result.  Otherwise (a one-parameter box, or a repeated letter) a
+    value can have several reduced forms, so each part is reduced and the
+    parts are added with ``+`` in the given order, as a running sum always
+    has.  Parts with a zero numerator are skipped.
 
     >>> b = BoxFactor((1, 2), frozenset({1, 2}))
-    >>> x = BoxFraction(Poly.one(), (b,))
-    >>> print(dot([x, Poly.one()], [Poly.parse("q12*q21"), Poly.one()]))
-    1 / Box{1,2}
+    >>> print(sum_parts([(Poly.one(), (b,)), (Poly.parse("-q12*q21"), (b,))]))
+    1
     """
-    parts = []
-    for x, y in zip(xs, ys):
-        (nx, dx), (ny, dy) = _parts(x), _parts(y)
-        n = nx * ny
-        if not n.is_zero():  # as reduced, a zero product has no denominator
-            parts.append((n, dx + dy))
-    return _sum_parts(parts)
+    parts = [(n, den) for n, den in parts if not n.is_zero()]
+    if all(f.prime for _, den in parts for f in den):
+        return _sum_once(parts)
+    total = BoxFraction.zero()
+    for n, den in parts:
+        f = BoxFraction(n, den)
+        total = f if total.is_zero() else total + f
+    return total
 
 
 def _reduce(num: Poly, den: tuple):

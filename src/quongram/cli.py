@@ -15,6 +15,7 @@ __all__ = ["main", "build_parser", "parse_weight"]
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -102,8 +103,20 @@ def cmd_det(args, out) -> int:
     return 0
 
 
+# symbolic inversion runs on the generic model of the weight: the |nu|!
+# words of the generic weight on |nu| letters.  n = 5 (120 words) takes
+# about 20 s with the fast method; n = 6 (720 words) is out of reach.
+INVERT_MAX_WORDS = 120
+
+
 def cmd_invert(args, out) -> int:
     nu = parse_weight(args)
+    words = math.factorial(nu.size)
+    if words > INVERT_MAX_WORDS:
+        raise Usage(f"symbolic inversion of a weight of size {nu.size} "
+                    f"works on {words} words, over the limit of "
+                    f"{INVERT_MAX_WORDS}; for an exact inverse at a point "
+                    "use scripts/invert_at_point.py")
     if not nu.generic:
         mat = inv_mod.inv_degenerate(nu, args.one_param)
         _print_matrix(mat, "json" if args.format == "json" else "text", out)

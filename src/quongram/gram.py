@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ring import Poly, check_assignment, conjugate, evaluate_terms
-from .boxes import BoxFraction, dot
+from .boxes import BoxFraction, as_part, product_part, sum_parts
 from .fock import Word, Weight
 from .perms import Perm, all_perms, cycle
 
@@ -94,24 +94,16 @@ class GramMatrix:
         return [[self.entries[a][b] for b in idx] for a in idx]
 
     def matmul(self, o: "GramMatrix") -> "GramMatrix":
-        """Matrix product.  An entry with a BoxFraction among its operands
-        is one ``dot``: summed over one common box denominator and reduced
-        once, not after every addition."""
+        """Matrix product.  Each entry sums its products in one go, as
+        ``OpExpansion.__mul__`` does: a Poly when every operand is one,
+        else one ``boxes.sum_parts`` over the unreduced products."""
         cols = list(zip(*o.entries))
         out = []
         for row in self.entries:
             live = [k for k, x in enumerate(row)
                     if not (isinstance(x, Poly) and x.is_zero())]
-            xs = [row[k] for k in live]
-            out_row = []
-            for col in cols:
-                ys = [col[k] for k in live]
-                if all(isinstance(v, Poly) for v in xs + ys):
-                    out_row.append(sum((x * y for x, y in zip(xs, ys)),
-                                       Poly.zero()))
-                else:
-                    out_row.append(dot(xs, ys))
-            out.append(out_row)
+            out.append([_sum_products([(row[k], col[k]) for k in live])
+                        for col in cols])
         return GramMatrix(self.basis, out)
 
     def evaluate(self, assignment, mode: str = "free") -> list:
@@ -194,6 +186,22 @@ def _val_is_zero(v) -> bool:
     return v.is_zero()
 
 
+def _sum_values(vals):
+    """Sum of Polys and BoxFractions: a Poly when every value is one, else
+    a BoxFraction summed by ``boxes.sum_parts``."""
+    if all(isinstance(v, Poly) for v in vals):
+        return sum(vals, Poly.zero())
+    return sum_parts([as_part(v) for v in vals])
+
+
+def _sum_products(pairs):
+    """Sum of x*y over pairs of Polys and BoxFractions, by the rule of
+    ``_sum_values``; the products are not reduced on their own."""
+    if all(isinstance(x, Poly) and isinstance(y, Poly) for x, y in pairs):
+        return sum((x * y for x, y in pairs), Poly.zero())
+    return sum_parts([product_part(x, y) for x, y in pairs])
+
+
 class OpExpansion:
     """Operator Σ_g D(g)·R(g): map Perm -> DiagOp over a fixed basis.
 
@@ -224,6 +232,18 @@ class OpExpansion:
     def single(g: Perm, d: DiagOp) -> "OpExpansion":
         return OpExpansion(d.basis, {g: d})
 
+    @staticmethod
+    def sum(basis: Basis, ops) -> "OpExpansion":
+        """Sum of expansions over the basis, each word's entry of each
+        coefficient added in one go, by the rule of ``__mul__``."""
+        groups: dict = {}
+        for op in ops:
+            for g, d in op.coefficients.items():
+                groups.setdefault(g, []).append(d.diagonal)
+        return OpExpansion(basis, {g: DiagOp(basis, tuple(
+            _sum_values([x[k] for x in ds])
+            for k in range(basis.size))) for g, ds in groups.items()})
+
     def __add__(self, o: "OpExpansion") -> "OpExpansion":
         out = dict(self.coefficients)
         for g, d in o.coefficients.items():
@@ -238,12 +258,25 @@ class OpExpansion:
                            {g: -d for g, d in self.coefficients.items()})
 
     def __mul__(self, o: "OpExpansion") -> "OpExpansion":
-        out = {}
+        """Composition: D1 R(g1) D2 R(g2) = D1 (R(g1) D2 R(g1)^-1) R(g1 g2).
+
+        The pairs (g1, g2) are grouped by g = g1 g2 first, and each word's
+        entry of the coefficient of g is then summed in one go: a Poly when
+        every operand there is a Poly, else one ``boxes.sum_parts`` over
+        the unreduced products.  For a generic multiparameter word every
+        box is prime, so that sum is reduced once, and its reduced form is
+        unique; otherwise it adds the reduced products in pair order.
+        """
+        groups: dict = {}
         for g1, d1 in self.coefficients.items():
             for g2, d2 in o.coefficients.items():
-                g = g1 * g2
-                d = d1 * d2.shift(g1)
-                out[g] = out[g] + d if g in out else d
+                groups.setdefault(g1 * g2, []).append(
+                    (d1.diagonal, d2.shift(g1).diagonal))
+        out = {}
+        for g, pairs in groups.items():
+            out[g] = DiagOp(self.basis, tuple(
+                _sum_products([(x[k], y[k]) for x, y in pairs])
+                for k in range(self.basis.size)))
         return OpExpansion(self.basis, out)
 
     def left_diag(self, d: DiagOp) -> "OpExpansion":
@@ -252,11 +285,11 @@ class OpExpansion:
                                         self.coefficients.items()})
 
     def scale(self, c: int) -> "OpExpansion":
+        # an integer multiple of a reduced box fraction is reduced: a box
+        # has content 1, so it divides c*N only if it divides N
         return OpExpansion(self.basis,
                            {g: DiagOp(self.basis,
-                                      tuple(v.scale(c) if isinstance(v, Poly)
-                                            else v * Poly.const(c)
-                                            for v in d.diagonal))
+                                      tuple(v.scale(c) for v in d.diagonal))
                             for g, d in self.coefficients.items()})
 
     def __eq__(self, o):

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
                    param_value)
-from .boxes import BoxFactor, BoxFraction
+from .boxes import BoxFactor, BoxFraction, sum_parts
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
                     young_sequence, block_reversal, unimodal_subset)
@@ -144,6 +144,28 @@ class Universe:
     def is_zero(self, v) -> bool:
         return v.is_zero()
 
+    def box_sum(self, letters: tuple, terms):
+        """Sum of sign / prod_T Box_T over (sign, [T, ...]) terms, each T
+        a range of 1-based positions of the letter tuple.
+
+        Symbolically this is one ``boxes.sum_parts``: reduced once for a
+        generic multiparameter word, a running sum of reduced terms
+        otherwise.  Numerically it is a running sum of ``box_inv``
+        products.
+        """
+        if self.assignment is None:
+            return sum_parts([
+                (Poly.const(sign),
+                 tuple(_box(letters, T, self.one_param) for T in Ts))
+                for sign, Ts in terms])
+        val = GaussRat.of(0)
+        for sign, Ts in terms:
+            term = GaussRat.of(sign)
+            for T in Ts:
+                term = term * self.box_inv(letters, T)
+            val = val + term
+        return val
+
     def mono(self, letters, pairs) -> GaussRat:
         """q_mono(letters, pairs) at the point of a numeric universe: the
         product of the cached pair values, with no Poly built."""
@@ -233,13 +255,10 @@ def lambda_sigma(letters, blocks, one_param: bool = False,
     if l == 1:
         val = u.one()
     else:
-        val = u.zero()
-        for beta in enumerate_bracketings(l, True):
-            term = u.const(1 if (len(beta) + l - 1) % 2 == 0 else -1)
-            for a, b in beta:
-                term = term * u.box_inv(
-                    letters, range(blocks[a - 1][0], blocks[b - 1][1] + 1))
-            val = val + term
+        val = u.box_sum(letters, [
+            (1 if (len(beta) + l - 1) % 2 == 0 else -1,
+             [range(blocks[a - 1][0], blocks[b - 1][1] + 1) for a, b in beta])
+            for beta in enumerate_bracketings(l, True)])
     u.sigma_memo[key] = val
     return val
 
@@ -404,8 +423,7 @@ def lambda_id(nu: Weight | None = None, form: str = "outer-bracket",
             return lambda_sigma(letters, _singletons(n), one_param)
         if form == "no-outer":
             outer = _box(letters, range(1, n + 1), one_param)
-            u = _universe(one_param, None)
-            total = BoxFraction.zero()
+            parts = []
             for beta in enumerate_bracketings(n, False):
                 num = Poly.one()
                 den = [outer]
@@ -414,8 +432,8 @@ def lambda_id(nu: Weight | None = None, form: str = "outer-bracket",
                     pairs = [(x, y) for x in T for y in T if x != y]
                     num = num * q_mono(letters, pairs, one_param)
                     den.append(_box(letters, T, one_param))
-                total = total + BoxFraction(num, tuple(den))
-            return total
+                parts.append((num, tuple(den)))
+            return sum_parts(parts)
         raise ValueError(f"unknown form {form!r}")
 
     return DiagOp.of_func(basis, value)
@@ -543,15 +561,15 @@ def inv_chains(nu: Weight | None = None, one_param: bool = False,
     n = basis.n
     if n == 1:
         return OpExpansion.identity(basis)
-    total = OpExpansion.zero(basis)
+    terms = []
     for chain in enumerate_chains(n):
         op = OpExpansion.identity(basis)
         for sub in reversed(chain.members):
             for a, b in sub.nontrivial():
                 op = op * psi_op(basis, a, b, one_param)
         sign = (-1) ** (chain.nondegenerate_count() + n - 1)
-        total = total + op.scale(sign)
-    return total
+        terms.append(op.scale(sign))
+    return OpExpansion.sum(basis, terms)
 
 
 def inv_long(nu: Weight | None = None, one_param: bool = False,
@@ -568,7 +586,7 @@ def inv_long(nu: Weight | None = None, one_param: bool = False,
             return OpExpansion.identity(basis)
         if (a, b) in memo:
             return memo[(a, b)]
-        total = OpExpansion.zero(basis)
+        terms = []
         for r in range(1, b - a + 1):
             for cuts in itertools.combinations(range(a, b), r):
                 term = OpExpansion.identity(basis)
@@ -576,8 +594,8 @@ def inv_long(nu: Weight | None = None, one_param: bool = False,
                 for c in cuts + (b,):
                     term = term * interval(prev, c)
                     prev = c + 1
-                total = total + term.scale((-1) ** (r + 1))
-        res = total * psi_op(basis, a, b, one_param)
+                terms.append(term.scale((-1) ** (r + 1)))
+        res = OpExpansion.sum(basis, terms) * psi_op(basis, a, b, one_param)
         memo[(a, b)] = res
         return res
 
@@ -599,14 +617,14 @@ def inv_short(nu: Weight | None = None, one_param: bool = False,
             return OpExpansion.identity(basis)
         if (a, b) in memo:
             return memo[(a, b)]
-        total = OpExpansion.zero(basis)
+        terms = []
         for k in range(a, b):
             term = interval(a, k) * interval(k + 1, b)
             if k > a:
                 term = term * rhat(longest_element(a, k, basis.n), nu,
                                    one_param, basis)
-            total = total + term.scale((-1) ** (k - a))
-        res = total * psi_op(basis, a, b, one_param)
+            terms.append(term.scale((-1) ** (k - a)))
+        res = OpExpansion.sum(basis, terms) * psi_op(basis, a, b, one_param)
         memo[(a, b)] = res
         return res
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quongram.ring import Poly
-from quongram.boxes import BoxFactor, BoxFraction
+from quongram.boxes import BoxFactor, BoxFraction, sum_parts
 
 
 def B(word, *positions):
@@ -88,3 +88,149 @@ def test_str_layout():
     f = BoxFraction(Poly.one(), (B((1, 2), 1, 2),))
     assert str(f) == "1 / Box{1,2}"
     assert str(f * f) == "1 / Box{1,2}^2"
+
+
+# -- equality, hashing and the summation rule ---------------------------------
+
+def P(word, *positions):
+    return BoxFactor(tuple(word), frozenset(positions), True)
+
+
+def test_one_param_forms_of_one_value_are_equal_and_hash_equally():
+    # 1 - q^6 = (1 - q^2)(1 + q^2 + q^4): two reduced forms of one value
+    a = BoxFraction(Poly.one(), (P((1, 2), 1, 2),))
+    b = BoxFraction(Poly.parse("1 + q^2 + q^4"), (P((1, 2, 3), 1, 2, 3),))
+    assert a.den != b.den
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_eq_cancels_shared_factors():
+    b12, b123, b23 = B((1, 2), 1, 2), B((1, 2, 3), 1, 2, 3), B((2, 3), 1, 2)
+    x = Poly.parse("q12 - q13")
+    # equal denominators compare numerators
+    assert BoxFraction(x, (b12,)) == BoxFraction(x, (b12,))
+    assert BoxFraction(x, (b12,)) != BoxFraction(-x, (b12,))
+    # disjoint denominators
+    f = BoxFraction(x, (b12,))
+    g = BoxFraction(x * b23.expand(), (b12, b23), reduce=False)
+    assert f == g and g == f
+    assert f != BoxFraction(x, (b23,))
+    # overlapping denominators: a shared b123 on both sides
+    f = BoxFraction(x, (b12, b123))
+    g = BoxFraction(x * b23.expand(), (b123, b12, b23), reduce=False)
+    assert f == g
+    assert f != BoxFraction(x, (b123, b23))
+    # Poly operands, both ways round, and zero
+    p = BoxFraction(b12.expand() * x, (b12,), reduce=False)
+    assert p == x and x == p and p != x + Poly.one()
+    assert BoxFraction(Poly.zero(), (b12,), reduce=False) == Poly.zero()
+    assert BoxFraction.zero() == BoxFraction(Poly.zero(), (b123,),
+                                             reduce=False)
+    assert BoxFraction.zero() != BoxFraction(Poly.one(), (b123,))
+    assert (BoxFraction.one() == "1") is False
+
+
+def _equal_other_form(a, f):
+    """a written over one more factor f, unreduced; and in one-parameter
+    mode a second form with a smaller box replaced by a larger one."""
+    forms = [BoxFraction(a.num * f.expand(), a.den + (f,), reduce=False)]
+    small = [b for b in a.den if len(b.letters) == 2]
+    if a.den and small and small[0].one_param:
+        big = P((1, 2, 3), 1, 2, 3)
+        rest = list(a.den)
+        rest.remove(small[0])
+        num = a.num * Poly.parse("1 + q^2 + q^4")
+        forms.append(BoxFraction(num, tuple(rest) + (big,)))
+    return forms
+
+
+def rand_one_param(rng):
+    num = Poly.const(rng.randint(-3, 3))
+    for _ in range(rng.randint(0, 2)):
+        num = num * Poly.single_q() + Poly.const(rng.randint(-2, 2))
+    boxes = [P((1, 2), 1, 2), P((1, 2, 3), 1, 2, 3),
+             P((1, 2, 3, 4), 1, 2, 3, 4)]
+    den = tuple(rng.choice(boxes) for _ in range(rng.randint(0, 3)))
+    return BoxFraction(num, den)
+
+
+one_param_fracs = st.integers(0, 10 ** 9).map(
+    lambda s: rand_one_param(random.Random(s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fracs, one_param_fracs), st.one_of(fracs, one_param_fracs),
+       st.sampled_from([B((1, 2, 3), 1, 2, 3), P((1, 2), 1, 2)]))
+def test_equal_values_hash_equally(a, b, f):
+    for x, y in [(a, b)] + [(a, g) for g in _equal_other_form(a, f)]:
+        if x == y:
+            assert hash(x) == hash(y)
+    for g in _equal_other_form(a, f):
+        assert a == g
+
+
+def _fold(parts):
+    total = BoxFraction.zero()
+    for n, den in parts:
+        total = total + BoxFraction(n, den)
+    return total
+
+
+def _rand_parts(rng, boxes, k):
+    parts = []
+    for _ in range(k):
+        num = Poly.const(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 2)):
+            num = num * Poly.var(rng.randint(1, 4), rng.randint(1, 4))
+        num = num + Poly.const(rng.randint(-1, 1))
+        den = tuple(rng.choice(boxes) for _ in range(rng.randint(0, 3)))
+        parts.append((num, den))
+    return parts
+
+
+def _spy_adds(monkeypatch):
+    seen = []
+    add = BoxFraction.__add__
+
+    def spy(self, o):
+        seen.append(1)
+        return add(self, o)
+    monkeypatch.setattr(BoxFraction, "__add__", spy)
+    return seen
+
+
+# boxes over distinct letters of one or another word of the same letters
+GENERIC = [B(w, *T) for w in ((1, 2, 3, 4), (2, 1, 4, 3))
+           for T in ((1, 2), (2, 3), (1, 2, 3), (2, 3, 4), (1, 2, 3, 4))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_generic_parts_are_summed_once(seed):
+    rng = random.Random(seed)
+    parts = _rand_parts(rng, GENERIC, rng.randint(1, 6))
+    folded = _fold(parts)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_adds(mp)
+        once = sum_parts(parts)
+    assert not seen
+    assert once == folded
+    assert str(once) == str(folded)
+
+
+@pytest.mark.parametrize("odd", [P((1, 2), 1, 2), B((1, 1, 2), 1, 2),
+                                 B((1, 2, 1), 1, 2, 3)])
+def test_other_parts_are_folded_in_order(odd):
+    rng = random.Random(7)
+    for _ in range(20):
+        parts = _rand_parts(rng, GENERIC, 4) + [(Poly.const(3), (odd,))]
+        rng.shuffle(parts)
+        folded = _fold(parts)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _spy_adds(mp)
+            total = sum_parts(parts)
+        live = sum(1 for n, _ in parts if not n.is_zero())
+        assert len(seen) == live - 1
+        assert total.to_json() == folded.to_json()
+        assert str(total) == str(folded)

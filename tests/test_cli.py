@@ -52,6 +52,22 @@ def test_invert_json_support():
     assert set(json.loads(s)) == {"12", "21"}
 
 
+def test_invert_refuses_oversized_bases(capsys, monkeypatch):
+    # n = 6: 720 words, past the 120-word limit; refused before any work
+    from quongram import inverse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inversion started")
+    for name in ("inv_full", "inv_degenerate"):
+        monkeypatch.setattr(inverse, name, refuse)
+    for argv in (["--n", "6"], ["--weight", "3,3"], ["--n", "7", "--one-param"]):
+        code, s = run("invert", *argv)
+        assert code == 2 and s == ""
+        err = capsys.readouterr().err
+        assert "720" in err or "5040" in err
+        assert "scripts/invert_at_point.py" in err
+
+
 def test_invert_degenerate_runs():
     code, s = run("invert", "--weight", "2,0,1")
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -147,6 +149,32 @@ def test_methods_agree_one_param():
     ref = inv_full(nu, "fast", True)
     for m in ALL_METHODS[1:]:
         assert inv_full(nu, m, True) == ref
+
+
+# sha256 of the str of every entry of the inv_full tables for n = 1..4, as
+# laid out by to_json (json.dumps with sorted keys, one line per n).  In
+# multiparameter mode every reduced form is unique, so the five methods
+# print alike; in one-parameter mode zagier reaches other reduced forms of
+# the same values.
+GOLDEN_TABLES = {False: "8aa5ef2005466dbd20af57d4370ea6af"
+                        "e7e97a3de0131ff94940c7955f142d67",
+                 True: "b3081f8bb55d219722337c629a5f3ba5"
+                       "f935a6c5a53ae91fbf1e9b217a48c348"}
+GOLDEN_ZAGIER_ONE_PARAM = ("40bde96e2e490f51f64229fbb794eb76"
+                           "f2f8808dcab85ec1c407b76776eacd5a")
+
+
+@pytest.mark.parametrize("one_param", [False, True])
+@pytest.mark.parametrize("method", ["fast", "long", "short", "chains",
+                                    "zagier"])
+def test_tables_print_as_before(method, one_param):
+    text = "\n".join(
+        json.dumps(inv_full(Weight.generic_n(n), method, one_param).to_json(),
+                   sort_keys=True)
+        for n in range(1, 5))
+    want = (GOLDEN_ZAGIER_ONE_PARAM if (method, one_param) == ("zagier", True)
+            else GOLDEN_TABLES[one_param])
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_inverse_times_matrix_is_identity():
