@@ -112,15 +112,18 @@ def test_eq_cancels_shared_factors():
     assert BoxFraction(x, (b12,)) == BoxFraction(x, (b12,))
     assert BoxFraction(x, (b12,)) != BoxFraction(-x, (b12,))
     # disjoint denominators
-    f = BoxFraction(x, (b12,))
-    g = BoxFraction(x * b23.expand(), (b12, b23), reduce=False)
+    f = BoxFraction(x * b12.expand(), (b12,), reduce=False)
+    g = BoxFraction(x * b23.expand(), (b23,), reduce=False)
     assert f == g and g == f
-    assert f != BoxFraction(x, (b23,))
-    # overlapping denominators: a shared b123 on both sides
-    f = BoxFraction(x, (b12, b123))
-    g = BoxFraction(x * b23.expand(), (b123, b12, b23), reduce=False)
-    assert f == g
-    assert f != BoxFraction(x, (b123, b23))
+    assert BoxFraction(x, (b12,)) != BoxFraction(x, (b23,))
+    # overlapping denominators: b123 shared, b12 and b23 on one side each
+    f = BoxFraction(x * b23.expand(), (b123, b23), reduce=False)
+    g = BoxFraction(x * b12.expand(), (b12, b123), reduce=False)
+    assert f == g and g == f
+    assert f != BoxFraction(x, (b12, b123))
+    # one denominator inside the other
+    assert BoxFraction(x, (b12, b123)) == BoxFraction(
+        x * b23.expand(), (b123, b12, b23), reduce=False)
     # Poly operands, both ways round, and zero
     p = BoxFraction(b12.expand() * x, (b12,), reduce=False)
     assert p == x and x == p and p != x + Poly.one()
