@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .ring import Poly, NotDivisible, GaussRat, mono_degree
+from .ring import Poly, NotDivisible, GaussRat
 
 
 @lru_cache(maxsize=None)
@@ -203,8 +203,9 @@ class BoxFraction:
         """Hash of the value with every parameter set to 2: the numerator
         sum of c*2^deg over the product of the boxes 1 - 2^(k(k-1)), as a
         Fraction.  No box vanishes there, so equal values hash equally in
-        every mode, also where reduced forms are not unique."""
-        num = sum(c << mono_degree(m) for m, c in self.num.terms.items())
+        every mode, also where reduced forms are not unique; with no
+        denominator this is the hash of the equal Poly."""
+        num = self.num.value_at_2()
         den = 1
         for f in self.den:
             k = len(f.letters)

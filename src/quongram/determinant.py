@@ -564,13 +564,33 @@ def _u_step(akk, aij, aik, akj, prev):
     return x if prev is None else _u_exact_div(x, prev)
 
 
+def _u_is_zero(x):
+    return not any(x)
+
+
 def det_univariate(rows) -> list:
     """Fraction-free elimination over Z[q]; entries are integer coefficient
-    lists (lowest degree first)."""
+    lists (lowest degree first).
+
+    Symmetric rows, such as a slice of the Varchenko form, take the sweep
+    over the upper triangle that ``det_point`` gives hermitian matrices
+    (conjugation is the identity on Z[q]).  If a leading principal minor
+    vanishes, or the rows are not symmetric, the general sweep runs.
+
+    >>> det_univariate([[[1], [0, 1]], [[0, 1], [1]]])   # 1 - q^2
+    [1, 0, -1]
+    """
     if not rows:
         return [1]
-    sign, d = _bareiss([[list(e) for e in row] for row in rows], _u_step,
-                       lambda x: not any(x), [0])
+    n = len(rows)
+    M = [[list(e) for e in row] for row in rows]
+    res = None
+    if all(M[i][j] == M[j][i] for i in range(n) for j in range(i)):
+        res = _bareiss(M, _u_step, _u_is_zero, [0], _upper=True)
+    if res is None:
+        M = [[list(e) for e in row] for row in rows]
+        res = _bareiss(M, _u_step, _u_is_zero, [0])
+    sign, d = res
     return [sign * c for c in d]
 
 

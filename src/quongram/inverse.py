@@ -863,18 +863,28 @@ class ZagierReport:
         return "\n".join(lines)
 
 
-def _clear_denominator(frac: BoxFraction, candidate) -> BoxFraction:
-    """frac times the product of the candidate boxes, reduced; polynomial
-    exactly when the resulting denominator is empty."""
+def _leftover(frac: BoxFraction, candidate) -> BoxFraction | None:
+    """None if frac times the product of the candidate boxes is a
+    polynomial, else that product, reduced, whose denominator is what the
+    candidate leaves.
+
+    frac is reduced.  When every box is ``prime``, no factor of its
+    denominator divides its numerator, so the product is a polynomial
+    exactly when the candidate holds every denominator factor as often;
+    only a failing entry pays for the product."""
     cden = Counter(frac.den)
     ccand = Counter(candidate)
+    if all(f.prime for f in cden) and all(f.prime for f in ccand):
+        if cden <= ccand:
+            return None
     common = cden & ccand
     rem_den = tuple((cden - common).elements())
     num = frac.num
     for box, mult in (ccand - common).items():
         for _ in range(mult):
             num = num * box.expand()
-    return BoxFraction(num, rem_den)
+    left = BoxFraction(num, rem_den)
+    return left if left.den else None
 
 
 def _interval_boxes(letters: tuple, one_param: bool) -> list:
@@ -932,9 +942,9 @@ def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
         # cancel box factors, so polynomiality of the entry is decided on lam
         mono = q_mono(word, g.inverse().inversion_set(), one_param)
         frac = lam * mono
-        left = _clear_denominator(frac, candidate(tuple(word)))
+        left = _leftover(frac, candidate(tuple(word)))
         report.checked += 1
-        if left.den:
+        if left is not None:
             report.failures.append((str(g), str(Word(word)), str(left)))
 
     if coeff is not None:

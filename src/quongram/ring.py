@@ -8,13 +8,29 @@ Values live in three layers:
   integer over one positive denominator, ``(a + b*i) / d`` with
   ``gcd(a, b, d) = 1``: a canonical triple costs one gcd per operation,
   where a pair of ``Fraction`` parts would normalize each part on its own.
-* ``Mono`` / ``Poly`` -- multivariate polynomials with integer coefficients in
-  the formal parameters ``x[i,j]`` (one commuting indeterminate per ordered
+* ``Poly`` -- multivariate polynomials with integer coefficients in the
+  formal parameters ``x[i,j]`` (one commuting indeterminate per ordered
   pair of generator labels, plus a dedicated one-parameter variable ``q``).
   The conjugation swapping ``x[i,j] <-> x[j,i]`` models the hermitian
   constraint on the parameter family.
 * box fractions (see :mod:`quongram.boxes`) -- quotients whose denominators
   stay factored.
+
+A ``Poly`` keeps each monomial as one packed exponent vector, a Python
+``int`` of 16-bit fields (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Field 0
+holds the total degree; field ``k >= 1`` holds the exponent of the k-th
+variable of a module registry, which variables join on first use and
+never leave, so a packed key means the same monomial for the life of the
+process.  The top bit of every field is a guard, which limits every
+exponent and every total degree to below ``2**15``; a product that would
+reach it raises ``OverflowError`` instead of wrapping.  On packed keys a
+product of monomials is ``a + b``, and ``b`` divides ``a`` exactly when
+``((a | G) - b) & G == G``, with ``G`` the guard bits.
+
+Everything a caller sees is decoded to ``Mono`` tuples, sorted by
+``mono_key``: ``str``, ``to_json``, ``leading`` and the ``terms`` view do
+not depend on the order in which variables were registered.
 
 >>> p = Poly.var(1, 2) * Poly.var(2, 1)
 >>> print(Poly.one() - p)
@@ -27,21 +43,24 @@ from __future__ import annotations
 
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
-    "pair_var", "SINGLE_Q", "mono_mul", "mono_key", "conjugate",
+    "pair_var", "SINGLE_Q", "mono_key", "conjugate",
     "check_assignment", "evaluate_terms", "param_value",
 ]
 
+import heapq
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 # A variable is a tuple: ('q', i, j) for the pair parameter attached to the
 # ordered label pair (i, j), or ('s',) for the single one-parameter variable.
 # Tuples give a total order with all pair variables before the single one.
 ParamVar = tuple
 
-# A monomial is a tuple of (variable, positive exponent) pairs sorted by
-# variable; the empty tuple is 1.
+# A monomial, as callers see it, is a tuple of (variable, positive
+# exponent) pairs sorted by variable; the empty tuple is 1.
 Mono = tuple
 
 SINGLE_Q: ParamVar = ("s",)
@@ -52,46 +71,6 @@ _TERMINATOR = (("~",), 0)  # sorts after every real variable
 def pair_var(i, j) -> ParamVar:
     """The formal parameter attached to the ordered label pair (i, j)."""
     return ("q", i, j)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted exponent tuples (commutative product)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
-
-
-def mono_div(a: Mono, b: Mono):
-    """a / b as a Mono, or None if some exponent would go negative."""
-    quo = dict(a)
-    for v, e in b:
-        r = quo.get(v, 0) - e
-        if r < 0:
-            return None
-        if r:
-            quo[v] = r
-        else:
-            del quo[v]
-    return tuple(sorted(quo.items()))
 
 
 def mono_key(m: Mono):
@@ -105,10 +84,6 @@ def mono_key(m: Mono):
     return tuple((v, -e) for v, e in m) + (_TERMINATOR,)
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def _mono_conj(m: Mono) -> Mono:
     out = []
     for v, e in m:
@@ -117,6 +92,62 @@ def _mono_conj(m: Mono) -> Mono:
         else:
             out.append((v, e))
     return tuple(sorted(out))
+
+
+# -- packed monomials --------------------------------------------------------
+
+_FIELD = 16                       # bits per field
+_DEGREE = (1 << _FIELD) - 1       # mask of field 0, the total degree
+_LIMIT = 1 << (_FIELD - 1)        # guard bit: exponents stay below 2**15
+_VARS: list = []                  # field k >= 1 holds _VARS[k - 1]
+_UNIT: dict = {}                  # variable -> its packed key, degree 1
+_GUARD = _LIMIT                   # the guard bit of every registered field
+
+
+def _unit(v: ParamVar) -> int:
+    """The packed key of the variable v, registering it on first use."""
+    u = _UNIT.get(v)
+    if u is None:
+        global _GUARD
+        _VARS.append(v)
+        shift = _FIELD * len(_VARS)
+        u = _UNIT[v] = (1 << shift) | 1
+        _GUARD |= _LIMIT << shift
+    return u
+
+
+def _encode(m: Mono) -> int:
+    """The packed key of a Mono; its pairs may come in any order."""
+    key = deg = 0
+    for v, e in m:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {_var_str(v)}")
+        key += e * _unit(v)
+        deg += e
+    if deg >= _LIMIT:
+        raise OverflowError(f"total degree {deg} reaches 2**15")
+    return key
+
+
+@lru_cache(maxsize=1 << 16)
+def _decode(key: int) -> Mono:
+    """The Mono of a packed key, pairs sorted by variable."""
+    out = []
+    key >>= _FIELD
+    for v in _VARS:
+        if not key:
+            break
+        e = key & _DEGREE
+        if e:
+            out.append((v, e))
+        key >>= _FIELD
+    out.sort()
+    return tuple(out)
+
+
+def _lex(key: int):
+    """mono_key of a packed key."""
+    return mono_key(_decode(key))
 
 
 class NotDivisible(Exception):
@@ -296,38 +327,66 @@ def _var_str(v: ParamVar) -> str:
 class Poly:
     """Multivariate polynomial with integer coefficients, canonical form.
 
-    Terms are stored as a dict Mono -> int with no zero coefficients, so
-    equality is structural.
+    The terms are a dict from packed monomial keys (see the module
+    docstring) to nonzero integer coefficients, so equality is structural
+    and a product or a box division works on integers, not tuples.  Every
+    exponent and total degree stays below ``2**15``; an operation that
+    would reach it raises ``OverflowError``.
+
+    ``terms`` is a read-only ``Mono``-keyed view, decoded on each access;
+    ``Poly(terms)`` and ``from_mono`` take ``Mono`` keys.  Treat an
+    instance as immutable.
+
+    >>> p = Poly({(): 2, ((("q", 1, 2), 1),): 3})
+    >>> dict(p.terms)
+    {(): 2, ((('q', 1, 2), 1),): 3}
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        t: dict = {}
+        for m, c in (terms or {}).items():
+            k = _encode(m)
+            c += t.get(k, 0)
+            if c:
+                t[k] = c
+            else:
+                t.pop(k, None)
+        self._t = t
+
+    @property
+    def terms(self) -> Mapping[Mono, int]:
+        """The terms as a read-only mapping Mono -> coefficient."""
+        return MappingProxyType({_decode(m): c for m, c in self._t.items()})
+
+    def __reduce__(self):
+        # pickle Mono keys: a packed key means nothing in another process
+        return Poly, (dict(self.terms),)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _poly({})
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({(): 1})
+        return _poly({0: 1})
 
     @staticmethod
     def const(c: int) -> "Poly":
-        return Poly({(): c})
+        return _poly({0: c} if c else {})
 
     @staticmethod
     def var(i, j=None) -> "Poly":
         """Poly.var(i, j) is the pair parameter; Poly.var() the single q."""
         if i is None and j is None:
-            return Poly({((SINGLE_Q, 1),): 1})
-        return Poly({((pair_var(i, j), 1),): 1})
+            return Poly.single_q()
+        return _poly({_unit(pair_var(i, j)): 1})
 
     @staticmethod
     def single_q() -> "Poly":
-        return Poly({((SINGLE_Q, 1),): 1})
+        return _poly({_unit(SINGLE_Q): 1})
 
     @staticmethod
     def from_mono(m: Mono, c: int = 1) -> "Poly":
@@ -337,61 +396,57 @@ class Poly:
     def __add__(self, o: "Poly") -> "Poly":
         if not isinstance(o, Poly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
+        out = dict(self._t)
+        for m, c in o._t.items():
             v = out.get(m, 0) + c
             if v:
                 out[m] = v
-            elif m in out:
+            else:
                 del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def __sub__(self, o: "Poly") -> "Poly":
         if not isinstance(o, Poly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
+        out = dict(self._t)
+        for m, c in o._t.items():
             v = out.get(m, 0) - c
             if v:
                 out[m] = v
-            elif m in out:
+            else:
                 del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _poly({m: -c for m, c in self._t.items()})
 
     def __mul__(self, o: "Poly") -> "Poly":
         if not isinstance(o, Poly):
             return NotImplemented
-        a, b = self.terms, o.terms
+        a, b = self._t, o._t
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get
+        guard = _LIMIT
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                v = out.get(m, 0) + ca * cb
+                m = ma + mb
+                # every exponent is at most the degree, so the degree's
+                # guard bit is set first
+                if m & guard:
+                    raise OverflowError("a product reaches degree 2**15")
+                v = get(m, 0) + ca * cb
                 if v:
                     out[m] = v
-                elif m in out:
+                else:
                     del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def scale(self, c: int) -> "Poly":
         if c == 0:
             return Poly.zero()
-        p = Poly.__new__(Poly)
-        p.terms = {m: c * v for m, v in self.terms.items()}
-        return p
+        return _poly({m: c * v for m, v in self._t.items()})
 
     def __pow__(self, n: int) -> "Poly":
         out = Poly.one()
@@ -406,81 +461,55 @@ class Poly:
     def __eq__(self, o):
         if not isinstance(o, Poly):
             return NotImplemented
-        return self.terms == o.terms
+        return self._t == o._t
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        """The hash of ``value_at_2``, the integer ``BoxFraction`` hashes
+        for a value with no denominator, so a Poly and the equal
+        BoxFraction hash equally."""
+        return hash(self.value_at_2())
+
+    def value_at_2(self) -> int:
+        """The value with every parameter set to 2: sum of c * 2**degree."""
+        return sum(c << (m & _DEGREE) for m, c in self._t.items())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_one(self) -> bool:
-        return self.terms == {(): 1}
+        t = self._t
+        return len(t) == 1 and t.get(0) == 1
 
     def constant_term(self) -> int:
-        return self.terms.get((), 0)
+        return self._t.get(0, 0)
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self._t:
             return 0
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(_DEGREE.__and__, self._t))
 
     def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for m in self._t for v, _ in _decode(m)}
 
     def leading(self):
         """(mono, coeff) of the lex-leading term."""
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=mono_key)
-        return m, self.terms[m]
+        m = min(self._t, key=_lex)
+        return _decode(m), self._t[m]
 
     # -- division ----------------------------------------------------------
     def divmod_single(self, d: "Poly"):
         """Multivariate division by a single divisor: self = q*d + r where no
-        monomial of r is divisible by lm(d).  Coefficients may become
-        Fractions in intermediate steps.
+        monomial of r is divisible by lm(d).  Returns the Mono-keyed dicts
+        q and r, whose coefficients are Fractions.
 
         This is the general route; exact_div only takes it for divisors
         that are neither a monomial nor a binomial 1 - m, which in practice
         are the Bareiss pivots of det_poly_bareiss."""
-        if d.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        dm, dc = d.leading()
-        rest = [(m, c) for m, c in d.terms.items() if m != dm]
-        r = {m: Fraction(c) for m, c in self.terms.items()}
-        q: dict = {}
-        rem: dict = {}
-        import heapq
-
-        heap = [mono_key(m) for m in r]
-        heapq.heapify(heap)
-        while heap:
-            key = heapq.heappop(heap)
-            m = tuple((v, -e) for v, e in key[:-1])
-            if m not in r:
-                continue
-            c = r.pop(m)
-            quo = mono_div(m, dm)
-            if quo is None:
-                rem[m] = rem.get(m, 0) + c
-                continue
-            qc = c / dc
-            q[quo] = q.get(quo, 0) + qc
-            for m2, c2 in rest:
-                mm = mono_mul(quo, m2)
-                v = r.get(mm, 0) - qc * c2
-                if v:
-                    if mm not in r:
-                        heapq.heappush(heap, mono_key(mm))
-                    r[mm] = v
-                elif mm in r:
-                    del r[mm]
-        return q, rem
+        q, rem = _divmod(self._t, d._t)
+        return ({_decode(m): c for m, c in q.items()},
+                {_decode(m): c for m, c in rem.items()})
 
     def exact_div(self, d: "Poly") -> "Poly":
         """Return q with self = d*q, or raise NotDivisible.
@@ -503,28 +532,26 @@ class Poly:
         >>> print(Poly.parse("1 + 2*q12 + q12^2").exact_div(Poly.parse("1 + q12")))
         1 + q12
         """
-        t = d.terms
+        t = d._t
         if not t:
             raise ZeroDivisionError("polynomial division by zero")
         if len(t) == 1:
             ((dm, dc),) = t.items()
-            return _div_monomial(self.terms, dm, dc)
-        if len(t) == 2 and t.get(()) == 1:
+            return _div_monomial(self._t, dm, dc)
+        if len(t) == 2 and t.get(0) == 1:
             dm = next(m for m in t if m)
             if t[dm] == -1:
-                return _div_one_minus(self.terms, dm)
-        q, rem = self.divmod_single(d)
+                return _div_one_minus(self._t, dm)
+        q, rem = _divmod(self._t, t)
         if rem:
             raise NotDivisible(f"remainder with {len(rem)} terms")
         out = {}
         for m, c in q.items():
             if c:
-                if isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise NotDivisible("non-integer quotient coefficient")
-                    c = c.numerator
-                out[m] = c
-        return Poly(out)
+                if c.denominator != 1:
+                    raise NotDivisible("non-integer quotient coefficient")
+                out[m] = c.numerator
+        return _poly(out)
 
     def divides(self, other: "Poly") -> bool:
         try:
@@ -535,18 +562,14 @@ class Poly:
 
     # -- structure maps ----------------------------------------------------
     def conjugate(self) -> "Poly":
-        out: dict = {}
-        for m, c in self.terms.items():
-            mm = _mono_conj(m)
-            out[mm] = out.get(mm, 0) + c
-        return Poly(out)
+        return Poly({_mono_conj(_decode(m)): c for m, c in self._t.items()})
 
     def map_labels(self, f: Callable) -> "Poly":
         """Rename labels: x[i,j] -> x[f(i),f(j)] (may merge variables)."""
         out: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self._t.items():
             acc: dict = {}
-            for v, e in m:
+            for v, e in _decode(m):
                 vv = ("q", f(v[1]), f(v[2])) if v[0] == "q" else v
                 acc[vv] = acc.get(vv, 0) + e
             mm = tuple(sorted(acc.items()))
@@ -555,12 +578,12 @@ class Poly:
 
     def specialize_one_param(self) -> "Poly":
         """Send every pair variable to the single parameter q."""
+        s = _unit(SINGLE_Q)
         out: dict = {}
-        for m, c in self.terms.items():
-            deg = sum(e for v, e in m)
-            mm = ((SINGLE_Q, deg),) if deg else ()
+        for m, c in self._t.items():
+            mm = (m & _DEGREE) * s
             out[mm] = out.get(mm, 0) + c
-        return Poly(out)
+        return _poly({m: c for m, c in out.items() if c})
 
     def evaluate(self, assignment: Mapping[ParamVar, GaussRat],
                  mode: str = "free") -> GaussRat:
@@ -577,12 +600,15 @@ class Poly:
         return evaluate_terms(self, assignment, mode)
 
     # -- presentation ------------------------------------------------------
+    def _sorted_terms(self, key):
+        """(Mono, coeff) pairs, sorted by key of the packed monomials."""
+        return [(_decode(m), self._t[m]) for m in sorted(self._t, key=key)]
+
     def __str__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda m: (mono_degree(m), mono_key(m))):
-            c = self.terms[m]
+        for m, c in self._sorted_terms(lambda m: (m & _DEGREE, _lex(m))):
             factors = []
             for v, e in m:
                 s = _var_str(v)
@@ -651,10 +677,8 @@ class Poly:
         return out
 
     def to_json(self):
-        return [
-            {"coeff": c, "mono": [[list(v), e] for v, e in m]}
-            for m, c in sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
-        ]
+        return [{"coeff": c, "mono": [[list(v), e] for v, e in m]}
+                for m, c in self._sorted_terms(_lex)]
 
     @staticmethod
     def from_json(data) -> "Poly":
@@ -665,48 +689,94 @@ class Poly:
         return Poly(terms)
 
 
-def _div_monomial(terms: Mapping[Mono, int], dm: Mono, dc: int) -> Poly:
+def _poly(t: dict) -> Poly:
+    """The Poly of packed terms with no zero coefficient."""
+    p = _new(Poly)
+    p._t = t
+    return p
+
+
+def _divmod(t: dict, d: dict):
+    """Packed q and r with t = q*d + r by lex-ordered reduction: the
+    leading term of d (least ``mono_key``) cancels the leading remaining
+    term while it divides it; a term it does not divide moves to r."""
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    g = _GUARD
+    dm = min(d, key=_lex)
+    dc = d[dm]
+    rest = [(m, c) for m, c in d.items() if m != dm]
+    r = {m: Fraction(c) for m, c in t.items()}
+    q: dict = {}
+    rem: dict = {}
+    heap = [(_lex(m), m) for m in r]
+    heapq.heapify(heap)
+    while heap:
+        _, m = heapq.heappop(heap)
+        if m not in r:
+            continue
+        c = r.pop(m)
+        if ((m | g) - dm) & g != g:
+            rem[m] = rem.get(m, 0) + c
+            continue
+        quo = m - dm
+        qc = c / dc
+        q[quo] = q.get(quo, 0) + qc
+        for m2, c2 in rest:
+            mm = quo + m2
+            if mm & _LIMIT:
+                raise OverflowError("a product reaches degree 2**15")
+            v = r.get(mm, 0) - qc * c2
+            if v:
+                if mm not in r:
+                    heapq.heappush(heap, (_lex(mm), mm))
+                r[mm] = v
+            elif mm in r:
+                del r[mm]
+    return q, rem
+
+
+def _div_monomial(t: dict, dm: int, dc: int) -> Poly:
     """Exact quotient by the term dc*dm: exponents shift, coefficients
     divide."""
+    g = _GUARD
     out = {}
-    for m, c in terms.items():
-        quo = mono_div(m, dm)
-        if quo is None:
+    for m, c in t.items():
+        if ((m | g) - dm) & g != g:
             raise NotDivisible("a monomial is not a multiple of the divisor")
         c, r = divmod(c, dc)
         if r:
             raise NotDivisible("non-integer quotient coefficient")
-        out[quo] = c
-    return Poly(out)
+        out[m - dm] = c
+    return _poly(out)
 
 
-def _div_one_minus(terms: Mapping[Mono, int], m: Mono) -> Poly:
+def _div_one_minus(t: dict, m: int) -> Poly:
     """Exact quotient by 1 - m for a monomial m != 1.
 
-    Every monomial is u*m^k for one base u that m does not divide; the
-    monomials sharing a base form a chain.  With self = (1 - m)*q, the
-    coefficient of u*m^k in self is q_k - q_(k-1), so q_k is the partial
-    sum of the chain's coefficients up to k, and the division is exact iff
-    every chain sums to zero.  Setting every variable to 1 sends 1 - m to
-    0, so a nonzero total coefficient sum is a quick miss.
+    Every monomial is u*m^k for one base u that m does not divide, found
+    by dividing by m while it divides; the monomials sharing a base form a
+    chain.  With self = (1 - m)*q, the coefficient of u*m^k in self is
+    q_k - q_(k-1), so q_k is the partial sum of the chain's coefficients up
+    to k, and the division is exact iff every chain sums to zero.  Setting
+    every variable to 1 sends 1 - m to 0, so a nonzero total coefficient
+    sum is a quick miss.
     """
-    if sum(terms.values()):
+    if sum(t.values()):
         raise NotDivisible("coefficients do not sum to zero")
-    md = dict(m)
+    g = _GUARD
     chains: dict = {}
-    for u, c in terms.items():
-        eu = dict(u)
-        k = min([eu.get(v, 0) // e for v, e in m])
-        if k:
-            u = tuple((v, e) for v, e in ((v, e - k * md.get(v, 0))
-                                          for v, e in u) if e)
+    for u, c in t.items():
+        k = 0
+        while ((u | g) - m) & g == g:
+            u -= m
+            k += 1
         chain = chains.get(u)
         if chain is None:
             chains[u] = {k: c}
         else:
             chain[k] = c
     out = {}
-    powers = {}
     for u, chain in chains.items():
         if len(chain) == 1:
             raise NotDivisible("a chain of one term")
@@ -714,16 +784,11 @@ def _div_one_minus(terms: Mapping[Mono, int], m: Mono) -> Poly:
         s = 0
         for k in range(min(chain), top):
             s += chain.get(k, 0)
-            if s and k:
-                mk = powers.get(k)
-                if mk is None:
-                    mk = powers[k] = tuple((v, e * k) for v, e in m)
-                out[mono_mul(u, mk)] = s
-            elif s:
-                out[u] = s
+            if s:
+                out[u + k * m] = s
         if s + chain[top]:
             raise NotDivisible("a chain's coefficients do not sum to zero")
-    return Poly(out)
+    return _poly(out)
 
 
 def check_assignment(assignment: Mapping[ParamVar, GaussRat],
@@ -765,9 +830,9 @@ def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
     """The value of p under an assignment already checked against the mode
     (``check_assignment``); the term loop of ``Poly.evaluate``."""
     total = GaussRat.of(0)
-    for m, c in p.terms.items():
+    for m, c in p._t.items():
         val = GaussRat.of(c)
-        for v, e in m:
+        for v, e in _decode(m):
             x = param_value(assignment, v, mode)
             for _ in range(e):
                 val = val * x

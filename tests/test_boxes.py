@@ -105,6 +105,30 @@ def test_one_param_forms_of_one_value_are_equal_and_hash_equally():
     assert len({a, b}) == 1
 
 
+def _poly_hash_cases():
+    rng = random.Random(8)
+    return [Poly.var(1, 2), Poly.const(3), Poly.zero(),
+            rand_fraction(rng).num * Poly.parse("q21 - 2*q13^2 + q")]
+
+
+@pytest.mark.parametrize("p", _poly_hash_cases())
+def test_poly_and_equal_box_fraction_hash_equally(p):
+    f = BoxFraction(p)
+    assert f == p and p == f
+    assert hash(p) == hash(f)
+    assert len({p, f}) == 1
+    # the same value over a box it cancels against
+    b = B((1, 2), 1, 2)
+    g = BoxFraction(p * b.expand(), (b,), reduce=False)
+    assert g == p and hash(g) == hash(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fracs)
+def test_numerators_hash_like_their_fractions(a):
+    assert hash(a.num) == hash(BoxFraction(a.num))
+
+
 def test_eq_cancels_shared_factors():
     b12, b123, b23 = B((1, 2), 1, 2), B((1, 2, 3), 1, 2, 3), B((2, 3), 1, 2)
     x = Poly.parse("q12 - q13")

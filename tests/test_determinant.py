@@ -19,6 +19,7 @@ from quongram.determinant import (det_formula, det_cycle_factor,
                                   det_univariate, poly_to_univariate,
                                   is_inverse)
 from quongram.inverse import inverse_matrix_at
+from quongram.applications import varchenko_matrix
 
 from conftest import hermitian_assignment, small_weights
 
@@ -253,6 +254,72 @@ def test_univariate_slice(rng):
     got = det_univariate(rows)
     want = poly_to_univariate(det_formula(nu).expand(), slope)
     assert got == want
+
+
+def _general_sweep(rows):
+    """det by the general Bareiss sweep over Z[q], the reference for the
+    symmetric sweep of det_univariate."""
+    M = [[list(e) for e in row] for row in rows]
+    sign, d = determinant._bareiss(M, determinant._u_step,
+                                   lambda x: not any(x), [0])
+    return [sign * c for c in d]
+
+
+def _symmetric_slice(rng, n):
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = [rng.randint(-3, 3)
+                                 for _ in range(rng.randint(1, 3))]
+    return M
+
+
+def _spy_upper(monkeypatch):
+    """Record the _upper flag of every _bareiss call."""
+    seen = []
+
+    def spy(M, step, is_zero, zero, _upper=False,
+            _bareiss=determinant._bareiss):
+        seen.append(_upper)
+        return _bareiss(M, step, is_zero, zero, _upper)
+    monkeypatch.setattr(determinant, "_bareiss", spy)
+    return seen
+
+
+def test_univariate_symmetric_sweep(rng, monkeypatch):
+    # a slice of the Varchenko form: symmetric, so the upper sweep runs
+    V = varchenko_matrix(3)
+    rows = [[poly_to_univariate(e, lambda i, j: i + j + 1) for e in row]
+            for row in V.entries]
+    cases = [rows] + [_symmetric_slice(rng, n) for n in (2, 3, 4, 5)]
+    wants = [_general_sweep(rows) for rows in cases]
+    seen = _spy_upper(monkeypatch)
+    for rows, want in zip(cases, wants):
+        seen.clear()
+        assert det_univariate(rows) == want
+        assert seen[0] is True
+
+
+def test_univariate_nonsymmetric_takes_general_sweep(rng, monkeypatch):
+    rows = _symmetric_slice(rng, 4)
+    rows[0][3] = rows[0][3] + [1]
+    want = _general_sweep(rows)
+    seen = _spy_upper(monkeypatch)
+    assert det_univariate(rows) == want
+    assert seen == [False]
+
+
+def test_univariate_symmetric_with_vanishing_minor(monkeypatch):
+    # the leading 1x1 minor is 0: the upper sweep stops and the general
+    # sweep swaps rows
+    rows = [[[0], [1, 1], [2]],
+            [[1, 1], [0, 3], [1]],
+            [[2], [1], [1, 0, 1]]]
+    want = _general_sweep(rows)
+    seen = _spy_upper(monkeypatch)
+    assert det_univariate(rows) == want
+    assert seen == [True, False]
+    assert want != [0]
 
 
 def test_bareiss_matches_cofactor(rng):

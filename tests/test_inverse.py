@@ -365,6 +365,31 @@ def test_denominator_modes_small():
         zagier_check(2, "sideways")
 
 
+def test_leftover_of_prime_boxes_matches_the_product():
+    # with every box prime, _leftover decides without multiplying; the
+    # reference multiplies the candidate in and reduces
+    rng = random.Random(5)
+    table = inv_full(Weight.generic_n(4), "fast")
+    outcomes = set()
+    for g in rng.sample(table.support(), 6):
+        word = rng.choice(table.basis.words)
+        frac = table.entries[g].value_at(word) * q_mono(
+            word, g.inverse().inversion_set(), False)
+        boxes = inverse._subset_boxes(tuple(word), False)
+        for cand in (boxes, boxes[:-1], rng.sample(boxes, 5), []):
+            num = frac.num
+            for b in cand:
+                num = num * b.expand()
+            full = BoxFraction(num, frac.den)
+            left = inverse._leftover(frac, cand)
+            if full.den:
+                assert str(left) == str(full)
+            else:
+                assert left is None
+            outcomes.add(left is None)
+    assert outcomes == {True, False}
+
+
 def test_single_coefficient_counterexample():
     g = Perm((4, 3, 2, 1, 8, 7, 6, 5))
     bad = zagier_check(8, "original-conjecture", coeff=g)

@@ -1,12 +1,17 @@
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quongram import ring
 from quongram.ring import (Poly, GaussRat, NotDivisible, pair_var, SINGLE_Q,
-                           conjugate, check_assignment)
+                           conjugate, check_assignment, mono_key)
 from quongram.fock import Weight
 from quongram.gram import build_generic
 from conftest import hermitian_assignment
@@ -397,3 +402,169 @@ def test_gram_matrix_evaluate_matches_entries(rng):
     bad[("q", 2, 1)] = a[("q", 2, 1)] + GaussRat.of(1)
     with pytest.raises(ValueError, match="not hermitian"):
         A.evaluate(bad, "hermitian")
+
+
+# -- packed monomials --------------------------------------------------------
+# A tuple-based reference: Mono-keyed dicts, monomials multiplied by
+# merging exponents, division by the leading term of the divisor.
+
+REF_VARS = [pair_var(i, j) for i in (1, 2, 3) for j in (1, 2, 3)] + [SINGLE_Q]
+ref_monos = st.dictionaries(st.sampled_from(REF_VARS), st.integers(1, 4),
+                            max_size=4).map(lambda e: tuple(sorted(e.items())))
+ref_polys = st.dictionaries(ref_monos, st.integers(-5, 5).filter(bool),
+                            max_size=5)
+
+
+def ref_mono_mul(a, b):
+    e = dict(a)
+    for v, k in b:
+        e[v] = e.get(v, 0) + k
+    return tuple(sorted(e.items()))
+
+
+def ref_mono_div(a, b):
+    e = dict(a)
+    for v, k in b:
+        if e.get(v, 0) < k:
+            return None
+        e[v] -= k
+    return tuple(sorted((v, k) for v, k in e.items() if k))
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = ref_mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_div(p, d):
+    """p / d, or None if not exact.  If p = q*d, the lex-leading term of
+    every remainder is lead(q') * lead(d) for what is left q' of q, so
+    dividing leading terms decides exactness."""
+    dm = min(d, key=mono_key)
+    r, q = dict(p), {}
+    while r:
+        m = min(r, key=mono_key)
+        quo = ref_mono_div(m, dm)
+        if quo is None or r[m] % d[dm]:
+            return None
+        c = r[m] // d[dm]
+        q[quo] = c
+        r = ref_add(r, ref_mul({quo: -c}, d))
+    return q
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_polys, ref_monos)
+def test_packed_terms_round_trip(p, m):
+    assert ring._decode(ring._encode(m)) == m
+    assert ring._encode(m) & 0xFFFF == sum(e for _, e in m)
+    assert dict(Poly(p).terms) == p
+    assert Poly(p) == Poly(dict(reversed(list(p.items()))))
+    assert Poly(p).degree() == max((sum(e for _, e in m) for m in p),
+                                   default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_polys, ref_polys)
+def test_packed_ring_ops_match_reference(p, q):
+    assert dict((Poly(p) * Poly(q)).terms) == ref_mul(p, q)
+    assert dict((Poly(p) + Poly(q)).terms) == ref_add(p, q)
+    assert dict((Poly(p) - Poly(q)).terms) == ref_add(
+        p, {m: -c for m, c in q.items()})
+
+
+@st.composite
+def ref_divisions(draw):
+    """(dividend, divisor): the divisor is a monomial c*m, a box
+    binomial 1 - m, or any other nonzero polynomial; the dividend is
+    random or a multiple of the divisor."""
+    route = draw(st.sampled_from(["monomial", "binomial", "general"]))
+    m = draw(ref_monos.filter(bool))
+    if route == "monomial":
+        d = {m: draw(st.sampled_from([1, -1, 2, -3]))}
+    elif route == "binomial":
+        d = {(): 1, m: -1}
+    else:
+        # two terms or more, and a constant term other than 1
+        d = dict(draw(ref_polys))
+        d[m] = draw(st.sampled_from([1, -1, 2]))
+        d[()] = draw(st.sampled_from([-1, 2, 3]))
+    p = draw(ref_polys)
+    if draw(st.booleans()):
+        p = ref_mul(p, d)
+    return p, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(ref_divisions())
+def test_packed_exact_div_matches_reference(case):
+    p, d = case
+    got = exact_div_or_none(Poly(p), Poly(d))
+    want = ref_div(p, d)
+    assert (None if got is None else dict(got.terms)) == want
+
+
+def _print_poly(order):
+    """str, to_json and leading of one Poly in a fresh interpreter that
+    registers the variables q_ij for (i, j) in order first."""
+    code = (
+        "import json\n"
+        "from quongram.ring import Poly\n"
+        f"for i, j in {order!r}:\n"
+        "    Poly.var(i, j)\n"
+        "p = Poly.parse('3*q31^2*q12 - q23*q12 + 5 - q[11,2]^3 + q^2*q23')\n"
+        "print(p)\n"
+        "print(json.dumps(p.to_json()))\n"
+        "print(p.leading(), dict(p.terms) == dict(sorted(p.terms.items())))\n")
+    src = os.path.dirname(os.path.dirname(ring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_output_does_not_depend_on_registration_order():
+    pairs = [(1, 2), (3, 1), (2, 3), (11, 2)]
+    first = _print_poly(pairs)
+    assert first == _print_poly(pairs[::-1])
+    assert first.splitlines()[0] == \
+        "5 - q12*q23 + 3*q12*q31^2 + q23*q^2 - q[11,2]^3"
+
+
+def test_exponent_limit_raises_overflow():
+    x = Poly.var(1, 2)
+    big = x ** (2 ** 15 - 1)
+    assert big.degree() == 2 ** 15 - 1
+    with pytest.raises(OverflowError):
+        big * x
+    with pytest.raises(OverflowError):
+        x ** (2 ** 15)
+    with pytest.raises(OverflowError):
+        Poly.from_mono(((pair_var(1, 2), 2 ** 15),))
+    # each exponent fits, but the total degree does not
+    with pytest.raises(OverflowError):
+        Poly.from_mono(((pair_var(1, 2), 2 ** 14), (pair_var(2, 1), 2 ** 14)))
+    with pytest.raises(OverflowError):
+        (x ** 2 ** 14) * (Poly.var(2, 1) ** 2 ** 14)
+    # the general division multiplies the quotient by the divisor's tail
+    with pytest.raises(OverflowError):
+        (Poly.var(1, 1) * x ** (2 ** 15 - 2)).exact_div(
+            Poly.var(1, 1) + x ** 3)
+
+
+def test_terms_view_is_read_only_and_pickles_as_monos():
+    p = Poly.parse("2 - q12*q21")
+    with pytest.raises(TypeError):
+        p.terms[()] = 3
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert p.__reduce__() == (Poly, (dict(p.terms),))
