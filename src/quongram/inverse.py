@@ -868,15 +868,13 @@ def _leftover(frac: BoxFraction, candidate) -> BoxFraction | None:
     polynomial, else that product, reduced, whose denominator is what the
     candidate leaves.
 
-    frac is reduced.  When every box is ``prime``, no factor of its
-    denominator divides its numerator, so the product is a polynomial
-    exactly when the candidate holds every denominator factor as often;
-    only a failing entry pays for the product."""
+    A candidate holding every denominator factor as often clears it with
+    no product.  frac is reduced, so when every box is ``prime`` no other
+    candidate can, and only a failing entry pays for the product."""
     cden = Counter(frac.den)
     ccand = Counter(candidate)
-    if all(f.prime for f in cden) and all(f.prime for f in ccand):
-        if cden <= ccand:
-            return None
+    if cden <= ccand:
+        return None
     common = cden & ccand
     rem_den = tuple((cden - common).elements())
     num = frac.num

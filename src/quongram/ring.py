@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 import heapq
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -102,6 +103,7 @@ _LIMIT = 1 << (_FIELD - 1)        # guard bit: exponents stay below 2**15
 _VARS: list = []                  # field k >= 1 holds _VARS[k - 1]
 _UNIT: dict = {}                  # variable -> its packed key, degree 1
 _GUARD = _LIMIT                   # the guard bit of every registered field
+_REGISTER = threading.Lock()      # one field per variable, whatever the thread
 
 
 def _unit(v: ParamVar) -> int:
@@ -109,10 +111,14 @@ def _unit(v: ParamVar) -> int:
     u = _UNIT.get(v)
     if u is None:
         global _GUARD
-        _VARS.append(v)
-        shift = _FIELD * len(_VARS)
-        u = _UNIT[v] = (1 << shift) | 1
-        _GUARD |= _LIMIT << shift
+        with _REGISTER:
+            u = _UNIT.get(v)
+            if u is None:
+                _VARS.append(v)
+                shift = _FIELD * len(_VARS)
+                # the guard bit is in place before any key can use the field
+                _GUARD |= _LIMIT << shift
+                u = _UNIT[v] = (1 << shift) | 1
     return u
 
 

@@ -365,17 +365,18 @@ def test_denominator_modes_small():
         zagier_check(2, "sideways")
 
 
-def test_leftover_of_prime_boxes_matches_the_product():
-    # with every box prime, _leftover decides without multiplying; the
-    # reference multiplies the candidate in and reduces
+@pytest.mark.parametrize("one_param", [False, True])
+def test_leftover_matches_the_product(one_param):
+    # _leftover skips the product when the candidate holds the whole
+    # denominator; the reference always multiplies the candidate in
     rng = random.Random(5)
-    table = inv_full(Weight.generic_n(4), "fast")
+    table = inv_full(Weight.generic_n(4), "fast", one_param)
     outcomes = set()
     for g in rng.sample(table.support(), 6):
         word = rng.choice(table.basis.words)
         frac = table.entries[g].value_at(word) * q_mono(
-            word, g.inverse().inversion_set(), False)
-        boxes = inverse._subset_boxes(tuple(word), False)
+            word, g.inverse().inversion_set(), one_param)
+        boxes = inverse._subset_boxes(tuple(word), one_param)
         for cand in (boxes, boxes[:-1], rng.sample(boxes, 5), []):
             num = frac.num
             for b in cand:
@@ -383,7 +384,7 @@ def test_leftover_of_prime_boxes_matches_the_product():
             full = BoxFraction(num, frac.den)
             left = inverse._leftover(frac, cand)
             if full.den:
-                assert str(left) == str(full)
+                assert left == full and left.den
             else:
                 assert left is None
             outcomes.add(left is None)

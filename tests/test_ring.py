@@ -568,3 +568,41 @@ def test_terms_view_is_read_only_and_pickles_as_monos():
         p.terms[()] = 3
     assert pickle.loads(pickle.dumps(p)) == p
     assert p.__reduce__() == (Poly, (dict(p.terms),))
+
+
+_REGISTER_RACE = """
+import threading, time
+from quongram import ring
+from quongram.ring import Poly
+
+class SlowList(list):
+    def append(self, v):
+        time.sleep(0.001)   # give the other threads the interpreter here
+        super().append(v)
+
+ring._VARS = SlowList(ring._VARS)
+labels = [(k, k) for k in range(50)]
+start = threading.Barrier(4, timeout=30)
+keys = []
+def work():
+    start.wait()
+    keys.append([next(iter(Poly.var(i, j)._t)) for i, j in labels])
+threads = [threading.Thread(target=work) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads) and len(keys) == 4
+assert len(ring._VARS) == len(set(ring._VARS)) == len(labels)
+assert all(k == keys[0] for k in keys)
+"""
+
+
+def test_registry_gives_each_variable_one_field_across_threads():
+    # four threads register the same fresh variables at once, each pausing
+    # inside the registration; in a fresh interpreter, which the patched
+    # registry list cannot outlive
+    src = os.path.dirname(os.path.dirname(ring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", _REGISTER_RACE], env=env,
+                   check=True, capture_output=True, timeout=120)
