@@ -246,7 +246,7 @@ class BoxFraction:
         for f, m in sorted(Counter(self.den).items()):
             parts.append(str(f) + (f"^{m}" if m > 1 else ""))
         den = " ".join(parts)
-        if len(self.num.terms) > 1:
+        if self.num.nterms() > 1:
             num = f"({num})"
         return f"{num} / {den}"
 

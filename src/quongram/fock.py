@@ -185,7 +185,7 @@ class FockVector:
             ws = str(w) if len(w) else "e"
             if c.is_one():
                 bits.append(ws)
-            elif len(c.terms) == 1:
+            elif c.nterms() == 1:
                 bits.append(f"{c}*{ws}")
             else:
                 bits.append(f"({c})*{ws}")

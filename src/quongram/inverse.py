@@ -868,14 +868,11 @@ def _leftover(frac: BoxFraction, candidate) -> BoxFraction | None:
     polynomial, else that product, reduced, whose denominator is what the
     candidate leaves.
 
-    frac is reduced.  When every box is ``prime``, no factor of its
-    denominator divides its numerator, so the product is a polynomial
-    exactly when the candidate holds every denominator factor as often,
-    and only a failing entry pays for the product.  Other boxes
-    (one-parameter, or over a repeated letter) take the product always."""
+    A candidate holding every denominator factor as often clears the
+    denominator with no product; any other entry builds it."""
     cden = Counter(frac.den)
     ccand = Counter(candidate)
-    if cden <= ccand and all(f.prime for f in (*cden, *ccand)):
+    if cden <= ccand:
         return None
     common = cden & ccand
     rem_den = tuple((cden - common).elements())

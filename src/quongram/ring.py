@@ -482,6 +482,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._t
 
+    def nterms(self) -> int:
+        """The number of nonzero terms."""
+        return len(self._t)
+
     def is_one(self) -> bool:
         t = self._t
         return len(t) == 1 and t.get(0) == 1

@@ -367,8 +367,8 @@ def test_denominator_modes_small():
 
 @pytest.mark.parametrize("one_param", [False, True])
 def test_leftover_matches_the_product(one_param):
-    # _leftover skips the product for prime boxes when the candidate holds
-    # the whole denominator; the reference always multiplies it in
+    # _leftover skips the product when the candidate holds the whole
+    # denominator; the reference always multiplies it in
     rng = random.Random(5)
     table = inv_full(Weight.generic_n(4), "fast", one_param)
     outcomes = set()
