@@ -14,29 +14,12 @@ Usage:  python scripts/invert_at_point.py [-n 5] [--seed 0] [--skip-verify]
 import argparse
 import random
 import time
-from fractions import Fraction
 
-from quongram.ring import GaussRat
+from quongram.ring import random_hermitian
 from quongram.determinant import det_formula, det_point, is_inverse
 from quongram.fock import Weight
 from quongram.gram import build_generic
 from quongram.inverse import inverse_matrix_at
-
-
-def hermitian_point(labels, rng, scale=32, bound=12):
-    a = {}
-    for i in labels:
-        for j in labels:
-            if j < i:
-                continue
-            if i == j:
-                v = GaussRat(Fraction(rng.randint(-bound, bound), scale))
-            else:
-                v = GaussRat(Fraction(rng.randint(-bound, bound), scale),
-                             Fraction(rng.randint(-bound, bound), scale))
-            a[("q", i, j)] = v
-            a[("q", j, i)] = v.conj()
-    return a
 
 
 def main():
@@ -49,7 +32,7 @@ def main():
 
     nu = Weight.generic_n(args.n)
     rng = random.Random(args.seed)
-    a = hermitian_point(nu.labels, rng)
+    a = random_hermitian(nu.labels, rng, 32, 12, 12)
 
     t0 = time.time()
     inv = inverse_matrix_at(nu, a, "hermitian")

@@ -286,9 +286,6 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def specialize(self, b: dict) -> "Laurent":
         """Substitute u_{ij} -> t^{b_ij} (b integer-valued, symmetric);
         the result lives in the single variable t = q^{1/4}."""

@@ -7,11 +7,13 @@ of "box" factors: for a subset T of positions of a fixed word i_1..i_n,
     Box_T  =  1 - prod_{a != b in T} q_{i_a i_b}
 
 (the product runs over ordered pairs, so Box_T is fixed by the involution
-q_{ij} <-> q_{ji}).  We therefore never need multivariate gcd: a fraction is a
-polynomial numerator over a *multiset* of box factors, and the only
-cancellation mechanism is exact polynomial division by one of them.
+q_{ij} <-> q_{ji}).  Box_T depends only on the sorted letters i_a, a in T
+(and on whether every q_ij is set to one parameter q), so a ``BoxFactor`` is
+that key and nothing else.  We therefore never need multivariate gcd: a
+fraction is a polynomial numerator over a *multiset* of box factors, and the
+only cancellation mechanism is exact polynomial division by one of them.
 
->>> f = BoxFraction.from_poly(Poly.parse("1 - q12*q21"))
+>>> f = BoxFraction(Poly.parse("1 - q12*q21"))
 >>> g = f / BoxFactor((1, 2), frozenset({1, 2}))
 >>> print(g)
 1
@@ -22,7 +24,6 @@ from __future__ import annotations
 __all__ = ["BoxFactor", "BoxFraction", "as_part", "product_part", "sum_parts"]
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -43,13 +44,14 @@ def _box_poly(letters: tuple, one_param: bool) -> Poly:
     return Poly.one() - q
 
 
-@dataclass(frozen=True)
-class BoxFactor:
-    """Box_T bound to a word: positions T (1-based, |T| >= 2) into word.
+class BoxFactor(tuple):
+    """Box_T over the letters at positions T (1-based, |T| >= 2) of a word.
 
-    The canonical identity of the factor is its expansion as a Poly, so two
-    factors over different words that expand to the same polynomial cancel
-    against each other.
+    The factor is its key ``(one_param, letters)``, with the letters
+    sorted: the expansion depends on nothing else, so factors over
+    different words that select the same letters are equal, hash equally
+    and cancel against each other.  Equality, hashing and ordering are
+    those of the key tuple.
 
     ``prime`` is set for a multiparameter box over distinct letters.  Its
     monomial is a product of distinct variables, so the box is irreducible,
@@ -58,63 +60,45 @@ class BoxFactor:
     box over a repeated letter (1 - q11^2 = (1 - q11)(1 + q11)).
     """
 
-    word: tuple
-    positions: frozenset
-    one_param: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.positions) < 2:
+    def __new__(cls, word: tuple, positions, one_param: bool = False):
+        if len(positions) < 2:
             raise ValueError("box factor needs at least two positions")
-        if not all(1 <= p <= len(self.word) for p in self.positions):
-            raise ValueError(f"positions {set(self.positions)} out of range "
-                             f"for word of length {len(self.word)}")
-        # identity and ordering go through the canonical expansion, which
-        # depends only on the sorted letters; computed once, not per hash
-        letters = tuple(sorted(self.word[p - 1] for p in self.positions))
-        object.__setattr__(self, "_key", (self.one_param, letters))
-        object.__setattr__(self, "prime", not self.one_param
-                           and len(set(letters)) == len(letters))
+        if not all(1 <= p <= len(word) for p in positions):
+            raise ValueError(f"positions {set(positions)} out of range "
+                             f"for word of length {len(word)}")
+        letters = tuple(sorted(word[p - 1] for p in positions))
+        return tuple.__new__(cls, (one_param, letters))
+
+    def __getnewargs__(self):
+        # rebuild (for pickle and copy) over the word of the letters
+        return self[1], range(1, len(self[1]) + 1), self[0]
+
+    @property
+    def one_param(self) -> bool:
+        return self[0]
 
     @property
     def letters(self) -> tuple:
         """Letters of the word at the chosen positions (sorted, with
         multiplicity)."""
-        return self._key[1]
+        return self[1]
+
+    @property
+    def prime(self) -> bool:
+        return not self[0] and len(set(self[1])) == len(self[1])
 
     def expand(self) -> Poly:
         """The factor as a polynomial 1 - prod_{a != b} q_{i_a i_b}."""
-        return _box_poly(self.letters, self.one_param)
-
-    def q_part(self) -> Poly:
-        """The monomial prod_{a != b in T} q_{i_a i_b} (so expand() = 1 - q_part())."""
-        return Poly.one() - self.expand()
-
-    def __eq__(self, o):
-        return isinstance(o, BoxFactor) and self._key == o._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __lt__(self, o):
-        return self._key < o._key
+        return _box_poly(self[1], self[0])
 
     def map_labels(self, f) -> "BoxFactor":
-        return BoxFactor(tuple(f(ch) for ch in self.word), self.positions,
-                         self.one_param)
+        return tuple.__new__(BoxFactor,
+                             (self[0], tuple(sorted(map(f, self[1])))))
 
     def __str__(self):
-        # display the canonical identity (letters), not the word positions
-        return "Box{%s}" % ",".join(str(ch) for ch in self.letters)
-
-    def to_json(self):
-        return {"word": list(self.word),
-                "positions": sorted(self.positions),
-                "one_param": self.one_param}
-
-    @staticmethod
-    def from_json(data) -> "BoxFactor":
-        return BoxFactor(tuple(data["word"]), frozenset(data["positions"]),
-                         bool(data.get("one_param", False)))
+        return "Box{%s}" % ",".join(str(ch) for ch in self[1])
 
 
 def _den_poly(den: tuple) -> Poly:
@@ -138,10 +122,6 @@ class BoxFraction:
         self.den = den
 
     # -- constructors --------------------------------------------------------
-    @staticmethod
-    def from_poly(p: Poly) -> "BoxFraction":
-        return BoxFraction(p, ())
-
     @staticmethod
     def zero() -> "BoxFraction":
         return BoxFraction(Poly.zero(), ())
@@ -253,16 +233,6 @@ class BoxFraction:
     def __repr__(self):
         return f"<BoxFraction {self}>"
 
-    def to_json(self):
-        return {"num": self.num.to_json(),
-                "den": [f.to_json() for f in self.den]}
-
-    @staticmethod
-    def from_json(data) -> "BoxFraction":
-        return BoxFraction(Poly.from_json(data["num"]),
-                           tuple(BoxFactor.from_json(f) for f in data["den"]),
-                           reduce=False)
-
 
 def as_part(x):
     """Numerator and denominator multiset of a Poly or a BoxFraction."""
@@ -278,11 +248,7 @@ def product_part(x, y):
 
 def _sum_once(parts) -> BoxFraction:
     """Sum of (numerator, denominator multiset) pairs over their least
-    common multiset of box factors, reduced once.
-
-    Each factor of the common denominator is represented by its first
-    occurrence in part order, the one a chain of ``+`` keeps while the
-    factor stays in the running denominator.  Numerators over the same
+    common multiset of box factors, reduced once.  Numerators over the same
     denominator are added before they are multiplied up to the common one.
     """
     common: Counter = Counter()
@@ -320,7 +286,7 @@ def sum_parts(parts) -> BoxFraction:
     1
     """
     parts = [(n, den) for n, den in parts if not n.is_zero()]
-    if all(f.prime for _, den in parts for f in den):
+    if all(f.prime for f in {f for _, den in parts for f in den}):
         return _sum_once(parts)
     total = BoxFraction.zero()
     for n, den in parts:

@@ -18,9 +18,8 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
-from .ring import Poly, GaussRat
+from .ring import random_hermitian
 from .fock import Word, Weight, inner_product, check_ccr
 from .perms import Perm, all_perms
 from .gram import Basis, build_generic, build_degenerate
@@ -83,7 +82,7 @@ def cmd_build(args, out) -> int:
 
 def _compact(s: str) -> str:
     # golden output style: no spaces inside the box factors
-    return s.replace(" - ", "-").replace(") * (", ") * (")
+    return s.replace(" - ", "-")
 
 
 def cmd_det(args, out) -> int:
@@ -105,7 +104,7 @@ def cmd_det(args, out) -> int:
 
 # symbolic inversion runs on the generic model of the weight: the |nu|!
 # words of the generic weight on |nu| letters.  n = 5 (120 words) takes
-# about 20 s with the fast method; n = 6 (720 words) is out of reach.
+# about 7 s with the fast method; n = 6 (720 words) is out of reach.
 INVERT_MAX_WORDS = 120
 
 
@@ -188,14 +187,7 @@ def cmd_contravariant(args, out) -> int:
             raise Usage("full symbolic expansion is practical only for "
                         "n <= 3; give --b-matrix for larger n")
         return 0
-    mat = app_mod.contravariant_matrix(n)
-    if args.format == "json":
-        json.dump(mat.to_json(), out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif args.format == "csv":
-        out.write(mat.to_csv())
-    else:
-        _print_matrix(mat, "text", out)
+    _print_matrix(app_mod.contravariant_matrix(n), args.format, out)
     return 0
 
 
@@ -337,26 +329,10 @@ def check_positivity(max_n: int, rng) -> str:
     for nu in _weights_up_to(min(max_n, 4)):
         if nu.size < 2:
             continue
-        assignment = _random_hermitian(nu.labels, rng)
+        assignment = random_hermitian(nu.labels, rng, 100, 60, 90)
         if not det_mod.positivity_check(nu, assignment):
             raise VerifyFailure(f"positivity {nu}")
     return "Gram matrices positive definite inside the unit polydisc"
-
-
-def _random_hermitian(labels, rng, bound=Fraction(19, 20)):
-    a = {}
-    for i in labels:
-        for j in labels:
-            if j < i:
-                continue
-            if i == j:
-                v = GaussRat(Fraction(rng.randint(-90, 90), 100))
-            else:
-                v = GaussRat(Fraction(rng.randint(-60, 60), 100),
-                             Fraction(rng.randint(-60, 60), 100))
-            a[("q", i, j)] = v
-            a[("q", j, i)] = v.conj()
-    return a
 
 
 SUITES = {

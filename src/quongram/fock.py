@@ -111,10 +111,6 @@ class Weight:
         return Weight(d)
 
     @staticmethod
-    def of_word(w) -> "Weight":
-        return Word(w).weight()
-
-    @staticmethod
     def generic_n(n: int) -> "Weight":
         """The generic weight on labels 1..n."""
         return Weight({i: 1 for i in range(1, n + 1)})

@@ -175,15 +175,11 @@ class DiagOp:
         return self.diagonal[self.basis.index(w)]
 
     def is_zero(self) -> bool:
-        return all(_val_is_zero(v) for v in self.diagonal)
+        return all(v.is_zero() for v in self.diagonal)
 
     def to_json(self):
         return {str(w): str(v) for w, v in zip(self.basis.words,
                                                self.diagonal)}
-
-
-def _val_is_zero(v) -> bool:
-    return v.is_zero()
 
 
 def _sum_values(vals):

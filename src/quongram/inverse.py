@@ -141,9 +141,6 @@ class Universe:
         # the same monomial as the q-part of the box over these positions
         return self._box_values(letters, positions)[0]
 
-    def is_zero(self, v) -> bool:
-        return v.is_zero()
-
     def box_sum(self, letters: tuple, terms):
         """Sum of sign / prod_T Box_T over (sign, [T, ...]) terms, each T
         a range of 1-based positions of the letter tuple.

@@ -44,7 +44,7 @@ from __future__ import annotations
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
     "pair_var", "SINGLE_Q", "mono_key", "conjugate",
-    "check_assignment", "evaluate_terms", "param_value",
+    "check_assignment", "evaluate_terms", "param_value", "random_hermitian",
 ]
 
 import heapq
@@ -490,9 +490,6 @@ class Poly:
         t = self._t
         return len(t) == 1 and t.get(0) == 1
 
-    def constant_term(self) -> int:
-        return self._t.get(0, 0)
-
     def degree(self) -> int:
         if not self._t:
             return 0
@@ -833,6 +830,37 @@ def check_assignment(assignment: Mapping[ParamVar, GaussRat],
                 if (not isinstance(w, GaussRat) or w.b
                         or w.a != val.a or w.d != val.d):
                     raise ValueError(f"assignment not symmetric at {v}")
+
+
+def random_hermitian(labels, rng, scale: int, bound: int,
+                     diag_bound: int) -> dict:
+    """A seeded hermitian point on the given labels.
+
+    For each pair i <= j in label order, q_ii = x / scale with x drawn from
+    [-diag_bound, diag_bound], and q_ij = (x + y*i) / scale with x then y
+    drawn from [-bound, bound]; q_ji = conj(q_ij).  The draws are made in
+    that order, so one generator state gives one point.
+
+    >>> import random
+    >>> a = random_hermitian((1, 2), random.Random(0), 100, 60, 90)
+    >>> check_assignment(a, "hermitian")
+    >>> len(a)
+    4
+    """
+    a = {}
+    for i in labels:
+        for j in labels:
+            if j < i:
+                continue
+            if i == j:
+                v = GaussRat(Fraction(rng.randint(-diag_bound, diag_bound),
+                                      scale))
+            else:
+                v = GaussRat(Fraction(rng.randint(-bound, bound), scale),
+                             Fraction(rng.randint(-bound, bound), scale))
+            a[("q", i, j)] = v
+            a[("q", j, i)] = v.conj()
+    return a
 
 
 def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],

@@ -3,26 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from quongram.ring import GaussRat
+from quongram.ring import GaussRat, random_hermitian
 from quongram.fock import Weight
 
 
-def hermitian_assignment(labels, rng, scale=100, bound=60):
+def hermitian_assignment(labels, rng):
     """Random hermitian parameter point with |q_ij| well inside the unit
     disc (diagonals real)."""
-    a = {}
-    for i in labels:
-        for j in labels:
-            if j < i:
-                continue
-            if i == j:
-                v = GaussRat(Fraction(rng.randint(-90, 90), scale))
-            else:
-                v = GaussRat(Fraction(rng.randint(-bound, bound), scale),
-                             Fraction(rng.randint(-bound, bound), scale))
-            a[("q", i, j)] = v
-            a[("q", j, i)] = v.conj()
-    return a
+    return random_hermitian(labels, rng, 100, 60, 90)
 
 
 def symmetric_assignment(labels, rng, scale=97, bound=50):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from quongram.ring import Poly, GaussRat, conjugate
+from quongram.ring import Poly, GaussRat, conjugate, random_hermitian
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight, inner_product, check_ccr
 from quongram.perms import Perm, all_perms, cycle, longest_element
@@ -35,23 +35,6 @@ def report(num, desc, fn):
         print(f"criterion {num:2d}: FAIL ({time.time() - t0:6.1f}s)  {desc}")
         raise
     print(f"criterion {num:2d}: PASS ({time.time() - t0:6.1f}s)  {desc}")
-
-
-def _hermitian_point(labels, rng, scale=16, bound=9):
-    a = {}
-    for i in labels:
-        for j in labels:
-            if j < i:
-                continue
-            if i == j:
-                v = GaussRat(Fraction(rng.randint(-bound - 3, bound + 3),
-                                      scale))
-            else:
-                v = GaussRat(Fraction(rng.randint(-bound, bound), scale),
-                             Fraction(rng.randint(-bound, bound), scale))
-            a[("q", i, j)] = v
-            a[("q", j, i)] = v.conj()
-    return a
 
 
 def P(s):
@@ -118,7 +101,7 @@ def test_criterion_02_determinant():
         A5 = build_generic(nu5)
         f5 = det_mod.det_formula(nu5)
         for _ in range(3):
-            a = _hermitian_point(nu5.labels, rng)
+            a = random_hermitian(nu5.labels, rng, 16, 9, 12)
             ent = [[e.evaluate(a, "hermitian") for e in row]
                    for row in A5.entries]
             assert det_mod.det_point(ent) == f5.evaluate(a)
@@ -265,7 +248,7 @@ def test_criterion_04_inverse_methods():
         # n = 5 evaluation-point identity: the numeric inverse really
         # inverts the numeric matrix, exactly (over scaled Gaussian integers)
         nu5 = Weight.generic_n(5)
-        a = _hermitian_point(nu5.labels, rng, scale=32, bound=12)
+        a = random_hermitian(nu5.labels, rng, 32, 12, 15)
         inv = inv_mod.inverse_matrix_at(nu5, a, "hermitian")
         A = build_generic(nu5)
         Ap = [[e.evaluate(a, "hermitian") for e in row] for row in A.entries]
@@ -557,18 +540,7 @@ def test_criterion_10_positivity():
         checks = 0
         while checks < 20:
             nu = weights[checks % len(weights)]
-            a = {}
-            for i in nu.labels:
-                for j in nu.labels:
-                    if j < i:
-                        continue
-                    if i == j:
-                        v = GaussRat(Fraction(rng.randint(-95, 95), 100))
-                    else:
-                        v = GaussRat(Fraction(rng.randint(-67, 67), 100),
-                                     Fraction(rng.randint(-67, 67), 100))
-                    a[("q", i, j)] = v
-                    a[("q", j, i)] = v.conj()
+            a = random_hermitian(nu.labels, rng, 100, 67, 95)
             assert det_mod.positivity_check(nu, a, tolerance=1e-9)
             checks += 1
         assert checks == 20
