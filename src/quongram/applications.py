@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import Poly, pair_var
+from .ring import Poly
 from .fock import Word, Weight
 from .perms import Perm
 from .gram import Basis, GramMatrix

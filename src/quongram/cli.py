@@ -22,7 +22,7 @@ import sys
 from .ring import random_hermitian
 from .fock import Word, Weight, inner_product, check_ccr
 from .perms import Perm, all_perms
-from .gram import Basis, build_generic, build_degenerate
+from .gram import build_generic, build_degenerate
 from .boxes import BoxFraction
 from . import determinant as det_mod
 from . import inverse as inv_mod
@@ -72,8 +72,34 @@ def _print_matrix(mat, fmt: str, out):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _words(nu: Weight) -> int:
+    """|ν|! / ∏ m_i!, the number of words of weight ν, without listing them."""
+    return math.factorial(nu.size) // math.prod(
+        math.factorial(m) for _, m in nu.multiplicities)
+
+
+def _check_words(what: str, words: int, limit: int, hint: str = ""):
+    if words > limit:
+        raise Usage(f"{what} works on {words} words, over the limit of "
+                    f"{limit}{hint}")
+
+
+# Limits measured on a 2-core VM (Python 3.11), one fresh process each.
+# build: n = 6 (720 words) takes 11 s and 271 MB; the weight 2,2,2,1 (630
+# words) 79 s and 534 MB; n = 7 has 5 040 words.
+BUILD_MAX_WORDS = 720
+# det of a degenerate weight eliminates its dense Gram matrix (det_elim).
+# Multiparameter: 6 words (weights 2,2 and 5,1) take up to 1.1 s, 10 words
+# (3,2) over 100 s.  One-parameter: 20 words (3,1,1) take 7.6 s, 30 words
+# (2,2,1) 65 s.
+DET_ELIM_MAX_WORDS = 6
+DET_ELIM_ONE_PARAM_MAX_WORDS = 20
+
+
 def cmd_build(args, out) -> int:
     nu = parse_weight(args)
+    _check_words(f"building the Gram matrix of weight {nu}", _words(nu),
+                 BUILD_MAX_WORDS)
     mat = (build_generic(nu, args.one_param) if nu.generic
            else build_degenerate(nu, args.one_param))
     _print_matrix(mat, args.format, out)
@@ -87,6 +113,11 @@ def _compact(s: str) -> str:
 
 def cmd_det(args, out) -> int:
     nu = parse_weight(args)
+    if not nu.generic:
+        limit = (DET_ELIM_ONE_PARAM_MAX_WORDS if args.one_param
+                 else DET_ELIM_MAX_WORDS)
+        _check_words(f"elimination for the determinant of weight {nu}",
+                     _words(nu), limit)
     if args.one_param:
         f = det_mod.det_one_param(nu.size) if nu.generic else None
         if f is None:
@@ -110,12 +141,10 @@ INVERT_MAX_WORDS = 120
 
 def cmd_invert(args, out) -> int:
     nu = parse_weight(args)
-    words = math.factorial(nu.size)
-    if words > INVERT_MAX_WORDS:
-        raise Usage(f"symbolic inversion of a weight of size {nu.size} "
-                    f"works on {words} words, over the limit of "
-                    f"{INVERT_MAX_WORDS}; for an exact inverse at a point "
-                    "use scripts/invert_at_point.py")
+    _check_words(f"symbolic inversion of a weight of size {nu.size}",
+                 math.factorial(nu.size), INVERT_MAX_WORDS,
+                 "; for an exact inverse at a point use "
+                 "scripts/invert_at_point.py")
     if not nu.generic:
         mat = inv_mod.inv_degenerate(nu, args.one_param)
         _print_matrix(mat, "json" if args.format == "json" else "text", out)

@@ -8,11 +8,13 @@ The headline identity: for a multiplicity-free weight ν of size n,
 with □_μ = 1 − ∏_{i≠j∈μ} q_{ij}.  Under q_{ij} ↦ q this collapses to
 ∏_{k=2}^n (1−q^{k(k−1)})^{n!(n−k+1)/(k(k−1))}.
 
-Oracles: one fraction-free (Bareiss) elimination engine, run over three
-rings: exact polynomials (the dense matrix, and the orbit blocks of the
-cyclic factors I − R̂(t_{a,b})), Z[q] on single-variable slices, and the
-Gaussian integers at rational evaluation points scaled by their common
-denominator.
+Oracles, all by elimination: one fraction-free (Bareiss) engine, run over
+exact polynomials (the dense matrix, and the orbit blocks of the cyclic
+factors I − R̂(t_{a,b})) and over the Gaussian integers at rational
+evaluation points scaled by their common denominator; and, on
+single-variable slices over Z[q], Gaussian elimination over F_p at
+enough integer points, with p a Mersenne prime beyond twice a bound on
+every coefficient, followed by exact interpolation (``det_univariate``).
 
 At a hermitian point (so also at a symmetric-real one) the Gram matrix is
 hermitian.  Every Bareiss pivot is then a leading principal minor, which is
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 __all__ = [
     "DetFormula", "OneParamDet", "det_formula", "det_cycle_factor",
-    "det_one_param", "one_param_exponents", "positivity_check", "det_divides",
+    "det_one_param", "one_param_exponents", "positivity_check",
+    "Divisibility", "det_divides",
     "det_poly_bareiss", "det_single_cycle", "det_point", "det_elim",
     "peel_check", "peel_exponents", "det_factor_chain", "det_univariate",
     "poly_to_univariate", "is_inverse",
@@ -44,13 +47,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from .ring import Poly, GaussRat, NotDivisible, pair_var, check_assignment
+from .ring import Poly, GaussRat, NotDivisible, check_assignment
 from .boxes import _box_poly
 from .fock import Word, Weight
 from .perms import Perm, cycle
-from .gram import (Basis, DiagOp, OpExpansion, build_generic,
-                   build_degenerate, rhat, q_diag_set, embed_degenerate,
-                   GramMatrix)
+from .gram import (Basis, build_generic, build_degenerate, rhat, q_diag_set,
+                   embed_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +518,12 @@ def is_inverse(a_rows, b_rows) -> bool:
     return True
 
 
-# -- univariate elimination (single-variable slices) -------------------------
+# -- univariate determinants (single-variable slices) ------------------------
 
-def _u_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _u_sub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+# Exponents e of the Mersenne primes 2^e − 1 that det_univariate works
+# modulo (all are known primes; none is tested at run time).
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                      4253, 4423, 9689, 9941, 11213, 19937)
 
 
 def _u_exact_div(a, b):
@@ -559,39 +548,152 @@ def _u_exact_div(a, b):
     return q
 
 
-def _u_step(akk, aij, aik, akj, prev):
-    x = _u_sub(_u_mul(akk, aij), _u_mul(aik, akj))
-    return x if prev is None else _u_exact_div(x, prev)
+def _det_mod(M, p) -> int:
+    """det M mod p by Gaussian elimination over F_p; M (square, entries
+    in 0..p−1) is consumed.  Each step normalizes the pivot row by one
+    inverse and cuts the first column off every row below it."""
+    det = 1
+    while M:
+        for k, row in enumerate(M):
+            if row[0]:
+                break
+        else:
+            return 0
+        if k:
+            M[0], M[k] = M[k], M[0]
+            det = -det
+        top = M[0]
+        akk = top[0]
+        det = det * akk % p
+        inv = pow(akk, -1, p)
+        tail = [y * inv % p for y in top[1:]]
+        M = [[(x - f * y) % p for x, y in zip(row[1:], tail)]
+             if (f := row[0]) else row[1:] for row in M[1:]]
+    return det
 
 
-def _u_is_zero(x):
-    return not any(x)
+def _det_interpolated(rows) -> list:
+    """det of the square rows over Z[q] (n ≥ 1): the values at q = 0..D
+    modulo the Mersenne prime p, then Newton interpolation; see
+    det_univariate for D, H and p."""
+    degs = [[max((e for e, c in enumerate(a) if c), default=0) for a in row]
+            for row in rows]
+    D = min(sum(map(max, degs)), sum(map(max, zip(*degs))))
+    H = math.prod(sum(abs(c) for a in row for c in a) for row in rows)
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p > 2 * H and p > D:
+            break
+    else:
+        raise OverflowError("determinant coefficients may exceed 2^19936; "
+                            "no listed Mersenne prime bounds them")
+    xs = range(D + 1)
+    # values[i][x] is row i at q = x, Horner over the points
+    values = []
+    for row in rows:
+        per_entry = []
+        for a in row:
+            v = [a[-1]] * (D + 1)
+            for c in reversed(a[:-1]):
+                v = [y * x + c for y, x in zip(v, xs)]
+            per_entry.append([y % p for y in v])
+        values.append(list(zip(*per_entry)))
+    c = [_det_mod([list(r[x]) for r in values], p) for x in xs]
+    # Newton divided differences on the points 0..D: denominators are j
+    for j in range(1, D + 1):
+        inv = pow(j, -1, p)
+        c[j:] = [(a - b) * inv % p for a, b in zip(c[j:], c[j - 1:])]
+    # c[0] + q(c[1] + (q − 1)(c[2] + ...)) in the monomial basis
+    out = [c[D]]
+    for j in range(D - 1, -1, -1):
+        out = [(a - j * b) % p for a, b in zip([0] + out, out + [0])]
+        out[0] = (out[0] + c[j]) % p
+    half = p >> 1
+    out = [x - p if x > half else x for x in out]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _grading(rows):
+    """(g, r, col): offsets with r[i] + col[j] equal to the lowest exponent
+    of each entry on a spanning forest of the nonzero entries, and g the gcd
+    of e − r[i] − col[j] over every exponent e of every entry (i, j).  Any
+    divisor of g grades the rows, and g is the largest grading (0 when
+    every residue is 0)."""
+    n = len(rows)
+    exps = [[[e for e, c in enumerate(a) if c] for a in row] for row in rows]
+    r, col = [None] * n, [None] * n
+    for root in range(n):
+        if r[root] is not None:
+            continue
+        r[root], todo = 0, [root]
+        while todo:
+            i = todo.pop()
+            for j, es in enumerate(exps[i]):
+                if es and col[j] is None:
+                    col[j] = es[0] - r[i]
+                    for k in range(n):
+                        if exps[k][j] and r[k] is None:
+                            r[k] = exps[k][j][0] - col[j]
+                            todo.append(k)
+    col = [x or 0 for x in col]
+    g = 0
+    for i, row in enumerate(exps):
+        for j, es in enumerate(row):
+            for e in es:
+                g = math.gcd(g, e - r[i] - col[j])
+    return g, r, col
 
 
 def det_univariate(rows) -> list:
-    """Fraction-free elimination over Z[q]; entries are integer coefficient
-    lists (lowest degree first).
+    """Exact determinant over Z[q] of a square matrix whose entries are
+    integer coefficient lists (lowest degree first), by evaluation and
+    interpolation.
 
-    Symmetric rows, such as a slice of the Varchenko form, take the sweep
-    over the upper triangle that ``det_point`` gives hermitian matrices
-    (conjugation is the identity on Z[q]).  If a leading principal minor
-    vanishes, or the rows are not symmetric, the general sweep runs.
+    D = min(Σ_i max_j deg a_ij, Σ_j max_i deg a_ij) bounds the degree, and
+    H = Π_i Σ_j ‖a_ij‖₁ every coefficient's absolute value.  The prime is
+    the smallest Mersenne prime p = 2^e − 1 in _MERSENNE_EXPONENTS with
+    p > 2H and p > D.  The determinant is taken by Gaussian elimination
+    over F_p at each of q = 0..D, interpolated, and lifted to the symmetric
+    range, so the result is exact: it is still elimination, independent of
+    any factored formula.
+
+    Rows graded by g ≥ 2 (every exponent of entry (i, j) ≡ r_i + c_j mod g,
+    as in the slices of the Gram and Varchenko matrices, where g = 2 and
+    the degree of entry (σ, τ) is ℓ(σ⁻¹τ) ≡ ℓ(σ) + ℓ(τ)) are first shifted
+    by q^{s_i} on row i and q^{t_j} on column j, so that every exponent is
+    a multiple of g, and solved in t = q^g with about D/g points.  The
+    result is divided back by q^{Σs + Σt}; the dropped low coefficients
+    are checked to be 0.
 
     >>> det_univariate([[[1], [0, 1]], [[0, 1], [1]]])   # 1 - q^2
     [1, 0, -1]
     """
     if not rows:
         return [1]
-    n = len(rows)
-    M = [[list(e) for e in row] for row in rows]
-    res = None
-    if all(M[i][j] == M[j][i] for i in range(n) for j in range(i)):
-        res = _bareiss(M, _u_step, _u_is_zero, [0], _upper=True)
-    if res is None:
-        M = [[list(e) for e in row] for row in rows]
-        res = _bareiss(M, _u_step, _u_is_zero, [0])
-    sign, d = res
-    return [sign * c for c in d]
+    g, r, col = _grading(rows)
+    if g <= 1:
+        return _det_interpolated(rows)
+    s = [-x % g for x in r]
+    t = [-x % g for x in col]
+    graded = []
+    for row, si in zip(rows, s):
+        graded.append([])
+        for a, tj in zip(row, t):
+            b = [0] * ((len(a) - 1 + si + tj) // g + 1)
+            for e, c in enumerate(a):
+                if c:
+                    b[(e + si + tj) // g] = c
+            graded[-1].append(b)
+    d = _det_interpolated(graded)
+    out = [0] * (g * (len(d) - 1) + 1)
+    out[::g] = d
+    shift = sum(s) + sum(t)
+    if any(out[:shift]):
+        raise ArithmeticError("graded determinant is not divisible by "
+                              f"q^{shift}")
+    return out[shift:] or [0]
 
 
 def poly_to_univariate(p: Poly, slope) -> list:
@@ -634,15 +736,32 @@ def positivity_check(nu: Weight, assignment, tolerance: float = 1e-9) -> bool:
     return bool(eigs.min() > tolerance)
 
 
-def det_divides(nu: Weight, seed: int = 0) -> bool:
+@dataclass(frozen=True)
+class Divisibility:
+    """The verdict of det_divides, truthy when it divides.
+
+    certified says whether the verdict is proved.  It is False only for a
+    dividing slice at |ν| = 4: one slice that divides is evidence, not
+    proof, while a slice that does not divide proves non-divisibility."""
+
+    divides: bool
+    certified: bool
+
+    def __bool__(self):
+        return self.divides
+
+
+def det_divides(nu: Weight, seed: int = 0) -> Divisibility:
     """Does det A^(ν) divide the determinant of its generic model?
 
-    Symbolic for |ν| ≤ 3 (full elimination + exact division); for |ν| = 4 the
-    check runs on a seeded single-variable slice q_{ij} = c_{ij}·q with small
-    integer slopes, where both determinants are computed by exact univariate
-    elimination."""
+    Certified for |ν| ≤ 3 (full elimination and exact division) and for a
+    generic ν (the two matrices are equal).  For |ν| ≥ 4 both determinants
+    are computed by det_univariate on one seeded single-variable slice
+    q_{ij} = c_{ij}·q with small integer slopes: a slice that does not
+    divide certifies "no", and a slice that divides is evidence for "yes"
+    (certified=False)."""
     if nu.generic:
-        return True
+        return Divisibility(True, True)
     n = nu.size
     emb = embed_degenerate(nu)
     tilde = build_generic(emb.generic_weight)
@@ -652,7 +771,7 @@ def det_divides(nu: Weight, seed: int = 0) -> bool:
     if n <= 3:
         det_t = det_poly_bareiss(mapped)
         det_a = det_poly_bareiss(A.entries)
-        return det_a.divides(det_t)
+        return Divisibility(det_a.divides(det_t), True)
     rng = random.Random(seed)
     letters = nu.labels
     slopes = {}
@@ -669,8 +788,8 @@ def det_divides(nu: Weight, seed: int = 0) -> bool:
     try:
         _u_exact_div(det_t, det_a)
     except ArithmeticError:
-        return False
-    return True
+        return Divisibility(False, True)
+    return Divisibility(True, False)
 
 
 if __name__ == "__main__":

@@ -29,10 +29,10 @@ __all__ = [
 import itertools
 from dataclasses import dataclass
 
-from .ring import Poly, check_assignment, conjugate, evaluate_terms
-from .boxes import BoxFraction, as_part, product_part, sum_parts
+from .ring import Poly, check_assignment, evaluate_terms
+from .boxes import as_part, product_part, sum_parts
 from .fock import Word, Weight
-from .perms import Perm, all_perms, cycle
+from .perms import Perm, cycle
 
 
 def _qvar(i, j, one_param: bool) -> Poly:

@@ -50,8 +50,7 @@ from .perms import (Perm, all_perms, longest_element, young_data,
                     young_sequence, block_reversal, unimodal_subset)
 from .subdiv import enumerate_bracketings, enumerate_chains
 from .gram import (Basis, GramMatrix, DiagOp, OpExpansion, rhat, q_mono,
-                   q_diag_set, factor_CD, build_generic, build_degenerate,
-                   embed_degenerate)
+                   q_diag_set, factor_CD, build_generic, embed_degenerate)
 
 
 # ---------------------------------------------------------------------------

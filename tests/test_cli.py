@@ -52,20 +52,53 @@ def test_invert_json_support():
     assert set(json.loads(s)) == {"12", "21"}
 
 
+def _refuse(monkeypatch, module, names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
+
+
 def test_invert_refuses_oversized_bases(capsys, monkeypatch):
     # n = 6: 720 words, past the 120-word limit; refused before any work
     from quongram import inverse
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("inversion started")
-    for name in ("inv_full", "inv_degenerate"):
-        monkeypatch.setattr(inverse, name, refuse)
+    _refuse(monkeypatch, inverse, ("inv_full", "inv_degenerate"))
     for argv in (["--n", "6"], ["--weight", "3,3"], ["--n", "7", "--one-param"]):
         code, s = run("invert", *argv)
         assert code == 2 and s == ""
         err = capsys.readouterr().err
         assert "720" in err or "5040" in err
         assert "scripts/invert_at_point.py" in err
+
+
+def test_det_refuses_oversized_eliminations(capsys, monkeypatch):
+    # degenerate weights are eliminated densely: past 6 words (20 with
+    # --one-param) they are refused before anything is built
+    from quongram import determinant
+    _refuse(monkeypatch, determinant, ("det_elim",))
+    for argv, words in ((["--weight", "3,2"], 10),
+                        (["--weight", "2,1,1"], 12),
+                        (["--weight", "2,2,1", "--one-param"], 30)):
+        code, s = run("det", *argv)
+        assert code == 2 and s == ""
+        assert f"{words} words" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert run("det", "--weight", "2,2")[0] == 0
+    assert run("det", "--weight", "2,1,1", "--one-param")[0] == 0
+    # generic weights take the factored formula, with no elimination
+    _refuse(monkeypatch, determinant, ("det_elim",))
+    assert run("det", "--n", "5")[0] == 0
+
+
+def test_build_refuses_oversized_bases(capsys, monkeypatch):
+    from quongram import cli
+    _refuse(monkeypatch, cli, ("build_generic", "build_degenerate"))
+    for argv, words in ((["--n", "7"], 5040),
+                        (["--weight", "2,2,2,2"], 2520),
+                        (["--n", "8", "--one-param"], 40320)):
+        code, s = run("build", *argv)
+        assert code == 2 and s == ""
+        assert f"{words} words" in capsys.readouterr().err
 
 
 def test_invert_degenerate_runs():

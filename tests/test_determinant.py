@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quongram import determinant
 from quongram.ring import Poly, GaussRat
@@ -256,13 +257,62 @@ def test_univariate_slice(rng):
     assert got == want
 
 
+def _trim(a):
+    a = list(a)
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _u_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _u_sub(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def _u_div(a, b):
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 1)
+    for d in range(len(a) - len(b), -1, -1):
+        c, r = divmod(a[d + len(b) - 1], b[-1])
+        assert r == 0
+        q[d] = c
+        for j, y in enumerate(b):
+            a[d + j] -= c * y
+    assert not any(a)
+    return _trim(q)
+
+
 def _general_sweep(rows):
-    """det by the general Bareiss sweep over Z[q], the reference for the
-    symmetric sweep of det_univariate."""
-    M = [[list(e) for e in row] for row in rows]
-    sign, d = determinant._bareiss(M, determinant._u_step,
-                                   lambda x: not any(x), [0])
-    return [sign * c for c in d]
+    """det over Z[q] by a fraction-free (Bareiss) sweep with its own
+    kernels, apart from determinant's: the reference for det_univariate,
+    which evaluates and interpolates instead."""
+    n = len(rows)
+    M = [[_trim(e) for e in row] for row in rows]
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if any(M[i][k])), None)
+        if piv is None:
+            return [0]
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = _u_div(_u_sub(_u_mul(M[k][k], M[i][j]),
+                                        _u_mul(M[i][k], M[k][j])), prev)
+        prev = M[k][k]
+    return [sign * c for c in M[-1][-1]] if n else [1]
 
 
 def _symmetric_slice(rng, n):
@@ -274,52 +324,88 @@ def _symmetric_slice(rng, n):
     return M
 
 
-def _spy_upper(monkeypatch):
-    """Record the _upper flag of every _bareiss call."""
-    seen = []
-
-    def spy(M, step, is_zero, zero, _upper=False,
-            _bareiss=determinant._bareiss):
-        seen.append(_upper)
-        return _bareiss(M, step, is_zero, zero, _upper)
-    monkeypatch.setattr(determinant, "_bareiss", spy)
-    return seen
-
-
-def test_univariate_symmetric_sweep(rng, monkeypatch):
-    # a slice of the Varchenko form: symmetric, so the upper sweep runs
+def test_univariate_symmetric_rows(rng):
+    # a slice of the Varchenko form, and random symmetric rows
     V = varchenko_matrix(3)
     rows = [[poly_to_univariate(e, lambda i, j: i + j + 1) for e in row]
             for row in V.entries]
-    cases = [rows] + [_symmetric_slice(rng, n) for n in (2, 3, 4, 5)]
-    wants = [_general_sweep(rows) for rows in cases]
-    seen = _spy_upper(monkeypatch)
-    for rows, want in zip(cases, wants):
-        seen.clear()
-        assert det_univariate(rows) == want
-        assert seen[0] is True
+    for rows in [rows] + [_symmetric_slice(rng, n) for n in (2, 3, 4, 5)]:
+        assert det_univariate(rows) == _general_sweep(rows)
 
 
-def test_univariate_nonsymmetric_takes_general_sweep(rng, monkeypatch):
+def test_univariate_nonsymmetric_rows(rng):
     rows = _symmetric_slice(rng, 4)
     rows[0][3] = rows[0][3] + [1]
-    want = _general_sweep(rows)
-    seen = _spy_upper(monkeypatch)
-    assert det_univariate(rows) == want
-    assert seen == [False]
+    assert det_univariate(rows) == _general_sweep(rows)
 
 
-def test_univariate_symmetric_with_vanishing_minor(monkeypatch):
-    # the leading 1x1 minor is 0: the upper sweep stops and the general
-    # sweep swaps rows
+def test_univariate_vanishing_leading_minor():
+    # the leading 1x1 minor is 0, so elimination at every point swaps rows
     rows = [[[0], [1, 1], [2]],
             [[1, 1], [0, 3], [1]],
             [[2], [1], [1, 0, 1]]]
     want = _general_sweep(rows)
-    seen = _spy_upper(monkeypatch)
     assert det_univariate(rows) == want
-    assert seen == [True, False]
     assert want != [0]
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[[0, 1, 0, 1]]], [0, 1, 0, 1]),          # q + q^3: g = 2, shift 1
+    ([[[0, 0, 1], [0, 1]], [[0, 1], [1]]], [0]),     # q^2 - q^2
+    ([[[2], [3]], [[4], [5]]], [-2]),            # constants: g = 0
+    ([[[0], [0]], [[1], [0, 1]]], [0]),          # zero first row
+    ([[[0], [1]], [[0], [0, 1]]], [0]),          # zero first column
+    ([[[1, 0, 0]]], [1]),                        # trailing zeros
+    ([[[2 ** 300, 1], [1]], [[1], [1, 2 ** 300]]],
+     [2 ** 300 - 1, 2 ** 600 + 1, 2 ** 300]),    # p = 2^607 - 1
+])
+def test_univariate_cases(rows, want):
+    assert det_univariate(rows) == want == _general_sweep(rows)
+
+
+def test_univariate_coefficients_beyond_every_listed_prime():
+    with pytest.raises(OverflowError):
+        det_univariate([[[2 ** 19936]]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["plain", "symmetric", "singular", "zero-row",
+                        "zero-column", "constant"]),
+       st.sampled_from([3, 2 ** 200]), st.integers(0, 10 ** 9))
+def test_univariate_matches_reference(n, g, shape, bound, seed):
+    """Random rows of size 0-6 graded by g (every exponent of entry (i, j)
+    is r_i + c_j mod g), with coefficients up to bound: 2^200 needs a
+    Mersenne prime beyond 2^61 - 1."""
+    rng = random.Random(seed)
+    r = [rng.randint(0, 3) for _ in range(n)]
+    c = [rng.randint(0, 3) for _ in range(n)]
+    top = 0 if shape == "constant" else 6
+
+    def entry(i, j):
+        a = [0] * (top + 1)
+        for _ in range(rng.randint(0, 2)):
+            e = rng.randint(0, top)
+            e -= (e - r[i] - c[j]) % g
+            if e >= 0:
+                a[e] = rng.randint(-bound, bound)
+        return _trim(a)
+
+    rows = [[entry(i, j) for j in range(n)] for i in range(n)]
+    if shape == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                for i in range(n)]
+    elif shape == "singular" and n > 1:
+        rows[-1] = list(rows[0])
+    elif shape == "zero-row" and n:
+        rows[0] = [[0]] * n
+    elif shape == "zero-column":
+        for row in rows:
+            row[0] = [0]
+    want = _general_sweep(rows)
+    assert det_univariate(rows) == want
+    if shape in ("singular", "zero-row", "zero-column") and n > 1:
+        assert want == [0]
 
 
 def test_bareiss_matches_cofactor(rng):
@@ -367,7 +453,26 @@ def test_positivity_rejects_bad_points(rng):
 
 def test_degenerate_det_divides_generic():
     for nu in small_weights(4):
-        assert det_divides(nu)
+        got = det_divides(nu)
+        assert got and got.divides
+        # a dividing slice at |nu| = 4 is evidence, not proof
+        assert got.certified == (nu.generic or nu.size <= 3)
+
+
+def test_det_divides_certifies_a_slice_that_does_not_divide(monkeypatch):
+    real = determinant.det_univariate
+    calls = []
+
+    def skewed(rows):
+        # the generic model's slice determinant d becomes q d - 1, which
+        # the degenerate determinant (constant term 1, degree > 0) does
+        # not divide
+        d = real(rows)
+        calls.append(d)
+        return [-1] + d if len(calls) == 1 else d
+    monkeypatch.setattr(determinant, "det_univariate", skewed)
+    got = det_divides(Weight({1: 2, 2: 1, 3: 1}))
+    assert not got and got.certified and len(calls) == 2
 
 
 def test_one_param_degree():
