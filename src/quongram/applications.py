@@ -12,7 +12,8 @@ specialization q_{ij} = q_{ji}.
 
 The contravariant form S on the weight-(1,...,1) subspace of U_q(n_-) has
 entries that are quarter-integer powers of q; writing u_{ij} = q^{b_ij/4}
-keeps everything inside an exact Laurent ring.  Factoring a global monomial
+makes every entry a monomial in the u_{ij}, and an integer b turns each
+into a power of t = q^{1/4}.  Factoring a global monomial
 out of S leaves the same generic Gram matrix at q_{ij} = q^{b_ij/2}, so its
 determinant is again the closed product of box factors.
 
@@ -27,22 +28,22 @@ from __future__ import annotations
 __all__ = [
     "symmetrize", "Arrangement", "Edge", "VarchenkoDet",
     "varchenko_matrix", "varchenko_det",
-    "Laurent", "BilinearData",
+    "UMonomial", "TLaurent", "t_laurent", "BilinearData",
     "contravariant_entry", "contravariant_matrix_operators",
     "contravariant_matrix", "ContravariantDet", "contravariant_det",
-    "substituted_gram_det",
+    "elimination_det",
 ]
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .ring import Poly
 from .fock import Word, Weight
 from .perms import Perm
 from .gram import Basis, GramMatrix
-from .determinant import det_formula
+from .determinant import det_univariate
 
 
 # ---------------------------------------------------------------------------
@@ -184,158 +185,84 @@ def varchenko_det(n: int) -> VarchenkoDet:
 
 
 # ---------------------------------------------------------------------------
-# Laurent monomial ring for quarter-powers of q
+# u-monomials and Laurent polynomials in t = q^{1/4}
 # ---------------------------------------------------------------------------
 
-class Laurent:
-    """Laurent polynomial with integer coefficients over formal commuting
-    variables keyed by hashable names; used with keys (i, j) for
-    u_{ij} = q^{b_ij/4} and the key "t" for t = q^{1/4}.
+class UMonomial(tuple):
+    """A monomial prod u_kl^{e_kl} in u_kl = q^{b_kl/4}, exponents of any
+    sign, kept as its sorted ((k, l), e) pairs with e != 0; equal
+    monomials are equal tuples.
 
-    >>> x = Laurent.u(1, 2)
-    >>> print(x ** -2 - x ** 2)
-    u12^-2 - u12^2
+    >>> x = UMonomial.of({(1, 2): 2, (1, 3): -1})
+    >>> print(x)
+    u12^2*u13^-1
+    >>> print(x * UMonomial.of({(1, 3): 1}))
+    u12^2
+    >>> x.t_exponent({(1, 2): -2, (1, 3): 3})
+    -7
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> "Laurent":
-        return Laurent({})
+    def of(exps: dict) -> "UMonomial":
+        return UMonomial(sorted((v, e) for v, e in exps.items() if e))
 
-    @staticmethod
-    def one() -> "Laurent":
-        return Laurent({(): 1})
+    def __mul__(self, o: "UMonomial") -> "UMonomial":
+        acc = dict(self)
+        for v, e in o:
+            acc[v] = acc.get(v, 0) + e
+        return UMonomial.of(acc)
 
-    @staticmethod
-    def const(c: int) -> "Laurent":
-        return Laurent({(): c})
-
-    @staticmethod
-    def u(i, j, e: int = 1) -> "Laurent":
-        if i == j:
-            raise ValueError("pair variable needs distinct labels")
-        return Laurent({(((min(i, j), max(i, j)), e),): 1})
-
-    @staticmethod
-    def t(e: int = 1) -> "Laurent":
-        return Laurent({(("t", e),): 1})
-
-    @staticmethod
-    def monomial(exps: dict, coeff: int = 1) -> "Laurent":
-        m = tuple(sorted((k, e) for k, e in exps.items() if e))
-        return Laurent({m: coeff})
-
-    def __add__(self, o: "Laurent") -> "Laurent":
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Laurent(out)
-
-    def __sub__(self, o: "Laurent") -> "Laurent":
-        return self + (-o)
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, o: "Laurent") -> "Laurent":
-        out = {}
-        for ma, ca in self.terms.items():
-            da = dict(ma)
-            for mb, cb in o.terms.items():
-                acc = dict(da)
-                for v, e in mb:
-                    r = acc.get(v, 0) + e
-                    if r:
-                        acc[v] = r
-                    else:
-                        del acc[v]
-                mm = tuple(sorted(acc.items()))
-                out[mm] = out.get(mm, 0) + ca * cb
-        return Laurent(out)
-
-    def __pow__(self, e: int) -> "Laurent":
-        if e < 0:
-            if len(self.terms) != 1:
-                raise ValueError("can only invert monomials")
-            ((m, c),) = self.terms.items()
-            if c * c != 1:
-                raise ValueError("can only invert unit monomials")
-            inv = Laurent({tuple((v, -x) for v, x in m): c})
-            return inv ** (-e)
-        r = Laurent.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def __eq__(self, o):
-        if not isinstance(o, Laurent):
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def specialize(self, b: dict) -> "Laurent":
-        """Substitute u_{ij} -> t^{b_ij} (b integer-valued, symmetric);
-        the result lives in the single variable t = q^{1/4}."""
-        out = {}
-        for m, c in self.terms.items():
-            e = 0
-            for v, x in m:
-                if v == "t":
-                    e += x
-                else:
-                    e += x * b[v]
-            mm = ((("t", e),) if e else ())
-            out[mm] = out.get(mm, 0) + c
-        return Laurent(out)
-
-    def evaluate_t(self, tval: Fraction) -> Fraction:
-        """Exact value of a univariate (t-only) Laurent polynomial."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = Fraction(c)
-            for v, e in m:
-                if v != "t":
-                    raise ValueError("evaluate_t needs a t-only polynomial")
-                val = val * Fraction(tval) ** e
-            total += val
-        return total
+    def t_exponent(self, b: dict) -> int:
+        """The exponent of t = q^{1/4} under u_kl -> t^{b_kl}."""
+        return sum(e * b[v] for v, e in self)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        def vname(v):
-            return "t" if v == "t" else f"u{v[0]}{v[1]}"
-        def key(m):
-            return (sum(e for _, e in m), m)
-        parts = []
-        for m in sorted(self.terms, key=key):
-            c = self.terms[m]
-            body = "*".join(vname(v) + (f"^{e}" if e != 1 else "")
-                            for v, e in m)
-            if not body:
-                parts.append((" + " if c > 0 else " - ") + str(abs(c)))
-            elif abs(c) == 1:
-                parts.append((" + " if c > 0 else " - ") + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + f"{abs(c)}*{body}")
-        s = "".join(parts)
-        return s[3:] if s.startswith(" + ") else "-" + s[3:]
+        return "*".join(f"u{k}{l}" + (f"^{e}" if e != 1 else "")
+                        for (k, l), e in self) or "1"
 
     def __repr__(self):
-        return f"<Laurent {self}>"
+        return f"<UMonomial {self}>"
+
+
+def _signed_sum(terms) -> str:
+    """'a - 2*b + 3' from (monomial text, coefficient) pairs in print
+    order; the monomial 1 is the empty text."""
+    out = ""
+    for body, c in terms:
+        frag = (str(abs(c)) if not body else body if abs(c) == 1
+                else f"{abs(c)}*{body}")
+        out += (" + " if c > 0 else " - ") + frag
+    if not out:
+        return "0"
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
+
+
+class TLaurent(NamedTuple):
+    """sum_i coeffs[i] t^(low + i), a Laurent polynomial in t = q^{1/4}.
+    Build it with ``t_laurent``, which drops zero end coefficients, so
+    equal values are equal tuples."""
+
+    low: int
+    coeffs: tuple
+
+    def __str__(self):
+        return _signed_sum(
+            ("" if e == 0 else "t" if e == 1 else f"t^{e}", c)
+            for e, c in enumerate(self.coeffs, self.low) if c)
+
+
+def t_laurent(low: int, coeffs) -> TLaurent:
+    """The canonical TLaurent of t^low * sum_i coeffs[i] t^i; zero is
+    (0, ())."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    k = 0
+    while k < len(coeffs) and not coeffs[k]:
+        k += 1
+    return TLaurent(low + k if coeffs else 0, tuple(coeffs[k:]))
 
 
 @dataclass(frozen=True)
@@ -359,15 +286,39 @@ class BilinearData:
         return BilinearData(n, {(i, j): c for i, j in
                                 itertools.combinations(range(1, n + 1), 2)})
 
+    @staticmethod
+    def random(n: int, rng, nondegenerate: bool = False) -> "BilinearData":
+        """b_kl uniform in [-3, 3], drawn pair by pair in order; with
+        ``nondegenerate``, redrawn until no subset sum is zero."""
+        while True:
+            b = BilinearData(n, {
+                (i, j): rng.randint(-3, 3)
+                for i, j in itertools.combinations(range(1, n + 1), 2)})
+            if not (nondegenerate and b.degenerate()):
+                return b
+
+    def degenerate(self) -> bool:
+        """Whether some subset of >= 2 letters has sum b = 0, which makes
+        its factor of det S, and so det S, vanish."""
+        letters = range(1, self.n + 1)
+        return any(_subset_b(s, self.b) == 0
+                   for m in range(2, self.n + 1)
+                   for s in itertools.combinations(letters, m))
+
     def pairs(self):
         return sorted(self.b)
+
+
+def _subset_b(subset, b: dict) -> int:
+    """sum of b_kl over the pairs k < l of the subset."""
+    return sum(b[p] for p in itertools.combinations(subset, 2))
 
 
 # ---------------------------------------------------------------------------
 # the contravariant form on the weight-(1,...,1) space
 # ---------------------------------------------------------------------------
 
-def contravariant_entry(I, J) -> Laurent:
+def contravariant_entry(I, J) -> UMonomial:
     """S(f_I, f_J) = q^{(sum_{k<l} +- b_{i_k i_l})/4}: plus when the pairing
     permutation inverts the pair, minus otherwise."""
     I, J = tuple(I), tuple(J)
@@ -379,11 +330,10 @@ def contravariant_entry(I, J) -> Laurent:
     # matrix symmetric, as a bilinear form must be)
     place = {letter: p + 1 for p, letter in enumerate(J)}
     sigma = Perm(place[letter] for letter in I)
-    out = Laurent.one()
-    for k, l in itertools.combinations(range(1, len(I) + 1), 2):
-        sign = 1 if sigma(k) > sigma(l) else -1
-        out = out * Laurent.u(I[k - 1], I[l - 1], sign)
-    return out
+    return UMonomial.of({
+        (min(I[k - 1], I[l - 1]), max(I[k - 1], I[l - 1])):
+            1 if sigma(k) > sigma(l) else -1
+        for k, l in itertools.combinations(range(1, len(I) + 1), 2)})
 
 
 def _apply_g(i, word: tuple):
@@ -391,12 +341,8 @@ def _apply_g(i, word: tuple):
     the unique f_i, collecting u_{i,j}^{+1} for letters j before it and
     u_{i,j}^{-1} for letters after it."""
     p = word.index(i)
-    coeff = Laurent.one()
-    for l, j in enumerate(word):
-        if l < p:
-            coeff = coeff * Laurent.u(i, j)
-        elif l > p:
-            coeff = coeff * Laurent.u(i, j, -1)
+    coeff = UMonomial.of({(min(i, j), max(i, j)): 1 if l < p else -1
+                          for l, j in enumerate(word) if l != p})
     return coeff, word[:p] + word[p + 1:]
 
 
@@ -408,7 +354,7 @@ def contravariant_matrix_operators(n: int) -> GramMatrix:
     for wi in basis.words:
         row = []
         for wj in basis.words:
-            coeff = Laurent.one()
+            coeff = UMonomial()
             word = tuple(wj)
             for i in wi:
                 c, word = _apply_g(i, word)
@@ -419,9 +365,9 @@ def contravariant_matrix_operators(n: int) -> GramMatrix:
 
 
 def contravariant_matrix(n: int, check: bool = True) -> GramMatrix:
-    """S on the weight-(1,...,1) space, entries as Laurent monomials in the
-    u_{ij}; built from the closed sign formula, with the operator recursion
-    asserted to agree when ``check`` is set."""
+    """S on the weight-(1,...,1) space, entries as u-monomials; built from
+    the closed sign formula, with the operator recursion asserted to agree
+    when ``check`` is set."""
     basis = Basis.of_weight(Weight.generic_n(n))
     ent = [[contravariant_entry(tuple(wi), tuple(wj))
             for wj in basis.words] for wi in basis.words]
@@ -432,57 +378,71 @@ def contravariant_matrix(n: int, check: bool = True) -> GramMatrix:
     return mat
 
 
-def _subset_q(subset, power: int) -> Laurent:
-    """q^{(power/4) sum_{k<l in subset} b_{kl}} as a u-monomial."""
-    out = Laurent.one()
-    for i, j in itertools.combinations(subset, 2):
-        out = out * Laurent.u(i, j, power)
-    return out
-
-
 @dataclass(frozen=True)
 class ContravariantDet:
-    """det S, kept factored: one factor per letter subset of size >= 2."""
+    """det S, kept factored: one factor per letter subset of size >= 2.
+
+    With x_S = prod_{k<l in S} u_kl and u_all = x_{1..n},
+    det S = u_all^{-n!} * P, P = prod_S (1 - x_S^4)^{e_S}.
+    """
 
     n: int
     factors: tuple  # ((subset, exponent), ...)
 
-    def prefactor_form(self) -> Laurent:
-        """q^{-(n!/4) sum b_{kl}} . prod (1 - q^{sum_mu b})^{e_mu}."""
-        out = _subset_q(tuple(range(1, self.n + 1)),
-                        -math.factorial(self.n))
+    def polynomial(self) -> Poly:
+        """P, with the Poly variable x_kl = Poly.var(k, l) for u_kl."""
+        out = Poly.one()
         for subset, e in self.factors:
-            out = out * (Laurent.one() - _subset_q(subset, 4)) ** e
+            x = Poly.one()
+            for k, l in itertools.combinations(subset, 2):
+                x = x * Poly.var(k, l)
+            out = out * (Poly.one() - x ** 4) ** e
         return out
 
-    def symmetric_form(self) -> Laurent:
-        """prod (q^{-(1/2) sum_mu b} - q^{+(1/2) sum_mu b})^{e_mu}."""
-        out = Laurent.one()
-        for subset, e in self.factors:
-            out = out * (_subset_q(subset, -2) - _subset_q(subset, 2)) ** e
-        return out
+    def laurent_str(self) -> str:
+        """u_all^{-n!} * P written out as a Laurent polynomial in the u_kl,
+        terms by total degree, then by their (pair, exponent) tuples."""
+        shift = math.factorial(self.n)
+        pairs = tuple(itertools.combinations(range(1, self.n + 1), 2))
+        terms = []
+        for mono, c in self.polynomial().terms.items():
+            exps = dict.fromkeys(pairs, -shift)
+            for v, e in mono:
+                exps[v[1:]] += e
+            m = UMonomial.of(exps)
+            terms.append((sum(e for _, e in m), m, c))
+        terms.sort()
+        return _signed_sum((str(m) if m else "", c) for _, m, c in terms)
 
-    def specialized(self, b: BilinearData, form: str = "prefactor"
-                    ) -> Laurent:
-        """Either form under an integer b matrix, as a Laurent polynomial in
-        t = q^{1/4} (computed factor by factor, never expanding the
-        multivariate product)."""
-        bb = b.b
-        if form == "prefactor":
-            out = _subset_q(tuple(range(1, self.n + 1)),
-                            -math.factorial(self.n)).specialize(bb)
-            for subset, e in self.factors:
-                f = (Laurent.one() - _subset_q(subset, 4).specialize(bb))
-                out = out * f ** e
-            return out
-        if form == "symmetric":
-            out = Laurent.one()
-            for subset, e in self.factors:
-                f = (_subset_q(subset, -2).specialize(bb)
-                     - _subset_q(subset, 2).specialize(bb))
-                out = out * f ** e
-            return out
-        raise ValueError(f"unknown form {form!r}")
+    def symmetric_form_agrees(self) -> bool:
+        """Whether the symmetric form prod_S (x_S^-2 - x_S^2)^{e_S} is
+        det S too.  It is prod_S x_S^{-2 e_S} * P, so it is exactly when,
+        for every pair k < l, the subsets S holding k and l have
+        sum 2 e_S = n!."""
+        n = self.n
+        return all(sum(2 * e for s, e in self.factors if k in s and l in s)
+                   == math.factorial(n)
+                   for k, l in itertools.combinations(range(1, n + 1), 2))
+
+    def specialized(self, b: BilinearData) -> TLaurent:
+        """det S under u_kl -> t^{b_kl}, factor by factor in t alone,
+        never expanding the multivariate product."""
+        low = -math.factorial(self.n) * _subset_b(range(1, self.n + 1), b.b)
+        coeffs = [1]
+        for subset, e in self.factors:
+            s = 4 * _subset_b(subset, b.b)
+            if s == 0:
+                return t_laurent(0, ())
+            if s < 0:
+                # 1 - t^s = -t^s (1 - t^-s)
+                s = -s
+                low -= s * e
+                if e % 2:
+                    coeffs = [-c for c in coeffs]
+            for _ in range(e):
+                coeffs = [a - c for a, c in
+                          zip(coeffs + [0] * s, [0] * s + coeffs)]
+        return t_laurent(low, coeffs)
 
 
 def contravariant_det(n: int) -> ContravariantDet:
@@ -490,9 +450,11 @@ def contravariant_det(n: int) -> ContravariantDet:
     every subset of m >= 2 letters.
 
     >>> d = contravariant_det(2)
-    >>> print(d.prefactor_form())
+    >>> print(d.polynomial())
+    1 - q12^4
+    >>> print(d.laurent_str())
     u12^-2 - u12^2
-    >>> d.prefactor_form() == d.symmetric_form()
+    >>> d.symmetric_form_agrees()
     True
     """
     factors = []
@@ -503,18 +465,19 @@ def contravariant_det(n: int) -> ContravariantDet:
     return ContravariantDet(n, tuple(factors))
 
 
-def substituted_gram_det(n: int, b: BilinearData) -> Laurent:
-    """det S obtained the long way round: factor the monomial
-    q^{-(1/4) sum b_{kl}} out of every row of S, leaving the generic Gram
-    matrix at q_{ij} = q^{b_ij/2} = u_{ij}^2, then substitute into its
-    factored determinant."""
-    bb = b.b
-    out = _subset_q(tuple(range(1, n + 1)),
-                    -math.factorial(n)).specialize(bb)
-    for letters, e in det_formula(Weight.generic_n(n)).factors:
-        box = Laurent.one() - _subset_q(letters, 4).specialize(bb)
-        out = out * box ** e
-    return out
+def elimination_det(S: GramMatrix, b: BilinearData) -> TLaurent:
+    """det S under u_kl -> t^{b_kl} by elimination, independent of the
+    factored formula: entry m becomes t^{m.t_exponent(b)}, each row is
+    divided by its lowest power of t, ``det_univariate`` eliminates over
+    Z[t], and the powers are multiplied back."""
+    low = 0
+    rows = []
+    for row in S.entries:
+        es = [m.t_exponent(b.b) for m in row]
+        lo = min(es)
+        low += lo
+        rows.append([[0] * (e - lo) + [1] for e in es])
+    return t_laurent(low, det_univariate(rows))
 
 
 if __name__ == "__main__":

@@ -78,9 +78,10 @@ def _words(nu: Weight) -> int:
         math.factorial(m) for _, m in nu.multiplicities)
 
 
-def _check_words(what: str, words: int, limit: int, hint: str = ""):
-    if words > limit:
-        raise Usage(f"{what} works on {words} words, over the limit of "
+def _check_size(what: str, size: int, unit: str, limit: int,
+                hint: str = ""):
+    if size > limit:
+        raise Usage(f"{what} works on {size} {unit}, over the limit of "
                     f"{limit}{hint}")
 
 
@@ -94,12 +95,30 @@ BUILD_MAX_WORDS = 720
 # (2,2,1) 65 s.
 DET_ELIM_MAX_WORDS = 6
 DET_ELIM_ONE_PARAM_MAX_WORDS = 20
+# det --n N of a generic weight prints its 2^N - N - 1 box factors: N = 12,
+# 13, 14 take 0.8 s / 33 MB, 2.0 s / 53 MB, 4.2 s / 101 MB, and N = 16
+# 10 s / 452 MB.  varchenko --det prints as many edge factors, more cheaply
+# (N = 16: 1.0 s, 61 MB).
+FACTORED_DET_MAX_LETTERS = 14
+# varchenko builds the n! x n! arrangement form like build: n = 6 (720
+# words) takes 17 s and 210 MB.  contravariant builds S twice, by the
+# closed formula and by the g_i recursion: n = 5 (120 words) takes 1.4 s
+# and 56 MB, n = 6 passed 1.4 GB in 45 s.  Under --b-matrix its
+# determinant is expanded in t factor by factor: n = 6 (b = -2) takes 2.4 s
+# and 29 MB, n = 7 over 200 s.
+CONTRAVARIANT_MAX_WORDS = 120
+CONTRAVARIANT_DET_MAX_LETTERS = 6
+# Every verify suite caps its own sizes at 4 or 6, so a larger --max-n
+# checks nothing more; --max-n 6 takes 1.9 s and 34 MB.  (check_counting
+# used to compute the Schröder numbers up to --max-n: 100 000 took 13.6 s
+# and 1.6 GB.)
+VERIFY_MAX_N = 6
 
 
 def cmd_build(args, out) -> int:
     nu = parse_weight(args)
-    _check_words(f"building the Gram matrix of weight {nu}", _words(nu),
-                 BUILD_MAX_WORDS)
+    _check_size(f"building the Gram matrix of weight {nu}", _words(nu),
+                "words", BUILD_MAX_WORDS)
     mat = (build_generic(nu, args.one_param) if nu.generic
            else build_degenerate(nu, args.one_param))
     _print_matrix(mat, args.format, out)
@@ -116,8 +135,11 @@ def cmd_det(args, out) -> int:
     if not nu.generic:
         limit = (DET_ELIM_ONE_PARAM_MAX_WORDS if args.one_param
                  else DET_ELIM_MAX_WORDS)
-        _check_words(f"elimination for the determinant of weight {nu}",
-                     _words(nu), limit)
+        _check_size(f"elimination for the determinant of weight {nu}",
+                    _words(nu), "words", limit)
+    elif not args.one_param:
+        _check_size("the factored determinant", nu.size, "letters",
+                    FACTORED_DET_MAX_LETTERS)
     if args.one_param:
         f = det_mod.det_one_param(nu.size) if nu.generic else None
         if f is None:
@@ -141,10 +163,10 @@ INVERT_MAX_WORDS = 120
 
 def cmd_invert(args, out) -> int:
     nu = parse_weight(args)
-    _check_words(f"symbolic inversion of a weight of size {nu.size}",
-                 math.factorial(nu.size), INVERT_MAX_WORDS,
-                 "; for an exact inverse at a point use "
-                 "scripts/invert_at_point.py")
+    _check_size(f"symbolic inversion of a weight of size {nu.size}",
+                math.factorial(nu.size), "words", INVERT_MAX_WORDS,
+                "; for an exact inverse at a point use "
+                "scripts/invert_at_point.py")
     if not nu.generic:
         mat = inv_mod.inv_degenerate(nu, args.one_param)
         _print_matrix(mat, "json" if args.format == "json" else "text", out)
@@ -183,10 +205,15 @@ def cmd_count(args, out) -> int:
 
 
 def cmd_varchenko(args, out) -> int:
+    n = args.n
     if args.det:
-        out.write(str(app_mod.varchenko_det(args.n)) + "\n")
+        _check_size("the factored arrangement determinant", n, "letters",
+                    FACTORED_DET_MAX_LETTERS)
+        out.write(str(app_mod.varchenko_det(n)) + "\n")
     else:
-        _print_matrix(app_mod.varchenko_matrix(args.n), args.format, out)
+        _check_size(f"the arrangement form on {n} letters",
+                    math.factorial(n), "words", BUILD_MAX_WORDS)
+        _print_matrix(app_mod.varchenko_matrix(n), args.format, out)
     return 0
 
 
@@ -205,18 +232,20 @@ def _load_bdata(path: str, n: int) -> app_mod.BilinearData:
 
 def cmd_contravariant(args, out) -> int:
     n = args.n
-    if args.det:
-        d = app_mod.contravariant_det(n)
-        if args.b_matrix:
-            b = _load_bdata(args.b_matrix, n)
-            out.write(str(d.specialized(b, "prefactor")) + "\n")
-        elif n <= 3:
-            out.write(str(d.prefactor_form()) + "\n")
-        else:
-            raise Usage("full symbolic expansion is practical only for "
-                        "n <= 3; give --b-matrix for larger n")
-        return 0
-    _print_matrix(app_mod.contravariant_matrix(n), args.format, out)
+    if not args.det:
+        _check_size(f"the contravariant form on {n} letters",
+                    math.factorial(n), "words", CONTRAVARIANT_MAX_WORDS)
+        _print_matrix(app_mod.contravariant_matrix(n), args.format, out)
+    elif args.b_matrix:
+        _check_size("the specialized contravariant determinant", n,
+                    "letters", CONTRAVARIANT_DET_MAX_LETTERS)
+        b = _load_bdata(args.b_matrix, n)
+        out.write(str(app_mod.contravariant_det(n).specialized(b)) + "\n")
+    elif n <= 3:
+        out.write(app_mod.contravariant_det(n).laurent_str() + "\n")
+    else:
+        raise Usage("full symbolic expansion is practical only for "
+                    "n <= 3; give --b-matrix for larger n")
     return 0
 
 
@@ -311,7 +340,7 @@ def check_methods(max_n: int, rng) -> str:
 
 
 def check_counting(max_n: int, rng) -> str:
-    cs = subdiv.schroeder_counts(max(max_n, 6))
+    cs = subdiv.schroeder_counts(6)
     for n in range(1, min(max_n, 6) + 1):
         if len(subdiv.enumerate_chains(n)) != cs[n - 1]:
             raise VerifyFailure(f"chain count n={n}")
@@ -336,21 +365,26 @@ def check_ccr_suite(max_n: int, rng) -> str:
 
 
 def check_applications(max_n: int, rng) -> str:
-    for n in range(2, min(max_n, 4) + 1):
+    ns = range(2, min(max_n, 4) + 1)
+    for n in ns:
         B = app_mod.varchenko_matrix(n)
         A = build_generic(Weight.generic_n(n))
         for i in range(B.basis.size):
             for j in range(B.basis.size):
                 if app_mod.symmetrize(A.entries[i][j]) != B.entries[i][j]:
                     raise VerifyFailure(f"varchenko n={n}")
-        app_mod.contravariant_matrix(n, check=True)
-        b = app_mod.BilinearData(
-            n, {(i, j): rng.randint(-3, 3)
-                for i, j in itertools.combinations(range(1, n + 1), 2)})
+    # the seeded draws of b, then one b per n with det S != 0
+    draws = [app_mod.BilinearData.random(n, rng) for n in ns]
+    draws += [app_mod.BilinearData.random(n, rng, nondegenerate=True)
+              for n in ns]
+    for n in ns:
+        S = app_mod.contravariant_matrix(n, check=True)
         d = app_mod.contravariant_det(n)
-        if not (d.specialized(b, "prefactor") == d.specialized(b, "symmetric")
-                == app_mod.substituted_gram_det(n, b)):
-            raise VerifyFailure(f"contravariant det n={n}")
+        if not d.symmetric_form_agrees():
+            raise VerifyFailure(f"contravariant symmetric form n={n}")
+        for b in draws:
+            if b.n == n and d.specialized(b) != app_mod.elimination_det(S, b):
+                raise VerifyFailure(f"contravariant det n={n} b={b.b}")
     return "arrangement and contravariant translations verified"
 
 
@@ -381,6 +415,8 @@ def cmd_verify(args, out) -> int:
     for s in names:
         if s not in SUITES:
             raise Usage(f"unknown suite {s!r}; have {', '.join(sorted(SUITES))}")
+    _check_size("verify --max-n", args.max_n, "letters", VERIFY_MAX_N,
+                "; no suite checks more")
     rng = random.Random(args.seed)
     # one pre-seeded generator per suite, so what a suite samples does not
     # depend on how many draws the suites before it make

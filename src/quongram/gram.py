@@ -512,9 +512,6 @@ class Embedding:
             used[ch] += 1
         return Word(out)
 
-    def project(self, w) -> Word:
-        return Word(self.phi[ch] for ch in Word(w))
-
     def label_map(self):
         """Label renaming a -> phi(a) for Poly.map_labels (so q_{ab} becomes
         q_{phi(a) phi(b)})."""

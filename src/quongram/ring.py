@@ -583,15 +583,6 @@ class Poly:
             out[mm] = out.get(mm, 0) + c
         return Poly(out)
 
-    def specialize_one_param(self) -> "Poly":
-        """Send every pair variable to the single parameter q."""
-        s = _unit(SINGLE_Q)
-        out: dict = {}
-        for m, c in self._t.items():
-            mm = (m & _DEGREE) * s
-            out[mm] = out.get(mm, 0) + c
-        return _poly({m: c for m, c in out.items() if c})
-
     def evaluate(self, assignment: Mapping[ParamVar, GaussRat],
                  mode: str = "free") -> GaussRat:
         """Exact value under a variable assignment.
@@ -686,14 +677,6 @@ class Poly:
     def to_json(self):
         return [{"coeff": c, "mono": [[list(v), e] for v, e in m]}
                 for m, c in self._sorted_terms(_lex)]
-
-    @staticmethod
-    def from_json(data) -> "Poly":
-        terms = {}
-        for rec in data:
-            m = tuple((tuple(v), e) for v, e in rec["mono"])
-            terms[m] = rec["coeff"]
-        return Poly(terms)
 
 
 def _poly(t: dict) -> Poly:

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from quongram.ring import Poly, GaussRat, conjugate, random_hermitian
+from quongram.ring import (Poly, GaussRat, conjugate, pair_var,
+                           random_hermitian)
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight, inner_product, check_ccr
 from quongram.perms import Perm, all_perms, cycle, longest_element
@@ -511,16 +512,28 @@ def test_criterion_09_applications():
                for row in B4.entries]
         assert det_mod.det_point(ent) == d4.evaluate(a)
 
-        # contravariant determinant against the substituted Gram route
+        # the contravariant determinant: symbolically through Bareiss over
+        # Poly on u_all * S (entries u-monomials with exponents 0 and 2) to
+        # n = 3; then the factored formula in t against elimination of the
+        # specialized S, for the seeded draws of b and, drawn after them,
+        # one b per n with every subset sum nonzero
+        S, d = {}, {}
         for n in (2, 3, 4):
-            app_mod.contravariant_matrix(n, check=True)
-            b = app_mod.BilinearData(
-                n, {(i, j): rng.randint(-3, 3) for i, j in
-                    itertools.combinations(range(1, n + 1), 2)})
-            d = app_mod.contravariant_det(n)
-            assert d.specialized(b, "prefactor") == \
-                d.specialized(b, "symmetric") == \
-                app_mod.substituted_gram_det(n, b)
+            S[n] = app_mod.contravariant_matrix(n, check=True)
+            d[n] = app_mod.contravariant_det(n)
+            assert d[n].symmetric_form_agrees()
+        for n in (2, 3):
+            rows = [[Poly.from_mono(tuple(
+                (pair_var(*v), e + 1) for v, e in m if e != -1))
+                for m in row] for row in S[n].entries]
+            assert det_mod.det_poly_bareiss(rows) == d[n].polynomial()
+        draws = [app_mod.BilinearData.random(n, rng) for n in (2, 3, 4)]
+        draws += [app_mod.BilinearData.random(n, rng, nondegenerate=True)
+                  for n in (2, 3, 4)]
+        for b in draws:
+            assert d[b.n].specialized(b) == \
+                app_mod.elimination_det(S[b.n], b)
+        assert all(d[b.n].specialized(b).coeffs for b in draws[3:])
 
     report(9, "arrangement determinant and contravariant translation", body)
 

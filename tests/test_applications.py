@@ -1,38 +1,39 @@
-import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from quongram.ring import Poly, GaussRat
+from quongram.ring import Poly, GaussRat, pair_var
 from quongram.fock import Weight
 from quongram.gram import build_generic
 from quongram.determinant import det_point, det_poly_bareiss, det_one_param
 from quongram.applications import (symmetrize, Arrangement, Edge,
-                                   varchenko_matrix, varchenko_det, Laurent,
+                                   varchenko_matrix, varchenko_det,
+                                   UMonomial, TLaurent, t_laurent,
                                    BilinearData, contravariant_entry,
                                    contravariant_matrix,
                                    contravariant_matrix_operators,
-                                   contravariant_det, substituted_gram_det)
+                                   ContravariantDet, contravariant_det,
+                                   elimination_det)
 
 from conftest import symmetric_assignment
 
 
-def laurent_det(entries):
-    """Cofactor determinant over the monomial ring (no division needed)."""
-    m = len(entries)
-    total = Laurent.zero()
-    for perm in itertools.permutations(range(m)):
-        sgn = 1
-        for x in range(m):
-            for y in range(x + 1, m):
-                if perm[x] > perm[y]:
-                    sgn = -sgn
-        t = Laurent.const(sgn)
-        for r, c in enumerate(perm):
-            t = t * entries[r][c]
-        total = total + t
-    return total
+def u(i, j, e=1):
+    return UMonomial.of({(i, j): e})
+
+
+def t_value(f: TLaurent, t: Fraction) -> Fraction:
+    return sum(c * t ** e for e, c in enumerate(f.coeffs, f.low))
+
+
+def binomial_product(factors) -> list:
+    """Coefficients of prod (1 - t^s)^e over (s, e) pairs, s > 0."""
+    out = [1]
+    for s, e in factors:
+        for _ in range(e):
+            out = [a - c for a, c in zip(out + [0] * s, [0] * s + out)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +98,37 @@ def test_domain_det_at_point(rng):
 
 
 # ---------------------------------------------------------------------------
-# the Laurent monomial ring
+# u-monomials and Laurent polynomials in t
 # ---------------------------------------------------------------------------
 
-def test_laurent_units_and_powers():
-    u = Laurent.u(1, 2)
-    assert u * Laurent.u(1, 2, -1) == Laurent.one()
-    assert u ** -2 == Laurent.u(1, 2, -2)
-    assert (Laurent.one() + u) * (Laurent.one() - u) == \
-        Laurent.one() - u * u
-    with pytest.raises(ValueError):
-        (Laurent.one() + u) ** -1
+def test_u_monomial_products():
+    x = u(1, 2)
+    assert x * u(1, 2, -1) == UMonomial() == UMonomial.of({(1, 2): 0})
+    assert x * x == u(1, 2, 2)
+    assert x * u(1, 3) == u(1, 3) * x == UMonomial.of({(1, 2): 1, (1, 3): 1})
+    assert hash(x * u(1, 3)) == hash(u(1, 3) * x)
+    assert x != u(1, 3)
 
 
-def test_laurent_specialize_and_evaluate():
-    # u_{12}^4 = q^{b_12} = t^{4 b_12}
-    f = Laurent.u(1, 2, 4).specialize({(1, 2): -2})
-    assert f == Laurent.t(-8)
-    assert f.evaluate_t(Fraction(2)) == Fraction(1, 256)
-    assert Laurent.zero().evaluate_t(Fraction(3)) == Fraction(0)
+def test_u_monomial_t_exponent():
+    # u_kl = q^{b_kl/4} = t^{b_kl}
+    assert u(1, 2, 4).t_exponent({(1, 2): -2}) == -8
+    assert UMonomial().t_exponent({}) == 0
+    with pytest.raises(KeyError):
+        u(1, 3).t_exponent({(1, 2): 1})
 
 
-def test_laurent_str():
-    assert str(Laurent.one() - Laurent.u(1, 2, 2)) in \
-        ("1 - u12^2", "-u12^2 + 1")
+def test_u_monomial_and_t_laurent_str():
+    assert str(UMonomial.of({(1, 2): -1, (2, 3): 1, (1, 3): 2})) == \
+        "u12^-1*u13^2*u23"
+    assert str(UMonomial()) == "1"
+    assert str(t_laurent(-2, [1, 0, -3, 0, 1, 5])) == \
+        "t^-2 - 3 + t^2 + 5*t^3"
+    assert str(t_laurent(0, [-1, 1])) == "-1 + t"
+    assert str(t_laurent(4, [0, 0])) == "0"
+    # canonical: zero end coefficients move into low or drop
+    assert t_laurent(-3, [0, 2, 0]) == TLaurent(-2, (2,))
+    assert t_laurent(5, []) == t_laurent(-1, [0]) == TLaurent(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +137,8 @@ def test_laurent_str():
 
 def test_contravariant_two_letter_golden():
     S = contravariant_matrix(2)
-    u = Laurent.u(1, 2)
-    uinv = Laurent.u(1, 2, -1)
-    assert S.entries == [[uinv, u], [u, uinv]]
+    uinv = u(1, 2, -1)
+    assert S.entries == [[uinv, u(1, 2)], [u(1, 2), uinv]]
 
 
 def test_contravariant_closed_matches_recursion():
@@ -155,33 +162,52 @@ def test_contravariant_entry_validation():
 
 
 def test_contravariant_det_small_symbolic():
+    # u_all * S has the entries u-monomials with exponents 0 and 2, so it is
+    # a Poly matrix in x_kl = u_kl; its Bareiss determinant is
+    # u_all^{n!} det S = P
     for n in (2, 3):
-        got = laurent_det(contravariant_matrix(n).entries)
+        rows = [[Poly.from_mono(tuple((pair_var(*v), e + 1) for v, e in m
+                                      if e != -1))
+                 for m in row] for row in contravariant_matrix(n).entries]
         d = contravariant_det(n)
-        assert got == d.prefactor_form()
-        assert got == d.symmetric_form()
+        assert det_poly_bareiss(rows) == d.polynomial()
+        assert d.symmetric_form_agrees()
+    assert contravariant_det(4).symmetric_form_agrees()
+    # a wrong exponent breaks the symmetric identity
+    d = contravariant_det(3)
+    wrong = d.factors[:-1] + (((1, 2, 3), 2),)
+    assert not ContravariantDet(3, wrong).symmetric_form_agrees()
 
 
 def test_contravariant_det_specialized(rng):
     n = 4
-    b = BilinearData(n, {(i, j): rng.randint(-3, 3)
-                         for i, j in itertools.combinations(range(1, 5), 2)})
     S = contravariant_matrix(n)
+    d = contravariant_det(n)
     t = Fraction(3, 5)
-    ent = [[GaussRat(e.specialize(b.b).evaluate_t(t)) for e in row]
-           for row in S.entries]
-    want = contravariant_det(n).specialized(b, "prefactor").evaluate_t(t)
-    assert det_point(ent) == GaussRat(want)
-    # both factored presentations agree after specialization
-    assert contravariant_det(n).specialized(b, "prefactor") == \
-        contravariant_det(n).specialized(b, "symmetric")
+    # the seeded draw, then one b with every subset sum nonzero
+    for b in (BilinearData.random(n, rng),
+              BilinearData.random(n, rng, nondegenerate=True)):
+        ent = [[GaussRat(t ** m.t_exponent(b.b)) for m in row]
+               for row in S.entries]
+        want = d.specialized(b)
+        assert det_point(ent) == GaussRat(t_value(want, t))
+        assert want == elimination_det(S, b)
+    assert not b.degenerate() and want.coeffs
 
 
-def test_substituted_gram_route():
+def test_elimination_route():
     for n in (2, 3, 4):
+        S = contravariant_matrix(n)
         b = BilinearData.constant(n, -1)
-        assert substituted_gram_det(n, b) == \
-            contravariant_det(n).specialized(b, "prefactor")
+        assert elimination_det(S, b) == contravariant_det(n).specialized(b)
+
+
+def test_zero_subset_sum_gives_zero():
+    n = 3
+    b = BilinearData(n, {(1, 2): 1, (1, 3): 1, (2, 3): -2})
+    assert b.degenerate()
+    assert contravariant_det(n).specialized(b) == TLaurent(0, ())
+    assert elimination_det(contravariant_matrix(n), b) == TLaurent(0, ())
 
 
 def test_one_param_bridge():
@@ -189,16 +215,13 @@ def test_one_param_bridge():
     # Gram determinant under q = t^4, up to the monomial prefactor and sign
     for n in (2, 3, 4):
         b = BilinearData.constant(n, -2)
-        lhs = contravariant_det(n).specialized(b, "prefactor") * \
-            Laurent.t(2 * math.factorial(n) * n * (n - 1) // 2)
-        rhs = Laurent.one()
-        total_e = 0
-        for k, e in det_one_param(n).factors:
-            rhs = rhs * (Laurent.one() - Laurent.t(4 * k * (k - 1))) ** e
-            total_e += e
-        if total_e % 2:
-            rhs = -rhs
-        assert lhs == rhs
+        lhs = contravariant_det(n).specialized(b)
+        f = det_one_param(n).factors
+        rhs = binomial_product((4 * k * (k - 1), e) for k, e in f)
+        if sum(e for _, e in f) % 2:
+            rhs = [-c for c in rhs]
+        assert lhs == t_laurent(-2 * math.factorial(n) * n * (n - 1) // 2,
+                                rhs)
 
 
 def test_bilinear_data_validation():
@@ -207,3 +230,5 @@ def test_bilinear_data_validation():
     with pytest.raises(ValueError):
         BilinearData(3, {(1, 2): Fraction(1, 2)})
     assert BilinearData.constant(3, 2).pairs() == [(1, 2), (1, 3), (2, 3)]
+    assert BilinearData.constant(3, 2).degenerate() is False
+    assert BilinearData.constant(3, 0).degenerate() is True

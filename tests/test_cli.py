@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -101,6 +102,52 @@ def test_build_refuses_oversized_bases(capsys, monkeypatch):
         assert f"{words} words" in capsys.readouterr().err
 
 
+def test_det_refuses_oversized_factored_formulas(capsys, monkeypatch):
+    # a generic weight lists its 2^N subsets: past 14 letters it is refused,
+    # in det and in varchenko --det alike; --one-param lists N boxes only
+    from quongram import applications, determinant
+    _refuse(monkeypatch, determinant, ("det_formula", "det_elim"))
+    _refuse(monkeypatch, applications, ("varchenko_det",))
+    for argv in (["det", "--n", "15"], ["det", "--weight", "1," * 15 + "1"],
+                 ["varchenko", "--n", "15", "--det"]):
+        code, s = run(*argv)
+        assert code == 2 and s == ""
+        assert "letters, over the limit of 14" in capsys.readouterr().err
+    code, s = run("det", "--n", "15", "--one-param")
+    assert code == 0 and s.startswith("(1-q^2)^")
+
+
+def test_arrangement_and_contravariant_refuse_oversized(capsys, monkeypatch,
+                                                        tmp_path):
+    from quongram import applications
+    _refuse(monkeypatch, applications,
+            ("varchenko_matrix", "contravariant_matrix", "contravariant_det"))
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps({"n": 7, "b": {}}))
+    for argv, size in ((["varchenko", "--n", "7"], "5040 words"),
+                       (["contravariant", "--n", "6"], "720 words"),
+                       (["contravariant", "--n", "7", "--format", "csv"],
+                        "5040 words"),
+                       (["contravariant", "--n", "7", "--det", "--b-matrix",
+                         str(f)], "7 letters")):
+        code, s = run(*argv)
+        assert code == 2 and s == ""
+        assert f"{size}, over the limit" in capsys.readouterr().err
+
+
+def test_verify_refuses_max_n_past_every_suite(capsys, monkeypatch):
+    from quongram import cli
+
+    def refuse(*args):
+        raise AssertionError("work started")
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, refuse)
+    for max_n in ("7", "100000"):
+        code, s = run("verify", "--suite", "counting", "--max-n", max_n)
+        assert code == 2 and s == ""
+        assert "over the limit of 6" in capsys.readouterr().err
+
+
 def test_invert_degenerate_runs():
     code, s = run("invert", "--weight", "2,0,1")
     assert code == 0
@@ -138,6 +185,59 @@ def test_contravariant_b_matrix(tmp_path):
     # size mismatch is a usage error
     code, _ = run("contravariant", "--n", "4", "--det", "--b-matrix", str(f))
     assert code == 2
+
+
+# Byte length and sha256 of the contravariant outputs: the matrix in each
+# format, det S written out in the u_kl, and det S in t under b matrices
+# with all entries -2, with mixed signs, and with a zero subset sum.
+CONTRAVARIANT_B = {
+    "all-2-3": {"1,2": -2, "1,3": -2, "2,3": -2},
+    "all-2-4": {f"{i},{j}": -2 for i, j in
+                ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))},
+    "mixed-3": {"1,2": 1, "1,3": -2, "2,3": 3},
+    "mixed-4": {"1,2": 1, "1,3": 1, "1,4": 3, "2,3": 1, "2,4": -2,
+                "3,4": -3},
+    # b_23 = 0 makes the factor 1 - q^{b_23}, and det S, vanish: "0\n"
+    "zero-3": {"1,2": 1, "1,3": -1, "2,3": 0},
+}
+CONTRAVARIANT_GOLDENS = [
+    (("--n", "3"), 684,
+     "08a5402bdce63b5de59c38fde0b626479fad60768d2f369201a53cc936edc7a7"),
+    (("--n", "3", "--format", "json"), 1114,
+     "3cc3115ae57f200e7da272d8e86dabbff066f4911607f8fbd67a4015b394d802"),
+    (("--n", "3", "--format", "csv"), 715,
+     "09a4e1be812a4f777ec3b18803f5ab9b904874bcf3aaa60aa0c8ebc18d8f12b3"),
+    (("--n", "2", "--det"), 15,
+     "827391c50bb14aabe62fd1fbddd2c472aa15ef6e87aa20e4b130e1d454d9c68f"),
+    (("--n", "3", "--det"), 1051,
+     "e56f995e9be381f2c2683385bf3820fae81f19b0d15270bac1ac58fe28313cff"),
+    (("--n", "3", "--det", "--b-matrix", "all-2-3"), 94,
+     "19ff6672dd31235224c2006053455695cd930bfbd68293a2114da58584095f34"),
+    (("--n", "4", "--det", "--b-matrix", "all-2-4"), 1366,
+     "e84e89e3a1d105253dc289a2f61924bb9bcf76865d0b7278b35387cebda028eb"),
+    (("--n", "3", "--det", "--b-matrix", "mixed-3"), 123,
+     "9a04280861533bb01d28bef4125dd6c8dac87777194b4d649e22b84cda27b3c2"),
+    (("--n", "4", "--det", "--b-matrix", "mixed-4"), 1369,
+     "74d282f685d1e28c2ee484f5babb670db9e5166407681b22228052e4d42ec286"),
+    (("--n", "3", "--det", "--b-matrix", "zero-3"), 2,
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", CONTRAVARIANT_GOLDENS, ids=[
+    " ".join(argv) for argv, _, _ in CONTRAVARIANT_GOLDENS])
+def test_contravariant_goldens(tmp_path, argv, size, digest):
+    argv = list(argv)
+    if "--b-matrix" in argv:
+        k = argv.index("--b-matrix") + 1
+        f = tmp_path / "b.json"
+        f.write_text(json.dumps({"n": int(argv[1]),
+                                 "b": CONTRAVARIANT_B[argv[k]]}))
+        argv[k] = str(f)
+    code, s = run("contravariant", *argv)
+    data = s.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_zagier_check_exit_codes():

@@ -287,7 +287,6 @@ def test_embedding_group_size():
     emb = embed_degenerate(Weight({1: 2, 2: 2}))
     assert len(emb.group) == 4
     assert emb.lift(Word.parse("1212")) == Word((1, 3, 2, 4))
-    assert emb.project(Word((1, 3, 2, 4))) == Word((1, 2, 1, 2))
 
 
 def test_box_diag_values():

@@ -271,12 +271,6 @@ def test_symmetric_check_matches_equality_rule(a):
     assert _check_passes(a, "symmetric-real") == want
 
 
-def test_one_param_specialization():
-    p = Poly.var(1, 2) * Poly.var(2, 1)
-    q = Poly.single_q()
-    assert p.specialize_one_param() == q * q
-
-
 def test_map_labels():
     p = Poly.var(1, 2) + Poly.var(2, 3)
     assert p.map_labels(lambda x: x + 10) == Poly.var(11, 12) + Poly.var(12, 13)
