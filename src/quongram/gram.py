@@ -29,7 +29,8 @@ __all__ = [
 import itertools
 from dataclasses import dataclass
 
-from .ring import Poly, check_assignment, evaluate_terms
+from .ring import (Poly, SINGLE_Q, check_assignment, evaluate_terms,
+                   pair_var)
 from .boxes import as_part, product_part, sum_parts
 from .fock import Word, Weight
 from .perms import Perm, cycle
@@ -308,10 +309,9 @@ class OpExpansion:
 
 def q_mono(word, pairs, one_param: bool = False) -> Poly:
     """∏_{(a,b) in pairs} q_{i_a i_b} for the given word (1-based positions)."""
-    p = Poly.one()
-    for a, b in pairs:
-        p = p * _qvar(word[a - 1], word[b - 1], one_param)
-    return p
+    return Poly.monomial(SINGLE_Q if one_param
+                         else pair_var(word[a - 1], word[b - 1])
+                         for a, b in pairs)
 
 
 def q_of_perm(word, g: Perm, one_param: bool = False) -> Poly:

@@ -398,6 +398,22 @@ class Poly:
     def from_mono(m: Mono, c: int = 1) -> "Poly":
         return Poly({m: c})
 
+    @staticmethod
+    def monomial(variables) -> "Poly":
+        """The product of the variables, repeats allowed, as one packed key:
+        the sum of their unit keys.
+
+        >>> print(Poly.monomial([pair_var(1, 2), pair_var(2, 1), SINGLE_Q]))
+        q12*q21*q
+        """
+        key = deg = 0
+        for v in variables:
+            key += _unit(v)
+            deg += 1
+        if deg >= _LIMIT:
+            raise OverflowError(f"total degree {deg} reaches 2**15")
+        return _poly({key: 1})
+
     # -- ring operations ---------------------------------------------------
     def __add__(self, o: "Poly") -> "Poly":
         if not isinstance(o, Poly):

@@ -190,11 +190,18 @@ def _random_hermitian(n, rng, real):
     return M
 
 
+def _pivot_ordered(M):
+    """M with rows and columns in det_point's pivot order."""
+    order = determinant._scaled_gauss_rows(M)[0]
+    return [[M[i][j] for j in order] for i in order]
+
+
 @pytest.mark.parametrize("real", [False, True])
 def test_hermitian_sweep_matches_general_sweep(rng, monkeypatch, real):
     """Hermitian and symmetric-real matrices, n <= 6: the hermitian sweep
-    runs unless a leading principal minor of size < n vanishes, and its
-    value equals the general sweep's on the same matrix and the oracle's."""
+    runs unless a leading principal minor of size < n, in pivot order,
+    vanishes, and its value equals the general sweep's on the same matrix
+    and the oracle's."""
     mats = [_random_hermitian(n, rng, real)
             for n in range(1, 7) for _ in range(4)]
     seen = _spy_sweeps(monkeypatch)
@@ -204,9 +211,10 @@ def test_hermitian_sweep_matches_general_sweep(rng, monkeypatch, real):
         seen.clear()
         fast.append(det_point(M))
         assert fast[-1] == _leibniz(M)
-        singular_minor = any(_leibniz([r[:k] for r in M[:k]]).is_zero()
+        P = _pivot_ordered(M)
+        singular_minor = any(_leibniz([r[:k] for r in P[:k]]).is_zero()
                              for k in range(1, n))
-        assert (seen["_gi_herm_step"] > 0) == (n > 1 and M[0][0].re != 0)
+        assert (seen["_gi_herm_step"] > 0) == (n > 1 and P[0][0].re != 0)
         assert (seen["_gi_step"] > 0) == singular_minor
         fell_back += singular_minor
     assert fell_back < len(mats) // 4
@@ -243,6 +251,57 @@ def test_nearly_hermitian_takes_the_general_sweep(rng, monkeypatch, where):
     seen = _spy_sweeps(monkeypatch)
     assert det_point(M) == _leibniz(M)
     assert seen["_gi_herm_step"] == 0 and seen["_gi_step"] > 0
+
+
+def test_scales_repaired_past_the_reference_row(monkeypatch):
+    """Row 0 has every denominator 1, so it gives s = 1 everywhere; entries
+    (1, 2) and (2, 2) need the repair pass to raise s_1 and s_2."""
+    i = GaussRat.of(0, 1)
+    one = GaussRat.of(1)
+    u = (one + i) / 4
+    M = [[one, one + i, GaussRat.of(2)],
+         [one - i, GaussRat.of(3), u],
+         [GaussRat.of(2), u.conj(), GaussRat.of(Fraction(5, 2))]]
+    order, s, t, rows = determinant._scaled_gauss_rows(M)
+    assert (order, s, t) == ([0, 2, 1], [1, 4, 2], 1)
+    assert rows[2][2] == (48, 0)      # 4 · 4 · 3
+    seen = _spy_sweeps(monkeypatch)
+    assert det_point(M) == _leibniz(M)
+    assert seen["_gi_herm_step"] > 0 and seen["_gi_step"] == 0
+
+
+def test_uniform_scaling_when_row_scales_cost_more():
+    """Every denominator 7: row scales would give s = 7 and 7^2 per entry,
+    so the uniform t = L = 7, s = 1 is taken."""
+    M = [[GaussRat.of(Fraction(k, 7)) for k in row]
+         for row in ((1, 2, 3), (2, 5, 1), (3, 1, 4))]
+    order, s, t, rows = determinant._scaled_gauss_rows(M)
+    assert (order, s, t) == ([0, 1, 2], [1, 1, 1], 7)
+    assert rows[0] == [(1, 0), (2, 0), (3, 0)]
+    assert det_point(M) == _leibniz(M)
+
+
+def test_mixed_denominators_general_sweep_on_scaled_rows(monkeypatch):
+    """Not hermitian, denominators 1 to 8: the general sweep runs on the
+    row-scaled integers (t = 1), in pivot order."""
+    i = GaussRat.of(0, 1)
+    f = lambda p, q: GaussRat.of(Fraction(p, q))
+    M = [[f(1, 1), f(1, 2), i / 4],
+         [f(3, 1), f(1, 3), f(2, 1)],
+         [f(1, 8), f(5, 1), f(7, 2)]]
+    order, s, t, rows = determinant._scaled_gauss_rows(M)
+    assert (order, s, t) == ([1, 2, 0], [12, 3, 6], 1)
+    seen = _spy_sweeps(monkeypatch)
+    assert det_point(M) == _leibniz(M)
+    assert seen["_gi_herm_step"] == 0 and seen["_gi_step"] > 0
+
+
+def test_point_determinant_of_a_degenerate_weight(rng):
+    nu = Weight({1: 2, 2: 2})
+    a = hermitian_assignment(nu.labels, rng)
+    ent = build_degenerate(nu).evaluate(a, "hermitian")
+    assert len(ent) == 6
+    assert det_point(ent) == det_elim(nu).evaluate(a, "hermitian")
 
 
 def test_univariate_slice(rng):

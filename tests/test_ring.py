@@ -550,6 +550,9 @@ def test_exponent_limit_raises_overflow():
         Poly.from_mono(((pair_var(1, 2), 2 ** 14), (pair_var(2, 1), 2 ** 14)))
     with pytest.raises(OverflowError):
         (x ** 2 ** 14) * (Poly.var(2, 1) ** 2 ** 14)
+    with pytest.raises(OverflowError):
+        Poly.monomial([pair_var(1, 2), pair_var(2, 1)] * 2 ** 14)
+    assert Poly.monomial([pair_var(1, 2)] * (2 ** 15 - 1)) == big
     # the general division multiplies the quotient by the divisor's tail
     with pytest.raises(OverflowError):
         (Poly.var(1, 1) * x ** (2 ** 15 - 2)).exact_div(
