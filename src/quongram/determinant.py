@@ -16,14 +16,25 @@ single-variable slices over Z[q], Gaussian elimination over F_p at
 enough integer points, with p a Mersenne prime beyond twice a bound on
 every coefficient, followed by exact interpolation (``det_univariate``).
 
+The Bareiss engine is lazy per entry.  With D_l the leading minor of size
+l (D_0 = 1), an entry whose row or pivot-row factor is 0 at step k would
+only be rescaled by D_{k+1}/D_k, and these factors telescope:
+a^(k) = a^(m) D_k / D_m for an entry last updated at step m.  So such an
+entry is left alone and lifted by that one exact division when it is next
+read.  The Gram matrix factors into sparse levels A = A^1 ⋯ A^n (Zagier,
+Comm. Math. Phys. 147, 1992), so most of its Schur complements' entries
+are exact zeros, and the cost scales with the number of updates whose
+product term is nonzero: at n = 5 about 50 000 of the eager sweep's
+288 000 steps, plus about 32 000 lifts.
+
 At a hermitian point (so also at a symmetric-real one) the Gram matrix is
 hermitian.  Every Bareiss pivot is then a leading principal minor, which is
 real, and every intermediate matrix stays hermitian (Sylvester's identity;
 Bareiss, Math. Comp. 22, 1968).  ``det_point`` therefore sweeps only the
-upper triangle of such a matrix and divides by integers, about four times
-faster than the general sweep.  It falls back to the general sweep, with
-complex pivots and row swaps, for any other matrix and whenever a leading
-principal minor vanishes.
+upper triangle of such a matrix and divides by integers, about 3.5 times
+faster than the general sweep at n = 5.  It falls back to the general
+sweep, with complex pivots and row swaps, for any other matrix and
+whenever a leading principal minor vanishes.
 
 ``det_point`` eliminates the Gaussian integers t · S A S, S = diag(s).
 At a point whose parameters have denominator D, entry (σ, τ) of the Gram
@@ -53,6 +64,7 @@ __all__ = [
     "poly_to_univariate", "is_inverse",
 ]
 
+import bisect
 import itertools
 import math
 import random
@@ -212,13 +224,30 @@ def det_one_param(n: int) -> OneParamDet:
 # elimination oracles
 # ---------------------------------------------------------------------------
 
-def _bareiss(M, step, is_zero, zero, _upper=False):
-    """Fraction-free (Bareiss) elimination of the square matrix M, in place.
+def _bareiss(M, step, lift, is_zero, zero, _upper=False):
+    """Fraction-free (Bareiss) elimination of the square matrix M, in place,
+    lazy per entry.
 
-    step(akk, aij, aik, akj, prev) returns (akk·aij − aik·akj) / prev, a
-    division that is exact by the Sylvester identity; prev is None on the
-    first sweep, where nothing is divided.  Returns (sign, last pivot), so
-    det M = sign · last pivot, or (1, zero) when M is singular.
+    Eager Bareiss replaces every entry a_ij (i, j > k) at step k by
+    a^(k+1) = (D_{k+1} a^(k) − a_ik a_kj) / D_k, where D_l is the leading
+    minor of size l (D_0 = 1, D_{k+1} the pivot of step k).  When a_ik = 0
+    or a_kj = 0 this is only a^(k) D_{k+1} / D_k, and such factors
+    telescope: a^(k) = a^(m) D_k / D_m.  So step k updates just the entries
+    whose product term a_ik a_kj is nonzero; every other entry keeps its
+    value and its level m (lev[i][j], the number of steps applied to it).
+    An entry is lifted to level k, a ← lift(a, D_k, D_m), only when it is
+    read: as a pivot-row entry, as the a_ik or a_ij of an updated entry, or
+    as the final pivot.  The lift divides exactly, since eager Bareiss
+    values are minors (Sylvester).  A zero needs no lift, and zero tests
+    need none either, as every D_l ≠ 0.  The cost scales with the number
+    of updates whose product term is nonzero, which for the sparse Gram
+    matrices is a small share of the eager sweep's.
+
+    step(akk, aij, aik, akj, prev) returns (akk·aij − aik·akj) / prev and
+    lift(a, up, down) returns a·up / down; both divisions are checked to be
+    exact, and prev or down is None where the divisor is D_0 = 1.  Returns
+    (sign, last pivot), so det M = sign · last pivot, or (1, zero) when M
+    is singular.  A row swap swaps the level rows too.
 
     With _upper set, M must be hermitian and only its upper triangle is
     swept: every intermediate matrix stays hermitian, so step receives
@@ -226,8 +255,9 @@ def _bareiss(M, step, is_zero, zero, _upper=False):
     read.  A zero pivot cannot be swapped away without breaking the
     symmetry, so that sweep returns None instead."""
     n = len(M)
+    lev = [[0] * n for _ in range(n)]
+    D = [None]
     sign = 1
-    prev = None
     for k in range(n - 1):
         if is_zero(M[k][k]):
             if _upper:
@@ -235,23 +265,48 @@ def _bareiss(M, step, is_zero, zero, _upper=False):
             for i in range(k + 1, n):
                 if not is_zero(M[i][k]):
                     M[k], M[i] = M[i], M[k]
+                    lev[k], lev[i] = lev[i], lev[k]
                     sign = -sign
                     break
             else:
                 return 1, zero
-        rk = M[k]
+        rk, lk = M[k], lev[k]
+        prev = D[k]
+        cols = []       # the columns j > k with a_kj ≠ 0, lifted to level k
+        for j in range(k, n):
+            a = rk[j]
+            if not is_zero(a):
+                if lk[j] != k:
+                    rk[j] = lift(a, prev, D[lk[j]])
+                if j > k:
+                    cols.append(j)
         akk = rk[k]
+        D.append(akk)
         for i in range(k + 1, n):
-            ri = M[i]
+            ri, li = M[i], lev[i]
             if _upper:
-                aik, first = rk[i], i
+                aik = rk[i]
+                if is_zero(aik):
+                    continue
+                js = cols[bisect.bisect_left(cols, i):]
             else:
-                aik, first = ri[k], k + 1
-            for j in range(first, n):
-                ri[j] = step(akk, ri[j], aik, rk[j], prev)
-            ri[k] = zero    # frees the eliminated entry as the sweep goes
-        prev = akk
-    return sign, M[n - 1][n - 1]
+                aik = ri[k]
+                if is_zero(aik):
+                    continue
+                if li[k] != k:
+                    aik = lift(aik, prev, D[li[k]])
+                ri[k] = zero    # frees the eliminated entry as the sweep goes
+                js = cols
+            for j in js:
+                a = ri[j]
+                if li[j] != k and not is_zero(a):
+                    a = lift(a, prev, D[li[j]])
+                ri[j] = step(akk, a, aik, rk[j], prev)
+                li[j] = k + 1
+    last, m = M[n - 1][n - 1], lev[n - 1][n - 1]
+    if m != n - 1 and not is_zero(last):
+        last = lift(last, D[n - 1], D[m])
+    return sign, last
 
 
 def _poly_step(akk, aij, aik, akj, prev):
@@ -259,12 +314,17 @@ def _poly_step(akk, aij, aik, akj, prev):
     return x if prev is None else x.exact_div(prev)
 
 
+def _poly_lift(a, up, down):
+    x = a * up
+    return x if down is None else x.exact_div(down)
+
+
 def det_poly_bareiss(rows) -> Poly:
     """Fraction-free elimination over exact polynomials; all divisions are
     exact by the Sylvester minor identity."""
     if not rows:
         return Poly.one()
-    sign, d = _bareiss([list(r) for r in rows], _poly_step,
+    sign, d = _bareiss([list(r) for r in rows], _poly_step, _poly_lift,
                        Poly.is_zero, Poly.zero())
     return d.scale(sign)
 
@@ -425,6 +485,24 @@ def _gi_step(akk, aij, aik, akj, prev):
     return qr, qi
 
 
+def _gi_lift(a, up, down):
+    """a · up / down over Gaussian integers, the lift of the general sweep;
+    the division goes through the norm of down, as in _gi_step."""
+    c, d = a
+    ur, ui = up
+    re = c * ur - d * ui
+    im = c * ui + d * ur
+    if down is None:
+        return re, im
+    pr, pi = down
+    nrm = pr * pr + pi * pi
+    qr, rr = divmod(re * pr + im * pi, nrm)
+    qi, ri = divmod(im * pr - re * pi, nrm)
+    if rr or ri:
+        raise ArithmeticError("non-exact Gaussian-integer lift")
+    return qr, qi
+
+
 def _gi_herm_step(akk, aij, aki, akj, prev):
     """The Bareiss step of the hermitian sweep over Gaussian integers:
     a_ik is conj(aki), and the pivots akk and prev are real (leading
@@ -443,6 +521,21 @@ def _gi_herm_step(akk, aij, aki, akj, prev):
     qi, ri = divmod(im, p)
     if rr or ri:
         raise ArithmeticError("non-exact Gaussian-integer division")
+    return qr, qi
+
+
+def _gi_herm_lift(a, up, down):
+    """a · up / down for the hermitian sweep, whose pivots up and down are
+    real: two products and two divisions by an integer."""
+    u = up[0]
+    c, d = a
+    if down is None:
+        return c * u, d * u
+    p = down[0]
+    qr, rr = divmod(c * u, p)
+    qi, ri = divmod(d * u, p)
+    if rr or ri:
+        raise ArithmeticError("non-exact Gaussian-integer lift")
     return qr, qi
 
 
@@ -535,6 +628,12 @@ def det_point(entries) -> GaussRat:
     not hermitian, the general sweep runs on the scaled rows, dividing by
     complex pivots and swapping rows past zero pivots.
 
+    Both sweeps are lazy (see _bareiss), so the cost follows the nonzero
+    updates of the sparse Schur complements.  At the seed-1 hermitian
+    eighths point of the n = 5 benchmark that is 50 539 steps and 31 682
+    lifts instead of 287 980 steps, and about 0.5 s instead of 1.0 s on a
+    2-core x86 machine (Python 3.11).
+
     >>> i = GaussRat.of(0, 1)
     >>> print(det_point([[GaussRat.of(2), i], [i.conj(), GaussRat.of(3)]]))
     5
@@ -546,10 +645,10 @@ def det_point(entries) -> GaussRat:
     is_zero = (0, 0).__eq__
     res = None
     if _is_hermitian(rows):
-        res = _bareiss([row[:] for row in rows], _gi_herm_step, is_zero,
-                       (0, 0), _upper=True)
+        res = _bareiss([row[:] for row in rows], _gi_herm_step,
+                       _gi_herm_lift, is_zero, (0, 0), _upper=True)
     if res is None:
-        res = _bareiss(rows, _gi_step, is_zero, (0, 0))
+        res = _bareiss(rows, _gi_step, _gi_lift, is_zero, (0, 0))
     sign, d = res
     return GaussRat.from_ints(sign * d[0], sign * d[1],
                               t ** n * math.prod(s) ** 2)

@@ -271,12 +271,13 @@ def tree_like(g: Perm) -> bool:
 
 def clear_caches() -> None:
     """Empty the module-level caches: the symbolic Lambda and sigma memos
-    and the per-permutation caches of ``tree_like`` and
+    and the per-permutation caches of ``tree_like``, ``_step_plan`` and
     ``perms.young_data``.  Nothing else holds their entries, so this frees
     them; later calls recompute the same values."""
     _SIGMA_MEMO.clear()
     _LAMBDA_MEMO.clear()
     tree_like.cache_clear()
+    _step_plan.cache_clear()
     young_data.cache_clear()
 
 
@@ -313,6 +314,29 @@ def lambda_scalar(letters, g: Perm, one_param: bool = False,
     return val
 
 
+@lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
+def _step_plan(g: Perm) -> tuple:
+    """What _fast_step needs of g alone, for every word: (sign, blocks,
+    subs, q_ranges, restricted).  blocks are the minimal Young blocks
+    J(g); subs pairs each block (a, b) with b > a with the blocks of
+    sigma(g') inside it, renumbered from 1; q_ranges are the ranges of the
+    blocks of sigma(g') with more than one position; restricted pairs each
+    such block (a, b) with g'' confined to it (see _restrict)."""
+    m = g.n
+    blocks = young_data(g).blocks
+    gp = g * block_reversal(blocks, m)
+    blocks_p = young_data(gp).blocks
+    sign = 1 if (len(blocks) + len(blocks_p)) % 2 == 0 else -1
+    subs = tuple(((a, b), tuple((x - (a - 1), y - (a - 1))
+                                for x, y in blocks_p if a <= x and y <= b))
+                 for a, b in blocks if b > a)
+    gpp = gp * block_reversal(blocks_p, m)
+    q_ranges = tuple(range(a, b + 1) for a, b in blocks_p if b > a)
+    restricted = tuple(((a, b), _restrict(gpp, a, b))
+                       for a, b in blocks_p if b > a)
+    return sign, blocks, subs, q_ranges, restricted
+
+
 def _fast_step(letters: tuple, g: Perm, one_param: bool, u: Universe):
     """One application of the combined two-step recursion:
 
@@ -323,25 +347,15 @@ def _fast_step(letters: tuple, g: Perm, one_param: bool, u: Universe):
     with g' = g w_{J(g)} (reverse all minimal Young blocks), g'' = g' w_{J(g')},
     and K running over the blocks of sigma(g').
     """
-    m = len(letters)
-    yd = young_data(g)
-    gp = g * block_reversal(yd.blocks, m)
-    ydp = young_data(gp)
-    sign = 1 if (len(yd.blocks) + len(ydp.blocks)) % 2 == 0 else -1
-    val = u.const(sign) * lambda_sigma(letters, yd.blocks, one_param, u)
-    for a, b in yd.blocks:
-        if b > a:
-            sub = tuple((x - (a - 1), y - (a - 1))
-                        for x, y in ydp.blocks if a <= x and y <= b)
-            val = val * lambda_sigma(letters[a - 1:b], sub, one_param, u)
-    for a, b in ydp.blocks:
-        if b > a:
-            val = val * u.q_block(letters, range(a, b + 1))
-    gpp = gp * block_reversal(ydp.blocks, m)
-    for a, b in ydp.blocks:
-        if b > a:
-            val = val * lambda_scalar(letters[a - 1:b], _restrict(gpp, a, b),
-                                      one_param, u, check_closed=False)
+    sign, blocks, subs, q_ranges, restricted = _step_plan(g)
+    val = u.const(sign) * lambda_sigma(letters, blocks, one_param, u)
+    for (a, b), sub in subs:
+        val = val * lambda_sigma(letters[a - 1:b], sub, one_param, u)
+    for positions in q_ranges:
+        val = val * u.q_block(letters, positions)
+    for (a, b), h in restricted:
+        val = val * lambda_scalar(letters[a - 1:b], h, one_param, u,
+                                  check_closed=False)
     return val
 
 

@@ -156,7 +156,7 @@ def _lex(key: int):
     return mono_key(_decode(key))
 
 
-class NotDivisible(Exception):
+class NotDivisible(ArithmeticError):
     """Raised by Poly.exact_div when an exact polynomial division has a
     nonzero remainder or a non-integer quotient."""
 

@@ -154,13 +154,14 @@ def test_zero_pivot_row_swap(template, want):
         assert det(rows) == lift(want)
 
 
-def _leibniz(M):
-    """det M by the permutation expansion, in GaussRat: the slow oracle."""
-    total = GaussRat.of(0)
+def _leibniz(M, const=GaussRat.of):
+    """det M by the permutation expansion, in GaussRat (or the ring whose
+    integers const makes): the slow oracle."""
+    total = const(0)
     for perm in itertools.permutations(range(len(M))):
         inversions = sum(perm[x] > perm[y] for x, y in
                          itertools.combinations(range(len(perm)), 2))
-        t = GaussRat.of(-1 if inversions % 2 else 1)
+        t = const(-1 if inversions % 2 else 1)
         for r, c in enumerate(perm):
             t = t * M[r][c]
         total = total + t
@@ -168,13 +169,18 @@ def _leibniz(M):
 
 
 def _spy_sweeps(monkeypatch):
-    """Count the steps det_point's two sweeps take, by step name."""
-    seen = collections.Counter()
-    for name in ("_gi_step", "_gi_herm_step"):
-        def spy(*args, _step=getattr(determinant, name), _name=name):
-            seen[_name] += 1
-            return _step(*args)
-        monkeypatch.setattr(determinant, name, spy)
+    """Record the sweeps det_point runs: seen[step name] lists what each
+    _bareiss call handed that step returned, None for a hermitian sweep
+    stopped by a zero pivot.  A sweep is known by its step, not by step
+    calls, since a lazy sweep may make none."""
+    seen = collections.defaultdict(list)
+    bareiss = determinant._bareiss
+
+    def spy(M, step, *args, **kwargs):
+        res = bareiss(M, step, *args, **kwargs)
+        seen[step.__name__].append(res)
+        return res
+    monkeypatch.setattr(determinant, "_bareiss", spy)
     return seen
 
 
@@ -196,6 +202,12 @@ def _pivot_ordered(M):
     return [[M[i][j] for j in order] for i in order]
 
 
+def _leading_minor_vanishes(M):
+    """Whether a leading principal minor of size < n of M is 0."""
+    return any(_leibniz([r[:k] for r in M[:k]]).is_zero()
+               for k in range(1, len(M)))
+
+
 @pytest.mark.parametrize("real", [False, True])
 def test_hermitian_sweep_matches_general_sweep(rng, monkeypatch, real):
     """Hermitian and symmetric-real matrices, n <= 6: the hermitian sweep
@@ -207,21 +219,20 @@ def test_hermitian_sweep_matches_general_sweep(rng, monkeypatch, real):
     seen = _spy_sweeps(monkeypatch)
     fast, fell_back = [], 0
     for M in mats:
-        n = len(M)
         seen.clear()
         fast.append(det_point(M))
         assert fast[-1] == _leibniz(M)
-        P = _pivot_ordered(M)
-        singular_minor = any(_leibniz([r[:k] for r in P[:k]]).is_zero()
-                             for k in range(1, n))
-        assert (seen["_gi_herm_step"] > 0) == (n > 1 and P[0][0].re != 0)
-        assert (seen["_gi_step"] > 0) == singular_minor
+        singular_minor = _leading_minor_vanishes(_pivot_ordered(M))
+        herm = seen["_gi_herm_step"]
+        assert len(herm) == 1 and (herm[0] is None) == singular_minor
+        assert len(seen["_gi_step"]) == singular_minor
         fell_back += singular_minor
     assert fell_back < len(mats) // 4
     monkeypatch.setattr(determinant, "_is_hermitian", lambda M: False)
     seen.clear()
     assert [det_point(M) for M in mats] == fast
-    assert seen["_gi_herm_step"] == 0
+    assert not seen["_gi_herm_step"]
+    assert len(seen["_gi_step"]) == len(mats)
 
 
 def test_hermitian_sweep_falls_back_on_a_vanishing_minor(monkeypatch):
@@ -238,7 +249,7 @@ def test_hermitian_sweep_falls_back_on_a_vanishing_minor(monkeypatch):
         seen.clear()
         got = det_point(M)
         assert got == _leibniz(M) and got != zero
-        assert seen["_gi_step"] > 0
+        assert seen["_gi_herm_step"] == [None] and len(seen["_gi_step"]) == 1
     assert det_point(cases[2]) == GaussRat.of(-2)
 
 
@@ -250,7 +261,7 @@ def test_nearly_hermitian_takes_the_general_sweep(rng, monkeypatch, where):
     M[r][c] = M[r][c] + GaussRat(Fraction(0), Fraction(1, 10 ** 9))
     seen = _spy_sweeps(monkeypatch)
     assert det_point(M) == _leibniz(M)
-    assert seen["_gi_herm_step"] == 0 and seen["_gi_step"] > 0
+    assert not seen["_gi_herm_step"] and len(seen["_gi_step"]) == 1
 
 
 def test_scales_repaired_past_the_reference_row(monkeypatch):
@@ -267,7 +278,8 @@ def test_scales_repaired_past_the_reference_row(monkeypatch):
     assert rows[2][2] == (48, 0)      # 4 · 4 · 3
     seen = _spy_sweeps(monkeypatch)
     assert det_point(M) == _leibniz(M)
-    assert seen["_gi_herm_step"] > 0 and seen["_gi_step"] == 0
+    assert len(seen["_gi_herm_step"]) == 1 and not seen["_gi_step"]
+    assert seen["_gi_herm_step"][0] is not None
 
 
 def test_uniform_scaling_when_row_scales_cost_more():
@@ -293,7 +305,131 @@ def test_mixed_denominators_general_sweep_on_scaled_rows(monkeypatch):
     assert (order, s, t) == ([1, 2, 0], [12, 3, 6], 1)
     seen = _spy_sweeps(monkeypatch)
     assert det_point(M) == _leibniz(M)
-    assert seen["_gi_herm_step"] == 0 and seen["_gi_step"] > 0
+    assert not seen["_gi_herm_step"] and len(seen["_gi_step"]) == 1
+
+
+def _sweep(M, upper=False):
+    """det M of a GaussRat matrix with integer entries, by one _bareiss
+    sweep: the hermitian one if upper, else the general one.  None when
+    the hermitian sweep meets a zero pivot."""
+    rows = [[(v.a, v.b) for v in row] for row in M]
+    step, lift = ((determinant._gi_herm_step, determinant._gi_herm_lift)
+                  if upper else (determinant._gi_step, determinant._gi_lift))
+    res = determinant._bareiss(rows, step, lift, (0, 0).__eq__, (0, 0),
+                               _upper=upper)
+    if res is None:
+        return None
+    sign, (re, im) = res
+    return GaussRat.of(sign * re, sign * im)
+
+
+def _eager(M, k, i, j):
+    """Entry (i, j) of M after k eager Bareiss steps without swaps: the
+    minor on rows 0..k-1, i and columns 0..k-1, j (Sylvester)."""
+    rows, cols = [*range(k), i], [*range(k), j]
+    return _leibniz([[M[r][c] for c in cols] for r in rows])
+
+
+def _sparse_entry(rng, zeros):
+    if rng.random() < zeros:
+        return GaussRat.of(0)
+    return GaussRat.of(rng.randint(-4, 4), rng.randint(-4, 4))
+
+
+def test_lazy_general_sweep_on_sparse_matrices():
+    """About 60 % zeros, n <= 6: most updates are skipped, and rows swapped
+    past zero pivots carry their levels with them."""
+    rng = random.Random(1968)
+    zero = GaussRat.of(0)
+    swapped_first = swapped_later = singular = 0
+    for n in range(1, 7):
+        for _ in range(12):
+            M = [[_sparse_entry(rng, 0.6) for _ in range(n)]
+                 for _ in range(n)]
+            want = _leibniz(M)
+            assert _sweep(M) == want
+            if want == zero:
+                singular += 1
+            elif M[0][0] == zero:
+                swapped_first += 1
+            elif _leading_minor_vanishes(M):
+                swapped_later += 1
+    assert swapped_first and swapped_later and singular
+
+
+def test_lazy_hermitian_sweep_on_sparse_matrices():
+    """Sparse hermitian Gaussian-integer matrices, n <= 6: the hermitian
+    sweep stops exactly when a leading principal minor vanishes, and
+    otherwise gives the oracle's value."""
+    rng = random.Random(1992)
+    finished = 0
+    mats = []
+    for n in range(1, 7):
+        for _ in range(12):
+            M = [[None] * n for _ in range(n)]
+            for i in range(n):
+                M[i][i] = GaussRat.of(rng.choice((0, *range(1, 6))))
+                for j in range(i + 1, n):
+                    M[i][j] = _sparse_entry(rng, 0.6)
+                    M[j][i] = M[i][j].conj()
+            mats.append(M)
+    for M in mats:
+        got = _sweep(M, upper=True)
+        assert (got is None) == _leading_minor_vanishes(M)
+        if got is not None:
+            assert got == _leibniz(M)
+            finished += 1
+    assert finished > len(mats) // 2
+
+
+# Row 4 has a_40 = a_41 = 0, so steps 0 and 1 skip it and step 2 reads it
+# at level 0.  Entry (3, 2) is 0 after steps 0 and 1 and fills in at step 2.
+_SKIPPED = [[2, 1, 0, 0, 0],
+            [1, 3, 2, 1, 0],
+            [0, 2, 1, 0, 3],
+            [0, 1, 0, 2, 1],
+            [0, 0, 3, 1, 2]]
+
+
+@pytest.mark.parametrize("order", [
+    (0, 1, 2, 3, 4),
+    (4, 3, 2, 1, 0),      # zero pivots at steps 0 and 1: swaps
+    (2, 4, 0, 1, 3),
+])
+def test_lazy_sweeps_lift_a_row_skipped_for_two_steps(order):
+    M = [[GaussRat.of(c) for c in row] for row in _SKIPPED]
+    zero = GaussRat.of(0)
+    assert _eager(M, 0, 4, 0) == zero and _eager(M, 1, 4, 1) == zero
+    assert _eager(M, 2, 4, 2) != zero
+    assert _eager(M, 0, 3, 2) == zero and _eager(M, 1, 3, 2) == zero
+    assert _eager(M, 2, 3, 2) != zero
+    want = _leibniz(M)
+    assert want != zero
+    P = [M[i] for i in order]
+    sign = _leibniz([[GaussRat.of(int(c == r)) for c in range(5)]
+                     for r in order])
+    assert _sweep(P) == sign * want
+    assert det_poly_bareiss([[Poly.const(v.a) for v in row] for row in P]) \
+        == Poly.const((sign * want).a)
+    if order == (0, 1, 2, 3, 4):
+        assert _sweep(M, upper=True) == want == det_point(M)
+
+
+def test_lazy_poly_sweep_on_a_sparse_poly_matrix():
+    """det_poly_bareiss on a sparse 5 x 5 Poly matrix, against the
+    permutation expansion over Poly."""
+    rng = random.Random(1986)
+    def entry():
+        if rng.random() < 0.6:
+            return Poly.zero()
+        p = Poly.const(rng.choice((-2, -1, 1, 2)))
+        for _ in range(rng.randint(0, 2)):
+            p = p * Poly.var(rng.randint(1, 2), rng.randint(1, 2))
+        return p + Poly.const(rng.randint(0, 1))
+    for n in (3, 4, 5):
+        for _ in range(4):
+            M = [[entry() for _ in range(n)] for _ in range(n)]
+            assert det_poly_bareiss(M) == _leibniz(M, Poly.const)
 
 
 def test_point_determinant_of_a_degenerate_weight(rng):

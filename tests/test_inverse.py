@@ -313,10 +313,12 @@ def test_clear_caches_recomputes_the_same_table():
     nu = Weight.generic_n(3)
     want = inv_full(nu, "fast").to_json()
     assert inverse._LAMBDA_MEMO and young_data.cache_info().currsize
+    assert inverse._step_plan.cache_info().currsize
     clear_caches()
     assert not inverse._LAMBDA_MEMO and not inverse._SIGMA_MEMO
     assert young_data.cache_info().currsize == 0
     assert tree_like.cache_info().currsize == 0
+    assert inverse._step_plan.cache_info().currsize == 0
     assert inv_full(nu, "fast").to_json() == want
 
 
