@@ -31,7 +31,9 @@ from itertools import groupby
 from .ring import Poly, NotDivisible, GaussRat
 
 
-@lru_cache(maxsize=None)
+# a full pass of any benchmark workload (seed 1) leaves at most 26 entries;
+# 1024 holds every box over up to 10 letters, in both modes
+@lru_cache(maxsize=1024)
 def _box_poly(letters: tuple, one_param: bool) -> Poly:
     q = Poly.one()
     if one_param:

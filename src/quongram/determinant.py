@@ -421,25 +421,19 @@ def det_factor_chain(nu: Weight) -> DetFormula:
     total = {}
     for m in range(2, n + 1):
         # det A^m = det D^{m-1} / det C^m, both products of certified
-        # cyclic-factor determinants
+        # cyclic-factor determinants: the plain t_{k,m} give C^m, the
+        # boxed t_{k,m-1} give D^{m-1}
         c_exps, d_exps = {}, {}
-        for k in range(1, m):
-            p = det_single_cycle(nu, k, m, "plain", basis=basis)
-            exps = peel_exponents(p, nu)
-            if exps is None:
-                raise ArithmeticError(
-                    f"cyclic factor t_{k},{m} is not a box product")
-            for mu, e in exps.items():
-                c_exps[mu] = c_exps.get(mu, 0) + e
-        if m - 1 >= 1:
+        for variant, level, acc in (("plain", m, c_exps),
+                                    ("boxed", m - 1, d_exps)):
             for k in range(1, m):
-                p = det_single_cycle(nu, k, m - 1, "boxed", basis=basis)
+                p = det_single_cycle(nu, k, level, variant, basis=basis)
                 exps = peel_exponents(p, nu)
                 if exps is None:
-                    raise ArithmeticError(
-                        f"boxed factor t_{k},{m - 1} is not a box product")
+                    raise ArithmeticError(f"{variant} factor t_{k},{level} "
+                                          "is not a box product")
                 for mu, e in exps.items():
-                    d_exps[mu] = d_exps.get(mu, 0) + e
+                    acc[mu] = acc.get(mu, 0) + e
         for mu in set(c_exps) | set(d_exps):
             diff = d_exps.get(mu, 0) - c_exps.get(mu, 0)
             if diff < 0:

@@ -34,7 +34,7 @@ __all__ = [
     "psi_op", "e_op", "d_inverse_op", "c_unimodal_op",
     "inv_chains", "inv_long", "inv_short", "inv_zagier", "inv_full",
     "inv_brute", "inv_degenerate", "inverse_matrix_at",
-    "ZagierReport", "zagier_check", "clear_caches",
+    "ZagierReport", "zagier_check",
 ]
 
 import itertools
@@ -57,77 +57,51 @@ from .gram import (Basis, GramMatrix, DiagOp, OpExpansion, rhat, q_mono,
 # scalar universes: where the Lambda recursion computes
 # ---------------------------------------------------------------------------
 
-# symbolic Lambda and sigma values, shared by every symbolic universe
-_SIGMA_MEMO: dict = {}
-_LAMBDA_MEMO: dict = {}
-
-
 class Universe:
-    """Arithmetic context for the Lambda recursion.
+    """Arithmetic context and memos of one Lambda computation.
 
     Symbolic (box fractions over the pair parameters, or over the single
     parameter) or numeric (exact Gaussian-rational values at an assignment).
     The recursion itself is written once against this interface.
 
+    Each public entry point builds one universe per call and threads it
+    through the recursion, so its Lambda and sigma memos, and the value
+    caches of a numeric universe, live exactly as long as that call; no
+    two calls share them.  The memos key a word by its letters, or in
+    one-parameter mode by its length, on which one-parameter values
+    depend.
+
     A numeric universe owns its point.  It checks the assignment against
     its mode once, at construction, with ``ring.check_assignment`` (the
     check ``Poly.evaluate`` runs), so a bad point raises ValueError before
-    any work.  It caches only values that recur: the value of each pair
-    parameter, and per box factor the value of its monomial, which is
-    ``q_block``, and of its inverse, which is ``box_inv``.  A box is keyed
-    by its sorted letters, the identity a ``BoxFactor`` has, but no
-    ``BoxFactor`` is built.  It also keeps its own Lambda and sigma memos.
-    These caches live exactly as long as the universe:
-    ``inverse_matrix_at`` builds one per call, so nothing is left behind
-    for a point nobody will reuse.  Symbolic universes share the
-    module-level memos instead.
+    any work.  It also caches the value of each pair parameter, and per box
+    factor the values of its monomial (``q_block``) and of its inverse.  A
+    box is keyed by its sorted letters, the identity a ``BoxFactor`` has,
+    but no ``BoxFactor`` is built.
     """
 
-    __slots__ = ("one_param", "assignment", "mode", "_tag", "sigma_memo",
-                 "lambda_memo", "_pairs", "_boxes")
+    __slots__ = ("one_param", "assignment", "mode", "sigma_memo",
+                 "lambda_memo", "_pairs", "_boxes", "_box_calls")
 
     def __init__(self, one_param: bool = False, assignment=None,
                  mode: str = "free"):
         self.one_param = one_param
         self.assignment = assignment
         self.mode = mode
-        if assignment is None:
-            self._tag = ("sym", one_param)
-            self.sigma_memo, self.lambda_memo = _SIGMA_MEMO, _LAMBDA_MEMO
-        else:
+        self.sigma_memo, self.lambda_memo = {}, {}
+        if assignment is not None:
             check_assignment(assignment, mode)
-            self._tag = "num"
-            self.sigma_memo, self.lambda_memo = {}, {}
             self._pairs = {}   # (i, j) -> value of q_ij
             self._boxes = {}   # sorted letters -> (q-part, 1 / box) values
+            self._box_calls = {}   # (letters, positions) -> the same values
 
     def key(self, letters: tuple):
-        # one-parameter symbolic values only depend on interval sizes
-        if self.assignment is None and self.one_param:
-            return (self._tag, len(letters))
-        return (self._tag, letters)
-
-    def one(self):
-        if self.assignment is None:
-            return BoxFraction.one()
-        return GaussRat.of(1)
-
-    def zero(self):
-        if self.assignment is None:
-            return BoxFraction.zero()
-        return GaussRat.of(0)
+        return len(letters) if self.one_param else letters
 
     def const(self, c: int):
         if self.assignment is None:
             return BoxFraction(Poly.const(c))
         return GaussRat.of(c)
-
-    def box_inv(self, letters: tuple, positions):
-        """1 / Box over the given 1-based positions of the letter tuple."""
-        if self.assignment is None:
-            return BoxFraction(Poly.one(),
-                               (_box(letters, positions, self.one_param),))
-        return self._box_values(letters, positions)[1]
 
     def q_block(self, letters: tuple, positions):
         """The monomial prod_{a != b in positions} q_{letters_a letters_b}."""
@@ -146,8 +120,8 @@ class Universe:
 
         Symbolically this is one ``boxes.sum_parts``: reduced once for a
         generic multiparameter word, a running sum of reduced terms
-        otherwise.  Numerically it is a running sum of ``box_inv``
-        products.
+        otherwise.  Numerically it is a running sum of products of the
+        cached inverse box values.
         """
         if self.assignment is None:
             return sum_parts([
@@ -158,7 +132,7 @@ class Universe:
         for sign, Ts in terms:
             term = GaussRat.of(sign)
             for T in Ts:
-                term = term * self.box_inv(letters, T)
+                term = term * self._box_values(letters, T)[1]
             val = val + term
         return val
 
@@ -180,8 +154,13 @@ class Universe:
         return x
 
     def _box_values(self, letters: tuple, positions) -> tuple:
-        # keyed by what identifies the BoxFactor: its sorted letters, or in
-        # one-parameter mode its size, standing for the letters 1..k
+        # looked up as called first (every caller passes a range, which
+        # hashes by value), then by what identifies the BoxFactor: its
+        # sorted letters, or in one-parameter mode its size, standing for
+        # the letters 1..k
+        vals = self._box_calls.get((letters, positions))
+        if vals is not None:
+            return vals
         if self.one_param:
             key = tuple(range(1, len(positions) + 1))
         else:
@@ -192,17 +171,8 @@ class Universe:
             q = self.mono(key, [(a, b) for a in T for b in T if a != b])
             one = GaussRat.of(1)
             vals = self._boxes[key] = (q, one / (one - q))
+        self._box_calls[(letters, positions)] = vals
         return vals
-
-
-_SYMBOLIC = Universe()
-_ONE_PARAM = Universe(one_param=True)
-
-
-def _universe(one_param: bool, universe: Universe | None) -> Universe:
-    if universe is not None:
-        return universe
-    return _ONE_PARAM if one_param else _SYMBOLIC
 
 
 def _box(letters: tuple, positions, one_param: bool) -> BoxFactor:
@@ -235,12 +205,13 @@ def lambda_sigma(letters, blocks, one_param: bool = False,
         sum over bracketings beta of 1..l with outer brackets of
         (-1)^(b(beta)+l-1) / prod_{[a..b] in beta} Box(J_a u ... u J_b)
 
-    A single block gives 1.
+    A single block gives 1.  A given universe fixes the mode; without one,
+    the call builds its own from ``one_param``.
 
     >>> print(lambda_sigma((1, 2, 3), ((1, 1), (2, 2), (3, 3))))
     (1 - q12*q21*q23*q32) / Box{1,2} Box{1,2,3} Box{2,3}
     """
-    u = _universe(one_param, universe)
+    u = universe or Universe(one_param)
     letters = tuple(letters)
     blocks = tuple(blocks)
     key = (u.key(letters), blocks)
@@ -249,7 +220,7 @@ def lambda_sigma(letters, blocks, one_param: bool = False,
         return cached
     l = len(blocks)
     if l == 1:
-        val = u.one()
+        val = u.const(1)
     else:
         val = u.box_sum(letters, [
             (1 if (len(beta) + l - 1) % 2 == 0 else -1,
@@ -269,18 +240,6 @@ def tree_like(g: Perm) -> bool:
     return young_sequence(g)[1]
 
 
-def clear_caches() -> None:
-    """Empty the module-level caches: the symbolic Lambda and sigma memos
-    and the per-permutation caches of ``tree_like``, ``_step_plan`` and
-    ``perms.young_data``.  Nothing else holds their entries, so this frees
-    them; later calls recompute the same values."""
-    _SIGMA_MEMO.clear()
-    _LAMBDA_MEMO.clear()
-    tree_like.cache_clear()
-    _step_plan.cache_clear()
-    young_data.cache_clear()
-
-
 def lambda_scalar(letters, g: Perm, one_param: bool = False,
                   universe: Universe | None = None,
                   check_closed: bool = True):
@@ -289,9 +248,11 @@ def lambda_scalar(letters, g: Perm, one_param: bool = False,
 
     Computed by the literal two-step reversal recursion; when
     ``check_closed`` is set, the closed-form product over the whole reversal
-    sequence is evaluated independently and asserted equal.
+    sequence is evaluated independently and asserted equal.  A given
+    universe fixes the mode; without one, the call builds its own from
+    ``one_param``.
     """
-    u = _universe(one_param, universe)
+    u = universe or Universe(one_param)
     letters = tuple(letters)
     m = len(letters)
     if g.n != m:
@@ -301,13 +262,13 @@ def lambda_scalar(letters, g: Perm, one_param: bool = False,
     if cached is not None:
         return cached
     if g.is_identity():
-        val = lambda_sigma(letters, _singletons(m), one_param, u)
+        val = lambda_sigma(letters, _singletons(m), universe=u)
     elif not tree_like(g):
-        val = u.zero()
+        val = u.const(0)
     else:
-        val = _fast_step(letters, g, one_param, u)
+        val = _fast_step(letters, g, u)
         if check_closed:
-            closed = _closed_form(letters, g, one_param, u)
+            closed = _closed_form(letters, g, u)
             assert val == closed, (
                 f"closed-form product disagrees with the recursion at {g}")
     u.lambda_memo[key] = val
@@ -337,7 +298,7 @@ def _step_plan(g: Perm) -> tuple:
     return sign, blocks, subs, q_ranges, restricted
 
 
-def _fast_step(letters: tuple, g: Perm, one_param: bool, u: Universe):
+def _fast_step(letters: tuple, g: Perm, u: Universe):
     """One application of the combined two-step recursion:
 
     Lambda(g) = (-1)^(n(g)+n(g')) . Lambda_{sigma(g)}
@@ -348,18 +309,18 @@ def _fast_step(letters: tuple, g: Perm, one_param: bool, u: Universe):
     and K running over the blocks of sigma(g').
     """
     sign, blocks, subs, q_ranges, restricted = _step_plan(g)
-    val = u.const(sign) * lambda_sigma(letters, blocks, one_param, u)
+    val = u.const(sign) * lambda_sigma(letters, blocks, universe=u)
     for (a, b), sub in subs:
-        val = val * lambda_sigma(letters[a - 1:b], sub, one_param, u)
+        val = val * lambda_sigma(letters[a - 1:b], sub, universe=u)
     for positions in q_ranges:
         val = val * u.q_block(letters, positions)
     for (a, b), h in restricted:
-        val = val * lambda_scalar(letters[a - 1:b], h, one_param, u,
+        val = val * lambda_scalar(letters[a - 1:b], h, universe=u,
                                   check_closed=False)
     return val
 
 
-def _closed_form(letters: tuple, g: Perm, one_param: bool, u: Universe):
+def _closed_form(letters: tuple, g: Perm, u: Universe):
     """The full reversal-sequence product for a tree-like permutation:
     global sign from the total excess of block sizes over block counts,
     relative thickened factors at every level, Q-monomials on odd levels."""
@@ -373,13 +334,13 @@ def _closed_form(letters: tuple, g: Perm, one_param: bool, u: Universe):
     d = len(seq) - 1
     exponent = sum(b - a for blocks in subs for a, b in blocks)
     val = u.const(1 if exponent % 2 == 0 else -1)
-    val = val * lambda_sigma(letters, subs[0], one_param, u)
+    val = val * lambda_sigma(letters, subs[0], universe=u)
     for k in range(1, d + 1):
         for a, b in subs[k - 1]:
             if b > a:
                 sub = tuple((x - (a - 1), y - (a - 1))
                             for x, y in subs[k] if a <= x and y <= b)
-                val = val * lambda_sigma(letters[a - 1:b], sub, one_param, u)
+                val = val * lambda_sigma(letters[a - 1:b], sub, universe=u)
     for k in range(1, d + 1, 2):
         for a, b in subs[k]:
             if b > a:
@@ -407,8 +368,13 @@ def lambda_fast(g: Perm, nu: Weight | None = None, one_param: bool = False,
     """Lambda(g) as a diagonal over all words of the weight."""
     if basis is None:
         basis = Basis.of_weight(nu)
+    return _lambda_diag(g, basis, Universe(one_param), check_closed)
+
+
+def _lambda_diag(g: Perm, basis: Basis, u: Universe,
+                 check_closed: bool) -> DiagOp:
     return DiagOp(basis, tuple(
-        lambda_scalar(tuple(w), g, one_param, check_closed=check_closed)
+        lambda_scalar(tuple(w), g, universe=u, check_closed=check_closed)
         for w in basis.words))
 
 
@@ -424,13 +390,14 @@ def lambda_id(nu: Weight | None = None, form: str = "outer-bracket",
     if basis is None:
         basis = Basis.of_weight(nu)
     n = basis.n
+    u = Universe(one_param)
 
     def value(w):
         letters = tuple(w)
         if n == 1:
             return BoxFraction.one()
         if form == "outer-bracket":
-            return lambda_sigma(letters, _singletons(n), one_param)
+            return lambda_sigma(letters, _singletons(n), universe=u)
         if form == "no-outer":
             outer = _box(letters, range(1, n + 1), one_param)
             parts = []
@@ -745,9 +712,10 @@ def inv_full(nu: Weight | None = None, method: str = "fast",
     if not nu.generic:
         raise ValueError("weight has repeated letters; use inv_degenerate")
     if method == "fast":
+        u = Universe(one_param)
         entries = {}
         for g in all_perms(basis.n):
-            d = lambda_fast(g, nu, one_param, basis, check_closed=False)
+            d = _lambda_diag(g, basis, u, check_closed=False)
             if not d.is_zero():
                 entries[g] = d
         return LambdaTable(basis, one_param, entries)
@@ -797,7 +765,7 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
         inv = g.inverse().inversion_set()
         for j, w in enumerate(basis.words):
             gw = g.act_word(w)
-            val = lambda_scalar(tuple(gw), g, one_param, universe=u,
+            val = lambda_scalar(tuple(gw), g, universe=u,
                                 check_closed=False)
             if val.is_zero():
                 continue
@@ -956,7 +924,7 @@ def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
 
     if coeff is not None:
         letters = tuple(range(1, n + 1))
-        lam = lambda_scalar(letters, coeff, one_param)
+        lam = lambda_scalar(letters, coeff, universe=Universe(one_param))
         check_entry(coeff, Word(letters), lam)
         if report.failures:
             report.notes = ("claimed denominator does not clear this "

@@ -266,7 +266,9 @@ def shuffles(J, n: int):
     return [g for g in all_perms(n) if g.descents() <= J]
 
 
-@lru_cache(maxsize=None)
+# a full pass of any benchmark workload (seed 1) leaves at most 26 entries;
+# 1024 holds every subdivision of every degree <= 10
+@lru_cache(maxsize=1024)
 def _interval_reversal(blocks, n):
     w = Perm.identity(n)
     for a, b in blocks:

@@ -35,7 +35,7 @@ not depend on the order in which variables were registered.
 >>> p = Poly.var(1, 2) * Poly.var(2, 1)
 >>> print(Poly.one() - p)
 1 - q12*q21
->>> conjugate(Poly.var(1, 2) + Poly.var(1, 1))
+>>> (Poly.var(1, 2) + Poly.var(1, 1)).conjugate()
 Poly.parse('q11 + q21')
 """
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
-    "pair_var", "SINGLE_Q", "mono_key", "conjugate",
+    "pair_var", "SINGLE_Q", "mono_key",
     "check_assignment", "evaluate_terms", "param_value", "random_hermitian",
 ]
 
@@ -885,11 +885,6 @@ def param_value(assignment: Mapping[ParamVar, GaussRat], v: ParamVar,
     if v not in assignment:
         raise KeyError(f"no value for {_var_str(v)}")
     return assignment[v]
-
-
-def conjugate(p: Poly) -> Poly:
-    """The involution x[i,j] -> x[j,i], fixing x[i,i] and the single q."""
-    return p.conjugate()
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from quongram.ring import (Poly, GaussRat, conjugate, pair_var,
-                           random_hermitian)
+from quongram.ring import Poly, GaussRat, pair_var, random_hermitian
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight, inner_product, check_ccr
 from quongram.perms import Perm, all_perms, cycle, longest_element
@@ -66,7 +65,7 @@ def test_criterion_01_golden_matrices():
         for i in range(6):            # elided block by hermitian symmetry
             for j in range(6):
                 if want[i][j] is None:
-                    want[i][j] = conjugate(want[j][i])
+                    want[i][j] = want[j][i].conjugate()
         assert got == want
 
         # 3x3 degenerate matrix on words 113, 131, 311

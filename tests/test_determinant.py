@@ -56,6 +56,21 @@ def test_factor_chain_reproduces_formula():
             dict(det_formula(nu).factors)
 
 
+@pytest.mark.parametrize("spoil", [("plain", 2, 3), ("boxed", 2, 2)])
+def test_factor_chain_rejects_a_non_box_factor(monkeypatch, spoil):
+    # doubling one cyclic-factor determinant of n = 3 leaves a factor 2
+    real = determinant.det_single_cycle
+
+    def spoiled(nu, k, m, variant, basis=None):
+        p = real(nu, k, m, variant, basis=basis)
+        return p + p if (variant, k, m) == spoil else p
+
+    monkeypatch.setattr(determinant, "det_single_cycle", spoiled)
+    variant, k, m = spoil
+    with pytest.raises(ArithmeticError, match=f"{variant} factor t_{k},{m} "):
+        det_factor_chain(Weight.generic_n(3))
+
+
 def test_cycle_factor_formulas():
     # certified orbit-block determinants against the closed layer formulas
     nu = Weight.generic_n(4)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -9,7 +10,7 @@ from quongram import inverse
 from quongram.ring import Poly, GaussRat, SINGLE_Q
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
-from quongram.perms import Perm, all_perms, longest_element, young_data
+from quongram.perms import Perm, all_perms, longest_element
 from quongram.gram import (Basis, build_generic, build_degenerate, factor_CD,
                            q_mono)
 from quongram.inverse import (Universe, lambda_sigma, tree_like,
@@ -18,7 +19,7 @@ from quongram.inverse import (Universe, lambda_sigma, tree_like,
                               inv_chains, inv_long, inv_short, e_op,
                               d_inverse_op, c_unimodal_op, inv_zagier,
                               inv_brute, inv_full, inverse_matrix_at,
-                              inv_degenerate, zagier_check, clear_caches)
+                              inv_degenerate, zagier_check)
 
 from conftest import hermitian_assignment, symmetric_assignment
 
@@ -301,25 +302,27 @@ def test_numeric_inverse_keeps_no_stale_values(rng):
     assert got_a != got_b
 
 
-def test_numeric_inverse_leaves_module_memos_alone(rng):
+def test_no_universe_outlives_its_call(rng):
+    # each call owns its universe, and with it every Lambda and sigma memo
     nu = Weight.generic_n(3)
-    lambda_scalar((1, 2, 3), Perm((3, 2, 1)))   # some symbolic entries
-    before = len(inverse._LAMBDA_MEMO), len(inverse._SIGMA_MEMO)
+    inv_full(nu, "fast")
+    lambda_scalar((1, 2, 3), Perm((3, 2, 1)), one_param=True)
+    zagier_check(8, "one-param", coeff=Perm((4, 3, 2, 1, 8, 7, 6, 5)))
     inverse_matrix_at(nu, hermitian_assignment(nu.labels, rng), "hermitian")
-    assert (len(inverse._LAMBDA_MEMO), len(inverse._SIGMA_MEMO)) == before
+    gc.collect()
+    assert [o for o in gc.get_objects() if isinstance(o, Universe)] == []
 
 
-def test_clear_caches_recomputes_the_same_table():
+def test_repeated_and_interleaved_calls_agree(rng):
     nu = Weight.generic_n(3)
-    want = inv_full(nu, "fast").to_json()
-    assert inverse._LAMBDA_MEMO and young_data.cache_info().currsize
-    assert inverse._step_plan.cache_info().currsize
-    clear_caches()
-    assert not inverse._LAMBDA_MEMO and not inverse._SIGMA_MEMO
-    assert young_data.cache_info().currsize == 0
-    assert tree_like.cache_info().currsize == 0
-    assert inverse._step_plan.cache_info().currsize == 0
-    assert inv_full(nu, "fast").to_json() == want
+    a = hermitian_assignment(nu.labels, rng)
+    multi = inv_full(nu, "fast").to_json()
+    one = inv_full(nu, "fast", one_param=True).to_json()
+    point = inverse_matrix_at(nu, a, "hermitian")
+    assert inv_full(nu, "fast").to_json() == multi
+    assert inv_full(nu, "fast", one_param=True).to_json() == one
+    assert inverse_matrix_at(nu, a, "hermitian") == point
+    assert multi != one
 
 
 def test_numeric_inverse_is_inverse(rng):
