@@ -3,13 +3,14 @@
 
 Three exact routes to det A_n for generic weights:
   formula   -- the closed box-product formula (instant, any n)
-  chain     -- per-factor elimination along the level factorization,
-               telescoped to the closed formula (the in-budget exact
-               certificate at n = 4; dense elimination there runs hours)
+  chain     -- elimination of each orbit block of each cyclic factor
+               along the level factorization, telescoped to the closed
+               formula (the exact certificate for n = 4..6, a few seconds
+               at n = 6; dense elimination runs hours already at n = 4)
   dense     -- fraction-free elimination of the full n! x n! matrix
                (only attempted for n <= 3)
 
-Usage:  python scripts/det_strategies.py [--max-n 4]
+Usage:  python scripts/det_strategies.py [--max-n 6]
 """
 
 import argparse
@@ -29,7 +30,7 @@ def timed(label, fn):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-n", type=int, default=4)
+    ap.add_argument("--max-n", type=int, default=6)
     args = ap.parse_args()
 
     for n in range(2, args.max_n + 1):

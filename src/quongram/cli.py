@@ -109,7 +109,8 @@ FACTORED_DET_MAX_LETTERS = 14
 CONTRAVARIANT_MAX_WORDS = 120
 CONTRAVARIANT_DET_MAX_LETTERS = 6
 # Every verify suite caps its own sizes at 4 or 6, so a larger --max-n
-# checks nothing more; --max-n 6 takes 1.9 s and 34 MB.  (check_counting
+# checks nothing more; --max-n 6 takes 4.5 s and 31 MB, about 2 s of it
+# the n = 6 factor chain of check_det.  (check_counting
 # used to compute the Schröder numbers up to --max-n: 100 000 took 13.6 s
 # and 1.6 GB.)
 VERIFY_MAX_N = 6
@@ -306,13 +307,13 @@ def check_det(max_n: int, rng) -> str:
         nu = Weight.generic_n(n)
         if det_mod.det_formula(nu).expand() != det_mod.det_elim(nu):
             raise VerifyFailure(f"det formula n={n}")
-    if max_n >= 4:
-        # the 24x24 case symbolically via the factor-chain elimination
-        nu = Weight.generic_n(4)
+    # from n = 4 (24x24) on symbolically via the factor-chain elimination
+    for n in range(4, max_n + 1):
+        nu = Weight.generic_n(n)
         got = det_mod.det_factor_chain(nu)
         want = det_mod.det_formula(nu)
         if sorted(got.factors) != sorted(want.factors):
-            raise VerifyFailure("det factor chain n=4")
+            raise VerifyFailure(f"det factor chain n={n}")
     return "determinant formula matches elimination"
 
 

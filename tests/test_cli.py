@@ -259,6 +259,19 @@ def test_verify_single_suite():
     assert code == 2
 
 
+def test_verify_det_certifies_the_factor_chain_up_to_max_n(monkeypatch):
+    from quongram import determinant
+
+    real, sizes = determinant.det_factor_chain, []
+
+    def spy(nu):
+        sizes.append(nu.size)
+        return real(nu)
+    monkeypatch.setattr(determinant, "det_factor_chain", spy)
+    code, s = run("verify", "--max-n", "5")
+    assert code == 0 and "ok   det:" in s and sizes == [4, 5]
+
+
 def test_verify_deterministic_for_seed():
     a = run("--seed", "7", "verify", "--suite", "positivity,oracle",
             "--max-n", "3")

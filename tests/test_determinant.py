@@ -50,7 +50,7 @@ def test_formula_exponents():
 
 
 def test_factor_chain_reproduces_formula():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         nu = Weight.generic_n(n)
         assert dict(det_factor_chain(nu).factors) == \
             dict(det_formula(nu).factors)
@@ -58,14 +58,17 @@ def test_factor_chain_reproduces_formula():
 
 @pytest.mark.parametrize("spoil", [("plain", 2, 3), ("boxed", 2, 2)])
 def test_factor_chain_rejects_a_non_box_factor(monkeypatch, spoil):
-    # doubling one cyclic-factor determinant of n = 3 leaves a factor 2
-    real = determinant.det_single_cycle
+    # doubling one orbit-block determinant of n = 3 leaves a factor 2
+    real = determinant._cycle_blocks
 
-    def spoiled(nu, k, m, variant, basis=None):
-        p = real(nu, k, m, variant, basis=basis)
-        return p + p if (variant, k, m) == spoil else p
+    def spoiled(nu, k, m, variant, one_param, basis):
+        blocks = real(nu, k, m, variant, one_param, basis)
+        if (variant, k, m) == spoil:
+            p = next(blocks)
+            yield p + p
+        yield from blocks
 
-    monkeypatch.setattr(determinant, "det_single_cycle", spoiled)
+    monkeypatch.setattr(determinant, "_cycle_blocks", spoiled)
     variant, k, m = spoil
     with pytest.raises(ArithmeticError, match=f"{variant} factor t_{k},{m} "):
         det_factor_chain(Weight.generic_n(3))
@@ -549,14 +552,74 @@ def test_univariate_nonsymmetric_rows(rng):
     assert det_univariate(rows) == _general_sweep(rows)
 
 
-def test_univariate_vanishing_leading_minor():
-    # the leading 1x1 minor is 0, so elimination at every point swaps rows
+def _spy_det_mod(monkeypatch):
+    """Record (upper, returned None) for every _det_mod call."""
+    real, seen = determinant._det_mod, []
+
+    def spy(M, p, _upper=False):
+        d = real(M, p, _upper)
+        seen.append((_upper, d is None))
+        return d
+    monkeypatch.setattr(determinant, "_det_mod", spy)
+    return seen
+
+
+def _symmetrizable(S, w, u, v):
+    """S·diag(w) with row i shifted by q^u_i and column j by q^v_j, for S
+    symmetric and w nonzero integers: diag(q^(v_i - u_i) / w_i) makes it
+    symmetric."""
+    n = len(S)
+    return [[_trim([0] * (u[i] + v[j]) + [x * w[j] for x in S[i][j]])
+             for j in range(n)] for i in range(n)]
+
+
+def test_univariate_vanishing_leading_minor(monkeypatch):
+    # the leading 1x1 minor is 0 at every point, so elimination swaps rows;
+    # the rows are symmetric, then made symmetrizable by S·diag(w) and
+    # shifts, so each symmetric sweep (q >= 1) stops at its first pivot
+    # and the general sweep runs in its place
     rows = [[[0], [1, 1], [2]],
             [[1, 1], [0, 3], [1]],
             [[2], [1], [1, 0, 1]]]
-    want = _general_sweep(rows)
-    assert det_univariate(rows) == want
-    assert want != [0]
+    seen = _spy_det_mod(monkeypatch)
+    for rows in (rows, _symmetrizable(rows, [3, -2, 5], [0, 1, 0],
+                                      [0, 0, 2])):
+        seen.clear()
+        want = _general_sweep(rows)
+        assert det_univariate(rows) == want
+        assert want != [0]
+        assert seen[0] == (False, False) and len(seen) % 2 and len(seen) > 1
+        assert set(seen[1::2]) == {(True, True)}
+        assert set(seen[2::2]) == {(False, False)}
+
+
+@pytest.mark.parametrize("matrix, slope, symmetric", [
+    (varchenko_matrix(3), lambda i, j: i + j + 1, True),
+    # q_ij and q_ji take different slopes: symmetrizable, not symmetric
+    (build_generic(Weight.generic_n(3)), lambda i, j: 2 * i + j, False),
+])
+def test_univariate_slices_take_the_symmetric_sweep(monkeypatch, matrix,
+                                                    slope, symmetric):
+    rows = [[poly_to_univariate(e, slope) for e in row]
+            for row in matrix.entries]
+    assert (rows == [list(col) for col in zip(*rows)]) == symmetric
+    seen = _spy_det_mod(monkeypatch)
+    assert det_univariate(rows) == _general_sweep(rows)
+    # q = 0 by the general sweep, every other point by the symmetric one;
+    # with the valuations stripped D is 9, not 12
+    assert len(seen) == 10 and seen[0] == (False, False)
+    assert set(seen[1:]) == {(True, False)}
+
+
+def test_univariate_strips_row_and_column_valuations(monkeypatch):
+    # q^3 divides column 1, then row 1 of the transpose: stripped, the
+    # rows are constants, so D = 0 and q = 0 is the only point
+    rows = [[[1], [0, 0, 0, 1]], [[1], [0, 0, 0, 2]]]
+    seen = _spy_det_mod(monkeypatch)
+    for rows in (rows, [list(col) for col in zip(*rows)]):
+        seen.clear()
+        assert det_univariate(rows) == [0, 0, 0, 1] == _general_sweep(rows)
+        assert seen == [(False, False)]
 
 
 @pytest.mark.parametrize("rows, want", [
@@ -581,12 +644,15 @@ def test_univariate_coefficients_beyond_every_listed_prime():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 6), st.sampled_from([1, 2, 3]),
        st.sampled_from(["plain", "symmetric", "singular", "zero-row",
-                        "zero-column", "constant"]),
+                        "zero-column", "constant", "symmetrizable",
+                        "symmetrizable-singular"]),
        st.sampled_from([3, 2 ** 200]), st.integers(0, 10 ** 9))
 def test_univariate_matches_reference(n, g, shape, bound, seed):
     """Random rows of size 0-6 graded by g (every exponent of entry (i, j)
     is r_i + c_j mod g), with coefficients up to bound: 2^200 needs a
-    Mersenne prime beyond 2^61 - 1."""
+    Mersenne prime beyond 2^61 - 1.  The symmetrizable shapes are
+    _symmetrizable rows; the singular one repeats row and column 0 of S
+    last."""
     rng = random.Random(seed)
     r = [rng.randint(0, 3) for _ in range(n)]
     c = [rng.randint(0, 3) for _ in range(n)]
@@ -612,9 +678,21 @@ def test_univariate_matches_reference(n, g, shape, bound, seed):
     elif shape == "zero-column":
         for row in rows:
             row[0] = [0]
+    elif shape.startswith("symmetrizable"):
+        S = [[rows[min(i, j)][max(i, j)] for j in range(n)]
+             for i in range(n)]
+        if shape == "symmetrizable-singular" and n > 1:
+            S[-1] = list(S[0])
+            for row in S:
+                row[-1] = row[0]
+        rows = _symmetrizable(
+            S, [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(n)],
+            [rng.randint(0, 3) for _ in range(n)],
+            [rng.randint(0, 3) for _ in range(n)])
     want = _general_sweep(rows)
     assert det_univariate(rows) == want
-    if shape in ("singular", "zero-row", "zero-column") and n > 1:
+    if shape in ("singular", "zero-row", "zero-column",
+                 "symmetrizable-singular") and n > 1:
         assert want == [0]
 
 
