@@ -109,7 +109,7 @@ FACTORED_DET_MAX_LETTERS = 14
 CONTRAVARIANT_MAX_WORDS = 120
 CONTRAVARIANT_DET_MAX_LETTERS = 6
 # Every verify suite caps its own sizes at 4 or 6, so a larger --max-n
-# checks nothing more; --max-n 6 takes 4.5 s and 31 MB, about 2 s of it
+# checks nothing more; --max-n 6 takes 2.2 s and 32 MB, about 0.3 s of it
 # the n = 6 factor chain of check_det.  (check_counting
 # used to compute the Schröder numbers up to --max-n: 100 000 took 13.6 s
 # and 1.6 GB.)

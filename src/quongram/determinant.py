@@ -18,10 +18,11 @@ every coefficient, followed by exact interpolation (``det_univariate``).
 
 ``det_factor_chain`` certifies the formula beyond the reach of dense
 elimination, which runs for hours already at n = 4: each orbit block of
-each cyclic factor is eliminated and peeled into box factors on its own,
-so n = 5 takes about 0.2 s and n = 6 about 2.4 s.  ``det_univariate`` strips the lowest power of q from
-every row and column first, and sweeps only the upper triangle of a
-matrix made symmetric by a diagonal scaling, which every Gram and
+each cyclic factor is I minus a weighted cycle, read off as
+1 − ∏ weights (Leibniz) and checked to be one box, so n = 6 takes about
+0.3 s and n = 7 about 3 s.  ``det_univariate`` strips the lowest power
+of q from every row and column first, and sweeps only the upper triangle
+of a matrix made symmetric by a diagonal scaling, which every Gram and
 Varchenko slice is.
 
 The Bareiss engine is lazy per entry.  With D_l the leading minor of size
@@ -360,42 +361,42 @@ def _word_orbits(basis: Basis, t: Perm):
         yield orbit
 
 
-def _cycle_blocks(nu: Weight, a: int, b: int, variant: str, one_param: bool,
-                  basis: Basis):
-    """Yield the determinant of each orbit block of I − R̂(t_{a,b}) (plain)
-    or I − Q_{{b,b+1}}R̂(t_{a,b}) (boxed), by genuine elimination: the
-    operator permutes basis words along t-orbits, so it is block-diagonal
-    after grouping words by orbit."""
+def _orbit_weights(nu: Weight, a: int, b: int, variant: str, basis: Basis):
+    """Yield the weights [d(w_0), ..., d(w_{L−1})] of each t_{a,b}-orbit
+    w_0, ..., w_{L−1}: I − R̂(t_{a,b}) (plain) or I − Q_{{b,b+1}}R̂(t_{a,b})
+    (boxed) sends w_{r−1} to w_r (indices mod L) with coefficient d(w_r),
+    so it is block-diagonal after grouping words by orbit."""
     t = cycle(a, b, basis.n)
-    op = rhat(t, nu, one_param, basis)
-    d = op.coefficients[t]
+    d = rhat(t, nu, False, basis).coefficients[t]
     if variant == "boxed":
-        d = q_diag_set(basis, (b, b + 1), one_param) * d
+        d = q_diag_set(basis, (b, b + 1), False) * d
     elif variant != "plain":
         raise ValueError(f"unknown variant {variant!r}")
     for orbit in _word_orbits(basis, t):
-        L = len(orbit)
-        zero, one = Poly.zero(), Poly.one()
-        block = [[one if r == c else zero for c in range(L)]
-                 for r in range(L)]
-        for r in range(L):
-            nxt = (r + 1) % L
-            # column r maps to row t·w_r = orbit[nxt] with coefficient
-            # d at the target word
-            block[nxt][r] = block[nxt][r] - d.value_at(orbit[nxt])
-        yield det_poly_bareiss(block)
+        yield [d.value_at(w) for w in orbit]
+
+
+def _cycle_block(weights) -> list:
+    """The block I − (the weighted cycle) of one orbit, whose entry
+    (r, r − 1 mod L) is −weights[r]."""
+    L = len(weights)
+    zero, one = Poly.zero(), Poly.one()
+    block = [[one if r == c else zero for c in range(L)] for r in range(L)]
+    for r, w in enumerate(weights):
+        block[r][r - 1] = block[r][r - 1] - w
+    return block
 
 
 def det_single_cycle(nu: Weight, a: int, b: int, variant: str = "plain",
-                     one_param: bool = False,
                      basis: Basis | None = None) -> Poly:
     """Determinant of I − R̂(t_{a,b}) (plain) or I − Q_{{b,b+1}}R̂(t_{a,b})
-    (boxed): the product of its orbit-block determinants (_cycle_blocks)."""
+    (boxed), by det_poly_bareiss on each orbit block: the elimination
+    oracle for the factor chain, which reads the blocks off by Leibniz."""
     if basis is None:
         basis = Basis.of_weight(nu)
     det = Poly.one()
-    for block in _cycle_blocks(nu, a, b, variant, one_param, basis):
-        det = det * block
+    for weights in _orbit_weights(nu, a, b, variant, basis):
+        det = det * det_poly_bareiss(_cycle_block(weights))
     return det
 
 
@@ -419,27 +420,25 @@ def peel_exponents(p: Poly, nu: Weight):
 
 def det_factor_chain(nu: Weight) -> DetFormula:
     """Exact determinant of A^(ν) assembled from the elimination chain:
-    every cyclic factor I − R̂(t_{k,m}) / I − Q_{{m,m+1}}R̂(t_{k,m}) has its
-    determinant computed by orbit-block elimination and certified as a box
-    product by exact peel division; multiplicativity across the verified
-    operator identities A = ∏_m A^m and A^m C^m = D^{m−1} then reduces
-    everything to integer exponent bookkeeping.
+    each cyclic factor I − R̂(t_{k,m}) / I − Q_{{m,m+1}}R̂(t_{k,m}) is the
+    product of its orbit blocks, each certified as one box, and the
+    operator identities A = ∏_m A^m and A^m C^m = D^{m−1} reduce the rest
+    to integer exponent bookkeeping.
 
-    Each orbit block is peeled on its own and the exponents are summed,
-    rather than peeling the product of a factor's blocks.  The verdict is
-    the same: a product of certified box products is a box product with the
-    summed exponents; and conversely, every block determinant has constant
-    term 1 and box factors are irreducible, so by unique factorization a
-    block that is not a box product leaves a non-box factor in the product
-    too.  A block of I minus a weighted cycle has determinant 1 − (the
-    product of its weights), two terms, where one factor's product reaches
-    15 625 terms at n = 4.
+    An orbit block is I minus a weighted L-cycle.  By Leibniz only the
+    identity and the full cycle pick a nonzero entry in every column, and
+    the cycle's term is (−1)^{L−1} · (−1)^L x = −x, x the product of the
+    weights: the block's determinant is exactly 1 − x.  Its letters μ are
+    those of the variables of x, and it counts once towards □_μ if
+    1 − x = □_μ and |μ| ≥ 2; any other block raises ArithmeticError (a
+    product of two or more boxes has at least three terms, so a two-term
+    block is a box product only if it is one box).  Nothing is eliminated
+    or divided; det_single_cycle eliminates the same blocks as the oracle.
 
-    (The direct dense symbolic elimination is used for n ≤ 3; this chain is
-    the exact replacement beyond, where the dense multiparameter
-    elimination is measured in hours already at n = 4 (24×24).  It
-    certifies n = 5 in about 0.2 s and n = 6 in about 2.4 s, both under
-    20 MB, on a 2-core x86 machine (Python 3.11).)
+    (Dense symbolic elimination, used for n ≤ 3, takes hours already at
+    n = 4 (24×24).  This chain certifies n = 5 in about 0.03 s, n = 6 in
+    0.3 s and n = 7 in 2.6-3.8 s at 24 MB peak, on a 2-core x86 machine
+    (Python 3.11).)
     """
     if not nu.generic:
         raise ValueError("factor-chain determinant requires a "
@@ -455,14 +454,15 @@ def det_factor_chain(nu: Weight) -> DetFormula:
         for variant, level, acc in (("plain", m, c_exps),
                                     ("boxed", m - 1, d_exps)):
             for k in range(1, m):
-                for p in _cycle_blocks(nu, k, level, variant, False, basis):
-                    exps = peel_exponents(p, nu)
-                    if exps is None:
+                for weights in _orbit_weights(nu, k, level, variant, basis):
+                    x = math.prod(weights, start=Poly.one())
+                    mu = tuple(sorted({i for v in x.variables()
+                                       for i in v[1:]}))
+                    if len(mu) < 2 or Poly.one() - x != _box_poly(mu, False):
                         raise ArithmeticError(f"{variant} factor "
                                               f"t_{k},{level} is not a box "
                                               "product")
-                    for mu, e in exps.items():
-                        acc[mu] = acc.get(mu, 0) + e
+                    acc[mu] = acc.get(mu, 0) + 1
         for mu in set(c_exps) | set(d_exps):
             diff = d_exps.get(mu, 0) - c_exps.get(mu, 0)
             if diff < 0:

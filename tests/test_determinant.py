@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quongram import determinant
 from quongram.ring import Poly, GaussRat
 from quongram.fock import Weight
-from quongram.gram import build_generic, build_degenerate
+from quongram.gram import Basis, build_generic, build_degenerate
 from quongram.determinant import (det_formula, det_cycle_factor,
                                   det_one_param, one_param_exponents,
                                   positivity_check, det_divides,
@@ -50,7 +50,7 @@ def test_formula_exponents():
 
 
 def test_factor_chain_reproduces_formula():
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6):
         nu = Weight.generic_n(n)
         assert dict(det_factor_chain(nu).factors) == \
             dict(det_formula(nu).factors)
@@ -58,20 +58,69 @@ def test_factor_chain_reproduces_formula():
 
 @pytest.mark.parametrize("spoil", [("plain", 2, 3), ("boxed", 2, 2)])
 def test_factor_chain_rejects_a_non_box_factor(monkeypatch, spoil):
-    # doubling one orbit-block determinant of n = 3 leaves a factor 2
-    real = determinant._cycle_blocks
-
-    def spoiled(nu, k, m, variant, one_param, basis):
-        blocks = real(nu, k, m, variant, one_param, basis)
-        if (variant, k, m) == spoil:
-            p = next(blocks)
-            yield p + p
-        yield from blocks
-
-    monkeypatch.setattr(determinant, "_cycle_blocks", spoiled)
+    # spoil the weights of one orbit of one factor at n = 3: a doubled
+    # weight reads 1 − 2x, a squared product 1 − x² = (1 − x)(1 + x), and
+    # unit weights the singular block 1 − 1 = 0, which has no letters
+    real = determinant._orbit_weights
     variant, k, m = spoil
-    with pytest.raises(ArithmeticError, match=f"{variant} factor t_{k},{m} "):
-        det_factor_chain(Weight.generic_n(3))
+    for spoiled_weights in (lambda ws: [ws[0] + ws[0]] + ws[1:],
+                            lambda ws: ws + ws,
+                            lambda ws: [Poly.one()] * len(ws)):
+        def spoiled(nu, a, b, kind, basis, spoil_fn=spoiled_weights):
+            orbits = real(nu, a, b, kind, basis)
+            if (kind, a, b) == spoil:
+                yield spoil_fn(next(orbits))
+            yield from orbits
+
+        monkeypatch.setattr(determinant, "_orbit_weights", spoiled)
+        with pytest.raises(ArithmeticError,
+                           match=f"{variant} factor t_{k},{m} "):
+            det_factor_chain(Weight.generic_n(3))
+
+
+def test_factor_chain_read_off_matches_block_elimination():
+    # every orbit block of every plain and boxed factor, read off as
+    # 1 − ∏ weights, against det_poly_bareiss of the block itself
+    for n in (2, 3, 4, 5):
+        nu = Weight.generic_n(n)
+        basis = Basis.of_weight(nu)
+        factors = [("plain", a, b) for b in range(2, n + 1)
+                   for a in range(1, b)]
+        factors += [("boxed", a, b) for b in range(1, n)
+                    for a in range(1, b + 1)]
+        blocks = 0
+        for variant, a, b in factors:
+            for weights in determinant._orbit_weights(nu, a, b, variant,
+                                                      basis):
+                read_off = Poly.one() - math.prod(weights, start=Poly.one())
+                assert read_off.nterms() == 2
+                assert read_off == det_poly_bareiss(
+                    determinant._cycle_block(weights))
+                blocks += 1
+        if n == 5:
+            assert blocks == 1214
+
+
+def test_factor_chain_neither_divides_nor_eliminates(monkeypatch):
+    calls = collections.Counter()
+    real_div, real_bareiss = Poly.exact_div, determinant.det_poly_bareiss
+
+    def div_spy(self, d):
+        calls["exact_div"] += 1
+        return real_div(self, d)
+
+    def bareiss_spy(rows):
+        calls["det_poly_bareiss"] += 1
+        return real_bareiss(rows)
+
+    monkeypatch.setattr(Poly, "exact_div", div_spy)
+    monkeypatch.setattr(determinant, "det_poly_bareiss", bareiss_spy)
+    nu = Weight.generic_n(4)
+    assert dict(det_factor_chain(nu).factors) == dict(det_formula(nu).factors)
+    assert not calls
+    # the spies see the elimination oracle on the same blocks
+    det_single_cycle(nu, 1, 4, "plain")
+    assert calls["det_poly_bareiss"] and calls["exact_div"]
 
 
 def test_cycle_factor_formulas():

@@ -239,7 +239,8 @@ def test_level_factorization_one_param():
 
 def test_elimination_pair():
     # A^m C^m = D^{m-1}
-    for nu in (Weight.generic_n(4), Weight({1: 2, 3: 1})):
+    for nu in (Weight.generic_n(4), Weight({1: 2, 3: 1}), Weight({1: 2, 2: 2}),
+               Weight({1: 2, 2: 1, 3: 1})):
         basis = Basis.of_weight(nu)
         for m in range(2, basis.n + 1):
             C, _ = factor_CD(nu, m, basis=basis)
