@@ -13,6 +13,10 @@ that key and nothing else.  We therefore never need multivariate gcd: a
 fraction is a polynomial numerator over a *multiset* of box factors, and the
 only cancellation mechanism is exact polynomial division by one of them.
 
+A denominator multiset is a sorted tuple of factors.  Sums merge these
+tuples directly (``_den_lcm``, ``_den_minus``), one linear pass each, and
+equal factors sit next to each other for ``groupby``.
+
 >>> f = BoxFraction(Poly.parse("1 - q12*q21"))
 >>> g = f / BoxFactor((1, 2), frozenset({1, 2}))
 >>> print(g)
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 __all__ = ["BoxFactor", "BoxFraction", "as_part", "product_part", "sum_parts"]
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -110,6 +113,49 @@ def _den_poly(den: tuple) -> Poly:
     return p
 
 
+def _den_lcm(a: tuple, b: tuple) -> tuple:
+    """Least common multiple of two sorted denominator multisets: every
+    factor as often as in the side that has it more often, sorted.  One
+    merge pass, which takes a factor on both sides once per matched pair."""
+    if not b or a == b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if y < x:
+            out.append(y)
+            j += 1
+        else:
+            out.append(x)
+            i += 1
+            if x == y:
+                j += 1
+    out += a[i:]
+    out += b[j:]
+    return tuple(out)
+
+
+def _den_minus(a: tuple, b: tuple) -> tuple:
+    """Multiset difference of two sorted denominators: every factor of a as
+    often as it occurs more often in a than in b, sorted.  One merge pass."""
+    if not b:
+        return a
+    out = []
+    j, nb = 0, len(b)
+    for x in a:
+        while j < nb and b[j] < x:
+            j += 1
+        if j < nb and b[j] == x:
+            j += 1
+        else:
+            out.append(x)
+    return tuple(out)
+
+
 class BoxFraction:
     """Polynomial numerator over a multiset of box factors, kept reduced:
     no factor of the denominator exactly divides the numerator."""
@@ -134,7 +180,7 @@ class BoxFraction:
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, o: "BoxFraction") -> "BoxFraction":
-        return _sum_once((as_part(self), as_part(o)))
+        return _sum_once(*_by_den((as_part(self), as_part(o))))
 
     def __radd__(self, o) -> "BoxFraction":
         return self + o
@@ -177,9 +223,8 @@ class BoxFraction:
         num, den = as_part(o)
         if self.den == den:
             return self.num == num
-        mine, theirs = Counter(self.den), Counter(den)
-        return (self.num * _den_poly((theirs - mine).elements())
-                == num * _den_poly((mine - theirs).elements()))
+        return (self.num * _den_poly(_den_minus(den, self.den))
+                == num * _den_poly(_den_minus(self.den, den)))
 
     def __hash__(self):
         """Hash of the value with every parameter set to 2: the numerator
@@ -225,7 +270,8 @@ class BoxFraction:
         if not self.den:
             return num
         parts = []
-        for f, m in sorted(Counter(self.den).items()):
+        for f, run in groupby(self.den):
+            m = len(tuple(run))
             parts.append(str(f) + (f"^{m}" if m > 1 else ""))
         den = " ".join(parts)
         if self.num.nterms() > 1:
@@ -248,26 +294,38 @@ def product_part(x, y):
     return nx * ny, dx + dy
 
 
-def _sum_once(parts) -> BoxFraction:
-    """Sum of (numerator, denominator multiset) pairs over their least
-    common multiset of box factors, reduced once.  Numerators over the same
-    denominator are added before they are multiplied up to the common one.
-    """
-    common: Counter = Counter()
+def _by_den(parts):
+    """The numerators of (numerator, denominator multiset) pairs listed per
+    denominator, keyed by the sorted denominator, and the least common
+    multiple of the denominators: the running ``_den_lcm`` of the distinct
+    ones.  Nothing is added yet, so a caller that folds the parts instead
+    has lost no arithmetic."""
+    common = ()
     by_den: dict = {}
     for n, den in parts:
         den = tuple(sorted(den))
-        if den not in by_den:
-            common |= Counter(den)
-            by_den[den] = n
+        if den in by_den:
+            by_den[den].append(n)
         else:
-            by_den[den] = by_den[den] + n
+            common = _den_lcm(common, den)
+            by_den[den] = [n]
+    return common, by_den
+
+
+def _sum_once(common, by_den) -> BoxFraction:
+    """Sum of the numerators of ``_by_den`` over their common denominator,
+    reduced once.  Numerators over the same denominator are added before
+    their sum is multiplied up to the common one, by the factors that
+    ``_den_minus`` finds its own denominator lacks."""
     num = Poly.zero()
-    for den, n in by_den.items():
+    for den, ns in by_den.items():
+        n = ns[0]
+        for m in ns[1:]:
+            n = n + m
         if not n.is_zero():
-            rest = common - Counter(den)
-            num = num + (n * _den_poly(rest.elements()) if rest else n)
-    return BoxFraction(num, common.elements())
+            rest = _den_minus(common, den)
+            num = num + (n * _den_poly(rest) if rest else n)
+    return BoxFraction(num, common)
 
 
 def sum_parts(parts) -> BoxFraction:
@@ -281,15 +339,18 @@ def sum_parts(parts) -> BoxFraction:
     the result.  Otherwise (a one-parameter box, or a repeated letter) a
     value can have several reduced forms, so each part is reduced and the
     parts are added with ``+`` in the given order, as a running sum always
-    has.  Parts with a zero numerator are skipped.
+    has.  Parts with a zero numerator are skipped.  The common denominator
+    holds every factor of every part, so the test runs over its factors
+    alone.
 
     >>> b = BoxFactor((1, 2), frozenset({1, 2}))
     >>> print(sum_parts([(Poly.one(), (b,)), (Poly.parse("-q12*q21"), (b,))]))
     1
     """
     parts = [(n, den) for n, den in parts if not n.is_zero()]
-    if all(f.prime for f in {f for _, den in parts for f in den}):
-        return _sum_once(parts)
+    common, by_den = _by_den(parts)
+    if all(f.prime for f in common):
+        return _sum_once(common, by_den)
     total = BoxFraction.zero()
     for n, den in parts:
         f = BoxFraction(n, den)
@@ -303,9 +364,20 @@ def _reduce(num: Poly, den: tuple):
     ``den`` is sorted, so equal factors are adjacent.  Each distinct factor
     is divided out until its first miss and never tried again: if f does
     not divide N, it does not divide N/g either.
+
+    A numerator of one term c*u is returned as it is, with no division
+    tried, since no box divides it.  A box 1 - m (m a monomial, never 1) has
+    positive degree, so it is no unit of Z[q].  If it divided c*u, each of
+    its irreducible factors would divide c*u and so, Z[q] being a unique
+    factorization domain, be an integer prime or a variable up to sign.
+    Neither divides 1 - m: its content is 1, as its constant term is 1, and
+    a variable divides only polynomials whose every term contains it, which
+    the term 1 does not.
     """
     if num.is_zero():
         return num, ()
+    if not den or num.nterms() == 1:
+        return num, den
     remaining = []
     for f, run in groupby(den):
         run = list(run)

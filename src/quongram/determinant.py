@@ -403,7 +403,10 @@ def det_single_cycle(nu: Weight, a: int, b: int, variant: str = "plain",
 def peel_exponents(p: Poly, nu: Weight):
     """Greedy exact-division factorization of p into box factors over the
     letters of ν.  Returns {letters: exponent} if p is exactly such a
-    product, else None."""
+    product, else None.  Zero is no such product (every box divides it, so
+    it could not be peeled to the end)."""
+    if p.is_zero():
+        return None
     labels = nu.labels
     out = {}
     for k in range(2, len(labels) + 1):

@@ -38,13 +38,12 @@ __all__ = [
 ]
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
                    param_value)
-from .boxes import BoxFactor, BoxFraction, sum_parts
+from .boxes import BoxFactor, BoxFraction, sum_parts, _den_minus
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
                     young_sequence, block_reversal, unimodal_subset)
@@ -848,16 +847,13 @@ def _leftover(frac: BoxFraction, candidate) -> BoxFraction | None:
 
     A candidate holding every denominator factor as often clears the
     denominator with no product; any other entry builds it."""
-    cden = Counter(frac.den)
-    ccand = Counter(candidate)
-    if cden <= ccand:
+    candidate = tuple(sorted(candidate))
+    rem_den = _den_minus(frac.den, candidate)
+    if not rem_den:
         return None
-    common = cden & ccand
-    rem_den = tuple((cden - common).elements())
     num = frac.num
-    for box, mult in (ccand - common).items():
-        for _ in range(mult):
-            num = num * box.expand()
+    for box in _den_minus(candidate, frac.den):
+        num = num * box.expand()
     left = BoxFraction(num, rem_den)
     return left if left.den else None
 

@@ -1,16 +1,22 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quongram.ring import Poly
-from quongram.boxes import BoxFactor, BoxFraction, sum_parts
+from quongram.ring import Poly, NotDivisible
+from quongram.boxes import (BoxFactor, BoxFraction, sum_parts, _den_lcm,
+                            _den_minus)
 
 
 def B(word, *positions):
     return BoxFactor(tuple(word), frozenset(positions))
+
+
+def P(word, *positions):
+    return BoxFactor(tuple(word), frozenset(positions), True)
 
 
 def test_expansion():
@@ -61,10 +67,47 @@ def test_one_param_box():
     assert f.expand() == Poly.one() - Poly.single_q() ** 6
 
 
-def test_reduction_cancels():
+def _spy_divs(monkeypatch):
+    seen = []
+    div = Poly.exact_div
+
+    def spy(self, d):
+        seen.append(d)
+        return div(self, d)
+    monkeypatch.setattr(Poly, "exact_div", spy)
+    return seen
+
+
+def test_reduction_cancels(monkeypatch):
+    seen = _spy_divs(monkeypatch)
     f = BoxFraction(B((1, 2), 1, 2).expand(), (B((1, 2), 1, 2),))
+    assert seen
     assert f == BoxFraction.one()
     assert f.den == ()
+    # one of two factors cancels, the other stays
+    b12, b123 = B((1, 2), 1, 2), B((1, 2, 3), 1, 2, 3)
+    x = Poly.parse("q12 - q13")
+    g = BoxFraction(x * b12.expand(), (b123, b12))
+    assert (g.num, g.den) == (x, (b123,))
+
+
+@pytest.mark.parametrize("num", ["1", "-3", "q12*q21", "2*q12^2*q21*q13",
+                                 "-q^6"])
+@pytest.mark.parametrize("den", [
+    (B((1, 2), 1, 2),),
+    (B((1, 2, 3), 1, 2, 3), B((1, 2), 1, 2), B((1, 2), 1, 2)),
+    (B((1, 1), 1, 2), B((1, 1, 2), 1, 2, 3)),
+    (P((1, 2, 3), 1, 2, 3), P((1, 2), 1, 2))])
+def test_monomial_numerators_try_no_division(monkeypatch, num, den):
+    num = Poly.parse(num)
+    seen = _spy_divs(monkeypatch)
+    f = BoxFraction(num, den)
+    assert not seen
+    assert (f.num, f.den) == (num, tuple(sorted(den)))
+    # division would have missed on every factor
+    for b in den:
+        with pytest.raises(NotDivisible):
+            num.exact_div(b.expand())
 
 
 def rand_fraction(rng):
@@ -117,10 +160,6 @@ def test_str_layout():
 
 
 # -- equality, hashing and the summation rule ---------------------------------
-
-def P(word, *positions):
-    return BoxFactor(tuple(word), frozenset(positions), True)
-
 
 def test_one_param_forms_of_one_value_are_equal_and_hash_equally():
     # 1 - q^6 = (1 - q^2)(1 + q^2 + q^4): two reduced forms of one value
@@ -287,3 +326,30 @@ def test_other_parts_are_folded_in_order(odd):
         assert len(seen) == live - 1
         assert (total.num, total.den) == (folded.num, folded.den)
         assert str(total) == str(folded)
+
+
+# -- sorted denominator tuples ------------------------------------------------
+
+ONE_PARAM = [P((1, 2), 1, 2), P((1, 2, 3), 1, 2, 3),
+             P((1, 2, 3, 4), 1, 2, 3, 4)]
+dens = st.lists(st.sampled_from(GENERIC + ONE_PARAM), max_size=7).map(
+    lambda fs: tuple(sorted(fs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dens, dens)
+def test_den_merges_agree_with_counter(a, b):
+    ca, cb = Counter(a), Counter(b)
+    assert _den_lcm(a, b) == tuple(sorted((ca | cb).elements()))
+    assert _den_minus(a, b) == tuple(sorted((ca - cb).elements()))
+
+
+summed = st.integers(0, 10 ** 9).map(lambda s: sum_parts(
+    _rand_parts(random.Random(s), GENERIC + ONE_PARAM, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fracs, one_param_fracs, summed))
+def test_reduction_is_idempotent(f):
+    g = BoxFraction(f.num, f.den)
+    assert (g.num, g.den) == (f.num, f.den)

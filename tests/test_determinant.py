@@ -138,6 +138,12 @@ def test_cycle_factor_formulas():
                 det_cycle_factor(a, b, nu, "boxed").factors)
 
 
+def test_zero_is_no_box_product():
+    nu = Weight.generic_n(3)
+    assert peel_exponents(Poly.zero(), nu) is None
+    assert peel_check(Poly.zero(), det_formula(nu)) is False
+
+
 def test_one_param_collapse():
     for n in (2, 3, 4, 5):
         assert dict(one_param_exponents(det_formula(
