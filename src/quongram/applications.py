@@ -43,7 +43,8 @@ from .ring import Poly
 from .fock import Word, Weight
 from .perms import Perm
 from .gram import Basis, GramMatrix
-from .determinant import det_univariate
+from .determinant import (det_formula, det_univariate, _product,
+                          _product_value, _product_str)
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +94,13 @@ class Edge:
     and determinant multiplicity."""
 
     subset: tuple  # increasing labels, k >= 2
-    n: int
+    multiplicity: int
 
     def weight(self) -> Poly:
         a = Poly.one()
         for i, j in itertools.combinations(self.subset, 2):
             a = a * Poly.var(i, j)
         return a
-
-    @property
-    def multiplicity(self) -> int:
-        k = len(self.subset)
-        return math.factorial(k - 2) * math.factorial(self.n - k + 1)
 
     def factor(self) -> Poly:
         """1 - a(L)^2, the determinant contribution of this edge."""
@@ -144,29 +140,16 @@ class VarchenkoDet:
     edges: tuple
 
     def expand(self) -> Poly:
-        p = Poly.one()
-        for e in self.edges:
-            p = p * e.factor() ** e.multiplicity
-        return p
+        return _product((e.factor(), e.multiplicity) for e in self.edges)
 
     def evaluate(self, assignment):
         """Exact value under a symmetric-real assignment."""
-        from .ring import GaussRat
-        val = GaussRat.of(1)
-        for e in self.edges:
-            f = e.factor().evaluate(assignment, "symmetric-real")
-            for _ in range(e.multiplicity):
-                val = val * f
-        return val
+        return _product_value(((e.factor(), e.multiplicity)
+                               for e in self.edges), assignment,
+                              "symmetric-real")
 
     def __str__(self):
-        bits = []
-        for e in self.edges:
-            s = f"(1 - {'*'.join(f'q{i}{j}^2' for i, j in itertools.combinations(e.subset, 2))})"
-            if e.multiplicity != 1:
-                s += f"^{e.multiplicity}"
-            bits.append(s)
-        return " * ".join(bits)
+        return _product_str((e.factor(), e.multiplicity) for e in self.edges)
 
 
 def varchenko_det(n: int) -> VarchenkoDet:
@@ -177,11 +160,9 @@ def varchenko_det(n: int) -> VarchenkoDet:
     >>> print(varchenko_det(2))
     (1 - q12^2)
     """
-    edges = []
-    for k in range(2, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), k):
-            edges.append(Edge(subset, n))
-    return VarchenkoDet(n, tuple(edges))
+    return VarchenkoDet(n, tuple(
+        Edge(subset, e)
+        for subset, e in det_formula(Weight.generic_n(n)).factors))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +372,8 @@ class ContravariantDet:
 
     def polynomial(self) -> Poly:
         """P, with the Poly variable x_kl = Poly.var(k, l) for u_kl."""
-        out = Poly.one()
-        for subset, e in self.factors:
-            x = Poly.one()
-            for k, l in itertools.combinations(subset, 2):
-                x = x * Poly.var(k, l)
-            out = out * (Poly.one() - x ** 4) ** e
-        return out
+        return _product((Poly.one() - Edge(subset, e).weight() ** 4, e)
+                        for subset, e in self.factors)
 
     def laurent_str(self) -> str:
         """u_all^{-n!} * P written out as a Laurent polynomial in the u_kl,
@@ -457,12 +433,7 @@ def contravariant_det(n: int) -> ContravariantDet:
     >>> d.symmetric_form_agrees()
     True
     """
-    factors = []
-    for m in range(2, n + 1):
-        e = math.factorial(m - 2) * math.factorial(n - m + 1)
-        for subset in itertools.combinations(range(1, n + 1), m):
-            factors.append((subset, e))
-    return ContravariantDet(n, tuple(factors))
+    return ContravariantDet(n, det_formula(Weight.generic_n(n)).factors)
 
 
 def elimination_det(S: GramMatrix, b: BilinearData) -> TLaurent:

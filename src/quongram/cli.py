@@ -44,6 +44,7 @@ def parse_weight(args) -> Weight:
     if getattr(args, "n", None) is not None and getattr(args, "weight", None):
         raise Usage("give either --weight or --n, not both")
     if getattr(args, "n", None) is not None:
+        _check_n("--n", args.n)
         return Weight.generic_n(args.n)
     if not getattr(args, "weight", None):
         raise Usage("a weight is required (--weight m1,m2,... or --n k)")
@@ -76,6 +77,11 @@ def _words(nu: Weight) -> int:
     """|ν|! / ∏ m_i!, the number of words of weight ν, without listing them."""
     return math.factorial(nu.size) // math.prod(
         math.factorial(m) for _, m in nu.multiplicities)
+
+
+def _check_n(flag: str, n: int):
+    if n < 1:
+        raise Usage(f"{flag} must be at least 1, got {n}")
 
 
 def _check_size(what: str, size: int, unit: str, limit: int,
@@ -120,9 +126,7 @@ def cmd_build(args, out) -> int:
     nu = parse_weight(args)
     _check_size(f"building the Gram matrix of weight {nu}", _words(nu),
                 "words", BUILD_MAX_WORDS)
-    mat = (build_generic(nu, args.one_param) if nu.generic
-           else build_degenerate(nu, args.one_param))
-    _print_matrix(mat, args.format, out)
+    _print_matrix(build_degenerate(nu, args.one_param), args.format, out)
     return 0
 
 
@@ -187,14 +191,25 @@ def cmd_invert(args, out) -> int:
     return 0
 
 
+# count tree-like walks the reversal sequence of each of the n!
+# permutations, all held in one list: n = 8 takes 3.4 s and 26 MB, n = 9
+# 26.6 s, and n = 11 passed 2 GB.  count bracketings lists every
+# bracketing: n = 10 takes 4.0 s and 197 MB, n = 11 26 s.
+TREE_LIKE_MAX_N = 8
+BRACKETINGS_MAX_N = 10
+
+
 def cmd_count(args, out) -> int:
     n = args.n
+    _check_n("--n", n)
     if args.what == "chains":
         out.write(f"{subdiv.schroeder_counts(n)[-1]}\n")
     elif args.what == "bracketings":
+        _check_size("count bracketings", n, "letters", BRACKETINGS_MAX_N)
         outer = not args.no_outer
         out.write(f"{len(subdiv.enumerate_bracketings(n, outer))}\n")
     elif args.what == "tree-like":
+        _check_size("count tree-like", n, "letters", TREE_LIKE_MAX_N)
         c = sum(1 for g in all_perms(n) if inv_mod.tree_like(g))
         out.write(f"{c}\n")
     elif args.what == "table":
@@ -207,6 +222,7 @@ def cmd_count(args, out) -> int:
 
 def cmd_varchenko(args, out) -> int:
     n = args.n
+    _check_n("--n", n)
     if args.det:
         _check_size("the factored arrangement determinant", n, "letters",
                     FACTORED_DET_MAX_LETTERS)
@@ -233,6 +249,7 @@ def _load_bdata(path: str, n: int) -> app_mod.BilinearData:
 
 def cmd_contravariant(args, out) -> int:
     n = args.n
+    _check_n("--n", n)
     if not args.det:
         _check_size(f"the contravariant form on {n} letters",
                     math.factorial(n), "words", CONTRAVARIANT_MAX_WORDS)
@@ -254,7 +271,14 @@ def cmd_zagier_check(args, out) -> int:
     mode = args.mode
     if args.one_param and mode == "multi":
         mode = "one-param"
+    _check_n("--n", args.n)
     coeff = Perm.parse(args.coeff) if args.coeff else None
+    if coeff is None:
+        # without --coeff every coefficient of the inverse is built, as in
+        # invert: n = 5 takes 3.7-4.5 s, n = 6 did not finish in 20 s
+        _check_size(f"zagier-check of every coefficient at n = {args.n}",
+                    math.factorial(args.n), "words", INVERT_MAX_WORDS,
+                    "; give --coeff to check one coefficient")
     report = inv_mod.zagier_check(args.n, mode, coeff)
     if args.format == "json":
         json.dump(report.to_json(), out, indent=2, sort_keys=True)
@@ -292,7 +316,7 @@ def _partitions(n: int, largest=None):
 def check_oracle(max_n: int, rng) -> str:
     """Every built Gram entry equals the derivative-oracle inner product."""
     for nu in _weights_up_to(min(max_n, 4)):
-        mat = (build_generic(nu) if nu.generic else build_degenerate(nu))
+        mat = build_degenerate(nu)
         for i, wi in enumerate(mat.basis.words):
             for j, wj in enumerate(mat.basis.words):
                 want = inner_product(wi, wj)
@@ -416,6 +440,7 @@ def cmd_verify(args, out) -> int:
     for s in names:
         if s not in SUITES:
             raise Usage(f"unknown suite {s!r}; have {', '.join(sorted(SUITES))}")
+    _check_n("--max-n", args.max_n)
     _check_size("verify --max-n", args.max_n, "letters", VERIFY_MAX_N,
                 "; no suite checks more")
     rng = random.Random(args.seed)

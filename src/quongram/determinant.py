@@ -80,7 +80,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import Poly, GaussRat, NotDivisible, check_assignment
+from .ring import Poly, GaussRat, NotDivisible, SINGLE_Q, check_assignment
 from .boxes import _box_poly
 from .fock import Word, Weight
 from .perms import Perm, cycle
@@ -92,6 +92,30 @@ from .gram import (Basis, build_generic, build_degenerate, rhat, q_diag_set,
 # factored formulas
 # ---------------------------------------------------------------------------
 
+def _product(pairs) -> Poly:
+    """∏ p^e over the (Poly p, exponent e) pairs, expanded."""
+    out = Poly.one()
+    for p, e in pairs:
+        out = out * p ** e
+    return out
+
+
+def _product_value(pairs, assignment, mode) -> GaussRat:
+    """The exact value of ∏ p^e under the assignment, factor by factor."""
+    val = GaussRat.of(1)
+    for p, e in pairs:
+        v = p.evaluate(assignment, mode)
+        for _ in range(e):
+            val = val * v
+    return val
+
+
+def _product_str(pairs) -> str:
+    """'(p)^e * ...' in the order given, '^1' left out; '1' for no pair."""
+    return " * ".join(f"({p})" + (f"^{e}" if e != 1 else "")
+                      for p, e in pairs) or "1"
+
+
 @dataclass(frozen=True)
 class DetFormula:
     """Factored determinant: multiset of box factors with exponents.
@@ -102,30 +126,20 @@ class DetFormula:
     factors: tuple
 
     def expand(self) -> Poly:
-        p = Poly.one()
-        for letters, e in self.factors:
-            p = p * _box_poly(tuple(letters), False) ** e
-        return p
+        return _product((_box_poly(tuple(m), False), e)
+                        for m, e in self.factors)
 
     def evaluate(self, assignment, mode="hermitian") -> GaussRat:
-        val = GaussRat.of(1)
-        for letters, e in self.factors:
-            b = _box_poly(tuple(letters), False).evaluate(assignment, mode)
-            for _ in range(e):
-                val = val * b
-        return val
+        return _product_value(((_box_poly(tuple(m), False), e)
+                               for m, e in self.factors), assignment, mode)
 
     def degree(self) -> int:
         return sum(e * len(m) * (len(m) - 1) for m, e in self.factors)
 
     def __str__(self):
-        bits = []
-        for letters, e in sorted(self.factors, key=lambda t: (len(t[0]), t[0])):
-            s = f"({_box_poly(tuple(letters), False)})"
-            if e != 1:
-                s += f"^{e}"
-            bits.append(s)
-        return " * ".join(bits) if bits else "1"
+        factors = sorted(self.factors, key=lambda t: (len(t[0]), t[0]))
+        return _product_str((_box_poly(tuple(m), False), e)
+                            for m, e in factors)
 
 
 @dataclass(frozen=True)
@@ -136,22 +150,15 @@ class OneParamDet:
     factors: tuple  # tuple of (k, exponent), k >= 2
 
     def expand(self) -> Poly:
-        p = Poly.one()
-        for k, e in self.factors:
-            p = p * (Poly.one() - Poly.single_q() ** (k * (k - 1))) ** e
-        return p
+        return _product((_box_poly(tuple(range(1, k + 1)), True), e)
+                        for k, e in self.factors)
 
     def degree(self) -> int:
         return sum(e * k * (k - 1) for k, e in self.factors)
 
     def __str__(self):
-        bits = []
-        for k, e in sorted(self.factors):
-            s = f"(1 - q^{k * (k - 1)})"
-            if e != 1:
-                s += f"^{e}"
-            bits.append(s)
-        return " * ".join(bits) if bits else "1"
+        return _product_str((_box_poly(tuple(range(1, k + 1)), True), e)
+                            for k, e in sorted(self.factors))
 
 
 def det_formula(nu: Weight) -> DetFormula:
@@ -234,7 +241,7 @@ def det_one_param(n: int) -> OneParamDet:
 # elimination oracles
 # ---------------------------------------------------------------------------
 
-def _bareiss(M, step, lift, is_zero, zero, _upper=False):
+def _bareiss(M, step, is_zero, zero, _upper=False):
     """Fraction-free (Bareiss) elimination of the square matrix M, in place,
     lazy per entry.
 
@@ -245,19 +252,19 @@ def _bareiss(M, step, lift, is_zero, zero, _upper=False):
     telescope: a^(k) = a^(m) D_k / D_m.  So step k updates just the entries
     whose product term a_ik a_kj is nonzero; every other entry keeps its
     value and its level m (lev[i][j], the number of steps applied to it).
-    An entry is lifted to level k, a ← lift(a, D_k, D_m), only when it is
-    read: as a pivot-row entry, as the a_ik or a_ij of an updated entry, or
-    as the final pivot.  The lift divides exactly, since eager Bareiss
+    An entry is lifted to level k, a ← a·D_k / D_m, only when it is read:
+    as a pivot-row entry, as the a_ik or a_ij of an updated entry, or as
+    the final pivot.  The lift is the step with a zero product term,
+    step(D_k, a, zero, zero, D_m), and divides exactly, since eager Bareiss
     values are minors (Sylvester).  A zero needs no lift, and zero tests
     need none either, as every D_l ≠ 0.  The cost scales with the number
     of updates whose product term is nonzero, which for the sparse Gram
     matrices is a small share of the eager sweep's.
 
-    step(akk, aij, aik, akj, prev) returns (akk·aij − aik·akj) / prev and
-    lift(a, up, down) returns a·up / down; both divisions are checked to be
-    exact, and prev or down is None where the divisor is D_0 = 1.  Returns
-    (sign, last pivot), so det M = sign · last pivot, or (1, zero) when M
-    is singular.  A row swap swaps the level rows too.
+    step(akk, aij, aik, akj, prev) returns (akk·aij − aik·akj) / prev; the
+    division is checked to be exact, and prev is None where the divisor is
+    D_0 = 1.  Returns (sign, last pivot), so det M = sign · last pivot, or
+    (1, zero) when M is singular.  A row swap swaps the level rows too.
 
     With _upper set, M must be hermitian and only its upper triangle is
     swept: every intermediate matrix stays hermitian, so step receives
@@ -287,7 +294,7 @@ def _bareiss(M, step, lift, is_zero, zero, _upper=False):
             a = rk[j]
             if not is_zero(a):
                 if lk[j] != k:
-                    rk[j] = lift(a, prev, D[lk[j]])
+                    rk[j] = step(prev, a, zero, zero, D[lk[j]])
                 if j > k:
                     cols.append(j)
         akk = rk[k]
@@ -304,18 +311,18 @@ def _bareiss(M, step, lift, is_zero, zero, _upper=False):
                 if is_zero(aik):
                     continue
                 if li[k] != k:
-                    aik = lift(aik, prev, D[li[k]])
+                    aik = step(prev, aik, zero, zero, D[li[k]])
                 ri[k] = zero    # frees the eliminated entry as the sweep goes
                 js = cols
             for j in js:
                 a = ri[j]
                 if li[j] != k and not is_zero(a):
-                    a = lift(a, prev, D[li[j]])
+                    a = step(prev, a, zero, zero, D[li[j]])
                 ri[j] = step(akk, a, aik, rk[j], prev)
                 li[j] = k + 1
     last, m = M[n - 1][n - 1], lev[n - 1][n - 1]
     if m != n - 1 and not is_zero(last):
-        last = lift(last, D[n - 1], D[m])
+        last = step(D[n - 1], last, zero, zero, D[m])
     return sign, last
 
 
@@ -324,26 +331,19 @@ def _poly_step(akk, aij, aik, akj, prev):
     return x if prev is None else x.exact_div(prev)
 
 
-def _poly_lift(a, up, down):
-    x = a * up
-    return x if down is None else x.exact_div(down)
-
-
 def det_poly_bareiss(rows) -> Poly:
     """Fraction-free elimination over exact polynomials; all divisions are
     exact by the Sylvester minor identity."""
     if not rows:
         return Poly.one()
-    sign, d = _bareiss([list(r) for r in rows], _poly_step, _poly_lift,
-                       Poly.is_zero, Poly.zero())
+    sign, d = _bareiss([list(r) for r in rows], _poly_step, Poly.is_zero,
+                       Poly.zero())
     return d.scale(sign)
 
 
 def det_elim(nu: Weight, one_param: bool = False) -> Poly:
     """Brute-force symbolic determinant of the built Gram matrix."""
-    A = build_degenerate(nu, one_param) if not nu.generic \
-        else build_generic(nu, one_param)
-    return det_poly_bareiss(A.entries)
+    return det_poly_bareiss(build_degenerate(nu, one_param).entries)
 
 
 def _word_orbits(basis: Basis, t: Perm):
@@ -511,24 +511,6 @@ def _gi_step(akk, aij, aik, akj, prev):
     return qr, qi
 
 
-def _gi_lift(a, up, down):
-    """a · up / down over Gaussian integers, the lift of the general sweep;
-    the division goes through the norm of down, as in _gi_step."""
-    c, d = a
-    ur, ui = up
-    re = c * ur - d * ui
-    im = c * ui + d * ur
-    if down is None:
-        return re, im
-    pr, pi = down
-    nrm = pr * pr + pi * pi
-    qr, rr = divmod(re * pr + im * pi, nrm)
-    qi, ri = divmod(im * pr - re * pi, nrm)
-    if rr or ri:
-        raise ArithmeticError("non-exact Gaussian-integer lift")
-    return qr, qi
-
-
 def _gi_herm_step(akk, aij, aki, akj, prev):
     """The Bareiss step of the hermitian sweep over Gaussian integers:
     a_ik is conj(aki), and the pivots akk and prev are real (leading
@@ -547,21 +529,6 @@ def _gi_herm_step(akk, aij, aki, akj, prev):
     qi, ri = divmod(im, p)
     if rr or ri:
         raise ArithmeticError("non-exact Gaussian-integer division")
-    return qr, qi
-
-
-def _gi_herm_lift(a, up, down):
-    """a · up / down for the hermitian sweep, whose pivots up and down are
-    real: two products and two divisions by an integer."""
-    u = up[0]
-    c, d = a
-    if down is None:
-        return c * u, d * u
-    p = down[0]
-    qr, rr = divmod(c * u, p)
-    qi, ri = divmod(d * u, p)
-    if rr or ri:
-        raise ArithmeticError("non-exact Gaussian-integer lift")
     return qr, qi
 
 
@@ -671,10 +638,10 @@ def det_point(entries) -> GaussRat:
     is_zero = (0, 0).__eq__
     res = None
     if _is_hermitian(rows):
-        res = _bareiss([row[:] for row in rows], _gi_herm_step,
-                       _gi_herm_lift, is_zero, (0, 0), _upper=True)
+        res = _bareiss([row[:] for row in rows], _gi_herm_step, is_zero,
+                       (0, 0), _upper=True)
     if res is None:
-        res = _bareiss(rows, _gi_step, _gi_lift, is_zero, (0, 0))
+        res = _bareiss(rows, _gi_step, is_zero, (0, 0))
     sign, d = res
     return GaussRat.from_ints(sign * d[0], sign * d[1],
                               t ** n * math.prod(s) ** 2)
@@ -715,28 +682,6 @@ def is_inverse(a_rows, b_rows) -> bool:
 # modulo (all are known primes; none is tested at run time).
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                       4253, 4423, 9689, 9941, 11213, 19937)
-
-
-def _u_exact_div(a, b):
-    a = list(a)
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    if a == [0]:
-        return [0]
-    if len(a) < len(b):
-        raise ArithmeticError("non-exact univariate division (degree)")
-    q = [0] * (len(a) - len(b) + 1)
-    for d in range(len(a) - len(b), -1, -1):
-        c, r = divmod(a[d + len(b) - 1], b[-1])
-        if r:
-            raise ArithmeticError("non-exact univariate division")
-        q[d] = c
-        if c:
-            for j, y in enumerate(b):
-                a[d + j] -= c * y
-    if any(a[:len(b) - 1]):
-        raise ArithmeticError("non-exact univariate division (remainder)")
-    return q
 
 
 def _det_mod(M, p, _upper=False):
@@ -1025,7 +970,7 @@ def positivity_check(nu: Weight, assignment, tolerance: float = 1e-9) -> bool:
     for v, val in assignment.items():
         if v[0] == "q" and val.abs2() >= 1:
             raise ValueError(f"|q| < 1 violated at {v}: |q|^2 = {val.abs2()}")
-    A = build_degenerate(nu) if not nu.generic else build_generic(nu)
+    A = build_degenerate(nu)
     num = np.array([[complex(v.a / v.d, v.b / v.d) for v in row]
                     for row in A.evaluate(assignment, "hermitian")])
     eigs = np.linalg.eigvalsh(num)
@@ -1077,15 +1022,14 @@ def det_divides(nu: Weight, seed: int = 0) -> Divisibility:
     slope = lambda i, j: slopes[(i, j)]
     tu = [[poly_to_univariate(e, slope) for e in row] for row in mapped]
     au = [[poly_to_univariate(e, slope) for e in row] for row in A.entries]
-    det_t = det_univariate(tu)
-    det_a = det_univariate(au)
+    det_t, det_a = (Poly({((SINGLE_Q, e),) if e else (): c
+                          for e, c in enumerate(d)})
+                    for d in (det_univariate(tu), det_univariate(au)))
     # A(0) = I, so det_a has constant term 1 and is primitive; by Gauss's
     # lemma exact division over Z[q] decides divisibility over Q[q].
-    try:
-        _u_exact_div(det_t, det_a)
-    except ArithmeticError:
-        return Divisibility(False, True)
-    return Divisibility(True, False)
+    if det_a.divides(det_t):
+        return Divisibility(True, False)
+    return Divisibility(False, True)
 
 
 if __name__ == "__main__":

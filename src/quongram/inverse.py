@@ -323,12 +323,7 @@ def _closed_form(letters: tuple, g: Perm, u: Universe):
     """The full reversal-sequence product for a tree-like permutation:
     global sign from the total excess of block sizes over block counts,
     relative thickened factors at every level, Q-monomials on odd levels."""
-    m = len(letters)
-    seq = [g]
-    cur = g
-    while not cur.is_identity():
-        cur = cur * block_reversal(young_data(cur).blocks, m)
-        seq.append(cur)
+    seq = [g, *young_sequence(g)[0]]
     subs = [young_data(h).blocks for h in seq]
     d = len(seq) - 1
     exponent = sum(b - a for blocks in subs for a, b in blocks)

@@ -205,7 +205,7 @@ def young_data(g: Perm) -> YoungData:
     return YoungData(frozenset(cuts), tuple(blocks), tuple(factors))
 
 
-def young_sequence(g: Perm, max_steps: int | None = None):
+def young_sequence(g: Perm):
     """Iterate g -> g * w_{J(g)} (reverse each block of the minimal Young
     subdivision) until the identity or a revisit.
 
@@ -213,25 +213,16 @@ def young_sequence(g: Perm, max_steps: int | None = None):
     permutations after g (so steps[-1] is where iteration stopped);
     depth = number of steps to reach the identity when tree_like.
     """
-    n = g.n
     seen = {g}
     steps = []
     cur = g
-    count = 0
     while not cur.is_identity():
-        yd = young_data(cur)
-        w = Perm.identity(n)
-        for a, b in yd.blocks:
-            w = w * longest_element(a, b, n)
-        cur = cur * w
+        cur = cur * block_reversal(young_data(cur).blocks, g.n)
         steps.append(cur)
-        count += 1
         if cur in seen:
             return steps, False, None
         seen.add(cur)
-        if max_steps is not None and count >= max_steps:
-            return steps, False, None
-    return steps, True, count
+    return steps, True, len(steps)
 
 
 def unimodal_subset(m: int, k: int, n: int):

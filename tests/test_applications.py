@@ -88,6 +88,19 @@ def test_domain_det_edge_count():
         {2: 6, 3: 2, 4: 2}
 
 
+def test_domain_det_prints_like_det():
+    # no factor prints "1", and a label past 9 prints as q[i,j], which
+    # Poly.parse reads back
+    assert str(varchenko_det(1)) == "1"
+    d = varchenko_det(11)
+    factors = str(d).split(" * ")
+    assert len(factors) == len(d.edges) == 2 ** 11 - 12
+    for text, e in zip(factors, d.edges):
+        body, _, exp = text.partition(")^")
+        assert Poly.parse(body.strip("()")) == e.factor()
+        assert int(exp or 1) == e.multiplicity
+
+
 def test_domain_det_at_point(rng):
     n = 4
     a = symmetric_assignment(range(1, n + 1), rng)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -146,6 +147,59 @@ def test_verify_refuses_max_n_past_every_suite(capsys, monkeypatch):
         code, s = run("verify", "--suite", "counting", "--max-n", max_n)
         assert code == 2 and s == ""
         assert "over the limit of 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zagier-check", "--n", "6"],
+    ["zagier-check", "--n", "6", "--mode", "one-param"],
+    ["count", "tree-like", "--n", "9"],
+    ["count", "tree-like", "--n", "11"],
+    ["count", "bracketings", "--n", "11"],
+    ["count", "bracketings", "--n", "12", "--no-outer"],
+], ids=" ".join)
+def test_sizes_that_never_finish_fail_fast(capsys, monkeypatch, argv):
+    # refused before any work starts, S_11 included
+    from quongram import cli, inverse, subdiv
+    _refuse(monkeypatch, inverse, ("inv_full", "zagier_check", "tree_like"))
+    _refuse(monkeypatch, subdiv, ("enumerate_bracketings",))
+    _refuse(monkeypatch, cli, ("all_perms",))
+    t0 = time.perf_counter()
+    code, s = run(*argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and s == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_zagier_check_without_coeff_points_to_coeff(capsys):
+    assert run("zagier-check", "--n", "6") == (2, "")
+    err = capsys.readouterr().err
+    assert "720 words, over the limit of 120" in err and "--coeff" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--n", "{n}"],
+    ["build", "--n", "{n}"],
+    ["invert", "--n", "{n}"],
+    ["count", "chains", "--n", "{n}"],
+    ["count", "bracketings", "--n", "{n}"],
+    ["count", "tree-like", "--n", "{n}"],
+    ["count", "table", "--n", "{n}"],
+    ["varchenko", "--n", "{n}"],
+    ["varchenko", "--det", "--n", "{n}"],
+    ["contravariant", "--n", "{n}"],
+    ["contravariant", "--det", "--n", "{n}"],
+    ["zagier-check", "--n", "{n}"],
+    ["zagier-check", "--n", "{n}", "--coeff", "1"],
+    ["verify", "--suite", "counting", "--max-n", "{n}"],
+], ids=lambda argv: " ".join(argv).replace("{n}", "N"))
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    for n in (0, -3):
+        code, s = run(*(a.format(n=n) for a in argv))
+        assert code == 2 and s == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 1" in err
+    code, s = run(*(a.format(n=1) for a in argv))
+    assert code == 0 and s
 
 
 def test_invert_degenerate_runs():

@@ -386,9 +386,8 @@ def _sweep(M, upper=False):
     sweep: the hermitian one if upper, else the general one.  None when
     the hermitian sweep meets a zero pivot."""
     rows = [[(v.a, v.b) for v in row] for row in M]
-    step, lift = ((determinant._gi_herm_step, determinant._gi_herm_lift)
-                  if upper else (determinant._gi_step, determinant._gi_lift))
-    res = determinant._bareiss(rows, step, lift, (0, 0).__eq__, (0, 0),
+    step = determinant._gi_herm_step if upper else determinant._gi_step
+    res = determinant._bareiss(rows, step, (0, 0).__eq__, (0, 0),
                                _upper=upper)
     if res is None:
         return None

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -27,3 +29,45 @@ def test_every_lru_cache_is_bounded(name):
                  if hasattr(f, "cache_parameters")
                  and f.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def _private_defs(tree):
+    """The private module-level functions and methods of a module, as
+    (name, first line, last line); dunder methods are not private."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in body:
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and d.name.startswith("_")
+                    and not d.name.endswith("__")):
+                first = min([d.lineno] + [x.lineno for x in d.decorator_list])
+                yield d.name, first, d.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every name, attribute and imported name read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+SOURCES = {name: ast.parse(
+    pathlib.Path(quongram.__path__[0], f"{name}.py").read_text())
+    for name in MODULES}
+REFERENCES = {(mod, ref, line) for mod, tree in SOURCES.items()
+              for ref, line in _references(tree)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_helper_is_used(name):
+    # a private helper that nothing in the package calls, other than itself,
+    # is a dead copy: delete it rather than keep it for the tests
+    unused = [helper for helper, first, last in _private_defs(SOURCES[name])
+              if not any(ref == helper
+                         and not (mod == name and first <= line <= last)
+                         for mod, ref, line in REFERENCES)]
+    assert unused == []
