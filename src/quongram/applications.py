@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ring import Poly
+from .ring import Poly, pair_var
 from .fock import Word, Weight
 from .perms import Perm
 from .gram import Basis, GramMatrix
@@ -97,10 +97,8 @@ class Edge:
     multiplicity: int
 
     def weight(self) -> Poly:
-        a = Poly.one()
-        for i, j in itertools.combinations(self.subset, 2):
-            a = a * Poly.var(i, j)
-        return a
+        return Poly.monomial(pair_var(i, j) for i, j in
+                             itertools.combinations(self.subset, 2))
 
     def factor(self) -> Poly:
         """1 - a(L)^2, the determinant contribution of this edge."""
@@ -124,10 +122,7 @@ def varchenko_matrix(n: int) -> GramMatrix:
     for si in inv_sets:
         row = []
         for sj in inv_sets:
-            p = Poly.one()
-            for a, b in si ^ sj:
-                p = p * Poly.var(a, b)
-            row.append(p)
+            row.append(Poly.monomial(pair_var(a, b) for a, b in si ^ sj))
         ent.append(row)
     return GramMatrix(basis, ent)
 
@@ -345,17 +340,16 @@ def contravariant_matrix_operators(n: int) -> GramMatrix:
     return GramMatrix(basis, ent)
 
 
-def contravariant_matrix(n: int, check: bool = True) -> GramMatrix:
+def contravariant_matrix(n: int) -> GramMatrix:
     """S on the weight-(1,...,1) space, entries as u-monomials; built from
-    the closed sign formula, with the operator recursion asserted to agree
-    when ``check`` is set."""
+    the closed sign formula, with the operator recursion asserted to
+    agree."""
     basis = Basis.of_weight(Weight.generic_n(n))
     ent = [[contravariant_entry(tuple(wi), tuple(wj))
             for wj in basis.words] for wi in basis.words]
     mat = GramMatrix(basis, ent)
-    if check:
-        assert mat == contravariant_matrix_operators(n), \
-            "closed formula disagrees with the g_i recursion"
+    assert mat == contravariant_matrix_operators(n), \
+        "closed formula disagrees with the g_i recursion"
     return mat
 
 

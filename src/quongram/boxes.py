@@ -31,22 +31,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .ring import Poly, NotDivisible, GaussRat
+from .ring import Poly, NotDivisible, GaussRat, pair_var
 
 
 # a full pass of any benchmark workload (seed 1) leaves at most 26 entries;
 # 1024 holds every box over up to 10 letters, in both modes
 @lru_cache(maxsize=1024)
 def _box_poly(letters: tuple, one_param: bool) -> Poly:
-    q = Poly.one()
+    k = len(letters)
     if one_param:
-        k = len(letters)
         return Poly.one() - Poly.single_q() ** (k * (k - 1))
-    for x in range(len(letters)):
-        for y in range(len(letters)):
-            if x != y:
-                q = q * Poly.var(letters[x], letters[y])
-    return Poly.one() - q
+    return Poly.one() - Poly.monomial(
+        pair_var(letters[x], letters[y])
+        for x in range(k) for y in range(k) if x != y)
 
 
 class BoxFactor(tuple):

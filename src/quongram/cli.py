@@ -213,8 +213,9 @@ def cmd_count(args, out) -> int:
         c = sum(1 for g in all_perms(n) if inv_mod.tree_like(g))
         out.write(f"{c}\n")
     elif args.what == "table":
-        for k in range(1, max(n, 2)):
-            out.write(f"c_{n},{k} = {subdiv.chain_count_by_size(n, k)}\n")
+        for k, c in enumerate(subdiv.catalan_schroeder_poly(n)):
+            if c:
+                out.write(f"c_{n},{k} = {c}\n")
     else:
         raise Usage(f"unknown counting target {args.what!r}")
     return 0
@@ -403,7 +404,7 @@ def check_applications(max_n: int, rng) -> str:
     draws += [app_mod.BilinearData.random(n, rng, nondegenerate=True)
               for n in ns]
     for n in ns:
-        S = app_mod.contravariant_matrix(n, check=True)
+        S = app_mod.contravariant_matrix(n)
         d = app_mod.contravariant_det(n)
         if not d.symmetric_form_agrees():
             raise VerifyFailure(f"contravariant symmetric form n={n}")

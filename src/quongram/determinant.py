@@ -82,8 +82,8 @@ from fractions import Fraction
 
 from .ring import Poly, GaussRat, NotDivisible, SINGLE_Q, check_assignment
 from .boxes import _box_poly
-from .fock import Word, Weight
-from .perms import Perm, cycle
+from .fock import Weight
+from .perms import cycle
 from .gram import (Basis, build_generic, build_degenerate, rhat, q_diag_set,
                    embed_degenerate)
 
@@ -346,34 +346,30 @@ def det_elim(nu: Weight, one_param: bool = False) -> Poly:
     return det_poly_bareiss(build_degenerate(nu, one_param).entries)
 
 
-def _word_orbits(basis: Basis, t: Perm):
-    seen = set()
-    for w in basis.words:
-        if w in seen:
-            continue
-        orbit = [w]
-        seen.add(w)
-        cur = Word(t.act_word(w))
-        while cur != w:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = Word(t.act_word(cur))
-        yield orbit
-
-
-def _orbit_weights(nu: Weight, a: int, b: int, variant: str, basis: Basis):
+def _orbit_weights(nu: Weight, a: int, b: int, variant: str):
     """Yield the weights [d(w_0), ..., d(w_{L−1})] of each t_{a,b}-orbit
     w_0, ..., w_{L−1}: I − R̂(t_{a,b}) (plain) or I − Q_{{b,b+1}}R̂(t_{a,b})
     (boxed) sends w_{r−1} to w_r (indices mod L) with coefficient d(w_r),
-    so it is block-diagonal after grouping words by orbit."""
+    so it is block-diagonal after grouping words by orbit.  Each orbit
+    starts at its first word in basis order."""
+    basis = Basis.of_weight(nu)
     t = cycle(a, b, basis.n)
-    d = rhat(t, nu, False, basis).coefficients[t]
+    d = rhat(t, nu).coefficients[t]
     if variant == "boxed":
         d = q_diag_set(basis, (b, b + 1), False) * d
     elif variant != "plain":
         raise ValueError(f"unknown variant {variant!r}")
-    for orbit in _word_orbits(basis, t):
-        yield [d.value_at(w) for w in orbit]
+    step = basis.act(t)
+    seen = [False] * basis.size
+    for start in range(basis.size):
+        weights = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            weights.append(d.diagonal[k])
+            k = step[k]
+        if weights:
+            yield weights
 
 
 def _cycle_block(weights) -> list:
@@ -387,15 +383,13 @@ def _cycle_block(weights) -> list:
     return block
 
 
-def det_single_cycle(nu: Weight, a: int, b: int, variant: str = "plain",
-                     basis: Basis | None = None) -> Poly:
+def det_single_cycle(nu: Weight, a: int, b: int,
+                     variant: str = "plain") -> Poly:
     """Determinant of I − R̂(t_{a,b}) (plain) or I − Q_{{b,b+1}}R̂(t_{a,b})
     (boxed), by det_poly_bareiss on each orbit block: the elimination
     oracle for the factor chain, which reads the blocks off by Leibniz."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
     det = Poly.one()
-    for weights in _orbit_weights(nu, a, b, variant, basis):
+    for weights in _orbit_weights(nu, a, b, variant):
         det = det * det_poly_bareiss(_cycle_block(weights))
     return det
 
@@ -446,7 +440,6 @@ def det_factor_chain(nu: Weight) -> DetFormula:
     if not nu.generic:
         raise ValueError("factor-chain determinant requires a "
                          "multiplicity-free weight")
-    basis = Basis.of_weight(nu)
     n = nu.size
     total = {}
     for m in range(2, n + 1):
@@ -457,7 +450,7 @@ def det_factor_chain(nu: Weight) -> DetFormula:
         for variant, level, acc in (("plain", m, c_exps),
                                     ("boxed", m - 1, d_exps)):
             for k in range(1, m):
-                for weights in _orbit_weights(nu, k, level, variant, basis):
+                for weights in _orbit_weights(nu, k, level, variant):
                     x = math.prod(weights, start=Poly.one())
                     mu = tuple(sorted({i for v in x.variables()
                                        for i in v[1:]}))

@@ -28,6 +28,7 @@ __all__ = [
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ring import (Poly, SINGLE_Q, check_assignment, evaluate_terms,
                    pair_var)
@@ -42,12 +43,19 @@ def _qvar(i, j, one_param: bool) -> Poly:
 
 @dataclass(frozen=True)
 class Basis:
-    """All words of one weight, lexicographically sorted."""
+    """All words of one weight, lexicographically sorted.
+
+    A basis is derived from its weight: ``Basis.of_weight`` is the way to
+    get one, and equal weights share one instance (and its index map), so
+    no function needs a weight and its basis both.  ``act(g)`` is the place
+    permutation R(g) on word indices.
+    """
 
     weight: Weight
     words: tuple
 
     @staticmethod
+    @lru_cache(maxsize=16)
     def of_weight(nu: Weight) -> "Basis":
         return Basis(nu, tuple(nu.words()))
 
@@ -57,6 +65,13 @@ class Basis:
 
     def index(self, w) -> int:
         return self._index_map()[Word(w)]
+
+    def act(self, g: Perm) -> tuple:
+        """R(g) on indices: entry j is the index of g·w_j, where
+        (g·w)_p = w_{g⁻¹(p)}."""
+        inv = g.inverse().images
+        imap = self._index_map()
+        return tuple(imap[tuple(w[k - 1] for k in inv)] for w in self.words)
 
     def _index_map(self):
         # cached lazily on the instance
@@ -165,12 +180,8 @@ class DiagOp:
     def shift(self, g: Perm) -> "DiagOp":
         """Conjugation by the place permutation: R(g) D R(g)⁻¹, whose entry
         at word i is D at word g⁻¹·i."""
-        basis = self.basis
-        ginv = g.inverse()
-        vals = []
-        for w in basis.words:
-            vals.append(self.diagonal[basis.index(ginv.act_word(w))])
-        return DiagOp(basis, tuple(vals))
+        return DiagOp(self.basis, tuple(
+            self.diagonal[i] for i in self.basis.act(g.inverse())))
 
     def value_at(self, w):
         return self.diagonal[self.basis.index(w)]
@@ -300,10 +311,8 @@ class OpExpansion:
         zero = Poly.zero()
         ent = [[zero for _ in range(m)] for _ in range(m)]
         for g, d in self.coefficients.items():
-            for j, w in enumerate(basis.words):
-                gw = g.act_word(w)
-                i = basis.index(gw)
-                ent[i][j] = ent[i][j] + d.value_at(gw)
+            for j, i in enumerate(basis.act(g)):
+                ent[i][j] = ent[i][j] + d.diagonal[i]
         return GramMatrix(basis, ent)
 
 
@@ -337,8 +346,7 @@ def box_diag(basis: Basis, T, one_param: bool = False) -> DiagOp:
     return DiagOp.identity(basis) - q_diag_set(basis, T, one_param)
 
 
-def rhat(g: Perm, nu: Weight, one_param: bool = False,
-         basis: Basis | None = None) -> OpExpansion:
+def rhat(g: Perm, nu: Weight, one_param: bool = False) -> OpExpansion:
     """R̂(g) = Q(g)·R(g) with Q(g)_{i,i} = q_{i,g⁻¹}.
 
     >>> nu = Weight.generic_n(2)
@@ -346,20 +354,17 @@ def rhat(g: Perm, nu: Weight, one_param: bool = False,
     >>> print(op.to_matrix().entries[0][1])
     q12
     """
-    if basis is None:
-        basis = Basis.of_weight(nu)
     inv = g.inverse().inversion_set()
-    d = DiagOp.of_func(basis, lambda w: q_mono(w, inv, one_param))
-    return OpExpansion.single(g, d)
+    return OpExpansion.single(g, DiagOp.of_func(
+        Basis.of_weight(nu), lambda w: q_mono(w, inv, one_param)))
 
 
-def mult_factor(g1: Perm, g2: Perm, nu: Weight, one_param: bool = False,
-                basis: Basis | None = None) -> DiagOp:
+def mult_factor(g1: Perm, g2: Perm, nu: Weight,
+                one_param: bool = False) -> DiagOp:
     """M(g₁,g₂) with R̂(g₁)R̂(g₂) = M(g₁,g₂)·R̂(g₁g₂):
     the product of Q_{{a,b}} over inversions of g₁⁻¹ not shared with
     (g₁g₂)⁻¹.  Identity exactly when lengths add."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
+    basis = Basis.of_weight(nu)
     lost = g1.inverse().inversion_set() - (g2.inverse() *
                                            g1.inverse()).inversion_set()
     d = DiagOp.identity(basis)
@@ -437,23 +442,20 @@ def build_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
     return GramMatrix(basis, ent)
 
 
-def factor_A_m(nu: Weight, m: int, one_param: bool = False,
-               basis: Basis | None = None) -> OpExpansion:
+def factor_A_m(nu: Weight, m: int, one_param: bool = False) -> OpExpansion:
     """A^{(ν),m} = Σ_{k=1..m} R̂(t_{k,m}); the Gram matrix factors as the
     ordered product A^{(ν),1} ⋯ A^{(ν),n}."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
+    basis = Basis.of_weight(nu)
     n = basis.n
     if not (1 <= m <= n):
         raise ValueError(f"level m={m} out of range 1..{n}")
     out = OpExpansion.zero(basis)
     for k in range(1, m + 1):
-        out = out + rhat(cycle(k, m, n), nu, one_param, basis)
+        out = out + rhat(cycle(k, m, n), nu, one_param)
     return out
 
 
-def factor_CD(nu: Weight, m: int, one_param: bool = False,
-              basis: Basis | None = None):
+def factor_CD(nu: Weight, m: int, one_param: bool = False):
     """The elimination pair (C^{(ν),m}, D^{(ν),m}):
 
         C^{(ν),m} = ∏_{k=1..m-1} [I − R̂(t_{k,m})]
@@ -463,22 +465,21 @@ def factor_CD(nu: Weight, m: int, one_param: bool = False,
     m < n (it looks at position m+1); factor_CD returns (C, D) with D = None
     when m = n.
     """
-    if basis is None:
-        basis = Basis.of_weight(nu)
+    basis = Basis.of_weight(nu)
     n = basis.n
     if not (1 <= m <= n):
         raise ValueError(f"level m={m} out of range 1..{n}")
     ident = OpExpansion.identity(basis)
     C = ident
     for k in range(1, m):
-        C = C * (ident - rhat(cycle(k, m, n), nu, one_param, basis))
+        C = C * (ident - rhat(cycle(k, m, n), nu, one_param))
     D = None
     if m < n:
         D = ident
         qmm = q_diag_set(basis, (m, m + 1), one_param)
         for k in range(1, m + 1):
-            D = D * (ident - rhat(cycle(k, m, n), nu, one_param,
-                                  basis).left_diag(qmm))
+            D = D * (ident - rhat(cycle(k, m, n), nu,
+                                  one_param).left_diag(qmm))
     return C, D
 
 

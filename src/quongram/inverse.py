@@ -356,13 +356,11 @@ def random_tree_like(n: int, rng) -> Perm:
 # basis-level coefficients
 # ---------------------------------------------------------------------------
 
-def lambda_fast(g: Perm, nu: Weight | None = None, one_param: bool = False,
-                basis: Basis | None = None,
+def lambda_fast(g: Perm, nu: Weight, one_param: bool = False,
                 check_closed: bool = True) -> DiagOp:
     """Lambda(g) as a diagonal over all words of the weight."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
-    return _lambda_diag(g, basis, Universe(one_param), check_closed)
+    return _lambda_diag(g, Basis.of_weight(nu), Universe(one_param),
+                        check_closed)
 
 
 def _lambda_diag(g: Perm, basis: Basis, u: Universe,
@@ -372,8 +370,8 @@ def _lambda_diag(g: Perm, basis: Basis, u: Universe,
         for w in basis.words))
 
 
-def lambda_id(nu: Weight | None = None, form: str = "outer-bracket",
-              one_param: bool = False, basis: Basis | None = None) -> DiagOp:
+def lambda_id(nu: Weight, form: str = "outer-bracket",
+              one_param: bool = False) -> DiagOp:
     """The identity coefficient of the inverse, from either bracketing sum.
 
     ``outer-bracket``: signed sum of 1/box-products over bracketings with
@@ -381,9 +379,7 @@ def lambda_id(nu: Weight | None = None, form: str = "outer-bracket",
     (1/Box_full) . sum over bracketings without outer brackets of
     (monomial of each bracket)/(box of each bracket).
     """
-    if basis is None:
-        basis = Basis.of_weight(nu)
-    n = basis.n
+    n = nu.size
     u = Universe(one_param)
 
     def value(w):
@@ -407,7 +403,7 @@ def lambda_id(nu: Weight | None = None, form: str = "outer-bracket",
             return sum_parts(parts)
         raise ValueError(f"unknown form {form!r}")
 
-    return DiagOp.of_func(basis, value)
+    return DiagOp.of_func(Basis.of_weight(nu), value)
 
 
 def abs_q_sq(basis: Basis, g: Perm, one_param: bool = False) -> DiagOp:
@@ -462,10 +458,9 @@ class LambdaTable:
         ent = [[zero for _ in range(size)] for _ in range(size)]
         for g, lam in self.entries.items():
             inv = g.inverse().inversion_set()
-            for j, w in enumerate(basis.words):
-                gw = g.act_word(w)
-                i = basis.index(gw)
-                val = lam.value_at(gw)
+            for j, i in enumerate(basis.act(g)):
+                gw = basis.words[i]
+                val = lam.diagonal[i]
                 if isinstance(val, BoxFraction):
                     val = val.evaluate(assignment, mode)
                 mono = q_mono(gw, inv, self.one_param).evaluate(
@@ -519,16 +514,14 @@ def psi_op(basis: Basis, a: int, b: int, one_param: bool = False
                   = (1/Box_[a..b]) [I - (-1)^(b-a+1) Rhat(w_[a..b])]."""
     wI = longest_element(a, b, basis.n)
     op = OpExpansion.identity(basis) - rhat(
-        wI, basis.weight, one_param, basis).scale((-1) ** (b - a + 1))
+        wI, basis.weight, one_param).scale((-1) ** (b - a + 1))
     return op.left_diag(_inv_box_diag(basis, a, b, one_param))
 
 
-def inv_chains(nu: Weight | None = None, one_param: bool = False,
-               basis: Basis | None = None) -> OpExpansion:
+def inv_chains(nu: Weight, one_param: bool = False) -> OpExpansion:
     """Signed sum of Psi-products over all subdivision chains (finest member
     leftmost in each product)."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
+    basis = Basis.of_weight(nu)
     n = basis.n
     if n == 1:
         return OpExpansion.identity(basis)
@@ -543,13 +536,11 @@ def inv_chains(nu: Weight | None = None, one_param: bool = False,
     return OpExpansion.sum(basis, terms)
 
 
-def inv_long(nu: Weight | None = None, one_param: bool = False,
-             basis: Basis | None = None) -> OpExpansion:
+def inv_long(nu: Weight, one_param: bool = False) -> OpExpansion:
     """Interval recursion: the inverse over [a..b] is the signed sum over
     proper subdivisions of products of sub-interval inverses, times
     Psi_[a..b]."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
+    basis = Basis.of_weight(nu)
     memo: dict = {}
 
     def interval(a: int, b: int) -> OpExpansion:
@@ -573,14 +564,11 @@ def inv_long(nu: Weight | None = None, one_param: bool = False,
     return interval(1, basis.n)
 
 
-def inv_short(nu: Weight | None = None, one_param: bool = False,
-              basis: Basis | None = None) -> OpExpansion:
+def inv_short(nu: Weight, one_param: bool = False) -> OpExpansion:
     """Leading-block recursion: inverse over [a..b] as the alternating sum
     over the first cut k of (inverse over [a..k]) (inverse over [k+1..b])
     Rhat(w_[a..k]), times Psi_[a..b]."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
-    nu = basis.weight
+    basis = Basis.of_weight(nu)
     memo: dict = {}
 
     def interval(a: int, b: int) -> OpExpansion:
@@ -593,7 +581,7 @@ def inv_short(nu: Weight | None = None, one_param: bool = False,
             term = interval(a, k) * interval(k + 1, b)
             if k > a:
                 term = term * rhat(longest_element(a, k, basis.n), nu,
-                                   one_param, basis)
+                                   one_param)
             terms.append(term.scale((-1) ** (k - a)))
         res = OpExpansion.sum(basis, terms) * psi_op(basis, a, b, one_param)
         memo[(a, b)] = res
@@ -614,7 +602,7 @@ def e_op(basis: Basis, m: int, one_param: bool = False) -> OpExpansion:
         W = DiagOp.identity(basis)
         for i in sorted(pi.inverse().descents()):
             W = W * q_diag_set(basis, range(i + 1, m + 2), one_param)
-        total = total + rhat(pi, nu, one_param, basis).left_diag(W)
+        total = total + rhat(pi, nu, one_param).left_diag(W)
     return total
 
 
@@ -637,39 +625,32 @@ def c_unimodal_op(basis: Basis, m: int, one_param: bool = False
     total = OpExpansion.zero(basis)
     for k in range(1, m + 1):
         for pi in unimodal_subset(m, k, basis.n):
-            total = total + rhat(pi.inverse(), nu, one_param,
-                                 basis).scale((-1) ** (m - k))
+            total = total + rhat(pi.inverse(), nu,
+                                 one_param).scale((-1) ** (m - k))
     return total
 
 
-def inv_zagier(nu: Weight | None = None, one_param: bool = False,
-               basis: Basis | None = None) -> OpExpansion:
+def inv_zagier(nu: Weight, one_param: bool = False) -> OpExpansion:
     """[A]^{-1} = C^n [D^{n-1}]^{-1} C^{n-1} [D^{n-2}]^{-1} ... C^2 [D^1]^{-1}."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
-    nu = basis.weight
+    basis = Basis.of_weight(nu)
     n = basis.n
     op = OpExpansion.identity(basis)
     for m in range(n, 1, -1):
-        C, _ = factor_CD(nu, m, one_param, basis)
+        C, _ = factor_CD(nu, m, one_param)
         op = op * C * d_inverse_op(basis, m - 1, one_param)
     return op
 
 
-def inv_brute(nu: Weight | None = None, one_param: bool = False,
-              basis: Basis | None = None) -> GramMatrix:
+def inv_brute(nu: Weight, one_param: bool = False) -> GramMatrix:
     """Cofactor inverse of the generic Gram matrix, denominators factored
     through the closed-form determinant (n <= 3: the cofactors are dense
     symbolic determinants)."""
     from .determinant import det_formula, det_poly_bareiss
-    if basis is None:
-        basis = Basis.of_weight(nu)
-    nu = basis.weight
-    if basis.n > 3:
+    if nu.size > 3:
         raise ValueError("cofactor inversion is exponential; use another "
                          "method beyond 3 letters")
     A = build_generic(nu, one_param)
-    size = basis.size
+    size = A.basis.size
     det_boxes = []
     for letters, exp in det_formula(nu).factors:
         word = tuple(sorted(letters))
@@ -685,7 +666,7 @@ def inv_brute(nu: Weight | None = None, one_param: bool = False,
                 cof = -cof
             row.append(BoxFraction(cof, tuple(det_boxes)))
         ent.append(row)
-    return GramMatrix(basis, ent)
+    return GramMatrix(A.basis, ent)
 
 
 _METHODS = {
@@ -696,16 +677,13 @@ _METHODS = {
 }
 
 
-def inv_full(nu: Weight | None = None, method: str = "fast",
-             one_param: bool = False, basis: Basis | None = None
-             ) -> LambdaTable:
+def inv_full(nu: Weight, method: str = "fast",
+             one_param: bool = False) -> LambdaTable:
     """The full inverse table of a multiplicity-free weight by any method."""
-    if basis is None:
-        basis = Basis.of_weight(nu)
-    nu = basis.weight
     if not nu.generic:
         raise ValueError("weight has repeated letters; use inv_degenerate")
     if method == "fast":
+        basis = Basis.of_weight(nu)
         u = Universe(one_param)
         entries = {}
         for g in all_perms(basis.n):
@@ -714,12 +692,12 @@ def inv_full(nu: Weight | None = None, method: str = "fast",
                 entries[g] = d
         return LambdaTable(basis, one_param, entries)
     if method == "brute":
-        mat = inv_brute(nu, one_param, basis)
+        mat = inv_brute(nu, one_param)
         return _table_from_matrix(mat, one_param)
     fn = _METHODS.get(method)
     if fn is None:
         raise ValueError(f"unknown method {method!r}")
-    return LambdaTable.from_expansion(fn(nu, one_param, basis), one_param)
+    return LambdaTable.from_expansion(fn(nu, one_param), one_param)
 
 
 def _table_from_matrix(mat: GramMatrix, one_param: bool) -> LambdaTable:
@@ -757,13 +735,12 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
         if not tree_like(g):
             continue
         inv = g.inverse().inversion_set()
-        for j, w in enumerate(basis.words):
-            gw = g.act_word(w)
+        for j, i in enumerate(basis.act(g)):
+            gw = basis.words[i]
             val = lambda_scalar(tuple(gw), g, universe=u,
                                 check_closed=False)
             if val.is_zero():
                 continue
-            i = basis.index(gw)
             ent[i][j] = ent[i][j] + val * u.mono(gw, inv)
     return ent
 

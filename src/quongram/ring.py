@@ -384,10 +384,8 @@ class Poly:
         return _poly({0: c} if c else {})
 
     @staticmethod
-    def var(i, j=None) -> "Poly":
-        """Poly.var(i, j) is the pair parameter; Poly.var() the single q."""
-        if i is None and j is None:
-            return Poly.single_q()
+    def var(i, j) -> "Poly":
+        """The pair parameter q_ij; ``Poly.single_q()`` is the single q."""
         return _poly({_unit(pair_var(i, j)): 1})
 
     @staticmethod

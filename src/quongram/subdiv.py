@@ -99,9 +99,6 @@ def less_than(s: Subdivision, t: Subdivision) -> bool:
     of s (and leaves singletons alone)."""
     if s.is_discrete():
         return False
-    tmap = {}
-    for a, b in t.intervals:
-        tmap.setdefault(a, []).append((a, b))
     # walk t's intervals inside each s-interval
     ti = 0
     tv = t.intervals
@@ -186,10 +183,8 @@ class Bracketing:
     brackets: frozenset  # of (a,b) with b > a
 
     def __str__(self):
-        opens: dict = {}
         closes: dict = {}
         for a, b in self.brackets:
-            opens[a] = opens.get(a, 0) + 1
             closes[b] = closes.get(b, 0) + 1
         # wider brackets open first / close last automatically for laminar
         # families once we sort the opens by decreasing end

@@ -131,22 +131,21 @@ def test_criterion_03_factorizations():
             basis = Basis.of_weight(nu)
             full = OpExpansion.zero(basis)
             for g in all_perms(n):
-                full = full + rhat(g, nu, basis=basis)
+                full = full + rhat(g, nu)
             # sum of projective shifts is the matrix
             assert full.to_matrix() == build_generic(nu)
             # multiplication factor, quasimultiplicativity included
             ident = DiagOp.identity(basis)
             for g1 in all_perms(n):
                 for g2 in all_perms(n):
-                    m = mult_factor(g1, g2, nu, basis=basis)
-                    assert rhat(g1, nu, basis=basis) * \
-                        rhat(g2, nu, basis=basis) == \
-                        rhat(g1 * g2, nu, basis=basis).left_diag(m)
+                    m = mult_factor(g1, g2, nu)
+                    assert rhat(g1, nu) * rhat(g2, nu) == \
+                        rhat(g1 * g2, nu).left_diag(m)
                     adds = (g1 * g2).length() == g1.length() + g2.length()
                     assert adds == (m == ident)
             # braid relations
             def t(a):
-                return rhat(cycle(a, a + 1, n), nu, basis=basis)
+                return rhat(cycle(a, a + 1, n), nu)
             for a in range(1, n - 1):
                 assert t(a) * t(a + 1) * t(a) == t(a + 1) * t(a) * t(a + 1)
             for a in range(1, n):
@@ -161,17 +160,16 @@ def test_criterion_03_factorizations():
                         for i in range(a, b):
                             if g(i) > g(b):
                                 d = d * q_diag_set(basis, (g(b), g(i)))
-                        assert rhat(g, nu, basis=basis) * \
-                            rhat(tc, nu, basis=basis) == \
-                            rhat(g * tc, nu, basis=basis).left_diag(d)
+                        assert rhat(g, nu) * rhat(tc, nu) == \
+                            rhat(g * tc, nu).left_diag(d)
             # commutation rules
             for m in range(2, n + 1):
                 for a in range(1, m):
                     for ap in range(a, m):
-                        lhs = rhat(cycle(ap, m, n), nu, basis=basis) * \
-                            rhat(cycle(a, m, n), nu, basis=basis)
-                        rhs = (rhat(cycle(a, m - 1, n), nu, basis=basis) *
-                               rhat(cycle(ap + 1, m, n), nu, basis=basis)
+                        lhs = (rhat(cycle(ap, m, n), nu) *
+                               rhat(cycle(a, m, n), nu))
+                        rhs = (rhat(cycle(a, m - 1, n), nu) *
+                               rhat(cycle(ap + 1, m, n), nu)
                                ).left_diag(q_diag_set(basis, (m - 1, m)))
                         assert lhs == rhs
             # longest element rule, both handednesses
@@ -183,11 +181,9 @@ def test_criterion_03_factorizations():
                     for b in range(a + 1, n + 1):
                         if gi(a) < gi(b):
                             d = d * q_diag_set(basis, (a, b))
-                lhs = rhat(g * w, nu, basis=basis) * \
-                    rhat(w, nu, basis=basis)
-                assert lhs == rhat(g, nu, basis=basis).left_diag(d)
-                assert lhs == rhat(w, nu, basis=basis) * \
-                    rhat(w * g, nu, basis=basis)
+                lhs = rhat(g * w, nu) * rhat(w, nu)
+                assert lhs == rhat(g, nu).left_diag(d)
+                assert lhs == rhat(w, nu) * rhat(w * g, nu)
             # increasing-cycle products
             for m in range(2, n + 1):
                 for s in range(1, m):
@@ -195,20 +191,19 @@ def test_criterion_03_factorizations():
                         prod = OpExpansion.identity(basis)
                         gprod = Perm.identity(n)
                         for a in avec:
-                            prod = prod * rhat(cycle(a, m, n), nu,
-                                               basis=basis)
+                            prod = prod * rhat(cycle(a, m, n), nu)
                             gprod = gprod * cycle(a, m, n)
-                        assert prod == rhat(gprod, nu, basis=basis)
+                        assert prod == rhat(gprod, nu)
             # telescoping level factorization
             prod = OpExpansion.identity(basis)
             for m in range(1, n + 1):
-                prod = prod * factor_A_m(nu, m, basis=basis)
+                prod = prod * factor_A_m(nu, m)
             assert prod == full
             # elimination pair
             for m in range(2, n + 1):
-                C, _ = factor_CD(nu, m, basis=basis)
-                _, D_prev = factor_CD(nu, m - 1, basis=basis)
-                assert factor_A_m(nu, m, basis=basis) * C == D_prev
+                C, _ = factor_CD(nu, m)
+                _, D_prev = factor_CD(nu, m - 1)
+                assert factor_A_m(nu, m) * C == D_prev
 
     report(3, "operator factorization identities, n <= 4", body)
 
@@ -518,7 +513,7 @@ def test_criterion_09_applications():
         # one b per n with every subset sum nonzero
         S, d = {}, {}
         for n in (2, 3, 4):
-            S[n] = app_mod.contravariant_matrix(n, check=True)
+            S[n] = app_mod.contravariant_matrix(n)
             d[n] = app_mod.contravariant_det(n)
             assert d[n].symmetric_form_agrees()
         for n in (2, 3):

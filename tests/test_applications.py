@@ -156,8 +156,7 @@ def test_contravariant_two_letter_golden():
 
 def test_contravariant_closed_matches_recursion():
     for n in (2, 3, 4):
-        assert contravariant_matrix(n, check=False) == \
-            contravariant_matrix_operators(n)
+        assert contravariant_matrix(n) == contravariant_matrix_operators(n)
 
 
 def test_contravariant_symmetric():

@@ -37,6 +37,15 @@ def test_count_values():
     code, s = run("count", "table", "--n", "4")
     assert code == 0
     assert s.splitlines() == ["c_4,1 = 1", "c_4,2 = 5", "c_4,3 = 5"]
+    assert run("count", "table", "--n", "1") == (0, "c_1,0 = 1\n")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_table_sums_to_chain_count(n):
+    _, table = run("count", "table", "--n", str(n))
+    _, chains = run("count", "chains", "--n", str(n))
+    assert sum(int(line.split(" = ")[1])
+               for line in table.splitlines()) == int(chains)
 
 
 def test_build_formats():

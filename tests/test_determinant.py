@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quongram import determinant
 from quongram.ring import Poly, GaussRat
 from quongram.fock import Weight
-from quongram.gram import Basis, build_generic, build_degenerate
+from quongram.gram import build_generic, build_degenerate
 from quongram.determinant import (det_formula, det_cycle_factor,
                                   det_one_param, one_param_exponents,
                                   positivity_check, det_divides,
@@ -66,8 +66,8 @@ def test_factor_chain_rejects_a_non_box_factor(monkeypatch, spoil):
     for spoiled_weights in (lambda ws: [ws[0] + ws[0]] + ws[1:],
                             lambda ws: ws + ws,
                             lambda ws: [Poly.one()] * len(ws)):
-        def spoiled(nu, a, b, kind, basis, spoil_fn=spoiled_weights):
-            orbits = real(nu, a, b, kind, basis)
+        def spoiled(nu, a, b, kind, spoil_fn=spoiled_weights):
+            orbits = real(nu, a, b, kind)
             if (kind, a, b) == spoil:
                 yield spoil_fn(next(orbits))
             yield from orbits
@@ -83,15 +83,13 @@ def test_factor_chain_read_off_matches_block_elimination():
     # 1 − ∏ weights, against det_poly_bareiss of the block itself
     for n in (2, 3, 4, 5):
         nu = Weight.generic_n(n)
-        basis = Basis.of_weight(nu)
         factors = [("plain", a, b) for b in range(2, n + 1)
                    for a in range(1, b)]
         factors += [("boxed", a, b) for b in range(1, n)
                     for a in range(1, b + 1)]
         blocks = 0
         for variant, a, b in factors:
-            for weights in determinant._orbit_weights(nu, a, b, variant,
-                                                      basis):
+            for weights in determinant._orbit_weights(nu, a, b, variant):
                 read_off = Poly.one() - math.prod(weights, start=Poly.one())
                 assert read_off.nterms() == 2
                 assert read_off == det_poly_bareiss(

@@ -23,8 +23,9 @@ def test_every_lru_cache_is_bounded(name):
     module = importlib.import_module(f"quongram.{name}")
     found = [v for v in vars(module).values()
              if getattr(v, "__module__", None) == module.__name__]
-    found += [v for cls in found if isinstance(cls, type)
-              for v in vars(cls).values()]
+    # a cache behind a staticmethod or classmethod sits on its __func__
+    found += [getattr(v, "__func__", v) for cls in found
+              if isinstance(cls, type) for v in vars(cls).values()]
     unbounded = [f.__qualname__ for f in found
                  if hasattr(f, "cache_parameters")
                  and f.cache_parameters()["maxsize"] is None]
@@ -71,3 +72,15 @@ def test_every_private_helper_is_used(name):
                          and not (mod == name and first <= line <= last)
                          for mod, ref, line in REFERENCES)]
     assert unused == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_takes_a_weight_and_its_basis(name):
+    # a basis is derived from its weight (Basis.of_weight), so a function
+    # given both could be given two that disagree
+    both = [node.name for node in ast.walk(SOURCES[name])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and {"nu", "basis"} <= {a.arg for a in
+                                    node.args.posonlyargs + node.args.args
+                                    + node.args.kwonlyargs}]
+    assert both == []

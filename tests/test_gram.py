@@ -25,7 +25,7 @@ def sum_rhat(nu, one_param=False):
     basis = Basis.of_weight(nu)
     out = OpExpansion.zero(basis)
     for g in all_perms(basis.n):
-        out = out + rhat(g, nu, one_param, basis)
+        out = out + rhat(g, nu, one_param)
     return out
 
 
@@ -71,6 +71,23 @@ def test_degenerate_golden_entries():
         Poly.parse("q13^2 + q11*q13^2")
 
 
+@pytest.mark.parametrize("nu", [Weight.generic_n(4),
+                                Weight({1: 2, 2: 1, 3: 1})])
+def test_basis_act_is_the_place_permutation(nu):
+    b = Basis.of_weight(nu)
+    act = {g: b.act(g) for g in all_perms(4)}
+    for g in all_perms(4):
+        assert list(act[g]) == [b.index(g.act_word(w)) for w in b.words]
+        for h in all_perms(4):
+            # R(g)R(h) = R(gh)
+            assert act[g * h] == tuple(act[g][i] for i in act[h])
+
+
+def test_one_basis_per_weight():
+    assert Basis.of_weight(Weight.generic_n(4)) is \
+        Basis.of_weight(Weight({1: 1, 2: 1, 3: 1, 4: 1}))
+
+
 # ---------------------------------------------------------------------------
 # the permutation expansion:  A = sum of projective shifts
 # ---------------------------------------------------------------------------
@@ -89,23 +106,21 @@ def test_sum_of_shifts_one_param():
 def test_multiplication_factor():
     # R̂(g1)R̂(g2) = M(g1,g2)·R̂(g1 g2) with M a product of |q|² diagonals
     nu = Weight.generic_n(3)
-    basis = Basis.of_weight(nu)
     for g1 in all_perms(3):
         for g2 in all_perms(3):
-            lhs = rhat(g1, nu, basis=basis) * rhat(g2, nu, basis=basis)
-            m = mult_factor(g1, g2, nu, basis=basis)
-            rhs = rhat(g1 * g2, nu, basis=basis).left_diag(m)
+            lhs = rhat(g1, nu) * rhat(g2, nu)
+            m = mult_factor(g1, g2, nu)
+            rhs = rhat(g1 * g2, nu).left_diag(m)
             assert lhs == rhs
 
 
 def test_multiplication_factor_random_n4(rng):
     nu = Weight.generic_n(4)
-    basis = Basis.of_weight(nu)
     for _ in range(12):
         g1, g2 = rand_perm(rng, 4), rand_perm(rng, 4)
-        lhs = rhat(g1, nu, basis=basis) * rhat(g2, nu, basis=basis)
-        m = mult_factor(g1, g2, nu, basis=basis)
-        assert lhs == rhat(g1 * g2, nu, basis=basis).left_diag(m)
+        lhs = rhat(g1, nu) * rhat(g2, nu)
+        m = mult_factor(g1, g2, nu)
+        assert lhs == rhat(g1 * g2, nu).left_diag(m)
 
 
 def test_quasimultiplicative_iff_lengths_add():
@@ -115,16 +130,15 @@ def test_quasimultiplicative_iff_lengths_add():
     for g1 in all_perms(3):
         for g2 in all_perms(3):
             adds = (g1 * g2).length() == g1.length() + g2.length()
-            trivial = mult_factor(g1, g2, nu, basis=basis) == ident
+            trivial = mult_factor(g1, g2, nu) == ident
             assert adds == trivial
 
 
 def test_braid_relations():
     nu = Weight.generic_n(4)
-    basis = Basis.of_weight(nu)
 
     def t(a):
-        return rhat(cycle(a, a + 1, 4), nu, basis=basis)
+        return rhat(cycle(a, a + 1, 4), nu)
 
     for a in (1, 2):
         assert t(a) * t(a + 1) * t(a) == t(a + 1) * t(a) * t(a + 1)
@@ -140,27 +154,26 @@ def test_shift_by_cycle_factor(rng):
         for a in range(1, 5):
             for b in range(a + 1, 5):
                 t = cycle(a, b, 4)
-                lhs = rhat(g, nu, basis=basis) * rhat(t, nu, basis=basis)
+                lhs = rhat(g, nu) * rhat(t, nu)
                 d = DiagOp.identity(basis)
                 for i in range(a, b):
                     if g(i) > g(b):
                         d = d * q_diag_set(basis, (g(b), g(i)))
-                rhs = rhat(g * t, nu, basis=basis).left_diag(d)
+                rhs = rhat(g * t, nu).left_diag(d)
                 assert lhs == rhs
 
 
 def test_parabolic_shifts_multiply():
     # for g preserving {1..m-1} the factor with t_{k,m} is trivial
     nu = Weight.generic_n(4)
-    basis = Basis.of_weight(nu)
     for m in (2, 3, 4):
         for g in all_perms(4):
             if set(g(x) for x in range(1, m)) != set(range(1, m)):
                 continue
             for k in range(1, m + 1):
                 t = cycle(k, m, 4)
-                lhs = rhat(g, nu, basis=basis) * rhat(t, nu, basis=basis)
-                assert lhs == rhat(g * t, nu, basis=basis)
+                lhs = rhat(g, nu) * rhat(t, nu)
+                assert lhs == rhat(g * t, nu)
 
 
 def test_commutation_rule():
@@ -171,10 +184,10 @@ def test_commutation_rule():
     for m in (2, 3, 4):
         for a in range(1, m):
             for ap in range(a, m):
-                lhs = rhat(cycle(ap, m, 4), nu, basis=basis) * \
-                    rhat(cycle(a, m, 4), nu, basis=basis)
-                rhs = (rhat(cycle(a, m - 1, 4), nu, basis=basis) *
-                       rhat(cycle(ap + 1, m, 4), nu, basis=basis)
+                lhs = rhat(cycle(ap, m, 4), nu) * \
+                    rhat(cycle(a, m, 4), nu)
+                rhs = (rhat(cycle(a, m - 1, 4), nu) *
+                       rhat(cycle(ap + 1, m, 4), nu)
                        ).left_diag(q_diag_set(basis, (m - 1, m)))
                 assert lhs == rhs
 
@@ -186,16 +199,16 @@ def test_longest_element_rule():
     basis = Basis.of_weight(nu)
     w = longest_element(1, n, n)
     for g in all_perms(n):
-        lhs = rhat(g * w, nu, basis=basis) * rhat(w, nu, basis=basis)
+        lhs = rhat(g * w, nu) * rhat(w, nu)
         gi = g.inverse()
         d = DiagOp.identity(basis)
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
                 if gi(a) < gi(b):
                     d = d * q_diag_set(basis, (a, b))
-        assert lhs == rhat(g, nu, basis=basis).left_diag(d)
+        assert lhs == rhat(g, nu).left_diag(d)
         # and the left-handed version through w_n g
-        assert lhs == rhat(w, nu, basis=basis) * rhat(w * g, nu, basis=basis)
+        assert lhs == rhat(w, nu) * rhat(w * g, nu)
 
 
 def test_increasing_cycles_multiply():
@@ -208,9 +221,9 @@ def test_increasing_cycles_multiply():
                 prod = OpExpansion.identity(basis)
                 gprod = Perm.identity(4)
                 for a in avec:
-                    prod = prod * rhat(cycle(a, m, 4), nu, basis=basis)
+                    prod = prod * rhat(cycle(a, m, 4), nu)
                     gprod = gprod * cycle(a, m, 4)
-                assert prod == rhat(gprod, nu, basis=basis)
+                assert prod == rhat(gprod, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +237,7 @@ def test_level_factorization():
         basis = Basis.of_weight(nu)
         prod = OpExpansion.identity(basis)
         for m in range(1, basis.n + 1):
-            prod = prod * factor_A_m(nu, m, basis=basis)
+            prod = prod * factor_A_m(nu, m)
         assert prod == sum_rhat(nu)
 
 
@@ -233,7 +246,7 @@ def test_level_factorization_one_param():
     basis = Basis.of_weight(nu)
     prod = OpExpansion.identity(basis)
     for m in range(1, 5):
-        prod = prod * factor_A_m(nu, m, True, basis)
+        prod = prod * factor_A_m(nu, m, True)
     assert prod == sum_rhat(nu, True)
 
 
@@ -243,19 +256,19 @@ def test_elimination_pair():
                Weight({1: 2, 2: 1, 3: 1})):
         basis = Basis.of_weight(nu)
         for m in range(2, basis.n + 1):
-            C, _ = factor_CD(nu, m, basis=basis)
-            _, D_prev = factor_CD(nu, m - 1, basis=basis)
-            assert factor_A_m(nu, m, basis=basis) * C == D_prev
+            C, _ = factor_CD(nu, m)
+            _, D_prev = factor_CD(nu, m - 1)
+            assert factor_A_m(nu, m) * C == D_prev
 
 
 def test_elimination_pair_bottom_level():
     nu = Weight.generic_n(3)
     basis = Basis.of_weight(nu)
-    C1, D1 = factor_CD(nu, 1, basis=basis)
+    C1, D1 = factor_CD(nu, 1)
     assert C1 == OpExpansion.identity(basis)
-    assert factor_A_m(nu, 1, basis=basis) == OpExpansion.identity(basis)
+    assert factor_A_m(nu, 1) == OpExpansion.identity(basis)
     assert D1 is not None
-    _, D_last = factor_CD(nu, 3, basis=basis)
+    _, D_last = factor_CD(nu, 3)
     assert D_last is None
 
 

@@ -215,7 +215,7 @@ def test_d_inverse_inverts_d():
     from quongram.gram import OpExpansion
     ident = OpExpansion.identity(basis)
     for m in (1, 2):
-        _, D = factor_CD(nu, m, basis=basis)
+        _, D = factor_CD(nu, m)
         Dinv = d_inverse_op(basis, m)
         got = LambdaTable.from_expansion(D * Dinv)
         want = LambdaTable.from_expansion(ident)
@@ -228,7 +228,7 @@ def test_c_unimodal_matches_elimination():
         nu = Weight.generic_n(n)
         basis = Basis.of_weight(nu)
         for m in range(2, n + 1):
-            C, _ = factor_CD(nu, m, basis=basis)
+            C, _ = factor_CD(nu, m)
             assert c_unimodal_op(basis, m) == C
 
 
@@ -239,7 +239,7 @@ def test_psi_inverts_sign_corrected_reversal():
     for a, b in ((1, 2), (2, 3), (1, 3)):
         wI = longest_element(a, b, 3)
         op = OpExpansion.identity(basis) + rhat(
-            wI, nu, basis=basis).scale((-1) ** (b - a + 1))
+            wI, nu).scale((-1) ** (b - a + 1))
         got = LambdaTable.from_expansion(op * psi_op(basis, a, b))
         assert got == LambdaTable.from_expansion(
             OpExpansion.identity(basis))

@@ -280,6 +280,13 @@ def test_conjugate_helper():
     assert Poly.var(1, 2).conjugate() == Poly.var(2, 1)
 
 
+def test_var_takes_both_labels():
+    # a one-label Poly.var would be the variable q[1,None], which does not
+    # parse back; the one-parameter variable is Poly.single_q()
+    with pytest.raises(TypeError):
+        Poly.var(1)
+
+
 # -- GaussRat against a (Fraction, Fraction) reference -------------------------
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=36)
