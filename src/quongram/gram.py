@@ -122,27 +122,39 @@ class GramMatrix:
                         for col in cols])
         return GramMatrix(self.basis, out)
 
+    def map_distinct(self, f) -> list:
+        """The rows of f(entry), calling f once per distinct entry object.
+
+        Entries may be shared objects (``build_generic`` gives all equal
+        monomials one Poly), so f runs once per object, not per position.
+        The results are keyed by ``id`` only during the call, while the
+        matrix holds every entry.
+        """
+        firsts = {id(e): e for row in self.entries for e in row}
+        values = {k: f(e) for k, e in firsts.items()}
+        return [[values[id(e)] for e in row] for row in self.entries]
+
     def evaluate(self, assignment, mode: str = "free") -> list:
         """The Poly entries at an exact point, as rows of GaussRat values.
 
         The assignment is checked against the mode once
-        (``check_assignment``), then every entry runs the unchecked term
-        loop of ``Poly.evaluate``.
+        (``check_assignment``), then each distinct entry object runs the
+        unchecked term loop of ``Poly.evaluate`` once (``map_distinct``);
+        positions sharing an entry share its immutable value.
         """
         check_assignment(assignment, mode)
-        return [[evaluate_terms(e, assignment, mode) for e in row]
-                for row in self.entries]
+        return self.map_distinct(
+            lambda e: evaluate_terms(e, assignment, mode))
 
     def to_json(self):
         return {"weight": str(self.basis.weight),
                 "words": [str(w) for w in self.basis.words],
-                "entries": [[str(e) for e in row] for row in self.entries]}
+                "entries": self.map_distinct(str)}
 
     def to_csv(self):
         lines = ["," + ",".join(str(w) for w in self.basis.words)]
-        for w, row in zip(self.basis.words, self.entries):
-            lines.append(str(w) + "," + ",".join(
-                '"%s"' % str(e) for e in row))
+        for w, row in zip(self.basis.words, self.map_distinct(str)):
+            lines.append(str(w) + "," + ",".join('"%s"' % e for e in row))
         return "\n".join(lines) + "\n"
 
 
@@ -378,6 +390,14 @@ def build_generic(nu: Weight, one_param: bool = False) -> GramMatrix:
     """Gram matrix for a multiplicity-free weight: entry (i, j) is the
     monomial q_{i,σ} for the unique σ with σ·i = j.
 
+    That is the pair rule: the product of q_xy over the letter pairs with
+    x before y in w_i and y before x in w_j.  Each word gets a bitmask of
+    the ordered pairs (x, y) with x before y, so entry (i, j) is the
+    monomial of ``mask_i & ~mask_j``.  Each distinct monomial is built once
+    (in one-parameter mode, each power q^k) and that one immutable Poly is
+    shared by every entry equal to it; ``q_of_perm`` is the definition the
+    tests compare against.
+
     >>> A = build_generic(Weight.generic_n(2))
     >>> [str(e) for e in A.entries[1]]
     ['q21', '1']
@@ -385,16 +405,39 @@ def build_generic(nu: Weight, one_param: bool = False) -> GramMatrix:
     if not nu.generic:
         raise ValueError("weight is degenerate; use build_degenerate")
     basis = Basis.of_weight(nu)
-    ent = []
-    for wi in basis.words:
-        row = []
-        for wj in basis.words:
-            # sigma with sigma . wi = wj, i.e. wi[sigma^{-1}(p)-1] = wj[p-1]
-            pos = {ch: k + 1 for k, ch in enumerate(wi)}
-            sigma = Perm(pos[ch] for ch in wj).inverse()
-            row.append(q_of_perm(wi, sigma, one_param))
-        ent.append(row)
+    pairs = list(itertools.permutations(nu.labels, 2))
+    bit = {xy: 1 << k for k, xy in enumerate(pairs)}
+    masks = [sum(bit[xy] for xy in itertools.combinations(w, 2))
+             for w in basis.words]
+    if one_param:
+        powers = [Poly.monomial([SINGLE_Q] * k)
+                  for k in range(len(pairs) // 2 + 1)]
+        ent = [[powers[(mi & ~mj).bit_count()] for mj in masks]
+               for mi in masks]
+    else:
+        monos = _PairMonomials(pairs)
+        ent = [[monos[mi & ~mj] for mj in masks] for mi in masks]
     return GramMatrix(basis, ent)
+
+
+class _PairMonomials(dict):
+    """Bitmask over ordered letter pairs -> the product of their q_xy,
+    built on first lookup and shared after."""
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.variable = {1 << k: pair_var(x, y) for k, (x, y) in
+                         enumerate(pairs)}
+
+    def __missing__(self, mask):
+        variables = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            variables.append(self.variable[low])
+            rest ^= low
+        p = self[mask] = Poly.monomial(variables)
+        return p
 
 
 def _fiber_perms(wi, wj):

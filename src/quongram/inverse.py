@@ -712,7 +712,7 @@ def _table_from_matrix(mat: GramMatrix, one_param: bool) -> LambdaTable:
             val = mat.entries[i][j]
             d = coeffs.setdefault(
                 g, [BoxFraction.zero()] * basis.size)
-            d[basis.index(wi)] = val
+            d[i] = val
     op_entries = {}
     for g, vals in coeffs.items():
         d = DiagOp(basis, tuple(vals))

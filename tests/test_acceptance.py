@@ -4,12 +4,9 @@ PASS/FAIL line with its elapsed time (run pytest with -s to see them live).
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from quongram.ring import Poly, GaussRat, pair_var, random_hermitian
 from quongram.boxes import BoxFactor, BoxFraction

@@ -7,7 +7,7 @@ from quongram.ring import Poly, GaussRat, pair_var
 from quongram.fock import Weight
 from quongram.gram import build_generic
 from quongram.determinant import det_point, det_poly_bareiss, det_one_param
-from quongram.applications import (symmetrize, Arrangement, Edge,
+from quongram.applications import (symmetrize, Arrangement,
                                    varchenko_matrix, varchenko_det,
                                    UMonomial, TLaurent, t_laurent,
                                    BilinearData, contravariant_entry,

@@ -1,18 +1,17 @@
 import itertools
-import random
 
 import pytest
 
-from quongram.ring import Poly
+from quongram.ring import GaussRat, Poly
 from quongram.fock import Word, Weight, inner_product
 from quongram.perms import Perm, all_perms, cycle, longest_element
 from quongram.gram import (Basis, DiagOp, GramMatrix, OpExpansion,
                            build_generic, build_degenerate, rhat, mult_factor,
                            q_diag_pair, q_diag_set, box_diag, factor_A_m,
-                           factor_CD, embed_degenerate)
+                           factor_CD, embed_degenerate, q_of_perm)
 from quongram.inverse import inv_full
 
-from conftest import small_weights
+from conftest import hermitian_assignment, small_weights
 
 
 def rand_perm(rng, n):
@@ -34,7 +33,7 @@ def sum_rhat(nu, one_param=False):
 # ---------------------------------------------------------------------------
 
 def test_generic_matches_pairing():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         A = build_generic(Weight.generic_n(n))
         for wi in A.basis.words:
             for wj in A.basis.words:
@@ -60,6 +59,37 @@ def test_generic_golden_entries():
     for wi in A.basis.words:
         for wj in A.basis.words:
             assert A.entry(wj, wi) == A.entry(wi, wj).conjugate()
+
+
+@pytest.mark.parametrize("n, one_param, distinct", [
+    (4, False, 219), (5, False, 4231), (4, True, 7), (5, True, 11)])
+def test_generic_entries_follow_the_pair_rule(n, one_param, distinct):
+    A = build_generic(Weight.generic_n(n), one_param)
+    words = A.basis.words
+    for wi, row in zip(words, A.entries):
+        pos = {ch: k + 1 for k, ch in enumerate(wi)}
+        for wj, e in zip(words, row):
+            sigma = Perm(pos[ch] for ch in wj).inverse()
+            assert sigma.act_word(wi) == wj
+            assert e == q_of_perm(wi, sigma, one_param)
+    # each distinct monomial is one shared object
+    entries = [e for row in A.entries for e in row]
+    assert len({id(e) for e in entries}) == len(set(entries)) == distinct
+
+
+def test_evaluate_once_per_distinct_entry(rng):
+    A = build_generic(Weight.generic_n(4))
+    a = hermitian_assignment(A.basis.weight.labels, rng)
+    assert A.evaluate(a, "hermitian") == [
+        [e.evaluate(a, "hermitian") for e in row] for row in A.entries]
+    seen = []
+    rows = A.map_distinct(lambda e: seen.append(e) or str(e))
+    assert rows == [[str(e) for e in row] for row in A.entries]
+    assert len(seen) == 219
+    bad = dict(a)
+    bad[("q", 1, 2)] = a[("q", 1, 2)] + GaussRat.of(0, 1)
+    with pytest.raises(ValueError):
+        A.evaluate(bad, "hermitian")
 
 
 def test_degenerate_golden_entries():

@@ -16,8 +16,7 @@ from quongram.gram import (Basis, build_generic, build_degenerate, factor_CD,
 from quongram.inverse import (Universe, lambda_sigma, tree_like,
                               lambda_scalar, random_tree_like, lambda_fast,
                               lambda_id, abs_q_sq, LambdaTable, psi_op,
-                              inv_chains, inv_long, inv_short, e_op,
-                              d_inverse_op, c_unimodal_op, inv_zagier,
+                              d_inverse_op, c_unimodal_op,
                               inv_brute, inv_full, inverse_matrix_at,
                               inv_degenerate, zagier_check)
 

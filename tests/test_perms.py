@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from quongram.perms import (Perm, all_perms, cycle, longest_element,

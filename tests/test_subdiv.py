@@ -1,11 +1,9 @@
 from math import comb
 
-import pytest
-
 from quongram.subdiv import (Subdivision, bottom, discrete,
-                             enumerate_subdivisions, less_than, covers,
-                             Chain, enumerate_chains, Bracketing,
-                             chain_to_bracketing, bracketing_to_chain,
+                             enumerate_subdivisions, less_than,
+                             enumerate_chains, chain_to_bracketing,
+                             bracketing_to_chain,
                              enumerate_bracketings, schroeder_counts,
                              schroeder_closed_form_a, schroeder_closed_form_b,
                              schroeder_closed_form_c, chain_count_by_size,
