@@ -25,7 +25,8 @@ equal factors sit next to each other for ``groupby``.
 
 from __future__ import annotations
 
-__all__ = ["BoxFactor", "BoxFraction", "as_part", "product_part", "sum_parts"]
+__all__ = ["BoxFactor", "BoxFraction", "as_part", "over_common",
+           "product_part", "sum_parts"]
 
 from fractions import Fraction
 from functools import lru_cache
@@ -355,6 +356,38 @@ def sum_parts(parts) -> BoxFraction:
     return total
 
 
+def over_common(values) -> list:
+    """Polys and BoxFractions over their least common denominator, as
+    unreduced BoxFractions, when every factor of it is ``prime``; else the
+    values as they are.  Zeros stay as they are.
+
+    A sum of products with such values, say a column of a matrix product,
+    then hands ``sum_parts`` numerators over one denominator, which it
+    adds without multiplying any up, and reduces once.  Where every factor
+    of the sum is prime, its value has one reduced form, so the result is
+    the same.  A value with another factor can reduce to several forms,
+    and ``sum_parts`` adds such parts in order, so those stay as they are.
+    """
+    parts = [as_part(x) for x in values]
+    common = ()
+    for _, den in parts:
+        common = _den_lcm(common, den)
+    if not common or not all(f.prime for f in common):
+        return list(values)
+    lift: dict = {}
+    out = []
+    for x, (n, den) in zip(values, parts):
+        if n.is_zero():
+            out.append(x)
+            continue
+        if den != common:
+            if den not in lift:
+                lift[den] = _den_poly(_den_minus(common, den))
+            n = n * lift[den]
+        out.append(BoxFraction(n, common, reduce=False))
+    return out
+
+
 def _reduce(num: Poly, den: tuple):
     """Cancel denominator factors that exactly divide the numerator.
 
@@ -370,15 +403,25 @@ def _reduce(num: Poly, den: tuple):
     Neither divides 1 - m: its content is 1, as its constant term is 1, and
     a variable divides only polynomials whose every term contains it, which
     the term 1 does not.
+
+    A box 1 - m with a variable that no term of the numerator has is not
+    tried either.  If 1 - m divided N, the degree of N in that variable
+    would be its degree in 1 - m plus that in the quotient, Z[q] being an
+    integral domain, so at least one.  By the same count every variable of
+    a quotient N/g occurs in N, so the variables of N serve every step.
     """
     if num.is_zero():
         return num, ()
     if not den or num.nterms() == 1:
         return num, den
+    have = num.variable_flags()
     remaining = []
     for f, run in groupby(den):
         run = list(run)
         p = f.expand()
+        if p.variable_flags() & ~have:
+            remaining.extend(run)
+            continue
         k = 0
         while k < len(run):
             try:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .ring import (Poly, SINGLE_Q, check_assignment, evaluate_terms,
                    pair_var)
-from .boxes import as_part, product_part, sum_parts
+from .boxes import as_part, over_common, product_part, sum_parts
 from .fock import Word, Weight
 from .perms import Perm, cycle
 
@@ -112,15 +112,22 @@ class GramMatrix:
     def matmul(self, o: "GramMatrix") -> "GramMatrix":
         """Matrix product.  Each entry sums its products in one go, as
         ``OpExpansion.__mul__`` does: a Poly when every operand is one,
-        else one ``boxes.sum_parts`` over the unreduced products."""
-        cols = list(zip(*o.entries))
+        else one ``boxes.sum_parts`` over the unreduced products.
+
+        The product is built column by column.  Each column of o is first
+        put over its common denominator, once, where ``boxes.over_common``
+        does so (every factor prime), so its entries' sums multiply no
+        numerator up to a common denominator; only one such column is held
+        at a time."""
+        rows = [(row, [k for k, x in enumerate(row)
+                       if not (isinstance(x, Poly) and x.is_zero())])
+                for row in self.entries]
         out = []
-        for row in self.entries:
-            live = [k for k, x in enumerate(row)
-                    if not (isinstance(x, Poly) and x.is_zero())]
+        for col in zip(*o.entries):
+            col = over_common(col)
             out.append([_sum_products([(row[k], col[k]) for k in live])
-                        for col in cols])
-        return GramMatrix(self.basis, out)
+                        for row, live in rows])
+        return GramMatrix(self.basis, [list(r) for r in zip(*out)])
 
     def map_distinct(self, f) -> list:
         """The rows of f(entry), calling f once per distinct entry object.

@@ -631,13 +631,20 @@ def c_unimodal_op(basis: Basis, m: int, one_param: bool = False
 
 
 def inv_zagier(nu: Weight, one_param: bool = False) -> OpExpansion:
-    """[A]^{-1} = C^n [D^{n-1}]^{-1} C^{n-1} [D^{n-2}]^{-1} ... C^2 [D^1]^{-1}."""
+    """[A]^{-1} = C^n [D^{n-1}]^{-1} C^{n-1} [D^{n-2}]^{-1} ... C^2 [D^1]^{-1}.
+
+    The product is associated from the right: starting from the identity,
+    op = C^m ([D^{m-1}]^{-1} op) for m = 2..n.  C^m and [D^{m-1}]^{-1} are
+    supported on S_m x 1^(n-m), so after step m the partial product is
+    too, and every composition but the last pairs permutations of S_m
+    alone.  Associated from the left, every product after the first has an
+    operand spread over all of S_n.
+    """
     basis = Basis.of_weight(nu)
-    n = basis.n
     op = OpExpansion.identity(basis)
-    for m in range(n, 1, -1):
+    for m in range(2, basis.n + 1):
         C, _ = factor_CD(nu, m, one_param)
-        op = op * C * d_inverse_op(basis, m - 1, one_param)
+        op = C * (d_inverse_op(basis, m - 1, one_param) * op)
     return op
 
 

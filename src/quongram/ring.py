@@ -512,6 +512,19 @@ class Poly:
     def variables(self) -> set:
         return {v for m in self._t for v, _ in _decode(m)}
 
+    def variable_flags(self) -> int:
+        """The variables of the terms as flags, the guard bit of each
+        variable's packed field (and of the degree field for a term that is
+        not constant): every variable of p occurs in q iff
+        ``p.variable_flags() & ~q.variable_flags()`` is 0.  Each field of
+        the OR of the keys is below 2**15, so adding 2**15 - 1 to it sets
+        its guard bit iff it is nonzero, and carries nothing further."""
+        key = 0
+        for m in self._t:
+            key |= m
+        g = _GUARD
+        return (key + g - (g >> (_FIELD - 1))) & g
+
     def leading(self):
         """(mono, coeff) of the lex-leading term."""
         if not self._t:

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +109,17 @@ def test_monomial_numerators_try_no_division(monkeypatch, num, den):
     for b in den:
         with pytest.raises(NotDivisible):
             num.exact_div(b.expand())
+
+
+def test_boxes_with_a_variable_the_numerator_lacks_are_not_tried(
+        monkeypatch):
+    b12, b123 = B((1, 2), 1, 2), B((1, 2, 3), 1, 2, 3)
+    rest = Poly.parse("q12 - 2*q21")
+    # the numerator has no q13, so Box{1,2,3} cannot divide it
+    seen = _spy_divs(monkeypatch)
+    f = BoxFraction(rest * b12.expand(), (b123, b12, b12))
+    assert seen == [b12.expand()] * 2
+    assert (f.num, f.den) == (rest, (b12, b123))
 
 
 def rand_fraction(rng):
@@ -353,3 +365,38 @@ summed = st.integers(0, 10 ** 9).map(lambda s: sum_parts(
 def test_reduction_is_idempotent(f):
     g = BoxFraction(f.num, f.den)
     assert (g.num, g.den) == (f.num, f.den)
+
+
+def _reduce_trying_every_box(num, den):
+    """Reference reduction: each factor is divided out until its first
+    miss, whatever the variables of the numerator."""
+    remaining = []
+    for f, run in groupby(den):
+        run = list(run)
+        k = 0
+        while k < len(run):
+            try:
+                num = num.exact_div(f.expand())
+            except NotDivisible:
+                break
+            k += 1
+        remaining.extend(run[k:])
+    return num, tuple(remaining)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_skipped_divisions_leave_reductions_unchanged(seed):
+    rng = random.Random(seed)
+    boxes = GENERIC + [B((1, 1, 2), 1, 2, 3), B((3, 3), 1, 2)]
+    (num, den), = _rand_parts(rng, boxes, 1)
+    for b in rng.sample(boxes, rng.randint(0, 3)):
+        num = num * b.expand()
+    den = tuple(sorted(den + tuple(rng.sample(boxes, rng.randint(0, 3)))))
+    want = _reduce_trying_every_box(num, den)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_divs(mp)
+        f = BoxFraction(num, den)
+    assert (f.num, f.den) == want
+    # no division ran by a box with a variable the numerator lacks
+    assert all(d.variables() <= num.variables() for d in seen)

@@ -8,7 +8,8 @@ from quongram.perms import Perm, all_perms, cycle, longest_element
 from quongram.gram import (Basis, DiagOp, GramMatrix, OpExpansion,
                            build_generic, build_degenerate, rhat, mult_factor,
                            q_diag_pair, q_diag_set, box_diag, factor_A_m,
-                           factor_CD, embed_degenerate, q_of_perm)
+                           factor_CD, embed_degenerate, q_of_perm,
+                           _sum_products)
 from quongram.inverse import inv_full
 
 from conftest import hermitian_assignment, small_weights
@@ -361,6 +362,31 @@ def _matmul_by_additions(x, y):
             row.append(total)
         out.append(row)
     return GramMatrix(x.basis, out)
+
+
+def _matmul_by_entry_sums(x, y):
+    """Reference product: one ``_sum_products`` per entry over the columns
+    of y as they are, with no column put over a common denominator."""
+    n = x.basis.size
+    return GramMatrix(x.basis, [
+        [_sum_products([(x.entries[a][k], y.entries[k][b]) for k in range(n)
+                        if not (isinstance(x.entries[a][k], Poly)
+                                and x.entries[a][k].is_zero())])
+         for b in range(n)] for a in range(n)])
+
+
+def test_matmul_columns_over_one_denominator_n4():
+    nu = Weight.generic_n(4)
+    A = build_generic(nu)
+    inv = inv_full(nu, "fast").to_matrix()
+    # every column of the inverse has prime factors only, so each is lifted
+    assert all(f.prime for e in itertools.chain.from_iterable(inv.entries)
+               if not isinstance(e, Poly) for f in e.den)
+    prod = A.matmul(inv)
+    assert prod.to_json() == _matmul_by_entry_sums(A, inv).to_json()
+    size = A.basis.size
+    assert prod.to_json()["entries"] == [
+        ["1" if i == j else "0" for j in range(size)] for i in range(size)]
 
 
 @pytest.mark.parametrize("one_param", [False, True])

@@ -55,6 +55,16 @@ def test_exact_division_roundtrip(a, b):
     assert (a * b).exact_div(b) == a
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_variable_flags_compare_variable_sets(a, b):
+    # a high exponent fills its field without carrying into the next
+    high = Poly.var(1, 2) ** 5000 - Poly.var(2, 1)
+    for p, q in ((a, b), (b, a), (a, a * b), (high, a), (a, high)):
+        assert ((p.variable_flags() & ~q.variable_flags()) == 0) == \
+            (p.variables() <= q.variables())
+
+
 def test_not_divisible():
     p = Poly.one() + Poly.var(1, 2)
     with pytest.raises(NotDivisible):
