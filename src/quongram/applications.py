@@ -1,21 +1,25 @@
 """
-Two faces of the same Gram matrix: the quantum bilinear form of the
-discriminant hyperplane arrangement, and the contravariant form on the
-lower-triangular part of a quantum group.
+Two specializations of the one generic Gram matrix A_n({q_kl}): the
+quantum bilinear form of the discriminant hyperplane arrangement, and the
+contravariant form on the lower-triangular part of a quantum group.
 
 The discriminant arrangement in R^n consists of the hyperplanes x_i = x_j;
 its domains are the n! orderings P_pi = {x_{pi(1)} < ... < x_{pi(n)}}.  With
 a symmetric weight q_{ij} per hyperplane, the quantum bilinear form weighs a
-pair of domains by the product of the weights of the separating hyperplanes,
-and its matrix is exactly the generic-weight Gram matrix under the symmetric
-specialization q_{ij} = q_{ji}.
+pair of domains by the product of the weights of the separating hyperplanes.
+Its matrix is A_n under q_{ij} = q_{ji}: ``gram.pair_rule`` with the
+symmetric variable builds it.
 
 The contravariant form S on the weight-(1,...,1) subspace of U_q(n_-) has
 entries that are quarter-integer powers of q; writing u_{ij} = q^{b_ij/4}
 makes every entry a monomial in the u_{ij}, and an integer b turns each
-into a power of t = q^{1/4}.  Factoring a global monomial
-out of S leaves the same generic Gram matrix at q_{ij} = q^{b_ij/2}, so its
+into a power of t = q^{1/4}.  S is u_all^{-1} * A_n under
+q_{ij} = q_{ji} = u_{ij}^2, with u_all the product of all u_{ij}, so its
 determinant is again the closed product of box factors.
+
+A determinant commutes with specialization: the factor chain's
+certificate of det A_n (``determinant.det_factor_chain``) certifies
+``varchenko_det`` and ``contravariant_det`` at every n it reaches.
 
 >>> print(varchenko_matrix(2).entries[0][1])
 q12
@@ -29,9 +33,8 @@ __all__ = [
     "symmetrize", "Arrangement", "Edge", "VarchenkoDet",
     "varchenko_matrix", "varchenko_det",
     "UMonomial", "TLaurent", "t_laurent", "BilinearData",
-    "contravariant_entry", "contravariant_matrix_operators",
-    "contravariant_matrix", "ContravariantDet", "contravariant_det",
-    "elimination_det",
+    "contravariant_matrix_operators", "contravariant_matrix",
+    "ContravariantDet", "contravariant_det", "elimination_det",
 ]
 
 import itertools
@@ -41,8 +44,7 @@ from typing import NamedTuple
 
 from .ring import Poly, pair_var
 from .fock import Word, Weight
-from .perms import Perm
-from .gram import Basis, GramMatrix
+from .gram import Basis, GramMatrix, pair_rule
 from .determinant import (det_formula, det_univariate, _product,
                           _product_value, _product_str)
 
@@ -54,16 +56,8 @@ from .determinant import (det_formula, det_univariate, _product,
 def symmetrize(p: Poly) -> Poly:
     """Identify q_{ji} with q_{ij} (i < j): the symmetric-real parameter
     family of a weighted hyperplane arrangement."""
-    out = {}
-    for m, c in p.terms.items():
-        acc = {}
-        for v, e in m:
-            if v[0] == "q" and v[1] > v[2]:
-                v = ("q", v[2], v[1])
-            acc[v] = acc.get(v, 0) + e
-        mm = tuple(sorted(acc.items()))
-        out[mm] = out.get(mm, 0) + c
-    return Poly({m: c for m, c in out.items() if c})
+    return p.map_vars(lambda v: pair_var(v[2], v[1])
+                      if v[0] == "q" and v[1] > v[2] else v)
 
 
 @dataclass(frozen=True)
@@ -112,19 +106,12 @@ def varchenko_matrix(n: int) -> GramMatrix:
     hyperplanes separating the two orderings, i.e. over the symmetric
     difference of the inversion sets of pi^-1 and tau^-1.
 
-    Domain P_pi sits at the word pi(1)..pi(n) of the generic weight, which
-    makes the matrix literally a Gram matrix.
+    Domain P_pi sits at the word pi(1)..pi(n) of the generic weight.  x_a =
+    x_b separates two domains iff a and b stand in opposite orders in their
+    words, so this is the pair rule of A_n under q_{ab} = q_{ba}.
     """
-    basis = Basis.of_weight(Weight.generic_n(n))
-    inv_sets = [Perm(tuple(w)).inverse().inversion_set()
-                for w in basis.words]
-    ent = []
-    for si in inv_sets:
-        row = []
-        for sj in inv_sets:
-            row.append(Poly.monomial(pair_var(a, b) for a, b in si ^ sj))
-        ent.append(row)
-    return GramMatrix(basis, ent)
+    return pair_rule(Weight.generic_n(n),
+                     lambda x, y: pair_var(min(x, y), max(x, y)))
 
 
 @dataclass(frozen=True)
@@ -294,24 +281,6 @@ def _subset_b(subset, b: dict) -> int:
 # the contravariant form on the weight-(1,...,1) space
 # ---------------------------------------------------------------------------
 
-def contravariant_entry(I, J) -> UMonomial:
-    """S(f_I, f_J) = q^{(sum_{k<l} +- b_{i_k i_l})/4}: plus when the pairing
-    permutation inverts the pair, minus otherwise."""
-    I, J = tuple(I), tuple(J)
-    if sorted(I) != sorted(J) or len(set(I)) != len(I):
-        raise ValueError("entries need two words of one multiplicity-free "
-                         "weight")
-    # sigma(p) = position of i_p inside J; this is the indexing under which
-    # the sign rule reproduces the defining g_i recursion (and makes the
-    # matrix symmetric, as a bilinear form must be)
-    place = {letter: p + 1 for p, letter in enumerate(J)}
-    sigma = Perm(place[letter] for letter in I)
-    return UMonomial.of({
-        (min(I[k - 1], I[l - 1]), max(I[k - 1], I[l - 1])):
-            1 if sigma(k) > sigma(l) else -1
-        for k, l in itertools.combinations(range(1, len(I) + 1), 2)})
-
-
 def _apply_g(i, word: tuple):
     """g_i on a single monomial f_word in a multiplicity-free weight: strip
     the unique f_i, collecting u_{i,j}^{+1} for letters j before it and
@@ -341,15 +310,22 @@ def contravariant_matrix_operators(n: int) -> GramMatrix:
 
 
 def contravariant_matrix(n: int) -> GramMatrix:
-    """S on the weight-(1,...,1) space, entries as u-monomials; built from
-    the closed sign formula, with the operator recursion asserted to
-    agree."""
-    basis = Basis.of_weight(Weight.generic_n(n))
-    ent = [[contravariant_entry(tuple(wi), tuple(wj))
-            for wj in basis.words] for wi in basis.words]
-    mat = GramMatrix(basis, ent)
+    """S on the weight-(1,...,1) space, entries as u-monomials.  S is
+    u_all^{-1} * A_n under q_{xy} = q_{yx} = u_{xy}^2: each distinct entry
+    of ``varchenko_matrix(n)`` gives exponent +1 to each u_kl whose q_kl it
+    holds and -1 to the rest.  The g_i recursion is asserted to agree.
+    """
+    pairs = tuple(itertools.combinations(range(1, n + 1), 2))
+
+    def specialize(p: Poly) -> UMonomial:
+        (m,) = p.terms
+        held = {v[1:] for v, _ in m}
+        return UMonomial.of({kl: 1 if kl in held else -1 for kl in pairs})
+
+    B = varchenko_matrix(n)
+    mat = GramMatrix(B.basis, B.map_distinct(specialize))
     assert mat == contravariant_matrix_operators(n), \
-        "closed formula disagrees with the g_i recursion"
+        "specialized Gram matrix disagrees with the g_i recursion"
     return mat
 
 

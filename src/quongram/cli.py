@@ -106,11 +106,11 @@ DET_ELIM_ONE_PARAM_MAX_WORDS = 20
 # (N = 16: 1.0 s, 61 MB).
 FACTORED_DET_MAX_LETTERS = 14
 # varchenko builds the n! x n! arrangement form like build: n = 6 (720
-# words) takes 17 s and 210 MB.  contravariant builds S twice, by the
-# closed formula and by the g_i recursion: n = 5 (120 words) takes 1.4 s
-# and 56 MB, n = 6 passed 1.4 GB in 45 s.  Under --b-matrix its
-# determinant is expanded in t factor by factor: n = 6 (b = -2) takes 2.4 s
-# and 29 MB, n = 7 over 200 s.
+# words) takes 2.4 s and 92 MB.  contravariant builds S twice, by
+# specializing A_n and by the g_i recursion: n = 5 (120 words) takes 0.8 s
+# and 42 MB, n = 6 48 s and 1.28 GB, nearly all in the recursion.  Under
+# --b-matrix its determinant is expanded in t factor by factor: n = 6
+# (b = -2) takes 2.4 s and 29 MB, n = 7 over 200 s.
 CONTRAVARIANT_MAX_WORDS = 120
 CONTRAVARIANT_DET_MAX_LETTERS = 6
 # Every verify suite caps its own sizes at 4 or 6, so a larger --max-n

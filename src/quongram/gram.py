@@ -21,9 +21,9 @@ from __future__ import annotations
 
 __all__ = [
     "Basis", "GramMatrix", "DiagOp", "OpExpansion", "Embedding",
-    "build_generic", "build_degenerate", "rhat", "q_of_perm", "mult_factor",
-    "factor_A_m", "factor_CD", "embed_degenerate", "q_diag_pair",
-    "q_diag_set", "box_diag",
+    "build_generic", "pair_rule", "build_degenerate", "rhat", "q_of_perm",
+    "mult_factor", "factor_A_m", "factor_CD", "embed_degenerate",
+    "q_diag_pair", "q_diag_set", "box_diag",
 ]
 
 import itertools
@@ -395,46 +395,59 @@ def mult_factor(g1: Perm, g2: Perm, nu: Weight,
 
 def build_generic(nu: Weight, one_param: bool = False) -> GramMatrix:
     """Gram matrix for a multiplicity-free weight: entry (i, j) is the
-    monomial q_{i,σ} for the unique σ with σ·i = j.
-
-    That is the pair rule: the product of q_xy over the letter pairs with
-    x before y in w_i and y before x in w_j.  Each word gets a bitmask of
-    the ordered pairs (x, y) with x before y, so entry (i, j) is the
-    monomial of ``mask_i & ~mask_j``.  Each distinct monomial is built once
-    (in one-parameter mode, each power q^k) and that one immutable Poly is
-    shared by every entry equal to it; ``q_of_perm`` is the definition the
-    tests compare against.
+    monomial q_{i,σ} for the unique σ with σ·i = j, which is
+    ``pair_rule(nu, pair_var)``; ``q_of_perm`` is the definition the tests
+    compare against.  In one-parameter mode entry (i, j) is q^k for the k
+    pairs of ``mask_i & ~mask_j``, one shared Poly per power.
 
     >>> A = build_generic(Weight.generic_n(2))
     >>> [str(e) for e in A.entries[1]]
     ['q21', '1']
     """
+    if not one_param:
+        return pair_rule(nu, pair_var)
+    basis, pairs, masks = _pair_masks(nu)
+    powers = [Poly.monomial([SINGLE_Q] * k)
+              for k in range(len(pairs) // 2 + 1)]
+    return GramMatrix(basis, [[powers[(mi & ~mj).bit_count()]
+                               for mj in masks] for mi in masks])
+
+
+def pair_rule(nu: Weight, var) -> GramMatrix:
+    """The pair rule on a multiplicity-free weight: entry (i, j) is the
+    product of ``var(x, y)`` over the letter pairs with x before y in w_i
+    and y before x in w_j, that is over ``mask_i & ~mask_j``.  With
+    ``var = pair_var`` it is A_n; any other ``var`` specializes A_n.
+
+    Each distinct mask's Poly is built once and shared by every entry with
+    that mask.  Entries are shared by mask, never by Poly value: every
+    monomial of degree d hashes to 2^d.
+    """
+    basis, pairs, masks = _pair_masks(nu)
+    monos = _PairMonomials(var(x, y) for x, y in pairs)
+    return GramMatrix(basis, [[monos[mi & ~mj] for mj in masks]
+                              for mi in masks])
+
+
+def _pair_masks(nu: Weight):
+    """The basis of nu, its ordered letter pairs, and per word the bitmask
+    of the pairs (x, y) with x before y."""
     if not nu.generic:
         raise ValueError("weight is degenerate; use build_degenerate")
     basis = Basis.of_weight(nu)
     pairs = list(itertools.permutations(nu.labels, 2))
     bit = {xy: 1 << k for k, xy in enumerate(pairs)}
-    masks = [sum(bit[xy] for xy in itertools.combinations(w, 2))
-             for w in basis.words]
-    if one_param:
-        powers = [Poly.monomial([SINGLE_Q] * k)
-                  for k in range(len(pairs) // 2 + 1)]
-        ent = [[powers[(mi & ~mj).bit_count()] for mj in masks]
-               for mi in masks]
-    else:
-        monos = _PairMonomials(pairs)
-        ent = [[monos[mi & ~mj] for mj in masks] for mi in masks]
-    return GramMatrix(basis, ent)
+    return basis, pairs, [sum(bit[xy] for xy in itertools.combinations(w, 2))
+                          for w in basis.words]
 
 
 class _PairMonomials(dict):
-    """Bitmask over ordered letter pairs -> the product of their q_xy,
+    """Bitmask over ordered letter pairs -> the product of their variables,
     built on first lookup and shared after."""
 
-    def __init__(self, pairs):
+    def __init__(self, variables):
         super().__init__()
-        self.variable = {1 << k: pair_var(x, y) for k, (x, y) in
-                         enumerate(pairs)}
+        self.variable = {1 << k: v for k, v in enumerate(variables)}
 
     def __missing__(self, mask):
         variables = []

@@ -85,16 +85,6 @@ def mono_key(m: Mono):
     return tuple((v, -e) for v, e in m) + (_TERMINATOR,)
 
 
-def _mono_conj(m: Mono) -> Mono:
-    out = []
-    for v, e in m:
-        if v[0] == "q":
-            out.append((("q", v[2], v[1]), e))
-        else:
-            out.append((v, e))
-    return tuple(sorted(out))
-
-
 # -- packed monomials --------------------------------------------------------
 
 _FIELD = 16                       # bits per field
@@ -321,6 +311,7 @@ def _lift(o):
     return None
 
 
+@lru_cache(maxsize=1 << 10)
 def _var_str(v: ParamVar) -> str:
     if v == SINGLE_Q:
         return "q"
@@ -595,20 +586,27 @@ class Poly:
             return False
 
     # -- structure maps ----------------------------------------------------
+    def map_vars(self, g: Callable) -> "Poly":
+        """Substitute the variable g(v) for every variable v; terms whose
+        images coincide merge, and a coefficient that cancels drops."""
+        out: dict = {}
+        for m, c in self._t.items():
+            key = sum(e * _unit(g(v)) for v, e in _decode(m))
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+        return _poly(out)
+
     def conjugate(self) -> "Poly":
-        return Poly({_mono_conj(_decode(m)): c for m, c in self._t.items()})
+        return self.map_vars(
+            lambda v: pair_var(v[2], v[1]) if v[0] == "q" else v)
 
     def map_labels(self, f: Callable) -> "Poly":
         """Rename labels: x[i,j] -> x[f(i),f(j)] (may merge variables)."""
-        out: dict = {}
-        for m, c in self._t.items():
-            acc: dict = {}
-            for v, e in _decode(m):
-                vv = ("q", f(v[1]), f(v[2])) if v[0] == "q" else v
-                acc[vv] = acc.get(vv, 0) + e
-            mm = tuple(sorted(acc.items()))
-            out[mm] = out.get(mm, 0) + c
-        return Poly(out)
+        return self.map_vars(
+            lambda v: pair_var(f(v[1]), f(v[2])) if v[0] == "q" else v)
 
     def evaluate(self, assignment: Mapping[ParamVar, GaussRat],
                  mode: str = "free") -> GaussRat:
@@ -625,15 +623,17 @@ class Poly:
         return evaluate_terms(self, assignment, mode)
 
     # -- presentation ------------------------------------------------------
-    def _sorted_terms(self, key):
-        """(Mono, coeff) pairs, sorted by key of the packed monomials."""
-        return [(_decode(m), self._t[m]) for m in sorted(self._t, key=key)]
-
     def __str__(self):
         if not self._t:
             return "0"
+        # not through the _decode cache: a printed matrix meets each
+        # distinct entry once, so the cache would only fill
+        terms = [(m & _DEGREE, _decode.__wrapped__(m), c)
+                 for m, c in self._t.items()]
+        if len(terms) > 1:
+            terms.sort(key=lambda dmc: (dmc[0], mono_key(dmc[1])))
         parts = []
-        for m, c in self._sorted_terms(lambda m: (m & _DEGREE, _lex(m))):
+        for _, m, c in terms:
             factors = []
             for v, e in m:
                 s = _var_str(v)
@@ -702,8 +702,9 @@ class Poly:
         return out
 
     def to_json(self):
-        return [{"coeff": c, "mono": [[list(v), e] for v, e in m]}
-                for m, c in self._sorted_terms(_lex)]
+        return [{"coeff": self._t[m], "mono": [[list(v), e]
+                                               for v, e in _decode(m)]}
+                for m in sorted(self._t, key=_lex)]
 
 
 def _poly(t: dict) -> Poly:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,13 +6,13 @@ import pytest
 
 from quongram.ring import Poly, GaussRat, pair_var
 from quongram.fock import Weight
+from quongram.perms import Perm
 from quongram.gram import build_generic
 from quongram.determinant import det_point, det_poly_bareiss, det_one_param
 from quongram.applications import (symmetrize, Arrangement,
                                    varchenko_matrix, varchenko_det,
                                    UMonomial, TLaurent, t_laurent,
-                                   BilinearData, contravariant_entry,
-                                   contravariant_matrix,
+                                   BilinearData, contravariant_matrix,
                                    contravariant_matrix_operators,
                                    ContravariantDet, contravariant_det,
                                    elimination_det)
@@ -44,8 +45,10 @@ def test_symmetrize():
     assert symmetrize(Poly.var(2, 1)) == Poly.var(1, 2)
     p = Poly.var(1, 2) * Poly.var(2, 1)
     assert symmetrize(p) == Poly.var(1, 2) ** 2
-    # cancelling terms collapse
-    assert symmetrize(Poly.var(1, 2) - Poly.var(2, 1)).is_zero()
+    # cancelling terms collapse, leaving no zero coefficient behind
+    assert symmetrize(Poly.var(1, 2) - Poly.var(2, 1)) == Poly.zero()
+    p = Poly.var(1, 2) * Poly.var(3, 1) - Poly.var(2, 1) * Poly.var(1, 3)
+    assert symmetrize(p + Poly.var(3, 2)) == Poly.var(2, 3)
 
 
 def test_arrangement_shape():
@@ -64,6 +67,24 @@ def test_domain_form_is_symmetrized_gram():
         for i in range(B.basis.size):
             for j in range(B.basis.size):
                 assert B.entries[i][j] == symmetrize(A.entries[i][j])
+
+
+def test_domain_form_is_separating_hyperplane_product():
+    # the definition: entry (P_pi, P_tau) is the product of q_ab over the
+    # hyperplanes separating the domains, the symmetric difference of the
+    # inversion sets of pi^-1 and tau^-1
+    for n in (2, 3, 4, 5):
+        B = varchenko_matrix(n)
+        inv = [Perm(tuple(w)).inverse().inversion_set()
+               for w in B.basis.words]
+        for si, row in zip(inv, B.entries):
+            for sj, e in zip(inv, row):
+                assert e == Poly.monomial(pair_var(a, b) for a, b in si ^ sj)
+
+
+def test_domain_form_shares_one_entry_per_pair_mask():
+    B = varchenko_matrix(5)
+    assert len({id(e) for row in B.entries for e in row}) == 4231
 
 
 def test_domain_form_symmetric_unital():
@@ -166,11 +187,22 @@ def test_contravariant_symmetric():
             assert S.entries[i][j] == S.entries[j][i]
 
 
-def test_contravariant_entry_validation():
-    with pytest.raises(ValueError):
-        contravariant_entry((1, 2), (1, 3))
-    with pytest.raises(ValueError):
-        contravariant_entry((1, 1), (1, 1))
+def test_contravariant_is_specialized_gram():
+    # S = u_all^-1 * A_n under q_xy = q_yx = u_xy^2, entry by entry
+    for n in (2, 3, 4, 5):
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        u_all_inv = dict.fromkeys(pairs, -1)
+
+        def specialize(p):
+            ((m, c),) = p.terms.items()
+            assert c == 1
+            exps = dict(u_all_inv)
+            for (_, x, y), e in m:
+                exps[(min(x, y), max(x, y))] += 2 * e
+            return UMonomial.of(exps)
+
+        A = build_generic(Weight.generic_n(n))
+        assert contravariant_matrix(n).entries == A.map_distinct(specialize)
 
 
 def test_contravariant_det_small_symbolic():

@@ -284,10 +284,24 @@ def test_symmetric_check_matches_equality_rule(a):
 def test_map_labels():
     p = Poly.var(1, 2) + Poly.var(2, 3)
     assert p.map_labels(lambda x: x + 10) == Poly.var(11, 12) + Poly.var(12, 13)
+    # merged labels merge variables, and cancelling terms drop
+    merge = {3: 1}.get
+    p = Poly.var(1, 2) * Poly.var(3, 2) + Poly.var(3, 2) - Poly.var(1, 2)
+    assert p.map_labels(lambda x: merge(x, x)) == Poly.var(1, 2) ** 2
+    assert (Poly.var(1, 2) - Poly.var(3, 2)).map_labels(
+        lambda x: merge(x, x)) == Poly.zero()
 
 
 def test_conjugate_helper():
     assert Poly.var(1, 2).conjugate() == Poly.var(2, 1)
+    p = Poly.parse("2 - q12*q21^2 + q11^3*q")
+    assert p.conjugate() == Poly.parse("2 - q12^2*q21 + q11^3*q")
+    # conjugation is one case of map_vars; a map that is not one to one
+    # merges the images, and terms that cancel drop
+    p = Poly.var(2, 1) * Poly.var(1, 3) - Poly.var(1, 2) ** 2 + Poly.single_q()
+    to_q12 = {SINGLE_Q: SINGLE_Q}.get
+    assert p.map_vars(lambda v: to_q12(v, pair_var(1, 2))).nterms() == 1
+    assert p.map_vars(lambda v: to_q12(v, pair_var(1, 2))) == Poly.single_q()
 
 
 def test_var_takes_both_labels():
