@@ -10,16 +10,26 @@ Three exact routes to det A_n for generic weights:
                3 s at n = 7; dense elimination runs hours already at n = 4)
   dense     -- fraction-free elimination of the full n! x n! matrix
                (only attempted for n <= 3)
+and, for n <= 5, the elimination kernel on one slice:
+  slice     -- det_univariate (elimination mod p at enough points, then
+               interpolation) on the slice q_ij = c_ij q of A_n, slopes
+               c_ij drawn from 2..9 by --seed, checked against the formula
+               sliced box by box (0.07 s at n = 4; about 200 s at n = 5,
+               601 points of a 120 x 120 matrix modulo 2^3217 - 1)
 
-Usage:  python scripts/det_strategies.py [--max-n 6]
+Usage:  python scripts/det_strategies.py [--max-n 6] [--seed 1]
 """
 
 import argparse
+import random
 import time
 
 from quongram.fock import Weight
+from quongram.gram import build_generic
 from quongram.determinant import (det_formula, det_factor_chain, det_elim,
-                                  peel_check)
+                                  det_univariate, peel_check,
+                                  poly_to_univariate)
+from quongram.boxes import BoxFactor
 
 
 def timed(label, fn):
@@ -29,9 +39,26 @@ def timed(label, fn):
     return out
 
 
+def sliced_formula(formula, slope) -> list:
+    """The factored determinant on the slice: the product of the sliced
+    boxes, each to its exponent, as a coefficient list."""
+    out = [1]
+    for letters, e in formula.factors:
+        box = BoxFactor(letters, range(1, len(letters) + 1)).expand()
+        box = poly_to_univariate(box, slope)
+        for _ in range(e):
+            nxt = [0] * (len(out) + len(box) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(box):
+                    nxt[i + j] += x * y
+            out = nxt
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=6)
+    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
     for n in range(2, args.max_n + 1):
@@ -43,6 +70,15 @@ def main():
         if n <= 3:
             dense = timed("dense", lambda: det_elim(nu))
             assert peel_check(dense, formula)
+        if n <= 5:
+            rng = random.Random(args.seed)
+            slopes = {(i, j): rng.randint(2, 9)
+                      for i in nu.labels for j in nu.labels}
+            slope = lambda i, j: slopes[(i, j)]
+            rows = [[poly_to_univariate(e, slope) for e in row]
+                    for row in build_generic(nu).entries]
+            got = timed("slice", lambda: det_univariate(rows))
+            assert got == sliced_formula(formula, slope)
         print(f"  agree: {formula}")
 
 

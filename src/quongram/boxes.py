@@ -28,6 +28,7 @@ from __future__ import annotations
 __all__ = ["BoxFactor", "BoxFraction", "as_part", "over_common",
            "product_part", "sum_parts"]
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -225,17 +226,14 @@ class BoxFraction:
                 == num * _den_poly(_den_minus(self.den, den)))
 
     def __hash__(self):
-        """Hash of the value with every parameter set to 2: the numerator
-        sum of c*2^deg over the product of the boxes 1 - 2^(k(k-1)), as a
-        Fraction.  No box vanishes there, so equal values hash equally in
-        every mode, also where reduced forms are not unique; with no
-        denominator this is the hash of the equal Poly."""
-        num = self.num.value_at_2()
-        den = 1
-        for f in self.den:
-            k = len(f.letters)
-            den *= 1 - (1 << (k * (k - 1)))
-        return hash(Fraction(num, den))
+        """Hash of the value at the point of ``Poly.value_at_primes``,
+        which sets every variable to its own prime: the numerator's value
+        over the product of the boxes' values, as a Fraction.  No box
+        vanishes there (its monomial is a product of primes), so equal
+        values hash equally in every mode, also where reduced forms are not
+        unique; with no denominator this is the hash of the equal Poly."""
+        den = math.prod(f.expand().value_at_primes() for f in self.den)
+        return hash(Fraction(self.num.value_at_primes(), den))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

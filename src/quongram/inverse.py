@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
-                   param_value)
+                   param_value, _raw_sum, _reduced)
 from .boxes import BoxFactor, BoxFraction, sum_parts, _den_minus
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
@@ -119,30 +119,32 @@ class Universe:
 
         Symbolically this is one ``boxes.sum_parts``: reduced once for a
         generic multiparameter word, a running sum of reduced terms
-        otherwise.  Numerically it is a running sum of products of the
-        cached inverse box values.
+        otherwise.  Numerically each term is a product of the cached
+        inverse box values as raw triples, and the sum is reduced once.
         """
         if self.assignment is None:
             return sum_parts([
                 (Poly.const(sign),
                  tuple(_box(letters, T, self.one_param) for T in Ts))
                 for sign, Ts in terms])
-        val = GaussRat.of(0)
+        triples = []
         for sign, Ts in terms:
-            term = GaussRat.of(sign)
+            a, b, d = sign, 0, 1
             for T in Ts:
-                term = term * self._box_values(letters, T)[1]
-            val = val + term
-        return val
+                x = self._box_values(letters, T)[1]
+                a, b, d = a * x.a - b * x.b, a * x.b + b * x.a, d * x.d
+            triples.append((a, b, d))
+        return _raw_sum(triples)
 
     def mono(self, letters, pairs) -> GaussRat:
         """q_mono(letters, pairs) at the point of a numeric universe: the
-        product of the cached pair values, with no Poly built."""
-        val = None
-        for a, b in pairs:
-            x = self._pair(letters[a - 1], letters[b - 1])
-            val = x if val is None else val * x
-        return GaussRat.of(1) if val is None else val
+        product of the cached pair values, with no Poly built, as raw
+        triples reduced once."""
+        a, b, d = 1, 0, 1
+        for i, j in pairs:
+            x = self._pair(letters[i - 1], letters[j - 1])
+            a, b, d = a * x.a - b * x.b, a * x.b + b * x.a, d * x.d
+        return _reduced(a, b, d)
 
     def _pair(self, i, j) -> GaussRat:
         x = self._pairs.get((i, j))
@@ -748,7 +750,8 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
                                 check_closed=False)
             if val.is_zero():
                 continue
-            ent[i][j] = ent[i][j] + val * u.mono(gw, inv)
+            term, old = val * u.mono(gw, inv), ent[i][j]
+            ent[i][j] = term if old is zero else old + term
     return ent
 
 

@@ -51,7 +51,7 @@ import heapq
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -93,6 +93,7 @@ _LIMIT = 1 << (_FIELD - 1)        # guard bit: exponents stay below 2**15
 _VARS: list = []                  # field k >= 1 holds _VARS[k - 1]
 _UNIT: dict = {}                  # variable -> its packed key, degree 1
 _GUARD = _LIMIT                   # the guard bit of every registered field
+_FIELD_PRIMES: list = []          # field k >= 1 hashes as _FIELD_PRIMES[k - 1]
 _REGISTER = threading.Lock()      # one field per variable, whatever the thread
 
 
@@ -105,11 +106,34 @@ def _unit(v: ParamVar) -> int:
             u = _UNIT.get(v)
             if u is None:
                 _VARS.append(v)
+                _FIELD_PRIMES.append(
+                    _next_prime(_FIELD_PRIMES[-1] if _FIELD_PRIMES else 1))
                 shift = _FIELD * len(_VARS)
                 # the guard bit is in place before any key can use the field
                 _GUARD |= _LIMIT << shift
                 u = _UNIT[v] = (1 << shift) | 1
     return u
+
+
+def _next_prime(p: int) -> int:
+    """The least prime above p, by trial division."""
+    while True:
+        p += 1
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            return p
+
+
+def _at_primes(key: int) -> int:
+    """The monomial of a packed key with the variable of field k set to
+    the k-th prime, so distinct monomials take distinct values."""
+    val = 1
+    key >>= _FIELD
+    for p in _FIELD_PRIMES:
+        if not key:
+            break
+        val *= p ** (key & _DEGREE)
+        key >>= _FIELD
+    return val
 
 
 def _encode(m: Mono) -> int:
@@ -475,14 +499,15 @@ class Poly:
         return self._t == o._t
 
     def __hash__(self):
-        """The hash of ``value_at_2``, the integer ``BoxFraction`` hashes
-        for a value with no denominator, so a Poly and the equal
+        """The hash of ``value_at_primes``, the integer ``BoxFraction``
+        hashes for a value with no denominator, so a Poly and the equal
         BoxFraction hash equally."""
-        return hash(self.value_at_2())
+        return hash(self.value_at_primes())
 
-    def value_at_2(self) -> int:
-        """The value with every parameter set to 2: sum of c * 2**degree."""
-        return sum(c << (m & _DEGREE) for m, c in self._t.items())
+    def value_at_primes(self) -> int:
+        """The value with the variable of field k of the packed keys set to
+        the k-th prime: distinct monomials take distinct values."""
+        return sum(c * _at_primes(m) for m, c in self._t.items())
 
     def is_zero(self) -> bool:
         return not self._t
@@ -877,16 +902,33 @@ def random_hermitian(labels, rng, scale: int, bound: int,
 def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
                    mode: str) -> GaussRat:
     """The value of p under an assignment already checked against the mode
-    (``check_assignment``); the term loop of ``Poly.evaluate``."""
-    total = GaussRat.of(0)
+    (``check_assignment``); the term loop of ``Poly.evaluate``.  Each term
+    is a product of raw triples and the sum runs over the lcm of their
+    denominators, so the value is reduced once (``_raw_sum``)."""
+    triples = []
     for m, c in p._t.items():
-        val = GaussRat.of(c)
+        a, b, d = c, 0, 1
         for v, e in _decode(m):
             x = param_value(assignment, v, mode)
+            xa, xb, xd = x.a, x.b, x.d
             for _ in range(e):
-                val = val * x
-        total = total + val
-    return total
+                a, b, d = a * xa - b * xb, a * xb + b * xa, d * xd
+        triples.append((a, b, d))
+    return _raw_sum(triples)
+
+
+def _raw_sum(triples) -> GaussRat:
+    """The GaussRat sum of (a, b, d) triples, d > 0 and not necessarily
+    reduced: summed over the lcm of the denominators, reduced once."""
+    ta, tb, td = 0, 0, 1
+    for a, b, d in triples:
+        if d != td:
+            g = gcd(d, td)
+            f, d = td // g, d // g
+            ta, tb, td = ta * d + a * f, tb * d + b * f, td * d
+        else:
+            ta, tb = ta + a, tb + b
+    return _reduced(ta, tb, td)
 
 
 def param_value(assignment: Mapping[ParamVar, GaussRat], v: ParamVar,

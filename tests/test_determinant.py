@@ -604,16 +604,47 @@ def test_univariate_nonsymmetric_rows(rng):
     assert det_univariate(rows) == _general_sweep(rows)
 
 
-def _spy_det_mod(monkeypatch):
-    """Record (upper, returned None) for every _det_mod call."""
-    real, seen = determinant._det_mod, []
+def _spy_det_mod(monkeypatch, points=None):
+    """Record (upper, left) for every point det_univariate eliminates:
+    (True, whether a pivot vanished) for each matrix of a symmetric sweep,
+    (False, False) for each general sweep.  With a list points, also
+    record each one's q, read off the batches _at_points evaluates, whose
+    matrices the sweeps take in order."""
+    seen, queue = [], collections.deque()
+    at_points, general, symmetric = (determinant._at_points,
+                                     determinant._det_mod,
+                                     determinant._symmetric_sweep)
 
-    def spy(M, p, _upper=False):
-        d = real(M, p, _upper)
-        seen.append((_upper, d is None))
-        return d
-    monkeypatch.setattr(determinant, "_det_mod", spy)
+    def spy_at_points(terms, xs, p):
+        queue.extend(xs)
+        return at_points(terms, xs, p)
+
+    def spy_general(M, p):
+        seen.append((False, False))
+        x = queue.popleft()
+        if points is not None:
+            points.append(x)
+        return general(M, p)
+
+    def spy_symmetric(mats, p):
+        dets = symmetric(mats, p)
+        seen.extend((True, d is None) for d in dets)
+        xs = [queue.popleft() for _ in dets]
+        if points is not None:
+            points.extend(xs)
+        return dets
+    monkeypatch.setattr(determinant, "_at_points", spy_at_points)
+    monkeypatch.setattr(determinant, "_det_mod", spy_general)
+    monkeypatch.setattr(determinant, "_symmetric_sweep", spy_symmetric)
     return seen
+
+
+def _sweeps(seen, points):
+    """(the points of the symmetric sweeps, those that left them, the
+    points of the general sweeps), each in the order eliminated."""
+    sym = [x for x, (upper, _) in zip(points, seen) if upper]
+    left = [x for x, (upper, out) in zip(points, seen) if upper and out]
+    return sym, left, [x for x, (upper, _) in zip(points, seen) if not upper]
 
 
 def _symmetrizable(S, w, u, v):
@@ -628,21 +659,79 @@ def _symmetrizable(S, w, u, v):
 def test_univariate_vanishing_leading_minor(monkeypatch):
     # the leading 1x1 minor is 0 at every point, so elimination swaps rows;
     # the rows are symmetric, then made symmetrizable by S·diag(w) and
-    # shifts, so each symmetric sweep (q >= 1) stops at its first pivot
-    # and the general sweep runs in its place
+    # shifts, so each point q >= 1 leaves the symmetric sweep at its first
+    # pivot and the general sweep runs in its place, as at q = 0
     rows = [[[0], [1, 1], [2]],
             [[1, 1], [0, 3], [1]],
             [[2], [1], [1, 0, 1]]]
-    seen = _spy_det_mod(monkeypatch)
+    points = []
+    seen = _spy_det_mod(monkeypatch, points)
     for rows in (rows, _symmetrizable(rows, [3, -2, 5], [0, 1, 0],
                                       [0, 0, 2])):
         seen.clear()
+        points.clear()
         want = _general_sweep(rows)
         assert det_univariate(rows) == want
         assert want != [0]
-        assert seen[0] == (False, False) and len(seen) % 2 and len(seen) > 1
-        assert set(seen[1::2]) == {(True, True)}
-        assert set(seen[2::2]) == {(False, False)}
+        sym, left, general = _sweeps(seen, points)
+        D = len(sym)
+        assert D > 1 and sym == left == list(range(1, D + 1))
+        assert sorted(general) == list(range(D + 1)) and general[0] == 0
+
+
+def test_univariate_pivot_vanishing_at_one_point(monkeypatch):
+    # entry (0, 0) is q - 3: only q = 3 leaves the symmetric sweep, and the
+    # rest of its batch stays in it
+    rows = [[[-3, 1], [1, 1], [2]],
+            [[1, 1], [0, 3], [1]],
+            [[2], [1], [1, 0, 1]]]
+    points = []
+    seen = _spy_det_mod(monkeypatch, points)
+    for rows in (rows, _symmetrizable(rows, [3, -2, 5], [0, 1, 0],
+                                      [0, 0, 2])):
+        seen.clear()
+        points.clear()
+        assert det_univariate(rows) == _general_sweep(rows)
+        sym, left, general = _sweeps(seen, points)
+        assert sym == [1, 2, 3, 4] and left == [3] and general == [0, 3]
+
+
+def _slice_of_degree(rng, n, top):
+    """Symmetric rows whose entries have every degree up to top, so the
+    rows are not graded and D = n * top."""
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = [rng.choice([-3, -2, -1, 1, 2, 3])
+                                 for _ in range(top + 1)]
+    return M
+
+
+def test_univariate_slice_beyond_one_batch(monkeypatch, rng):
+    rows = _slice_of_degree(rng, 4, 12)
+    points = []
+    seen = _spy_det_mod(monkeypatch, points)
+    assert det_univariate(rows) == _general_sweep(rows)
+    sym, left, general = _sweeps(seen, points)
+    # D = 48 spans three batches
+    assert 2 * determinant._BATCH < 48 <= 3 * determinant._BATCH
+    assert sym == list(range(1, 49)) and not left and general == [0]
+
+
+def test_univariate_zero_pivots_across_a_batch_send_the_rest_general(
+        monkeypatch, rng):
+    # the leading 1x1 minor is 0 at every point: the first batch leaves the
+    # symmetric sweep, and every later point goes straight to the general
+    # sweep
+    rows = _slice_of_degree(rng, 4, 12)
+    rows[0][0] = [0]
+    points = []
+    seen = _spy_det_mod(monkeypatch, points)
+    assert det_univariate(rows) == _general_sweep(rows)
+    sym, left, general = _sweeps(seen, points)
+    batch = list(range(1, determinant._BATCH + 1))
+    assert sym == left == batch
+    assert sorted(general) == list(range(49))
 
 
 @pytest.mark.parametrize("matrix, slope, symmetric", [
@@ -655,12 +744,13 @@ def test_univariate_slices_take_the_symmetric_sweep(monkeypatch, matrix,
     rows = [[poly_to_univariate(e, slope) for e in row]
             for row in matrix.entries]
     assert (rows == [list(col) for col in zip(*rows)]) == symmetric
-    seen = _spy_det_mod(monkeypatch)
+    points = []
+    seen = _spy_det_mod(monkeypatch, points)
     assert det_univariate(rows) == _general_sweep(rows)
     # q = 0 by the general sweep, every other point by the symmetric one;
     # with the valuations stripped D is 9, not 12
-    assert len(seen) == 10 and seen[0] == (False, False)
-    assert set(seen[1:]) == {(True, False)}
+    sym, left, general = _sweeps(seen, points)
+    assert sym == list(range(1, 10)) and not left and general == [0]
 
 
 def test_univariate_strips_row_and_column_valuations(monkeypatch):
@@ -680,6 +770,10 @@ def test_univariate_strips_row_and_column_valuations(monkeypatch):
     ([[[2], [3]], [[4], [5]]], [-2]),            # constants: g = 0
     ([[[0], [0]], [[1], [0, 1]]], [0]),          # zero first row
     ([[[0], [1]], [[0], [0, 1]]], [0]),          # zero first column
+    # a zero row makes the bound B 0, and E_1 = 2^61 - 1 is no unit
+    # modulo the least prime of the table
+    ([[[1, 1], [2 * (2 ** 61 - 1)], [0]], [[2], [1, 1], [0]],
+      [[0], [0], [0]]], [0]),
     ([[[1, 0, 0]]], [1]),                        # trailing zeros
     ([[[2 ** 300, 1], [1]], [[1], [1, 2 ** 300]]],
      [2 ** 300 - 1, 2 ** 600 + 1, 2 ** 300]),    # p = 2^607 - 1
@@ -693,6 +787,70 @@ def test_univariate_coefficients_beyond_every_listed_prime():
         det_univariate([[[2 ** 19936]]])
 
 
+def _strong_probable_prime(n, a) -> bool:
+    """Miller-Rabin to the base a.  For n = 2^e - 1 beyond 4096 bits each
+    product is folded, x = (x & n) + (x >> e) modulo n, which outruns
+    pow's long division there."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    e = n.bit_length()
+    if n == (1 << e) - 1 and e > 4096:
+        x = 1
+        for bit in bin(d)[2:]:
+            for f in ((x,) if bit == "0" else (x, a)):
+                x = x * f
+                x = (x & n) + (x >> e)
+                x = (x & n) + (x >> e)
+        x %= n
+    else:
+        x = pow(a, d, n)
+    for _ in range(s):
+        if x in (1, n - 1):
+            return True
+        x = x * x % n
+    return False
+
+
+def test_prime_table_is_sorted_and_passes_miller_rabin():
+    # evidence, not proof: the primes are the published Mersenne primes
+    # and field primes of published standards
+    primes = determinant._PRIMES
+    assert list(primes) == sorted(set(primes))
+    assert primes[0] == 2 ** 61 - 1 and primes[-1] == 2 ** 19937 - 1
+    for p in primes:
+        bases = (2, 3, 5, 7, 11, 13) if p < 2 ** 1024 else (3,)
+        assert all(_strong_probable_prime(p, a) for a in bases), p
+    # and the test tells composites apart
+    assert not _strong_probable_prime(2 ** 11 - 1, 3)
+    assert not _strong_probable_prime(2 ** 4099 - 1, 3)
+
+
+@pytest.mark.parametrize("matrix, slope", [
+    (varchenko_matrix(3), lambda i, j: i + j + 1),
+    (build_generic(Weight.generic_n(3)), lambda i, j: 2 * i + j + 3),
+])
+def test_univariate_prime_is_the_smallest_above_the_bound(monkeypatch,
+                                                          matrix, slope):
+    real, seen = determinant._modulus, []
+
+    def spy(terms, D):
+        p = real(terms, D)
+        seen.append((terms, D, p))
+        return p
+    monkeypatch.setattr(determinant, "_modulus", spy)
+    rows = [[poly_to_univariate(e, slope) for e in row]
+            for row in matrix.entries]
+    assert det_univariate(rows) == _general_sweep(rows)
+    (terms, D, p), = seen
+    norms = [[sum(abs(c) for c in a.values()) for a in row] for row in terms]
+    B2 = math.prod(sum(x * x for x in row) for row in norms)
+    H = math.prod(sum(row) for row in norms)
+    assert B2 <= H * H
+    assert p == min(q for q in determinant._PRIMES
+                    if q > D and q * q > 4 * B2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 6), st.sampled_from([1, 2, 3]),
        st.sampled_from(["plain", "symmetric", "singular", "zero-row",
@@ -702,7 +860,7 @@ def test_univariate_coefficients_beyond_every_listed_prime():
 def test_univariate_matches_reference(n, g, shape, bound, seed):
     """Random rows of size 0-6 graded by g (every exponent of entry (i, j)
     is r_i + c_j mod g), with coefficients up to bound: 2^200 needs a
-    Mersenne prime beyond 2^61 - 1.  The symmetrizable shapes are
+    prime of the table beyond 2^61 - 1.  The symmetrizable shapes are
     _symmetrizable rows; the singular one repeats row and column 0 of S
     last."""
     rng = random.Random(seed)

@@ -417,6 +417,15 @@ def test_gauss_rat_division_by_zero(zero):
         GaussRat.of(1, 1) / zero
 
 
+def test_distinct_monomials_hash_distinctly():
+    # every variable takes its own prime in the hash, so the 4 231
+    # distinct monomials among the entries of A_5 hash apart
+    entries = {e for row in build_generic(Weight.generic_n(5)).entries
+               for e in row}
+    assert len(entries) == 4231 and all(e.nterms() == 1 for e in entries)
+    assert len({hash(e) for e in entries}) == 4231
+
+
 def test_gram_matrix_evaluate_matches_entries(rng):
     nu = Weight.generic_n(3)
     A = build_generic(nu)
@@ -622,6 +631,7 @@ for t in threads:
     t.join(timeout=60)
 assert not any(t.is_alive() for t in threads) and len(keys) == 4
 assert len(ring._VARS) == len(set(ring._VARS)) == len(labels)
+assert len(ring._FIELD_PRIMES) == len(set(ring._FIELD_PRIMES)) == len(labels)
 assert all(k == keys[0] for k in keys)
 """
 
