@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
-                   param_value, _raw_sum, _reduced)
+                   param_value)
 from .boxes import BoxFactor, BoxFraction, sum_parts, _den_minus
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
@@ -119,32 +119,25 @@ class Universe:
 
         Symbolically this is one ``boxes.sum_parts``: reduced once for a
         generic multiparameter word, a running sum of reduced terms
-        otherwise.  Numerically each term is a product of the cached
-        inverse box values as raw triples, and the sum is reduced once.
+        otherwise.  Numerically it is one ``GaussRat.sum_of_products`` of
+        the cached inverse box values, reduced once.
         """
         if self.assignment is None:
             return sum_parts([
                 (Poly.const(sign),
                  tuple(_box(letters, T, self.one_param) for T in Ts))
                 for sign, Ts in terms])
-        triples = []
-        for sign, Ts in terms:
-            a, b, d = sign, 0, 1
-            for T in Ts:
-                x = self._box_values(letters, T)[1]
-                a, b, d = a * x.a - b * x.b, a * x.b + b * x.a, d * x.d
-            triples.append((a, b, d))
-        return _raw_sum(triples)
+        return GaussRat.sum_of_products(
+            (sign, [self._box_values(letters, T)[1] for T in Ts])
+            for sign, Ts in terms)
 
     def mono(self, letters, pairs) -> GaussRat:
         """q_mono(letters, pairs) at the point of a numeric universe: the
-        product of the cached pair values, with no Poly built, as raw
-        triples reduced once."""
-        a, b, d = 1, 0, 1
-        for i, j in pairs:
-            x = self._pair(letters[i - 1], letters[j - 1])
-            a, b, d = a * x.a - b * x.b, a * x.b + b * x.a, d * x.d
-        return _reduced(a, b, d)
+        product of the cached pair values, with no Poly built, reduced
+        once."""
+        return GaussRat.sum_of_products(
+            [(1, [self._pair(letters[i - 1], letters[j - 1])
+                  for i, j in pairs])])
 
     def _pair(self, i, j) -> GaussRat:
         x = self._pairs.get((i, j))

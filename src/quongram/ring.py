@@ -220,6 +220,26 @@ class GaussRat:
             raise ValueError(f"denominator {d} is not positive")
         return _reduced(a, b, d)
 
+    @staticmethod
+    def sum_of_products(terms) -> "GaussRat":
+        """The sum over (c, factors) of the int c times the product of the
+        GaussRat factors.  Products and sum run on unreduced triples, the
+        sum over the lcm of the denominators, and only the value is
+        reduced."""
+        ta, tb, td = 0, 0, 1
+        for c, factors in terms:
+            a, b, d = c, 0, 1
+            for x in factors:
+                xa, xb = x.a, x.b
+                a, b, d = a * xa - b * xb, a * xb + b * xa, d * x.d
+            if d != td:
+                g = gcd(d, td)
+                f, d = td // g, d // g
+                ta, tb, td = ta * d + a * f, tb * d + b * f, td * d
+            else:
+                ta, tb = ta + a, tb + b
+        return _reduced(ta, tb, td)
+
     @property
     def re(self) -> Fraction:
         r = self._re
@@ -902,33 +922,12 @@ def random_hermitian(labels, rng, scale: int, bound: int,
 def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
                    mode: str) -> GaussRat:
     """The value of p under an assignment already checked against the mode
-    (``check_assignment``); the term loop of ``Poly.evaluate``.  Each term
-    is a product of raw triples and the sum runs over the lcm of their
-    denominators, so the value is reduced once (``_raw_sum``)."""
-    triples = []
-    for m, c in p._t.items():
-        a, b, d = c, 0, 1
-        for v, e in _decode(m):
-            x = param_value(assignment, v, mode)
-            xa, xb, xd = x.a, x.b, x.d
-            for _ in range(e):
-                a, b, d = a * xa - b * xb, a * xb + b * xa, d * xd
-        triples.append((a, b, d))
-    return _raw_sum(triples)
-
-
-def _raw_sum(triples) -> GaussRat:
-    """The GaussRat sum of (a, b, d) triples, d > 0 and not necessarily
-    reduced: summed over the lcm of the denominators, reduced once."""
-    ta, tb, td = 0, 0, 1
-    for a, b, d in triples:
-        if d != td:
-            g = gcd(d, td)
-            f, d = td // g, d // g
-            ta, tb, td = ta * d + a * f, tb * d + b * f, td * d
-        else:
-            ta, tb = ta + a, tb + b
-    return _reduced(ta, tb, td)
+    (``check_assignment``); the term loop of ``Poly.evaluate``, reduced
+    once (``GaussRat.sum_of_products``)."""
+    return GaussRat.sum_of_products(
+        (c, [x for v, e in _decode(m)
+             for x in (param_value(assignment, v, mode),) * e])
+        for m, c in p._t.items())
 
 
 def param_value(assignment: Mapping[ParamVar, GaussRat], v: ParamVar,
