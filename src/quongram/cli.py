@@ -90,10 +90,20 @@ def _check_size(what: str, size: int, unit: str, limit: int,
                     f"{limit}{hint}")
 
 
+def _check_fiber_terms(what: str, nu: Weight):
+    if not nu.generic:
+        _check_size(what, _words(nu) * math.factorial(nu.size),
+                    "fiber terms", DEGENERATE_MAX_TERMS)
+
+
 # Limits measured on a 2-core VM (Python 3.11), one fresh process each.
-# build: n = 6 (720 words) takes 5 s and 155 MB; the weight 2,2,2,1 (630
-# words) 79 s and 534 MB; n = 7 has 5 040 words.
+# build: n = 6 (720 words) takes 5 s and 155 MB, 2,2,2,1 (630 words) 44 s
+# and 252 MB (25 s and 24 MB with --one-param); n = 7 has 5 040 words.
 BUILD_MAX_WORDS = 720
+# A degenerate Gram matrix (build, det) sums words * |nu|! terms, one per
+# lift (gram.build_degenerate): 2,2,2,1 has 3.2 M (44 s), 4,4 2.8 M (16 s),
+# 10 3.6 M (18 s); 3,3,2 has 560 words but 22.6 M terms.
+DEGENERATE_MAX_TERMS = 4_000_000
 # det of a degenerate weight eliminates its dense Gram matrix (det_elim).
 # Multiparameter: 6 words (weights 2,2 and 5,1) take up to 1.1 s, 10 words
 # (3,2) over 100 s.  One-parameter: 20 words (3,1,1) take 7.6 s, 30 words
@@ -125,6 +135,7 @@ def cmd_build(args, out) -> int:
     nu = parse_weight(args)
     _check_size(f"building the Gram matrix of weight {nu}", _words(nu),
                 "words", BUILD_MAX_WORDS)
+    _check_fiber_terms(f"building the Gram matrix of weight {nu}", nu)
     _print_matrix(build_degenerate(nu, args.one_param), args.format, out)
     return 0
 
@@ -141,21 +152,16 @@ def cmd_det(args, out) -> int:
                  else DET_ELIM_MAX_WORDS)
         _check_size(f"elimination for the determinant of weight {nu}",
                     _words(nu), "words", limit)
+        _check_fiber_terms(f"the Gram matrix of weight {nu}", nu)
     elif not args.one_param:
         _check_size("the factored determinant", nu.size, "letters",
                     FACTORED_DET_MAX_LETTERS)
-    if args.one_param:
-        f = det_mod.det_one_param(nu.size) if nu.generic else None
-        if f is None:
-            p = det_mod.det_elim(nu, one_param=True)
-            out.write(str(p) + "\n")
-            return 0
-        out.write(_compact(str(f)) + "\n")
-        return 0
-    if nu.generic:
+    if not nu.generic:
+        out.write(str(det_mod.det_elim(nu, args.one_param)) + "\n")
+    elif args.one_param:
+        out.write(_compact(str(det_mod.det_one_param(nu.size))) + "\n")
+    else:
         out.write(str(det_mod.det_formula(nu)) + "\n")
-        return 0
-    out.write(str(det_mod.det_elim(nu)) + "\n")
     return 0
 
 
@@ -236,15 +242,21 @@ def cmd_varchenko(args, out) -> int:
 
 
 def _load_bdata(path: str, n: int) -> app_mod.BilinearData:
-    """JSON schema: {"n": 3, "b": {"1,2": -2, "1,3": 0, "2,3": 1}}."""
+    """JSON schema: {"n": 3, "b": {"1,2": -2, "1,3": 0, "2,3": 1}}, each
+    pair given once, in either order."""
     with open(path) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("b"), dict)):
+        raise Usage('b-matrix must be a JSON object with an object "b"')
     if data.get("n", n) != n:
         raise Usage("b-matrix size disagrees with --n")
     b = {}
     for key, v in data["b"].items():
         i, j = (int(x) for x in key.split(","))
-        b[(min(i, j), max(i, j))] = int(v)
+        pair = (min(i, j), max(i, j))
+        if pair in b:
+            raise Usage(f"b-matrix gives the pair {pair} twice")
+        b[pair] = v
     return app_mod.BilinearData(n, b)
 
 

@@ -86,8 +86,8 @@ from .ring import Poly, GaussRat, NotDivisible, SINGLE_Q, check_assignment
 from .boxes import _box_poly
 from .fock import Weight
 from .perms import cycle
-from .gram import (Basis, build_generic, build_degenerate, rhat, q_diag_set,
-                   embed_degenerate)
+from .gram import (Basis, build_degenerate, pair_rule, rhat,
+                   q_diag_set, embed_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,7 +1068,7 @@ class Divisibility:
     """The verdict of det_divides, truthy when it divides.
 
     certified says whether the verdict is proved.  It is False only for a
-    dividing slice at |ν| = 4: one slice that divides is evidence, not
+    dividing slice at |ν| ≥ 4: one slice that divides is evidence, not
     proof, while a slice that does not divide proves non-divisibility."""
 
     divides: bool
@@ -1089,22 +1089,15 @@ def det_divides(nu: Weight, seed: int = 0) -> Divisibility:
     (certified=False)."""
     if nu.generic:
         return Divisibility(True, True)
-    n = nu.size
     emb = embed_degenerate(nu)
-    tilde = build_generic(emb.generic_weight)
-    lm = emb.label_map()
-    mapped = [[e.map_labels(lm) for e in row] for row in tilde.entries]
+    mapped = pair_rule(emb.generic_weight, emb.var).entries
     A = build_degenerate(nu)
-    if n <= 3:
+    if nu.size <= 3:
         det_t = det_poly_bareiss(mapped)
         det_a = det_poly_bareiss(A.entries)
         return Divisibility(det_a.divides(det_t), True)
     rng = random.Random(seed)
-    letters = nu.labels
-    slopes = {}
-    for i in letters:
-        for j in letters:
-            slopes[(i, j)] = rng.randint(2, 9)
+    slopes = {(i, j): rng.randint(2, 9) for i in nu.labels for j in nu.labels}
     slope = lambda i, j: slopes[(i, j)]
     tu = [[poly_to_univariate(e, slope) for e in row] for row in mapped]
     au = [[poly_to_univariate(e, slope) for e in row] for row in A.entries]

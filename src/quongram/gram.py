@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -460,31 +461,13 @@ class _PairMonomials(dict):
         return p
 
 
-def _fiber_perms(wi, wj):
-    """All σ with σ·wi = wj, i.e. wi[σ⁻¹(p)] = wj[p] (words as 0-based)."""
-    n = len(wi)
-    positions = {}
-    for k, ch in enumerate(wi):
-        positions.setdefault(ch, []).append(k + 1)
-    letters = sorted(positions)
-    # assign each letter's occurrences in wj to its positions in wi
-    targets = {ch: [p for p in range(1, n + 1) if wj[p - 1] == ch]
-               for ch in letters}
-    if any(len(targets.get(ch, ())) != len(ps)
-           for ch, ps in positions.items()):
-        return
-    choices = [itertools.permutations(positions[ch]) for ch in letters]
-    for combo in itertools.product(*choices):
-        inv = [0] * n
-        for ch, perm_of_pos in zip(letters, combo):
-            for p, src in zip(targets[ch], perm_of_pos):
-                inv[p - 1] = src
-        yield Perm(inv).inverse()
-
-
 def build_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
     """Gram matrix for a weight with repeated letters: entry (i, j) sums
-    q_{i,σ} over all σ with σ·i = j.
+    q_{i,σ} over all σ with σ·i = j (``q_of_perm``, which the tests compare
+    against).  It is the pair rule pushed down (``Embedding.push_down``):
+    the sum over w̃ ∈ φ⁻¹(w_j) of the monomial of ``mask(ĩ) & ~mask(w̃)``
+    under ``Embedding.var``, or of q in one-parameter mode, each monomial
+    an integer with one digit per variable.  Equal entries share one Poly.
 
     >>> A = build_degenerate(Weight({1: 2, 3: 1}))
     >>> print(A.entries[0][0])
@@ -492,17 +475,35 @@ def build_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
     """
     if nu.generic:
         return build_generic(nu, one_param)
-    basis = Basis.of_weight(nu)
-    ent = []
-    for wi in basis.words:
-        row = []
-        for wj in basis.words:
-            s = Poly.zero()
-            for sigma in _fiber_perms(wi, wj):
-                s = s + q_of_perm(wi, sigma, one_param)
-            row.append(s)
-        ent.append(row)
-    return GramMatrix(basis, ent)
+    emb = embed_degenerate(nu)
+    var = (lambda x, y: SINGLE_Q) if one_param else emb.var
+    pairs = list(itertools.permutations(emb.phi, 2))
+    variables = sorted({var(x, y) for x, y in pairs})
+    # one digit per variable, in a base above any exponent
+    base = len(pairs) // 2 + 1
+    digit = {v: base ** k for k, v in enumerate(variables)}
+
+    def row(ti):
+        before = set(itertools.combinations(ti, 2))
+        # a pair (y, x) of w̃, y first, counts when x comes first in ĩ
+        part = {(y, x): digit[var(x, y)] if (x, y) in before else 0
+                for y, x in pairs}
+        return lambda tw: sum(map(part.__getitem__,
+                                  itertools.combinations(tw, 2)))
+
+    def mono(key):
+        exponents = (key // d % base for d in digit.values())
+        return tuple((v, e) for v, e in zip(variables, exponents) if e)
+
+    shared = {}
+
+    def total(keys):
+        terms = tuple(sorted(Counter(keys).items()))
+        if terms not in shared:
+            shared[terms] = Poly({mono(k): c for k, c in terms})
+        return shared[terms]
+
+    return emb.push_down(row, total)
 
 
 def factor_A_m(nu: Weight, m: int, one_param: bool = False) -> OpExpansion:
@@ -552,78 +553,75 @@ def factor_CD(nu: Weight, m: int, one_param: bool = False):
 
 @dataclass
 class Embedding:
-    """Generic model of a degenerate weight.
+    """Generic model of a degenerate weight, and the push-down from it.
 
-    The letters of ν are split into fresh position-labels 1..n (phi maps each
-    fresh label back to its letter); H is the group of relabelings that
-    preserve the fibers of phi, so the degenerate Gram matrix is the generic
-    one restricted to H-invariant vectors.
+    The letters of ν are split into fresh labels 1..n, and phi maps each
+    fresh label back to its letter.  A matrix over the words of ν is a
+    matrix Ã of the generic model pushed down along φ (``push_down``):
+
+        A^(ν)_ij = Σ_{w̃ ∈ φ⁻¹(w_j)} φ(Ã_{ĩ, w̃})
+
+    where ĩ is any lift of w_i.  The sum does not depend on the lift
+    chosen, because φ∘h = φ for every relabelling h within the fibers.
     """
 
     weight: Weight
     generic_weight: Weight
     phi: dict          # fresh label (1..n) -> original letter
-    group: tuple       # H as Perm objects acting on positions of words
     fibers: dict       # original letter -> tuple of fresh labels
 
     def lift(self, w) -> Word:
-        """Canonical preimage: occurrences of each letter get that letter's
-        fresh labels in left-to-right order."""
-        used = {ch: 0 for ch in self.fibers}
-        out = []
-        for ch in Word(w):
-            out.append(self.fibers[ch][used[ch]])
-            used[ch] += 1
-        return Word(out)
+        """Canonical preimage, the first word of the fiber: occurrences of
+        each letter get that letter's fresh labels in left-to-right order."""
+        return Word(next(self.fiber(w)))
 
-    def label_map(self):
-        """Label renaming a -> phi(a) for Poly.map_labels (so q_{ab} becomes
-        q_{phi(a) phi(b)})."""
-        phi = self.phi
-        return lambda i: phi[i]
+    def fiber(self, w):
+        """φ⁻¹(w), lazily: each letter's fresh labels permuted over that
+        letter's places in w, one word (a tuple) per product of those
+        permutations, the last letter's varying fastest.  Only the
+        permutations of the letters before the last are listed."""
+        *outer, (places, labels) = [
+            ([p for p, ch in enumerate(w) if ch == a], labels)
+            for a, labels in self.fibers.items()]
+        out = [None] * len(w)
+        for heads in itertools.product(*(itertools.permutations(labels)
+                                         for _, labels in outer)):
+            for (ps, _), perm in zip(outer, heads):
+                for p, x in zip(ps, perm):
+                    out[p] = x
+            for perm in itertools.permutations(labels):
+                for p, x in zip(places, perm):
+                    out[p] = x
+                yield tuple(out)
 
-    def transfer_entry(self, tilde_matrix: GramMatrix, wi, wj):
-        """A^(ν)_{i,j} as the H-orbit sum Σ_{h∈H} Ã_{ĩ, h·j̃}.  The entries
-        are summed as given; push them down along phi before or after."""
-        ti, tj = self.lift(wi), self.lift(wj)
-        total = None
-        for h in self.group:
-            # H acts by relabeling letters within fibers: (h.w)_p = h(w_p)
-            val = tilde_matrix.entry(ti, Word(h(ch) for ch in tj))
-            total = val if total is None else total + val
-        return total
+    def var(self, x, y):
+        """The variable of the fresh pair (x, y) pushed down: q_{φx φy}."""
+        return pair_var(self.phi[x], self.phi[y])
+
+    def push_down(self, row, total) -> GramMatrix:
+        """The matrix over the words of ν with entry (i, j) equal to
+        ``total`` of the values of ``row(ĩ)`` on the fiber φ⁻¹(w_j), ĩ the
+        lift of w_i.  ``row(ĩ)`` maps a generic word w̃ to Ã_{ĩ, w̃};
+        ``total`` sums one fiber's values and maps them along φ."""
+        basis = Basis.of_weight(self.weight)
+        return GramMatrix(basis, [
+            [total(map(f, self.fiber(wj))) for wj in basis.words]
+            for f in map(row, map(self.lift, basis.words))])
 
 
 def embed_degenerate(nu: Weight) -> Embedding:
     """Split repeated letters of ν into distinct fresh labels 1..n and return
-    the generic model together with the fiber-preserving symmetry group H.
+    the generic model with the map φ back to the letters.
 
     >>> emb = embed_degenerate(Weight({1: 2, 3: 1}))
     >>> emb.fibers[1], emb.fibers[3]
     ((1, 2), (3,))
-    >>> len(emb.group)
-    2
+    >>> [str(Word(w)) for w in emb.fiber(Word.parse("131"))]
+    ['132', '231']
     """
-    support = nu.support_word()
-    n = nu.size
-    phi = {k + 1: ch for k, ch in enumerate(support)}
-    fibers = {}
-    for fresh, ch in phi.items():
-        fibers.setdefault(ch, []).append(fresh)
-    fibers = {ch: tuple(v) for ch, v in fibers.items()}
-    # H: all products of permutations within each fiber, acting on labels;
-    # as a word action we permute the *labels*, realized by Perm on 1..n
-    blocks = [v for v in fibers.values()]
-    group = []
-    for combo in itertools.product(*[itertools.permutations(b)
-                                     for b in blocks]):
-        img = list(range(1, n + 1))
-        for orig, perm in zip(blocks, combo):
-            for src, dst in zip(orig, perm):
-                img[src - 1] = dst
-        group.append(Perm(img))
-    return Embedding(weight=nu, generic_weight=Weight.generic_n(n),
-                     phi=phi, group=tuple(group), fibers=fibers)
+    phi = {k + 1: ch for k, ch in enumerate(nu.support_word())}
+    fibers = {ch: tuple(x for x in phi if phi[x] == ch) for ch in nu.labels}
+    return Embedding(nu, Weight.generic_n(nu.size), phi, fibers)
 
 
 if __name__ == "__main__":

@@ -39,17 +39,17 @@ __all__ = [
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
                    param_value)
-from .boxes import BoxFactor, BoxFraction, sum_parts, _den_minus
+from .boxes import BoxFactor, BoxFraction, as_part, sum_parts, _den_minus
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
                     young_sequence, block_reversal, unimodal_subset)
 from .subdiv import enumerate_bracketings, enumerate_chains
 from .gram import (Basis, GramMatrix, DiagOp, OpExpansion, rhat, q_mono,
-                   q_diag_set, factor_CD, build_generic, embed_degenerate)
+                   q_diag_set, build_generic, embed_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +638,8 @@ def inv_zagier(nu: Weight, one_param: bool = False) -> OpExpansion:
     basis = Basis.of_weight(nu)
     op = OpExpansion.identity(basis)
     for m in range(2, basis.n + 1):
-        C, _ = factor_CD(nu, m, one_param)
-        op = C * (d_inverse_op(basis, m - 1, one_param) * op)
+        op = c_unimodal_op(basis, m, one_param) * (
+            d_inverse_op(basis, m - 1, one_param) * op)
     return op
 
 
@@ -753,29 +753,25 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
 # ---------------------------------------------------------------------------
 
 def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
-    """Inverse for a weight with repeated letters: sum the generic-model
-    inverse over the fiber symmetry group and push the labels down.
+    """Inverse for a weight with repeated letters: the inverse of the
+    generic model pushed down along φ (``Embedding.push_down``),
 
-    [A]^{-1}_{i,j} = sum_{h in H} [generic]^{-1}_{lift(i), h.lift(j)}
+        [A^(ν)]⁻¹_ij = Σ_{w̃ ∈ φ⁻¹(w_j)} φ([Ã]⁻¹_{ĩ, w̃}),  ĩ any lift of w_i.
+
+    Each fiber is summed in generic labels, where every multiparameter box
+    is prime, then mapped along φ and reduced.
     """
     if nu.generic:
         return inv_full(nu, "fast", one_param).to_matrix()
     emb = embed_degenerate(nu)
-    table = inv_full(emb.generic_weight, "fast", one_param)
-    tilde = table.to_matrix()
-    basis = Basis.of_weight(nu)
-    f = emb.label_map()
-    ent = []
-    for wi in basis.words:
-        row = []
-        for wj in basis.words:
-            total = emb.transfer_entry(tilde, wi, wj)
-            if isinstance(total, Poly):
-                total = BoxFraction(total)
-            mapped = total.map_labels(f)
-            row.append(BoxFraction(mapped.num, mapped.den))
-        ent.append(row)
-    return GramMatrix(basis, ent)
+    tilde = inv_full(emb.generic_weight, "fast", one_param).to_matrix()
+
+    def total(values):
+        s = sum_parts([as_part(v) for v in values]).map_labels(
+            emb.phi.__getitem__)
+        return BoxFraction(s.num, s.den)
+
+    return emb.push_down(lambda ti: partial(tilde.entry, ti), total)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,25 @@ def test_build_refuses_oversized_bases(capsys, monkeypatch):
         assert f"{words} words" in capsys.readouterr().err
 
 
+def test_degenerate_weights_are_refused_by_their_fiber_terms(capsys,
+                                                             monkeypatch):
+    # words * |nu|! terms: 3,3,2 has 560 words, under the 720-word limit,
+    # and the weight 12 one word; both are refused before anything is built
+    from quongram import cli, determinant
+    _refuse(monkeypatch, cli, ("build_generic", "build_degenerate"))
+    _refuse(monkeypatch, determinant, ("det_elim",))
+    for argv, terms in ((["build", "--weight", "3,3,2"], 22579200),
+                        (["build", "--weight", "3,3,2", "--one-param"],
+                         22579200),
+                        (["det", "--weight", "12"], 479001600),
+                        (["det", "--weight", "12", "--one-param"],
+                         479001600)):
+        code, s = run(*argv)
+        assert code == 2 and s == ""
+        assert f"{terms} fiber terms, over the limit" in \
+            capsys.readouterr().err
+
+
 def test_det_refuses_oversized_factored_formulas(capsys, monkeypatch):
     # a generic weight lists its 2^N subsets: past 14 letters it is refused,
     # in det and in varchenko --det alike; --one-param lists N boxes only
@@ -250,6 +269,19 @@ def test_contravariant_b_matrix(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[[0, -2], [-2, 0]]",
+    '{"n": 3, "b": {"1,2": 1.5, "1,3": -2, "2,3": -2}}',
+    '{"n": 3, "b": {"1,2": 1, "2,1": 3, "1,3": -2, "2,3": -2}}',
+], ids=["array", "float", "pair twice"])
+def test_contravariant_b_matrix_rejects_malformed(tmp_path, capsys, text):
+    f = tmp_path / "b.json"
+    f.write_text(text)
+    code, s = run("contravariant", "--n", "3", "--det", "--b-matrix", str(f))
+    assert code == 2 and s == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # Byte length and sha256 of the contravariant outputs: the matrix in each
 # format, det S written out in the u_kl, and det S in t under b matrices
 # with all entries -2, with mixed signs, and with a zero subset sum.
@@ -298,6 +330,39 @@ def test_contravariant_goldens(tmp_path, argv, size, digest):
                                  "b": CONTRAVARIANT_B[argv[k]]}))
         argv[k] = str(f)
     code, s = run("contravariant", *argv)
+    data = s.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# Byte length and sha256 of degenerate Gram matrices and inverses, each
+# in both modes, recorded from the sigma-sum builder and the group-sum
+# inverse that the fiber push-down replaced.
+DEGENERATE_GOLDENS = [
+    (("build", "--weight", "2,2,1"), 68410,
+     "f9a442359ee013b0d841f00bcdbe324373777546e690cf3dc0ca4cd79ae8d4f5"),
+    (("build", "--weight", "2,2,1", "--one-param"), 19276,
+     "c2f53c604dd47c48996e626ccd082d9b2731793a2352a97784e363eb221a1c18"),
+    (("build", "--weight", "2,2,1", "--format", "json"), 75370,
+     "d15f7b57b96dd126cd3f0982ab6cc77c55d622bfd6bca08db2732e4a727a011a"),
+    (("build", "--weight", "2,2,1", "--format", "json", "--one-param"), 26236,
+     "17b43ed382dfe54d3681fdcbd7a836e5ef08e96e4f06446a1b7dee0c20d23cd9"),
+    (("build", "--weight", "3,2,1", "--format", "json"), 834117,
+     "4b3dd189b859f75b23b8f63efbd2a90001e5bb40e09bfd5c4fdee38082ca2709"),
+    (("build", "--weight", "3,2,1", "--format", "json", "--one-param"), 201015,
+     "9dddf573689e7cb0cf6a7cf0e60d6180bf3f6ca6ed2f96d0c11cf08863019524"),
+    (("invert", "--weight", "2,2,1", "--format", "json"), 1188872,
+     "007d896566f57906ca1a470e462072cb15eb29e5415e80a316261ff00b2100d3"),
+    (("invert", "--weight", "2,2,1", "--format", "json", "--one-param"),
+     124260,
+     "e272b5e2d7be8743814395cf2a315156aa876f2e68ec5d9ee9ca8a17e9dd7fea"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", DEGENERATE_GOLDENS, ids=[
+    " ".join(argv) for argv, _, _ in DEGENERATE_GOLDENS])
+def test_degenerate_goldens(argv, size, digest):
+    code, s = run(*argv)
     data = s.encode()
     assert code == 0
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

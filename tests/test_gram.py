@@ -316,22 +316,55 @@ def test_factor_level_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_embedding_orbit_sums():
+    # the pushed-down generic matrix, summed over the fiber of w_j from
+    # every lift of w_i, is the degenerate matrix
     for nu in (Weight({1: 2, 3: 1}), Weight({1: 2, 2: 2}), Weight({2: 3})):
         emb = embed_degenerate(nu)
         tilde = build_generic(emb.generic_weight)
-        down = [[e.map_labels(emb.label_map()) for e in row]
+        down = [[e.map_labels(emb.phi.__getitem__) for e in row]
                 for row in tilde.entries]
         pushed = GramMatrix(tilde.basis, down)
         A = build_degenerate(nu)
         for wi in A.basis.words:
             for wj in A.basis.words:
-                assert emb.transfer_entry(pushed, wi, wj) == A.entry(wi, wj)
+                for ti in emb.fiber(wi):
+                    assert sum((pushed.entry(ti, tw)
+                                for tw in emb.fiber(wj)),
+                               Poly.zero()) == A.entry(wi, wj)
+        assert emb.push_down(
+            lambda ti: lambda tw: pushed.entry(ti, tw),
+            lambda vals: sum(vals, Poly.zero())) == A
 
 
 def test_embedding_group_size():
+    # each fiber holds prod m_i! distinct lifts, the canonical one first
+    for nu, size in ((Weight({1: 2, 2: 2}), 4),
+                     (Weight({1: 3, 2: 1, 3: 2}), 12)):
+        emb = embed_degenerate(nu)
+        for w in Basis.of_weight(nu).words:
+            lifts = list(emb.fiber(w))
+            assert len(set(lifts)) == len(lifts) == size
+            assert lifts[0] == emb.lift(w)
+            assert all(tuple(emb.phi[x] for x in t) == w for t in lifts)
     emb = embed_degenerate(Weight({1: 2, 2: 2}))
-    assert len(emb.group) == 4
     assert emb.lift(Word.parse("1212")) == Word((1, 3, 2, 4))
+
+
+@pytest.mark.parametrize("mults", [{1: 2, 2: 2, 3: 1}, {1: 3, 2: 2},
+                                   {1: 2, 2: 1, 3: 1, 4: 1}])
+@pytest.mark.parametrize("one_param", [False, True])
+def test_degenerate_entries_are_sigma_sums(mults, one_param):
+    # the definition at |nu| = 5: entry (i, j) sums q_{i,sigma} over every
+    # sigma in S_5 with sigma.w_i = w_j
+    nu = Weight(mults)
+    A = build_degenerate(nu, one_param)
+    for wi, row in zip(A.basis.words, A.entries):
+        want = {}
+        for sigma in all_perms(5):
+            wj = sigma.act_word(wi)
+            want[wj] = want.get(wj, Poly.zero()) + q_of_perm(wi, sigma,
+                                                             one_param)
+        assert dict(zip(A.basis.words, row)) == want
 
 
 def test_box_diag_values():
