@@ -13,9 +13,17 @@ that key and nothing else.  We therefore never need multivariate gcd: a
 fraction is a polynomial numerator over a *multiset* of box factors, and the
 only cancellation mechanism is exact polynomial division by one of them.
 
-A denominator multiset is a sorted tuple of factors.  Sums merge these
-tuples directly (``_den_lcm``, ``_den_minus``), one linear pass each, and
-equal factors sit next to each other for ``groupby``.
+A denominator multiset is a sorted tuple of factors.  Products and sums
+merge these tuples directly (``_den_plus``, ``_den_lcm``, ``_den_minus``),
+one linear pass each, and equal factors sit next to each other for
+``groupby``.
+
+Every sum of fractions, and every sum of products of them (a matrix
+entry, a coefficient of a composed operator), is one ``sum_parts`` or
+``sum_products``.  Where every factor is prime, the numerators are
+accumulated over the least common denominator by one
+``Poly.sum_of_products``, with no intermediate product or partial sum,
+and the total is reduced once.
 
 >>> f = BoxFraction(Poly.parse("1 - q12*q21"))
 >>> g = f / BoxFactor((1, 2), frozenset({1, 2}))
@@ -26,7 +34,7 @@ equal factors sit next to each other for ``groupby``.
 from __future__ import annotations
 
 __all__ = ["BoxFactor", "BoxFraction", "as_part", "over_common",
-           "product_part", "sum_parts"]
+           "sum_parts", "sum_products"]
 
 import math
 from fractions import Fraction
@@ -34,6 +42,9 @@ from functools import lru_cache
 from itertools import groupby
 
 from .ring import Poly, NotDivisible, GaussRat, pair_var
+
+_new = object.__new__
+_ONE = Poly.one()
 
 
 # a full pass of any benchmark workload (seed 1) leaves at most 26 entries;
@@ -105,11 +116,38 @@ class BoxFactor(tuple):
         return "Box{%s}" % ",".join(str(ch) for ch in self[1])
 
 
+# a symbolic-inverse pass (seed 1) leaves 157 entries, a symbolic-det pass
+# fewer; 1024 bounds what a larger weight can add
+@lru_cache(maxsize=1024)
 def _den_poly(den: tuple) -> Poly:
+    """The product of the factors of a denominator, expanded."""
     p = Poly.one()
     for f in den:
         p = p * f.expand()
     return p
+
+
+def _den_plus(a: tuple, b: tuple) -> tuple:
+    """Multiset sum of two sorted denominators, sorted: the denominator of
+    a product.  One merge pass, which keeps a factor of a before an equal
+    one of b."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        if b[j] < a[i]:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append(a[i])
+            i += 1
+    out += a[i:]
+    out += b[j:]
+    return tuple(out)
 
 
 def _den_lcm(a: tuple, b: tuple) -> tuple:
@@ -157,7 +195,10 @@ def _den_minus(a: tuple, b: tuple) -> tuple:
 
 class BoxFraction:
     """Polynomial numerator over a multiset of box factors, kept reduced:
-    no factor of the denominator exactly divides the numerator."""
+    no factor of the denominator exactly divides the numerator.
+
+    ``den`` is a sorted tuple.  The constructor sorts the factors it is
+    given; products and sums merge sorted tuples instead of sorting again."""
 
     __slots__ = ("num", "den")
 
@@ -179,7 +220,8 @@ class BoxFraction:
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, o: "BoxFraction") -> "BoxFraction":
-        return _sum_once(*_by_den((as_part(self), as_part(o))))
+        (n, den), (m, den_o) = as_part(self), as_part(o)
+        return _sum_once(*_by_den([(n, _ONE, den), (m, _ONE, den_o)]))
 
     def __radd__(self, o) -> "BoxFraction":
         return self + o
@@ -191,15 +233,11 @@ class BoxFraction:
         return (-self) + o
 
     def __neg__(self) -> "BoxFraction":
-        r = BoxFraction.__new__(BoxFraction)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        return _raw(-self.num, self.den)
 
     def __mul__(self, o) -> "BoxFraction":
-        if isinstance(o, Poly):
-            o = BoxFraction(o)
-        return BoxFraction(self.num * o.num, self.den + o.den)
+        n, den = as_part(o)
+        return _raw(*_reduce(self.num * n, _den_plus(self.den, den)))
 
     def __rmul__(self, o) -> "BoxFraction":
         return self * o
@@ -208,7 +246,7 @@ class BoxFraction:
         """Divide by a BoxFactor, the only division the inverse needs;
         any other divisor raises TypeError."""
         if isinstance(o, BoxFactor):
-            return BoxFraction(self.num, self.den + (o,))
+            return _raw(*_reduce(self.num, _den_plus(self.den, (o,))))
         raise TypeError(f"cannot divide BoxFraction by {type(o).__name__}")
 
     def __eq__(self, o):
@@ -239,8 +277,7 @@ class BoxFraction:
         return self.num.is_zero()
 
     def scale(self, c: int) -> "BoxFraction":
-        return BoxFraction(self.num.scale(c), self.den,
-                           reduce=False) if c else BoxFraction.zero()
+        return _raw(self.num.scale(c), self.den) if c else BoxFraction.zero()
 
     def map_labels(self, f) -> "BoxFraction":
         return BoxFraction(self.num.map_labels(f),
@@ -249,10 +286,7 @@ class BoxFraction:
 
     def conjugate(self) -> "BoxFraction":
         # every box factor is fixed by the involution
-        r = BoxFraction.__new__(BoxFraction)
-        r.num = self.num.conjugate()
-        r.den = self.den
-        return r
+        return _raw(self.num.conjugate(), self.den)
 
     def evaluate(self, assignment, mode="free") -> GaussRat:
         val = self.num.evaluate(assignment, mode)
@@ -283,45 +317,59 @@ def as_part(x):
     return (x.num, x.den) if isinstance(x, BoxFraction) else (x, ())
 
 
-def product_part(x, y):
-    """x*y for Polys and BoxFractions as a (numerator, denominator
-    multiset) part, not reduced."""
-    (nx, dx), (ny, dy) = as_part(x), as_part(y)
-    return nx * ny, dx + dy
+def _raw(num: Poly, den: tuple) -> BoxFraction:
+    """num / den as given: den sorted, nothing reduced or sorted."""
+    r = _new(BoxFraction)
+    r.num = num
+    r.den = den
+    return r
 
 
-def _by_den(parts):
-    """The numerators of (numerator, denominator multiset) pairs listed per
-    denominator, keyed by the sorted denominator, and the least common
-    multiple of the denominators: the running ``_den_lcm`` of the distinct
-    ones.  Nothing is added yet, so a caller that folds the parts instead
-    has lost no arithmetic."""
+def _by_den(products):
+    """The (x, y) numerator pairs of (x, y, sorted denominator) products
+    listed per denominator, and the least common multiple of the
+    denominators: the running ``_den_lcm`` of the distinct ones.  Nothing
+    is multiplied or added yet, so a caller that folds the products
+    instead has lost no arithmetic."""
     common = ()
     by_den: dict = {}
-    for n, den in parts:
-        den = tuple(sorted(den))
-        if den in by_den:
-            by_den[den].append(n)
-        else:
+    for x, y, den in products:
+        group = by_den.get(den)
+        if group is None:
             common = _den_lcm(common, den)
-            by_den[den] = [n]
+            by_den[den] = [(x, y)]
+        else:
+            group.append((x, y))
     return common, by_den
 
 
 def _sum_once(common, by_den) -> BoxFraction:
-    """Sum of the numerators of ``_by_den`` over their common denominator,
-    reduced once.  Numerators over the same denominator are added before
-    their sum is multiplied up to the common one, by the factors that
-    ``_den_minus`` finds its own denominator lacks."""
-    num = Poly.zero()
-    for den, ns in by_den.items():
-        n = ns[0]
-        for m in ns[1:]:
-            n = n + m
-        if not n.is_zero():
-            rest = _den_minus(common, den)
-            num = num + (n * _den_poly(rest) if rest else n)
-    return BoxFraction(num, common)
+    """Sum of the products of ``_by_den`` over their common denominator,
+    accumulated by one ``Poly.sum_of_products`` and reduced once.  The
+    products over a denominator that lacks factors of the common one are
+    summed first, and that sum is multiplied up by the product of the
+    factors ``_den_minus`` finds missing (``_den_poly``, cached)."""
+
+    def lifted():
+        for den, group in by_den.items():
+            if den == common:
+                yield from group
+                continue
+            n = Poly.sum_of_products(group)
+            if not n.is_zero():
+                yield n, _den_poly(_den_minus(common, den))
+
+    return _raw(*_reduce(Poly.sum_of_products(lifted()), common))
+
+
+def _fold(parts) -> BoxFraction:
+    """Sum of (numerator, sorted denominator) parts, each reduced and
+    added with ``+`` in the given order."""
+    total = BoxFraction.zero()
+    for n, den in parts:
+        f = _raw(*_reduce(n, den))
+        total = f if total.is_zero() else total + f
+    return total
 
 
 def sum_parts(parts) -> BoxFraction:
@@ -329,29 +377,47 @@ def sum_parts(parts) -> BoxFraction:
     rule by which box fractions are summed.
 
     When every factor is ``prime`` (a multiparameter box over distinct
-    letters), the parts are summed over their least common denominator and
-    reduced once.  The factors are then distinct primes of Z[q], so a value
-    has exactly one reduced form and the order of summation cannot show in
-    the result.  Otherwise (a one-parameter box, or a repeated letter) a
-    value can have several reduced forms, so each part is reduced and the
-    parts are added with ``+`` in the given order, as a running sum always
-    has.  Parts with a zero numerator are skipped.  The common denominator
-    holds every factor of every part, so the test runs over its factors
-    alone.
+    letters), the parts are accumulated over their least common
+    denominator by ``_sum_once`` and reduced once.  The factors are then
+    distinct primes of Z[q], so a value has exactly one reduced form and
+    the order of summation cannot show in the result.  Otherwise (a
+    one-parameter box, or a repeated letter) a value can have several
+    reduced forms, so each part is reduced and the parts are added with
+    ``+`` in the given order, as a running sum always has.  Parts with a
+    zero numerator are skipped.  The common denominator holds every factor
+    of every part, so the test runs over its factors alone.
 
     >>> b = BoxFactor((1, 2), frozenset({1, 2}))
     >>> print(sum_parts([(Poly.one(), (b,)), (Poly.parse("-q12*q21"), (b,))]))
     1
     """
-    parts = [(n, den) for n, den in parts if not n.is_zero()]
-    common, by_den = _by_den(parts)
+    parts = [(n, tuple(sorted(den))) for n, den in parts if not n.is_zero()]
+    common, by_den = _by_den([(n, _ONE, den) for n, den in parts])
     if all(f.prime for f in common):
         return _sum_once(common, by_den)
-    total = BoxFraction.zero()
-    for n, den in parts:
-        f = BoxFraction(n, den)
-        total = f if total.is_zero() else total + f
-    return total
+    return _fold(parts)
+
+
+def sum_products(pairs) -> BoxFraction:
+    """Sum of x*y over pairs of Polys and BoxFractions, reduced, by the
+    rule of ``sum_parts``: equal to ``sum_parts`` of the unreduced
+    products, each over the merged denominators of its pair.
+
+    When every factor is ``prime``, no product x*y is built on its own:
+    the pairs are grouped by their denominator and accumulated by
+    ``_sum_once``.  Otherwise each product is reduced and added in the
+    order of the pairs, so a one-parameter form cannot change.  Pairs with
+    a zero side are skipped.
+    """
+    products = []
+    for x, y in pairs:
+        (nx, dx), (ny, dy) = as_part(x), as_part(y)
+        if not (nx.is_zero() or ny.is_zero()):
+            products.append((nx, ny, _den_plus(dx, dy)))
+    common, by_den = _by_den(products)
+    if all(f.prime for f in common):
+        return _sum_once(common, by_den)
+    return _fold((nx * ny, den) for nx, ny, den in products)
 
 
 def over_common(values) -> list:
@@ -360,11 +426,12 @@ def over_common(values) -> list:
     values as they are.  Zeros stay as they are.
 
     A sum of products with such values, say a column of a matrix product,
-    then hands ``sum_parts`` numerators over one denominator, which it
-    adds without multiplying any up, and reduces once.  Where every factor
-    of the sum is prime, its value has one reduced form, so the result is
-    the same.  A value with another factor can reduce to several forms,
-    and ``sum_parts`` adds such parts in order, so those stay as they are.
+    then hands ``sum_products`` products over one denominator, which it
+    accumulates without multiplying any up, and reduces once.  Where every
+    factor of the sum is prime, its value has one reduced form, so the
+    result is the same.  A value with another factor can reduce to several
+    forms, and ``sum_products`` adds such products in order, so those stay
+    as they are.
     """
     parts = [as_part(x) for x in values]
     common = ()
@@ -372,17 +439,14 @@ def over_common(values) -> list:
         common = _den_lcm(common, den)
     if not common or not all(f.prime for f in common):
         return list(values)
-    lift: dict = {}
     out = []
     for x, (n, den) in zip(values, parts):
         if n.is_zero():
             out.append(x)
             continue
         if den != common:
-            if den not in lift:
-                lift[den] = _den_poly(_den_minus(common, den))
-            n = n * lift[den]
-        out.append(BoxFraction(n, common, reduce=False))
+            n = n * _den_poly(_den_minus(common, den))
+        out.append(_raw(n, common))
     return out
 
 

@@ -99,9 +99,27 @@ class Weight:
         return Word(out)
 
     def words(self):
-        """All words of this weight, lexicographically sorted."""
-        return sorted(set(Word(p) for p in
-                          itertools.permutations(self.support_word())))
+        """All words of this weight, lexicographically sorted: the distinct
+        permutations of the support word, each from the one before by the
+        next-permutation step (Knuth, TAOCP 7.2.1.2, Algorithm L), so no
+        repeated word is ever built."""
+        a = list(self.support_word())
+        out = [Word(a)]
+        last = len(a) - 1
+        while True:
+            # the longest non-increasing suffix starts after j
+            j = last - 1
+            while j >= 0 and a[j] >= a[j + 1]:
+                j -= 1
+            if j < 0:
+                return out
+            # swap a[j] with the last letter of the suffix that exceeds it
+            k = last
+            while a[j] >= a[k]:
+                k -= 1
+            a[j], a[k] = a[k], a[j]
+            a[j + 1:] = a[:j:-1]
+            out.append(Word(a))
 
     def sub(self, label) -> "Weight":
         d = dict(self.multiplicities)

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .ring import (Poly, SINGLE_Q, check_assignment, evaluate_terms,
                    pair_var)
-from .boxes import as_part, over_common, product_part, sum_parts
+from .boxes import as_part, over_common, sum_parts, sum_products
 from .fock import Word, Weight
 from .perms import Perm, cycle
 
@@ -112,8 +112,9 @@ class GramMatrix:
 
     def matmul(self, o: "GramMatrix") -> "GramMatrix":
         """Matrix product.  Each entry sums its products in one go, as
-        ``OpExpansion.__mul__`` does: a Poly when every operand is one,
-        else one ``boxes.sum_parts`` over the unreduced products.
+        ``OpExpansion.__mul__`` does: one ``Poly.sum_of_products`` when
+        every operand is a Poly, else one ``boxes.sum_products``, which
+        builds no product on its own where every factor is prime.
 
         The product is built column by column.  Each column of o is first
         put over its common denominator, once, where ``boxes.over_common``
@@ -224,10 +225,11 @@ def _sum_values(vals):
 
 def _sum_products(pairs):
     """Sum of x*y over pairs of Polys and BoxFractions, by the rule of
-    ``_sum_values``; the products are not reduced on their own."""
+    ``_sum_values``: one ``Poly.sum_of_products`` when every operand is a
+    Poly, else one ``boxes.sum_products``."""
     if all(isinstance(x, Poly) and isinstance(y, Poly) for x, y in pairs):
-        return sum((x * y for x, y in pairs), Poly.zero())
-    return sum_parts([product_part(x, y) for x, y in pairs])
+        return Poly.sum_of_products(pairs)
+    return sum_products(pairs)
 
 
 class OpExpansion:
@@ -289,11 +291,12 @@ class OpExpansion:
         """Composition: D1 R(g1) D2 R(g2) = D1 (R(g1) D2 R(g1)^-1) R(g1 g2).
 
         The pairs (g1, g2) are grouped by g = g1 g2 first, and each word's
-        entry of the coefficient of g is then summed in one go: a Poly when
-        every operand there is a Poly, else one ``boxes.sum_parts`` over
-        the unreduced products.  For a generic multiparameter word every
-        box is prime, so that sum is reduced once, and its reduced form is
-        unique; otherwise it adds the reduced products in pair order.
+        entry of the coefficient of g is then summed in one go: one
+        ``Poly.sum_of_products`` when every operand there is a Poly, else
+        one ``boxes.sum_products``.  For a generic multiparameter word
+        every box is prime, so the products are accumulated into one
+        numerator and reduced once, and the reduced form is unique;
+        otherwise each product is reduced and added in pair order.
         """
         groups: dict = {}
         for g1, d1 in self.coefficients.items():

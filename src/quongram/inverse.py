@@ -39,7 +39,7 @@ __all__ = [
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
                    param_value)
@@ -445,6 +445,19 @@ class LambdaTable:
     def to_matrix(self) -> GramMatrix:
         return self.to_expansion().to_matrix()
 
+    def row(self, w) -> dict:
+        """Row w of ``to_matrix()``, computed alone, as a dict from word to
+        entry over the words some coefficient reaches; the others are 0.
+        The coefficient of g puts Lambda(g) at w, times ``q_mono`` of w
+        over the inversions of g^-1, at the word g^-1.w.  A table is over a
+        generic weight (``inv_full`` takes no other), so distinct g reach
+        distinct words, and no entry is a sum."""
+        i = self.basis.index(w)
+        return {Word(w[k - 1] for k in g.images):
+                lam.diagonal[i] * q_mono(w, g.inverse().inversion_set(),
+                                         self.one_param)
+                for g, lam in self.entries.items()}
+
     def evaluate(self, assignment, mode: str = "free") -> list:
         """Dense inverse at an exact evaluation point (GaussRat entries)."""
         basis = self.basis
@@ -758,20 +771,27 @@ def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
 
         [A^(ν)]⁻¹_ij = Σ_{w̃ ∈ φ⁻¹(w_j)} φ([Ã]⁻¹_{ĩ, w̃}),  ĩ any lift of w_i.
 
-    Each fiber is summed in generic labels, where every multiparameter box
-    is prime, then mapped along φ and reduced.
+    Only the rows of the lifts ĩ are read, one per word of ν, so only
+    those are computed (``LambdaTable.row``).  Each fiber is summed in
+    generic labels, where every multiparameter box is prime, then mapped
+    along φ and reduced.
     """
     if nu.generic:
         return inv_full(nu, "fast", one_param).to_matrix()
     emb = embed_degenerate(nu)
-    tilde = inv_full(emb.generic_weight, "fast", one_param).to_matrix()
+    table = inv_full(emb.generic_weight, "fast", one_param)
+    zero = Poly.zero()
+
+    def row(ti):
+        entries = table.row(ti)
+        return lambda w: entries.get(w, zero)
 
     def total(values):
         s = sum_parts([as_part(v) for v in values]).map_labels(
             emb.phi.__getitem__)
         return BoxFraction(s.num, s.den)
 
-    return emb.push_down(lambda ti: partial(tilde.entry, ti), total)
+    return emb.push_down(row, total)
 
 
 # ---------------------------------------------------------------------------

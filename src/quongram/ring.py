@@ -478,25 +478,36 @@ class Poly:
     def __mul__(self, o: "Poly") -> "Poly":
         if not isinstance(o, Poly):
             return NotImplemented
-        a, b = self._t, o._t
-        if len(a) > len(b):
-            a, b = b, a
+        return Poly.sum_of_products(((self, o),))
+
+    @staticmethod
+    def sum_of_products(pairs) -> "Poly":
+        """The sum of x*y over pairs of Polys, the one multiply-accumulate
+        kernel: every product term goes into one packed-term dict, and
+        zero coefficients are dropped once, at the end, so no product and
+        no partial sum is built as a Poly of its own.  A product that
+        would reach degree 2**15 raises ``OverflowError``.
+
+        >>> x, y = Poly.var(1, 2), Poly.var(2, 1)
+        >>> print(Poly.sum_of_products([(x, y), (Poly.one() - x, y)]))
+        q21
+        """
         out: dict = {}
         get = out.get
         guard = _LIMIT
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                # every exponent is at most the degree, so the degree's
-                # guard bit is set first
-                if m & guard:
-                    raise OverflowError("a product reaches degree 2**15")
-                v = get(m, 0) + ca * cb
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return _poly(out)
+        for x, y in pairs:
+            a, b = x._t, y._t
+            if len(a) > len(b):
+                a, b = b, a
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    m = ma + mb
+                    # every exponent is at most the degree, so the
+                    # degree's guard bit is set first
+                    if m & guard:
+                        raise OverflowError("a product reaches degree 2**15")
+                    out[m] = get(m, 0) + ca * cb
+        return _poly({m: c for m, c in out.items() if c})
 
     def scale(self, c: int) -> "Poly":
         if c == 0:

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quongram.ring import Poly, NotDivisible
-from quongram.boxes import (BoxFactor, BoxFraction, sum_parts, _den_lcm,
-                            _den_minus)
+from quongram.boxes import (BoxFactor, BoxFraction, as_part, sum_parts,
+                            sum_products, _den_lcm, _den_minus, _den_plus)
+from quongram.fock import Weight
+from quongram.gram import build_generic
+from quongram.inverse import inv_full
 
 
 def B(word, *positions):
@@ -298,7 +301,7 @@ def _spy_adds(monkeypatch):
     add = BoxFraction.__add__
 
     def spy(self, o):
-        seen.append(1)
+        seen.append(o)
         return add(self, o)
     monkeypatch.setattr(BoxFraction, "__add__", spy)
     return seen
@@ -353,7 +356,70 @@ dens = st.lists(st.sampled_from(GENERIC + ONE_PARAM), max_size=7).map(
 def test_den_merges_agree_with_counter(a, b):
     ca, cb = Counter(a), Counter(b)
     assert _den_lcm(a, b) == tuple(sorted((ca | cb).elements()))
+    assert _den_plus(a, b) == tuple(sorted((ca + cb).elements()))
     assert _den_minus(a, b) == tuple(sorted((ca - cb).elements()))
+
+
+def test_product_denominator_is_sorted_for_outside_callers():
+    a, b = GENERIC[3], GENERIC[0]
+    assert b < a
+    f = BoxFraction(Poly.const(2), (a, b))
+    assert f.den == (b, a)
+    assert (f * BoxFraction(Poly.const(3), (b,))).den == (b, b, a)
+    assert (f / b).den == (b, b, a)
+
+
+# -- sums of products ---------------------------------------------------------
+
+def _product_part(x, y):
+    """x*y as an unreduced (numerator, denominator) part: the reference
+    that sum_products must match through sum_parts."""
+    (nx, dx), (ny, dy) = as_part(x), as_part(y)
+    return nx * ny, dx + dy
+
+
+def _a3_values(one_param):
+    """The entries of A_3 and of its inverse, and a zero."""
+    nu = Weight.generic_n(3)
+    rows = (build_generic(nu, one_param).entries
+            + inv_full(nu, "fast", one_param).to_matrix().entries)
+    return [v for row in rows for v in row] + [Poly.zero()]
+
+
+A3_VALUES = {mode: _a3_values(mode) for mode in (False, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.integers(0, 10 ** 9))
+def test_sum_products_is_sum_parts_of_the_products(one_param, seed):
+    rng = random.Random(seed)
+    values = A3_VALUES[one_param]
+    pairs = [(rng.choice(values), rng.choice(values))
+             for _ in range(rng.randint(0, 8))]
+    got = sum_products(pairs)
+    ref = sum_parts([_product_part(x, y) for x, y in pairs])
+    assert (got.num, got.den) == (ref.num, ref.den)
+    assert str(got) == str(ref)
+
+
+@pytest.mark.parametrize("one_param", [False, True])
+def test_sum_products_keeps_the_pair_order_of_one_parameter_forms(one_param):
+    # a row of A_3 times a column of its inverse: in one-parameter mode
+    # each reduced product is added with + in the order of the pairs
+    nu = Weight.generic_n(3)
+    row = build_generic(nu, one_param).entries[0]
+    col = [r[0] for r in inv_full(nu, "fast", one_param).to_matrix().entries]
+    pairs = list(zip(row, col))[::-1]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_adds(mp)
+        total = sum_products(pairs)
+    assert (total.num, total.den) == (Poly.one(), ())
+    if one_param:
+        reduced = [BoxFraction(*_product_part(x, y)) for x, y in pairs]
+        assert [(f.num, f.den) for f in seen] == \
+            [(f.num, f.den) for f in reduced[1:]]
+    else:
+        assert not seen
 
 
 summed = st.integers(0, 10 ** 9).map(lambda s: sum_parts(

@@ -86,6 +86,31 @@ def test_no_function_takes_a_weight_and_its_basis(name):
     assert both == []
 
 
+def _ring_internals(tree):
+    """(what, line) of every read of a ``_t`` attribute, every private name
+    imported from ``ring`` and every private attribute of ``ring``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "_t"
+                or (node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "ring")):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "ring"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield alias.name, node.lineno
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "ring"])
+def test_only_ring_reads_packed_terms(name):
+    # a Poly's packed-term dict and ring's private helpers are ring's own:
+    # every other module goes through Poly's methods, so the packing can
+    # change in one place
+    assert list(_ring_internals(SOURCES[name])) == []
+
+
 TEST_SOURCES = {path.name: ast.parse(path.read_text())
                 for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quongram.ring import Poly
@@ -24,6 +25,17 @@ def test_weight_words_sorted():
     assert [str(w) for w in nu.words()] == ["113", "131", "311"]
     assert Weight.generic_n(3).generic
     assert not nu.generic
+
+
+@pytest.mark.parametrize("mult", [{1: 3, 2: 2}, {1: 2, 2: 1, 3: 1}, {1: 10},
+                                  {1: 1, 2: 1, 3: 1, 4: 1}, {}])
+def test_weight_words_are_the_distinct_permutations(mult):
+    nu = Weight(mult)
+    old = sorted(set(Word(p) for p in
+                     itertools.permutations(nu.support_word())))
+    words = nu.words()
+    assert words == old
+    assert all(type(w) is Word for w in words)
 
 
 def test_left_derivative_prefix_rule():

@@ -191,6 +191,18 @@ def test_inverse_times_matrix_is_identity():
         assert_is_identity(build_generic(nu).matmul(inv))
 
 
+@pytest.mark.parametrize("one_param", [False, True])
+def test_table_rows_are_the_rows_of_its_matrix(one_param):
+    table = inv_full(Weight.generic_n(3), "fast", one_param)
+    matrix = table.to_matrix()
+    for w, entries in zip(matrix.basis.words, matrix.entries):
+        row = table.row(w)
+        assert set(row) <= set(matrix.basis.words)
+        got = [row.get(v, Poly.zero()) for v in matrix.basis.words]
+        assert [str(x) for x in got] == [str(x) for x in entries]
+        assert got == entries
+
+
 def test_support_is_tree_like():
     nu = Weight.generic_n(4)
     table = inv_full(nu, "fast")

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,37 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert a - a == Poly.zero()
     assert a * Poly.one() == a
+
+
+def _product_by_monos(x, y):
+    """x*y from the decoded terms, not through the packed kernel."""
+    out = {}
+    for m, c in x.terms.items():
+        for n, d in y.terms.items():
+            mono = tuple(sorted((Counter(dict(m)) + Counter(dict(n))).items()))
+            out[mono] = out.get(mono, 0) + c * d
+    return Poly(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(polys, polys), max_size=5))
+def test_sum_of_products_is_the_sum_of_the_products(pairs):
+    total = Poly.zero()
+    for x, y in pairs:
+        total = total + _product_by_monos(x, y)
+    assert Poly.sum_of_products(pairs) == total
+    assert Poly.sum_of_products(iter(pairs)) == total
+    # with every product cancelled, no zero coefficient is left behind
+    cancelled = pairs + [(-x, y) for x, y in reversed(pairs)]
+    assert Poly.sum_of_products(cancelled) == Poly.zero()
+    assert Poly.sum_of_products(cancelled).nterms() == 0
+
+
+def test_sum_of_products_of_nothing_and_its_degree_guard():
+    assert Poly.sum_of_products([]) == Poly.zero()
+    x = Poly.var(1, 2)
+    with pytest.raises(OverflowError):
+        Poly.sum_of_products([(Poly.one(), x), (x ** (2 ** 15 - 1), x)])
 
 
 @settings(max_examples=60, deadline=None)
