@@ -212,11 +212,11 @@ class BoxFraction:
     # -- constructors --------------------------------------------------------
     @staticmethod
     def zero() -> "BoxFraction":
-        return BoxFraction(Poly.zero(), ())
+        return _raw(Poly.zero(), ())
 
     @staticmethod
     def one() -> "BoxFraction":
-        return BoxFraction(Poly.one(), ())
+        return _raw(Poly.one(), ())
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, o: "BoxFraction") -> "BoxFraction":
@@ -384,17 +384,19 @@ def sum_parts(parts) -> BoxFraction:
     one-parameter box, or a repeated letter) a value can have several
     reduced forms, so each part is reduced and the parts are added with
     ``+`` in the given order, as a running sum always has.  Parts with a
-    zero numerator are skipped.  The common denominator holds every factor
-    of every part, so the test runs over its factors alone.
+    zero numerator are skipped, and a single part is reduced on its own
+    either way, so it skips the test.  The common denominator holds every
+    factor of every part, so the test runs over its factors alone.
 
     >>> b = BoxFactor((1, 2), frozenset({1, 2}))
     >>> print(sum_parts([(Poly.one(), (b,)), (Poly.parse("-q12*q21"), (b,))]))
     1
     """
     parts = [(n, tuple(sorted(den))) for n, den in parts if not n.is_zero()]
-    common, by_den = _by_den([(n, _ONE, den) for n, den in parts])
-    if all(f.prime for f in common):
-        return _sum_once(common, by_den)
+    if len(parts) > 1:
+        common, by_den = _by_den([(n, _ONE, den) for n, den in parts])
+        if all(f.prime for f in common):
+            return _sum_once(common, by_den)
     return _fold(parts)
 
 
@@ -407,16 +409,17 @@ def sum_products(pairs) -> BoxFraction:
     the pairs are grouped by their denominator and accumulated by
     ``_sum_once``.  Otherwise each product is reduced and added in the
     order of the pairs, so a one-parameter form cannot change.  Pairs with
-    a zero side are skipped.
+    a zero side are skipped; a single product is reduced on its own.
     """
     products = []
     for x, y in pairs:
         (nx, dx), (ny, dy) = as_part(x), as_part(y)
         if not (nx.is_zero() or ny.is_zero()):
             products.append((nx, ny, _den_plus(dx, dy)))
-    common, by_den = _by_den(products)
-    if all(f.prime for f in common):
-        return _sum_once(common, by_den)
+    if len(products) > 1:
+        common, by_den = _by_den(products)
+        if all(f.prime for f in common):
+            return _sum_once(common, by_den)
     return _fold((nx * ny, den) for nx, ny, den in products)
 
 
