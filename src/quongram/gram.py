@@ -224,9 +224,14 @@ def _sum_values(vals):
 
 
 def _sum_products(pairs):
-    """Sum of x*y over pairs of Polys and BoxFractions, by the rule of
-    ``_sum_values``: one ``Poly.sum_of_products`` when every operand is a
-    Poly, else one ``boxes.sum_products``."""
+    """Sum of x*y over a list of pairs of Polys and BoxFractions, by the
+    rule of ``_sum_values``: one ``Poly.sum_of_products`` when every
+    operand is a Poly, else one ``boxes.sum_products``.  A single pair is
+    the product x*y, which ``BoxFraction.__mul__`` reduces exactly as
+    ``sum_products`` reduces a single product."""
+    if len(pairs) == 1:
+        ((x, y),) = pairs
+        return x * y
     if all(isinstance(x, Poly) and isinstance(y, Poly) for x, y in pairs):
         return Poly.sum_of_products(pairs)
     return sum_products(pairs)
@@ -291,9 +296,10 @@ class OpExpansion:
         """Composition: D1 R(g1) D2 R(g2) = D1 (R(g1) D2 R(g1)^-1) R(g1 g2).
 
         The pairs (g1, g2) are grouped by g = g1 g2 first, and each word's
-        entry of the coefficient of g is then summed in one go: one
-        ``Poly.sum_of_products`` when every operand there is a Poly, else
-        one ``boxes.sum_products``.  For a generic multiparameter word
+        entry of the coefficient of g is then summed in one go by
+        ``_sum_products``: one ``Poly.sum_of_products`` when every operand
+        there is a Poly, else one ``boxes.sum_products``, and x*y for a
+        single pair.  For a generic multiparameter word
         every box is prime, so the products are accumulated into one
         numerator and reduced once, and the reduced form is unique;
         otherwise each product is reduced and added in pair order.

@@ -400,6 +400,10 @@ def test_sum_products_is_sum_parts_of_the_products(one_param, seed):
     ref = sum_parts([_product_part(x, y) for x, y in pairs])
     assert (got.num, got.den) == (ref.num, ref.den)
     assert str(got) == str(ref)
+    # a single pair reduces as the product x*y does
+    for x, y in pairs[:1]:
+        one = sum_products([(x, y)])
+        assert as_part(x * y) == (one.num, one.den)
 
 
 @pytest.mark.parametrize("one_param", [False, True])
