@@ -18,8 +18,8 @@ merge these tuples directly (``_den_plus``, ``_den_lcm``, ``_den_minus``),
 one linear pass each, and equal factors sit next to each other for
 ``groupby``.
 
-Every sum of fractions, and every sum of products of them (a matrix
-entry, a coefficient of a composed operator), is one ``sum_parts`` or
+Sums of fractions, and sums of products of them (a matrix entry, a
+coefficient of a composed operator), go through ``sum_parts`` and
 ``sum_products``.  Where every factor is prime, the numerators are
 accumulated over the least common denominator by one
 ``Poly.sum_of_products``, with no intermediate product or partial sum,
@@ -129,8 +129,7 @@ def _den_poly(den: tuple) -> Poly:
 
 def _den_plus(a: tuple, b: tuple) -> tuple:
     """Multiset sum of two sorted denominators, sorted: the denominator of
-    a product.  One merge pass, which keeps a factor of a before an equal
-    one of b."""
+    a product.  One merge pass."""
     if not b:
         return a
     if not a:
