@@ -368,6 +368,28 @@ def test_degenerate_goldens(argv, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+# Byte length and sha256 of dense generic inverses as printed by
+# ``invert --format matrix``, which GOLDEN_TABLES (the json form) does not
+# cover: the placement of each coefficient and each printed entry.
+MATRIX_GOLDENS = [
+    (("invert", "--n", "4", "--format", "matrix"), 69048,
+     "37a8624724c4aac57f1697a3cd31cc2ae798164cd8be13ec58f708036497b856"),
+    (("invert", "--n", "4", "--format", "matrix", "--one-param"), 26424,
+     "5d3d527116c4a86798dbeb87431e4a3a260f590cb2b51cd514e44b87abad7e41"),
+    (("invert", "--n", "3", "--format", "matrix", "--one-param"), 1110,
+     "9ad0980462fe7c2ef97d46b797350051305e8b845c6fc334d49dff633856a01d"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", MATRIX_GOLDENS, ids=[
+    " ".join(argv) for argv, _, _ in MATRIX_GOLDENS])
+def test_matrix_goldens(argv, size, digest):
+    code, s = run(*argv)
+    data = s.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_zagier_check_exit_codes():
     code, s = run("zagier-check", "--n", "3")
     assert code == 0 and "PASS" in s
