@@ -417,7 +417,15 @@ def abs_q_sq(basis: Basis, g: Perm, one_param: bool = False) -> DiagOp:
 
 @dataclass
 class LambdaTable:
-    """[A]^{-1} = sum_g Lambda(g) Rhat(g): nonzero coefficients only."""
+    """[A]^{-1} = sum_g Lambda(g) Rhat(g): nonzero coefficients only.
+
+    The coefficient of g puts Lambda(g) at w, times ``q_mono`` of w over the
+    inversions of g^-1, at entry (w, g^-1.w) of the dense inverse.  A table
+    is over a generic weight (``inv_full`` takes no other), so distinct g
+    reach distinct words, and no entry is a sum.  ``row`` is the one place
+    this is done; ``to_matrix`` is built from its rows and ``evaluate``
+    evaluates the entries of ``to_matrix``.
+    """
 
     basis: Basis
     one_param: bool
@@ -432,49 +440,32 @@ class LambdaTable:
     def support(self):
         return sorted(self.entries, key=lambda g: g.images)
 
-    def to_expansion(self) -> OpExpansion:
-        coeffs = {}
-        for g, lam in self.entries.items():
-            inv = g.inverse().inversion_set()
-            qd = DiagOp.of_func(
-                self.basis,
-                lambda w, inv=inv: q_mono(w, inv, self.one_param))
-            coeffs[g] = lam * qd
-        return OpExpansion(self.basis, coeffs)
-
-    def to_matrix(self) -> GramMatrix:
-        return self.to_expansion().to_matrix()
-
     def row(self, w) -> dict:
         """Row w of ``to_matrix()``, computed alone, as a dict from word to
-        entry over the words some coefficient reaches; the others are 0.
-        The coefficient of g puts Lambda(g) at w, times ``q_mono`` of w
-        over the inversions of g^-1, at the word g^-1.w.  A table is over a
-        generic weight (``inv_full`` takes no other), so distinct g reach
-        distinct words, and no entry is a sum."""
+        entry over the words some coefficient reaches; the others are 0."""
         i = self.basis.index(w)
-        return {Word(w[k - 1] for k in g.images):
-                lam.diagonal[i] * q_mono(w, g.inverse().inversion_set(),
-                                         self.one_param)
-                for g, lam in self.entries.items()}
+        out = {}
+        for g, lam in self.entries.items():
+            x = lam.diagonal[i]
+            mono = q_mono(w, g.inverse().inversion_set(), self.one_param)
+            # not reduced again: Lambda(g) is reduced, and a box, with
+            # constant term 1 and content 1, shares no factor with a
+            # monomial, so no box divides x.num * mono (see boxes._reduce)
+            out[Word(w[k - 1] for k in g.images)] = BoxFraction(
+                x.num * mono, x.den, reduce=False)
+        return out
+
+    def to_matrix(self) -> GramMatrix:
+        words = self.basis.words
+        zero = Poly.zero()
+        rows = [self.row(w) for w in words]
+        return GramMatrix(self.basis,
+                          [[r.get(v, zero) for v in words] for r in rows])
 
     def evaluate(self, assignment, mode: str = "free") -> list:
         """Dense inverse at an exact evaluation point (GaussRat entries)."""
-        basis = self.basis
-        size = basis.size
-        zero = GaussRat.of(0)
-        ent = [[zero for _ in range(size)] for _ in range(size)]
-        for g, lam in self.entries.items():
-            inv = g.inverse().inversion_set()
-            for j, i in enumerate(basis.act(g)):
-                gw = basis.words[i]
-                val = lam.diagonal[i]
-                if isinstance(val, BoxFraction):
-                    val = val.evaluate(assignment, mode)
-                mono = q_mono(gw, inv, self.one_param).evaluate(
-                    assignment, mode)
-                ent[i][j] = ent[i][j] + val * mono
-        return ent
+        return self.to_matrix().map_distinct(
+            lambda e: e.evaluate(assignment, mode))
 
     def __eq__(self, o):
         return (isinstance(o, LambdaTable) and self.basis == o.basis
@@ -489,7 +480,8 @@ class LambdaTable:
     def from_expansion(op: OpExpansion, one_param: bool = False
                        ) -> "LambdaTable":
         """Divide out the Rhat monomials: coefficients D(g) = Lambda(g)Q(g)
-        with Q(g) an invertible diagonal monomial."""
+        with Q(g) an invertible diagonal monomial.  The expansion holds no
+        zero coefficient, and dividing by monomials makes none."""
         entries = {}
         for g, d in op.coefficients.items():
             inv = g.inverse().inversion_set()
@@ -501,9 +493,7 @@ class LambdaTable:
                 else:
                     vals.append(BoxFraction(v.num.exact_div(mono), v.den,
                                             reduce=False))
-            dd = DiagOp(op.basis, tuple(vals))
-            if not dd.is_zero():
-                entries[g] = dd
+            entries[g] = DiagOp(op.basis, tuple(vals))
         return LambdaTable(op.basis, one_param, entries)
 
 
@@ -728,13 +718,9 @@ def _table_from_matrix(mat: GramMatrix, one_param: bool) -> LambdaTable:
             d = coeffs.setdefault(
                 g, [BoxFraction.zero()] * basis.size)
             d[i] = val
-    op_entries = {}
-    for g, vals in coeffs.items():
-        d = DiagOp(basis, tuple(vals))
-        if not d.is_zero():
-            op_entries[g] = d
-    return LambdaTable.from_expansion(OpExpansion(basis, op_entries),
-                                      one_param)
+    return LambdaTable.from_expansion(OpExpansion(basis, {
+        g: DiagOp(basis, tuple(vals)) for g, vals in coeffs.items()}),
+        one_param)
 
 
 def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",

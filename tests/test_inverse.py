@@ -203,6 +203,25 @@ def test_table_rows_are_the_rows_of_its_matrix(one_param):
         assert got == entries
 
 
+@pytest.mark.parametrize("one_param", [False, True])
+@pytest.mark.parametrize("method",
+                         ["fast", "long", "short", "chains", "zagier"])
+def test_placing_a_table_tries_no_division(monkeypatch, method, one_param):
+    # each coefficient is reduced, and a box shares no factor with the
+    # monomial it is placed with, so neither form reduces it again
+    table = inv_full(Weight.generic_n(3), method, one_param)
+    real, calls = Poly.exact_div, []
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+    monkeypatch.setattr(Poly, "exact_div", spy)
+    table.to_matrix()
+    for w in table.basis.words:
+        table.row(w)
+    assert calls == []
+
+
 def test_support_is_tree_like():
     nu = Weight.generic_n(4)
     table = inv_full(nu, "fast")
