@@ -117,7 +117,9 @@ class BoxFactor(tuple):
 
 
 # a symbolic-inverse pass (seed 1) leaves 157 entries, a symbolic-det pass
-# fewer; 1024 bounds what a larger weight can add
+# fewer.  1024 bounds the number of entries, not their size: an entry
+# expands a whole denominator, up to about 20 binomials at n = 7, where
+# the entries exhaust memory (ROADMAP, Measurements)
 @lru_cache(maxsize=1024)
 def _den_poly(den: tuple) -> Poly:
     """The product of the factors of a denominator, expanded."""
