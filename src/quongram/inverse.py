@@ -43,7 +43,8 @@ from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
                    param_value)
-from .boxes import BoxFactor, BoxFraction, as_part, sum_parts, _den_minus
+from .boxes import (BoxFactor, BoxFraction, as_part, sum_parts, _den_minus,
+                    _raw)
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
                     young_sequence, block_reversal, unimodal_subset)
@@ -451,8 +452,8 @@ class LambdaTable:
             # not reduced again: Lambda(g) is reduced, and a box, with
             # constant term 1 and content 1, shares no factor with a
             # monomial, so no box divides x.num * mono (see boxes._reduce)
-            out[Word(w[k - 1] for k in g.images)] = BoxFraction(
-                x.num * mono, x.den, reduce=False)
+            out[Word(w[k - 1] for k in g.images)] = _raw(x.num * mono,
+                                                         x.den)
         return out
 
     def to_matrix(self) -> GramMatrix:
