@@ -167,7 +167,7 @@ def cmd_det(args, out) -> int:
 
 # symbolic inversion runs on the generic model of the weight: the |nu|!
 # words of the generic weight on |nu| letters.  n = 5 (120 words) takes
-# n = 5: 4-6 s at 43 MB with the fast method, 6-8 s with chains or zagier,
+# 4-6 s at 43 MB with the fast method, and 6-8 s with chains or zagier,
 # the slowest (2-core VM); n = 6 (720 words) is out of reach.
 INVERT_MAX_WORDS = 120
 

@@ -679,8 +679,9 @@ def is_inverse(a_rows, b_rows) -> bool:
 # Ed448-Goldilocks and others), so that the modulus need not overshoot the
 # bound by hundreds of bits, which every update would pay for.  Between
 # 2^2281 − 1 and 2^3217 − 1 sits the least Proth prime k·2^m + 1 (k < 2^m)
-# above 2^2561, (2^1280 + 1025)·2^1281 + 1, for the 2 561-bit 2B of the
-# A_5 slices.  None is tested at run time.
+# above 2^2561, (2^1280 + 1025)·2^1281 + 1, so that a bound 2B of at most
+# 2 561 bits, as on some slices of A_5, is not taken modulo the 3 217-bit
+# prime.  None is tested at run time.
 _PRIMES = tuple(sorted(
     [(1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
                             3217, 4253, 4423, 9689, 9941, 11213, 19937)]

@@ -719,9 +719,9 @@ def _table_from_matrix(mat: GramMatrix, one_param: bool) -> LambdaTable:
             d = coeffs.setdefault(
                 g, [BoxFraction.zero()] * basis.size)
             d[i] = val
-    return LambdaTable.from_expansion(OpExpansion(basis, {
-        g: DiagOp(basis, tuple(vals)) for g, vals in coeffs.items()}),
-        one_param)
+    op = OpExpansion(basis, {g: DiagOp(basis, tuple(vals))
+                             for g, vals in coeffs.items()})
+    return LambdaTable.from_expansion(op, one_param)
 
 
 def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",

@@ -818,7 +818,7 @@ def test_prime_table_is_sorted_and_passes_miller_rabin():
             assert all(_strong_probable_prime(p, a)
                        for a in (2, 3, 5, 7, 11, 13)), p
         elif p & (p + 1):
-            m = ((p - 1) & (1 - p)).bit_length() - 1
+            m = ((p - 1) & (1 - p)).bit_length() - 1  # 2-adic valuation
             assert (p - 1) >> m < 1 << m, p
             assert pow(PROTH_WITNESSES[p], (p - 1) // 2, p) == p - 1, p
     assert set(PROTH_WITNESSES) <= set(primes)
