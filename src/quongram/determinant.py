@@ -677,18 +677,14 @@ def is_inverse(a_rows, b_rows) -> bool:
 # between 2^127 − 1 and 2^521 − 1 the field primes of published MAC and
 # elliptic-curve designs (Poly1305, NIST P-192, Curve25519, Curve41417,
 # Ed448-Goldilocks and others), so that the modulus need not overshoot the
-# bound by hundreds of bits, which every update would pay for.  Between
-# 2^2281 − 1 and 2^3217 − 1 sits the least Proth prime k·2^m + 1 (k < 2^m)
-# above 2^2561, (2^1280 + 1025)·2^1281 + 1, so that a bound 2B of at most
-# 2 561 bits, as on some slices of A_5, is not taken modulo the 3 217-bit
-# prime.  None is tested at run time.
+# bound by hundreds of bits, which every update would pay for.  None is
+# tested at run time.
 _PRIMES = tuple(sorted(
     [(1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
                             3217, 4253, 4423, 9689, 9941, 11213, 19937)]
     + [(1 << 130) - 5, (1 << 192) - (1 << 64) - 1, (1 << 221) - 3,
        (1 << 255) - 19, (1 << 336) - 3, (1 << 383) - 187, (1 << 414) - 17,
-       (1 << 448) - (1 << 224) - 1, (1 << 511) - 187,
-       ((1 << 1280) + 1025 << 1281) + 1]))
+       (1 << 448) - (1 << 224) - 1, (1 << 511) - 187]))
 
 # Evaluation points eliminated in lockstep by _symmetric_sweep.
 _BATCH = 16
@@ -960,9 +956,8 @@ def det_univariate(rows) -> list:
     B² = Π_i Σ_j ‖a_ij‖₁², every coefficient's absolute value (at most
     H = Π_i Σ_j ‖a_ij‖₁, and 14–32 bits below it on the n = 4 slices of
     the benchmark at seeds 1–10).  The prime p is the least entry of
-    _PRIMES, the Mersenne primes from 2^61 − 1, the field primes of
-    published standards between 2^127 and 2^521 and one Proth prime of
-    2 562 bits, with p > D and p² > 4B²,
+    _PRIMES, the Mersenne primes from 2^61 − 1 and the field primes of
+    published standards between 2^127 and 2^521, with p > D and p² > 4B²,
     compared exactly.  The determinant is taken by Gaussian elimination
     over F_p at each of q = 0..D, interpolated, and lifted to the
     symmetric range, so the result is exact: it is still elimination,

@@ -800,16 +800,10 @@ def _strong_probable_prime(n, a) -> bool:
     return False
 
 
-# Proth's theorem: p = k·2^m + 1 with k < 2^m is prime if
-# a^((p − 1)/2) ≡ −1 (mod p) for some a; a is stored per prime.
-PROTH_WITNESSES = {((1 << 1280) + 1025 << 1281) + 1: 5}
-
-
 def test_prime_table_is_sorted_and_passes_miller_rabin():
-    # evidence, not proof, below 2^1024: the primes there are published
-    # Mersenne primes and field primes of published standards; past 2^1024
-    # the Mersenne primes are only checked for their form, and each Proth
-    # prime is proved prime by its witness
+    # evidence, not proof: the primes are the published Mersenne primes
+    # and field primes of published standards; the entries past 2^1024 are
+    # all Mersenne primes, only checked for their form
     primes = determinant._PRIMES
     assert list(primes) == sorted(set(primes))
     assert primes[0] == 2 ** 61 - 1 and primes[-1] == 2 ** 19937 - 1
@@ -817,11 +811,8 @@ def test_prime_table_is_sorted_and_passes_miller_rabin():
         if p < 2 ** 1024:
             assert all(_strong_probable_prime(p, a)
                        for a in (2, 3, 5, 7, 11, 13)), p
-        elif p & (p + 1):
-            m = ((p - 1) & (1 - p)).bit_length() - 1  # 2-adic valuation
-            assert (p - 1) >> m < 1 << m, p
-            assert pow(PROTH_WITNESSES[p], (p - 1) // 2, p) == p - 1, p
-    assert set(PROTH_WITNESSES) <= set(primes)
+        else:
+            assert p & (p + 1) == 0, p
     # and the test tells composites apart
     assert not _strong_probable_prime(2 ** 11 - 1, 3)
 
