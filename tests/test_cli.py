@@ -359,15 +359,6 @@ DEGENERATE_GOLDENS = [
 ]
 
 
-@pytest.mark.parametrize("argv,size,digest", DEGENERATE_GOLDENS, ids=[
-    " ".join(argv) for argv, _, _ in DEGENERATE_GOLDENS])
-def test_degenerate_goldens(argv, size, digest):
-    code, s = run(*argv)
-    data = s.encode()
-    assert code == 0
-    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
-
-
 # Byte length and sha256 of dense generic inverses as printed by
 # ``invert --format matrix``, which GOLDEN_TABLES (the json form) does not
 # cover: the placement of each coefficient and each printed entry.
@@ -381,9 +372,11 @@ MATRIX_GOLDENS = [
 ]
 
 
-@pytest.mark.parametrize("argv,size,digest", MATRIX_GOLDENS, ids=[
-    " ".join(argv) for argv, _, _ in MATRIX_GOLDENS])
-def test_matrix_goldens(argv, size, digest):
+# the matrix rows share this body; the degenerate ids keep their names
+@pytest.mark.parametrize("argv,size,digest",
+                         DEGENERATE_GOLDENS + MATRIX_GOLDENS, ids=[
+    " ".join(argv) for argv, _, _ in DEGENERATE_GOLDENS + MATRIX_GOLDENS])
+def test_degenerate_goldens(argv, size, digest):
     code, s = run(*argv)
     data = s.encode()
     assert code == 0
