@@ -167,8 +167,8 @@ def cmd_det(args, out) -> int:
 
 # symbolic inversion runs on the generic model of the weight: the |nu|!
 # words of the generic weight on |nu| letters.  n = 5 (120 words) takes
-# 4-6 s at 43 MB with the fast method, and 6-8 s with chains or zagier,
-# the slowest (2-core VM); n = 6 (720 words) is out of reach.
+# 3.7-4.3 s at 42 MB with the fast method, 4.8-6.1 s at 66 MB with chains
+# and 5.2-6.8 s with zagier (2-core VM); n = 6 (720 words) is out of reach.
 INVERT_MAX_WORDS = 120
 
 
