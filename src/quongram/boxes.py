@@ -21,9 +21,12 @@ one linear pass each, and equal factors sit next to each other for
 Sums of fractions, and sums of products of them (a matrix entry, a
 coefficient of a composed operator), go through ``sum_parts`` and
 ``sum_products``.  Where every factor is prime, the numerators are
-accumulated over the least common denominator by one
-``Poly.sum_of_products``, with no intermediate product or partial sum,
-and the total is reduced once.
+accumulated over the least common denominator by ``Poly.sum_of_products``
+and the total is reduced once.  A group of numerators over a smaller
+denominator is lifted one missing box at a time: the groups are split by
+their first missing box, each branch is summed on the rest, and the branch
+sum goes into the sum above it as one more pair with that box's binomial.
+No product of several boxes is expanded, so nothing needs a cache.
 
 >>> f = BoxFraction(Poly.parse("1 - q12*q21"))
 >>> g = f / BoxFactor((1, 2), frozenset({1, 2}))
@@ -116,11 +119,6 @@ class BoxFactor(tuple):
         return "Box{%s}" % ",".join(str(ch) for ch in self[1])
 
 
-# a symbolic-inverse pass (seed 1) leaves 157 entries, a symbolic-det pass
-# fewer.  1024 bounds the number of entries, not their size: an entry
-# expands a whole denominator, up to about 20 binomials at n = 7, where
-# the entries exhaust memory (ROADMAP, Measurements)
-@lru_cache(maxsize=1024)
 def _den_poly(den: tuple) -> Poly:
     """The product of the factors of a denominator, expanded."""
     p = Poly.one()
@@ -346,21 +344,38 @@ def _by_den(products):
 
 def _sum_once(common, by_den) -> BoxFraction:
     """Sum of the products of ``_by_den`` over their common denominator,
-    accumulated by one ``Poly.sum_of_products`` and reduced once.  The
-    products over a denominator that lacks factors of the common one are
-    summed first, and that sum is multiplied up by the product of the
-    factors ``_den_minus`` finds missing (``_den_poly``, cached)."""
+    accumulated by ``Poly.sum_of_products`` and reduced once.  Each group
+    lacks the factors ``_den_minus(common, den)``, a sorted tuple, and is
+    lifted by them through ``_lifted``, one binomial at a time."""
+    groups = [(_den_minus(common, den), group)
+              for den, group in by_den.items()]
+    return _raw(*_reduce(_lifted(groups), common))
 
-    def lifted():
-        for den, group in by_den.items():
-            if den == common:
-                yield from group
-                continue
-            n = Poly.sum_of_products(group)
-            if not n.is_zero():
-                yield n, _den_poly(_den_minus(common, den))
 
-    return _raw(*_reduce(Poly.sum_of_products(lifted()), common))
+def _lifted(groups) -> Poly:
+    """Sum over (missing, pairs) groups of the pairs' sum times the
+    product of the factors in ``missing``, by
+
+        sum_g s_g prod(M_g) = sum_{M_g = ()} s_g
+                              + sum_f f * sum_{M_g[0] = f} s_g prod(M_g[1:]):
+
+    groups that lack nothing give their pairs as they are; the others are
+    split by their first missing factor, each branch is summed on the rest
+    of its tuple, and its sum goes in as one more pair with that factor's
+    binomial.  Groups sharing a prefix of missing factors share its lifts,
+    and no product of several boxes is ever expanded."""
+    pairs = []
+    branches: dict = {}
+    for missing, group in groups:
+        if missing:
+            branches.setdefault(missing[0], []).append((missing[1:], group))
+        else:
+            pairs += group
+    for f, branch in branches.items():
+        s = _lifted(branch)
+        if not s.is_zero():
+            pairs.append((s, f.expand()))
+    return Poly.sum_of_products(pairs)
 
 
 def _fold(parts) -> BoxFraction:

@@ -21,7 +21,7 @@ import sys
 
 from .ring import random_hermitian
 from .fock import Word, Weight, inner_product, check_ccr
-from .perms import Perm, all_perms
+from .perms import Perm, all_perms, young_data, young_sequence
 from .gram import build_generic, build_degenerate
 from .boxes import BoxFraction
 from . import determinant as det_mod
@@ -167,8 +167,8 @@ def cmd_det(args, out) -> int:
 
 # symbolic inversion runs on the generic model of the weight: the |nu|!
 # words of the generic weight on |nu| letters.  n = 5 (120 words) takes
-# 3.7-4.3 s at 42 MB with the fast method, 4.8-6.1 s at 66 MB with chains
-# and 5.2-6.8 s with zagier (2-core VM); n = 6 (720 words) is out of reach.
+# 2.6-2.9 s at 36 MB with the fast method, 3.0-4.5 s at 54 MB with chains
+# and 4.5-7.3 s with zagier (2-core VM); n = 6 (720 words) is out of reach.
 INVERT_MAX_WORDS = 120
 
 
@@ -280,6 +280,28 @@ def cmd_contravariant(args, out) -> int:
     return 0
 
 
+# A multiparameter coefficient sums lambda_sigma over the bracketings of
+# each subdivision of its reversal sequence, so the widest one sets the
+# cost: at n = 8, 4 blocks (43218765) take 0.1 s, 7 blocks (21345678)
+# 46 s and 310 MB, and the identity, with 8 blocks, runs out of memory
+# under a 1.5 GB cap.  One-parameter coefficients stay cheap (3.4 s for
+# the identity at n = 8).
+COEFF_MAX_BLOCKS = 7
+
+
+def _widest_subdivision(g: Perm) -> int:
+    """The most blocks of a subdivision that Lambda(g) of a tree-like g
+    sums over, walked as ``inverse._closed_form`` walks its reversal
+    sequence: the blocks of g, then the blocks of each next level inside
+    each block of the level before."""
+    subs = [young_data(h).blocks for h in (g, *young_sequence(g)[0])]
+    widest = len(subs[0])
+    for outer, inner in zip(subs, subs[1:]):
+        for a, b in outer:
+            widest = max(widest, sum(a <= x and y <= b for x, y in inner))
+    return widest
+
+
 def cmd_zagier_check(args, out) -> int:
     mode = args.mode
     if args.one_param and mode == "multi":
@@ -288,10 +310,14 @@ def cmd_zagier_check(args, out) -> int:
     coeff = Perm.parse(args.coeff) if args.coeff else None
     if coeff is None:
         # without --coeff every coefficient of the inverse is built, as in
-        # invert: n = 5 takes 3.7-4.5 s, n = 6 did not finish in 20 s
+        # invert: n = 5 takes 2.4-3.1 s, n = 6 did not finish in 20 s
         _check_size(f"zagier-check of every coefficient at n = {args.n}",
                     math.factorial(args.n), "words", INVERT_MAX_WORDS,
                     "; give --coeff to check one coefficient")
+    elif mode in ("multi", "extended-multi") and young_sequence(coeff)[1]:
+        _check_size(f"zagier-check of the coefficient {coeff}",
+                    _widest_subdivision(coeff), "blocks", COEFF_MAX_BLOCKS,
+                    "; --mode one-param checks it in one parameter")
     report = inv_mod.zagier_check(args.n, mode, coeff)
     if args.format == "json":
         json.dump(report.to_json(), out, indent=2, sort_keys=True)

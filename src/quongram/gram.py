@@ -430,8 +430,8 @@ def pair_rule(nu: Weight, var) -> GramMatrix:
     ``var = pair_var`` it is A_n; any other ``var`` specializes A_n.
 
     Each distinct mask's Poly is built once and shared by every entry with
-    that mask.  Entries are shared by mask, never by Poly value: every
-    monomial of degree d hashes to 2^d.
+    that mask.  Entries are shared by mask, not by Poly value: each entry
+    is one dict lookup on its int mask, and no Poly is hashed.
     """
     basis, pairs, masks = _pair_masks(nu)
     monos = _PairMonomials(var(x, y) for x, y in pairs)

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from quongram.cli import main, parse_weight, Usage, build_parser
+from quongram.cli import (main, parse_weight, Usage, build_parser,
+                          _widest_subdivision)
+from quongram.perms import Perm
 
 
 def run(*argv):
@@ -180,6 +182,9 @@ def test_verify_refuses_max_n_past_every_suite(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["zagier-check", "--n", "6"],
     ["zagier-check", "--n", "6", "--mode", "one-param"],
+    ["zagier-check", "--n", "8", "--coeff", "12345678"],
+    ["zagier-check", "--n", "8", "--mode", "extended-multi",
+     "--coeff", "87654321"],
     ["count", "tree-like", "--n", "9"],
     ["count", "tree-like", "--n", "11"],
     ["count", "bracketings", "--n", "11"],
@@ -381,6 +386,17 @@ def test_degenerate_goldens(argv, size, digest):
     data = s.encode()
     assert code == 0
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_zagier_check_limits_coeff_by_its_widest_subdivision(capsys):
+    widths = {g: _widest_subdivision(Perm.parse(g)) for g in
+              ("12345678", "87654321", "21345678", "43218765")}
+    assert widths == {"12345678": 8, "87654321": 8, "21345678": 7,
+                      "43218765": 4}
+    assert run("zagier-check", "--n", "8", "--coeff", "12345678") == (2, "")
+    assert "8 blocks, over the limit of 7" in capsys.readouterr().err
+    code, s = run("zagier-check", "--n", "8", "--coeff", "43218765")
+    assert code == 0 and "PASS" in s
 
 
 def test_zagier_check_exit_codes():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,20 @@ def test_no_universe_outlives_its_call(rng):
     inverse_matrix_at(nu, hermitian_assignment(nu.labels, rng), "hermitian")
     gc.collect()
     assert [o for o in gc.get_objects() if isinstance(o, Universe)] == []
+
+
+def test_no_lift_outlives_its_call():
+    # once the identity coefficient at n = 6 is dropped, nothing built for
+    # it is still held: a module cache of the expanded box products its
+    # sums lift by would keep tens of MB
+    tracemalloc.start()
+    try:
+        lambda_scalar(tuple(range(1, 7)), Perm.identity(6))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2**20
 
 
 def test_repeated_and_interleaved_calls_agree(rng):
