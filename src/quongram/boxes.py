@@ -357,13 +357,11 @@ def _lifted(groups) -> Poly:
     product of the factors in ``missing``, by
 
         sum_g s_g prod(M_g) = sum_{M_g = ()} s_g
-                              + sum_f f * sum_{M_g[0] = f} s_g prod(M_g[1:]):
+                              + sum_f f * sum_{M_g[0] = f} s_g prod(M_g[1:])
 
-    groups that lack nothing give their pairs as they are; the others are
-    split by their first missing factor, each branch is summed on the rest
-    of its tuple, and its sum goes in as one more pair with that factor's
-    binomial.  Groups sharing a prefix of missing factors share its lifts,
-    and no product of several boxes is ever expanded."""
+    with each inner sum a branch, summed by the same rule on the rest of
+    its tuples.  Groups sharing a prefix of missing factors share its
+    lifts."""
     pairs = []
     branches: dict = {}
     for missing, group in groups:
