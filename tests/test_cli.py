@@ -377,10 +377,26 @@ MATRIX_GOLDENS = [
 ]
 
 
-# the matrix rows share this body; the degenerate ids keep their names
-@pytest.mark.parametrize("argv,size,digest",
-                         DEGENERATE_GOLDENS + MATRIX_GOLDENS, ids=[
-    " ".join(argv) for argv, _, _ in DEGENERATE_GOLDENS + MATRIX_GOLDENS])
+# Byte length and sha256 of the default expansion printout of invert --n 4
+# in both modes, and of invert --n 5 --format json by each operator method,
+# recorded from the per-word diagonals that one value per permutation
+# replaced.  Multiparameter forms are unique, so every method prints alike.
+EXPANSION_GOLDENS = [
+    (("invert", "--n", "4"), 60576,
+     "d0714d900a782f3ede2f817af68a4e4f7efba4ea47dd2a9100bb145a00b70dbd"),
+    (("invert", "--n", "4", "--one-param"), 29040,
+     "3813fbc092102a4fab5578e46ba4158adbe3edf16d122f5dccb19154b891904e"),
+] + [
+    (("invert", "--n", "5", "--format", "json", "--method", m), 5217933,
+     "77883776370ffead86e109a2bbded99ad08975c2046febdc77c7359d7c628317")
+    for m in ("fast", "long", "short", "chains", "zagier")]
+INVERT_GOLDENS = DEGENERATE_GOLDENS + MATRIX_GOLDENS + EXPANSION_GOLDENS
+
+
+# the matrix and expansion rows share this body; the degenerate ids keep
+# their names
+@pytest.mark.parametrize("argv,size,digest", INVERT_GOLDENS, ids=[
+    " ".join(argv) for argv, _, _ in INVERT_GOLDENS])
 def test_degenerate_goldens(argv, size, digest):
     code, s = run(*argv)
     data = s.encode()
