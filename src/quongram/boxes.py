@@ -283,6 +283,19 @@ class BoxFraction:
                            tuple(b.map_labels(f) for b in self.den),
                            reduce=False)
 
+    def renamed(self, r) -> "BoxFraction":
+        """The value with its letters renamed by r, a ``ring.Renaming``:
+        the numerator through ``Poly.renamed``, each multiparameter box by
+        the letter map of r (a one-parameter box names no letters).  A
+        renaming is a ring automorphism, so a reduced fraction stays
+        reduced.  Each distinct denominator is renamed once per renaming,
+        in its ``memo``."""
+        den = r.memo.get(self.den)
+        if den is None:
+            den = r.memo[self.den] = tuple(sorted(
+                b if b[0] else b.map_labels(r.letter) for b in self.den))
+        return _raw(self.num.renamed(r), den)
+
     def conjugate(self) -> "BoxFraction":
         # every box factor is fixed by the involution
         return _raw(self.num.conjugate(), self.den)

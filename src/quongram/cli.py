@@ -189,10 +189,9 @@ def cmd_invert(args, out) -> int:
         json.dump(table.to_json(), out, indent=2, sort_keys=True)
         out.write("\n")
     else:  # expansion
-        for g in table.support():
-            d = table.entries[g]
+        for g, values in table.diagonals():
             out.write(f"Rhat({g}):\n")
-            for w, v in zip(table.basis.words, d.diagonal):
+            for w, v in zip(table.basis.words, values):
                 out.write(f"  {w}: {v}\n")
     return 0
 
@@ -381,7 +380,9 @@ def check_det(max_n: int, rng) -> str:
 
 
 def check_methods(max_n: int, rng) -> str:
-    """The five inversion routes agree and invert the matrix."""
+    """The five inversion routes agree and invert the matrix: densely
+    (``GramMatrix.matmul``) up to n = 4, and at n = 5 in the twisted group
+    algebra (``LambdaTable.inverts_gram``)."""
     for n in range(2, min(max_n, 4) + 1):
         nu = Weight.generic_n(n)
         ref = inv_mod.inv_full(nu, "fast")
@@ -398,6 +399,9 @@ def check_methods(max_n: int, rng) -> str:
                 want = BoxFraction.one() if i == j else BoxFraction.zero()
                 if prod.entries[i][j] != want:
                     raise VerifyFailure(f"A*inv(A) != I at n={n}")
+    if max_n >= 5 and not inv_mod.inv_full(Weight.generic_n(5),
+                                           "fast").inverts_gram():
+        raise VerifyFailure("inv(A)*A != I at n=5")
     return "inversion methods agree"
 
 

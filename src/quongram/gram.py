@@ -11,6 +11,17 @@ diagonal.  Composition stays in this form via
 
 and a dense matrix is only materialized for oracle comparisons and export.
 
+On a multiplicity-free weight the operators that the inversions build
+commute with renaming letters: the entry of D(g) at a word w is its entry
+x_g at the identity word e (the first word, letters sorted) with every
+letter renamed e_p ↦ w_p (``Basis.renaming``, ``ring.Renaming``).  They
+form the twisted group algebra K(q) ⋊ S_n, and ``GenericOp`` keeps one
+value x_g per permutation.  Read at e, the rule above is
+
+    (XY)_g = Σ_{g₁g₂=g} x_{g₁} · g₁(y_{g₂}),
+
+where g₁ renames letters e_p ↦ e_{g₁(p)}, the letters of the word g₁⁻¹·e.
+
 >>> b = Basis.of_weight(Weight.generic_n(2))
 >>> A = build_generic(b.weight)
 >>> print(A.entries[0][1])
@@ -20,7 +31,7 @@ q12
 from __future__ import annotations
 
 __all__ = [
-    "Basis", "GramMatrix", "DiagOp", "OpExpansion", "Embedding",
+    "Basis", "GramMatrix", "DiagOp", "OpExpansion", "GenericOp", "Embedding",
     "build_generic", "pair_rule", "build_degenerate", "rhat", "q_of_perm",
     "mult_factor", "factor_A_m", "factor_CD", "embed_degenerate",
     "q_diag_pair", "q_diag_set", "box_diag",
@@ -31,8 +42,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ring import (Poly, SINGLE_Q, check_assignment, evaluate_terms,
-                   pair_var)
+from .ring import (Poly, Renaming, SINGLE_Q, check_assignment,
+                   evaluate_terms, pair_var)
 from .boxes import as_part, over_common, sum_parts, sum_products
 from .fock import Word, Weight
 from .perms import Perm, cycle
@@ -73,6 +84,11 @@ class Basis:
         inv = g.inverse().images
         imap = self._index_map()
         return tuple(imap[tuple(w[k - 1] for k in inv)] for w in self.words)
+
+    def renaming(self, w) -> Renaming:
+        """The renaming e_p ↦ w_p of letters, e the first word: on a
+        multiplicity-free weight it takes e to the word w."""
+        return Renaming(dict(zip(self.words[0], w)))
 
     def _index_map(self):
         # cached lazily on the instance
@@ -210,10 +226,6 @@ class DiagOp:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.diagonal)
 
-    def to_json(self):
-        return {str(w): str(v) for w, v in zip(self.basis.words,
-                                               self.diagonal)}
-
 
 def _sum_values(vals):
     """Sum of Polys and BoxFractions: a Poly when every value is one, else
@@ -267,18 +279,6 @@ class OpExpansion:
     def single(g: Perm, d: DiagOp) -> "OpExpansion":
         return OpExpansion(d.basis, {g: d})
 
-    @staticmethod
-    def sum(basis: Basis, ops) -> "OpExpansion":
-        """Sum of expansions over the basis, each word's entry of each
-        coefficient added in one go, by the rule of ``__mul__``."""
-        groups: dict = {}
-        for op in ops:
-            for g, d in op.coefficients.items():
-                groups.setdefault(g, []).append(d.diagonal)
-        return OpExpansion(basis, {g: DiagOp(basis, tuple(
-            _sum_values([x[k] for x in ds])
-            for k in range(basis.size))) for g, ds in groups.items()})
-
     def __add__(self, o: "OpExpansion") -> "OpExpansion":
         out = dict(self.coefficients)
         for g, d in o.coefficients.items():
@@ -321,14 +321,6 @@ class OpExpansion:
         return OpExpansion(self.basis, {g: d * dg for g, dg in
                                         self.coefficients.items()})
 
-    def scale(self, c: int) -> "OpExpansion":
-        # an integer multiple of a reduced box fraction is reduced: a box
-        # has content 1, so it divides c*N only if it divides N
-        return OpExpansion(self.basis,
-                           {g: DiagOp(self.basis,
-                                      tuple(v.scale(c) for v in d.diagonal))
-                            for g, d in self.coefficients.items()})
-
     def __eq__(self, o):
         if not isinstance(o, OpExpansion):
             return NotImplemented
@@ -343,6 +335,90 @@ class OpExpansion:
             for j, i in enumerate(basis.act(g)):
                 ent[i][j] = ent[i][j] + d.diagonal[i]
         return GramMatrix(basis, ent)
+
+
+class GenericOp:
+    """Operator Σ_g X(g)·R(g) on a multiplicity-free weight that commutes
+    with renaming letters, kept as one value per permutation: x_g, the
+    entry of X(g) at the identity word (see the module docstring).  Values
+    are Polys and BoxFractions, and zero values are dropped.
+
+    The operations are those of ``OpExpansion`` read at the identity word,
+    in the same order, so every value has the form the per-word product
+    gives there.
+    """
+
+    __slots__ = ("basis", "coefficients")
+
+    def __init__(self, basis: Basis, coefficients=None):
+        self.basis = basis
+        self.coefficients = {g: x for g, x in (coefficients or {}).items()
+                             if not x.is_zero()}
+
+    @staticmethod
+    def identity(basis: Basis) -> "GenericOp":
+        return GenericOp(basis, {Perm.identity(basis.n): Poly.one()})
+
+    @staticmethod
+    def rhat(g: Perm, basis: Basis, one_param: bool = False) -> "GenericOp":
+        """R̂(g) = Q(g)·R(g), as ``rhat`` builds it per word."""
+        return GenericOp(basis, {g: q_of_perm(basis.words[0], g.inverse(),
+                                              one_param)})
+
+    @staticmethod
+    def sum(basis: Basis, ops) -> "GenericOp":
+        """Sum of operators, each coefficient added in one go by
+        ``_sum_values``."""
+        groups: dict = {}
+        for op in ops:
+            for g, x in op.coefficients.items():
+                groups.setdefault(g, []).append(x)
+        return GenericOp(basis, {g: _sum_values(xs)
+                                 for g, xs in groups.items()})
+
+    def __add__(self, o: "GenericOp") -> "GenericOp":
+        out = dict(self.coefficients)
+        for g, x in o.coefficients.items():
+            out[g] = out[g] + x if g in out else x
+        return GenericOp(self.basis, out)
+
+    def __sub__(self, o: "GenericOp") -> "GenericOp":
+        return self + (-o)
+
+    def __neg__(self) -> "GenericOp":
+        return GenericOp(self.basis,
+                         {g: -x for g, x in self.coefficients.items()})
+
+    def __mul__(self, o: "GenericOp") -> "GenericOp":
+        """(XY)_g = Σ_{g₁g₂=g} x_{g₁} · g₁(y_{g₂}), the pairs grouped by g
+        in the order of ``OpExpansion.__mul__`` and each group summed by
+        its ``_sum_products``.  One renaming is built per g₁ and each
+        y_{g₂} renamed by it once, within this call."""
+        e = self.basis.words[0]
+        groups: dict = {}
+        for g1, x in self.coefficients.items():
+            r = self.basis.renaming(tuple(e[k - 1] for k in g1.images))
+            for g2, y in o.coefficients.items():
+                groups.setdefault(g1 * g2, []).append((x, y.renamed(r)))
+        return GenericOp(self.basis, {g: _sum_products(pairs)
+                                      for g, pairs in groups.items()})
+
+    def left_diag(self, d) -> "GenericOp":
+        """Multiply on the left by the diagonal with entry d at the identity
+        word."""
+        return GenericOp(self.basis, {g: d * x for g, x in
+                                      self.coefficients.items()})
+
+    def scale(self, c: int) -> "GenericOp":
+        # an integer multiple of a reduced box fraction is reduced: a box
+        # has content 1, so it divides c*N only if it divides N
+        return GenericOp(self.basis, {g: x.scale(c) for g, x in
+                                      self.coefficients.items()})
+
+    def __eq__(self, o):
+        if not isinstance(o, GenericOp):
+            return NotImplemented
+        return self.basis == o.basis and self.coefficients == o.coefficients
 
 
 def q_mono(word, pairs, one_param: bool = False) -> Poly:

@@ -5,8 +5,15 @@ The inverse of the Gram matrix of a multiplicity-free weight is carried as
 
     [A]^{-1} = sum_g  Lambda(g) . Rhat(g)
 
-with diagonal coefficients Lambda(g) whose entries are box fractions.  Five
-independent routes produce the same table:
+with diagonal coefficients Lambda(g) whose entries are box fractions.  Every
+operator here commutes with renaming letters, so Lambda(g) at a word w is
+its value at the identity word e with the letters renamed e_p -> w_p, and
+the table keeps that one value per permutation.  The operator methods
+multiply in the twisted group algebra (``gram.GenericOp``), where
+
+    (XY)_g = sum_{g1 g2 = g} x_{g1} . g1(y_{g2}),  g1 renaming e_p -> e_{g1(p)}.
+
+Five independent routes produce the same table:
 
 * ``fast``   -- the two-step Young-factor reversal recursion, with the
   closed-form product (global sign, Q-factors on the odd reversal levels)
@@ -39,7 +46,7 @@ __all__ = [
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
                    param_value)
@@ -49,8 +56,8 @@ from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
                     young_sequence, block_reversal, unimodal_subset)
 from .subdiv import enumerate_bracketings, enumerate_chains
-from .gram import (Basis, GramMatrix, DiagOp, OpExpansion, rhat, q_mono,
-                   q_diag_set, build_generic, embed_degenerate)
+from .gram import (Basis, GramMatrix, DiagOp, GenericOp, q_mono, q_of_perm,
+                   build_generic, embed_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +361,11 @@ def random_tree_like(n: int, rng) -> Perm:
 
 def lambda_fast(g: Perm, nu: Weight, one_param: bool = False,
                 check_closed: bool = True) -> DiagOp:
-    """Lambda(g) as a diagonal over all words of the weight."""
-    return _lambda_diag(g, Basis.of_weight(nu), Universe(one_param),
-                        check_closed)
-
-
-def _lambda_diag(g: Perm, basis: Basis, u: Universe,
-                 check_closed: bool) -> DiagOp:
-    return DiagOp(basis, tuple(
-        lambda_scalar(tuple(w), g, universe=u, check_closed=check_closed)
-        for w in basis.words))
+    """Lambda(g) as a diagonal over all words of the weight, computed at
+    each word."""
+    u = Universe(one_param)
+    return DiagOp.of_func(Basis.of_weight(nu), lambda w: lambda_scalar(
+        tuple(w), g, universe=u, check_closed=check_closed))
 
 
 def lambda_id(nu: Weight, form: str = "outer-bracket",
@@ -418,9 +420,13 @@ def abs_q_sq(basis: Basis, g: Perm, one_param: bool = False) -> DiagOp:
 
 @dataclass
 class LambdaTable:
-    """[A]^{-1} = sum_g Lambda(g) Rhat(g): nonzero coefficients only.
+    """[A]^{-1} = sum_g Lambda(g) Rhat(g): nonzero coefficients only, one
+    value per permutation.
 
-    The coefficient of g puts Lambda(g) at w, times ``q_mono`` of w over the
+    ``entries[g]`` is Lambda(g) at the identity word e, the first word of
+    the basis; at a word w it is that value renamed e_p -> w_p
+    (``Basis.renaming``), which ``value_at`` and ``diagonals`` give.  The
+    coefficient of g puts Lambda(g) at w, times ``q_mono`` of w over the
     inversions of g^-1, at entry (w, g^-1.w) of the dense inverse.  A table
     is over a generic weight (``inv_full`` takes no other), so distinct g
     reach distinct words, and no entry is a sum.  ``row`` is the one place
@@ -430,31 +436,45 @@ class LambdaTable:
 
     basis: Basis
     one_param: bool
-    entries: dict  # Perm -> DiagOp of BoxFraction
+    entries: dict  # Perm -> BoxFraction, Lambda(g) at the identity word
 
-    def coefficient(self, g: Perm) -> DiagOp:
-        d = self.entries.get(g)
-        if d is not None:
-            return d
-        return DiagOp(self.basis, (BoxFraction.zero(),) * self.basis.size)
+    def value_at(self, g: Perm, w) -> BoxFraction:
+        """Lambda(g) at the word w; zero off the support."""
+        x = self.entries.get(g)
+        if x is None:
+            return BoxFraction.zero()
+        return x.renamed(self.basis.renaming(w))
+
+    def diagonals(self):
+        """(g, [Lambda(g) at each word of the basis]) over the support, in
+        ``support`` order: one renaming per word, built once."""
+        renamings = [self.basis.renaming(w) for w in self.basis.words]
+        for g in self.support():
+            x = self.entries[g]
+            yield g, [x.renamed(r) for r in renamings]
 
     def support(self):
         return sorted(self.entries, key=lambda g: g.images)
 
+    @cached_property
+    def _placed(self) -> dict:
+        """Lambda(g) Q(g) at the identity word for each g, Q(g) the monomial
+        of Rhat(g): the coefficient of the place permutation R(g).  Not
+        reduced again: Lambda(g) is reduced, and a box, with constant term
+        1 and content 1, shares no factor with a monomial, so no box
+        divides the product (see boxes._reduce)."""
+        e = self.basis.words[0]
+        return {g: _raw(x.num * q_of_perm(e, g.inverse(), self.one_param),
+                        x.den) for g, x in self.entries.items()}
+
     def row(self, w) -> dict:
         """Row w of ``to_matrix()``, computed alone, as a dict from word to
-        entry over the words some coefficient reaches; the others are 0."""
-        i = self.basis.index(w)
-        out = {}
-        for g, lam in self.entries.items():
-            x = lam.diagonal[i]
-            mono = q_mono(w, g.inverse().inversion_set(), self.one_param)
-            # not reduced again: Lambda(g) is reduced, and a box, with
-            # constant term 1 and content 1, shares no factor with a
-            # monomial, so no box divides x.num * mono (see boxes._reduce)
-            out[Word(w[k - 1] for k in g.images)] = _raw(x.num * mono,
-                                                         x.den)
-        return out
+        entry over the words some coefficient reaches; the others are 0.
+        The entry of g, at column g^-1.w, is ``_placed[g]`` renamed
+        e_p -> w_p."""
+        r = self.basis.renaming(w)
+        return {Word(w[k - 1] for k in g.images): x.renamed(r)
+                for g, x in self._placed.items()}
 
     def to_matrix(self) -> GramMatrix:
         words = self.basis.words
@@ -468,33 +488,52 @@ class LambdaTable:
         return self.to_matrix().map_distinct(
             lambda e: e.evaluate(assignment, mode))
 
+    def inverts_gram(self) -> bool:
+        """Whether the table times the Gram matrix is the identity, in the
+        twisted group algebra (``gram.GenericOp``).
+
+        The Gram matrix is A = sum_g Rhat(g), whose value at the identity
+        word is the monomial Q(g).  Coefficient g of [A]^{-1} A is
+        sum_{g1 g2 = g} Lambda(g1) Q(g1) . g1(Q(g2)), and g1(Q(g2)) is an
+        entry of A: only monomials are renamed, never a Lambda(g).  Over a
+        field a one-sided inverse of a square matrix is two-sided, so this
+        certifies the table as the inverse.  It runs on the product kernel
+        the operator methods build their tables with, so it is not
+        independent of that kernel; ``GramMatrix.matmul`` of
+        ``to_matrix()`` is.
+        """
+        basis = self.basis
+        e = basis.words[0]
+        gram = GenericOp(basis, {g: q_of_perm(e, g.inverse(), self.one_param)
+                                 for g in all_perms(basis.n)})
+        return (GenericOp(basis, self._placed) * gram
+                == GenericOp.identity(basis))
+
     def __eq__(self, o):
         return (isinstance(o, LambdaTable) and self.basis == o.basis
                 and self.entries == o.entries)
 
     def to_json(self):
-        return {str(g): d.to_json()
-                for g, d in sorted(self.entries.items(),
-                                   key=lambda kv: kv[0].images)}
+        words = [str(w) for w in self.basis.words]
+        return {str(g): dict(zip(words, map(str, values)))
+                for g, values in self.diagonals()}
 
     @staticmethod
-    def from_expansion(op: OpExpansion, one_param: bool = False
-                       ) -> "LambdaTable":
-        """Divide out the Rhat monomials: coefficients D(g) = Lambda(g)Q(g)
-        with Q(g) an invertible diagonal monomial.  The expansion holds no
-        zero coefficient, and dividing by monomials makes none."""
+    def from_operator(op: GenericOp, one_param: bool = False
+                      ) -> "LambdaTable":
+        """Divide out the Rhat monomials: coefficients x_g = Lambda(g)Q(g)
+        at the identity word, with Q(g) an invertible monomial.  The
+        operator holds no zero coefficient, and dividing by monomials makes
+        none."""
+        e = op.basis.words[0]
         entries = {}
-        for g, d in op.coefficients.items():
-            inv = g.inverse().inversion_set()
-            vals = []
-            for w, v in zip(op.basis.words, d.diagonal):
-                mono = q_mono(w, inv, one_param)
-                if isinstance(v, Poly):
-                    vals.append(BoxFraction(v.exact_div(mono)))
-                else:
-                    vals.append(BoxFraction(v.num.exact_div(mono), v.den,
-                                            reduce=False))
-            entries[g] = DiagOp(op.basis, tuple(vals))
+        for g, x in op.coefficients.items():
+            mono = q_of_perm(e, g.inverse(), one_param)
+            if isinstance(x, Poly):
+                entries[g] = BoxFraction(x.exact_div(mono))
+            else:
+                entries[g] = BoxFraction(x.num.exact_div(mono), x.den,
+                                         reduce=False)
         return LambdaTable(op.basis, one_param, entries)
 
 
@@ -502,134 +541,128 @@ class LambdaTable:
 # operator-product methods
 # ---------------------------------------------------------------------------
 
-def _inv_box_diag(basis: Basis, a: int, b: int, one_param: bool) -> DiagOp:
-    return DiagOp.of_func(basis, lambda w: BoxFraction(
-        Poly.one(), (_box(tuple(w), range(a, b + 1), one_param),)))
-
-
 def psi_op(basis: Basis, a: int, b: int, one_param: bool = False
-           ) -> OpExpansion:
+           ) -> GenericOp:
     """Psi_[a..b] = [I + (-1)^(b-a+1) Rhat(w_[a..b])]^{-1}
                   = (1/Box_[a..b]) [I - (-1)^(b-a+1) Rhat(w_[a..b])]."""
     wI = longest_element(a, b, basis.n)
-    op = OpExpansion.identity(basis) - rhat(
-        wI, basis.weight, one_param).scale((-1) ** (b - a + 1))
-    return op.left_diag(_inv_box_diag(basis, a, b, one_param))
+    op = GenericOp.identity(basis) - GenericOp.rhat(
+        wI, basis, one_param).scale((-1) ** (b - a + 1))
+    box = _box(tuple(basis.words[0]), range(a, b + 1), one_param)
+    return op.left_diag(BoxFraction(Poly.one(), (box,)))
 
 
-def inv_chains(nu: Weight, one_param: bool = False) -> OpExpansion:
+def inv_chains(nu: Weight, one_param: bool = False) -> GenericOp:
     """Signed sum of Psi-products over all subdivision chains (finest member
     leftmost in each product)."""
     basis = Basis.of_weight(nu)
     n = basis.n
     if n == 1:
-        return OpExpansion.identity(basis)
+        return GenericOp.identity(basis)
     terms = []
     for chain in enumerate_chains(n):
-        op = OpExpansion.identity(basis)
+        op = GenericOp.identity(basis)
         for sub in reversed(chain.members):
             for a, b in sub.nontrivial():
                 op = op * psi_op(basis, a, b, one_param)
         sign = (-1) ** (chain.nondegenerate_count() + n - 1)
         terms.append(op.scale(sign))
-    return OpExpansion.sum(basis, terms)
+    return GenericOp.sum(basis, terms)
 
 
-def inv_long(nu: Weight, one_param: bool = False) -> OpExpansion:
+def inv_long(nu: Weight, one_param: bool = False) -> GenericOp:
     """Interval recursion: the inverse over [a..b] is the signed sum over
     proper subdivisions of products of sub-interval inverses, times
     Psi_[a..b]."""
     basis = Basis.of_weight(nu)
     memo: dict = {}
 
-    def interval(a: int, b: int) -> OpExpansion:
+    def interval(a: int, b: int) -> GenericOp:
         if a == b:
-            return OpExpansion.identity(basis)
+            return GenericOp.identity(basis)
         if (a, b) in memo:
             return memo[(a, b)]
         terms = []
         for r in range(1, b - a + 1):
             for cuts in itertools.combinations(range(a, b), r):
-                term = OpExpansion.identity(basis)
+                term = GenericOp.identity(basis)
                 prev = a
                 for c in cuts + (b,):
                     term = term * interval(prev, c)
                     prev = c + 1
                 terms.append(term.scale((-1) ** (r + 1)))
-        res = OpExpansion.sum(basis, terms) * psi_op(basis, a, b, one_param)
+        res = GenericOp.sum(basis, terms) * psi_op(basis, a, b, one_param)
         memo[(a, b)] = res
         return res
 
     return interval(1, basis.n)
 
 
-def inv_short(nu: Weight, one_param: bool = False) -> OpExpansion:
+def inv_short(nu: Weight, one_param: bool = False) -> GenericOp:
     """Leading-block recursion: inverse over [a..b] as the alternating sum
     over the first cut k of (inverse over [a..k]) (inverse over [k+1..b])
     Rhat(w_[a..k]), times Psi_[a..b]."""
     basis = Basis.of_weight(nu)
     memo: dict = {}
 
-    def interval(a: int, b: int) -> OpExpansion:
+    def interval(a: int, b: int) -> GenericOp:
         if a == b:
-            return OpExpansion.identity(basis)
+            return GenericOp.identity(basis)
         if (a, b) in memo:
             return memo[(a, b)]
         terms = []
         for k in range(a, b):
             term = interval(a, k) * interval(k + 1, b)
             if k > a:
-                term = term * rhat(longest_element(a, k, basis.n), nu,
-                                   one_param)
+                term = term * GenericOp.rhat(longest_element(a, k, basis.n),
+                                             basis, one_param)
             terms.append(term.scale((-1) ** (k - a)))
-        res = OpExpansion.sum(basis, terms) * psi_op(basis, a, b, one_param)
+        res = GenericOp.sum(basis, terms) * psi_op(basis, a, b, one_param)
         memo[(a, b)] = res
         return res
 
     return interval(1, basis.n)
 
 
-def e_op(basis: Basis, m: int, one_param: bool = False) -> OpExpansion:
+def e_op(basis: Basis, m: int, one_param: bool = False) -> GenericOp:
     """E^m = sum over pi in S_m x 1^(n-m) of W_m(pi) Rhat(pi), with
     W_m(pi) = prod over descents i of pi^-1 of Q_[i+1..m+1]."""
-    nu = basis.weight
-    n = basis.n
-    fixed = tuple(range(m + 1, n + 1))
-    total = OpExpansion.zero(basis)
+    e = basis.words[0]
+    fixed = tuple(range(m + 1, basis.n + 1))
+    total = GenericOp(basis)
     for images in itertools.permutations(range(1, m + 1)):
         pi = Perm(images + fixed)
-        W = DiagOp.identity(basis)
+        W = Poly.one()
         for i in sorted(pi.inverse().descents()):
-            W = W * q_diag_set(basis, range(i + 1, m + 2), one_param)
-        total = total + rhat(pi, nu, one_param).left_diag(W)
+            T = range(i + 1, m + 2)
+            # Q_T at the identity word, as q_diag_set gives it
+            W = W * q_mono(e, [(a, b) for a in T for b in T if a != b],
+                           one_param)
+        total = total + GenericOp.rhat(pi, basis, one_param).left_diag(W)
     return total
 
 
 def d_inverse_op(basis: Basis, m: int, one_param: bool = False
-                 ) -> OpExpansion:
+                 ) -> GenericOp:
     """[D^m]^{-1} = [Delta^m]^{-1} E^m with
     Delta^m = Box_[1..m+1] Box_[2..m+1] ... Box_[m..m+1]."""
-    def dinv(w):
-        den = tuple(_box(tuple(w), range(k, m + 2), one_param)
-                    for k in range(1, m + 1))
-        return BoxFraction(Poly.one(), den)
-
-    return e_op(basis, m, one_param).left_diag(DiagOp.of_func(basis, dinv))
+    e = tuple(basis.words[0])
+    den = tuple(_box(e, range(k, m + 2), one_param) for k in range(1, m + 1))
+    return e_op(basis, m, one_param).left_diag(BoxFraction(Poly.one(), den))
 
 
 def c_unimodal_op(basis: Basis, m: int, one_param: bool = False
-                  ) -> OpExpansion:
+                  ) -> GenericOp:
     """C^m as the signed sum of Rhat(pi^-1) over unimodal pi (peak at k)."""
-    nu = basis.weight
-    total = OpExpansion.zero(basis)
+    total = GenericOp(basis)
     for k in range(1, m + 1):
         for pi in unimodal_subset(m, k, basis.n):
-            total = total + rhat(pi.inverse(), nu,
-                                 one_param).scale((-1) ** (m - k))
+            total = total + GenericOp.rhat(pi.inverse(), basis,
+                                           one_param).scale((-1) ** (m - k))
     return total
 
 
-def inv_zagier(nu: Weight, one_param: bool = False) -> OpExpansion:
+def inv_zagier(nu: Weight, one_param: bool = False) -> GenericOp:
     """[A]^{-1} = C^n [D^{n-1}]^{-1} C^{n-1} [D^{n-2}]^{-1} ... C^2 [D^1]^{-1}.
 
     The product is associated from the right: starting from the identity,
@@ -640,7 +673,7 @@ def inv_zagier(nu: Weight, one_param: bool = False) -> OpExpansion:
     operand spread over all of S_n.
     """
     basis = Basis.of_weight(nu)
-    op = OpExpansion.identity(basis)
+    op = GenericOp.identity(basis)
     for m in range(2, basis.n + 1):
         op = c_unimodal_op(basis, m, one_param) * (
             d_inverse_op(basis, m - 1, one_param) * op)
@@ -691,11 +724,12 @@ def inv_full(nu: Weight, method: str = "fast",
     if method == "fast":
         basis = Basis.of_weight(nu)
         u = Universe(one_param)
+        e = tuple(basis.words[0])
         entries = {}
         for g in all_perms(basis.n):
-            d = _lambda_diag(g, basis, u, check_closed=False)
-            if not d.is_zero():
-                entries[g] = d
+            x = lambda_scalar(e, g, universe=u, check_closed=False)
+            if not x.is_zero():
+                entries[g] = x
         return LambdaTable(basis, one_param, entries)
     if method == "brute":
         mat = inv_brute(nu, one_param)
@@ -703,25 +737,24 @@ def inv_full(nu: Weight, method: str = "fast",
     fn = _METHODS.get(method)
     if fn is None:
         raise ValueError(f"unknown method {method!r}")
-    return LambdaTable.from_expansion(fn(nu, one_param), one_param)
+    return LambdaTable.from_operator(fn(nu, one_param), one_param)
 
 
 def _table_from_matrix(mat: GramMatrix, one_param: bool) -> LambdaTable:
-    """Read a dense inverse back into per-permutation coefficients (generic
-    weights: each entry position corresponds to a unique place permutation)."""
+    """Read a dense inverse of a generic weight back into a table: row e,
+    the identity word, holds every coefficient once, at the column of its
+    word g^-1.e.  The whole matrix is then checked against the table's
+    expansion, so no entry off row e goes unread."""
     basis = mat.basis
-    coeffs = {}
-    for j, wj in enumerate(basis.words):
-        pos = {ch: k + 1 for k, ch in enumerate(wj)}
-        for i, wi in enumerate(basis.words):
-            g = Perm(pos[ch] for ch in wi).inverse()
-            val = mat.entries[i][j]
-            d = coeffs.setdefault(
-                g, [BoxFraction.zero()] * basis.size)
-            d[i] = val
-    op = OpExpansion(basis, {g: DiagOp(basis, tuple(vals))
-                             for g, vals in coeffs.items()})
-    return LambdaTable.from_expansion(op, one_param)
+    e = basis.words[0]
+    pos = {ch: k + 1 for k, ch in enumerate(e)}
+    op = GenericOp(basis, {Perm(pos[ch] for ch in wj): x
+                           for wj, x in zip(basis.words, mat.entries[0])})
+    table = LambdaTable.from_operator(op, one_param)
+    if table.to_matrix() != mat:
+        raise ArithmeticError("the dense inverse does not commute with "
+                              "renaming letters")
+    return table
 
 
 def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
@@ -906,10 +939,9 @@ def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
         return report
 
     table = inv_full(nu, "fast", one_param)
-    for g in table.support():
-        lam = table.entries[g]
-        for w in table.basis.words:
-            check_entry(g, w, lam.value_at(w))
+    for g, values in table.diagonals():
+        for w, lam in zip(table.basis.words, values):
+            check_entry(g, w, lam)
     return report
 
 

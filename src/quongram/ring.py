@@ -43,7 +43,7 @@ from __future__ import annotations
 
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
-    "pair_var", "SINGLE_Q", "mono_key",
+    "pair_var", "SINGLE_Q", "mono_key", "Renaming",
     "check_assignment", "evaluate_terms", "param_value", "random_hermitian",
 ]
 
@@ -52,6 +52,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -168,6 +169,53 @@ def _decode(key: int) -> Mono:
 def _lex(key: int):
     """mono_key of a packed key."""
     return mono_key(_decode(key))
+
+
+class Renaming:
+    """A renaming of letters, q_ij -> q_{f(i) f(j)} for a bijection f of
+    the keys of ``images`` onto themselves; other letters and the single
+    q stay.
+
+    On packed keys it is a permutation of fields: the exponent in the
+    field of q_ij moves to the field of q_{f(i) f(j)}, and the degree field
+    stays.  A key is renamed through its bytes, each target field's two
+    bytes picked from the field that moves there by one ``itemgetter``, so
+    no term is decoded.  Building the renaming registers the images of
+    every registered variable, which makes the map a permutation of the
+    registered fields; a key with a field registered later raises
+    OverflowError.
+
+    ``memo`` is for callers that rename one value many times, such as the
+    denominators of ``BoxFraction.renamed``; it lives as long as the
+    renaming.
+    """
+
+    __slots__ = ("images", "memo", "_moved", "_size", "_pick")
+
+    def __init__(self, images: Mapping):
+        self.images = dict(images)
+        self.memo = {}
+        source = {}       # target field -> the field that moves there
+        moved = 0
+        k = 0
+        while k < len(_VARS):     # an image registered here is met too
+            v = _VARS[k]
+            k += 1
+            if v[0] == "q":
+                image = pair_var(self.letter(v[1]), self.letter(v[2]))
+                if image != v:
+                    t = (_unit(image).bit_length() - 1) // _FIELD
+                    source[t] = k
+                    moved |= _LIMIT << (_FIELD * k)
+        fields = len(_VARS) + 1
+        self._moved = moved
+        self._size = 2 * fields
+        self._pick = itemgetter(*(2 * source.get(t, t) + b
+                                  for t in range(fields) for b in (0, 1)))
+
+    def letter(self, x):
+        """The image of the letter x."""
+        return self.images.get(x, x)
 
 
 class NotDivisible(ArithmeticError):
@@ -654,6 +702,19 @@ class Poly:
             else:
                 del out[key]
         return _poly(out)
+
+    def renamed(self, r: Renaming) -> "Poly":
+        """The polynomial with its letters renamed by r, key by key (see
+        ``Renaming``); itself when r moves none of its variables.  The map
+        on keys is injective, so no terms merge."""
+        t = self._t
+        size, pick, from_bytes = r._size, r._pick, int.from_bytes
+        flags = self.variable_flags()
+        # a field past the renaming's is left to to_bytes, which raises
+        if not flags & r._moved and flags >> (8 * size) == 0:
+            return self
+        return _poly({from_bytes(bytes(pick(m.to_bytes(size, "little"))),
+                                 "little"): c for m, c in t.items()})
 
     def conjugate(self) -> "Poly":
         return self.map_vars(

@@ -291,8 +291,7 @@ def test_criterion_05_inverse_values():
 
         full = (1, 2, 3)
         for w in basis.words:
-            lam = {g: table.entries[g].value_at(w)
-                   for g in table.support()}
+            lam = {g: table.value_at(g, w) for g in table.support()}
             d12, d23 = boxes(w, (1, 2)), boxes(w, (2, 3))
             d123 = boxes(w, full)
             idc = BoxFraction(Poly.one() - Q(w, (1, 2)) * Q(w, (2, 3)),

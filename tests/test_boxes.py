@@ -11,7 +11,7 @@ from quongram.ring import Poly, NotDivisible
 from quongram.boxes import (BoxFactor, BoxFraction, as_part, sum_parts,
                             sum_products, _den_lcm, _den_minus, _den_plus)
 from quongram.fock import Weight
-from quongram.gram import build_generic
+from quongram.gram import Basis, build_generic
 from quongram.inverse import inv_full
 
 
@@ -21,6 +21,28 @@ def B(word, *positions):
 
 def P(word, *positions):
     return BoxFactor(tuple(word), frozenset(positions), True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_renamed_fraction_matches_map_labels(seed):
+    rng = random.Random(seed)
+    table = inv_full(Weight.generic_n(4), "fast")
+    images = [1, 2, 3, 4]
+    rng.shuffle(images)
+    f = dict(zip([1, 2, 3, 4], images))
+    r = Basis.of_weight(Weight.generic_n(4)).renaming(images)
+    for x in table.entries.values():
+        got = x.renamed(r)
+        want = x.map_labels(f.__getitem__)
+        assert (got.num, got.den) == (want.num, want.den)
+        # a reduced fraction stays reduced, so its form is unique
+        assert (got.num, got.den) == as_part(BoxFraction(got.num, got.den))
+
+
+def test_renaming_leaves_one_parameter_boxes():
+    x = BoxFraction(Poly.one(), (P((1, 2, 3), 1, 2), P((1, 2, 3), 1, 2, 3)))
+    r = Basis.of_weight(Weight.generic_n(3)).renaming((3, 1, 2))
+    assert x.renamed(r).den == x.den
 
 
 def test_expansion():

@@ -12,8 +12,8 @@ from quongram.ring import Poly, GaussRat, SINGLE_Q
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
 from quongram.perms import Perm, all_perms, longest_element
-from quongram.gram import (Basis, build_generic, build_degenerate, factor_CD,
-                           q_mono)
+from quongram.gram import (Basis, DiagOp, OpExpansion, build_generic,
+                           build_degenerate, factor_CD, q_mono, rhat)
 from quongram.inverse import (Universe, lambda_sigma, tree_like,
                               lambda_scalar, random_tree_like, lambda_fast,
                               lambda_id, abs_q_sq, LambdaTable, psi_op,
@@ -26,6 +26,15 @@ from conftest import hermitian_assignment, symmetric_assignment
 
 def one_param_box(k):
     return BoxFactor(tuple(range(1, k + 1)), frozenset(range(1, k + 1)), True)
+
+
+def expansion(op):
+    """A GenericOp as an OpExpansion: each value renamed to every word."""
+    basis = op.basis
+    renamings = [basis.renaming(w) for w in basis.words]
+    return OpExpansion(basis, {
+        g: DiagOp(basis, tuple(x.renamed(r) for r in renamings))
+        for g, x in op.coefficients.items()})
 
 
 def assert_is_identity(mat):
@@ -227,14 +236,65 @@ def test_placing_a_table_tries_no_division(monkeypatch, method, one_param):
     assert calls == []
 
 
+@pytest.mark.parametrize("one_param", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_renamed_coefficients_are_the_per_word_coefficients(n, one_param):
+    # the table keeps Lambda(g) at the identity word; renamed e_p -> w_p
+    # it is the recursion run at w itself, as a value and as printed
+    nu = Weight.generic_n(n)
+    table = inv_full(nu, "fast", one_param)
+    u = Universe(one_param)
+    want = {g for g in all_perms(n) if tree_like(g)}
+    assert set(table.support()) == want
+    for g, values in table.diagonals():
+        for w, got in zip(table.basis.words, values):
+            lam = lambda_scalar(tuple(w), g, universe=u, check_closed=False)
+            assert got == lam and str(got) == str(lam)
+
+
+@pytest.mark.parametrize("one_param", [False, True])
+@pytest.mark.parametrize("method", ["fast", "long", "short", "chains",
+                                    "zagier"])
+def test_tables_invert_the_gram_matrix_in_the_group_algebra(method,
+                                                            one_param):
+    for n in (1, 2, 3, 4):
+        assert inv_full(Weight.generic_n(n), method, one_param).inverts_gram()
+
+
+def test_table_inverts_the_gram_matrix_at_n5():
+    assert inv_full(Weight.generic_n(5), "fast").inverts_gram()
+
+
+def test_a_wrong_table_does_not_invert_the_gram_matrix():
+    # the certificate fails when any one coefficient is off by a factor
+    table = inv_full(Weight.generic_n(4), "fast")
+    for g in (Perm.identity(4), Perm((2, 1, 4, 3))):
+        entries = dict(table.entries)
+        entries[g] = entries[g].scale(2)
+        wrong = LambdaTable(table.basis, table.one_param, entries)
+        assert not wrong.inverts_gram()
+
+
+def test_group_algebra_product_is_the_per_word_product():
+    # the twisted product of two operators, expanded to every word, is the
+    # OpExpansion product of their expansions
+    nu = Weight.generic_n(4)
+    basis = Basis.of_weight(nu)
+    ops = [psi_op(basis, 1, 3), psi_op(basis, 2, 4), d_inverse_op(basis, 2),
+           c_unimodal_op(basis, 3)]
+    for x in ops:
+        for y in ops:
+            assert expansion(x * y) == expansion(x) * expansion(y)
+
+
 def test_support_is_tree_like():
     nu = Weight.generic_n(4)
     table = inv_full(nu, "fast")
     assert len(table.support()) == 22
     assert all(tree_like(g) for g in table.support())
-    # missing permutations read back as zero
-    z = table.coefficient(Perm((2, 4, 1, 3)))
-    assert z.is_zero()
+    # missing permutations read back as zero, at every word
+    g = Perm((2, 4, 1, 3))
+    assert all(table.value_at(g, w).is_zero() for w in table.basis.words)
 
 
 def test_unknown_method_and_degenerate_rejected():
@@ -253,15 +313,12 @@ def test_unknown_method_and_degenerate_rejected():
 def test_d_inverse_inverts_d():
     nu = Weight.generic_n(3)
     basis = Basis.of_weight(nu)
-    from quongram.gram import OpExpansion
     ident = OpExpansion.identity(basis)
     for m in (1, 2):
         _, D = factor_CD(nu, m)
-        Dinv = d_inverse_op(basis, m)
-        got = LambdaTable.from_expansion(D * Dinv)
-        want = LambdaTable.from_expansion(ident)
-        assert got == want
-        assert LambdaTable.from_expansion(Dinv * D) == want
+        Dinv = expansion(d_inverse_op(basis, m))
+        assert D * Dinv == ident
+        assert Dinv * D == ident
 
 
 def test_c_unimodal_matches_elimination():
@@ -270,20 +327,18 @@ def test_c_unimodal_matches_elimination():
         basis = Basis.of_weight(nu)
         for m in range(2, n + 1):
             C, _ = factor_CD(nu, m)
-            assert c_unimodal_op(basis, m) == C
+            assert expansion(c_unimodal_op(basis, m)) == C
 
 
 def test_psi_inverts_sign_corrected_reversal():
     nu = Weight.generic_n(3)
     basis = Basis.of_weight(nu)
-    from quongram.gram import OpExpansion, rhat
     for a, b in ((1, 2), (2, 3), (1, 3)):
-        wI = longest_element(a, b, 3)
-        op = OpExpansion.identity(basis) + rhat(
-            wI, nu).scale((-1) ** (b - a + 1))
-        got = LambdaTable.from_expansion(op * psi_op(basis, a, b))
-        assert got == LambdaTable.from_expansion(
-            OpExpansion.identity(basis))
+        R = rhat(longest_element(a, b, 3), nu)
+        # I + (-1)^(b-a+1) Rhat(w_[a..b])
+        op = OpExpansion.identity(basis) + (R if (b - a) % 2 else -R)
+        got = op * expansion(psi_op(basis, a, b))
+        assert got == OpExpansion.identity(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +489,7 @@ def test_leftover_matches_the_product(one_param):
     outcomes = set()
     for g in rng.sample(table.support(), 6):
         word = rng.choice(table.basis.words)
-        frac = table.entries[g].value_at(word) * q_mono(
+        frac = table.value_at(g, word) * q_mono(
             word, g.inverse().inversion_set(), one_param)
         boxes = inverse._subset_boxes(tuple(word), one_param)
         for cand in (boxes, boxes[:-1], rng.sample(boxes, 5), []):

@@ -324,6 +324,33 @@ def test_map_labels():
         lambda x: merge(x, x)) == Poly.zero()
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys, st.permutations([1, 2, 3, 4]))
+def test_renaming_packed_keys_matches_map_labels(p, images):
+    # the letter 4 may name variables no term has, registered on the way
+    p = p * Poly.single_q() + Poly.var(3, 1)
+    f = dict(zip([1, 2, 3, 4], images))
+    assert p.renamed(ring.Renaming(f)) == p.map_labels(f.__getitem__)
+
+
+def test_renaming_keeps_what_it_does_not_move():
+    p = Poly.var(3, 4) * Poly.var(4, 3) + Poly.var(1, 9) * Poly.single_q()
+    r = ring.Renaming({1: 2, 2: 1})
+    q = Poly.var(3, 4) + Poly.single_q()
+    assert q.renamed(r) is q
+    assert p.renamed(r) == Poly.var(3, 4) * Poly.var(4, 3) \
+        + Poly.var(2, 9) * Poly.single_q()
+    assert r.letter(1) == 2 and r.letter(9) == 9
+
+
+def test_renaming_refuses_a_field_registered_after_it():
+    r = ring.Renaming({1: 2, 2: 1})
+    # both variables are new to the registry, so past r's fields
+    for p in (Poly.var(1, 2345), Poly.var(2346, 2347)):
+        with pytest.raises(OverflowError):
+            p.renamed(r)
+
+
 def test_conjugate_helper():
     assert Poly.var(1, 2).conjugate() == Poly.var(2, 1)
     p = Poly.parse("2 - q12*q21^2 + q11^3*q")
