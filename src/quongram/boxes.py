@@ -293,7 +293,8 @@ class BoxFraction:
         den = r.memo.get(self.den)
         if den is None:
             den = r.memo[self.den] = tuple(sorted(
-                b if b[0] else b.map_labels(r.letter) for b in self.den))
+                b if b.one_param else b.map_labels(r.letter)
+                for b in self.den))
         return _raw(self.num.renamed(r), den)
 
     def conjugate(self) -> "BoxFraction":

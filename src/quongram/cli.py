@@ -167,8 +167,12 @@ def cmd_det(args, out) -> int:
 
 # symbolic inversion runs on the generic model of the weight: the |nu|!
 # words of the generic weight on |nu| letters.  n = 5 (120 words) takes
-# 2.6-2.9 s at 36 MB with the fast method, 3.0-4.5 s at 54 MB with chains
-# and 4.5-7.3 s with zagier (2-core VM); n = 6 (720 words) is out of reach.
+# 1.2-1.4 s at 27 MB with the fast method, 1.4-2.1 s at 26 MB with the
+# operator methods, and 1.6-2.3 s at 44 MB with --format matrix (2-core
+# VM, three runs each), most of it printing the 10 800 values.  At n = 6
+# (720 words) every method builds its 394 coefficients in under 4 s, but
+# they print as 283 680 values: the json form is 1.1 GB of text, which
+# took 328 s and 3.4 GB in one process.
 INVERT_MAX_WORDS = 120
 
 
@@ -308,8 +312,8 @@ def cmd_zagier_check(args, out) -> int:
     _check_n("--n", args.n)
     coeff = Perm.parse(args.coeff) if args.coeff else None
     if coeff is None:
-        # without --coeff every coefficient of the inverse is built, as in
-        # invert: n = 5 takes 2.4-3.1 s, n = 6 did not finish in 20 s
+        # without --coeff every coefficient of the inverse is checked at
+        # every word, as invert prints it: n = 5 takes 1.9-2.2 s
         _check_size(f"zagier-check of every coefficient at n = {args.n}",
                     math.factorial(args.n), "words", INVERT_MAX_WORDS,
                     "; give --coeff to check one coefficient")

@@ -548,7 +548,7 @@ def psi_op(basis: Basis, a: int, b: int, one_param: bool = False
     wI = longest_element(a, b, basis.n)
     op = GenericOp.identity(basis) - GenericOp.rhat(
         wI, basis, one_param).scale((-1) ** (b - a + 1))
-    box = _box(tuple(basis.words[0]), range(a, b + 1), one_param)
+    box = _box(basis.words[0], range(a, b + 1), one_param)
     return op.left_diag(BoxFraction(Poly.one(), (box,)))
 
 
