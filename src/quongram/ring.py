@@ -180,10 +180,10 @@ class Renaming:
     field of q_ij moves to the field of q_{f(i) f(j)}, and the degree field
     stays.  A key is renamed through its bytes, each target field's two
     bytes picked from the field that moves there by one ``itemgetter``, so
-    no term is decoded.  Building the renaming registers the images of
-    every registered variable, which makes the map a permutation of the
-    registered fields; a key with a field registered later raises
-    OverflowError.
+    no term is decoded.  The map covers every registered variable, and
+    their images, which it registers, so it is a permutation of the
+    registered fields.  A variable registered after the renaming was built
+    is covered when a key with it is first renamed.
 
     ``memo`` is for callers that rename one value many times, such as the
     denominators of ``BoxFraction.renamed``; it lives as long as the
@@ -195,6 +195,10 @@ class Renaming:
     def __init__(self, images: Mapping):
         self.images = dict(images)
         self.memo = {}
+        self._cover()
+
+    def _cover(self):
+        """The field permutation over the variables registered now."""
         source = {}       # target field -> the field that moves there
         moved = 0
         k = 0
@@ -707,14 +711,14 @@ class Poly:
         """The polynomial with its letters renamed by r, key by key (see
         ``Renaming``); itself when r moves none of its variables.  The map
         on keys is injective, so no terms merge."""
-        t = self._t
-        size, pick, from_bytes = r._size, r._pick, int.from_bytes
         flags = self.variable_flags()
-        # a field past the renaming's is left to to_bytes, which raises
-        if not flags & r._moved and flags >> (8 * size) == 0:
+        if flags >> (8 * r._size):     # registered after r was built
+            r._cover()
+        if not flags & r._moved:
             return self
+        size, pick, from_bytes = r._size, r._pick, int.from_bytes
         return _poly({from_bytes(bytes(pick(m.to_bytes(size, "little"))),
-                                 "little"): c for m, c in t.items()})
+                                 "little"): c for m, c in self._t.items()})
 
     def conjugate(self) -> "Poly":
         return self.map_vars(

@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import quongram
 from quongram.cli import (main, parse_weight, Usage, build_parser,
                           _widest_subdivision)
 from quongram.perms import Perm
@@ -63,6 +67,21 @@ def test_invert_json_support():
     code, s = run("invert", "--n", "2", "--format", "json")
     assert code == 0
     assert set(json.loads(s)) == {"12", "21"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--n", "2", "--format", "matrix"],
+    ["invert", "--n", "2", "--format", "matrix", "--one-param"],
+    ["invert", "--n", "3", "--method", "zagier", "--format", "json"],
+])
+def test_invert_prints_alike_in_a_fresh_interpreter(argv):
+    # a fresh process registers its variables in another order, and after
+    # some renamings are built: the printout must not depend on either
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(quongram.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "quongram.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == run(*argv)
 
 
 def _refuse(monkeypatch, module, names):

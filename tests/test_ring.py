@@ -343,12 +343,13 @@ def test_renaming_keeps_what_it_does_not_move():
     assert r.letter(1) == 2 and r.letter(9) == 9
 
 
-def test_renaming_refuses_a_field_registered_after_it():
+def test_renaming_covers_variables_registered_after_it():
     r = ring.Renaming({1: 2, 2: 1})
-    # both variables are new to the registry, so past r's fields
-    for p in (Poly.var(1, 2345), Poly.var(2346, 2347)):
-        with pytest.raises(OverflowError):
-            p.renamed(r)
+    # every variable here is new to the registry, so past r's fields
+    p = Poly.var(1, 2345) * Poly.var(2345, 2)
+    assert p.renamed(r) == Poly.var(2, 2345) * Poly.var(2345, 1)
+    q = Poly.var(2346, 2347)
+    assert q.renamed(r) is q
 
 
 def test_conjugate_helper():
