@@ -123,9 +123,10 @@ FACTORED_DET_MAX_LETTERS = 14
 # (b = -2) takes 2.4 s and 29 MB, n = 7 over 200 s.
 CONTRAVARIANT_MAX_WORDS = 120
 CONTRAVARIANT_DET_MAX_LETTERS = 6
-# Every verify suite caps its own sizes at 4 or 6, so a larger --max-n
-# checks nothing more; --max-n 6 takes 2.2 s and 32 MB, about 0.3 s of it
-# the n = 6 factor chain of check_det.  (check_counting
+# Every verify suite caps its own sizes at 4, 5 or 6, so a larger --max-n
+# checks nothing more; --max-n 6 takes 1.3-1.7 s and 34 MB, about 0.3 s of
+# it the n = 6 factor chain of check_det and 0.3 s the n = 5 certificate
+# of check_methods.  (check_counting
 # used to compute the Schröder numbers up to --max-n: 100 000 took 13.6 s
 # and 1.6 GB.)
 VERIFY_MAX_N = 6

@@ -392,8 +392,8 @@ class GenericOp:
     def __mul__(self, o: "GenericOp") -> "GenericOp":
         """(XY)_g = Σ_{g₁g₂=g} x_{g₁} · g₁(y_{g₂}), the pairs grouped by g
         in the order of ``OpExpansion.__mul__`` and each group summed by
-        its ``_sum_products``.  One renaming is built per g₁ and each
-        y_{g₂} renamed by it once, within this call."""
+        ``_sum_products``.  One renaming is built per g₁, and each y_{g₂}
+        is renamed by it once, within this call."""
         e = self.basis.words[0]
         groups: dict = {}
         for g1, x in self.coefficients.items():
