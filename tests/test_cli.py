@@ -409,17 +409,57 @@ EXPANSION_GOLDENS = [
     (("invert", "--n", "5", "--format", "json", "--method", m), 5217933,
      "77883776370ffead86e109a2bbded99ad08975c2046febdc77c7359d7c628317")
     for m in ("fast", "long", "short", "chains", "zagier")]
-INVERT_GOLDENS = DEGENERATE_GOLDENS + MATRIX_GOLDENS + EXPANSION_GOLDENS
 
 
-# the matrix and expansion rows share this body; the degenerate ids keep
-# their names
+# Byte length and sha256 of zagier-check reports, recorded from the check
+# that ran at every (coefficient, word) pair: the full sweep at n = 5 in
+# each mode and format, and one coefficient of S_5, S_6 and S_8.  The
+# original conjecture fails at 43218765, and a failing report exits 1.
+ZAGIER_GOLDENS = [
+    (("zagier-check", "--n", "5", "--mode", "multi", "--format", "text"), 30,
+     "6a38af78eb908f7e899bc9d04658aa64873735687e619135e6226c2ae36a0b53"),
+    (("zagier-check", "--n", "5", "--mode", "multi", "--format", "json"), 125,
+     "6f175fbe8ce127536d4a338e9bb35c0cc24fdcd47e68fd4814d63a4875c0c9d6"),
+    (("zagier-check", "--n", "5", "--mode", "extended-multi", "--format",
+      "text"), 39,
+     "6dc41d16669aab7e476e558e305b78119ce56c320085a2c0d7ba478a704285c3"),
+    (("zagier-check", "--n", "5", "--mode", "extended-multi", "--format",
+      "json"), 134,
+     "c902c4fcb395c75cdd1d6f32c988cf10c87241ec707941b1b2ecff77e9bf6629"),
+    (("zagier-check", "--n", "5", "--mode", "one-param", "--format", "text"),
+     34, "0ad66754219545ce343903e2aebfa1f481ba100ca25b284338e3ffef43e9f420"),
+    (("zagier-check", "--n", "5", "--mode", "one-param", "--format", "json"),
+     128, "356ecb1b348fb187b74f14b38e34a83b1a509253f8044a5e564c9f827f6f499c"),
+    (("zagier-check", "--n", "5", "--mode", "original-conjecture",
+      "--format", "text"), 44,
+     "5eb625cabe71b68942473035adc292ea65b64dfbae33b44a6a223c06e9f53492"),
+    (("zagier-check", "--n", "5", "--mode", "original-conjecture",
+      "--format", "json"), 138,
+     "9aacb4b996fe05485f10edf45f2c7399eabf845326049e14adb70fffa936f928"),
+    (("zagier-check", "--n", "8", "--mode", "original-conjecture", "--coeff",
+      "43218765"), 687,
+     "e9bd5643c2c07d9bed1c6cf87f8f5a24f9acb05c61c09ec3c8da84257db3612d"),
+    (("zagier-check", "--n", "8", "--mode", "one-param", "--coeff",
+      "43218765"), 30,
+     "e20bbdba19ff2a12246aed819c052017f3d2cf50392d4093a2dad8d5d8bd53bb"),
+    (("zagier-check", "--n", "6", "--mode", "multi", "--coeff", "214365"), 26,
+     "8de55ae73e541edda43b6dfe31e52b0932d3550ae6f526ec54da461e6b624f2e"),
+    (("zagier-check", "--n", "5", "--mode", "extended-multi", "--coeff",
+      "21435"), 35,
+     "8ed0173989019e552ade2c5b91e16c09f5fb83dfe25b9e2b9120c96d5d727b1e"),
+]
+INVERT_GOLDENS = (DEGENERATE_GOLDENS + MATRIX_GOLDENS + EXPANSION_GOLDENS
+                  + ZAGIER_GOLDENS)
+
+
+# the matrix, expansion and zagier-check rows share this body; the
+# degenerate ids keep their names
 @pytest.mark.parametrize("argv,size,digest", INVERT_GOLDENS, ids=[
     " ".join(argv) for argv, _, _ in INVERT_GOLDENS])
 def test_degenerate_goldens(argv, size, digest):
     code, s = run(*argv)
     data = s.encode()
-    assert code == 0
+    assert code == (argv[0] == "zagier-check" and "FAIL" in s)
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 

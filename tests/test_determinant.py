@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from quongram import determinant
 from quongram.ring import Poly, GaussRat
 from quongram.fock import Weight
-from quongram.gram import build_generic, build_degenerate
+from quongram.gram import (Basis, build_generic, build_degenerate, rhat,
+                           q_diag_set)
+from quongram.perms import cycle
 from quongram.determinant import (det_formula, det_cycle_factor,
                                   det_one_param, one_param_exponents,
                                   positivity_check, det_divides,
@@ -78,17 +80,19 @@ def test_factor_chain_rejects_a_non_box_factor(monkeypatch, spoil):
             det_factor_chain(Weight.generic_n(3))
 
 
+def chain_factors(n):
+    """(variant, a, b) of every plain and boxed cyclic factor at n."""
+    return ([("plain", a, b) for b in range(2, n + 1) for a in range(1, b)]
+            + [("boxed", a, b) for b in range(1, n) for a in range(1, b + 1)])
+
+
 def test_factor_chain_read_off_matches_block_elimination():
     # every orbit block of every plain and boxed factor, read off as
     # 1 − ∏ weights, against det_poly_bareiss of the block itself
     for n in (2, 3, 4, 5):
         nu = Weight.generic_n(n)
-        factors = [("plain", a, b) for b in range(2, n + 1)
-                   for a in range(1, b)]
-        factors += [("boxed", a, b) for b in range(1, n)
-                    for a in range(1, b + 1)]
         blocks = 0
-        for variant, a, b in factors:
+        for variant, a, b in chain_factors(n):
             for weights in determinant._orbit_weights(nu, a, b, variant):
                 read_off = Poly.one() - math.prod(weights, start=Poly.one())
                 assert read_off.nterms() == 2
@@ -97,6 +101,29 @@ def test_factor_chain_read_off_matches_block_elimination():
                 blocks += 1
         if n == 5:
             assert blocks == 1214
+
+
+def test_orbit_weights_are_the_per_word_operator_diagonals():
+    # the monomial weights against the diagonal of R̂(t_{a,b}), times
+    # Q_{{b,b+1}} when boxed, built word by word in the per-word algebra
+    for n in (2, 3, 4, 5):
+        nu = Weight.generic_n(n)
+        basis = Basis.of_weight(nu)
+        for variant, a, b in chain_factors(n):
+            t = cycle(a, b, n)
+            d = rhat(t, nu).coefficients[t]
+            if variant == "boxed":
+                d = q_diag_set(basis, (b, b + 1)) * d
+            step, seen, want = basis.act(t), set(), []
+            for start in range(basis.size):
+                orbit, k = [], start
+                while k not in seen:
+                    seen.add(k)
+                    orbit.append(d.diagonal[k])
+                    k = step[k]
+                if orbit:
+                    want.append(orbit)
+            assert list(determinant._orbit_weights(nu, a, b, variant)) == want
 
 
 def test_factor_chain_neither_divides_nor_eliminates(monkeypatch):

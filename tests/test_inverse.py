@@ -15,8 +15,8 @@ from quongram.perms import Perm, all_perms, longest_element
 from quongram.gram import (Basis, DiagOp, OpExpansion, build_generic,
                            build_degenerate, factor_CD, q_mono, rhat)
 from quongram.inverse import (Universe, lambda_sigma, tree_like,
-                              lambda_scalar, random_tree_like, lambda_fast,
-                              lambda_id, abs_q_sq, LambdaTable, psi_op,
+                              lambda_scalar, random_tree_like, lambda_id,
+                              LambdaTable, psi_op,
                               d_inverse_op, c_unimodal_op,
                               inv_brute, inv_full, inverse_matrix_at,
                               inv_degenerate, zagier_check)
@@ -77,27 +77,26 @@ def test_closed_form_checked_on_all_of_s4():
 
 def test_lambda_id_forms_agree():
     for n in (2, 3, 4):
-        nu = Weight.generic_n(n)
-        assert lambda_id(nu, "outer-bracket") == lambda_id(nu, "no-outer")
-        assert lambda_id(nu, "outer-bracket", True) == \
-            lambda_id(nu, "no-outer", True)
+        for w in Basis.of_weight(Weight.generic_n(n)).words:
+            assert lambda_id(w, "outer-bracket") == lambda_id(w, "no-outer")
+            assert lambda_id(w, "outer-bracket", True) == \
+                lambda_id(w, "no-outer", True)
     with pytest.raises(ValueError):
-        lambda_id(Weight.generic_n(2), "sideways")
+        lambda_id((1, 2), "sideways")
 
 
 def test_lambda_id_one_param_golden():
-    nu = Weight.generic_n(3)
-    d = lambda_id(nu, one_param=True)
     q = Poly.single_q()
     want = BoxFraction(Poly.one() + q * q,
                        (one_param_box(2), one_param_box(3)))
-    assert d.value_at(Word((1, 2, 3))) == want
+    assert lambda_id((1, 2, 3), one_param=True) == want
 
 
 def test_lambda_matches_identity_coefficient():
     for n in (2, 3):
-        nu = Weight.generic_n(n)
-        assert lambda_fast(Perm.identity(n), nu) == lambda_id(nu)
+        e = Perm.identity(n)
+        for w in Basis.of_weight(Weight.generic_n(n)).words:
+            assert lambda_scalar(tuple(w), e) == lambda_id(w)
 
 
 def test_longest_element_invariance():
@@ -120,13 +119,16 @@ def test_longest_element_invariance():
 
 
 def test_abs_q_sq_longest():
-    basis = Basis.of_weight(Weight.generic_n(3))
-    d = abs_q_sq(basis, longest_element(1, 3, 3))
-    w = Word((1, 2, 3))
+    # |Q(g)|^2, the monomial over the inversions (a, b) of g^-1 taken both
+    # ways, is the product of every q_ij q_ji for the longest element
+    pairs = []
+    for a, b in longest_element(1, 3, 3).inverse().inversion_set():
+        pairs.extend([(a, b), (b, a)])
     want = Poly.one()
     for i, j in ((1, 2), (1, 3), (2, 3)):
         want = want * Poly.var(i, j) * Poly.var(j, i)
-    assert d.value_at(w) == want
+    for w in Basis.of_weight(Weight.generic_n(3)).words:
+        assert q_mono(w, pairs) == want
 
 
 def test_lambda_sigma_blocks():
@@ -504,6 +506,60 @@ def test_leftover_matches_the_product(one_param):
                 assert left is None
             outcomes.add(left is None)
     assert outcomes == {True, False}
+
+
+ZAGIER_MODES = ("multi", "extended-multi", "one-param", "original-conjecture")
+
+
+def per_word_zagier(n, mode):
+    """The report of zagier_check as computed at every (coefficient, word)
+    pair: the candidate built at each word, each entry multiplied out and
+    reduced there."""
+    one_param = mode in ("one-param", "original-conjecture")
+    report = inverse.ZagierReport(mode=mode, n=n, one_param=one_param)
+
+    def candidate(letters):
+        if mode == "multi":
+            return inverse._interval_boxes(letters, False)
+        if mode == "extended-multi":
+            return inverse._subset_boxes(letters, False)
+        return inverse._one_param_boxes(n, mode == "one-param")
+
+    table = inv_full(Weight.generic_n(n), "fast", one_param)
+    for g, values in table.diagonals():
+        for w, lam in zip(table.basis.words, values):
+            mono = q_mono(w, g.inverse().inversion_set(), one_param)
+            left = inverse._leftover(lam * mono, candidate(tuple(w)))
+            report.checked += 1
+            if left is not None:
+                report.failures.append((str(g), str(Word(w)), str(left)))
+    return report
+
+
+@pytest.mark.parametrize("mode", ZAGIER_MODES)
+def test_zagier_check_decides_each_coefficient_once(monkeypatch, mode):
+    calls = []
+    real = inverse._leftover
+    monkeypatch.setattr(inverse, "_leftover",
+                        lambda *a: calls.append(a) or real(*a))
+    rep = zagier_check(5, mode)
+    assert rep.passed and rep.checked == 120 * 90
+    assert len(calls) == 90 == len(inv_full(Weight.generic_n(5)).entries)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mode", ZAGIER_MODES)
+def test_zagier_failures_are_the_per_word_failures(monkeypatch, mode, n):
+    # every candidate builder loses a box, so some coefficients fail; each
+    # failure is listed at every word, with the leftover found there
+    for name in ("_interval_boxes", "_subset_boxes", "_one_param_boxes"):
+        real = getattr(inverse, name)
+        monkeypatch.setattr(inverse, name,
+                            lambda *a, real=real: real(*a)[:-1])
+    rep, want = zagier_check(n, mode), per_word_zagier(n, mode)
+    assert len(rep.failures) >= 24
+    assert rep.to_json() == want.to_json()
+    assert str(rep) == str(want)
 
 
 def test_single_coefficient_counterexample():
