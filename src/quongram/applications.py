@@ -30,7 +30,7 @@ q12
 from __future__ import annotations
 
 __all__ = [
-    "symmetrize", "Arrangement", "Edge", "VarchenkoDet",
+    "symmetrize", "Edge", "VarchenkoDet",
     "varchenko_matrix", "varchenko_det",
     "UMonomial", "TLaurent", "t_laurent", "BilinearData",
     "contravariant_matrix_operators", "contravariant_matrix",
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ring import Poly, pair_var
-from .fock import Word, Weight
+from .fock import Weight
 from .gram import Basis, GramMatrix, pair_rule
 from .determinant import (det_formula, det_univariate, _product,
                           _product_value, _product_str)
@@ -58,28 +58,6 @@ def symmetrize(p: Poly) -> Poly:
     family of a weighted hyperplane arrangement."""
     return p.map_vars(lambda v: pair_var(v[2], v[1])
                       if v[0] == "q" and v[1] > v[2] else v)
-
-
-@dataclass(frozen=True)
-class Arrangement:
-    """The hyperplanes x_i = x_j (i < j) in R^n, weighted symmetrically."""
-
-    n: int
-
-    @property
-    def hyperplanes(self) -> tuple:
-        return tuple(itertools.combinations(range(1, self.n + 1), 2))
-
-    def weight(self, i: int, j: int) -> Poly:
-        if i == j:
-            raise ValueError("no hyperplane x_i = x_i")
-        return Poly.var(min(i, j), max(i, j))
-
-    def domains(self) -> tuple:
-        """One domain P_pi per ordering of the coordinates, as the word
-        pi(1)..pi(n) (the coordinate indices read in increasing position)."""
-        return tuple(Word(p) for p in
-                     itertools.permutations(range(1, self.n + 1)))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ that key and nothing else.  We therefore never need multivariate gcd: a
 fraction is a polynomial numerator over a *multiset* of box factors, and the
 only cancellation mechanism is exact polynomial division by one of them.
 
-A denominator multiset is a sorted tuple of factors.  Products and sums
-merge these tuples directly (``_den_plus``, ``_den_lcm``, ``_den_minus``),
-one linear pass each, and equal factors sit next to each other for
-``groupby``.
+A denominator multiset is a sorted tuple of factors, so equal factors sit
+next to each other for ``groupby``.  Products and sums combine these tuples
+with the builtin sort and list removal (``_den_plus``, ``_den_lcm``,
+``_den_minus``).
 
 Sums of fractions, and sums of products of them (a matrix entry, a
 coefficient of a composed operator), go through ``sum_parts`` and
@@ -129,67 +129,24 @@ def _den_poly(den: tuple) -> Poly:
 
 def _den_plus(a: tuple, b: tuple) -> tuple:
     """Multiset sum of two sorted denominators, sorted: the denominator of
-    a product.  One merge pass."""
-    if not b:
-        return a
-    if not a:
-        return b
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        if b[j] < a[i]:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-    out += a[i:]
-    out += b[j:]
+    a product.  Timsort merges the two sorted runs."""
+    return tuple(sorted(a + b))
+
+
+def _den_minus(a: tuple, b: tuple) -> tuple:
+    """Multiset difference of two sorted denominators: every factor of a as
+    often as it occurs more often in a than in b, sorted."""
+    out = list(a)
+    for x in b:
+        if x in out:
+            out.remove(x)
     return tuple(out)
 
 
 def _den_lcm(a: tuple, b: tuple) -> tuple:
     """Least common multiple of two sorted denominator multisets: every
-    factor as often as in the side that has it more often, sorted.  One
-    merge pass, which takes a factor on both sides once per matched pair."""
-    if not b or a == b:
-        return a
-    if not a:
-        return b
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if y < x:
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            if x == y:
-                j += 1
-    out += a[i:]
-    out += b[j:]
-    return tuple(out)
-
-
-def _den_minus(a: tuple, b: tuple) -> tuple:
-    """Multiset difference of two sorted denominators: every factor of a as
-    often as it occurs more often in a than in b, sorted.  One merge pass."""
-    if not b:
-        return a
-    out = []
-    j, nb = 0, len(b)
-    for x in a:
-        while j < nb and b[j] < x:
-            j += 1
-        if j < nb and b[j] == x:
-            j += 1
-        else:
-            out.append(x)
-    return tuple(out)
+    factor as often as in the side that has it more often, sorted."""
+    return _den_plus(a, _den_minus(b, a))
 
 
 class BoxFraction:
@@ -197,7 +154,7 @@ class BoxFraction:
     no factor of the denominator exactly divides the numerator.
 
     ``den`` is a sorted tuple.  The constructor sorts the factors it is
-    given; products and sums merge sorted tuples instead of sorting again."""
+    given; products and sums combine sorted tuples (``_den_plus``)."""
 
     __slots__ = ("num", "den")
 

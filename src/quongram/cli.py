@@ -204,7 +204,8 @@ def cmd_invert(args, out) -> int:
 # count tree-like walks the reversal sequence of each of the n!
 # permutations, all held in one list: n = 8 takes 3.4 s and 26 MB, n = 9
 # 26.6 s, and n = 11 passed 2 GB.  count bracketings lists every
-# bracketing: n = 10 takes 4.0 s and 197 MB, n = 11 26 s.
+# bracketing: n = 10 takes 1.7-1.8 s and 164 MB; n = 11 lists five times
+# as many.
 TREE_LIKE_MAX_N = 8
 BRACKETINGS_MAX_N = 10
 
@@ -291,6 +292,12 @@ def cmd_contravariant(args, out) -> int:
 # under a 1.5 GB cap.  One-parameter coefficients stay cheap (3.4 s for
 # the identity at n = 8).
 COEFF_MAX_BLOCKS = 7
+# Without --coeff every coefficient of the inverse is built, as invert
+# builds it, and decided at the identity word.  n = 6 (720 words) takes
+# 0.25-0.30 s and 21 MB in the one-parameter modes and 0.39-0.54 s and
+# 23 MB in multi and extended-multi (fresh process, three runs each); at
+# n = 7 (5 040 words) multi takes 20 s and 205 MB.
+ZAGIER_MAX_WORDS = 720
 
 
 def _widest_subdivision(g: Perm) -> int:
@@ -313,11 +320,8 @@ def cmd_zagier_check(args, out) -> int:
     _check_n("--n", args.n)
     coeff = Perm.parse(args.coeff) if args.coeff else None
     if coeff is None:
-        # without --coeff every coefficient of the inverse is built, as
-        # invert builds it, and decided at the identity word: n = 5 takes
-        # 0.12-0.21 s
         _check_size(f"zagier-check of every coefficient at n = {args.n}",
-                    math.factorial(args.n), "words", INVERT_MAX_WORDS,
+                    math.factorial(args.n), "words", ZAGIER_MAX_WORDS,
                     "; give --coeff to check one coefficient")
     elif mode in ("multi", "extended-multi") and young_sequence(coeff)[1]:
         _check_size(f"zagier-check of the coefficient {coeff}",

@@ -45,7 +45,9 @@ Bareiss, Math. Comp. 22, 1968).  ``det_point`` therefore sweeps only the
 upper triangle of such a matrix and divides by integers, about 3.5 times
 faster than the general sweep at n = 5.  It falls back to the general
 sweep, with complex pivots and row swaps, for any other matrix and
-whenever a leading principal minor vanishes.
+whenever a leading principal minor vanishes.  The same sweep decides
+``positivity_check`` exactly: the Gram matrix is positive definite when
+every leading minor is positive (Sylvester's criterion).
 
 ``det_point`` eliminates the Gaussian integers t · S A S, S = diag(s).
 At a point whose parameters have denominator D, entry (σ, τ) of the Gram
@@ -265,8 +267,10 @@ def _bareiss(M, step, is_zero, zero, _upper=False):
 
     step(akk, aij, aik, akj, prev) returns (akk·aij − aik·akj) / prev; the
     division is checked to be exact, and prev is None where the divisor is
-    D_0 = 1.  Returns (sign, last pivot), so det M = sign · last pivot, or
-    (1, zero) when M is singular.  A row swap swaps the level rows too.
+    D_0 = 1.  Returns (sign, [D_1, ..., D_n]), the leading minors of M after
+    its row swaps, the last one lifted, so det M = sign · D_n.  When M is
+    singular the list stops at its first zero minor and sign is 1.  A row
+    swap swaps the level rows too.
 
     With _upper set, M must be hermitian and only its upper triangle is
     swept: every intermediate matrix stays hermitian, so step receives
@@ -288,7 +292,7 @@ def _bareiss(M, step, is_zero, zero, _upper=False):
                     sign = -sign
                     break
             else:
-                return 1, zero
+                return 1, D[1:] + [zero]
         rk, lk = M[k], lev[k]
         prev = D[k]
         cols = []       # the columns j > k with a_kj ≠ 0, lifted to level k
@@ -325,7 +329,8 @@ def _bareiss(M, step, is_zero, zero, _upper=False):
     last, m = M[n - 1][n - 1], lev[n - 1][n - 1]
     if m != n - 1 and not is_zero(last):
         last = step(D[n - 1], last, zero, zero, D[m])
-    return sign, last
+    D.append(last)
+    return sign, D[1:]
 
 
 def _poly_step(akk, aij, aik, akj, prev):
@@ -338,9 +343,9 @@ def det_poly_bareiss(rows) -> Poly:
     exact by the Sylvester minor identity."""
     if not rows:
         return Poly.one()
-    sign, d = _bareiss([list(r) for r in rows], _poly_step, Poly.is_zero,
-                       Poly.zero())
-    return d.scale(sign)
+    sign, minors = _bareiss([list(r) for r in rows], _poly_step,
+                            Poly.is_zero, Poly.zero())
+    return minors[-1].scale(sign)
 
 
 def det_elim(nu: Weight, one_param: bool = False) -> Poly:
@@ -641,8 +646,9 @@ def det_point(entries) -> GaussRat:
                        (0, 0), _upper=True)
     if res is None:
         res = _bareiss(rows, _gi_step, is_zero, (0, 0))
-    sign, d = res
-    return GaussRat.from_ints(sign * d[0], sign * d[1],
+    sign, minors = res
+    re, im = minors[-1]
+    return GaussRat.from_ints(sign * re, sign * im,
                               t ** n * math.prod(s) ** 2)
 
 
@@ -1050,21 +1056,36 @@ def poly_to_univariate(p: Poly, slope) -> list:
 # positivity and divisibility
 # ---------------------------------------------------------------------------
 
-def positivity_check(nu: Weight, assignment, tolerance: float = 1e-9) -> bool:
-    """Numeric positive-definiteness of the Gram matrix under a hermitian
-    assignment with all |q_{ij}| < 1.  This is the artifact's only
-    floating-point computation: smallest eigenvalue > tolerance."""
-    import numpy as np
+def _positive_definite(entries) -> bool:
+    """Whether the square GaussRat matrix A is positive definite, exactly.
 
+    M = t · S A S in pivot order (see _scaled_gauss_rows) is congruent to A
+    by a positive diagonal matrix and a symmetric permutation, so one is
+    positive definite when the other is.  By Sylvester's criterion that
+    holds when every leading principal minor of M is positive, and the
+    hermitian sweep of det_point computes them all; it stops at the first
+    zero one.  A matrix that is not hermitian is not positive definite."""
+    rows = _scaled_gauss_rows(entries)[3]
+    if not _is_hermitian(rows):
+        return False
+    res = _bareiss(rows, _gi_herm_step, (0, 0).__eq__, (0, 0), _upper=True)
+    return res is not None and all(re > 0 for re, _ in res[1])
+
+
+def positivity_check(nu: Weight, assignment) -> bool:
+    """Whether the Gram matrix is positive definite under a hermitian
+    assignment with every |q_{ij}| < 1, decided exactly by Sylvester's
+    criterion on the leading minors of det_point's hermitian sweep.
+
+    Its callers stay at 4 letters (24 words), where a check takes
+    milliseconds; at 120 words (n = 5) the sweep's integers grow and it
+    takes about 2 s."""
     check_assignment(assignment, "hermitian")
     for v, val in assignment.items():
         if v[0] == "q" and val.abs2() >= 1:
             raise ValueError(f"|q| < 1 violated at {v}: |q|^2 = {val.abs2()}")
-    A = build_degenerate(nu)
-    num = np.array([[complex(v.a / v.d, v.b / v.d) for v in row]
-                    for row in A.evaluate(assignment, "hermitian")])
-    eigs = np.linalg.eigvalsh(num)
-    return bool(eigs.min() > tolerance)
+    return _positive_definite(
+        build_degenerate(nu).evaluate(assignment, "hermitian"))
 
 
 @dataclass(frozen=True)

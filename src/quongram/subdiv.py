@@ -276,32 +276,23 @@ def enumerate_bracketings(n: int, outer: bool):
     """
     if n == 1:
         return (frozenset(),)
-    out = []
+    # a family without (1, n) comes from one composition: its maximal
+    # brackets, each piece longer than one letter carrying one of them, and
+    # the letters they leave out as single pieces
+    families = []
     for pieces in _compositions(1, n):
         if len(pieces) == 1:
             continue
-        # choose an arbitrary bracketing-with-outer or nothing on each piece
-        piecechoices = []
-        for a, b in pieces:
-            opts = [frozenset()]
-            if b > a:
-                for sub in enumerate_bracketings(b - a + 1, True):
-                    opts.append(frozenset((p + a - 1, q + a - 1)
-                                          for p, q in sub))
-            piecechoices.append(opts)
-        for combo in itertools.product(*piecechoices):
-            fam = frozenset().union(*combo)
-            out.append(fam)
-    # deduplicate: distinct compositions can yield the same family only when
-    # some piece carries no bracket; dedupe via set
-    families = set(out)
+        piecechoices = [
+            [frozenset((p + a - 1, q + a - 1) for p, q in sub)
+             for sub in enumerate_bracketings(b - a + 1, True)]
+            if b > a else [frozenset()]
+            for a, b in pieces]
+        families.extend(frozenset().union(*combo)
+                        for combo in itertools.product(*piecechoices))
     if outer:
-        result = tuple(sorted((f | {(1, n)} for f in families),
-                              key=lambda f: (len(f), sorted(f))))
-    else:
-        result = tuple(sorted(families | {frozenset()},
-                              key=lambda f: (len(f), sorted(f))))
-    return result
+        families = [f | {(1, n)} for f in families]
+    return tuple(sorted(families, key=lambda f: (len(f), sorted(f))))
 
 
 def schroeder_counts(n_max: int):

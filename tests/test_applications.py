@@ -9,8 +9,7 @@ from quongram.fock import Weight
 from quongram.perms import Perm
 from quongram.gram import build_generic
 from quongram.determinant import det_point, det_poly_bareiss, det_one_param
-from quongram.applications import (symmetrize, Arrangement,
-                                   varchenko_matrix, varchenko_det,
+from quongram.applications import (symmetrize, varchenko_matrix, varchenko_det,
                                    UMonomial, TLaurent, t_laurent,
                                    BilinearData, contravariant_matrix,
                                    contravariant_matrix_operators,
@@ -49,15 +48,6 @@ def test_symmetrize():
     assert symmetrize(Poly.var(1, 2) - Poly.var(2, 1)) == Poly.zero()
     p = Poly.var(1, 2) * Poly.var(3, 1) - Poly.var(2, 1) * Poly.var(1, 3)
     assert symmetrize(p + Poly.var(3, 2)) == Poly.var(2, 3)
-
-
-def test_arrangement_shape():
-    arr = Arrangement(3)
-    assert len(arr.hyperplanes) == 3
-    assert len(arr.domains()) == 6
-    assert arr.weight(3, 1) == Poly.var(1, 3)
-    with pytest.raises(ValueError):
-        arr.weight(2, 2)
 
 
 def test_domain_form_is_symmetrized_gram():

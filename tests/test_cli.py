@@ -199,8 +199,8 @@ def test_verify_refuses_max_n_past_every_suite(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["zagier-check", "--n", "6"],
-    ["zagier-check", "--n", "6", "--mode", "one-param"],
+    ["zagier-check", "--n", "7"],
+    ["zagier-check", "--n", "7", "--mode", "one-param"],
     ["zagier-check", "--n", "8", "--coeff", "12345678"],
     ["zagier-check", "--n", "8", "--mode", "extended-multi",
      "--coeff", "87654321"],
@@ -223,9 +223,18 @@ def test_sizes_that_never_finish_fail_fast(capsys, monkeypatch, argv):
 
 
 def test_zagier_check_without_coeff_points_to_coeff(capsys):
-    assert run("zagier-check", "--n", "6") == (2, "")
+    assert run("zagier-check", "--n", "7") == (2, "")
     err = capsys.readouterr().err
-    assert "720 words, over the limit of 120" in err and "--coeff" in err
+    assert "5040 words, over the limit of 720" in err and "--coeff" in err
+
+
+@pytest.mark.parametrize("mode", ["multi", "extended-multi", "one-param",
+                                  "original-conjecture"])
+def test_zagier_check_sweeps_every_coefficient_up_to_n_6(mode):
+    from quongram.inverse import zagier_check
+    code, s = run("zagier-check", "--n", "6", "--mode", mode)
+    assert code == 0 and s == f"{zagier_check(6, mode)}\n"
+    assert run("zagier-check", "--n", "7", "--mode", mode) == (2, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -483,6 +492,21 @@ def test_zagier_check_exit_codes():
     code, s = run("zagier-check", "--n", "8", "--mode", "one-param",
                   "--coeff", "43218765", "--format", "json")
     assert code == 0 and json.loads(s)["passed"]
+
+
+def test_verify_positivity_without_numpy():
+    # positivity is decided exactly, so a fresh interpreter that cannot
+    # import numpy runs the suite
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from quongram.cli import main\n"
+            "sys.exit(main(['verify', '--suite', 'positivity', "
+            "'--max-n', '4']))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(quongram.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("ok")
+    assert "positivity" in proc.stdout
 
 
 def test_verify_single_suite():

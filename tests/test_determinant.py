@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quongram import determinant
-from quongram.ring import Poly, GaussRat
+from quongram.ring import Poly, GaussRat, random_hermitian
 from quongram.fock import Weight
 from quongram.gram import (Basis, build_generic, build_degenerate, rhat,
                            q_diag_set)
@@ -416,7 +416,8 @@ def _sweep(M, upper=False):
                                _upper=upper)
     if res is None:
         return None
-    sign, (re, im) = res
+    sign, minors = res
+    re, im = minors[-1]
     return GaussRat.of(sign * re, sign * im)
 
 
@@ -965,6 +966,47 @@ def test_positivity_rejects_bad_points(rng):
             ("q", 1, 1): GaussRat.of(0), ("q", 2, 2): GaussRat.of(0)}
     with pytest.raises(ValueError):
         positivity_check(nu, skew)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[1, 0], [0, 1]], True),
+    ([[1, 2], [2, 1]], False),          # indefinite: D_2 = -3
+    ([[1, 1], [1, 1]], False),          # singular: D_2 = 0
+    ([[0, 1], [1, 0]], False),          # the first pivot is 0
+    ([[-1, 0], [0, -1]], False),        # D_2 = 1 > 0, yet D_1 = -1
+    ([[2, 1j], [-1j, 1]], True),        # D_2 = 2 - 1
+    ([[1, 1 + 1j], [1 - 1j, 1]], False),   # D_2 = 1 - 2
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], False),
+    ([[1, 1], [0, 1]], False),          # not hermitian
+], ids=str)
+def test_positive_definite_by_leading_minors(rows, want):
+    M = [[GaussRat.of(int(v.real), int(v.imag)) for v in map(complex, row)]
+         for row in rows]
+    assert determinant._positive_definite(M) is want
+
+
+def test_positive_definite_agrees_with_eigenvalues(rng):
+    """The exact verdict against numpy's eigenvalues at seeded hermitian
+    points, alternately inside the unit polydisc (every Gram matrix
+    positive definite) and outside it, where |q| reaches 3 sqrt 2."""
+    np = pytest.importorskip("numpy")
+    weights = [Weight.generic_n(n) for n in (2, 3, 4)]
+    weights += [Weight({1: 2}), Weight({1: 2, 3: 1}), Weight({1: 2, 2: 2})]
+    verdicts = {True: [], False: []}
+    for k in range(60):
+        nu, inside = weights[k % len(weights)], k % 2 == 0
+        a = (hermitian_assignment(nu.labels, rng) if inside
+             else random_hermitian(nu.labels, rng, 100, 300, 300))
+        A = build_degenerate(nu).evaluate(a, "hermitian")
+        eigs = np.linalg.eigvalsh(np.array(
+            [[complex(v.a / v.d, v.b / v.d) for v in row] for row in A]))
+        assert np.abs(eigs).min() > 1e-6    # the float verdict is clear
+        got = determinant._positive_definite(A)
+        assert got is bool(eigs.min() > 0)
+        verdicts[inside].append(got)
+        if inside:
+            assert positivity_check(nu, a)
+    assert all(verdicts[True]) and verdicts[False].count(False) >= 20
 
 
 def test_degenerate_det_divides_generic():

@@ -1,4 +1,7 @@
+import hashlib
 from math import comb
+
+import pytest
 
 from quongram.subdiv import (Subdivision, bottom, discrete,
                              enumerate_subdivisions, less_than,
@@ -93,3 +96,37 @@ def test_chain_signs_data():
         assert c.nondegenerate_count() >= 1
     counts = sorted(c.nondegenerate_count() for c in enumerate_chains(3))
     assert counts == [1, 2, 2]
+
+
+# sha256 of repr(enumerate_bracketings(n, outer)) for n = 1..8, pinned:
+# the families and their (len, sorted) order, which lambda_sigma sums in,
+# must not move
+BRACKETING_DIGESTS = {
+    False: [
+        "67cd5e88eddf75639341a503b345f9bab1e33b102918475e2de8fadffe856212",
+        "67cd5e88eddf75639341a503b345f9bab1e33b102918475e2de8fadffe856212",
+        "e541f6b7e4bc86cd84252f57bb3a3fdf9389d4d82d0d9035558227e2da27c1c7",
+        "abd0420aade2d77e721266674f3f777a747576aa4bd99cb9a5207445f93fedcc",
+        "f08a5520126e2f2c1057a3fc216cc71613295c8270da61055e663cfa345b0dd6",
+        "77f28a5707043e41ad136b31fdcb9cb6a290ba01b05c9889189f391ddfd30877",
+        "88319b8fbb55c90483ad8b5546d6a8255225d2e7780d1ccbc49a5f1cae050790",
+        "0b3e1d8cacd2f24f4c88b8d4fa56c51d68245b239f0299f7b0d00c51e43e1b41",
+    ],
+    True: [
+        "67cd5e88eddf75639341a503b345f9bab1e33b102918475e2de8fadffe856212",
+        "c12b6ae237e7b67ea7028872d29b026437f066f40f3a8d0d36fe9abf36ae7a44",
+        "75e80ac9422cc4e4c4df8d12b370c22466f7f3924097614a7de8c391866d49ca",
+        "a292f6c381673e548106c10897030b2530fceb76ce13af6b1f56cc9f9e82108b",
+        "1ab96ee8717954370c2799e1820ccebf37aa78c5dc465a90ff33cc5523f1b650",
+        "9f49f1d675ca8dcc81ac17033311a0b2bd479368c0d018db679e305840f60dfc",
+        "f3169c069518d3921241ae0c3a817dd65270426eaadac2fae7d754a542af6bc4",
+        "7813277e98898b8c5f7a7078f54a02d9214dd466611441cb76026cab2c6a8f71",
+    ],
+}
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_bracketings_match_their_recorded_digests(outer):
+    got = [hashlib.sha256(repr(enumerate_bracketings(n, outer)).encode())
+           .hexdigest() for n in range(1, 9)]
+    assert got == BRACKETING_DIGESTS[outer]
