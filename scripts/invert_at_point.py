@@ -8,11 +8,15 @@ The symbolic n! x n! inverse is far out of reach for n >= 5, but the
 per-permutation coefficient recursion evaluates happily at a point; this is
 the go-to sanity experiment before trusting any n >= 5 coefficient value.
 
+Each stage line ends with the process's peak resident memory so far
+(``resource.getrusage``), in MB.
+
 Usage:  python scripts/invert_at_point.py [-n 5] [--seed 0] [--skip-verify]
 """
 
 import argparse
 import random
+import resource
 import time
 
 from quongram.ring import random_hermitian
@@ -20,6 +24,12 @@ from quongram.determinant import det_formula, det_point, is_inverse
 from quongram.fock import Weight
 from quongram.gram import build_generic
 from quongram.inverse import inverse_matrix_at
+
+
+def peak_mb() -> str:
+    """The peak resident set size of this process so far (Linux: KiB)."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return f"peak {kib / 1024:.0f} MB"
 
 
 def main():
@@ -37,7 +47,8 @@ def main():
     t0 = time.time()
     inv = inverse_matrix_at(nu, a, "hermitian")
     size = len(inv)
-    print(f"n={args.n}: {size}x{size} inverse in {time.time() - t0:.1f}s")
+    print(f"n={args.n}: {size}x{size} inverse in {time.time() - t0:.1f}s,"
+          f" {peak_mb()}")
 
     if args.skip_verify:
         return
@@ -46,11 +57,11 @@ def main():
     Ap = A.evaluate(a, "hermitian")
     ok = is_inverse(Ap, inv)
     print(f"verify A.A^-1 = I: {'OK' if ok else 'FAILED'}"
-          f" in {time.time() - t0:.1f}s")
+          f" in {time.time() - t0:.1f}s, {peak_mb()}")
     t0 = time.time()
     ok = det_point(Ap) == det_formula(nu).evaluate(a)
     print(f"verify det A = formula: {'OK' if ok else 'FAILED'}"
-          f" in {time.time() - t0:.1f}s")
+          f" in {time.time() - t0:.1f}s, {peak_mb()}")
 
 
 if __name__ == "__main__":

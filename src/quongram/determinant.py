@@ -124,10 +124,16 @@ def _product_str(pairs) -> str:
 class DetFormula:
     """Factored determinant: multiset of box factors with exponents.
 
-    factors: tuple of (letters: sorted tuple of labels, exponent)."""
+    factors: tuple of (letters: sorted tuple of labels, exponent), kept in
+    one canonical order, by size and then by letters, so that equal
+    formulas compare and hash equal however they were assembled."""
 
     weight: Weight
     factors: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(
+            sorted(self.factors, key=lambda t: (len(t[0]), t[0]))))
 
     def expand(self) -> Poly:
         return _product((_box_poly(tuple(m), False), e)
@@ -141,9 +147,8 @@ class DetFormula:
         return sum(e * len(m) * (len(m) - 1) for m, e in self.factors)
 
     def __str__(self):
-        factors = sorted(self.factors, key=lambda t: (len(t[0]), t[0]))
         return _product_str((_box_poly(tuple(m), False), e)
-                            for m, e in factors)
+                            for m, e in self.factors)
 
 
 @dataclass(frozen=True)
@@ -477,7 +482,7 @@ def det_factor_chain(nu: Weight) -> DetFormula:
                                       f"exponent at {mu}")
             if diff:
                 total[mu] = total.get(mu, 0) + diff
-    return DetFormula(nu, tuple(sorted(total.items())))
+    return DetFormula(nu, tuple(total.items()))
 
 
 def peel_check(p: Poly, formula: DetFormula) -> bool:
@@ -657,7 +662,10 @@ def is_inverse(a_rows, b_rows) -> bool:
 
     A is scaled to Gaussian integers by the lcm of all its denominators
     (L_A) and each column b_j of B by the lcm of that column's own (L_j);
-    then (L_A A)(L_j b_j) must be L_A L_j e_j for every column j.
+    then (L_A A)(L_j b_j) must be L_A L_j e_j for every column j.  Each
+    row of A meets only the nonzero entries of b_j: an inverse in the
+    permutation expansion is zero wherever its coefficient is not
+    tree-like.
 
     >>> h, one = GaussRat.of(1, 2), GaussRat.of(1)
     >>> is_inverse([[h]], [[one / h]]), is_inverse([[h]], [[h.conj()]])
@@ -671,9 +679,11 @@ def is_inverse(a_rows, b_rows) -> bool:
     for j, col in enumerate(zip(*b_rows)):
         lb, cb = _gauss_ints(col)
         target = la * lb
+        nonzero = [(k, br, bi) for k, (br, bi) in enumerate(cb) if br or bi]
         for i, row in enumerate(rows):
             re = im = 0
-            for (ar, ai), (br, bi) in zip(row, cb):
+            for k, br, bi in nonzero:
+                ar, ai = row[k]
                 re += ar * br - ai * bi
                 im += ar * bi + ai * br
             if im or re != (target if i == j else 0):

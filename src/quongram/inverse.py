@@ -76,7 +76,10 @@ class Universe:
     caches of a numeric universe, live exactly as long as that call; no
     two calls share them.  The memos key a word by its letters, or in
     one-parameter mode by its length, on which one-parameter values
-    depend.
+    depend.  The Lambda memo holds every value ``lambda_scalar`` returns,
+    which the recursion reads again at shorter words; ``inverse_matrix_at``
+    reads each full-length value once, at its own word, and leaves it out
+    of the memo, so the memo holds only sub-word values.
 
     A numeric universe owns its point.  It checks the assignment against
     its mode once, at construction, with ``ring.check_assignment`` (the
@@ -138,6 +141,18 @@ class Universe:
         return GaussRat.sum_of_products(
             (sign, [self._box_values(letters, T)[1] for T in Ts])
             for sign, Ts in terms)
+
+    def product(self, sign: int, factors):
+        """sign times the product of the factors.  Symbolically the factors
+        multiply in order from the constant; numerically the product runs
+        on unreduced triples and is reduced once
+        (``GaussRat.sum_of_products``)."""
+        if self.assignment is None:
+            val = self.const(sign)
+            for x in factors:
+                val = val * x
+            return val
+        return GaussRat.sum_of_products([(sign, factors)])
 
     def mono(self, letters, pairs) -> GaussRat:
         """q_mono(letters, pairs) at the point of a numeric universe: the
@@ -260,20 +275,24 @@ def lambda_scalar(letters, g: Perm, one_param: bool = False,
     if g.n != m:
         raise ValueError(f"permutation degree {g.n} != word length {m}")
     key = (u.key(letters), g)
-    cached = u.lambda_memo.get(key)
-    if cached is not None:
-        return cached
+    val = u.lambda_memo.get(key)
+    if val is None:
+        val = u.lambda_memo[key] = _lambda(letters, g, u, check_closed)
+    return val
+
+
+def _lambda(letters: tuple, g: Perm, u: Universe, check_closed: bool):
+    """Lambda(g) at the word with these letters, computed in u but not
+    kept in its Lambda memo."""
     if g.is_identity():
-        val = lambda_sigma(letters, _singletons(m), universe=u)
-    elif not tree_like(g):
-        val = u.const(0)
-    else:
-        val = _fast_step(letters, g, u)
-        if check_closed:
-            closed = _closed_form(letters, g, u)
-            assert val == closed, (
-                f"closed-form product disagrees with the recursion at {g}")
-    u.lambda_memo[key] = val
+        return lambda_sigma(letters, _singletons(len(letters)), universe=u)
+    if not tree_like(g):
+        return u.const(0)
+    val = _fast_step(letters, g, u)
+    if check_closed:
+        closed = _closed_form(letters, g, u)
+        assert val == closed, (
+            f"closed-form product disagrees with the recursion at {g}")
     return val
 
 
@@ -311,15 +330,14 @@ def _fast_step(letters: tuple, g: Perm, u: Universe):
     and K running over the blocks of sigma(g').
     """
     sign, blocks, subs, q_ranges, restricted = _step_plan(g)
-    val = u.const(sign) * lambda_sigma(letters, blocks, universe=u)
-    for (a, b), sub in subs:
-        val = val * lambda_sigma(letters[a - 1:b], sub, universe=u)
-    for positions in q_ranges:
-        val = val * u.q_block(letters, positions)
-    for (a, b), h in restricted:
-        val = val * lambda_scalar(letters[a - 1:b], h, universe=u,
-                                  check_closed=False)
-    return val
+    factors = [lambda_sigma(letters, blocks, universe=u)]
+    factors += [lambda_sigma(letters[a - 1:b], sub, universe=u)
+                for (a, b), sub in subs]
+    factors += [u.q_block(letters, positions) for positions in q_ranges]
+    factors += [lambda_scalar(letters[a - 1:b], h, universe=u,
+                              check_closed=False)
+                for (a, b), h in restricted]
+    return u.product(sign, factors)
 
 
 def _closed_form(letters: tuple, g: Perm, u: Universe):
@@ -330,19 +348,19 @@ def _closed_form(letters: tuple, g: Perm, u: Universe):
     subs = [young_data(h).blocks for h in seq]
     d = len(seq) - 1
     exponent = sum(b - a for blocks in subs for a, b in blocks)
-    val = u.const(1 if exponent % 2 == 0 else -1)
-    val = val * lambda_sigma(letters, subs[0], universe=u)
+    factors = [lambda_sigma(letters, subs[0], universe=u)]
     for k in range(1, d + 1):
         for a, b in subs[k - 1]:
             if b > a:
                 sub = tuple((x - (a - 1), y - (a - 1))
                             for x, y in subs[k] if a <= x and y <= b)
-                val = val * lambda_sigma(letters[a - 1:b], sub, universe=u)
+                factors.append(lambda_sigma(letters[a - 1:b], sub,
+                                            universe=u))
     for k in range(1, d + 1, 2):
         for a, b in subs[k]:
             if b > a:
-                val = val * u.q_block(letters, range(a, b + 1))
-    return val
+                factors.append(u.q_block(letters, range(a, b + 1)))
+    return u.product(1 if exponent % 2 == 0 else -1, factors)
 
 
 def random_tree_like(n: int, rng) -> Perm:
@@ -744,10 +762,13 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
         if not tree_like(g):
             continue
         inv = g.inverse().inversion_set()
+        val = None
         for j, i in enumerate(basis.act(g)):
             gw = basis.words[i]
-            val = lambda_scalar(tuple(gw), g, universe=u,
-                                check_closed=False)
+            # each full-length value is read here once, so it is not
+            # memoized; in one-parameter mode one value serves every word
+            if val is None or not one_param:
+                val = _lambda(tuple(gw), g, u, False)
             if val.is_zero():
                 continue
             term, old = val * u.mono(gw, inv), ent[i][j]

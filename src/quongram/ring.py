@@ -234,8 +234,9 @@ class GaussRat:
     values have equal triples, and ``==`` and ``hash`` compare them
     directly.  Each operation is a few integer products and one
     ``math.gcd(a, b, d)``; two ``Fraction`` parts would each pay their own
-    gcds on every operation.  ``re`` and ``im`` are the parts as
-    ``Fraction``s, built on first use.  Treat an instance as immutable.
+    gcds on every operation.  An instance holds only the triple; ``re``
+    and ``im`` build their ``Fraction`` on each read, so no value carries
+    a second copy of itself.  Treat an instance as immutable.
 
     >>> z = GaussRat(Fraction(1, 2), Fraction(-1, 3))
     >>> z.a, z.b, z.d
@@ -246,7 +247,7 @@ class GaussRat:
     Fraction(1, 2)
     """
 
-    __slots__ = ("a", "b", "d", "_re", "_im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re, im=0):
         re, im = Fraction(re), Fraction(im)
@@ -257,7 +258,6 @@ class GaussRat:
         self.a = re.numerator * (d // rd)
         self.b = im.numerator * (d // jd)
         self.d = d
-        self._re, self._im = re, im
 
     @staticmethod
     def of(re, im=0) -> "GaussRat":
@@ -294,17 +294,11 @@ class GaussRat:
 
     @property
     def re(self) -> Fraction:
-        r = self._re
-        if r is None:
-            r = self._re = Fraction(self.a, self.d)
-        return r
+        return Fraction(self.a, self.d)
 
     @property
     def im(self) -> Fraction:
-        r = self._im
-        if r is None:
-            r = self._im = Fraction(self.b, self.d)
-        return r
+        return Fraction(self.b, self.d)
 
     def __add__(self, o):
         if o.__class__ is not GaussRat:
@@ -384,7 +378,7 @@ _new = object.__new__
 def _raw(a: int, b: int, d: int) -> GaussRat:
     """The GaussRat of a triple that is already canonical."""
     r = _new(GaussRat)
-    r.a, r.b, r.d, r._re, r._im = a, b, d, None, None
+    r.a, r.b, r.d = a, b, d
     return r
 
 
@@ -999,9 +993,12 @@ def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
                    mode: str) -> GaussRat:
     """The value of p under an assignment already checked against the mode
     (``check_assignment``); the term loop of ``Poly.evaluate``, reduced
-    once (``GaussRat.sum_of_products``)."""
+    once (``GaussRat.sum_of_products``).  Keys are decoded past the
+    ``_decode`` cache: the distinct entries of a Gram matrix share no
+    monomial (measured up to n = 6), so a point evaluation would only
+    fill it."""
     return GaussRat.sum_of_products(
-        (c, [x for v, e in _decode(m)
+        (c, [x for v, e in _decode.__wrapped__(m)
              for x in (param_value(assignment, v, mode),) * e])
         for m, c in p._t.items())
 

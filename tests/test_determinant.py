@@ -13,7 +13,7 @@ from quongram.fock import Weight
 from quongram.gram import (Basis, build_generic, build_degenerate, rhat,
                            q_diag_set)
 from quongram.perms import cycle
-from quongram.determinant import (det_formula, det_cycle_factor,
+from quongram.determinant import (DetFormula, det_formula, det_cycle_factor,
                                   det_one_param, one_param_exponents,
                                   positivity_check, det_divides,
                                   det_poly_bareiss, det_single_cycle,
@@ -56,6 +56,18 @@ def test_factor_chain_reproduces_formula():
         nu = Weight.generic_n(n)
         assert dict(det_factor_chain(nu).factors) == \
             dict(det_formula(nu).factors)
+
+
+def test_equal_formulas_compare_and_hash_equal():
+    # the chain and the closed formula assemble their factors in different
+    # orders; the formulas themselves are equal, not just their dicts
+    nu = Weight.generic_n(4)
+    chain, formula = det_factor_chain(nu), det_formula(nu)
+    assert chain == formula and hash(chain) == hash(formula)
+    assert str(chain) == str(formula)
+    shuffled = DetFormula(nu, tuple(reversed(formula.factors)))
+    assert shuffled == formula and hash(shuffled) == hash(formula)
+    assert DetFormula(nu, formula.factors[1:]) != formula
 
 
 @pytest.mark.parametrize("spoil", [("plain", 2, 3), ("boxed", 2, 2)])
@@ -227,6 +239,28 @@ def test_is_inverse_matches_gaussrat_sums(rng):
     assert not is_inverse(A, bad) and not _product_is_identity(A, bad)
     assert not is_inverse(A, B[:-1])
     assert not is_inverse(A, [row[:-1] for row in B])
+
+
+def test_is_inverse_reads_the_zero_entries_of_b(rng):
+    # at n = 4 two coefficients of 24 are not tree-like, so every column
+    # of the inverse has two zeros; a value there must still be seen
+    nu = Weight.generic_n(4)
+    a = hermitian_assignment(nu.labels, rng)
+    A = build_generic(nu).evaluate(a, "hermitian")
+    B = inverse_matrix_at(nu, a, "hermitian")
+    assert is_inverse(A, B)
+    zero = GaussRat.of(0)
+    for j, col in enumerate(zip(*B)):
+        assert sum(v == zero for v in col) == 2
+    i = next(i for i in range(24) if B[i][0] == zero)
+    for value in (GaussRat(Fraction(0), Fraction(1, 10 ** 9)),
+                  GaussRat.of(Fraction(1, 10 ** 9))):
+        bad = [row[:] for row in B]
+        bad[i][0] = value
+        assert not is_inverse(A, bad)
+    bad = [row[:] for row in B]
+    bad[next(i for i in range(24) if B[i][0] != zero)][0] = zero
+    assert not is_inverse(A, bad)
 
 
 def test_point_determinant_basics():

@@ -400,6 +400,29 @@ def test_numeric_inverse_keeps_no_stale_values(rng):
     assert got_a != got_b
 
 
+def test_numeric_inverse_steps_once_and_keeps_no_full_length_value(
+        rng, monkeypatch):
+    # one _fast_step per tree-like (word, g) and per shorter sub-word, none
+    # twice; the full-length values are placed, not memoized
+    nu = Weight.generic_n(4)
+    steps, universes = [], set()
+    real_step = inverse._fast_step
+
+    def step_spy(letters, g, u):
+        steps.append((letters, g))
+        universes.add(u)
+        return real_step(letters, g, u)
+
+    monkeypatch.setattr(inverse, "_fast_step", step_spy)
+    inverse_matrix_at(nu, hermitian_assignment(nu.labels, rng), "hermitian")
+    (u,) = universes
+    full = [(w, g) for w, g in steps if len(w) == 4]
+    moved = sum(tree_like(g) and not g.is_identity() for g in all_perms(4))
+    assert len(steps) == len(set(steps))
+    assert len(full) == moved * 24
+    assert all(len(w) < 4 for w, _ in u.lambda_memo)
+
+
 def test_no_universe_outlives_its_call(rng):
     # each call owns its universe, and with it every Lambda and sigma memo
     nu = Weight.generic_n(3)

@@ -453,6 +453,28 @@ def test_gauss_rat_canonical_examples():
     assert GaussRat.of(1) != 1 and GaussRat.of(1) != Fraction(1)
 
 
+def test_gauss_rat_holds_only_its_triple():
+    # the parts are built on every read and never cached on the value
+    assert GaussRat.__slots__ == ("a", "b", "d")
+    z = GaussRat.from_ints(6, -4, 8)
+    for _ in range(2):
+        assert z.re == Fraction(z.a, z.d) == Fraction(3, 4)
+        assert z.im == Fraction(z.b, z.d) == Fraction(-1, 2)
+    assert not hasattr(z, "__dict__")
+
+
+def test_evaluation_leaves_the_decode_cache_alone(rng):
+    # a point evaluation decodes each monomial past the _decode cache,
+    # which serves the symbolic printers and the terms view
+    A = build_generic(Weight.generic_n(3))
+    a = hermitian_assignment(A.basis.weight.labels, rng)
+    ring._decode.cache_clear()
+    values = A.evaluate(a, "hermitian")
+    assert [[e.evaluate(a, "hermitian") for e in row]
+            for row in A.entries] == values
+    assert ring._decode.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("value, text, rep", [
     (GaussRat.of(1, 2), "(1+2i)",
      "GaussRat(re=Fraction(1, 1), im=Fraction(2, 1))"),
