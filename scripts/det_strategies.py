@@ -6,8 +6,9 @@ Three exact routes to det A_n for generic weights:
   chain     -- each orbit block of each cyclic factor along the level
                factorization read off as 1 - prod(weights) (Leibniz),
                checked to be one box and telescoped to the closed formula
-               (the exact certificate for n = 4..7: 0.3 s at n = 6, about
-               3 s at n = 7; dense elimination runs hours already at n = 4)
+               (the exact certificate for n = 4..7: about 0.15 s at n = 6,
+               about 2 s at n = 7; dense elimination runs hours already at
+               n = 4)
   dense     -- fraction-free elimination of the full n! x n! matrix
                (only attempted for n <= 3)
 and, for n <= 4, the elimination kernel on one slice:
@@ -28,7 +29,7 @@ import time
 from quongram.fock import Weight
 from quongram.gram import build_generic
 from quongram.determinant import (det_formula, det_factor_chain, det_elim,
-                                  det_univariate, peel_check,
+                                  det_univariate, peel_exponents,
                                   poly_to_univariate)
 from quongram.boxes import BoxFactor
 
@@ -66,10 +67,10 @@ def main():
         print(f"n={n}:")
         formula = timed("formula", lambda: det_formula(nu))
         chain = timed("chain", lambda: det_factor_chain(nu))
-        assert dict(chain.factors) == dict(formula.factors)
+        assert chain == formula
         if n <= 3:
             dense = timed("dense", lambda: det_elim(nu))
-            assert peel_check(dense, formula)
+            assert peel_exponents(dense, nu) == dict(formula.factors)
         if n <= 4:
             rng = random.Random(1)
             slopes = {(i, j): rng.randint(2, 9)

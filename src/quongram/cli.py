@@ -315,8 +315,6 @@ def _widest_subdivision(g: Perm) -> int:
 
 def cmd_zagier_check(args, out) -> int:
     mode = args.mode
-    if args.one_param and mode == "multi":
-        mode = "one-param"
     _check_n("--n", args.n)
     coeff = Perm.parse(args.coeff) if args.coeff else None
     if coeff is None:
@@ -578,8 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", default="multi",
                     choices=("multi", "extended-multi", "one-param",
                              "original-conjecture"))
-    sp.add_argument("--one-param", action="store_true",
-                    help="shorthand for --mode one-param")
     sp.add_argument("--coeff", help="restrict to one permutation "
                     "(one-line notation)")
     sp.add_argument("--format", choices=("text", "json"), default="text")

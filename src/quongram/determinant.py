@@ -8,24 +8,25 @@ The headline identity: for a multiplicity-free weight ν of size n,
 with □_μ = 1 − ∏_{i≠j∈μ} q_{ij}.  Under q_{ij} ↦ q this collapses to
 ∏_{k=2}^n (1−q^{k(k−1)})^{n!(n−k+1)/(k(k−1))}.
 
-Oracles, all by elimination: one fraction-free (Bareiss) engine, run over
-exact polynomials (the dense matrix, and the orbit blocks of the cyclic
-factors I − R̂(t_{a,b})) and over the Gaussian integers at rational
-evaluation points, scaled to integers row by row; and, on
-single-variable slices over Z[q], Gaussian elimination over F_p at
-enough integer points, with p the least prime of a table of known primes
-beyond twice the Hadamard bound on every coefficient, followed by exact
-interpolation (``det_univariate``).
+Oracles, all by elimination, in two loops: one fraction-free (Bareiss)
+engine, run over exact polynomials (the dense matrix, and the orbit
+blocks of the cyclic factors I − R̂(t_{a,b})) and over the Gaussian
+integers at rational evaluation points, scaled to integers row by row;
+and, on single-variable slices over Z[q], one Gaussian elimination over
+F_p at enough integer points, with p the least prime of a table of known
+primes beyond twice the Hadamard bound on every coefficient, followed by
+exact interpolation (``det_univariate``).
 
 ``det_factor_chain`` certifies the formula beyond the reach of dense
 elimination, which runs for hours already at n = 4: each orbit block of
 each cyclic factor is I minus a weighted cycle, read off as
 1 − ∏ weights (Leibniz) and checked to be one box, so n = 6 takes about
-0.3 s and n = 7 about 3 s.  ``det_univariate`` strips the lowest power
-of q from every row and column first, and sweeps only the upper triangle
-of a matrix made symmetric by a diagonal scaling, which every Gram and
-Varchenko slice is, at 16 points in lockstep, with one modular inverse
-per step for all of their pivots (Montgomery's trick).
+0.15 s and n = 7 about 2 s.  ``det_univariate`` strips the lowest power
+of q from every row and column first, and eliminates 16 points in
+lockstep, with one modular inverse per step for all of their pivots
+(Montgomery's trick).  The sweep reads only the upper triangle of a
+matrix made symmetric by a diagonal scaling, which every Gram and
+Varchenko slice is, and swaps rows past zero pivots in any other.
 
 The Bareiss engine is lazy per entry.  With D_l the leading minor of size
 l (D_0 = 1), an entry whose row or pivot-row factor is 0 at step k would
@@ -73,7 +74,7 @@ __all__ = [
     "det_one_param", "one_param_exponents", "positivity_check",
     "Divisibility", "det_divides",
     "det_poly_bareiss", "det_single_cycle", "det_point", "det_elim",
-    "peel_check", "peel_exponents", "det_factor_chain", "det_univariate",
+    "peel_exponents", "det_factor_chain", "det_univariate",
     "poly_to_univariate", "is_inverse",
 ]
 
@@ -135,20 +136,21 @@ class DetFormula:
         object.__setattr__(self, "factors", tuple(
             sorted(self.factors, key=lambda t: (len(t[0]), t[0]))))
 
+    def _boxes(self) -> list:
+        """(box polynomial, exponent) of each factor, in order."""
+        return [(_box_poly(tuple(m), False), e) for m, e in self.factors]
+
     def expand(self) -> Poly:
-        return _product((_box_poly(tuple(m), False), e)
-                        for m, e in self.factors)
+        return _product(self._boxes())
 
     def evaluate(self, assignment, mode="hermitian") -> GaussRat:
-        return _product_value(((_box_poly(tuple(m), False), e)
-                               for m, e in self.factors), assignment, mode)
+        return _product_value(self._boxes(), assignment, mode)
 
     def degree(self) -> int:
         return sum(e * len(m) * (len(m) - 1) for m, e in self.factors)
 
     def __str__(self):
-        return _product_str((_box_poly(tuple(m), False), e)
-                            for m, e in self.factors)
+        return _product_str(self._boxes())
 
 
 @dataclass(frozen=True)
@@ -449,9 +451,9 @@ def det_factor_chain(nu: Weight) -> DetFormula:
     or divided; det_single_cycle eliminates the same blocks as the oracle.
 
     (Dense symbolic elimination, used for n ≤ 3, takes hours already at
-    n = 4 (24×24).  This chain certifies n = 5 in about 0.03 s, n = 6 in
-    0.3 s and n = 7 in 2.6-3.8 s at 24 MB peak, on a 2-core x86 machine
-    (Python 3.11).)
+    n = 4 (24×24).  This chain certifies n = 5 in about 0.02 s, n = 6 in
+    0.15-0.19 s and n = 7 in 1.7-2.1 s at 19 MB peak, on a 2-core x86
+    machine (Python 3.11).)
     """
     if not nu.generic:
         raise ValueError("factor-chain determinant requires a "
@@ -483,19 +485,6 @@ def det_factor_chain(nu: Weight) -> DetFormula:
             if diff:
                 total[mu] = total.get(mu, 0) + diff
     return DetFormula(nu, tuple(total.items()))
-
-
-def peel_check(p: Poly, formula: DetFormula) -> bool:
-    """Exact-division certificate that p equals the factored formula:
-    divide out every box factor with its multiplicity and end at 1."""
-    for letters, e in formula.factors:
-        b = _box_poly(tuple(letters), False)
-        for _ in range(e):
-            try:
-                p = p.exact_div(b)
-            except NotDivisible:
-                return False
-    return p.is_one()
 
 
 # -- exact evaluation-point determinant -------------------------------------
@@ -541,14 +530,18 @@ def _gi_herm_step(akk, aij, aki, akj, prev):
     return qr, qi
 
 
-def _is_hermitian(M) -> bool:
-    """M[j][i] == conj(M[i][j]) for all i <= j, on (re, im) pairs."""
+def _hermitian_sweep(M):
+    """The hermitian sweep of the square Gaussian-integer matrix M, as
+    (re, im) pairs, over its upper triangle, in place: (1, [D_1, ..., D_n])
+    as _bareiss returns it, or None if M is not hermitian (checked exactly,
+    M[j][i] == conj(M[i][j])) or a leading principal minor of size < n
+    vanishes."""
     for i, row in enumerate(M):
         for j in range(i, len(M)):
             re, im = row[j]
             if M[j][i] != (re, -im):
-                return False
-    return True
+                return None
+    return _bareiss(M, _gi_herm_step, (0, 0).__eq__, (0, 0), _upper=True)
 
 
 def _gauss_ints(values) -> tuple:
@@ -644,14 +637,8 @@ def det_point(entries) -> GaussRat:
     if n == 0:
         return GaussRat.of(1)
     _, s, t, rows = _scaled_gauss_rows(entries)
-    is_zero = (0, 0).__eq__
-    res = None
-    if _is_hermitian(rows):
-        res = _bareiss([row[:] for row in rows], _gi_herm_step, is_zero,
-                       (0, 0), _upper=True)
-    if res is None:
-        res = _bareiss(rows, _gi_step, is_zero, (0, 0))
-    sign, minors = res
+    sign, minors = (_hermitian_sweep([row[:] for row in rows])
+                    or _bareiss(rows, _gi_step, (0, 0).__eq__, (0, 0)))
     re, im = minors[-1]
     return GaussRat.from_ints(sign * re, sign * im,
                               t ** n * math.prod(s) ** 2)
@@ -706,7 +693,7 @@ _PRIMES = tuple(sorted(
        (1 << 255) - 19, (1 << 336) - 3, (1 << 383) - 187, (1 << 414) - 17,
        (1 << 448) - (1 << 224) - 1, (1 << 511) - 187]))
 
-# Evaluation points eliminated in lockstep by _symmetric_sweep.
+# Evaluation points eliminated in lockstep by one _sweep.
 _BATCH = 16
 
 
@@ -763,51 +750,41 @@ def _at_points(terms, xs, p) -> list:
     return [[[v[m] for v in row] for row in vals] for m in range(b)]
 
 
-def _det_mod(M, p):
-    """det M mod p by Gaussian elimination over F_p; M (square, entries
-    in 0..p−1) is consumed.  Each step normalizes the pivot row by one
-    inverse and cuts the first column off every row below it, swapping rows
-    past a zero pivot; an entry whose pivot-row factor is 0 is kept as it
-    is."""
-    det = 1
-    while M:
-        top = M[0]
-        if not top[0]:
-            k = next((k for k, row in enumerate(M) if row[0]), 0)
-            if not k:
-                return 0
-            M[0], M[k] = M[k], top
-            top = M[0]
-            det = -det
-        akk = top[0]
-        det = det * akk % p
-        inv = pow(akk, -1, p)
-        tail = [y * inv % p for y in top[1:]]
-        M = [[(x - f * y) % p if y else x for x, y in zip(row[1:], tail)]
-             if (f := row[0]) else row[1:] for row in M[1:]]
-    return det
+def _sweep(mats, p, upper) -> list:
+    """det M mod p for each square matrix M of mats (all of one size,
+    entries in 0..p−1), by Gaussian elimination over F_p in lockstep; each
+    M is consumed.  One pow per step inverts the pivots of every matrix
+    still in the sweep (_inverses).
 
+    With upper set every M is symmetric, and only its upper triangle is
+    read.  Every Schur complement of a symmetric matrix is symmetric, so
+    step k reads a_ik as a_ki and updates a_ij (k < i ≤ j) in place, only
+    where a_ki and a_kj are both nonzero: the complements keep most
+    structural zeros of the Gram matrices.  A zero pivot cannot be swapped
+    away without breaking the symmetry, so a matrix whose pivot vanishes
+    leaves the sweep, and its determinant is None.
 
-def _symmetric_sweep(mats, p) -> list:
-    """det M mod p for each symmetric matrix M of mats, eliminated in
-    lockstep over the upper triangle; each M is consumed, and no entry
-    below its diagonal is read.
-
-    Every Schur complement of a symmetric matrix is symmetric, so step k
-    reads a_ik as a_ki and updates a_ij (k < i ≤ j) in place, only where
-    a_ki and a_kj are both nonzero: the complements keep most structural
-    zeros of the Gram matrices.  One pow per step inverts the pivots of
-    every matrix still in the sweep (_inverses).  A zero pivot cannot be
-    swapped away without breaking the symmetry, so a matrix whose pivot
-    vanishes leaves the sweep, and its determinant is None."""
+    Otherwise step k updates each row i > k with a_ik ≠ 0, in place and
+    only in the columns where the pivot row is nonzero.  A zero pivot is
+    swapped with the first row below it that is nonzero in its column,
+    which negates the determinant; if there is none, the determinant is 0
+    and the matrix leaves the sweep."""
     n = len(mats[0])
     dets = [1] * len(mats)
     live = range(len(mats))
     for k in range(n):
         for m in live:
-            if not mats[m][k][k]:
-                dets[m] = None
-        live = [m for m in live if dets[m] is not None]
+            M = mats[m]
+            if M[k][k]:
+                continue
+            i = None if upper else next(
+                (i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
+                dets[m] = None if upper else 0
+            else:
+                M[k], M[i] = M[i], M[k]
+                dets[m] = -dets[m]
+        live = [m for m in live if dets[m]]
         pivots = [mats[m][k][k] for m in live]
         for m, akk in zip(live, pivots):
             dets[m] = dets[m] * akk % p
@@ -817,11 +794,18 @@ def _symmetric_sweep(mats, p) -> list:
             M = mats[m]
             rk = M[k]
             cols = [j for j in range(k + 1, n) if rk[j]]
-            for s, i in enumerate(cols):
-                f = rk[i] * inv % p
-                ri = M[i]
-                for j in cols[s:]:
-                    ri[j] = (ri[j] - f * rk[j]) % p
+            if upper:
+                for s, i in enumerate(cols):
+                    f = rk[i] * inv % p
+                    ri = M[i]
+                    for j in cols[s:]:
+                        ri[j] = (ri[j] - f * rk[j]) % p
+            else:
+                for ri in M[k + 1:]:
+                    if ri[k]:
+                        f = ri[k] * inv % p
+                        for j in cols:
+                            ri[j] = (ri[j] - f * rk[j]) % p
     return dets
 
 
@@ -867,22 +851,112 @@ def _symmetrizer(terms):
     return E
 
 
-def _det_interpolated(rows) -> list:
-    """det of the square rows over Z[q] (n ≥ 1): the values at q = 0..D
-    modulo the prime p, then Newton interpolation; see det_univariate for
-    the valuations, D, B, p, the batches and the symmetric sweep."""
+def _grading(terms):
+    """(g, r, col): offsets with r[i] + col[j] equal to the lowest exponent
+    of each entry on a spanning forest of the nonzero entries of the rows
+    terms (entries as {exponent: coefficient}), and g the gcd of
+    e − r[i] − col[j] over every exponent e of every entry (i, j).  Any
+    divisor of g grades the rows, and g is the largest grading (0 when
+    every residue is 0)."""
+    n = len(terms)
+    r, col = [None] * n, [None] * n
+    for root in range(n):
+        if r[root] is not None:
+            continue
+        r[root], todo = 0, [root]
+        while todo:
+            i = todo.pop()
+            for j, a in enumerate(terms[i]):
+                if a and col[j] is None:
+                    col[j] = min(a) - r[i]
+                    for k in range(n):
+                        b = terms[k][j]
+                        if b and r[k] is None:
+                            r[k] = min(b) - col[j]
+                            todo.append(k)
+    col = [x or 0 for x in col]
+    g = 0
+    for row, ri in zip(terms, r):
+        for a, cj in zip(row, col):
+            for e in a:
+                g = math.gcd(g, e - ri - cj)
+    return g, r, col
+
+
+def det_univariate(rows) -> list:
+    """Exact determinant over Z[q] of a square matrix whose entries are
+    integer coefficient lists (lowest degree first), by evaluation and
+    interpolation.
+
+    The entries are read once into {exponent: coefficient} dicts.  Rows
+    graded by g ≥ 2 (every exponent of entry (i, j) ≡ r_i + c_j mod g, as
+    in the slices of the Gram and Varchenko matrices, where g = 2 and the
+    degree of entry (σ, τ) is ℓ(σ⁻¹τ) ≡ ℓ(σ) + ℓ(τ)) are shifted by q^{s_i}
+    on row i and q^{t_j} on column j, so that every exponent is a multiple
+    of g, and solved in t = q^g with about D/g points; at the end the
+    result is divided back by q^{Σs + Σt}, and the dropped low
+    coefficients are checked to be 0.
+
+    The lowest power of t is then divided out of each row, then out of
+    each column, and multiplied back into the result; a zero row gives 0.
+    On the stripped matrix D = min(Σ_i max_j deg a_ij, Σ_j max_i deg a_ij)
+    bounds the degree, and B, the Hadamard bound on the unit circle with
+    B² = Π_i Σ_j ‖a_ij‖₁², every coefficient's absolute value (at most
+    H = Π_i Σ_j ‖a_ij‖₁, and 14–32 bits below it on the n = 4 slices of
+    the benchmark at seeds 1–10).  The prime p is the least entry of
+    _PRIMES, the Mersenne primes from 2^61 − 1 and the field primes of
+    published standards between 2^127 and 2^521, with p > D and p² > 4B²,
+    compared exactly.  The determinant is taken by Gaussian elimination
+    over F_p at each of t = 0..D, interpolated, and lifted to the
+    symmetric range, so the result is exact: it is still elimination,
+    independent of any factored formula.
+
+    Every point is eliminated by _sweep, in batches of _BATCH (16)
+    matrices evaluated from the entries' terms over a table of the batch's
+    powers.  Most matrices met here are symmetrizable: E·A is symmetric
+    for some E = diag(e_i t^{d_i}), integers e_i ≠ 0 and d_i ≥ 0, found
+    once by exact comparison of a_ij and a_ji.  The Varchenko slices are
+    symmetric (E = I); a Gram slice q_ij = c_ij q takes e_σ a ratio of
+    slope products.  The points t = x ≥ 1 then take the sweep over the
+    upper triangle of E(x)·A(x), and each determinant is divided by
+    ∏ E_i(x), a unit mod p: every prime factor of e_i divides a nonzero
+    coefficient, whose absolute value is below p, and 1 ≤ x ≤ D < p.  The
+    general sweep, with row swaps, takes A(x) at every other point: t = 0
+    (where E may vanish), a point whose pivot vanishes in the upper sweep,
+    and every point of a matrix with no symmetrizer.  If every point of a
+    batch leaves the upper sweep, a leading minor vanishes identically,
+    most likely, and the rest of the points go straight to the general
+    sweep.  On the n = 4 Gram and Varchenko slices the valuations take D
+    from 84 to 72 in t, all 72 points t ≥ 1 of each slice take the upper
+    sweep modulo a 336- or 383-bit prime, each makes about 880 of the
+    2 300 updates of a dense sweep, and a slice takes about 0.07 s instead
+    of 0.11 s with a pow per pivot and the 521-bit prime, on a 2-core x86
+    machine (Python 3.11).
+
+    >>> det_univariate([[[1], [0, 1]], [[0, 1], [1]]])   # 1 - q^2
+    [1, 0, -1]
+    """
+    if not rows:
+        return [1]
     terms = [[{e: c for e, c in enumerate(a) if c} for a in row]
              for row in rows]
-    # divide out the lowest power of q in each row, then in each column
-    # (the rows of the transpose), and count it in shift
-    shift = 0
+    g, r, col = _grading(terms)
+    g = max(g, 1)
+    s = [-x % g for x in r]
+    t = [-x % g for x in col]
+    for row, si in zip(terms, s):
+        row[:] = [{(e + si + tj) // g: c for e, c in a.items()}
+                  for a, tj in zip(row, t)]
+    # divide out the lowest power of t in each row, then in each column
+    # (the rows of the transpose), and count it in low
+    low = 0
     for _ in range(2):
         for row in terms:
             v = min((min(a) for a in row if a), default=0)
             if v:
                 row[:] = [{e - v: c for e, c in a.items()} for a in row]
-                shift += v
-        terms = [list(col) for col in zip(*terms)]
+                low += v
+        terms = [list(column) for column in zip(*terms)]
     if not all(map(any, terms)):
         # a zero row: det A = 0.  Only without one does B below bound
         # every coefficient of every entry, which makes ∏ E_i(x) a unit
@@ -895,14 +969,14 @@ def _det_interpolated(rows) -> list:
     E = _symmetrizer(terms)
     if E is not None:
         # E·A is symmetric: its upper triangle, and det A = det(E·A) / ∏E_i;
-        # E(0) may vanish, so q = 0 takes the general sweep on A(0)
-        upper = [[{}] * i + [_scaled(a, ci, di) for a in row[i:]]
-                 for i, (row, (ci, di)) in enumerate(zip(terms, E))]
+        # E(0) may vanish, so t = 0 takes the general sweep on A(0)
+        sym = [[{}] * i + [_scaled(a, ci, di) for a in row[i:]]
+               for i, (row, (ci, di)) in enumerate(zip(terms, E))]
         scale, degree = math.prod(ci for ci, _ in E), sum(di for _, di in E)
         general = [0]
         for lo in range(1, D + 1, _BATCH):
             xs = range(lo, min(lo + _BATCH, D + 1))
-            dets = _symmetric_sweep(_at_points(upper, xs, p), p)
+            dets = _sweep(_at_points(sym, xs, p), p, True)
             units = _inverses([scale * pow(x, degree, p) % p for x in xs], p)
             for x, d, u in zip(xs, dets, units):
                 if d is None:
@@ -916,12 +990,12 @@ def _det_interpolated(rows) -> list:
                 break
     for lo in range(0, len(general), _BATCH):
         xs = general[lo:lo + _BATCH]
-        for x, M in zip(xs, _at_points(terms, xs, p)):
-            c[x] = _det_mod(M, p)
+        for x, d in zip(xs, _sweep(_at_points(terms, xs, p), p, False)):
+            c[x] = d
     # Newton divided differences on the points 0..D: denominators are j
     for j, inv in enumerate(_inverses(range(1, D + 1), p), 1):
         c[j:] = [(a - b) * inv % p for a, b in zip(c[j:], c[j - 1:])]
-    # c[0] + q(c[1] + (q − 1)(c[2] + ...)) in the monomial basis
+    # c[0] + t(c[1] + (t − 1)(c[2] + ...)) in the monomial basis
     out = [c[D]]
     for j in range(D - 1, -1, -1):
         out = [(a - j * b) % p for a, b in zip([0] + out, out + [0])]
@@ -930,117 +1004,16 @@ def _det_interpolated(rows) -> list:
     out = [x - p if x > half else x for x in out]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return [0] * shift + out if any(out) else [0]
-
-
-def _grading(rows):
-    """(g, r, col): offsets with r[i] + col[j] equal to the lowest exponent
-    of each entry on a spanning forest of the nonzero entries, and g the gcd
-    of e − r[i] − col[j] over every exponent e of every entry (i, j).  Any
-    divisor of g grades the rows, and g is the largest grading (0 when
-    every residue is 0)."""
-    n = len(rows)
-    exps = [[[e for e, c in enumerate(a) if c] for a in row] for row in rows]
-    r, col = [None] * n, [None] * n
-    for root in range(n):
-        if r[root] is not None:
-            continue
-        r[root], todo = 0, [root]
-        while todo:
-            i = todo.pop()
-            for j, es in enumerate(exps[i]):
-                if es and col[j] is None:
-                    col[j] = es[0] - r[i]
-                    for k in range(n):
-                        if exps[k][j] and r[k] is None:
-                            r[k] = exps[k][j][0] - col[j]
-                            todo.append(k)
-    col = [x or 0 for x in col]
-    g = 0
-    for i, row in enumerate(exps):
-        for j, es in enumerate(row):
-            for e in es:
-                g = math.gcd(g, e - r[i] - col[j])
-    return g, r, col
-
-
-def det_univariate(rows) -> list:
-    """Exact determinant over Z[q] of a square matrix whose entries are
-    integer coefficient lists (lowest degree first), by evaluation and
-    interpolation.
-
-    The lowest power of q is first divided out of each row, then out of
-    each column, and multiplied back into the result; a zero row gives 0.
-    On the stripped matrix D = min(Σ_i max_j deg a_ij, Σ_j max_i deg a_ij)
-    bounds the degree, and B, the Hadamard bound on the unit circle with
-    B² = Π_i Σ_j ‖a_ij‖₁², every coefficient's absolute value (at most
-    H = Π_i Σ_j ‖a_ij‖₁, and 14–32 bits below it on the n = 4 slices of
-    the benchmark at seeds 1–10).  The prime p is the least entry of
-    _PRIMES, the Mersenne primes from 2^61 − 1 and the field primes of
-    published standards between 2^127 and 2^521, with p > D and p² > 4B²,
-    compared exactly.  The determinant is taken by Gaussian elimination
-    over F_p at each of q = 0..D, interpolated, and lifted to the
-    symmetric range, so the result is exact: it is still elimination,
-    independent of any factored formula.
-
-    Most matrices met here are symmetrizable: E·A is symmetric for some
-    E = diag(e_i q^{d_i}), integers e_i ≠ 0 and d_i ≥ 0, found once by
-    exact comparison of a_ij and a_ji.  The Varchenko slices are symmetric
-    (E = I); a Gram slice q_ij = c_ij q takes e_σ a ratio of slope
-    products.  The points q = x ≥ 1 are then taken in batches of _BATCH
-    (16): each batch's matrices E(x)·A(x) are evaluated from the entries'
-    terms over a table of the batch's powers, and eliminated in lockstep
-    over the upper triangle, in place and only where the pivot row is
-    nonzero, with one pow per step for every pivot of the batch
-    (_symmetric_sweep).  Each determinant is divided by ∏ E_i(x), a unit
-    mod p: every prime factor of e_i divides a nonzero coefficient, whose
-    absolute value is below p, and 1 ≤ x ≤ D < p.  A point whose pivot
-    vanishes leaves its batch for the general sweep with row swaps, on
-    A(x) evaluated from the terms, as do q = 0 (where E may vanish) and
-    every point of a matrix with no symmetrizer.  If every point of a batch
-    leaves it, a leading minor vanishes identically, most likely, and the
-    rest of the points go straight to the general sweep.
-
-    Rows graded by g ≥ 2 (every exponent of entry (i, j) ≡ r_i + c_j mod g,
-    as in the slices of the Gram and Varchenko matrices, where g = 2 and
-    the degree of entry (σ, τ) is ℓ(σ⁻¹τ) ≡ ℓ(σ) + ℓ(τ)) are first shifted
-    by q^{s_i} on row i and q^{t_j} on column j, so that every exponent is
-    a multiple of g, and solved in t = q^g with about D/g points.  The
-    result is divided back by q^{Σs + Σt}; the dropped low coefficients
-    are checked to be 0.  On the n = 4 Gram and Varchenko slices the
-    valuations take D from 84 to 72 in t, all 72 points q ≥ 1 of each
-    slice take the symmetric sweep modulo a 336- or 383-bit prime, each
-    makes about 880 of the 2 300 updates of a dense sweep, and a slice
-    takes about 0.07 s instead of 0.11 s with a pow per pivot and the
-    521-bit prime, on a 2-core x86 machine (Python 3.11).
-
-    >>> det_univariate([[[1], [0, 1]], [[0, 1], [1]]])   # 1 - q^2
-    [1, 0, -1]
-    """
-    if not rows:
-        return [1]
-    g, r, col = _grading(rows)
-    if g <= 1:
-        return _det_interpolated(rows)
-    s = [-x % g for x in r]
-    t = [-x % g for x in col]
-    graded = []
-    for row, si in zip(rows, s):
-        graded.append([])
-        for a, tj in zip(row, t):
-            b = [0] * ((len(a) - 1 + si + tj) // g + 1)
-            for e, c in enumerate(a):
-                if c:
-                    b[(e + si + tj) // g] = c
-            graded[-1].append(b)
-    d = _det_interpolated(graded)
-    out = [0] * (g * (len(d) - 1) + 1)
-    out[::g] = d
+    if not any(out):
+        return [0]
+    # back from t = q^g, times t^low, to q, divided by q^{Σs + Σt}
+    d = [0] * (g * (low + len(out) - 1) + 1)
+    d[g * low::g] = out
     shift = sum(s) + sum(t)
-    if any(out[:shift]):
+    if any(d[:shift]):
         raise ArithmeticError("graded determinant is not divisible by "
                               f"q^{shift}")
-    return out[shift:] or [0]
+    return d[shift:]
 
 
 def poly_to_univariate(p: Poly, slope) -> list:
@@ -1075,10 +1048,7 @@ def _positive_definite(entries) -> bool:
     holds when every leading principal minor of M is positive, and the
     hermitian sweep of det_point computes them all; it stops at the first
     zero one.  A matrix that is not hermitian is not positive definite."""
-    rows = _scaled_gauss_rows(entries)[3]
-    if not _is_hermitian(rows):
-        return False
-    res = _bareiss(rows, _gi_herm_step, (0, 0).__eq__, (0, 0), _upper=True)
+    res = _hermitian_sweep(_scaled_gauss_rows(entries)[3])
     return res is not None and all(re > 0 for re, _ in res[1])
 
 

@@ -121,13 +121,6 @@ class Weight:
             a[j + 1:] = a[:j:-1]
             out.append(Word(a))
 
-    def sub(self, label) -> "Weight":
-        d = dict(self.multiplicities)
-        if d.get(label, 0) == 0:
-            raise KeyError(f"label {label} not in weight")
-        d[label] -= 1
-        return Weight(d)
-
     @staticmethod
     def generic_n(n: int) -> "Weight":
         """The generic weight on labels 1..n."""

@@ -150,7 +150,6 @@ def _encode(m: Mono) -> int:
     return key
 
 
-@lru_cache(maxsize=1 << 16)
 def _decode(key: int) -> Mono:
     """The Mono of a packed key, pairs sorted by variable."""
     out = []
@@ -741,9 +740,7 @@ class Poly:
     def __str__(self):
         if not self._t:
             return "0"
-        # not through the _decode cache: a printed matrix meets each
-        # distinct entry once, so the cache would only fill
-        terms = [(m & _DEGREE, _decode.__wrapped__(m), c)
+        terms = [(m & _DEGREE, _decode(m), c)
                  for m, c in self._t.items()]
         if len(terms) > 1:
             terms.sort(key=lambda dmc: (dmc[0], mono_key(dmc[1])))
@@ -993,12 +990,9 @@ def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
                    mode: str) -> GaussRat:
     """The value of p under an assignment already checked against the mode
     (``check_assignment``); the term loop of ``Poly.evaluate``, reduced
-    once (``GaussRat.sum_of_products``).  Keys are decoded past the
-    ``_decode`` cache: the distinct entries of a Gram matrix share no
-    monomial (measured up to n = 6), so a point evaluation would only
-    fill it."""
+    once (``GaussRat.sum_of_products``)."""
     return GaussRat.sum_of_products(
-        (c, [x for v, e in _decode.__wrapped__(m)
+        (c, [x for v, e in _decode(m)
              for x in (param_value(assignment, v, mode),) * e])
         for m, c in p._t.items())
 

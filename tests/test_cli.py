@@ -494,6 +494,16 @@ def test_zagier_check_exit_codes():
     assert code == 0 and json.loads(s)["passed"]
 
 
+def test_zagier_check_has_no_one_param_flag(capsys):
+    # --mode one-param is the one way to ask for the one-parameter check;
+    # a flag that another --mode silently overrode is a usage error
+    for extra in ([], ["--mode", "extended-multi"]):
+        with pytest.raises(SystemExit) as e:
+            run("zagier-check", "--n", "3", "--one-param", *extra)
+        assert e.value.code == 2
+        assert "--one-param" in capsys.readouterr().err
+
+
 def test_verify_positivity_without_numpy():
     # positivity is decided exactly, so a fresh interpreter that cannot
     # import numpy runs the suite

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -11,18 +12,19 @@ from quongram import determinant
 from quongram.ring import Poly, GaussRat, random_hermitian
 from quongram.fock import Weight
 from quongram.gram import (Basis, build_generic, build_degenerate, rhat,
-                           q_diag_set)
+                           q_diag_set, embed_degenerate, pair_rule)
 from quongram.perms import cycle
 from quongram.determinant import (DetFormula, det_formula, det_cycle_factor,
                                   det_one_param, one_param_exponents,
                                   positivity_check, det_divides,
                                   det_poly_bareiss, det_single_cycle,
-                                  det_point, det_elim, peel_check,
+                                  det_point, det_elim,
                                   peel_exponents, det_factor_chain,
                                   det_univariate, poly_to_univariate,
                                   is_inverse)
 from quongram.inverse import inverse_matrix_at
-from quongram.applications import varchenko_matrix
+from quongram.applications import (varchenko_matrix, contravariant_matrix,
+                                   BilinearData, elimination_det)
 
 from conftest import hermitian_assignment, small_weights
 
@@ -30,7 +32,8 @@ from conftest import hermitian_assignment, small_weights
 def test_formula_matches_elimination_small():
     for n in (1, 2, 3):
         nu = Weight.generic_n(n)
-        assert peel_check(det_elim(nu), det_formula(nu))
+        assert peel_exponents(det_elim(nu), nu) == \
+            dict(det_formula(nu).factors)
 
 
 def test_formula_golden_strings():
@@ -178,7 +181,7 @@ def test_cycle_factor_formulas():
 def test_zero_is_no_box_product():
     nu = Weight.generic_n(3)
     assert peel_exponents(Poly.zero(), nu) is None
-    assert peel_check(Poly.zero(), det_formula(nu)) is False
+    assert peel_exponents(Poly.zero(), nu) != dict(det_formula(nu).factors)
 
 
 def test_one_param_collapse():
@@ -360,7 +363,7 @@ def test_hermitian_sweep_matches_general_sweep(rng, monkeypatch, real):
         assert len(seen["_gi_step"]) == singular_minor
         fell_back += singular_minor
     assert fell_back < len(mats) // 4
-    monkeypatch.setattr(determinant, "_is_hermitian", lambda M: False)
+    monkeypatch.setattr(determinant, "_hermitian_sweep", lambda M: None)
     seen.clear()
     assert [det_point(M) for M in mats] == fast
     assert not seen["_gi_herm_step"]
@@ -666,38 +669,28 @@ def test_univariate_nonsymmetric_rows(rng):
     assert det_univariate(rows) == _general_sweep(rows)
 
 
-def _spy_det_mod(monkeypatch, points=None):
-    """Record (upper, left) for every point det_univariate eliminates:
-    (True, whether a pivot vanished) for each matrix of a symmetric sweep,
-    (False, False) for each general sweep.  With a list points, also
+def _spy_modular_sweep(monkeypatch, points=None):
+    """Record (upper, left) for every point det_univariate eliminates, one
+    per matrix of each _sweep call: (True, whether a pivot vanished) in an
+    upper sweep, (False, False) in a general one.  With a list points, also
     record each one's q, read off the batches _at_points evaluates, whose
     matrices the sweeps take in order."""
     seen, queue = [], collections.deque()
-    at_points, general, symmetric = (determinant._at_points,
-                                     determinant._det_mod,
-                                     determinant._symmetric_sweep)
+    at_points, sweep = determinant._at_points, determinant._sweep
 
     def spy_at_points(terms, xs, p):
         queue.extend(xs)
         return at_points(terms, xs, p)
 
-    def spy_general(M, p):
-        seen.append((False, False))
-        x = queue.popleft()
-        if points is not None:
-            points.append(x)
-        return general(M, p)
-
-    def spy_symmetric(mats, p):
-        dets = symmetric(mats, p)
-        seen.extend((True, d is None) for d in dets)
+    def spy_sweep(mats, p, upper):
+        dets = sweep(mats, p, upper)
+        seen.extend((upper, d is None) for d in dets)
         xs = [queue.popleft() for _ in dets]
         if points is not None:
             points.extend(xs)
         return dets
     monkeypatch.setattr(determinant, "_at_points", spy_at_points)
-    monkeypatch.setattr(determinant, "_det_mod", spy_general)
-    monkeypatch.setattr(determinant, "_symmetric_sweep", spy_symmetric)
+    monkeypatch.setattr(determinant, "_sweep", spy_sweep)
     return seen
 
 
@@ -727,7 +720,7 @@ def test_univariate_vanishing_leading_minor(monkeypatch):
             [[1, 1], [0, 3], [1]],
             [[2], [1], [1, 0, 1]]]
     points = []
-    seen = _spy_det_mod(monkeypatch, points)
+    seen = _spy_modular_sweep(monkeypatch, points)
     for rows in (rows, _symmetrizable(rows, [3, -2, 5], [0, 1, 0],
                                       [0, 0, 2])):
         seen.clear()
@@ -748,7 +741,7 @@ def test_univariate_pivot_vanishing_at_one_point(monkeypatch):
             [[1, 1], [0, 3], [1]],
             [[2], [1], [1, 0, 1]]]
     points = []
-    seen = _spy_det_mod(monkeypatch, points)
+    seen = _spy_modular_sweep(monkeypatch, points)
     for rows in (rows, _symmetrizable(rows, [3, -2, 5], [0, 1, 0],
                                       [0, 0, 2])):
         seen.clear()
@@ -772,7 +765,7 @@ def _slice_of_degree(rng, n, top):
 def test_univariate_slice_beyond_one_batch(monkeypatch, rng):
     rows = _slice_of_degree(rng, 4, 12)
     points = []
-    seen = _spy_det_mod(monkeypatch, points)
+    seen = _spy_modular_sweep(monkeypatch, points)
     assert det_univariate(rows) == _general_sweep(rows)
     sym, left, general = _sweeps(seen, points)
     # D = 48 spans three batches
@@ -788,7 +781,7 @@ def test_univariate_zero_pivots_across_a_batch_send_the_rest_general(
     rows = _slice_of_degree(rng, 4, 12)
     rows[0][0] = [0]
     points = []
-    seen = _spy_det_mod(monkeypatch, points)
+    seen = _spy_modular_sweep(monkeypatch, points)
     assert det_univariate(rows) == _general_sweep(rows)
     sym, left, general = _sweeps(seen, points)
     batch = list(range(1, determinant._BATCH + 1))
@@ -807,7 +800,7 @@ def test_univariate_slices_take_the_symmetric_sweep(monkeypatch, matrix,
             for row in matrix.entries]
     assert (rows == [list(col) for col in zip(*rows)]) == symmetric
     points = []
-    seen = _spy_det_mod(monkeypatch, points)
+    seen = _spy_modular_sweep(monkeypatch, points)
     assert det_univariate(rows) == _general_sweep(rows)
     # q = 0 by the general sweep, every other point by the symmetric one;
     # with the valuations stripped D is 9, not 12
@@ -819,7 +812,7 @@ def test_univariate_strips_row_and_column_valuations(monkeypatch):
     # q^3 divides column 1, then row 1 of the transpose: stripped, the
     # rows are constants, so D = 0 and q = 0 is the only point
     rows = [[[1], [0, 0, 0, 1]], [[1], [0, 0, 0, 2]]]
-    seen = _spy_det_mod(monkeypatch)
+    seen = _spy_modular_sweep(monkeypatch)
     for rows in (rows, [list(col) for col in zip(*rows)]):
         seen.clear()
         assert det_univariate(rows) == [0, 0, 0, 1] == _general_sweep(rows)
@@ -957,6 +950,64 @@ def test_univariate_matches_reference(n, g, shape, bound, seed):
     if shape in ("singular", "zero-row", "zero-column",
                  "symmetrizable-singular") and n > 1:
         assert want == [0]
+
+
+def _univariate_corpus():
+    """det_univariate on a seeded corpus: Gram and Varchenko slices for
+    n <= 4, the slices of four degenerate weights and of their generic
+    models, 40 random rows (symmetric, non-symmetric, zero leading entry,
+    symmetrizable and graded), and elimination_det for n <= 4."""
+    rng = random.Random(33)
+    out = []
+
+    def slice_det(matrix, slopes, key=lambda i, j: (i, j)):
+        out.append(det_univariate(
+            [[poly_to_univariate(e, lambda i, j: slopes[key(i, j)])
+              for e in row] for row in matrix.entries]))
+    for n in (2, 3, 4):
+        G, V = build_generic(Weight.generic_n(n)), varchenko_matrix(n)
+        for _ in range(2):
+            s = {(i, j): rng.randint(2, 9) for i in range(1, n + 1)
+                 for j in range(1, n + 1)}
+            slice_det(G, s)
+            slice_det(V, s, lambda i, j: (min(i, j), max(i, j)))
+    for m in ({1: 2, 2: 1}, {1: 2, 2: 1, 3: 1}, {1: 2, 2: 2}, {1: 3, 2: 1}):
+        nu = Weight(m)
+        emb = embed_degenerate(nu)
+        s = {(i, j): rng.randint(2, 9) for i in nu.labels for j in nu.labels}
+        slice_det(pair_rule(emb.generic_weight, emb.var), s)
+        slice_det(build_degenerate(nu), s)
+    for k in range(40):
+        n = 1 + k % 5
+        M = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = [rng.randint(-3, 3)
+                           for _ in range(rng.randint(1, 4))]
+                M[j][i] = (list(M[i][j]) if k % 4 != 1 else
+                           [rng.randint(-3, 3)
+                            for _ in range(rng.randint(1, 4))])
+        if k % 4 == 2:
+            M[0][0] = [0]
+        if k % 4 == 3:
+            w = [rng.choice((-3, -2, 2, 5)) for _ in range(n)]
+            M = [[[0] * (i % 2 + 2 * (j % 2)) + [x * w[j] for x in M[i][j]]
+                  for j in range(n)] for i in range(n)]
+        out.append(det_univariate(M))
+    for n in (2, 3, 4):
+        S = contravariant_matrix(n)
+        for _ in range(2):
+            out.append(repr(elimination_det(S, BilinearData.random(n, rng))))
+    return out
+
+
+def test_univariate_corpus_digest():
+    # recorded before the modular sweeps were merged into one: any change
+    # to det_univariate's results shows here
+    out = _univariate_corpus()
+    assert len(out) == 66
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "51349117fd8389702f6e290013418ab9656ce6babde50733ec14378607c74580")
 
 
 def test_bareiss_matches_cofactor(rng):

@@ -464,15 +464,14 @@ def test_gauss_rat_holds_only_its_triple():
 
 
 def test_evaluation_leaves_the_decode_cache_alone(rng):
-    # a point evaluation decodes each monomial past the _decode cache,
-    # which serves the symbolic printers and the terms view
+    # the matrix evaluation agrees with the entries' own, and no decode
+    # cache is left for it to fill
     A = build_generic(Weight.generic_n(3))
     a = hermitian_assignment(A.basis.weight.labels, rng)
-    ring._decode.cache_clear()
     values = A.evaluate(a, "hermitian")
     assert [[e.evaluate(a, "hermitian") for e in row]
             for row in A.entries] == values
-    assert ring._decode.cache_info().currsize == 0
+    assert not hasattr(ring._decode, "cache_info")
 
 
 @pytest.mark.parametrize("value, text, rep", [
