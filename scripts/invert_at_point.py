@@ -4,9 +4,12 @@ point, then verify A . A^-1 = I exactly, over Gaussian integers after
 scaling A and each column of A^-1 by their common denominators, and
 det A = the factored determinant formula at the same point.
 
-The symbolic n! x n! inverse is far out of reach for n >= 5, but the
-per-permutation coefficient recursion evaluates happily at a point; this is
-the go-to sanity experiment before trusting any n >= 5 coefficient value.
+The symbolic inverse table is built for n <= 6 (``quongram invert --n 5``
+prints all of it in about 2 s), but from n = 6 on its dense n! x n! form is
+out of reach: at n = 6 that is 283 680 printed values, over the CLI's limit
+(``cli.INVERT_MAX_WORDS``).  The per-permutation coefficient recursion
+evaluates happily at a point, with no symbolic table; this is the go-to
+sanity experiment before trusting any n >= 5 coefficient value.
 
 Each stage line ends with the process's peak resident memory so far
 (``resource.getrusage``), in MB.

@@ -18,15 +18,16 @@ next to each other for ``groupby``.  Products and sums combine these tuples
 with the builtin sort and list removal (``_den_plus``, ``_den_lcm``,
 ``_den_minus``).
 
-Sums of fractions, and sums of products of them (a matrix entry, a
-coefficient of a composed operator), go through ``sum_parts`` and
-``sum_products``.  Where every factor is prime, the numerators are
-accumulated over the least common denominator by ``Poly.sum_of_products``
-and the total is reduced once.  A group of numerators over a smaller
-denominator is lifted one missing box at a time: the groups are split by
-their first missing box, each branch is summed on the rest, and the branch
-sum goes into the sum above it as one more pair with that box's binomial.
-No product of several boxes is expanded, so nothing needs a cache.
+Sums of fractions go through ``sum_parts``, and sums of products of Polys
+and fractions (a matrix entry, a coefficient of a composed operator or of a
+sum of operators) through ``sum_products``.  Where every factor is prime,
+the numerators are accumulated over the least common denominator by
+``Poly.sum_of_products`` and the total is reduced once.  A group of
+numerators over a smaller denominator is lifted one missing box at a time:
+the groups are split by their first missing box, each branch is summed on
+the rest, and the branch sum goes into the sum above it as one more pair
+with that box's binomial.  No product of several boxes is expanded, so
+nothing needs a cache.
 
 >>> f = BoxFraction(Poly.parse("1 - q12*q21"))
 >>> g = f / BoxFactor((1, 2), frozenset({1, 2}))
@@ -68,8 +69,10 @@ class BoxFactor(tuple):
     The factor is its key ``(one_param, letters)``, with the letters
     sorted: the expansion depends on nothing else, so factors over
     different words that select the same letters are equal, hash equally
-    and cancel against each other.  Equality, hashing and ordering are
-    those of the key tuple.
+    and cancel against each other.  A one-parameter box 1 - q^(k(k-1))
+    depends on its size k alone, so its letters are 1..k whatever the
+    word, and renaming letters leaves it as it is.  Equality, hashing and
+    ordering are those of the key tuple.
 
     ``prime`` is set for a multiparameter box over distinct letters.  Its
     monomial is a product of distinct variables, so the box is irreducible,
@@ -86,7 +89,10 @@ class BoxFactor(tuple):
         if not all(1 <= p <= len(word) for p in positions):
             raise ValueError(f"positions {set(positions)} out of range "
                              f"for word of length {len(word)}")
-        letters = tuple(sorted(word[p - 1] for p in positions))
+        if one_param:
+            letters = tuple(range(1, len(positions) + 1))
+        else:
+            letters = tuple(sorted(word[p - 1] for p in positions))
         return tuple.__new__(cls, (one_param, letters))
 
     def __getnewargs__(self):
@@ -112,6 +118,8 @@ class BoxFactor(tuple):
         return _box_poly(self[1], self[0])
 
     def map_labels(self, f) -> "BoxFactor":
+        if self[0]:
+            return self
         return tuple.__new__(BoxFactor,
                              (self[0], tuple(sorted(map(f, self[1])))))
 
@@ -242,16 +250,14 @@ class BoxFraction:
 
     def renamed(self, r) -> "BoxFraction":
         """The value with its letters renamed by r, a ``ring.Renaming``:
-        the numerator through ``Poly.renamed``, each multiparameter box by
-        the letter map of r (a one-parameter box names no letters).  A
-        renaming is a ring automorphism, so a reduced fraction stays
-        reduced.  Each distinct denominator is renamed once per renaming,
-        in its ``memo``."""
+        the numerator through ``Poly.renamed``, each box by the letter map
+        of r.  A renaming is a ring automorphism, so a reduced fraction
+        stays reduced.  Each distinct denominator is renamed once per
+        renaming, in its ``memo``."""
         den = r.memo.get(self.den)
         if den is None:
             den = r.memo[self.den] = tuple(sorted(
-                b if b.one_param else b.map_labels(r.letter)
-                for b in self.den))
+                b.map_labels(r.letter) for b in self.den))
         return _raw(self.num.renamed(r), den)
 
     def conjugate(self) -> "BoxFraction":
@@ -385,17 +391,28 @@ def sum_parts(parts) -> BoxFraction:
     return _fold(parts)
 
 
-def sum_products(pairs) -> BoxFraction:
-    """Sum of x*y over pairs of Polys and BoxFractions, reduced, by the
-    rule of ``sum_parts``: equal to ``sum_parts`` of the unreduced
+def sum_products(pairs):
+    """Sum of x*y over a list of pairs of Polys and BoxFractions, reduced,
+    by the rule of ``sum_parts``: equal to ``sum_parts`` of the unreduced
     products, each over the merged denominators of its pair.
 
-    When every factor is ``prime``, no product x*y is built on its own:
-    the pairs are grouped by their denominator and accumulated by
-    ``_sum_once``.  Otherwise each product is reduced and added in the
-    order of the pairs, so a one-parameter form cannot change.  Pairs with
-    a zero side are skipped; a single product is reduced on its own.
+    A single pair is the product x*y, reduced by ``BoxFraction.__mul__``
+    as ``sum_parts`` reduces a single part.  When every operand is a Poly,
+    the sum is one ``Poly.sum_of_products``, a Poly.  When every factor is
+    ``prime``, no product x*y is built on its own: the pairs are grouped by
+    their denominator and accumulated by ``_sum_once``.  Otherwise each
+    product is reduced and added in the order of the pairs, so a
+    one-parameter form cannot change.  Pairs with a zero side are skipped.
+
+    >>> b = BoxFraction(Poly.one(), (BoxFactor((1, 2), frozenset({1, 2})),))
+    >>> print(sum_products([(b, Poly.one()), (b, Poly.parse("-q12*q21"))]))
+    1
     """
+    if len(pairs) == 1:
+        ((x, y),) = pairs
+        return x * y
+    if all(isinstance(x, Poly) and isinstance(y, Poly) for x, y in pairs):
+        return Poly.sum_of_products(pairs)
     products = []
     for x, y in pairs:
         (nx, dx), (ny, dy) = as_part(x), as_part(y)

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 from .ring import (Poly, Renaming, SINGLE_Q, check_assignment,
                    evaluate_terms, pair_var)
-from .boxes import as_part, over_common, sum_parts, sum_products
+from .boxes import over_common, sum_products
 from .fock import Word, Weight
 from .perms import Perm, cycle
 
@@ -121,15 +121,9 @@ class GramMatrix:
         return (isinstance(o, GramMatrix) and self.basis == o.basis
                 and self.entries == o.entries)
 
-    def reordered(self, words):
-        """The same matrix presented in a different word order."""
-        idx = [self.basis.index(w) for w in words]
-        return [[self.entries[a][b] for b in idx] for a in idx]
-
     def matmul(self, o: "GramMatrix") -> "GramMatrix":
         """Matrix product.  Each entry sums its products in one go, as
-        ``OpExpansion.__mul__`` does: one ``Poly.sum_of_products`` when
-        every operand is a Poly, else one ``boxes.sum_products``, which
+        ``OpExpansion.__mul__`` does, by one ``boxes.sum_products``, which
         builds no product on its own where every factor is prime.
 
         The product is built column by column.  Each column of o is first
@@ -143,7 +137,7 @@ class GramMatrix:
         out = []
         for col in zip(*o.entries):
             col = over_common(col)
-            out.append([_sum_products([(row[k], col[k]) for k in live])
+            out.append([sum_products([(row[k], col[k]) for k in live])
                         for row, live in rows])
         return GramMatrix(self.basis, [list(r) for r in zip(*out)])
 
@@ -227,28 +221,6 @@ class DiagOp:
         return all(v.is_zero() for v in self.diagonal)
 
 
-def _sum_values(vals):
-    """Sum of Polys and BoxFractions: a Poly when every value is one, else
-    a BoxFraction summed by ``boxes.sum_parts``."""
-    if all(isinstance(v, Poly) for v in vals):
-        return sum(vals, Poly.zero())
-    return sum_parts([as_part(v) for v in vals])
-
-
-def _sum_products(pairs):
-    """Sum of x*y over a list of pairs of Polys and BoxFractions, by the
-    rule of ``_sum_values``: one ``Poly.sum_of_products`` when every
-    operand is a Poly, else one ``boxes.sum_products``.  A single pair is
-    the product x*y, which ``BoxFraction.__mul__`` reduces exactly as
-    ``sum_products`` reduces a single product."""
-    if len(pairs) == 1:
-        ((x, y),) = pairs
-        return x * y
-    if all(isinstance(x, Poly) and isinstance(y, Poly) for x, y in pairs):
-        return Poly.sum_of_products(pairs)
-    return sum_products(pairs)
-
-
 class OpExpansion:
     """Operator Σ_g D(g)·R(g): map Perm -> DiagOp over a fixed basis.
 
@@ -297,12 +269,10 @@ class OpExpansion:
 
         The pairs (g1, g2) are grouped by g = g1 g2 first, and each word's
         entry of the coefficient of g is then summed in one go by
-        ``_sum_products``: one ``Poly.sum_of_products`` when every operand
-        there is a Poly, else one ``boxes.sum_products``, and x*y for a
-        single pair.  For a generic multiparameter word
-        every box is prime, so the products are accumulated into one
-        numerator and reduced once, and the reduced form is unique;
-        otherwise each product is reduced and added in pair order.
+        ``boxes.sum_products``.  For a generic multiparameter word every
+        box is prime, so the products are accumulated into one numerator
+        and reduced once, and the reduced form is unique; otherwise each
+        product is reduced and added in pair order.
         """
         groups: dict = {}
         for g1, d1 in self.coefficients.items():
@@ -312,7 +282,7 @@ class OpExpansion:
         out = {}
         for g, pairs in groups.items():
             out[g] = DiagOp(self.basis, tuple(
-                _sum_products([(x[k], y[k]) for x, y in pairs])
+                sum_products([(x[k], y[k]) for x, y in pairs])
                 for k in range(self.basis.size)))
         return OpExpansion(self.basis, out)
 
@@ -367,14 +337,16 @@ class GenericOp:
 
     @staticmethod
     def sum(basis: Basis, ops) -> "GenericOp":
-        """Sum of operators, each coefficient added in one go by
-        ``_sum_values``."""
+        """Sum of operators, each coefficient added in one go as the
+        ``boxes.sum_products`` of its values times one: a Poly when every
+        value is one, else a reduced BoxFraction."""
+        one = Poly.one()
         groups: dict = {}
         for op in ops:
             for g, x in op.coefficients.items():
-                groups.setdefault(g, []).append(x)
-        return GenericOp(basis, {g: _sum_values(xs)
-                                 for g, xs in groups.items()})
+                groups.setdefault(g, []).append((x, one))
+        return GenericOp(basis, {g: sum_products(pairs)
+                                 for g, pairs in groups.items()})
 
     def __add__(self, o: "GenericOp") -> "GenericOp":
         out = dict(self.coefficients)
@@ -392,7 +364,7 @@ class GenericOp:
     def __mul__(self, o: "GenericOp") -> "GenericOp":
         """(XY)_g = Σ_{g₁g₂=g} x_{g₁} · g₁(y_{g₂}), the pairs grouped by g
         in the order of ``OpExpansion.__mul__`` and each group summed by
-        ``_sum_products``.  One renaming is built per g₁, and each y_{g₂}
+        ``boxes.sum_products``.  One renaming is built per g₁, and each y_{g₂}
         is renamed by it once, within this call."""
         e = self.basis.words[0]
         groups: dict = {}
@@ -400,7 +372,7 @@ class GenericOp:
             r = self.basis.renaming(tuple(e[k - 1] for k in g1.images))
             for g2, y in o.coefficients.items():
                 groups.setdefault(g1 * g2, []).append((x, y.renamed(r)))
-        return GenericOp(self.basis, {g: _sum_products(pairs)
+        return GenericOp(self.basis, {g: sum_products(pairs)
                                       for g, pairs in groups.items()})
 
     def left_diag(self, d) -> "GenericOp":

@@ -3,13 +3,15 @@ Inversion of the word-basis Gram matrices, in the permutation expansion.
 
 The inverse of the Gram matrix of a multiplicity-free weight is carried as
 
-    [A]^{-1} = sum_g  Lambda(g) . Rhat(g)
+    [A]^{-1} = sum_g  Lambda(g) . Rhat(g) = sum_g  x_g . R(g),
+    x_g = Lambda(g) . Q(g),
 
-with diagonal coefficients Lambda(g) whose entries are box fractions.  Every
-operator here commutes with renaming letters, so Lambda(g) at a word w is
-its value at the identity word e with the letters renamed e_p -> w_p, and
-the table keeps that one value per permutation.  The operator methods
-multiply in the twisted group algebra (``gram.GenericOp``), where
+with diagonal coefficients Lambda(g) whose entries are box fractions, and
+Q(g) the monomial of Rhat(g).  Every operator here commutes with renaming
+letters, so x_g at a word w is its value at the identity word e with the
+letters renamed e_p -> w_p, and the table keeps that one value per
+permutation.  The operator methods build x_g directly, multiplying in the
+twisted group algebra (``gram.GenericOp``), where
 
     (XY)_g = sum_{g1 g2 = g} x_{g1} . g1(y_{g2}),  g1 renaming e_p -> e_{g1(p)}.
 
@@ -46,7 +48,7 @@ __all__ = [
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, Renaming, pair_var,
                    check_assignment, param_value)
@@ -136,7 +138,7 @@ class Universe:
         if self.assignment is None:
             return sum_parts([
                 (Poly.const(sign),
-                 tuple(_box(letters, T, self.one_param) for T in Ts))
+                 tuple(BoxFactor(letters, T, self.one_param) for T in Ts))
                 for sign, Ts in terms])
         return GaussRat.sum_of_products(
             (sign, [self._box_values(letters, T)[1] for T in Ts])
@@ -190,14 +192,6 @@ class Universe:
             vals = self._boxes[key] = (q, one / (one - q))
         self._box_calls[(letters, positions)] = vals
         return vals
-
-
-def _box(letters: tuple, positions, one_param: bool) -> BoxFactor:
-    if one_param:
-        k = len(tuple(positions))
-        return BoxFactor(tuple(range(1, k + 1)),
-                         frozenset(range(1, k + 1)), True)
-    return BoxFactor(tuple(letters), frozenset(positions), False)
 
 
 def _restrict(g: Perm, a: int, b: int) -> Perm:
@@ -392,7 +386,7 @@ def lambda_id(letters, form: str = "outer-bracket",
         return lambda_sigma(letters, _singletons(n), one_param)
     if form != "no-outer":
         raise ValueError(f"unknown form {form!r}")
-    outer = _box(letters, range(1, n + 1), one_param)
+    outer = BoxFactor(letters, range(1, n + 1), one_param)
     parts = []
     for beta in enumerate_bracketings(n, False):
         num = Poly.one()
@@ -401,7 +395,7 @@ def lambda_id(letters, form: str = "outer-bracket",
             T = range(a, b + 1)
             pairs = [(x, y) for x in T for y in T if x != y]
             num = num * q_mono(letters, pairs, one_param)
-            den.append(_box(letters, T, one_param))
+            den.append(BoxFactor(letters, T, one_param))
         parts.append((num, tuple(den)))
     return sum_parts(parts)
 
@@ -410,63 +404,68 @@ def lambda_id(letters, form: str = "outer-bracket",
 # the inverse table
 # ---------------------------------------------------------------------------
 
+def _coefficient(lam: BoxFraction, e, g: Perm, one_param: bool
+                 ) -> BoxFraction:
+    """x_g = Lambda(g) Q(g) at the identity word e, Q(g) the monomial of
+    Rhat(g): the coefficient of the place permutation R(g).  Not reduced
+    again: Lambda(g) is reduced, and a box, with constant term 1 and
+    content 1, shares no factor with a monomial, so no box divides the
+    product (see boxes._reduce)."""
+    return _raw(lam.num * q_of_perm(e, g.inverse(), one_param), lam.den)
+
+
 @dataclass
 class LambdaTable:
-    """[A]^{-1} = sum_g Lambda(g) Rhat(g): nonzero coefficients only, one
-    value per permutation.
+    """[A]^{-1} = sum_g Lambda(g) Rhat(g) = sum_g x_g R(g): nonzero
+    coefficients only, one value per permutation.
 
-    ``entries[g]`` is Lambda(g) at the identity word e, the first word of
-    the basis; at a word w it is that value renamed e_p -> w_p
-    (``Basis.renaming``), which ``value_at`` and ``diagonals`` give.  The
-    coefficient of g puts Lambda(g) at w, times ``q_mono`` of w over the
-    inversions of g^-1, at entry (w, g^-1.w) of the dense inverse.  A table
-    is over a generic weight (``inv_full`` takes no other), so distinct g
-    reach distinct words, and no entry is a sum.  ``row`` is the one place
-    this is done; ``to_matrix`` is built from its rows and ``evaluate``
-    evaluates the entries of ``to_matrix``.
+    ``coefficients[g]`` is x_g = Lambda(g) Q(g) at the identity word e,
+    the first word of the basis, as the method gives it: a Poly or a
+    BoxFraction, as on ``gram.GenericOp``.  At a word w it is that value
+    renamed e_p -> w_p (``Basis.renaming``), the entry (w, g^-1.w) of the
+    dense inverse.  A table is over a generic weight (``inv_full`` takes no
+    other), so distinct g reach distinct words, and no entry is a sum.
+    ``row`` is the one place this is done; ``to_matrix`` is built from its
+    rows and ``evaluate`` evaluates the entries of ``to_matrix``.
+    ``value_at`` and ``diagonals`` give Lambda(g) itself, with Q(g)
+    divided out once per g.
     """
 
     basis: Basis
     one_param: bool
-    entries: dict  # Perm -> BoxFraction, Lambda(g) at the identity word
+    coefficients: dict  # Perm -> Poly or BoxFraction, x_g at the identity word
+
+    def _lambda_at_e(self, g: Perm) -> BoxFraction:
+        """Lambda(g) at the identity word: x_g divided exactly by the
+        monomial Q(g), which leaves a reduced fraction reduced."""
+        num, den = as_part(self.coefficients[g])
+        mono = q_of_perm(self.basis.words[0], g.inverse(), self.one_param)
+        return _raw(num.exact_div(mono), den)
 
     def value_at(self, g: Perm, w) -> BoxFraction:
         """Lambda(g) at the word w; zero off the support."""
-        x = self.entries.get(g)
-        if x is None:
+        if g not in self.coefficients:
             return BoxFraction.zero()
-        return x.renamed(self.basis.renaming(w))
+        return self._lambda_at_e(g).renamed(self.basis.renaming(w))
 
     def diagonals(self):
         """(g, [Lambda(g) at each word of the basis]) over the support, in
         ``support`` order: one renaming per word, built once."""
         renamings = [self.basis.renaming(w) for w in self.basis.words]
         for g in self.support():
-            x = self.entries[g]
+            x = self._lambda_at_e(g)
             yield g, [x.renamed(r) for r in renamings]
 
     def support(self):
-        return sorted(self.entries, key=lambda g: g.images)
-
-    @cached_property
-    def _placed(self) -> dict:
-        """Lambda(g) Q(g) at the identity word for each g, Q(g) the monomial
-        of Rhat(g): the coefficient of the place permutation R(g).  Not
-        reduced again: Lambda(g) is reduced, and a box, with constant term
-        1 and content 1, shares no factor with a monomial, so no box
-        divides the product (see boxes._reduce)."""
-        e = self.basis.words[0]
-        return {g: _raw(x.num * q_of_perm(e, g.inverse(), self.one_param),
-                        x.den) for g, x in self.entries.items()}
+        return sorted(self.coefficients, key=lambda g: g.images)
 
     def row(self, w) -> dict:
         """Row w of ``to_matrix()``, computed alone, as a dict from word to
         entry over the words some coefficient reaches; the others are 0.
-        The entry of g, at column g^-1.w, is ``_placed[g]`` renamed
-        e_p -> w_p."""
+        The entry of g, at column g^-1.w, is x_g renamed e_p -> w_p."""
         r = self.basis.renaming(w)
         return {Word(w[k - 1] for k in g.images): x.renamed(r)
-                for g, x in self._placed.items()}
+                for g, x in self.coefficients.items()}
 
     def to_matrix(self) -> GramMatrix:
         words = self.basis.words
@@ -486,9 +485,9 @@ class LambdaTable:
 
         The Gram matrix is A = sum_g Rhat(g), whose value at the identity
         word is the monomial Q(g).  Coefficient g of [A]^{-1} A is
-        sum_{g1 g2 = g} Lambda(g1) Q(g1) . g1(Q(g2)), and g1(Q(g2)) is an
-        entry of A: only monomials are renamed, never a Lambda(g).  Over a
-        field a one-sided inverse of a square matrix is two-sided, so this
+        sum_{g1 g2 = g} x_{g1} . g1(Q(g2)), and g1(Q(g2)) is an entry of
+        A: only monomials are renamed, never a coefficient.  Over a field a
+        one-sided inverse of a square matrix is two-sided, so this
         certifies the table as the inverse.  It runs on the product kernel
         the operator methods build their tables with, so it is not
         independent of that kernel; ``GramMatrix.matmul`` of
@@ -498,35 +497,17 @@ class LambdaTable:
         e = basis.words[0]
         gram = GenericOp(basis, {g: q_of_perm(e, g.inverse(), self.one_param)
                                  for g in all_perms(basis.n)})
-        return (GenericOp(basis, self._placed) * gram
+        return (GenericOp(basis, self.coefficients) * gram
                 == GenericOp.identity(basis))
 
     def __eq__(self, o):
         return (isinstance(o, LambdaTable) and self.basis == o.basis
-                and self.entries == o.entries)
+                and self.coefficients == o.coefficients)
 
     def to_json(self):
         words = [str(w) for w in self.basis.words]
         return {str(g): dict(zip(words, map(str, values)))
                 for g, values in self.diagonals()}
-
-    @staticmethod
-    def from_operator(op: GenericOp, one_param: bool = False
-                      ) -> "LambdaTable":
-        """Divide out the Rhat monomials: coefficients x_g = Lambda(g)Q(g)
-        at the identity word, with Q(g) an invertible monomial.  The
-        operator holds no zero coefficient, and dividing by monomials makes
-        none."""
-        e = op.basis.words[0]
-        entries = {}
-        for g, x in op.coefficients.items():
-            mono = q_of_perm(e, g.inverse(), one_param)
-            if isinstance(x, Poly):
-                entries[g] = BoxFraction(x.exact_div(mono))
-            else:
-                entries[g] = BoxFraction(x.num.exact_div(mono), x.den,
-                                         reduce=False)
-        return LambdaTable(op.basis, one_param, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +521,7 @@ def psi_op(basis: Basis, a: int, b: int, one_param: bool = False
     wI = longest_element(a, b, basis.n)
     op = GenericOp.identity(basis) - GenericOp.rhat(
         wI, basis, one_param).scale((-1) ** (b - a + 1))
-    box = _box(basis.words[0], range(a, b + 1), one_param)
+    box = BoxFactor(basis.words[0], range(a, b + 1), one_param)
     return op.left_diag(BoxFraction(Poly.one(), (box,)))
 
 
@@ -639,7 +620,8 @@ def d_inverse_op(basis: Basis, m: int, one_param: bool = False
     """[D^m]^{-1} = [Delta^m]^{-1} E^m with
     Delta^m = Box_[1..m+1] Box_[2..m+1] ... Box_[m..m+1]."""
     e = tuple(basis.words[0])
-    den = tuple(_box(e, range(k, m + 2), one_param) for k in range(1, m + 1))
+    den = tuple(BoxFactor(e, range(k, m + 2), one_param)
+                for k in range(1, m + 1))
     return e_op(basis, m, one_param).left_diag(BoxFraction(Poly.one(), den))
 
 
@@ -685,7 +667,8 @@ def inv_brute(nu: Weight, one_param: bool = False) -> GramMatrix:
     det_boxes = []
     for letters, exp in det_formula(nu).factors:
         word = tuple(sorted(letters))
-        det_boxes.extend([_box(word, range(1, len(word) + 1), one_param)] * exp)
+        det_boxes.extend(
+            [BoxFactor(word, range(1, len(word) + 1), one_param)] * exp)
     ent = []
     for i in range(size):
         row = []
@@ -717,32 +700,33 @@ def inv_full(nu: Weight, method: str = "fast",
         basis = Basis.of_weight(nu)
         u = Universe(one_param)
         e = tuple(basis.words[0])
-        entries = {}
+        coefficients = {}
         for g in all_perms(basis.n):
             x = lambda_scalar(e, g, universe=u, check_closed=False)
             if not x.is_zero():
-                entries[g] = x
-        return LambdaTable(basis, one_param, entries)
+                coefficients[g] = _coefficient(x, e, g, one_param)
+        return LambdaTable(basis, one_param, coefficients)
     if method == "brute":
         mat = inv_brute(nu, one_param)
         return _table_from_matrix(mat, one_param)
     fn = _METHODS.get(method)
     if fn is None:
         raise ValueError(f"unknown method {method!r}")
-    return LambdaTable.from_operator(fn(nu, one_param), one_param)
+    op = fn(nu, one_param)
+    return LambdaTable(op.basis, one_param, op.coefficients)
 
 
 def _table_from_matrix(mat: GramMatrix, one_param: bool) -> LambdaTable:
     """Read a dense inverse of a generic weight back into a table: row e,
-    the identity word, holds every coefficient once, at the column of its
-    word g^-1.e.  The whole matrix is then checked against the table's
+    the identity word, holds every coefficient x_g once, at the column of
+    its word g^-1.e.  The whole matrix is then checked against the table's
     expansion, so no entry off row e goes unread."""
     basis = mat.basis
     e = basis.words[0]
     pos = {ch: k + 1 for k, ch in enumerate(e)}
-    op = GenericOp(basis, {Perm(pos[ch] for ch in wj): x
-                           for wj, x in zip(basis.words, mat.entries[0])})
-    table = LambdaTable.from_operator(op, one_param)
+    table = LambdaTable(basis, one_param, {
+        Perm(pos[ch] for ch in wj): x
+        for wj, x in zip(basis.words, mat.entries[0]) if not x.is_zero()})
     if table.to_matrix() != mat:
         raise ArithmeticError("the dense inverse does not commute with "
                               "renaming letters")
@@ -869,7 +853,7 @@ def _leftover(frac: BoxFraction, candidate) -> BoxFraction | None:
 
 def _interval_boxes(letters: tuple, one_param: bool) -> list:
     n = len(letters)
-    return [_box(letters, range(a, b + 1), one_param)
+    return [BoxFactor(letters, range(a, b + 1), one_param)
             for a in range(1, n) for b in range(a + 1, n + 1)]
 
 
@@ -878,14 +862,14 @@ def _subset_boxes(letters: tuple, one_param: bool) -> list:
     out = []
     for k in range(2, n + 1):
         for T in itertools.combinations(range(1, n + 1), k):
-            out.append(_box(letters, T, one_param))
+            out.append(BoxFactor(letters, T, one_param))
     return out
 
 
 def _one_param_boxes(n: int, multiplicities: bool) -> list:
     out = []
     for k in range(2, n + 1):
-        box = _box(tuple(range(1, k + 1)), range(1, k + 1), True)
+        box = BoxFactor(range(1, k + 1), range(1, k + 1), True)
         out.extend([box] * ((n - k + 1) if multiplicities else 1))
     return out
 
@@ -903,7 +887,7 @@ def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
     single permutation's coefficient (used for the n=8 counterexample
     without touching the 8-letter basis).
 
-    The entry of g at a word w is Lambda(g) Q(g) at w, and both it and
+    The entry of g at a word w is x_g = Lambda(g) Q(g) at w, and both it and
     every mode's candidate are their values at the identity word e with
     the letters renamed e_p -> w_p.  A renaming is a ring automorphism
     that permutes boxes, so the candidate clears the entry at w exactly
@@ -924,16 +908,13 @@ def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
     report = ZagierReport(mode=mode, n=n, one_param=one_param)
     if coeff is None:
         table = inv_full(Weight.generic_n(n), "fast", one_param)
-        values = [(g, table.entries[g]) for g in table.support()]
+        values = [(g, table.coefficients[g]) for g in table.support()]
         words = table.basis.words
     else:
-        values = [(coeff, lambda_scalar(e, coeff,
-                                        universe=Universe(one_param)))]
+        lam = lambda_scalar(e, coeff, universe=Universe(one_param))
+        values = [(coeff, _coefficient(lam, e, coeff, one_param))]
         words = (Word(e),)
-    for g, lam in values:
-        # a box shares no factor with a monomial, so the entry is reduced
-        # as placed (see LambdaTable._placed)
-        entry = _raw(lam.num * q_of_perm(e, g.inverse(), one_param), lam.den)
+    for g, entry in values:
         left = _leftover(entry, candidate)
         report.checked += len(words)
         if left is not None:

@@ -162,26 +162,16 @@ class YoungData:
     """Minimal Young subgroup containing g.
 
     cuts: the set J(g) = {j < n : g({1..j}) = {1..j}};
-    blocks: intervals (a, b) of the subdivision carved out by the cuts;
-    factors: restriction of g to each block, renumbered to a permutation of
-    that block's length (so reassembling with offsets gives back g).
+    blocks: intervals (a, b) of the subdivision carved out by the cuts.
     """
 
     cuts: frozenset
     blocks: tuple
-    factors: tuple
-
-    def reassemble(self, n: int) -> Perm:
-        img = []
-        for (a, b), f in zip(self.blocks, self.factors):
-            img.extend(a - 1 + y for y in f.images)
-        assert len(img) == n
-        return Perm(img)
 
 
 @lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
 def young_data(g: Perm) -> YoungData:
-    """J(g), its interval subdivision, and the block factorization of g.
+    """J(g) and its interval subdivision.
 
     Cached per permutation: the Lambda recursion asks for the same few
     permutations tens of thousands of times, and YoungData is immutable."""
@@ -199,10 +189,7 @@ def young_data(g: Perm) -> YoungData:
     for j in cuts + [n]:
         blocks.append((prev + 1, j))
         prev = j
-    factors = []
-    for a, b in blocks:
-        factors.append(Perm(g(x) - (a - 1) for x in range(a, b + 1)))
-    return YoungData(frozenset(cuts), tuple(blocks), tuple(factors))
+    return YoungData(frozenset(cuts), tuple(blocks))
 
 
 def young_sequence(g: Perm):

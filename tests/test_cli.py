@@ -388,7 +388,7 @@ DEGENERATE_GOLDENS = [
      "007d896566f57906ca1a470e462072cb15eb29e5415e80a316261ff00b2100d3"),
     (("invert", "--weight", "2,2,1", "--format", "json", "--one-param"),
      124260,
-     "e272b5e2d7be8743814395cf2a315156aa876f2e68ec5d9ee9ca8a17e9dd7fea"),
+     "0a9d11808ee660beaa82d8b26b8fcd0952bb23d0d2ddd4de33ccfc8c913dcf34"),
 ]
 
 

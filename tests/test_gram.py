@@ -8,8 +8,8 @@ from quongram.perms import Perm, all_perms, cycle, longest_element
 from quongram.gram import (Basis, DiagOp, GramMatrix, OpExpansion,
                            build_generic, build_degenerate, rhat, mult_factor,
                            q_diag_pair, q_diag_set, box_diag, factor_A_m,
-                           factor_CD, embed_degenerate, q_of_perm,
-                           _sum_products)
+                           factor_CD, embed_degenerate, q_of_perm)
+from quongram.boxes import sum_products
 from quongram.inverse import inv_full
 
 from conftest import hermitian_assignment, small_weights
@@ -398,13 +398,13 @@ def _matmul_by_additions(x, y):
 
 
 def _matmul_by_entry_sums(x, y):
-    """Reference product: one ``_sum_products`` per entry over the columns
+    """Reference product: one ``sum_products`` per entry over the columns
     of y as they are, with no column put over a common denominator."""
     n = x.basis.size
     return GramMatrix(x.basis, [
-        [_sum_products([(x.entries[a][k], y.entries[k][b]) for k in range(n)
-                        if not (isinstance(x.entries[a][k], Poly)
-                                and x.entries[a][k].is_zero())])
+        [sum_products([(x.entries[a][k], y.entries[k][b]) for k in range(n)
+                       if not (isinstance(x.entries[a][k], Poly)
+                               and x.entries[a][k].is_zero())])
          for b in range(n)] for a in range(n)])
 
 

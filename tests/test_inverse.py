@@ -13,7 +13,8 @@ from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
 from quongram.perms import Perm, all_perms, longest_element
 from quongram.gram import (Basis, DiagOp, OpExpansion, build_generic,
-                           build_degenerate, factor_CD, q_mono, rhat)
+                           build_degenerate, factor_CD, q_mono, q_of_perm,
+                           rhat)
 from quongram.inverse import (Universe, lambda_sigma, tree_like,
                               lambda_scalar, random_tree_like, lambda_id,
                               LambdaTable, psi_op,
@@ -222,6 +223,34 @@ def test_table_rows_are_the_rows_of_its_matrix(rng, one_param):
 @pytest.mark.parametrize("one_param", [False, True])
 @pytest.mark.parametrize("method",
                          ["fast", "long", "short", "chains", "zagier"])
+def test_coefficients_are_row_e_of_the_dense_inverse(rng, method, one_param):
+    # x_g is entry (e, g^-1.e) of the dense inverse: exactly against the
+    # cofactor inverse up to n = 3, at a point against the numeric inverse
+    # at n = 4; and Lambda(g) at e times Q(g) is x_g
+    for n in (1, 2, 3, 4):
+        nu = Weight.generic_n(n)
+        table = inv_full(nu, method, one_param)
+        e = table.basis.words[0]
+        if n <= 3:
+            dense, zero = inv_brute(nu, one_param).entries[0], Poly.zero()
+        else:
+            a = _point(nu.labels, rng, "free")
+            dense = inverse_matrix_at(nu, a, "free", one_param)[0]
+            zero = GaussRat.of(0)
+        for g in all_perms(n):
+            want = dense[table.basis.index(Word(e[k - 1] for k in g.images))]
+            x = table.coefficients.get(g)
+            if x is None:
+                assert want == zero
+                continue
+            assert (x if n <= 3 else x.evaluate(a, "free")) == want
+            mono = q_of_perm(e, g.inverse(), one_param)
+            assert table.value_at(g, e) * mono == x
+
+
+@pytest.mark.parametrize("one_param", [False, True])
+@pytest.mark.parametrize("method",
+                         ["fast", "long", "short", "chains", "zagier"])
 def test_placing_a_table_tries_no_division(monkeypatch, method, one_param):
     # each coefficient is reduced, and a box shares no factor with the
     # monomial it is placed with, so neither form reduces it again
@@ -271,9 +300,9 @@ def test_a_wrong_table_does_not_invert_the_gram_matrix():
     # the certificate fails when any one coefficient is off by a factor
     table = inv_full(Weight.generic_n(4), "fast")
     for g in (Perm.identity(4), Perm((2, 1, 4, 3))):
-        entries = dict(table.entries)
-        entries[g] = entries[g].scale(2)
-        wrong = LambdaTable(table.basis, table.one_param, entries)
+        coefficients = dict(table.coefficients)
+        coefficients[g] = coefficients[g].scale(2)
+        wrong = LambdaTable(table.basis, table.one_param, coefficients)
         assert not wrong.inverts_gram()
 
 
@@ -567,7 +596,8 @@ def test_zagier_check_decides_each_coefficient_once(monkeypatch, mode):
                         lambda *a: calls.append(a) or real(*a))
     rep = zagier_check(5, mode)
     assert rep.passed and rep.checked == 120 * 90
-    assert len(calls) == 90 == len(inv_full(Weight.generic_n(5)).entries)
+    assert len(calls) == 90 == len(
+        inv_full(Weight.generic_n(5)).coefficients)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from quongram.perms import (Perm, all_perms, cycle, longest_element,
                             young_data, young_sequence, unimodal_subset,
                             shuffles, block_reversal)
+from quongram.inverse import _restrict
 
 
 def rand_perm(rng, n):
@@ -57,9 +58,10 @@ def test_young_data_blocks():
     g = Perm((2, 1, 3, 5, 4))
     yd = young_data(g)
     assert yd.blocks == ((1, 2), (3, 3), (4, 5))
-    assert yd.reassemble(5) == g
-    # factors are the standardized restrictions
-    assert [f.images for f in yd.factors] == [(2, 1), (1,), (2, 1)]
+    assert yd.cuts == frozenset({2, 3})
+    # the restrictions of g to its blocks, renumbered from 1
+    assert [_restrict(g, a, b).images for a, b in yd.blocks] == \
+        [(2, 1), (1,), (2, 1)]
 
 
 def test_young_sequence_worked_example():
