@@ -20,14 +20,22 @@ with the builtin sort and list removal (``_den_plus``, ``_den_lcm``,
 
 Sums of fractions go through ``sum_parts``, and sums of products of Polys
 and fractions (a matrix entry, a coefficient of a composed operator or of a
-sum of operators) through ``sum_products``.  Where every factor is prime,
-the numerators are accumulated over the least common denominator by
-``Poly.sum_of_products`` and the total is reduced once.  A group of
-numerators over a smaller denominator is lifted one missing box at a time:
-the groups are split by their first missing box, each branch is summed on
-the rest, and the branch sum goes into the sum above it as one more pair
-with that box's binomial.  No product of several boxes is expanded, so
-nothing needs a cache.
+sum of operators) through ``sum_products``.  Both follow one rule, in every
+mode: the numerators are accumulated over the common denominator of all
+the parts by ``Poly.sum_of_products`` and the total is reduced once.  A
+group of numerators over a smaller denominator is lifted one missing box at
+a time: the groups are split by their first missing box, each branch is
+summed on the rest, and the branch sum goes into the sum above it as one
+more pair with that box's binomial.  No product of several boxes is
+expanded, so nothing needs a cache.
+
+A multiparameter box over distinct letters is irreducible, and two such
+boxes over different letters are different primes of Z[q], so over such
+boxes a value has exactly one reduced form.  A one-parameter box is not
+prime (1 - q^2 divides 1 - q^6), nor is a box over a repeated letter
+(1 - q11^2 = (1 - q11)(1 + q11)), so there a value can have several
+reduced forms; the one a sum reaches depends on the multiset of its parts,
+not on their order.
 
 >>> f = BoxFraction(Poly.parse("1 - q12*q21"))
 >>> g = f / BoxFactor((1, 2), frozenset({1, 2}))
@@ -73,12 +81,6 @@ class BoxFactor(tuple):
     depends on its size k alone, so its letters are 1..k whatever the
     word, and renaming letters leaves it as it is.  Equality, hashing and
     ordering are those of the key tuple.
-
-    ``prime`` is set for a multiparameter box over distinct letters.  Its
-    monomial is a product of distinct variables, so the box is irreducible,
-    and two such boxes over different letters are different primes of
-    Z[q].  A one-parameter box is not (1 - q^2 divides 1 - q^6), nor is a
-    box over a repeated letter (1 - q11^2 = (1 - q11)(1 + q11)).
     """
 
     __slots__ = ()
@@ -108,10 +110,6 @@ class BoxFactor(tuple):
         """Letters of the word at the chosen positions (sorted, with
         multiplicity)."""
         return self[1]
-
-    @property
-    def prime(self) -> bool:
-        return not self[0] and len(set(self[1])) == len(self[1])
 
     def expand(self) -> Poly:
         """The factor as a polynomial 1 - prod_{a != b} q_{i_a i_b}."""
@@ -185,7 +183,7 @@ class BoxFraction:
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, o: "BoxFraction") -> "BoxFraction":
         (n, den), (m, den_o) = as_part(self), as_part(o)
-        return _sum_once(*_by_den([(n, _ONE, den), (m, _ONE, den_o)]))
+        return _sum_once([(n, _ONE, den), (m, _ONE, den_o)])
 
     def __radd__(self, o) -> "BoxFraction":
         return self + o
@@ -301,12 +299,14 @@ def _raw(num: Poly, den: tuple) -> BoxFraction:
     return r
 
 
-def _by_den(products):
-    """The (x, y) numerator pairs of (x, y, sorted denominator) products
-    listed per denominator, and the least common multiple of the
-    denominators: the running ``_den_lcm`` of the distinct ones.  Nothing
-    is multiplied or added yet, so a caller that folds the products
-    instead has lost no arithmetic."""
+def _sum_once(products) -> BoxFraction:
+    """Sum of x*y over (x, y, sorted denominator) products, reduced: the
+    one rule by which box fractions are summed.  The products are listed
+    per denominator, and the least common multiple of the denominators is
+    the running ``_den_lcm`` of the distinct ones.  Each group lacks the
+    factors ``_den_minus(common, den)``, a sorted tuple, and is lifted by
+    them through ``_lifted``, one binomial at a time; the numerators are
+    accumulated by ``Poly.sum_of_products`` and reduced once."""
     common = ()
     by_den: dict = {}
     for x, y, den in products:
@@ -316,14 +316,6 @@ def _by_den(products):
             by_den[den] = [(x, y)]
         else:
             group.append((x, y))
-    return common, by_den
-
-
-def _sum_once(common, by_den) -> BoxFraction:
-    """Sum of the products of ``_by_den`` over their common denominator,
-    accumulated by ``Poly.sum_of_products`` and reduced once.  Each group
-    lacks the factors ``_den_minus(common, den)``, a sorted tuple, and is
-    lifted by them through ``_lifted``, one binomial at a time."""
     groups = [(_den_minus(common, den), group)
               for den, group in by_den.items()]
     return _raw(*_reduce(_lifted(groups), common))
@@ -353,42 +345,22 @@ def _lifted(groups) -> Poly:
     return Poly.sum_of_products(pairs)
 
 
-def _fold(parts) -> BoxFraction:
-    """Sum of (numerator, sorted denominator) parts, each reduced and
-    added with ``+`` in the given order."""
-    total = BoxFraction.zero()
-    for n, den in parts:
-        f = _raw(*_reduce(n, den))
-        total = f if total.is_zero() else total + f
-    return total
-
-
 def sum_parts(parts) -> BoxFraction:
-    """Sum of (numerator, denominator multiset) pairs, reduced: the one
-    rule by which box fractions are summed.
+    """Sum of (numerator, denominator multiset) pairs, reduced once over
+    their common denominator by ``_sum_once``, in every mode.  Parts with a
+    zero numerator are skipped, and a single part is reduced on its own.
 
-    When every factor is ``prime`` (a multiparameter box over distinct
-    letters), the parts are accumulated over their least common
-    denominator by ``_sum_once`` and reduced once.  The factors are then
-    distinct primes of Z[q], so a value has exactly one reduced form and
-    the order of summation cannot show in the result.  Otherwise (a
-    one-parameter box, or a repeated letter) a value can have several
-    reduced forms, so each part is reduced and the parts are added with
-    ``+`` in the given order, as a running sum always has.  Parts with a
-    zero numerator are skipped, and a single part is reduced on its own
-    either way, so it skips the test.  The common denominator holds every
-    factor of every part, so the test runs over its factors alone.
+    Over multiparameter boxes of distinct letters the reduced form is the
+    one form of the value.  Over one-parameter boxes, or a repeated letter,
+    a value can have several reduced forms, and the one reached depends on
+    the multiset of the parts, not on their order.
 
     >>> b = BoxFactor((1, 2), frozenset({1, 2}))
     >>> print(sum_parts([(Poly.one(), (b,)), (Poly.parse("-q12*q21"), (b,))]))
     1
     """
-    parts = [(n, tuple(sorted(den))) for n, den in parts if not n.is_zero()]
-    if len(parts) > 1:
-        common, by_den = _by_den([(n, _ONE, den) for n, den in parts])
-        if all(f.prime for f in common):
-            return _sum_once(common, by_den)
-    return _fold(parts)
+    return _sum_once([(n, _ONE, tuple(sorted(den)))
+                      for n, den in parts if not n.is_zero()])
 
 
 def sum_products(pairs):
@@ -398,11 +370,10 @@ def sum_products(pairs):
 
     A single pair is the product x*y, reduced by ``BoxFraction.__mul__``
     as ``sum_parts`` reduces a single part.  When every operand is a Poly,
-    the sum is one ``Poly.sum_of_products``, a Poly.  When every factor is
-    ``prime``, no product x*y is built on its own: the pairs are grouped by
-    their denominator and accumulated by ``_sum_once``.  Otherwise each
-    product is reduced and added in the order of the pairs, so a
-    one-parameter form cannot change.  Pairs with a zero side are skipped.
+    the sum is one ``Poly.sum_of_products``, a Poly.  Otherwise no product
+    x*y is built on its own: the pairs are grouped by their denominator
+    and accumulated by ``_sum_once``, in every mode.  Pairs with a zero
+    side are skipped.
 
     >>> b = BoxFraction(Poly.one(), (BoxFactor((1, 2), frozenset({1, 2})),))
     >>> print(sum_products([(b, Poly.one()), (b, Poly.parse("-q12*q21"))]))
@@ -418,31 +389,27 @@ def sum_products(pairs):
         (nx, dx), (ny, dy) = as_part(x), as_part(y)
         if not (nx.is_zero() or ny.is_zero()):
             products.append((nx, ny, _den_plus(dx, dy)))
-    if len(products) > 1:
-        common, by_den = _by_den(products)
-        if all(f.prime for f in common):
-            return _sum_once(common, by_den)
-    return _fold((nx * ny, den) for nx, ny, den in products)
+    return _sum_once(products)
 
 
 def over_common(values) -> list:
     """Polys and BoxFractions over their least common denominator, as
-    unreduced BoxFractions, when every factor of it is ``prime``; else the
-    values as they are.  Zeros stay as they are.
+    unreduced BoxFractions; the values as they are when none has a
+    denominator.  Zeros stay as they are.
 
     A sum of products with such values, say a column of a matrix product,
     then hands ``sum_products`` products over one denominator, which it
-    accumulates without multiplying any up, and reduces once.  Where every
-    factor of the sum is prime, its value has one reduced form, so the
-    result is the same.  A value with another factor can reduce to several
-    forms, and ``sum_products`` adds such products in order, so those stay
-    as they are.
+    accumulates without multiplying any up, and reduces once.  The value
+    of each sum is that of the sum of the values as they are.  Over
+    multiparameter boxes of distinct letters so is its form, the one
+    reduced form; over other boxes the larger common denominator can
+    reduce to another form of the same value.
     """
     parts = [as_part(x) for x in values]
     common = ()
     for _, den in parts:
         common = _den_lcm(common, den)
-    if not common or not all(f.prime for f in common):
+    if not common:
         return list(values)
     out = []
     for x, (n, den) in zip(values, parts):

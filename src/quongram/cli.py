@@ -289,8 +289,8 @@ def cmd_contravariant(args, out) -> int:
 # each subdivision of its reversal sequence, so the widest one sets the
 # cost: at n = 8, 4 blocks (43218765) take 0.1 s, 7 blocks (21345678)
 # 46 s and 310 MB, and the identity, with 8 blocks, runs out of memory
-# under a 1.5 GB cap.  One-parameter coefficients stay cheap (3.4 s for
-# the identity at n = 8).
+# under a 1.5 GB cap.  One-parameter coefficients stay cheap (0.16-0.17 s
+# and 29 MB for the identity at n = 8, three runs on a 2-core x86 box).
 COEFF_MAX_BLOCKS = 7
 # Without --coeff every coefficient of the inverse is built, as invert
 # builds it, and decided at the identity word.  n = 6 (720 words) takes

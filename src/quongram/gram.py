@@ -124,13 +124,14 @@ class GramMatrix:
     def matmul(self, o: "GramMatrix") -> "GramMatrix":
         """Matrix product.  Each entry sums its products in one go, as
         ``OpExpansion.__mul__`` does, by one ``boxes.sum_products``, which
-        builds no product on its own where every factor is prime.
+        builds no product on its own, in either mode.
 
         The product is built column by column.  Each column of o is first
-        put over its common denominator, once, where ``boxes.over_common``
-        does so (every factor prime), so its entries' sums multiply no
-        numerator up to a common denominator; only one such column is held
-        at a time."""
+        put over its common denominator, once, by ``boxes.over_common``, so
+        its entries' sums multiply no numerator up to a common denominator;
+        only one such column is held at a time.  Multiparameter entries
+        have one reduced form each; a one-parameter entry is one of the
+        forms of its value."""
         rows = [(row, [k for k, x in enumerate(row)
                        if not (isinstance(x, Poly) and x.is_zero())])
                 for row in self.entries]
@@ -269,10 +270,11 @@ class OpExpansion:
 
         The pairs (g1, g2) are grouped by g = g1 g2 first, and each word's
         entry of the coefficient of g is then summed in one go by
-        ``boxes.sum_products``.  For a generic multiparameter word every
-        box is prime, so the products are accumulated into one numerator
-        and reduced once, and the reduced form is unique; otherwise each
-        product is reduced and added in pair order.
+        ``boxes.sum_products``: the products are accumulated into one
+        numerator over their common denominator and reduced once, in
+        either mode.  For a generic multiparameter word every box is
+        prime, so the reduced form is unique; a one-parameter form depends
+        on the multiset of the products, not on their order.
         """
         groups: dict = {}
         for g1, d1 in self.coefficients.items():
@@ -313,9 +315,10 @@ class GenericOp:
     entry of X(g) at the identity word (see the module docstring).  Values
     are Polys and BoxFractions, and zero values are dropped.
 
-    The operations are those of ``OpExpansion`` read at the identity word,
-    in the same order, so every value has the form the per-word product
-    gives there.
+    The operations are those of ``OpExpansion`` read at the identity word:
+    each value is summed once, by ``boxes.sum_products``, from the products
+    the per-word operation sums there, so it has the form that operation
+    gives there, also in one-parameter mode, where forms are not unique.
     """
 
     __slots__ = ("basis", "coefficients")
@@ -363,9 +366,10 @@ class GenericOp:
 
     def __mul__(self, o: "GenericOp") -> "GenericOp":
         """(XY)_g = Σ_{g₁g₂=g} x_{g₁} · g₁(y_{g₂}), the pairs grouped by g
-        in the order of ``OpExpansion.__mul__`` and each group summed by
-        ``boxes.sum_products``.  One renaming is built per g₁, and each y_{g₂}
-        is renamed by it once, within this call."""
+        as in ``OpExpansion.__mul__`` and each group summed once over its
+        common denominator by ``boxes.sum_products``, in either mode.  One
+        renaming is built per g₁, and each y_{g₂} is renamed by it once,
+        within this call."""
         e = self.basis.words[0]
         groups: dict = {}
         for g1, x in self.coefficients.items():

@@ -130,10 +130,12 @@ class Universe:
         """Sum of sign / prod_T Box_T over (sign, [T, ...]) terms, each T
         a range of 1-based positions of the letter tuple.
 
-        Symbolically this is one ``boxes.sum_parts``: reduced once for a
-        generic multiparameter word, a running sum of reduced terms
-        otherwise.  Numerically it is one ``GaussRat.sum_of_products`` of
-        the cached inverse box values, reduced once.
+        Symbolically this is one ``boxes.sum_parts``: the terms summed
+        over their common denominator and reduced once, in either mode (a
+        unique form for a generic multiparameter word, one of the forms of
+        the value in one-parameter mode).  Numerically it is one
+        ``GaussRat.sum_of_products`` of the cached inverse box values,
+        reduced once.
         """
         if self.assignment is None:
             return sum_parts([
@@ -771,9 +773,9 @@ def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
         [A^(ν)]⁻¹_ij = Σ_{w̃ ∈ φ⁻¹(w_j)} φ([Ã]⁻¹_{ĩ, w̃}),  ĩ any lift of w_i.
 
     Only the rows of the lifts ĩ are read, one per word of ν, so only
-    those are computed (``LambdaTable.row``).  Each fiber is summed in
-    generic labels, where every multiparameter box is prime, then mapped
-    along φ and reduced.
+    those are computed (``LambdaTable.row``).  Each fiber is summed once
+    in generic labels, where every multiparameter box is prime, then
+    mapped along φ and reduced.
     """
     if nu.generic:
         return inv_full(nu, "fast", one_param).to_matrix()

@@ -419,10 +419,23 @@ EXPANSION_GOLDENS = [
      "77883776370ffead86e109a2bbded99ad08975c2046febdc77c7359d7c628317")
     for m in ("fast", "long", "short", "chains", "zagier")]
 
+# One-parameter reduced forms are not unique, and invert --n 5 --one-param
+# prints three: one by fast, one by long, short and chains, one by zagier.
+# Recorded from the running sums that added one-parameter parts in order.
+EXPANSION_GOLDENS += [
+    (("invert", "--n", "5", "--one-param", "--method", "fast"), 888090,
+     "d2bd393d565876bf7d589ee18a0337f828507e588182c2bd43073c039acc6961"),
+    (("invert", "--n", "5", "--one-param", "--method", "long"), 911370,
+     "3da31c8a01657bcd3d613e07d57ae9558358de41b635f6e8f84a37503a1af22c"),
+    (("invert", "--n", "5", "--one-param", "--method", "zagier"), 1473210,
+     "a45b202c77ecabe8ec01a2a93746efa6e3b69b53cbd7aa39c73a35aab8e25061"),
+]
+
 
 # Byte length and sha256 of zagier-check reports, recorded from the check
 # that ran at every (coefficient, word) pair: the full sweep at n = 5 in
-# each mode and format, and one coefficient of S_5, S_6 and S_8.  The
+# each mode and format, the one-parameter sweep at n = 6, and one
+# coefficient of S_5, S_6 and S_8.  The
 # original conjecture fails at 43218765, and a failing report exits 1.
 ZAGIER_GOLDENS = [
     (("zagier-check", "--n", "5", "--mode", "multi", "--format", "text"), 30,
@@ -456,6 +469,8 @@ ZAGIER_GOLDENS = [
     (("zagier-check", "--n", "5", "--mode", "extended-multi", "--coeff",
       "21435"), 35,
      "8ed0173989019e552ade2c5b91e16c09f5fb83dfe25b9e2b9120c96d5d727b1e"),
+    (("zagier-check", "--n", "6", "--mode", "one-param"), 35,
+     "f6fc328f88ad828a805354adef8009babfb8e9ea660dac41562546ebb5f4dc3d"),
 ]
 INVERT_GOLDENS = (DEGENERATE_GOLDENS + MATRIX_GOLDENS + EXPANSION_GOLDENS
                   + ZAGIER_GOLDENS)

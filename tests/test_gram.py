@@ -409,17 +409,18 @@ def _matmul_by_entry_sums(x, y):
 
 
 def test_matmul_columns_over_one_denominator_n4():
+    # in both modes every column of the inverse is lifted to its common
+    # denominator, and each entry is summed once
     nu = Weight.generic_n(4)
-    A = build_generic(nu)
-    inv = inv_full(nu, "fast").to_matrix()
-    # every column of the inverse has prime factors only, so each is lifted
-    assert all(f.prime for e in itertools.chain.from_iterable(inv.entries)
-               if not isinstance(e, Poly) for f in e.den)
-    prod = A.matmul(inv)
-    assert prod.to_json() == _matmul_by_entry_sums(A, inv).to_json()
-    size = A.basis.size
-    assert prod.to_json()["entries"] == [
-        ["1" if i == j else "0" for j in range(size)] for i in range(size)]
+    for one_param in (False, True):
+        A = build_generic(nu, one_param)
+        inv = inv_full(nu, "fast", one_param).to_matrix()
+        prod = A.matmul(inv)
+        assert prod.to_json() == _matmul_by_entry_sums(A, inv).to_json()
+        size = A.basis.size
+        assert prod.to_json()["entries"] == [
+            ["1" if i == j else "0" for j in range(size)]
+            for i in range(size)]
 
 
 @pytest.mark.parametrize("one_param", [False, True])
