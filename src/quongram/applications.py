@@ -39,8 +39,7 @@ __all__ = [
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .ring import Poly, pair_var
 from .fock import Weight
@@ -60,13 +59,11 @@ def symmetrize(p: Poly) -> Poly:
                       if v[0] == "q" and v[1] > v[2] else v)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(namedtuple("Edge", "subset multiplicity")):
     """A k-equal subspace x_{i_1} = ... = x_{i_k} with its weight monomial
-    and determinant multiplicity."""
+    and determinant multiplicity; subset holds increasing labels, k >= 2."""
 
-    subset: tuple  # increasing labels, k >= 2
-    multiplicity: int
+    __slots__ = ()
 
     def weight(self) -> Poly:
         return Poly.monomial(pair_var(i, j) for i, j in
@@ -92,12 +89,10 @@ def varchenko_matrix(n: int) -> GramMatrix:
                      lambda x, y: pair_var(min(x, y), max(x, y)))
 
 
-@dataclass(frozen=True)
-class VarchenkoDet:
+class VarchenkoDet(namedtuple("VarchenkoDet", "n edges")):
     """det B_n as a product over the edges of the k-equal arrangements."""
 
-    n: int
-    edges: tuple
+    __slots__ = ()
 
     def expand(self) -> Poly:
         return _product((e.factor(), e.multiplicity) for e in self.edges)
@@ -180,13 +175,12 @@ def _signed_sum(terms) -> str:
     return out[3:] if out.startswith(" + ") else "-" + out[3:]
 
 
-class TLaurent(NamedTuple):
+class TLaurent(namedtuple("TLaurent", "low coeffs")):
     """sum_i coeffs[i] t^(low + i), a Laurent polynomial in t = q^{1/4}.
     Build it with ``t_laurent``, which drops zero end coefficients, so
     equal values are equal tuples."""
 
-    low: int
-    coeffs: tuple
+    __slots__ = ()
 
     def __str__(self):
         return _signed_sum(
@@ -206,21 +200,20 @@ def t_laurent(low: int, coeffs) -> TLaurent:
     return TLaurent(low + k if coeffs else 0, tuple(coeffs[k:]))
 
 
-@dataclass(frozen=True)
-class BilinearData:
+class BilinearData(namedtuple("BilinearData", "n b")):
     """A symmetric integer matrix b_{ij} = (alpha_i, alpha_j) of simple-root
     inner products; only the off-diagonal entries enter the weight-(1,...,1)
-    form."""
+    form.  b maps each pair (i, j) with i < j to an int."""
 
-    n: int
-    b: dict  # (i, j) with i < j -> int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for (i, j), v in self.b.items():
-            if not (1 <= i < j <= self.n):
+    def __new__(cls, n: int, b: dict):
+        for (i, j), v in b.items():
+            if not (1 <= i < j <= n):
                 raise ValueError(f"bad pair {(i, j)}")
             if not isinstance(v, int):
                 raise ValueError("integer b matrix required")
+        return super().__new__(cls, n, b)
 
     @staticmethod
     def constant(n: int, c: int) -> "BilinearData":
@@ -307,16 +300,15 @@ def contravariant_matrix(n: int) -> GramMatrix:
     return mat
 
 
-@dataclass(frozen=True)
-class ContravariantDet:
-    """det S, kept factored: one factor per letter subset of size >= 2.
+class ContravariantDet(namedtuple("ContravariantDet", "n factors")):
+    """det S, kept factored: one factor per letter subset of size >= 2,
+    factors = ((subset, exponent), ...).
 
     With x_S = prod_{k<l in S} u_kl and u_all = x_{1..n},
     det S = u_all^{-n!} * P, P = prod_S (1 - x_S^4)^{e_S}.
     """
 
-    n: int
-    factors: tuple  # ((subset, exponent), ...)
+    __slots__ = ()
 
     def polynomial(self) -> Poly:
         """P, with the Poly variable x_kl = Poly.var(k, l) for u_kl."""

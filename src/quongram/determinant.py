@@ -82,7 +82,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .ring import Poly, GaussRat, NotDivisible, SINGLE_Q, check_assignment
@@ -121,20 +121,18 @@ def _product_str(pairs) -> str:
                       for p, e in pairs) or "1"
 
 
-@dataclass(frozen=True)
-class DetFormula:
+class DetFormula(namedtuple("DetFormula", "weight factors")):
     """Factored determinant: multiset of box factors with exponents.
 
     factors: tuple of (letters: sorted tuple of labels, exponent), kept in
     one canonical order, by size and then by letters, so that equal
     formulas compare and hash equal however they were assembled."""
 
-    weight: Weight
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(
-            sorted(self.factors, key=lambda t: (len(t[0]), t[0]))))
+    def __new__(cls, weight: Weight, factors):
+        return super().__new__(cls, weight, tuple(
+            sorted(factors, key=lambda t: (len(t[0]), t[0]))))
 
     def _boxes(self) -> list:
         """(box polynomial, exponent) of each factor, in order."""
@@ -153,12 +151,11 @@ class DetFormula:
         return _product_str(self._boxes())
 
 
-@dataclass(frozen=True)
-class OneParamDet:
-    """One-parameter factored determinant ∏_k (1−q^{k(k−1)})^{e_k}."""
+class OneParamDet(namedtuple("OneParamDet", "n factors")):
+    """One-parameter factored determinant ∏_k (1−q^{k(k−1)})^{e_k},
+    factors = ((k, exponent), ...) with k >= 2."""
 
-    n: int
-    factors: tuple  # tuple of (k, exponent), k >= 2
+    __slots__ = ()
 
     def expand(self) -> Poly:
         return _product((_box_poly(tuple(range(1, k + 1)), True), e)
@@ -1068,16 +1065,14 @@ def positivity_check(nu: Weight, assignment) -> bool:
         build_degenerate(nu).evaluate(assignment, "hermitian"))
 
 
-@dataclass(frozen=True)
-class Divisibility:
+class Divisibility(namedtuple("Divisibility", "divides certified")):
     """The verdict of det_divides, truthy when it divides.
 
     certified says whether the verdict is proved.  It is False only for a
     dividing slice at |ν| ≥ 4: one slice that divides is evidence, not
     proof, while a slice that does not divide proves non-divisibility."""
 
-    divides: bool
-    certified: bool
+    __slots__ = ()
 
     def __bool__(self):
         return self.divides

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from .ring import Poly
 
 
@@ -63,20 +63,21 @@ class Word(tuple):
         return Word(int(ch) for ch in s)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Multiplicity vector ν: how many times each label occurs."""
+class Weight(namedtuple("Weight", "multiplicities")):
+    """Multiplicity vector ν: how many times each label occurs, kept as the
+    sorted tuple of (label, count) pairs, counts >= 1.  It is built from a
+    dict, whose zero counts are dropped, or from the pairs."""
 
-    multiplicities: tuple  # sorted tuple of (label, count), counts >= 1
+    __slots__ = ()
 
-    def __init__(self, multiplicities):
+    def __new__(cls, multiplicities):
         if isinstance(multiplicities, dict):
             items = tuple(sorted((k, v) for k, v in multiplicities.items() if v))
         else:
             items = tuple(sorted(multiplicities))
         if any(c < 0 for _, c in items):
             raise ValueError("negative multiplicity")
-        object.__setattr__(self, "multiplicities", items)
+        return super().__new__(cls, items)
 
     @property
     def size(self) -> int:

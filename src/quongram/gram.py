@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .ring import (Poly, Renaming, SINGLE_Q, check_assignment,
@@ -53,18 +52,17 @@ def _qvar(i, j, one_param: bool) -> Poly:
     return Poly.single_q() if one_param else Poly.var(i, j)
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(namedtuple("Basis", "weight words")):
     """All words of one weight, lexicographically sorted.
 
     A basis is derived from its weight: ``Basis.of_weight`` is the way to
     get one, and equal weights share one instance (and its index map), so
     no function needs a weight and its basis both.  ``act(g)`` is the place
     permutation R(g) on word indices.
-    """
 
-    weight: Weight
-    words: tuple
+    It declares no ``__slots__``: the index map is cached in the instance
+    dict, outside the tuple, so equality and hashing see only the fields.
+    """
 
     @staticmethod
     @lru_cache(maxsize=16)
@@ -91,11 +89,9 @@ class Basis:
         return Renaming(dict(zip(self.words[0], w)))
 
     def _index_map(self):
-        # cached lazily on the instance
         m = getattr(self, "_imap", None)
         if m is None:
-            m = {w: k for k, w in enumerate(self.words)}
-            object.__setattr__(self, "_imap", m)
+            m = self._imap = {w: k for k, w in enumerate(self.words)}
         return m
 
     @property
@@ -103,12 +99,14 @@ class Basis:
         return self.weight.size
 
 
-@dataclass
 class GramMatrix:
     """Dense square matrix over a word basis (Poly or BoxFraction entries)."""
 
-    basis: Basis
-    entries: list
+    __slots__ = ("basis", "entries")
+
+    def __init__(self, basis: Basis, entries: list):
+        self.basis = basis
+        self.entries = entries
 
     def __getitem__(self, ij):
         i, j = ij
@@ -178,12 +176,19 @@ class GramMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
 class DiagOp:
     """Diagonal operator: one value per basis word, multiplied entrywise."""
 
-    basis: Basis
-    diagonal: tuple
+    __slots__ = ("basis", "diagonal")
+
+    def __init__(self, basis: Basis, diagonal: tuple):
+        self.basis = basis
+        self.diagonal = diagonal
+
+    def __eq__(self, o):
+        if o.__class__ is not DiagOp:
+            return NotImplemented
+        return (self.basis, self.diagonal) == (o.basis, o.diagonal)
 
     @staticmethod
     def identity(basis: Basis) -> "DiagOp":
@@ -612,7 +617,6 @@ def factor_CD(nu: Weight, m: int, one_param: bool = False):
 # degenerate -> generic embedding
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Embedding:
     """Generic model of a degenerate weight, and the push-down from it.
 
@@ -626,10 +630,14 @@ class Embedding:
     chosen, because φ∘h = φ for every relabelling h within the fibers.
     """
 
-    weight: Weight
-    generic_weight: Weight
-    phi: dict          # fresh label (1..n) -> original letter
-    fibers: dict       # original letter -> tuple of fresh labels
+    __slots__ = ("weight", "generic_weight", "phi", "fibers")
+
+    def __init__(self, weight: Weight, generic_weight: Weight, phi: dict,
+                 fibers: dict):
+        self.weight = weight
+        self.generic_weight = generic_weight
+        self.phi = phi        # fresh label (1..n) -> original letter
+        self.fibers = fibers  # original letter -> tuple of fresh labels
 
     def lift(self, w) -> Word:
         """Canonical preimage, the first word of the fiber: occurrences of

@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (Poly, GaussRat, SINGLE_Q, Renaming, pair_var,
@@ -416,7 +415,6 @@ def _coefficient(lam: BoxFraction, e, g: Perm, one_param: bool
     return _raw(lam.num * q_of_perm(e, g.inverse(), one_param), lam.den)
 
 
-@dataclass
 class LambdaTable:
     """[A]^{-1} = sum_g Lambda(g) Rhat(g) = sum_g x_g R(g): nonzero
     coefficients only, one value per permutation.
@@ -433,9 +431,12 @@ class LambdaTable:
     divided out once per g.
     """
 
-    basis: Basis
-    one_param: bool
-    coefficients: dict  # Perm -> Poly or BoxFraction, x_g at the identity word
+    __slots__ = ("basis", "one_param", "coefficients")
+
+    def __init__(self, basis: Basis, one_param: bool, coefficients: dict):
+        self.basis = basis
+        self.one_param = one_param
+        self.coefficients = coefficients
 
     def _lambda_at_e(self, g: Perm) -> BoxFraction:
         """Lambda(g) at the identity word: x_g divided exactly by the
@@ -799,19 +800,22 @@ def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
 # denominator conjecture checks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ZagierReport:
     """Polynomiality report for a claimed common denominator: ``checked``
     counts the matrix entries decided, n! per coefficient (one with
     ``coeff``), and ``failures`` lists each entry left with a denominator
     as (perm, word, leftover)."""
 
-    mode: str
-    n: int
-    one_param: bool
-    checked: int = 0
-    failures: list = field(default_factory=list)  # (perm, word, leftover)
-    notes: str = ""
+    __slots__ = ("mode", "n", "one_param", "checked", "failures", "notes")
+
+    def __init__(self, mode: str, n: int, one_param: bool, checked: int = 0,
+                 failures: list | None = None, notes: str = ""):
+        self.mode = mode
+        self.n = n
+        self.one_param = one_param
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.notes = notes
 
     @property
     def passed(self) -> bool:

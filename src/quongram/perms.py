@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -157,16 +157,14 @@ def longest_element(a: int, b: int, n: int) -> Perm:
     return Perm(img)
 
 
-@dataclass(frozen=True)
-class YoungData:
+class YoungData(namedtuple("YoungData", "cuts blocks")):
     """Minimal Young subgroup containing g.
 
-    cuts: the set J(g) = {j < n : g({1..j}) = {1..j}};
+    cuts: the set J(g) = {j < n : g({1..j}) = {1..j}}, a frozenset;
     blocks: intervals (a, b) of the subdivision carved out by the cuts.
     """
 
-    cuts: frozenset
-    blocks: tuple
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6

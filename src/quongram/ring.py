@@ -49,12 +49,12 @@ __all__ = [
 
 import heapq
 import threading
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Mapping
 
 # A variable is a tuple: ('q', i, j) for the pair parameter attached to the
 # ordered label pair (i, j), or ('s',) for the single one-parameter variable.
@@ -990,11 +990,21 @@ def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
                    mode: str) -> GaussRat:
     """The value of p under an assignment already checked against the mode
     (``check_assignment``); the term loop of ``Poly.evaluate``, reduced
-    once (``GaussRat.sum_of_products``)."""
-    return GaussRat.sum_of_products(
-        (c, [x for v, e in _decode(m)
-             for x in (param_value(assignment, v, mode),) * e])
-        for m, c in p._t.items())
+    once (``GaussRat.sum_of_products``).  Each packed key's fields are read
+    in place, as ``_decode`` reads them, with no monomial built or sorted:
+    the product is exact, so the order of its factors does not matter."""
+    def factors(key):
+        out = []
+        for v in _VARS:
+            key >>= _FIELD
+            if not key:
+                break
+            e = key & _DEGREE
+            if e:
+                out += (param_value(assignment, v, mode),) * e
+        return out
+
+    return GaussRat.sum_of_products((c, factors(m)) for m, c in p._t.items())
 
 
 def param_value(assignment: Mapping[ParamVar, GaussRat], v: ParamVar,

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -37,18 +37,30 @@ def _word(a: int, b: int) -> str:
     return "".join(str(x) for x in range(a, b + 1))
 
 
-@dataclass(frozen=True)
 class Subdivision:
-    """Ordered interval partition of {1..n}."""
+    """Ordered interval partition of {1..n}.
 
-    intervals: tuple  # ((a1,b1),(a2,b2),...) with b_k + 1 = a_{k+1}
+    Its order ``<`` is partial (``less_than``), so it is not a tuple: a tuple
+    would compare lexicographically under ``<=``."""
 
-    def __post_init__(self):
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple):
+        # ((a1,b1),(a2,b2),...) with b_k + 1 = a_{k+1}
         prev = 0
-        for a, b in self.intervals:
+        for a, b in intervals:
             if a != prev + 1 or b < a:
-                raise ValueError(f"not an interval partition: {self.intervals}")
+                raise ValueError(f"not an interval partition: {intervals}")
             prev = b
+        self.intervals = intervals
+
+    def __eq__(self, o):
+        if o.__class__ is not Subdivision:
+            return NotImplemented
+        return self.intervals == o.intervals
+
+    def __hash__(self):
+        return hash((self.intervals,))
 
     @property
     def n(self) -> int:
@@ -131,12 +143,12 @@ def covers(s: Subdivision):
     return out
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(namedtuple("Chain", "members")):
     """A maximal-interval chain bottom = sigma0 < sigma1 < ... < sigmam,
-    excluding the discrete top element."""
+    excluding the discrete top element: members is a tuple of
+    Subdivisions, members[0] == bottom(n)."""
 
-    members: tuple  # Subdivisions, members[0] == bottom(n)
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -174,13 +186,12 @@ def enumerate_chains(n: int):
     return out
 
 
-@dataclass(frozen=True)
-class Bracketing:
+class Bracketing(namedtuple("Bracketing", "n brackets")):
     """A laminar family of nondegenerate intervals of {1..n} (the bracket
-    pairs), always containing the outer interval (1, n) for chains."""
+    pairs), always containing the outer interval (1, n) for chains;
+    brackets is a frozenset of (a, b) with b > a."""
 
-    n: int
-    brackets: frozenset  # of (a,b) with b > a
+    __slots__ = ()
 
     def __str__(self):
         closes: dict = {}

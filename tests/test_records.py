@@ -14,7 +14,7 @@ from quongram.determinant import (DetFormula, Divisibility, det_formula,
 from quongram.fock import Weight
 from quongram.gram import Basis, DiagOp, build_generic, embed_degenerate
 from quongram.inverse import ZagierReport, inv_full
-from quongram.perms import Perm, YoungData, young_data
+from quongram.perms import YoungData
 from quongram.subdiv import Subdivision, chain_to_bracketing, enumerate_chains
 
 NU = Weight({2: 1, 1: 2})
@@ -181,9 +181,3 @@ def test_record_semantics(name):
             assert z == x
     if extra is not None:
         extra()
-
-
-def test_young_data_is_cached_per_permutation():
-    g = Perm((2, 1, 3, 5, 4))
-    assert young_data(g) is young_data(g)
-    assert young_data(g) == CASES["YoungData"][0]()

@@ -215,6 +215,20 @@ def test_evaluate_modes(rng):
         p.evaluate(bad, "hermitian")
 
 
+def test_evaluate_reads_every_exponent_and_needs_every_variable():
+    # exponents above 1, and variables whose fields are not in sorted order
+    p = (Poly.var(3, 1) ** 2 * Poly.var(1, 2) * Poly.var(2, 3) ** 3
+         - Poly.var(1, 2).scale(5))
+    x, y, z = GaussRat.of(2, 1), GaussRat.of(0, -1), GaussRat(Fraction(1, 3))
+    a = {("q", 3, 1): x, ("q", 1, 2): y, ("q", 2, 3): z}
+    assert p.evaluate(a) == x * x * y * z * z * z - GaussRat.of(5) * y
+    assert (p.evaluate({SINGLE_Q: x}, "one-param")
+            == x * x * x * x * x * x - GaussRat.of(5) * x)
+    del a[("q", 2, 3)]
+    with pytest.raises(KeyError, match="q23"):
+        p.evaluate(a)
+
+
 def _hermitian_by_conj(a):
     """The hermitian rule written with conj() and GaussRat equality."""
     for v, val in a.items():
