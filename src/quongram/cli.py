@@ -21,7 +21,7 @@ import sys
 
 from .ring import random_hermitian
 from .fock import Word, Weight, inner_product, check_ccr
-from .perms import Perm, all_perms, young_data, young_sequence
+from .perms import Perm, all_perms, reversal_record, children
 from .gram import build_generic, build_degenerate
 from .boxes import BoxFraction
 from . import determinant as det_mod
@@ -202,8 +202,8 @@ def cmd_invert(args, out) -> int:
 
 
 # count tree-like walks the reversal sequence of each of the n!
-# permutations, all held in one list: n = 8 takes 3.4 s and 26 MB, n = 9
-# 26.6 s, and n = 11 passed 2 GB.  count bracketings lists every
+# permutations, all held in one list: n = 8 takes 0.7 s and 26 MB, n = 9
+# 5.4 s and 77 MB, and n = 11 passed 2 GB.  count bracketings lists every
 # bracketing: n = 10 takes 1.7-1.8 s and 164 MB; n = 11 lists five times
 # as many.
 TREE_LIKE_MAX_N = 8
@@ -301,16 +301,17 @@ ZAGIER_MAX_WORDS = 720
 
 
 def _widest_subdivision(g: Perm) -> int:
-    """The most blocks of a subdivision that Lambda(g) of a tree-like g
-    sums over, walked as ``inverse._closed_form`` walks its reversal
-    sequence: the blocks of g, then the blocks of each next level inside
-    each block of the level before."""
-    subs = [young_data(h).blocks for h in (g, *young_sequence(g)[0])]
-    widest = len(subs[0])
-    for outer, inner in zip(subs, subs[1:]):
-        for a, b in outer:
-            widest = max(widest, sum(a <= x and y <= b for x, y in inner))
-    return widest
+    """The most blocks of a subdivision that Lambda(g) sums over, read off
+    the reversal record of g as ``inverse._closed_form`` reads it: the
+    blocks of g, then the children of each block of each level.  0 when g
+    is not tree-like, and Lambda(g) is 0."""
+    levels = reversal_record(g)
+    if levels is None:
+        return 0
+    subs = [blocks for _, blocks in levels]
+    return max([len(subs[0])] + [
+        len(sub) for outer, inner in zip(subs, subs[1:])
+        for _, sub in children(outer, inner)])
 
 
 def cmd_zagier_check(args, out) -> int:
@@ -321,7 +322,7 @@ def cmd_zagier_check(args, out) -> int:
         _check_size(f"zagier-check of every coefficient at n = {args.n}",
                     math.factorial(args.n), "words", ZAGIER_MAX_WORDS,
                     "; give --coeff to check one coefficient")
-    elif mode in ("multi", "extended-multi") and young_sequence(coeff)[1]:
+    elif mode in ("multi", "extended-multi"):
         _check_size(f"zagier-check of the coefficient {coeff}",
                     _widest_subdivision(coeff), "blocks", COEFF_MAX_BLOCKS,
                     "; --mode one-param checks it in one parameter")

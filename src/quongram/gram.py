@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from .ring import (Poly, Renaming, SINGLE_Q, check_assignment,
                    evaluate_terms, pair_var)
-from .boxes import over_common, sum_products
+from .boxes import as_part, over_common, sum_products
 from .fock import Word, Weight
 from .perms import Perm, cycle
 
@@ -153,16 +153,23 @@ class GramMatrix:
         return [[values[id(e)] for e in row] for row in self.entries]
 
     def evaluate(self, assignment, mode: str = "free") -> list:
-        """The Poly entries at an exact point, as rows of GaussRat values.
+        """The entries at an exact point, as rows of GaussRat values.
 
-        The assignment is checked against the mode once
-        (``check_assignment``), then each distinct entry object runs the
-        unchecked term loop of ``Poly.evaluate`` once (``map_distinct``);
-        positions sharing an entry share its immutable value.
+        The point is checked against the mode once (``check_assignment``);
+        then each distinct entry, a Poly being a fraction over no boxes
+        (``boxes.as_part``), is evaluated once (``map_distinct``) as
+        ``BoxFraction.evaluate`` does, on the unchecked ``evaluate_terms``.
         """
         check_assignment(assignment, mode)
-        return self.map_distinct(
-            lambda e: evaluate_terms(e, assignment, mode))
+
+        def value(e):
+            num, den = as_part(e)
+            val = evaluate_terms(num, assignment, mode)
+            for box in den:
+                val = val / evaluate_terms(box.expand(), assignment, mode)
+            return val
+
+        return self.map_distinct(value)
 
     def to_json(self):
         return {"weight": str(self.basis.weight),

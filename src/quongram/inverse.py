@@ -17,9 +17,12 @@ twisted group algebra (``gram.GenericOp``), where
 
 Five independent routes produce the same table:
 
-* ``fast``   -- the two-step Young-factor reversal recursion, with the
+* ``fast``   -- the two-step Young-factor reversal recursion.  The
   closed-form product (global sign, Q-factors on the odd reversal levels)
-  asserted against it;
+  is asserted against it only where ``lambda_scalar`` runs with its
+  default ``check_closed``: ``zagier_check`` of one coefficient
+  (``zagier-check --coeff``), the symbolic-det benchmark workload and the
+  tests; ``inv_full`` and ``inverse_matrix_at`` skip it;
 * ``long``   -- inclusion-exclusion over all interval subdivisions;
 * ``short``  -- the leading-block recursion (n-1 terms per interval);
 * ``chains`` -- the signed sum of Psi-products over subdivision chains;
@@ -54,8 +57,8 @@ from .ring import (Poly, GaussRat, SINGLE_Q, Renaming, pair_var,
 from .boxes import (BoxFactor, BoxFraction, as_part, sum_parts, _den_minus,
                     _raw)
 from .fock import Word, Weight
-from .perms import (Perm, all_perms, longest_element, young_data,
-                    young_sequence, block_reversal, unimodal_subset)
+from .perms import (Perm, all_perms, longest_element, reversal_record,
+                    children, unimodal_subset)
 from .subdiv import enumerate_bracketings, enumerate_chains
 from .gram import (Basis, GramMatrix, GenericOp, q_mono, q_of_perm,
                    build_generic, embed_degenerate)
@@ -77,10 +80,8 @@ class Universe:
     caches of a numeric universe, live exactly as long as that call; no
     two calls share them.  The memos key a word by its letters, or in
     one-parameter mode by its length, on which one-parameter values
-    depend.  The Lambda memo holds every value ``lambda_scalar`` returns,
-    which the recursion reads again at shorter words; ``inverse_matrix_at``
-    reads each full-length value once, at its own word, and leaves it out
-    of the memo, so the memo holds only sub-word values.
+    depend.  The Lambda memo holds only the values the recursion reads
+    again, at shorter words.
 
     A numeric universe owns its point.  It checks the assignment against
     its mode once, at construction, with ``ring.check_assignment`` (the
@@ -205,8 +206,7 @@ def _restrict(g: Perm, a: int, b: int) -> Perm:
 # ---------------------------------------------------------------------------
 
 
-def lambda_sigma(letters, blocks, one_param: bool = False,
-                 universe: Universe | None = None):
+def lambda_sigma(letters, blocks, one_param: bool = False):
     """Thickened identity coefficient of a subdivision of the positions.
 
     ``blocks`` is a tuple of intervals (a, b) partitioning 1..len(letters);
@@ -217,15 +217,16 @@ def lambda_sigma(letters, blocks, one_param: bool = False,
         sum over bracketings beta of 1..l with outer brackets of
         (-1)^(b(beta)+l-1) / prod_{[a..b] in beta} Box(J_a u ... u J_b)
 
-    A single block gives 1.  A given universe fixes the mode; without one,
-    the call builds its own from ``one_param``.
+    A single block gives 1.
 
     >>> print(lambda_sigma((1, 2, 3), ((1, 1), (2, 2), (3, 3))))
     (1 - q12*q21*q23*q32) / Box{1,2} Box{1,2,3} Box{2,3}
     """
-    u = universe or Universe(one_param)
-    letters = tuple(letters)
-    blocks = tuple(blocks)
+    return _sigma(tuple(letters), tuple(blocks), Universe(one_param))
+
+
+def _sigma(letters: tuple, blocks: tuple, u: Universe):
+    """lambda_sigma computed in u, through its sigma memo."""
     key = (u.key(letters), blocks)
     cached = u.sigma_memo.get(key)
     if cached is not None:
@@ -246,33 +247,33 @@ def _singletons(m: int) -> tuple:
     return tuple((k, k) for k in range(1, m + 1))
 
 
-@lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
 def tree_like(g: Perm) -> bool:
     """Whether the block-reversal sequence of g reaches the identity."""
-    return young_sequence(g)[1]
+    return reversal_record(g) is not None
 
 
 def lambda_scalar(letters, g: Perm, one_param: bool = False,
-                  universe: Universe | None = None,
                   check_closed: bool = True):
     """The inverse coefficient Lambda(g) for a single word (given by its
     letter tuple); the workhorse behind every per-permutation method.
 
     Computed by the literal two-step reversal recursion; when
     ``check_closed`` is set, the closed-form product over the whole reversal
-    sequence is evaluated independently and asserted equal.  A given
-    universe fixes the mode; without one, the call builds its own from
-    ``one_param``.
+    sequence is evaluated independently and asserted equal.
     """
-    u = universe or Universe(one_param)
     letters = tuple(letters)
-    m = len(letters)
-    if g.n != m:
-        raise ValueError(f"permutation degree {g.n} != word length {m}")
+    if g.n != len(letters):
+        raise ValueError(f"permutation degree {g.n} != word length "
+                         f"{len(letters)}")
+    return _lambda(letters, g, Universe(one_param), check_closed)
+
+
+def _scalar(letters: tuple, g: Perm, u: Universe):
+    """Lambda(g) at a sub-word, computed in u, through its Lambda memo."""
     key = (u.key(letters), g)
     val = u.lambda_memo.get(key)
     if val is None:
-        val = u.lambda_memo[key] = _lambda(letters, g, u, check_closed)
+        val = u.lambda_memo[key] = _lambda(letters, g, u, False)
     return val
 
 
@@ -280,7 +281,7 @@ def _lambda(letters: tuple, g: Perm, u: Universe, check_closed: bool):
     """Lambda(g) at the word with these letters, computed in u but not
     kept in its Lambda memo."""
     if g.is_identity():
-        return lambda_sigma(letters, _singletons(len(letters)), universe=u)
+        return _sigma(letters, _singletons(len(letters)), u)
     if not tree_like(g):
         return u.const(0)
     val = _fast_step(letters, g, u)
@@ -293,23 +294,18 @@ def _lambda(letters: tuple, g: Perm, u: Universe, check_closed: bool):
 
 @lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
 def _step_plan(g: Perm) -> tuple:
-    """What _fast_step needs of g alone, for every word: (sign, blocks,
-    subs, q_ranges, restricted).  blocks are the minimal Young blocks
-    J(g); subs pairs each block (a, b) with b > a with the blocks of
-    sigma(g') inside it, renumbered from 1; q_ranges are the ranges of the
-    blocks of sigma(g') with more than one position; restricted pairs each
-    such block (a, b) with g'' confined to it (see _restrict)."""
-    m = g.n
-    blocks = young_data(g).blocks
-    gp = g * block_reversal(blocks, m)
-    blocks_p = young_data(gp).blocks
+    """What _fast_step needs of a tree-like g other than the identity, for
+    every word, from its reversal record: (sign, blocks, subs, q_ranges,
+    restricted).  blocks are J(g); subs are their ``children`` in
+    sigma(g'); q_ranges are the ranges of the blocks of sigma(g') with
+    more than one position; restricted pairs each such block (a, b) with
+    g'' confined to it (``_restrict``); an identity g' has none."""
+    levels = reversal_record(g)
+    (_, blocks), (_, blocks_p) = levels[:2]
     sign = 1 if (len(blocks) + len(blocks_p)) % 2 == 0 else -1
-    subs = tuple(((a, b), tuple((x - (a - 1), y - (a - 1))
-                                for x, y in blocks_p if a <= x and y <= b))
-                 for a, b in blocks if b > a)
-    gpp = gp * block_reversal(blocks_p, m)
+    subs = tuple(children(blocks, blocks_p))
     q_ranges = tuple(range(a, b + 1) for a, b in blocks_p if b > a)
-    restricted = tuple(((a, b), _restrict(gpp, a, b))
+    restricted = tuple(((a, b), _restrict(levels[2][0], a, b))
                        for a, b in blocks_p if b > a)
     return sign, blocks, subs, q_ranges, restricted
 
@@ -325,13 +321,10 @@ def _fast_step(letters: tuple, g: Perm, u: Universe):
     and K running over the blocks of sigma(g').
     """
     sign, blocks, subs, q_ranges, restricted = _step_plan(g)
-    factors = [lambda_sigma(letters, blocks, universe=u)]
-    factors += [lambda_sigma(letters[a - 1:b], sub, universe=u)
-                for (a, b), sub in subs]
+    factors = [_sigma(letters, blocks, u)]
+    factors += [_sigma(letters[a - 1:b], sub, u) for (a, b), sub in subs]
     factors += [u.q_block(letters, positions) for positions in q_ranges]
-    factors += [lambda_scalar(letters[a - 1:b], h, universe=u,
-                              check_closed=False)
-                for (a, b), h in restricted]
+    factors += [_scalar(letters[a - 1:b], h, u) for (a, b), h in restricted]
     return u.product(sign, factors)
 
 
@@ -339,22 +332,15 @@ def _closed_form(letters: tuple, g: Perm, u: Universe):
     """The full reversal-sequence product for a tree-like permutation:
     global sign from the total excess of block sizes over block counts,
     relative thickened factors at every level, Q-monomials on odd levels."""
-    seq = [g, *young_sequence(g)[0]]
-    subs = [young_data(h).blocks for h in seq]
-    d = len(seq) - 1
+    subs = [blocks for _, blocks in reversal_record(g)]
     exponent = sum(b - a for blocks in subs for a, b in blocks)
-    factors = [lambda_sigma(letters, subs[0], universe=u)]
-    for k in range(1, d + 1):
-        for a, b in subs[k - 1]:
-            if b > a:
-                sub = tuple((x - (a - 1), y - (a - 1))
-                            for x, y in subs[k] if a <= x and y <= b)
-                factors.append(lambda_sigma(letters[a - 1:b], sub,
-                                            universe=u))
-    for k in range(1, d + 1, 2):
-        for a, b in subs[k]:
-            if b > a:
-                factors.append(u.q_block(letters, range(a, b + 1)))
+    factors = [_sigma(letters, subs[0], u)]
+    for outer, inner in zip(subs, subs[1:]):
+        factors += [_sigma(letters[a - 1:b], sub, u)
+                    for (a, b), sub in children(outer, inner)]
+    for blocks in subs[1::2]:
+        factors += [u.q_block(letters, range(a, b + 1))
+                    for a, b in blocks if b > a]
     return u.product(1 if exponent % 2 == 0 else -1, factors)
 
 
@@ -426,7 +412,7 @@ class LambdaTable:
     dense inverse.  A table is over a generic weight (``inv_full`` takes no
     other), so distinct g reach distinct words, and no entry is a sum.
     ``row`` is the one place this is done; ``to_matrix`` is built from its
-    rows and ``evaluate`` evaluates the entries of ``to_matrix``.
+    rows and ``evaluate`` is ``GramMatrix.evaluate`` of ``to_matrix``.
     ``value_at`` and ``diagonals`` give Lambda(g) itself, with Q(g)
     divided out once per g.
     """
@@ -479,8 +465,7 @@ class LambdaTable:
 
     def evaluate(self, assignment, mode: str = "free") -> list:
         """Dense inverse at an exact evaluation point (GaussRat entries)."""
-        return self.to_matrix().map_distinct(
-            lambda e: e.evaluate(assignment, mode))
+        return self.to_matrix().evaluate(assignment, mode)
 
     def inverts_gram(self) -> bool:
         """Whether the table times the Gram matrix is the identity, in the
@@ -705,7 +690,7 @@ def inv_full(nu: Weight, method: str = "fast",
         e = tuple(basis.words[0])
         coefficients = {}
         for g in all_perms(basis.n):
-            x = lambda_scalar(e, g, universe=u, check_closed=False)
+            x = _lambda(e, g, u, False)
             if not x.is_zero():
                 coefficients[g] = _coefficient(x, e, g, one_param)
         return LambdaTable(basis, one_param, coefficients)
@@ -917,7 +902,7 @@ def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
         values = [(g, table.coefficients[g]) for g in table.support()]
         words = table.basis.words
     else:
-        lam = lambda_scalar(e, coeff, universe=Universe(one_param))
+        lam = lambda_scalar(e, coeff, one_param)
         values = [(coeff, _coefficient(lam, e, coeff, one_param))]
         words = (Word(e),)
     for g, entry in values:

@@ -11,7 +11,7 @@ Permutations are 1-based tuples in one-line notation; composition is
 >>> g = Perm.parse("41325786")
 >>> sorted(young_data(g).cuts)
 [4, 5]
->>> young_sequence(g)[0][0]
+>>> reversal_record(g)[1][0]
 Perm.parse('23145687')
 """
 
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 __all__ = [
     "Perm", "YoungData", "cycle", "longest_element", "young_data",
-    "young_sequence", "unimodal_subset", "shuffles", "all_perms",
+    "reversal_record", "children", "unimodal_subset", "shuffles",
+    "all_perms",
 ]
 
 import itertools
@@ -67,7 +68,7 @@ class Perm:
         return p
 
     def is_identity(self) -> bool:
-        return all(self.images[k] == k + 1 for k in range(self.n))
+        return self.images == tuple(range(1, self.n + 1))
 
     def __eq__(self, o):
         return isinstance(o, Perm) and self.images == o.images
@@ -167,47 +168,56 @@ class YoungData(namedtuple("YoungData", "cuts blocks")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
 def young_data(g: Perm) -> YoungData:
-    """J(g) and its interval subdivision.
-
-    Cached per permutation: the Lambda recursion asks for the same few
-    permutations tens of thousands of times, and YoungData is immutable."""
-    n = g.n
+    """J(g) and its interval subdivision."""
     cuts = []
-    total = 0
-    target = 0
-    for j in range(1, n):
-        total += g(j)
+    total = target = 0
+    for j, x in enumerate(g.images[:-1], start=1):
+        total += x
         target += j
         if total == target:
             cuts.append(j)
     blocks = []
     prev = 0
-    for j in cuts + [n]:
+    for j in cuts + [g.n]:
         blocks.append((prev + 1, j))
         prev = j
     return YoungData(frozenset(cuts), tuple(blocks))
 
 
-def young_sequence(g: Perm):
-    """Iterate g -> g * w_{J(g)} (reverse each block of the minimal Young
-    subdivision) until the identity or a revisit.
+@lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
+def reversal_record(g: Perm):
+    """The block-reversal sequence g_0 = g, g_{k+1} = g_k w_{J(g_k)} as
+    levels (g_k, blocks of J(g_k)) down to the identity, or None if the
+    walk revisits a permutation: g is tree-like when it is not None.
 
-    Returns (steps, tree_like, depth): steps is the list of successive
-    permutations after g (so steps[-1] is where iteration stopped);
-    depth = number of steps to reach the identity when tree_like.
-    """
-    seen = {g}
-    steps = []
-    cur = g
-    while not cur.is_identity():
-        cur = cur * block_reversal(young_data(cur).blocks, g.n)
-        steps.append(cur)
-        if cur in seen:
-            return steps, False, None
+    w_{J(g_k)} keeps each {1..j}, j in J(g_k), so each level refines the
+    one before; readers pick a block's ``children`` by containment, so
+    the walk raises ArithmeticError on a level that does not.  Cached:
+    the Lambda recursion reads a few records tens of thousands of times."""
+    levels, seen, cuts, cur = [], set(), frozenset(), g
+    while True:
+        data = young_data(cur)
+        if not cuts <= data.cuts:
+            raise ArithmeticError(f"reversal level {len(levels)} of {g} "
+                                  f"does not refine the one before")
+        levels.append((cur, data.blocks))
+        if cur.is_identity():
+            return tuple(levels)
         seen.add(cur)
-    return steps, True, len(steps)
+        cur = cur * block_reversal(data.blocks, g.n)
+        if cur in seen:
+            return None
+        cuts = data.cuts
+
+
+def children(outer, inner):
+    """((a, b), the blocks of the refinement ``inner`` inside (a, b),
+    renumbered from 1) for each block (a, b) of ``outer`` with b > a."""
+    for a, b in outer:
+        if b > a:
+            yield (a, b), tuple((x - (a - 1), y - (a - 1))
+                                for x, y in inner if a <= x and y <= b)
 
 
 def unimodal_subset(m: int, k: int, n: int):
@@ -245,16 +255,12 @@ def shuffles(J, n: int):
 # a full pass of any benchmark workload (seed 1) leaves at most 26 entries;
 # 1024 holds every subdivision of every degree <= 10
 @lru_cache(maxsize=1024)
-def _interval_reversal(blocks, n):
+def block_reversal(blocks: tuple, n: int) -> Perm:
+    """w_sigma: simultaneous reversal of each interval of a subdivision."""
     w = Perm.identity(n)
     for a, b in blocks:
         w = w * longest_element(a, b, n)
     return w
-
-
-def block_reversal(blocks, n: int) -> Perm:
-    """w_sigma: simultaneous reversal of each interval of a subdivision."""
-    return _interval_reversal(tuple(blocks), n)
 
 
 if __name__ == "__main__":

@@ -128,6 +128,15 @@ def test_only_ring_reads_packed_terms(name):
     assert list(_ring_internals(SOURCES[name])) == []
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "perms"])
+def test_only_perms_walks_the_reversal_sequence(name):
+    # the block-reversal sequence is walked in one place, the cached
+    # perms.reversal_record; every other module reads the record
+    walks = [(ref, line) for mod, ref, line in REFERENCES
+             if mod == name and ref in ("young_data", "block_reversal")]
+    assert sorted(walks) == []
+
+
 TEST_SOURCES = {path.name: ast.parse(path.read_text())
                 for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
 

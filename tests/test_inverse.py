@@ -12,6 +12,7 @@ from quongram.ring import Poly, GaussRat, SINGLE_Q
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
 from quongram.perms import Perm, all_perms, longest_element
+from quongram.determinant import is_inverse
 from quongram.gram import (Basis, DiagOp, OpExpansion, build_generic,
                            build_degenerate, factor_CD, q_mono, q_of_perm,
                            rhat)
@@ -271,7 +272,9 @@ def test_placing_a_table_tries_no_division(monkeypatch, method, one_param):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_renamed_coefficients_are_the_per_word_coefficients(n, one_param):
     # the table keeps Lambda(g) at the identity word; renamed e_p -> w_p
-    # it is the recursion run at w itself, as a value and as printed
+    # it is the recursion run at w itself, as a value and as printed (one
+    # universe shares the sub-word values across words, as
+    # inverse_matrix_at shares them)
     nu = Weight.generic_n(n)
     table = inv_full(nu, "fast", one_param)
     u = Universe(one_param)
@@ -279,7 +282,7 @@ def test_renamed_coefficients_are_the_per_word_coefficients(n, one_param):
     assert set(table.support()) == want
     for g, values in table.diagonals():
         for w, got in zip(table.basis.words, values):
-            lam = lambda_scalar(tuple(w), g, universe=u, check_closed=False)
+            lam = inverse._lambda(tuple(w), g, u, False)
             assert got == lam and str(got) == str(lam)
 
 
@@ -513,6 +516,19 @@ def test_degenerate_inverse():
                Weight({1: 2, 2: 2})):
         inv = inv_degenerate(nu)
         assert_is_identity(inv.matmul(build_degenerate(nu)))
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (2, 2), (2, 1, 1)])
+def test_degenerate_inverse_at_a_point(rng, parts):
+    # the box-fraction entries evaluate on the one path of
+    # GramMatrix.evaluate, which checks the point once; evaluating each
+    # distinct entry on its own gives the same values
+    nu = Weight({k + 1: m for k, m in enumerate(parts)})
+    a = hermitian_assignment(nu.labels, rng)
+    inv = inv_degenerate(nu)
+    got = inv.evaluate(a, "hermitian")
+    assert got == inv.map_distinct(lambda e: e.evaluate(a, "hermitian"))
+    assert is_inverse(build_degenerate(nu).evaluate(a, "hermitian"), got)
 
 
 def test_degenerate_falls_back_to_generic():

@@ -1,11 +1,16 @@
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from quongram.perms import (Perm, all_perms, cycle, longest_element,
-                            young_data, young_sequence, unimodal_subset,
-                            shuffles, block_reversal)
+from quongram import perms
+from quongram.perms import (Perm, YoungData, all_perms, cycle,
+                            longest_element, young_data, reversal_record,
+                            children, unimodal_subset, shuffles,
+                            block_reversal)
 from quongram.inverse import _restrict
+from quongram.subdiv import schroeder_counts
 
 
 def rand_perm(rng, n):
@@ -64,25 +69,85 @@ def test_young_data_blocks():
         [(2, 1), (1,), (2, 1)]
 
 
-def test_young_sequence_worked_example():
+def test_reversal_record_worked_example():
     g = Perm((4, 1, 3, 2, 5, 7, 8, 6))
-    steps, tree, depth = young_sequence(g)
-    assert tree
+    singletons = tuple((k, k) for k in range(1, 9))
+    assert reversal_record(g) == (
+        (g, ((1, 4), (5, 5), (6, 8))),
+        (Perm.parse("23145687"), ((1, 3), (4, 4), (5, 5), (6, 6), (7, 8))),
+        (Perm.parse("13245678"), ((1, 1), (2, 3)) + singletons[3:]),
+        (Perm.identity(8), singletons))
     gp = g * block_reversal(young_data(g).blocks, 8)
-    assert gp.images == (2, 3, 1, 4, 5, 6, 8, 7)
-    # block subdivisions refine monotonically along the sequence
-    cuts = None
-    for h in steps:
-        c = frozenset(b for _, b in young_data(h).blocks)
-        if cuts is not None:
-            assert cuts <= c
-        cuts = c
+    assert reversal_record(g)[1][0] == gp
+    assert list(children(((1, 4), (5, 5), (6, 8)),
+                         ((1, 3), (4, 4), (5, 5), (6, 6), (7, 8)))) == [
+        ((1, 4), ((1, 3), (4, 4))), ((6, 8), ((1, 1), (2, 3)))]
 
 
 def test_not_tree_like_detected():
     # exactly two permutations of S_4 cycle without reaching the identity
-    bad = [g.images for g in all_perms(4) if not young_sequence(g)[1]]
+    bad = [g.images for g in all_perms(4) if reversal_record(g) is None]
     assert bad == [(2, 4, 1, 3), (3, 1, 4, 2)]
+
+
+def _separable(g):
+    """Whether g avoids the patterns 2413 and 3142 (West 1995), checked on
+    every four positions, with no reversal walked."""
+    for quad in itertools.combinations(g.images, 4):
+        pattern = tuple(sorted(quad).index(v) + 1 for v in quad)
+        if pattern in ((2, 4, 1, 3), (3, 1, 4, 2)):
+            return False
+    return True
+
+
+def test_tree_like_is_separable_up_to_n_7():
+    for n in range(1, 8):
+        for g in all_perms(n):
+            assert (reversal_record(g) is not None) == _separable(g), g
+
+
+def test_tree_like_counts_are_twice_the_chain_counts():
+    # the large Schroeder numbers 2, 6, 22, 90, 394, 1 806
+    counts = [sum(reversal_record(g) is not None for g in all_perms(n))
+              for n in range(2, 8)]
+    assert counts == [2 * c for c in schroeder_counts(7)[1:]]
+    assert counts == [2, 6, 22, 90, 394, 1806]
+
+
+def test_every_level_refines_the_one_before_down_to_the_identity():
+    for n in range(1, 8):
+        for g in all_perms(n):
+            levels = reversal_record(g)
+            if levels is None:
+                continue
+            assert levels[0][0] == g
+            assert levels[-1] == (Perm.identity(n),
+                                  tuple((k, k) for k in range(1, n + 1)))
+            for (h, outer), (nxt, inner) in zip(levels, levels[1:]):
+                assert outer == young_data(h).blocks
+                assert nxt == h * block_reversal(outer, n)
+                # each block lies inside one block of the level before
+                assert all(any(a <= x and y <= b for a, b in outer)
+                           for x, y in inner)
+
+
+def test_a_level_that_does_not_refine_raises(monkeypatch):
+    # the identity given one block: level 1 merges the two blocks of
+    # g = 213, which children() would then read wrongly
+    real = perms.young_data
+
+    def merged(h):
+        if h.is_identity():
+            return YoungData(frozenset(), ((1, h.n),))
+        return real(h)
+
+    monkeypatch.setattr(perms, "young_data", merged)
+    reversal_record.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="does not refine"):
+            reversal_record(Perm((2, 1, 3)))
+    finally:
+        reversal_record.cache_clear()
 
 
 def test_unimodal_counts():
