@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .ring import Poly, NotDivisible, GaussRat, pair_var
+from .ring import Poly, NotDivisible, GaussRat, Point, pair_var
 
 _new = object.__new__
 _ONE = Poly.one()
@@ -263,10 +263,8 @@ class BoxFraction:
         return _raw(self.num.conjugate(), self.den)
 
     def evaluate(self, assignment, mode="free") -> GaussRat:
-        val = self.num.evaluate(assignment, mode)
-        for f in self.den:
-            val = val / f.expand().evaluate(assignment, mode)
-        return val
+        """The exact value, at one ``ring.Point``."""
+        return Point(assignment, mode).value(self.num, self.den)
 
     # -- presentation ----------------------------------------------------------
     def __str__(self):

@@ -85,7 +85,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .ring import Poly, GaussRat, NotDivisible, SINGLE_Q, check_assignment
+from .ring import Poly, GaussRat, NotDivisible, Point, SINGLE_Q
 from .boxes import _box_poly
 from .fock import Weight
 from .perms import cycle
@@ -106,13 +106,11 @@ def _product(pairs) -> Poly:
 
 
 def _product_value(pairs, assignment, mode) -> GaussRat:
-    """The exact value of ∏ p^e under the assignment, factor by factor."""
-    val = GaussRat.of(1)
-    for p, e in pairs:
-        v = p.evaluate(assignment, mode)
-        for _ in range(e):
-            val = val * v
-    return val
+    """The exact value of ∏ p^e under the assignment, at one Point; the
+    product runs on unreduced triples and is reduced once."""
+    point = Point(assignment, mode)
+    return GaussRat.sum_of_products(
+        [(1, [v for p, e in pairs for v in [point.value(p)] * e])])
 
 
 def _product_str(pairs) -> str:
@@ -1057,12 +1055,11 @@ def positivity_check(nu: Weight, assignment) -> bool:
     Its callers stay at 4 letters (24 words), where a check takes
     milliseconds; at 120 words (n = 5) the sweep's integers grow and it
     takes about 2 s."""
-    check_assignment(assignment, "hermitian")
+    point = Point(assignment, "hermitian")
     for v, val in assignment.items():
         if v[0] == "q" and val.abs2() >= 1:
             raise ValueError(f"|q| < 1 violated at {v}: |q|^2 = {val.abs2()}")
-    return _positive_definite(
-        build_degenerate(nu).evaluate(assignment, "hermitian"))
+    return _positive_definite(build_degenerate(nu).map_distinct(point.value))
 
 
 class Divisibility(namedtuple("Divisibility", "divides certified")):

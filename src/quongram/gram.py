@@ -41,8 +41,7 @@ import itertools
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .ring import (Poly, Renaming, SINGLE_Q, check_assignment,
-                   evaluate_terms, pair_var)
+from .ring import Poly, Point, Renaming, SINGLE_Q, pair_var
 from .boxes import as_part, over_common, sum_products
 from .fock import Word, Weight
 from .perms import Perm, cycle
@@ -153,23 +152,11 @@ class GramMatrix:
         return [[values[id(e)] for e in row] for row in self.entries]
 
     def evaluate(self, assignment, mode: str = "free") -> list:
-        """The entries at an exact point, as rows of GaussRat values.
-
-        The point is checked against the mode once (``check_assignment``);
-        then each distinct entry, a Poly being a fraction over no boxes
-        (``boxes.as_part``), is evaluated once (``map_distinct``) as
-        ``BoxFraction.evaluate`` does, on the unchecked ``evaluate_terms``.
-        """
-        check_assignment(assignment, mode)
-
-        def value(e):
-            num, den = as_part(e)
-            val = evaluate_terms(num, assignment, mode)
-            for box in den:
-                val = val / evaluate_terms(box.expand(), assignment, mode)
-            return val
-
-        return self.map_distinct(value)
+        """The entries at an exact point, as rows of GaussRat values: each
+        distinct entry (``map_distinct``) valued once at one ``ring.Point``,
+        a Poly as a fraction over no boxes (``boxes.as_part``)."""
+        point = Point(assignment, mode)
+        return self.map_distinct(lambda e: point.value(*as_part(e)))
 
     def to_json(self):
         return {"weight": str(self.basis.weight),

@@ -52,8 +52,7 @@ __all__ = [
 import itertools
 from functools import lru_cache
 
-from .ring import (Poly, GaussRat, SINGLE_Q, Renaming, pair_var,
-                   check_assignment, param_value)
+from .ring import Poly, GaussRat, Point, Renaming, pair_var
 from .boxes import (BoxFactor, BoxFraction, as_part, sum_parts, _den_minus,
                     _raw)
 from .fock import Word, Weight
@@ -72,52 +71,41 @@ class Universe:
     """Arithmetic context and memos of one Lambda computation.
 
     Symbolic (box fractions over the pair parameters, or over the single
-    parameter) or numeric (exact Gaussian-rational values at an assignment).
-    The recursion itself is written once against this interface.
+    parameter) or numeric (exact Gaussian-rational values at a
+    ``ring.Point``).  The recursion itself is written once against this
+    interface.
 
     Each public entry point builds one universe per call and threads it
-    through the recursion, so its Lambda and sigma memos, and the value
-    caches of a numeric universe, live exactly as long as that call; no
-    two calls share them.  The memos key a word by its letters, or in
-    one-parameter mode by its length, on which one-parameter values
-    depend.  The Lambda memo holds only the values the recursion reads
-    again, at shorter words.
-
-    A numeric universe owns its point.  It checks the assignment against
-    its mode once, at construction, with ``ring.check_assignment`` (the
-    check ``Poly.evaluate`` runs), so a bad point raises ValueError before
-    any work.  It also caches the value of each pair parameter, and per box
-    factor the values of its monomial (``q_block``) and of its inverse.  A
-    box is keyed by its sorted letters, the identity a ``BoxFactor`` has,
-    but no ``BoxFactor`` is built.
+    through the recursion, so its Lambda and sigma memos, and the point of
+    a numeric universe with the values it caches, live exactly as long as
+    that call; no two calls share them.  The memos key a word by its
+    letters, or in one-parameter mode by its length, on which
+    one-parameter values depend.  The Lambda memo holds only the values
+    the recursion reads again, at shorter words.  A numeric universe looks
+    a box up as called, by letters and positions; a miss builds the
+    ``BoxFactor`` and reads its values from the point.
     """
 
-    __slots__ = ("one_param", "assignment", "mode", "sigma_memo",
-                 "lambda_memo", "_pairs", "_boxes", "_box_calls")
+    __slots__ = ("one_param", "point", "sigma_memo", "lambda_memo",
+                 "_box_calls")
 
-    def __init__(self, one_param: bool = False, assignment=None,
-                 mode: str = "free"):
+    def __init__(self, one_param: bool = False, point: Point | None = None):
         self.one_param = one_param
-        self.assignment = assignment
-        self.mode = mode
+        self.point = point
         self.sigma_memo, self.lambda_memo = {}, {}
-        if assignment is not None:
-            check_assignment(assignment, mode)
-            self._pairs = {}   # (i, j) -> value of q_ij
-            self._boxes = {}   # sorted letters -> (q-part, 1 / box) values
-            self._box_calls = {}   # (letters, positions) -> the same values
+        self._box_calls = {}   # (letters, positions) -> point.box values
 
     def key(self, letters: tuple):
         return len(letters) if self.one_param else letters
 
     def const(self, c: int):
-        if self.assignment is None:
+        if self.point is None:
             return BoxFraction(Poly.const(c))
         return GaussRat.of(c)
 
     def q_block(self, letters: tuple, positions):
         """The monomial prod_{a != b in positions} q_{letters_a letters_b}."""
-        if self.assignment is None:
+        if self.point is None:
             T = sorted(positions)
             pairs = [(a, b) for a in T for b in T if a != b]
             return BoxFraction(q_mono(letters, pairs, self.one_param))
@@ -137,7 +125,7 @@ class Universe:
         ``GaussRat.sum_of_products`` of the cached inverse box values,
         reduced once.
         """
-        if self.assignment is None:
+        if self.point is None:
             return sum_parts([
                 (Poly.const(sign),
                  tuple(BoxFactor(letters, T, self.one_param) for T in Ts))
@@ -151,7 +139,7 @@ class Universe:
         multiply in order from the constant; numerically the product runs
         on unreduced triples and is reduced once
         (``GaussRat.sum_of_products``)."""
-        if self.assignment is None:
+        if self.point is None:
             val = self.const(sign)
             for x in factors:
                 val = val * x
@@ -160,39 +148,19 @@ class Universe:
 
     def mono(self, letters, pairs) -> GaussRat:
         """q_mono(letters, pairs) at the point of a numeric universe: the
-        product of the cached pair values, with no Poly built, reduced
+        product of the point's pair values, with no Poly built, reduced
         once."""
+        var = self.point.var
         return GaussRat.sum_of_products(
-            [(1, [self._pair(letters[i - 1], letters[j - 1])
+            [(1, [var(pair_var(letters[i - 1], letters[j - 1]))
                   for i, j in pairs])])
 
-    def _pair(self, i, j) -> GaussRat:
-        x = self._pairs.get((i, j))
-        if x is None:
-            v = SINGLE_Q if self.one_param else pair_var(i, j)
-            x = self._pairs[(i, j)] = param_value(self.assignment, v,
-                                                  self.mode)
-        return x
-
     def _box_values(self, letters: tuple, positions) -> tuple:
-        # looked up as called first (every caller passes a range, which
-        # hashes by value), then by what identifies the BoxFactor: its
-        # sorted letters, or in one-parameter mode its size, standing for
-        # the letters 1..k
+        # every caller passes a range, which hashes by value
         vals = self._box_calls.get((letters, positions))
-        if vals is not None:
-            return vals
-        if self.one_param:
-            key = tuple(range(1, len(positions) + 1))
-        else:
-            key = tuple(sorted([letters[p - 1] for p in positions]))
-        vals = self._boxes.get(key)
         if vals is None:
-            T = range(1, len(key) + 1)
-            q = self.mono(key, [(a, b) for a in T for b in T if a != b])
-            one = GaussRat.of(1)
-            vals = self._boxes[key] = (q, one / (one - q))
-        self._box_calls[(letters, positions)] = vals
+            vals = self._box_calls[(letters, positions)] = self.point.box(
+                BoxFactor(letters, positions, self.one_param))
         return vals
 
 
@@ -721,12 +689,14 @@ def _table_from_matrix(mat: GramMatrix, one_param: bool) -> LambdaTable:
     return table
 
 
-def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
-                      one_param: bool = False) -> list:
+def inverse_matrix_at(nu: Weight, assignment, mode: str = "free") -> list:
     """Dense numeric inverse at an exact point, via the per-permutation
-    recursion run directly over Gaussian rationals (no symbolic tables)."""
+    recursion run directly over Gaussian rationals (no symbolic tables) at
+    one ``ring.Point``.  In mode 'one-param' every word takes the same
+    values, so the recursion keys its memos by word length and computes
+    one term per permutation for all the words."""
     basis = Basis.of_weight(nu)
-    u = Universe(one_param=one_param, assignment=assignment, mode=mode)
+    u = Universe(mode == "one-param", Point(assignment, mode))
     size = basis.size
     zero = GaussRat.of(0)
     ent = [[zero for _ in range(size)] for _ in range(size)]
@@ -734,16 +704,16 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free",
         if not tree_like(g):
             continue
         inv = g.inverse().inversion_set()
-        val = None
+        term = None
         for j, i in enumerate(basis.act(g)):
             gw = basis.words[i]
             # each full-length value is read here once, so it is not
-            # memoized; in one-parameter mode one value serves every word
-            if val is None or not one_param:
-                val = _lambda(tuple(gw), g, u, False)
-            if val.is_zero():
+            # memoized; in one-parameter mode one term serves every word
+            if term is None or not u.one_param:
+                term = _lambda(tuple(gw), g, u, False) * u.mono(gw, inv)
+            if term.is_zero():
                 continue
-            term, old = val * u.mono(gw, inv), ent[i][j]
+            old = ent[i][j]
             ent[i][j] = term if old is zero else old + term
     return ent
 

@@ -1,7 +1,7 @@
 """
 Exact arithmetic for the deformation parameters.
 
-Values live in three layers:
+Values live in three layers, and are read at a point through a fourth:
 
 * ``GaussRat`` -- Gaussian rationals, the exact scalar field used whenever a
   polynomial identity is checked by evaluation.  A value is one Gaussian
@@ -15,6 +15,10 @@ Values live in three layers:
   constraint on the parameter family.
 * box fractions (see :mod:`quongram.boxes`) -- quotients whose denominators
   stay factored.
+* ``Point`` -- an exact evaluation point: an assignment checked once
+  against its mode, and the values of the variables and box factors read
+  from it, cached for the life of the point, one evaluator call.  Every
+  value of a ``Poly`` or a box fraction at a point is read through one.
 
 A ``Poly`` keeps each monomial as one packed exponent vector, a Python
 ``int`` of 16-bit fields (Monagan and Pearce, "Polynomial division using
@@ -44,7 +48,7 @@ from __future__ import annotations
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
     "pair_var", "SINGLE_Q", "mono_key", "Renaming",
-    "check_assignment", "evaluate_terms", "param_value", "random_hermitian",
+    "check_assignment", "Point", "random_hermitian",
 ]
 
 import heapq
@@ -728,13 +732,12 @@ class Poly:
 
         mode 'hermitian' and 'symmetric-real' constrain the assignment, which
         ``check_assignment`` checks on every call; 'one-param' maps every
-        pair variable to the single-q value (``param_value``); 'free'
-        imposes nothing.  To evaluate many polynomials at one point, check
-        it once and call ``evaluate_terms``, as ``GramMatrix.evaluate``
-        does.
+        pair variable to the single-q value; 'free' imposes nothing.  The
+        value is that of a ``Point`` built for this call; to evaluate many
+        polynomials at one point, build the Point once and call its
+        ``value``, as ``GramMatrix.evaluate`` does.
         """
-        check_assignment(assignment, mode)
-        return evaluate_terms(self, assignment, mode)
+        return Point(assignment, mode).value(self)
 
     # -- presentation ------------------------------------------------------
     def __str__(self):
@@ -927,7 +930,8 @@ def check_assignment(assignment: Mapping[ParamVar, GaussRat],
 
     'hermitian': every pair value has its mirror and x[j,i] = conj(x[i,j]);
     for i = j that makes x[i,i] real.  'symmetric-real': every pair value is
-    real and x[j,i] = x[i,j].  'one-param' and 'free' impose nothing.
+    real and x[j,i] = x[i,j]; in both, every pair value is a GaussRat.
+    'one-param' and 'free' impose nothing here (see ``Point.var``).
 
     >>> v = GaussRat.of(1, 2)
     >>> check_assignment({pair_var(1, 2): v, pair_var(2, 1): v}, "hermitian")
@@ -937,22 +941,92 @@ def check_assignment(assignment: Mapping[ParamVar, GaussRat],
     """
     # GaussRat triples are canonical, so a value equals the mirror's
     # conjugate exactly when the triples agree up to the sign of b
-    if mode == "hermitian":
-        for v, val in assignment.items():
-            if v[0] == "q":
-                w = assignment.get(("q", v[2], v[1]))
-                if (not isinstance(w, GaussRat) or w.b != -val.b
-                        or w.a != val.a or w.d != val.d):
-                    raise ValueError(f"assignment not hermitian at {v}")
-    elif mode == "symmetric-real":
-        for v, val in assignment.items():
-            if v[0] == "q":
-                if val.b:
-                    raise ValueError("symmetric-real needs real values")
-                w = assignment.get(("q", v[2], v[1]))
-                if (not isinstance(w, GaussRat) or w.b
-                        or w.a != val.a or w.d != val.d):
-                    raise ValueError(f"assignment not symmetric at {v}")
+    if mode not in ("hermitian", "symmetric-real"):
+        return
+    real = mode == "symmetric-real"
+    for v, val in assignment.items():
+        if v[0] == "q":
+            if val.__class__ is not GaussRat:
+                raise _not_exact(v, val)
+            if real and val.b:
+                raise ValueError("symmetric-real needs real values")
+            w = assignment.get(("q", v[2], v[1]))
+            if (not isinstance(w, GaussRat) or w.a != val.a or w.d != val.d
+                    or w.b != (val.b if real else -val.b)):
+                kind = "symmetric" if real else "hermitian"
+                raise ValueError(f"assignment not {kind} at {v}")
+
+
+def _not_exact(v: ParamVar, val) -> ValueError:
+    return ValueError(f"value of {_var_str(v)} is not a GaussRat: {val!r}")
+
+
+_ONE = _raw(1, 0, 1)
+
+
+class Point:
+    """An exact evaluation point: an assignment checked once against its
+    mode (``check_assignment``), and the values read from it, each cached
+    on first read for the life of the point, one evaluator call.  ``var``
+    is the value of a variable, in mode 'one-param' that of the single q;
+    ``box`` that of a box factor of :mod:`quongram.boxes`.  A missing value
+    raises KeyError, and one that is not a GaussRat ValueError, naming the
+    variable when it is first read."""
+
+    __slots__ = ("assignment", "mode", "_vars", "_boxes")
+
+    def __init__(self, assignment: Mapping[ParamVar, GaussRat],
+                 mode: str = "free"):
+        check_assignment(assignment, mode)
+        self.assignment = assignment
+        self.mode = mode
+        self._vars = {}
+        self._boxes = {}
+
+    def var(self, v: ParamVar) -> GaussRat:
+        """The value of the variable v."""
+        x = self._vars.get(v)
+        if x is None:
+            w = SINGLE_Q if self.mode == "one-param" else v
+            x = self.assignment.get(w)
+            if x.__class__ is not GaussRat:
+                raise (KeyError(f"no value for {_var_str(w)}") if x is None
+                       else _not_exact(w, x))
+            self._vars[v] = x
+        return x
+
+    def value(self, p: Poly, den=()) -> GaussRat:
+        """The value of p over the product of the box factors in den, each
+        sum of products reduced once (``GaussRat.sum_of_products``).  Each
+        packed key's fields are read in place, as ``_decode`` reads them:
+        the product is exact, so the order of its factors does not matter."""
+        var = self.var
+
+        def factors(key):
+            out = []
+            for v in _VARS:
+                key >>= _FIELD
+                if not key:
+                    break
+                e = key & _DEGREE
+                if e:
+                    out += (var(v),) * e
+            return out
+
+        val = GaussRat.sum_of_products(
+            (c, factors(m)) for m, c in p._t.items())
+        if den:
+            val = GaussRat.sum_of_products(
+                [(1, [val] + [self.box(f)[1] for f in den])])
+        return val
+
+    def box(self, f) -> tuple:
+        """(q_T, 1 / Box_T) for the box factor f = Box_T = 1 - q_T."""
+        vals = self._boxes.get(f)
+        if vals is None:
+            b = self.value(f.expand())
+            vals = self._boxes[f] = (_ONE - b, _ONE / b)
+        return vals
 
 
 def random_hermitian(labels, rng, scale: int, bound: int,
@@ -984,37 +1058,6 @@ def random_hermitian(labels, rng, scale: int, bound: int,
             a[("q", i, j)] = v
             a[("q", j, i)] = v.conj()
     return a
-
-
-def evaluate_terms(p: Poly, assignment: Mapping[ParamVar, GaussRat],
-                   mode: str) -> GaussRat:
-    """The value of p under an assignment already checked against the mode
-    (``check_assignment``); the term loop of ``Poly.evaluate``, reduced
-    once (``GaussRat.sum_of_products``).  Each packed key's fields are read
-    in place, as ``_decode`` reads them, with no monomial built or sorted:
-    the product is exact, so the order of its factors does not matter."""
-    def factors(key):
-        out = []
-        for v in _VARS:
-            key >>= _FIELD
-            if not key:
-                break
-            e = key & _DEGREE
-            if e:
-                out += (param_value(assignment, v, mode),) * e
-        return out
-
-    return GaussRat.sum_of_products((c, factors(m)) for m, c in p._t.items())
-
-
-def param_value(assignment: Mapping[ParamVar, GaussRat], v: ParamVar,
-                mode: str) -> GaussRat:
-    """The value of variable v under the assignment in the given mode."""
-    if mode == "one-param":
-        return assignment[SINGLE_Q]
-    if v not in assignment:
-        raise KeyError(f"no value for {_var_str(v)}")
-    return assignment[v]
 
 
 if __name__ == "__main__":

@@ -128,6 +128,17 @@ def test_only_ring_reads_packed_terms(name):
     assert list(_ring_internals(SOURCES[name])) == []
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "ring"])
+def test_only_ring_reads_an_assignment(name):
+    # a value at a point is read through one ring.Point, which checks the
+    # assignment once and caches what it reads; a module that checks or
+    # reads an assignment itself is a second copy of that rule
+    reads = [(ref, line) for mod, ref, line in REFERENCES
+             if mod == name and ref in ("check_assignment", "evaluate_terms",
+                                        "param_value")]
+    assert reads == []
+
+
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "perms"])
 def test_only_perms_walks_the_reversal_sequence(name):
     # the block-reversal sequence is walked in one place, the cached

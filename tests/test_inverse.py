@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quongram import inverse
-from quongram.ring import Poly, GaussRat, SINGLE_Q
+from quongram.ring import Poly, GaussRat, Point, SINGLE_Q
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
 from quongram.perms import Perm, all_perms, longest_element
@@ -213,7 +213,7 @@ def test_table_rows_are_the_rows_of_its_matrix(rng, one_param):
     a = _point(nu.labels, rng, "free")
     table = inv_full(nu, "fast", one_param)
     words = table.basis.words
-    want = inverse_matrix_at(nu, a, "free", one_param)
+    want = inverse_matrix_at(nu, a, "one-param" if one_param else "free")
     for w, want_row in zip(words, want):
         row = table.row(w)
         assert set(row) <= set(words)
@@ -236,7 +236,8 @@ def test_coefficients_are_row_e_of_the_dense_inverse(rng, method, one_param):
             dense, zero = inv_brute(nu, one_param).entries[0], Poly.zero()
         else:
             a = _point(nu.labels, rng, "free")
-            dense = inverse_matrix_at(nu, a, "free", one_param)[0]
+            dense = inverse_matrix_at(
+                nu, a, "one-param" if one_param else "free")[0]
             zero = GaussRat.of(0)
         for g in all_perms(n):
             want = dense[table.basis.index(Word(e[k - 1] for k in g.images))]
@@ -409,7 +410,8 @@ def test_numeric_inverse_matches_symbolic_in_every_mode(rng, mode, one_param):
     nu = Weight.generic_n(3)
     a = _point(nu.labels, rng, mode)
     want = inv_full(nu, "fast", one_param).evaluate(a, mode)
-    assert inverse_matrix_at(nu, a, mode, one_param) == want
+    got = inverse_matrix_at(nu, a, "one-param" if one_param else mode)
+    assert got == want
 
 
 def test_numeric_inverse_rejects_non_hermitian_point(rng):
@@ -456,14 +458,18 @@ def test_numeric_inverse_steps_once_and_keeps_no_full_length_value(
 
 
 def test_no_universe_outlives_its_call(rng):
-    # each call owns its universe, and with it every Lambda and sigma memo
+    # each call owns its universe, and with it every Lambda and sigma memo,
+    # and each evaluation owns its point, and with it every cached value
     nu = Weight.generic_n(3)
-    inv_full(nu, "fast")
+    a = hermitian_assignment(nu.labels, rng)
+    inv_full(nu, "fast").evaluate(a, "hermitian")
     lambda_scalar((1, 2, 3), Perm((3, 2, 1)), one_param=True)
     zagier_check(8, "one-param", coeff=Perm((4, 3, 2, 1, 8, 7, 6, 5)))
-    inverse_matrix_at(nu, hermitian_assignment(nu.labels, rng), "hermitian")
+    inverse_matrix_at(nu, a, "hermitian")
+    inverse_matrix_at(nu, {SINGLE_Q: GaussRat(Fraction(1, 3))}, "one-param")
     gc.collect()
-    assert [o for o in gc.get_objects() if isinstance(o, Universe)] == []
+    assert [o for o in gc.get_objects()
+            if isinstance(o, (Universe, Point))] == []
 
 
 def test_no_lift_outlives_its_call():

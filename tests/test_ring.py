@@ -13,9 +13,13 @@ from hypothesis import given, settings, strategies as st
 from quongram import ring
 from quongram.ring import (Poly, GaussRat, NotDivisible, pair_var, SINGLE_Q,
                            check_assignment, mono_key)
+from quongram.boxes import BoxFactor, as_part
 from quongram.fock import Weight
 from quongram.gram import build_generic
-from conftest import hermitian_assignment
+from quongram.determinant import det_formula, positivity_check
+from quongram.applications import varchenko_det
+from quongram.inverse import inv_full, inverse_matrix_at
+from conftest import hermitian_assignment, symmetric_assignment
 
 
 def rand_poly(rng, nvars=3, nterms=4, deg=3):
@@ -227,6 +231,67 @@ def test_evaluate_reads_every_exponent_and_needs_every_variable():
     del a[("q", 2, 3)]
     with pytest.raises(KeyError, match="q23"):
         p.evaluate(a)
+
+
+def test_a_missing_single_q_fails_by_name():
+    with pytest.raises(KeyError) as err:
+        Poly.var(1, 2).evaluate({pair_var(1, 2): GaussRat.of(1)}, "one-param")
+    assert err.value.args == ("no value for q",)
+
+
+@pytest.mark.parametrize("mode", ["free", "hermitian", "symmetric-real",
+                                  "one-param"])
+def test_a_value_that_is_not_a_gauss_rat_fails_by_name(mode):
+    # one-param reads q for every variable; the other modes read q12
+    a = {pair_var(1, 2): 3, pair_var(2, 1): 3, SINGLE_Q: Fraction(1, 2)}
+    name = "q" if mode == "one-param" else "q12"
+    with pytest.raises(ValueError, match=f"value of {name} is not a GaussRat"):
+        Poly.var(1, 2).evaluate(a, mode)
+    # no mode checks the single q before it is read
+    b = {pair_var(1, 2): GaussRat.of(1), pair_var(2, 1): GaussRat.of(1),
+         SINGLE_Q: 3}
+    with pytest.raises(ValueError, match="value of q is not a GaussRat"):
+        Poly.single_q().evaluate(b, mode)
+
+
+def test_each_evaluator_checks_its_point_once(monkeypatch, rng):
+    # one Point per call: the check runs once, and each distinct box factor
+    # of the values is valued once
+    real, checks = ring.check_assignment, []
+
+    def spy(assignment, mode):
+        checks.append(mode)
+        return real(assignment, mode)
+    monkeypatch.setattr(ring, "check_assignment", spy)
+    nu = Weight.generic_n(4)
+    a = hermitian_assignment(nu.labels, rng)
+    table = inv_full(nu, "fast")
+    x = max(table.coefficients.values(), key=lambda x: len(x.den))
+    assert len(x.den) == 6
+    nu5 = Weight.generic_n(5)
+    a5 = hermitian_assignment(nu5.labels, rng)
+    s = symmetric_assignment(nu.labels, rng)
+    calls = [lambda: build_generic(nu).evaluate(a, "hermitian"),
+             lambda: x.evaluate(a, "hermitian"),
+             lambda: det_formula(nu5).evaluate(a5),
+             lambda: varchenko_det(4).evaluate(s),
+             lambda: inverse_matrix_at(nu, a, "hermitian"),
+             lambda: positivity_check(nu, a)]
+    for call in calls:
+        checks.clear()
+        call()
+        assert len(checks) == 1
+    boxes = {f for row in table.to_matrix().entries for e in row
+             for f in as_part(e)[1]}
+    valued = Counter()
+    expand = BoxFactor.expand
+
+    def count(f):
+        valued[f] += 1
+        return expand(f)
+    monkeypatch.setattr(BoxFactor, "expand", count)
+    table.evaluate(a, "hermitian")
+    assert valued == Counter(boxes)
 
 
 def _hermitian_by_conj(a):
