@@ -105,9 +105,9 @@ BUILD_MAX_WORDS = 720
 # 10 3.6 M (18 s); 3,3,2 has 560 words but 22.6 M terms.
 DEGENERATE_MAX_TERMS = 4_000_000
 # det of a degenerate weight eliminates its dense Gram matrix (det_elim).
-# Multiparameter: 6 words (weights 2,2 and 5,1) take up to 1.1 s, 10 words
-# (3,2) over 100 s.  One-parameter: 20 words (3,1,1) take 7.6 s, 30 words
-# (2,2,1) 65 s.
+# Multiparameter: 6 words take up to 0.6 s (5,1; 2,2 0.2 s), 10 words
+# (3,2) 69 s and 12 words (2,1,1) 71 s.  One-parameter: 20 words (3,1,1)
+# take 1.4-2.6 s, 30 words (2,2,1) 18 s.
 DET_ELIM_MAX_WORDS = 6
 DET_ELIM_ONE_PARAM_MAX_WORDS = 20
 # det --n N of a generic weight prints its 2^N - N - 1 box factors: N = 12,

@@ -250,9 +250,10 @@ def _lambda(letters: tuple, g: Perm, u: Universe, check_closed: bool):
     kept in its Lambda memo."""
     if g.is_identity():
         return _sigma(letters, _singletons(len(letters)), u)
-    if not tree_like(g):
+    plan = _step_plan(g)
+    if plan is None:
         return u.const(0)
-    val = _fast_step(letters, g, u)
+    val = _fast_step(letters, plan, u)
     if check_closed:
         closed = _closed_form(letters, g, u)
         assert val == closed, (
@@ -261,14 +262,17 @@ def _lambda(letters: tuple, g: Perm, u: Universe, check_closed: bool):
 
 
 @lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
-def _step_plan(g: Perm) -> tuple:
-    """What _fast_step needs of a tree-like g other than the identity, for
-    every word, from its reversal record: (sign, blocks, subs, q_ranges,
-    restricted).  blocks are J(g); subs are their ``children`` in
-    sigma(g'); q_ranges are the ranges of the blocks of sigma(g') with
-    more than one position; restricted pairs each such block (a, b) with
-    g'' confined to it (``_restrict``); an identity g' has none."""
+def _step_plan(g: Perm):
+    """What _fast_step needs of a g other than the identity, for every
+    word, from its reversal record: (sign, blocks, subs, q_ranges,
+    restricted), or None when g is not tree-like and Lambda(g) = 0.
+    blocks are J(g); subs are their ``children`` in sigma(g'); q_ranges
+    are the ranges of the blocks of sigma(g') with more than one
+    position; restricted pairs each such block (a, b) with g'' confined
+    to it (``_restrict``); an identity g' has none."""
     levels = reversal_record(g)
+    if levels is None:
+        return None
     (_, blocks), (_, blocks_p) = levels[:2]
     sign = 1 if (len(blocks) + len(blocks_p)) % 2 == 0 else -1
     subs = tuple(children(blocks, blocks_p))
@@ -278,8 +282,9 @@ def _step_plan(g: Perm) -> tuple:
     return sign, blocks, subs, q_ranges, restricted
 
 
-def _fast_step(letters: tuple, g: Perm, u: Universe):
-    """One application of the combined two-step recursion:
+def _fast_step(letters: tuple, plan: tuple, u: Universe):
+    """One application of the combined two-step recursion, for the g of
+    ``plan = _step_plan(g)``:
 
     Lambda(g) = (-1)^(n(g)+n(g')) . Lambda_{sigma(g)}
                 . prod_k Lambda_{sigma(g'|J_k(g))}
@@ -288,7 +293,7 @@ def _fast_step(letters: tuple, g: Perm, u: Universe):
     with g' = g w_{J(g)} (reverse all minimal Young blocks), g'' = g' w_{J(g')},
     and K running over the blocks of sigma(g').
     """
-    sign, blocks, subs, q_ranges, restricted = _step_plan(g)
+    sign, blocks, subs, q_ranges, restricted = plan
     factors = [_sigma(letters, blocks, u)]
     factors += [_sigma(letters[a - 1:b], sub, u) for (a, b), sub in subs]
     factors += [u.q_block(letters, positions) for positions in q_ranges]

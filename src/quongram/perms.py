@@ -185,7 +185,6 @@ def young_data(g: Perm) -> YoungData:
     return YoungData(frozenset(cuts), tuple(blocks))
 
 
-@lru_cache(maxsize=1024)   # holds all 873 permutations of degree <= 6
 def reversal_record(g: Perm):
     """The block-reversal sequence g_0 = g, g_{k+1} = g_k w_{J(g_k)} as
     levels (g_k, blocks of J(g_k)) down to the identity, or None if the
@@ -193,8 +192,9 @@ def reversal_record(g: Perm):
 
     w_{J(g_k)} keeps each {1..j}, j in J(g_k), so each level refines the
     one before; readers pick a block's ``children`` by containment, so
-    the walk raises ArithmeticError on a level that does not.  Cached:
-    the Lambda recursion reads a few records tens of thousands of times."""
+    the walk raises ArithmeticError on a level that does not.  Not
+    cached: a count reads each of n! records once, and the Lambda
+    recursion reads its plans from ``inverse._step_plan``, which is."""
     levels, seen, cuts, cur = [], set(), frozenset(), g
     while True:
         data = young_data(cur)

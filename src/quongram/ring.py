@@ -30,11 +30,16 @@ process.  The top bit of every field is a guard, which limits every
 exponent and every total degree to below ``2**15``; a product that would
 reach it raises ``OverflowError`` instead of wrapping.  On packed keys a
 product of monomials is ``a + b``, and ``b`` divides ``a`` exactly when
-``((a | G) - b) & G == G``, with ``G`` the guard bits.
+``((a | G) - b) & G == G``, with ``G`` the guard bits.  No sum carries
+between fields, so the integer order of the keys is a monomial order,
+and exact division by a general divisor walks its terms in it
+(``_div_general``).
 
 Everything a caller sees is decoded to ``Mono`` tuples, sorted by
 ``mono_key``: ``str``, ``to_json``, ``leading`` and the ``terms`` view do
-not depend on the order in which variables were registered.
+not depend on the order in which variables were registered.  Nor does a
+quotient, though the key order does: the quotient of an exact division
+is unique.
 
 >>> p = Poly.var(1, 2) * Poly.var(2, 1)
 >>> print(Poly.one() - p)
@@ -226,8 +231,9 @@ class Renaming:
 
 
 class NotDivisible(ArithmeticError):
-    """Raised by Poly.exact_div when an exact polynomial division has a
-    nonzero remainder or a non-integer quotient."""
+    """Raised by Poly.exact_div when the divisor does not divide the
+    dividend in Z[q_ij]: the quotient is not a polynomial, or not one with
+    integer coefficients."""
 
 
 class GaussRat:
@@ -629,30 +635,16 @@ class Poly:
         return _decode(m), self._t[m]
 
     # -- division ----------------------------------------------------------
-    def divmod_single(self, d: "Poly"):
-        """Multivariate division by a single divisor: self = q*d + r where no
-        monomial of r is divisible by lm(d).  Returns the Mono-keyed dicts
-        q and r, whose coefficients are Fractions.
-
-        This is the general route; exact_div only takes it for divisors
-        that are neither a monomial nor a binomial 1 - m, which in practice
-        are the Bareiss pivots of det_poly_bareiss."""
-        q, rem = _divmod(self._t, d._t)
-        return ({_decode(m): c for m, c in q.items()},
-                {_decode(m): c for m, c in rem.items()})
-
     def exact_div(self, d: "Poly") -> "Poly":
-        """Return q with self = d*q, or raise NotDivisible.
+        """Return q with self = d*q in Z[q_ij], or raise NotDivisible.
 
-        The divisor's shape picks the method, all with integers only except
-        the last:
+        Two routes, chosen by the divisor's shape, both on integers and
+        packed keys only:
 
-        * a monomial ``c*m``: shift every exponent down by ``m`` and divide
-          every coefficient by ``c``;
-        * a binomial ``1 - m`` (every box factor): sum the coefficients
-          along each chain ``u, u*m, u*m^2, ...`` (see ``_div_one_minus``);
-        * anything else: ``divmod_single``, insisting on an integer
-          quotient and no remainder.
+        * a box binomial ``1 - m``: sum the coefficients along each chain
+          ``u, u*m, u*m^2, ...`` (see ``_div_one_minus``);
+        * anything else, monomials included: heap division in packed-key
+          order (see ``_div_general``).
 
         >>> p = Poly.parse("q12 - q12^2*q21")
         >>> print(p.exact_div(Poly.parse("q12")))
@@ -665,23 +657,11 @@ class Poly:
         t = d._t
         if not t:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(t) == 1:
-            ((dm, dc),) = t.items()
-            return _div_monomial(self._t, dm, dc)
         if len(t) == 2 and t.get(0) == 1:
             dm = next(m for m in t if m)
             if t[dm] == -1:
                 return _div_one_minus(self._t, dm)
-        q, rem = _divmod(self._t, t)
-        if rem:
-            raise NotDivisible(f"remainder with {len(rem)} terms")
-        out = {}
-        for m, c in q.items():
-            if c:
-                if c.denominator != 1:
-                    raise NotDivisible("non-integer quotient coefficient")
-                out[m] = c.numerator
-        return _poly(out)
+        return _div_general(self._t, t)
 
     def divides(self, other: "Poly") -> bool:
         try:
@@ -829,32 +809,42 @@ def _poly(t: dict) -> Poly:
     return p
 
 
-def _divmod(t: dict, d: dict):
-    """Packed q and r with t = q*d + r by lex-ordered reduction: the
-    leading term of d (least ``mono_key``) cancels the leading remaining
-    term while it divides it; a term it does not divide moves to r."""
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
+def _div_general(t: dict, d: dict) -> Poly:
+    """Exact quotient by any nonzero d, by heap division on packed keys.
+
+    The integer order of packed keys is itself a monomial order: a
+    product adds keys with no carry between fields (the guard bits stay
+    clear), so ``a < b`` gives ``a + c < b + c``, and the constant key 0
+    is least.  So the largest key ``dm`` of d leads, and while anything is
+    left of t, its largest key is lead(q) * dm for the quotient q that is
+    left, with coefficient lc(q) * d[dm].  The quotient of an exact
+    division is unique and its terms come out largest first, so a leading
+    term that dm does not divide, or whose coefficient is not a multiple
+    of d[dm], could never cancel: the division is not exact, and it stops
+    there.  Every new term is below the one taken, so a key is taken at
+    most once; keys that cancel stay in the heap and are skipped.
+    """
     g = _GUARD
-    dm = min(d, key=_lex)
+    dm = max(d)
     dc = d[dm]
     rest = [(m, c) for m, c in d.items() if m != dm]
-    r = {m: Fraction(c) for m, c in t.items()}
-    q: dict = {}
-    rem: dict = {}
-    heap = [(_lex(m), m) for m in r]
+    r = dict(t)
+    q = {}
+    heap = [-m for m in r]
     heapq.heapify(heap)
     while heap:
-        _, m = heapq.heappop(heap)
-        if m not in r:
+        m = -heapq.heappop(heap)
+        c = r.pop(m, 0)
+        if not c:
             continue
-        c = r.pop(m)
         if ((m | g) - dm) & g != g:
-            rem[m] = rem.get(m, 0) + c
-            continue
+            raise NotDivisible("a leading term is not a multiple of the "
+                               "divisor's leading monomial")
+        qc, rc = divmod(c, dc)
+        if rc:
+            raise NotDivisible("non-integer quotient coefficient")
         quo = m - dm
-        qc = c / dc
-        q[quo] = q.get(quo, 0) + qc
+        q[quo] = qc
         for m2, c2 in rest:
             mm = quo + m2
             if mm & _LIMIT:
@@ -862,26 +852,11 @@ def _divmod(t: dict, d: dict):
             v = r.get(mm, 0) - qc * c2
             if v:
                 if mm not in r:
-                    heapq.heappush(heap, (_lex(mm), mm))
+                    heapq.heappush(heap, -mm)
                 r[mm] = v
             elif mm in r:
                 del r[mm]
-    return q, rem
-
-
-def _div_monomial(t: dict, dm: int, dc: int) -> Poly:
-    """Exact quotient by the term dc*dm: exponents shift, coefficients
-    divide."""
-    g = _GUARD
-    out = {}
-    for m, c in t.items():
-        if ((m | g) - dm) & g != g:
-            raise NotDivisible("a monomial is not a multiple of the divisor")
-        c, r = divmod(c, dc)
-        if r:
-            raise NotDivisible("non-integer quotient coefficient")
-        out[m - dm] = c
-    return _poly(out)
+    return _poly(q)
 
 
 def _div_one_minus(t: dict, m: int) -> Poly:

@@ -575,6 +575,19 @@ def test_point_determinant_of_a_degenerate_weight(rng):
     assert det_point(ent) == det_elim(nu).evaluate(a, "hermitian")
 
 
+def test_six_word_elimination_matches_a_modular_slice(rng):
+    # det_elim divides every step by a general Bareiss pivot; det_univariate
+    # of the same slice eliminates modulo a prime, with no such division
+    nu = Weight({1: 5, 2: 1})
+    slopes = {(i, j): rng.randint(2, 7)
+              for i in nu.labels for j in nu.labels}
+    slope = lambda i, j: slopes[(i, j)]
+    A = build_degenerate(nu)
+    assert len(A.entries) == 6
+    rows = [[poly_to_univariate(e, slope) for e in row] for row in A.entries]
+    assert poly_to_univariate(det_elim(nu), slope) == det_univariate(rows)
+
+
 def test_univariate_slice(rng):
     nu = Weight.generic_n(3)
     slopes = {(i, j): rng.randint(2, 7)

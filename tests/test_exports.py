@@ -141,7 +141,7 @@ def test_only_ring_reads_an_assignment(name):
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "perms"])
 def test_only_perms_walks_the_reversal_sequence(name):
-    # the block-reversal sequence is walked in one place, the cached
+    # the block-reversal sequence is walked in one place,
     # perms.reversal_record; every other module reads the record
     walks = [(ref, line) for mod, ref, line in REFERENCES
              if mod == name and ref in ("young_data", "block_reversal")]

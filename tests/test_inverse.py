@@ -437,15 +437,16 @@ def test_numeric_inverse_keeps_no_stale_values(rng):
 def test_numeric_inverse_steps_once_and_keeps_no_full_length_value(
         rng, monkeypatch):
     # one _fast_step per tree-like (word, g) and per shorter sub-word, none
-    # twice; the full-length values are placed, not memoized
+    # twice; the full-length values are placed, not memoized.  Each g has
+    # its own step plan, which the step is given
     nu = Weight.generic_n(4)
     steps, universes = [], set()
     real_step = inverse._fast_step
 
-    def step_spy(letters, g, u):
-        steps.append((letters, g))
+    def step_spy(letters, plan, u):
+        steps.append((letters, plan))
         universes.add(u)
-        return real_step(letters, g, u)
+        return real_step(letters, plan, u)
 
     monkeypatch.setattr(inverse, "_fast_step", step_spy)
     inverse_matrix_at(nu, hermitian_assignment(nu.labels, rng), "hermitian")

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,12 +144,22 @@ def test_a_level_that_does_not_refine_raises(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(perms, "young_data", merged)
-    reversal_record.cache_clear()
+    with pytest.raises(ArithmeticError, match="does not refine"):
+        reversal_record(Perm((2, 1, 3)))
+
+
+def test_no_reversal_record_outlives_a_count():
+    # counting the tree-like permutations reads each of the n! records
+    # once; a cache of them would keep the last thousand, 1.5 MB at n = 7
+    tracemalloc.start()
     try:
-        with pytest.raises(ArithmeticError, match="does not refine"):
-            reversal_record(Perm((2, 1, 3)))
+        count = sum(reversal_record(g) is not None for g in all_perms(7))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
     finally:
-        reversal_record.cache_clear()
+        tracemalloc.stop()
+    assert count == 1806
+    assert held < 2**18
 
 
 def test_unimodal_counts():

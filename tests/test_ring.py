@@ -109,10 +109,10 @@ def test_not_divisible():
 
 def oracle_div(p, d):
     """p / d by the general heap division, or None if it is not exact."""
-    q, rem = p.divmod_single(d)
-    if rem or any(Fraction(c).denominator != 1 for c in q.values()):
+    try:
+        return ring._div_general(p._t, d._t)
+    except NotDivisible:
         return None
-    return Poly({m: int(c) for m, c in q.items()})
 
 
 def exact_div_or_none(p, d):
@@ -711,16 +711,27 @@ def test_packed_exact_div_matches_reference(case):
 
 def _print_poly(order):
     """str, to_json and leading of one Poly in a fresh interpreter that
-    registers the variables q_ij for (i, j) in order first."""
+    registers the variables q_ij for (i, j) in order first, and exact
+    quotients of it: by a general divisor whose leading packed key depends
+    on that order, by a monomial, and the verdict on a pair that does not
+    divide."""
     code = (
         "import json\n"
-        "from quongram.ring import Poly\n"
+        "from quongram.ring import Poly, NotDivisible\n"
         f"for i, j in {order!r}:\n"
         "    Poly.var(i, j)\n"
         "p = Poly.parse('3*q31^2*q12 - q23*q12 + 5 - q[11,2]^3 + q^2*q23')\n"
         "print(p)\n"
         "print(json.dumps(p.to_json()))\n"
-        "print(p.leading(), dict(p.terms) == dict(sorted(p.terms.items())))\n")
+        "print(p.leading(), dict(p.terms) == dict(sorted(p.terms.items())))\n"
+        "d = Poly.parse('2*q12 + 3 - q31*q23')\n"
+        "print((p * d).exact_div(d))\n"
+        "m = Poly.parse('-2*q31^2*q23')\n"
+        "print((p * m).exact_div(m))\n"
+        "try:\n"
+        "    print((p * d + Poly.one()).exact_div(d))\n"
+        "except NotDivisible:\n"
+        "    print('NotDivisible')\n")
     src = os.path.dirname(os.path.dirname(ring.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -731,8 +742,18 @@ def test_output_does_not_depend_on_registration_order():
     pairs = [(1, 2), (3, 1), (2, 3), (11, 2)]
     first = _print_poly(pairs)
     assert first == _print_poly(pairs[::-1])
-    assert first.splitlines()[0] == \
+    lines = first.splitlines()
+    assert lines[0] == lines[3] == lines[4] == \
         "5 - q12*q23 + 3*q12*q31^2 + q23*q^2 - q[11,2]^3"
+    assert lines[5] == "NotDivisible"
+
+
+def test_general_division_needs_an_integer_quotient():
+    # 2 + 2*q12 = 2*(1 + q12), but (1 + q12)/(2 + 2*q12) = 1/2 is not in Z
+    two = Poly.parse("2 + 2*q12")
+    assert two.exact_div(Poly.parse("1 + q12")) == Poly.const(2)
+    with pytest.raises(NotDivisible):
+        Poly.parse("1 + q12").exact_div(two)
 
 
 def test_exponent_limit_raises_overflow():
@@ -753,10 +774,14 @@ def test_exponent_limit_raises_overflow():
     with pytest.raises(OverflowError):
         Poly.monomial([pair_var(1, 2), pair_var(2, 1)] * 2 ** 14)
     assert Poly.monomial([pair_var(1, 2)] * (2 ** 15 - 1)) == big
-    # the general division multiplies the quotient by the divisor's tail
+    # the general division multiplies the quotient by the divisor's tail;
+    # of a + b^3, a leads when its field is the later registered one,
+    # valued at the larger prime
+    a, b = Poly.var(1, 1), x
+    if a.value_at_primes() < b.value_at_primes():
+        a, b = b, a
     with pytest.raises(OverflowError):
-        (Poly.var(1, 1) * x ** (2 ** 15 - 2)).exact_div(
-            Poly.var(1, 1) + x ** 3)
+        (a * b ** (2 ** 15 - 2)).exact_div(a + b ** 3)
 
 
 def test_terms_view_is_read_only_and_pickles_as_monos():
