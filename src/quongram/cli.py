@@ -21,7 +21,7 @@ import sys
 
 from .ring import random_hermitian
 from .fock import Word, Weight, inner_product, check_ccr
-from .perms import Perm, all_perms, reversal_record, children
+from .perms import Perm, all_perms, reversal_record, thickened
 from .gram import build_generic, build_degenerate
 from .boxes import BoxFraction
 from . import determinant as det_mod
@@ -202,8 +202,9 @@ def cmd_invert(args, out) -> int:
 
 
 # count tree-like walks the reversal sequence of each of the n!
-# permutations, all held in one list: n = 8 takes 0.7 s and 26 MB, n = 9
-# 5.4 s and 77 MB, and n = 11 passed 2 GB.  count bracketings lists every
+# permutations, all held in one list: n = 8 takes 0.8-1.1 s and 24 MB, n = 9
+# 8.0-9.7 s and 76 MB (peak RSS of the process, three runs each on a 2-core
+# VM), and n = 11 passed 2 GB.  count bracketings lists every
 # bracketing: n = 10 takes 1.7-1.8 s and 164 MB; n = 11 lists five times
 # as many.
 TREE_LIKE_MAX_N = 8
@@ -302,16 +303,13 @@ ZAGIER_MAX_WORDS = 720
 
 def _widest_subdivision(g: Perm) -> int:
     """The most blocks of a subdivision that Lambda(g) sums over, read off
-    the reversal record of g as ``inverse._closed_form`` reads it: the
-    blocks of g, then the children of each block of each level.  0 when g
-    is not tree-like, and Lambda(g) is 0."""
+    the reversal record of g by ``perms.thickened``, as
+    ``inverse._closed_form`` reads it.  0 when g is not tree-like, and
+    Lambda(g) is 0."""
     levels = reversal_record(g)
     if levels is None:
         return 0
-    subs = [blocks for _, blocks in levels]
-    return max([len(subs[0])] + [
-        len(sub) for outer, inner in zip(subs, subs[1:])
-        for _, sub in children(outer, inner)])
+    return max(len(sub) for _, sub in thickened(levels))
 
 
 def cmd_zagier_check(args, out) -> int:

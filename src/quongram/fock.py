@@ -157,15 +157,19 @@ class FockVector:
         v.terms[Word(w)] = coeff if coeff is not None else Poly.one()
         return v
 
+    def _add(self, w, c: Poly):
+        """Add c to the coefficient of w in place, dropping it at zero."""
+        s = self.terms.get(w, Poly.zero()) + c
+        if s.is_zero():
+            self.terms.pop(w, None)
+        else:
+            self.terms[w] = s
+
     def __add__(self, o: "FockVector") -> "FockVector":
         out = FockVector()
         out.terms = dict(self.terms)
         for w, c in o.terms.items():
-            s = out.terms.get(w, Poly.zero()) + c
-            if s.is_zero():
-                out.terms.pop(w, None)
-            else:
-                out.terms[w] = s
+            out._add(w, c)
         return out
 
     def __sub__(self, o: "FockVector") -> "FockVector":
@@ -211,12 +215,7 @@ def partial_left(i, v: FockVector) -> FockVector:
         pref = Poly.one()
         for p, ch in enumerate(w):
             if ch == i:
-                nw = w.drop(p)
-                s = out.terms.get(nw, Poly.zero()) + c * pref
-                if s.is_zero():
-                    out.terms.pop(nw, None)
-                else:
-                    out.terms[nw] = s
+                out._add(w.drop(p), c * pref)
             pref = pref * Poly.var(i, ch)
     return out
 
@@ -230,12 +229,7 @@ def partial_right(i, v: FockVector) -> FockVector:
         suff = Poly.one()
         for p in range(n - 1, -1, -1):
             if w[p] == i:
-                nw = w.drop(p)
-                s = out.terms.get(nw, Poly.zero()) + c * suff
-                if s.is_zero():
-                    out.terms.pop(nw, None)
-                else:
-                    out.terms[nw] = s
+                out._add(w.drop(p), c * suff)
             suff = suff * Poly.var(w[p], i)
     return out
 

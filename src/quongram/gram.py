@@ -34,7 +34,7 @@ __all__ = [
     "Basis", "GramMatrix", "DiagOp", "OpExpansion", "GenericOp", "Embedding",
     "build_generic", "pair_rule", "build_degenerate", "rhat", "q_of_perm",
     "mult_factor", "factor_A_m", "factor_CD", "embed_degenerate",
-    "q_diag_pair", "q_diag_set", "box_diag",
+    "q_set", "q_diag_pair", "q_diag_set", "box_diag",
 ]
 
 import itertools
@@ -45,10 +45,6 @@ from .ring import Poly, Point, Renaming, SINGLE_Q, pair_var
 from .boxes import as_part, over_common, sum_products
 from .fock import Word, Weight
 from .perms import Perm, cycle
-
-
-def _qvar(i, j, one_param: bool) -> Poly:
-    return Poly.single_q() if one_param else Poly.var(i, j)
 
 
 class Basis(namedtuple("Basis", "weight words")):
@@ -221,22 +217,57 @@ class DiagOp:
         return all(v.is_zero() for v in self.diagonal)
 
 
-class OpExpansion:
-    """Operator Σ_g D(g)·R(g): map Perm -> DiagOp over a fixed basis.
+class _Expansion:
+    """Σ_g c(g)·R(g) over a fixed basis, kept as a dict Perm -> c(g) with
+    zero values dropped: the rules that read no coefficient's type.
 
-    R(g) permutes the word basis by place permutation, θ_j -> θ_{g·j} with
-    (g·j)_p = j_{g⁻¹(p)}; the convention is pinned by R(g)R(h) = R(gh).
+    ``OpExpansion`` (c(g) a DiagOp) and ``GenericOp`` (c(g) a value at the
+    identity word) share them, and each result keeps the caller's class.
+    Expansions of different classes are never equal.
     """
 
     __slots__ = ("basis", "coefficients")
 
     def __init__(self, basis: Basis, coefficients=None):
         self.basis = basis
-        self.coefficients = {}
-        if coefficients:
-            for g, d in coefficients.items():
-                if not d.is_zero():
-                    self.coefficients[g] = d
+        self.coefficients = {g: x for g, x in (coefficients or {}).items()
+                             if not x.is_zero()}
+
+    def __add__(self, o):
+        out = dict(self.coefficients)
+        for g, x in o.coefficients.items():
+            out[g] = out[g] + x if g in out else x
+        return self.__class__(self.basis, out)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __neg__(self):
+        return self.__class__(self.basis,
+                              {g: -x for g, x in self.coefficients.items()})
+
+    def left_diag(self, d):
+        """Multiply on the left by a diagonal: a DiagOp on an
+        ``OpExpansion``, its entry at the identity word on a ``GenericOp``."""
+        return self.__class__(self.basis, {g: d * x for g, x in
+                                           self.coefficients.items()})
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == o.basis and self.coefficients == o.coefficients
+
+
+class OpExpansion(_Expansion):
+    """Operator Σ_g D(g)·R(g): map Perm -> DiagOp over a fixed basis, with
+    the sum, difference, negation, left diagonal factor and equality of
+    ``_Expansion``.
+
+    R(g) permutes the word basis by place permutation, θ_j -> θ_{g·j} with
+    (g·j)_p = j_{g⁻¹(p)}; the convention is pinned by R(g)R(h) = R(gh).
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def identity(basis: Basis) -> "OpExpansion":
@@ -250,19 +281,6 @@ class OpExpansion:
     @staticmethod
     def single(g: Perm, d: DiagOp) -> "OpExpansion":
         return OpExpansion(d.basis, {g: d})
-
-    def __add__(self, o: "OpExpansion") -> "OpExpansion":
-        out = dict(self.coefficients)
-        for g, d in o.coefficients.items():
-            out[g] = out[g] + d if g in out else d
-        return OpExpansion(self.basis, out)
-
-    def __sub__(self, o: "OpExpansion") -> "OpExpansion":
-        return self + (-o)
-
-    def __neg__(self) -> "OpExpansion":
-        return OpExpansion(self.basis,
-                           {g: -d for g, d in self.coefficients.items()})
 
     def __mul__(self, o: "OpExpansion") -> "OpExpansion":
         """Composition: D1 R(g1) D2 R(g2) = D1 (R(g1) D2 R(g1)^-1) R(g1 g2).
@@ -287,16 +305,6 @@ class OpExpansion:
                 for k in range(self.basis.size)))
         return OpExpansion(self.basis, out)
 
-    def left_diag(self, d: DiagOp) -> "OpExpansion":
-        """Multiply by a diagonal operator on the left."""
-        return OpExpansion(self.basis, {g: d * dg for g, dg in
-                                        self.coefficients.items()})
-
-    def __eq__(self, o):
-        if not isinstance(o, OpExpansion):
-            return NotImplemented
-        return self.basis == o.basis and self.coefficients == o.coefficients
-
     def to_matrix(self) -> GramMatrix:
         basis = self.basis
         m = basis.size
@@ -308,24 +316,22 @@ class OpExpansion:
         return GramMatrix(basis, ent)
 
 
-class GenericOp:
+class GenericOp(_Expansion):
     """Operator Σ_g X(g)·R(g) on a multiplicity-free weight that commutes
     with renaming letters, kept as one value per permutation: x_g, the
     entry of X(g) at the identity word (see the module docstring).  Values
     are Polys and BoxFractions, and zero values are dropped.
 
-    The operations are those of ``OpExpansion`` read at the identity word:
-    each value is summed once, by ``boxes.sum_products``, from the products
-    the per-word operation sums there, so it has the form that operation
-    gives there, also in one-parameter mode, where forms are not unique.
+    The sum, difference, negation, left diagonal factor and equality are
+    those of ``_Expansion``, shared with ``OpExpansion``.  The product and
+    ``sum`` are ``OpExpansion``'s product and sum read at the identity
+    word: each value is summed once, by ``boxes.sum_products``, from the
+    products the per-word operation sums there, so it has the form that
+    operation gives there, also in one-parameter mode, where forms are not
+    unique.
     """
 
-    __slots__ = ("basis", "coefficients")
-
-    def __init__(self, basis: Basis, coefficients=None):
-        self.basis = basis
-        self.coefficients = {g: x for g, x in (coefficients or {}).items()
-                             if not x.is_zero()}
+    __slots__ = ()
 
     @staticmethod
     def identity(basis: Basis) -> "GenericOp":
@@ -350,19 +356,6 @@ class GenericOp:
         return GenericOp(basis, {g: sum_products(pairs)
                                  for g, pairs in groups.items()})
 
-    def __add__(self, o: "GenericOp") -> "GenericOp":
-        out = dict(self.coefficients)
-        for g, x in o.coefficients.items():
-            out[g] = out[g] + x if g in out else x
-        return GenericOp(self.basis, out)
-
-    def __sub__(self, o: "GenericOp") -> "GenericOp":
-        return self + (-o)
-
-    def __neg__(self) -> "GenericOp":
-        return GenericOp(self.basis,
-                         {g: -x for g, x in self.coefficients.items()})
-
     def __mul__(self, o: "GenericOp") -> "GenericOp":
         """(XY)_g = Σ_{g₁g₂=g} x_{g₁} · g₁(y_{g₂}), the pairs grouped by g
         as in ``OpExpansion.__mul__`` and each group summed once over its
@@ -378,22 +371,11 @@ class GenericOp:
         return GenericOp(self.basis, {g: sum_products(pairs)
                                       for g, pairs in groups.items()})
 
-    def left_diag(self, d) -> "GenericOp":
-        """Multiply on the left by the diagonal with entry d at the identity
-        word."""
-        return GenericOp(self.basis, {g: d * x for g, x in
-                                      self.coefficients.items()})
-
     def scale(self, c: int) -> "GenericOp":
         # an integer multiple of a reduced box fraction is reduced: a box
         # has content 1, so it divides c*N only if it divides N
         return GenericOp(self.basis, {g: x.scale(c) for g, x in
                                       self.coefficients.items()})
-
-    def __eq__(self, o):
-        if not isinstance(o, GenericOp):
-            return NotImplemented
-        return self.basis == o.basis and self.coefficients == o.coefficients
 
 
 def q_mono(word, pairs, one_param: bool = False) -> Poly:
@@ -408,17 +390,23 @@ def q_of_perm(word, g: Perm, one_param: bool = False) -> Poly:
     return q_mono(word, g.inversion_set(), one_param)
 
 
+def q_set(word, T, one_param: bool = False) -> Poly:
+    """Q_T at a word: ∏_{a != b in T} q_{i_a i_b} over ordered pairs of
+    1-based positions; for T = {a,b} it is q_{i_a i_b} q_{i_b i_a}, the
+    |q|² entry.  The q-part of the box over T (``boxes.BoxFactor``)."""
+    T = sorted(T)
+    return q_mono(word, [(a, b) for a in T for b in T if a != b], one_param)
+
+
 def q_diag_pair(basis: Basis, a: int, b: int, one_param: bool = False) -> DiagOp:
     """Q_{a,b}: diagonal with entry q_{i_a i_b} at word i."""
-    return DiagOp.of_func(basis, lambda w: _qvar(w[a - 1], w[b - 1], one_param))
+    return DiagOp.of_func(basis, lambda w: q_mono(w, ((a, b),), one_param))
 
 
 def q_diag_set(basis: Basis, T, one_param: bool = False) -> DiagOp:
-    """Q_T = ∏_{a != b in T} Q_{a,b} (ordered pairs; for T = {a,b} this is
-    Q_{a,b}Q_{b,a}, the |q|² diagonal)."""
-    T = sorted(T)
-    pairs = [(a, b) for a in T for b in T if a != b]
-    return DiagOp.of_func(basis, lambda w: q_mono(w, pairs, one_param))
+    """Q_T = ∏_{a != b in T} Q_{a,b}: diagonal with entry ``q_set`` at
+    each word."""
+    return DiagOp.of_func(basis, lambda w: q_set(w, T, one_param))
 
 
 def box_diag(basis: Basis, T, one_param: bool = False) -> DiagOp:
@@ -449,8 +437,7 @@ def mult_factor(g1: Perm, g2: Perm, nu: Weight,
                                            g1.inverse()).inversion_set()
     d = DiagOp.identity(basis)
     for a, b in lost:
-        d = d * q_diag_pair(basis, a, b, one_param) \
-              * q_diag_pair(basis, b, a, one_param)
+        d = d * q_diag_set(basis, (a, b), one_param)
     return d
 
 

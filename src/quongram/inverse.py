@@ -57,9 +57,9 @@ from .boxes import (BoxFactor, BoxFraction, as_part, sum_parts, _den_minus,
                     _raw)
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, reversal_record,
-                    children, unimodal_subset)
-from .subdiv import enumerate_bracketings, enumerate_chains
-from .gram import (Basis, GramMatrix, GenericOp, q_mono, q_of_perm,
+                    children, thickened, unimodal_subset)
+from .subdiv import enumerate_bracketings, enumerate_chains, _compositions
+from .gram import (Basis, GramMatrix, GenericOp, q_of_perm, q_set,
                    build_generic, embed_degenerate)
 
 
@@ -104,11 +104,9 @@ class Universe:
         return GaussRat.of(c)
 
     def q_block(self, letters: tuple, positions):
-        """The monomial prod_{a != b in positions} q_{letters_a letters_b}."""
+        """The monomial Q_T at the word, T the positions (``gram.q_set``)."""
         if self.point is None:
-            T = sorted(positions)
-            pairs = [(a, b) for a in T for b in T if a != b]
-            return BoxFraction(q_mono(letters, pairs, self.one_param))
+            return BoxFraction(q_set(letters, positions, self.one_param))
         if len(positions) < 2:
             return GaussRat.of(1)
         # the same monomial as the q-part of the box over these positions
@@ -304,13 +302,13 @@ def _fast_step(letters: tuple, plan: tuple, u: Universe):
 def _closed_form(letters: tuple, g: Perm, u: Universe):
     """The full reversal-sequence product for a tree-like permutation:
     global sign from the total excess of block sizes over block counts,
-    relative thickened factors at every level, Q-monomials on odd levels."""
-    subs = [blocks for _, blocks in reversal_record(g)]
+    relative thickened factors at every level (``perms.thickened``),
+    Q-monomials on odd levels."""
+    levels = reversal_record(g)
+    subs = [blocks for _, blocks in levels]
     exponent = sum(b - a for blocks in subs for a, b in blocks)
-    factors = [_sigma(letters, subs[0], u)]
-    for outer, inner in zip(subs, subs[1:]):
-        factors += [_sigma(letters[a - 1:b], sub, u)
-                    for (a, b), sub in children(outer, inner)]
+    factors = [_sigma(letters[a - 1:b], sub, u)
+               for (a, b), sub in thickened(levels)]
     for blocks in subs[1::2]:
         factors += [u.q_block(letters, range(a, b + 1))
                     for a, b in blocks if b > a]
@@ -327,25 +325,19 @@ def random_tree_like(n: int, rng) -> Perm:
             return g
 
 
-def lambda_id(letters, form: str = "outer-bracket",
-              one_param: bool = False) -> BoxFraction:
+def lambda_id(letters, one_param: bool = False) -> BoxFraction:
     """The identity coefficient of the inverse at the word with these
-    letters, from either bracketing sum.
+    letters, as (1/Box_full) . sum over bracketings without outer brackets
+    of (Q_T of each bracket T)/(box of each bracket).
 
-    ``outer-bracket``: signed sum of 1/box-products over bracketings with
-    outer brackets (``lambda_sigma`` of the singletons).  ``no-outer``: the
-    same value written as (1/Box_full) . sum over bracketings without
-    outer brackets of (monomial of each bracket)/(box of each bracket),
-    summed here independently of ``lambda_sigma``.
+    This is summed independently of ``lambda_sigma`` of the singletons,
+    which gives the same value as the signed sum of 1/box-products over
+    the bracketings with outer brackets.
     """
     letters = tuple(letters)
     n = len(letters)
     if n == 1:
         return BoxFraction.one()
-    if form == "outer-bracket":
-        return lambda_sigma(letters, _singletons(n), one_param)
-    if form != "no-outer":
-        raise ValueError(f"unknown form {form!r}")
     outer = BoxFactor(letters, range(1, n + 1), one_param)
     parts = []
     for beta in enumerate_bracketings(n, False):
@@ -353,8 +345,7 @@ def lambda_id(letters, form: str = "outer-bracket",
         den = [outer]
         for a, b in beta:
             T = range(a, b + 1)
-            pairs = [(x, y) for x in T for y in T if x != y]
-            num = num * q_mono(letters, pairs, one_param)
+            num = num * q_set(letters, T, one_param)
             den.append(BoxFactor(letters, T, one_param))
         parts.append((num, tuple(den)))
     return sum_parts(parts)
@@ -517,14 +508,13 @@ def inv_long(nu: Weight, one_param: bool = False) -> GenericOp:
         if (a, b) in memo:
             return memo[(a, b)]
         terms = []
-        for r in range(1, b - a + 1):
-            for cuts in itertools.combinations(range(a, b), r):
-                term = GenericOp.identity(basis)
-                prev = a
-                for c in cuts + (b,):
-                    term = term * interval(prev, c)
-                    prev = c + 1
-                terms.append(term.scale((-1) ** (r + 1)))
+        for pieces in _compositions(a, b):
+            if len(pieces) == 1:
+                continue
+            term = GenericOp.identity(basis)
+            for x, y in pieces:
+                term = term * interval(x, y)
+            terms.append(term.scale((-1) ** len(pieces)))
         res = GenericOp.sum(basis, terms) * psi_op(basis, a, b, one_param)
         memo[(a, b)] = res
         return res
@@ -568,10 +558,7 @@ def e_op(basis: Basis, m: int, one_param: bool = False) -> GenericOp:
         pi = Perm(images + fixed)
         W = Poly.one()
         for i in sorted(pi.inverse().descents()):
-            T = range(i + 1, m + 2)
-            # Q_T at the identity word, as q_diag_set gives it
-            W = W * q_mono(e, [(a, b) for a in T for b in T if a != b],
-                           one_param)
+            W = W * q_set(e, range(i + 1, m + 2), one_param)
         total = total + GenericOp.rhat(pi, basis, one_param).left_diag(W)
     return total
 
@@ -706,7 +693,8 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free") -> list:
     zero = GaussRat.of(0)
     ent = [[zero for _ in range(size)] for _ in range(size)]
     for g in all_perms(basis.n):
-        if not tree_like(g):
+        # Lambda(g) is 0 off the tree-like g; the plan is cached for _lambda
+        if not g.is_identity() and _step_plan(g) is None:
             continue
         inv = g.inverse().inversion_set()
         term = None

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 __all__ = [
     "Perm", "YoungData", "cycle", "longest_element", "young_data",
-    "reversal_record", "children", "unimodal_subset", "shuffles",
+    "reversal_record", "children", "thickened", "unimodal_subset",
+    "shuffles",
     "all_perms",
 ]
 
@@ -218,6 +219,21 @@ def children(outer, inner):
         if b > a:
             yield (a, b), tuple((x - (a - 1), y - (a - 1))
                                 for x, y in inner if a <= x and y <= b)
+
+
+def thickened(levels):
+    """((a, b), subdivision) for each thickened identity coefficient of the
+    closed form of Lambda(g), read off its reversal record ``levels``: the
+    blocks of g over the whole word, then the ``children`` of each block
+    of each level in the level after it.
+
+    >>> [sub for _, sub in thickened(reversal_record(Perm.parse("2143")))]
+    [((1, 2), (3, 4)), ((1, 1), (2, 2)), ((1, 1), (2, 2))]
+    """
+    subs = [blocks for _, blocks in levels]
+    yield (1, subs[0][-1][1]), subs[0]
+    for outer, inner in zip(subs, subs[1:]):
+        yield from children(outer, inner)
 
 
 def unimodal_subset(m: int, k: int, n: int):

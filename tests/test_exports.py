@@ -148,6 +148,21 @@ def test_only_perms_walks_the_reversal_sequence(name):
     assert sorted(walks) == []
 
 
+def test_the_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps each method as found in its own class's
+    # __dict__ and each function by its module attribute, so a method moved
+    # to a base class, or a function renamed or deleted, makes install()
+    # raise
+    src = pathlib.Path(quongram.__path__[0]).parent
+    perfbench = src.parent / "perfbench"
+    code = (f"import sys; sys.path[:0] = [{str(src)!r}, {str(perfbench)!r}]; "
+            "import tracer; tracer.Tracer().install(); print('installed')")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert (run.returncode, run.stdout.strip()) == (0, "installed"), \
+        run.stderr
+
+
 TEST_SOURCES = {path.name: ast.parse(path.read_text())
                 for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
 

@@ -5,11 +5,11 @@ import pytest
 from quongram.ring import GaussRat, Poly
 from quongram.fock import Word, Weight, inner_product
 from quongram.perms import Perm, all_perms, cycle, longest_element
-from quongram.gram import (Basis, DiagOp, GramMatrix, OpExpansion,
+from quongram.gram import (Basis, DiagOp, GenericOp, GramMatrix, OpExpansion,
                            build_generic, build_degenerate, rhat, mult_factor,
-                           q_diag_pair, q_diag_set, box_diag, factor_A_m,
-                           factor_CD, embed_degenerate, q_of_perm)
-from quongram.boxes import sum_products
+                           q_diag_pair, q_diag_set, q_set, box_diag,
+                           factor_A_m, factor_CD, embed_degenerate, q_of_perm)
+from quongram.boxes import BoxFactor, sum_products
 from quongram.inverse import inv_full
 
 from conftest import hermitian_assignment, small_weights
@@ -373,6 +373,34 @@ def test_box_diag_values():
     assert d.value_at(Word((1, 2))) == \
         Poly.one() - Poly.var(1, 2) * Poly.var(2, 1)
     assert q_diag_pair(basis, 1, 2).value_at(Word((2, 1))) == Poly.var(2, 1)
+
+
+@pytest.mark.parametrize("one_param", [False, True])
+def test_q_set_is_the_q_part_of_a_box(one_param):
+    for nu in (Weight.generic_n(4), Weight({1: 2, 2: 2})):
+        basis = Basis.of_weight(nu)
+        for T in ((1, 2), (4, 2), (1, 3, 4), (1, 2, 3, 4)):
+            d = q_diag_set(basis, T, one_param)
+            for w in basis.words:
+                q = q_set(w, T, one_param)
+                assert d.value_at(w) == q
+                assert q == Poly.one() - BoxFactor(w, T, one_param).expand()
+
+
+def test_expansion_rules_are_shared_and_keep_the_class():
+    basis = Basis.of_weight(Weight.generic_n(3))
+    g = cycle(1, 3, 3)
+    two = Poly.const(2)
+    op = OpExpansion.identity(basis) + rhat(g, basis.weight)
+    gen = GenericOp.identity(basis) + GenericOp.rhat(g, basis)
+    for x, d in ((op, DiagOp(basis, (two,) * basis.size)), (gen, two)):
+        assert type(x) is type(x + x) is type(x.left_diag(d)) is type(-x)
+        assert x + x == x.left_diag(d)
+        assert (x - x).coefficients == {}
+        assert len(x.coefficients) == 2
+    # the same operator in the two representations is never equal
+    assert op != gen and gen != op
+    assert not (op == gen or gen == op)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from quongram import inverse
 from quongram.ring import Poly, GaussRat, Point, SINGLE_Q
 from quongram.boxes import BoxFactor, BoxFraction
 from quongram.fock import Word, Weight
-from quongram.perms import Perm, all_perms, longest_element
+from quongram.perms import (Perm, all_perms, longest_element, reversal_record,
+                            thickened)
 from quongram.determinant import is_inverse
 from quongram.gram import (Basis, DiagOp, OpExpansion, build_generic,
                            build_degenerate, factor_CD, q_mono, q_of_perm,
@@ -77,14 +78,35 @@ def test_closed_form_checked_on_all_of_s4():
         lambda_scalar((1, 2, 3, 4), g, check_closed=True)
 
 
+def test_thickened_yields_the_subdivisions_of_the_closed_form(monkeypatch):
+    g = Perm.parse("41325786")
+    letters = tuple(range(1, 9))
+    factors = list(thickened(reversal_record(g)))
+    assert factors == [
+        ((1, 8), ((1, 4), (5, 5), (6, 8))),
+        ((1, 4), ((1, 3), (4, 4))), ((6, 8), ((1, 1), (2, 3))),
+        ((1, 3), ((1, 1), (2, 3))), ((7, 8), ((1, 1), (2, 2))),
+        ((2, 3), ((1, 1), (2, 2)))]
+    seen = []
+    sigma = inverse._sigma
+
+    def spy(sub_letters, blocks, u):
+        seen.append((sub_letters, blocks))
+        return sigma(sub_letters, blocks, u)
+    monkeypatch.setattr(inverse, "_sigma", spy)
+    inverse._closed_form(letters, g, Universe())
+    assert seen == [(letters[a - 1:b], sub) for (a, b), sub in factors]
+
+
 def test_lambda_id_forms_agree():
+    # the no-outer sum of lambda_id against the outer-bracket sum of
+    # lambda_sigma over the singletons
     for n in (2, 3, 4):
+        singletons = tuple((k, k) for k in range(1, n + 1))
         for w in Basis.of_weight(Weight.generic_n(n)).words:
-            assert lambda_id(w, "outer-bracket") == lambda_id(w, "no-outer")
-            assert lambda_id(w, "outer-bracket", True) == \
-                lambda_id(w, "no-outer", True)
-    with pytest.raises(ValueError):
-        lambda_id((1, 2), "sideways")
+            for one_param in (False, True):
+                assert lambda_id(w, one_param) == \
+                    lambda_sigma(w, singletons, one_param)
 
 
 def test_lambda_id_one_param_golden():
