@@ -5,7 +5,7 @@ scaling A and each column of A^-1 by their common denominators, and
 det A = the factored determinant formula at the same point.
 
 The symbolic inverse table is built for n <= 6 (``quongram invert --n 5``
-prints all of it in about 2 s), but from n = 6 on its dense n! x n! form is
+prints all of it in about 1.3 s), but from n = 6 on its dense n! x n! form is
 out of reach: at n = 6 that is 283 680 printed values, over the CLI's limit
 (``cli.INVERT_MAX_WORDS``).  The per-permutation coefficient recursion
 evaluates happily at a point, with no symbolic table; this is the go-to

@@ -29,6 +29,13 @@ summed on the rest, and the branch sum goes into the sum above it as one
 more pair with that box's binomial.  No product of several boxes is
 expanded, so nothing needs a cache.
 
+The rule has two steps: the grouping step lists the numerator pairs per
+denominator and finds the common denominator and each group's missing
+boxes, and the summation step lifts, accumulates and reduces.  A dense
+matrix product takes the grouping step once per row (``by_denominator``),
+puts each column over one denominator once (``over_common``), and hands
+each entry's pairs to the summation step (``sum_row_column``).
+
 A multiparameter box over distinct letters is irreducible, and two such
 boxes over different letters are different primes of Z[q], so over such
 boxes a value has exactly one reduced form.  A one-parameter box is not
@@ -45,8 +52,8 @@ not on their order.
 
 from __future__ import annotations
 
-__all__ = ["BoxFactor", "BoxFraction", "as_part", "over_common",
-           "sum_parts", "sum_products"]
+__all__ = ["BoxFactor", "BoxFraction", "as_part", "by_denominator",
+           "over_common", "sum_parts", "sum_products", "sum_row_column"]
 
 import math
 from fractions import Fraction
@@ -299,23 +306,39 @@ def _raw(num: Poly, den: tuple) -> BoxFraction:
 
 def _sum_once(products) -> BoxFraction:
     """Sum of x*y over (x, y, sorted denominator) products, reduced: the
-    one rule by which box fractions are summed.  The products are listed
-    per denominator, and the least common multiple of the denominators is
-    the running ``_den_lcm`` of the distinct ones.  Each group lacks the
-    factors ``_den_minus(common, den)``, a sorted tuple, and is lifted by
-    them through ``_lifted``, one binomial at a time; the numerators are
-    accumulated by ``Poly.sum_of_products`` and reduced once."""
+    one rule by which box fractions are summed.  It is the grouping step
+    ``_grouped`` of the pairs (x, y) by denominator, followed by the
+    summation step ``_summed`` of the groups."""
+    common, groups = _grouped((den, (x, y)) for x, y, den in products)
+    return _summed([(missing, pairs) for _, missing, pairs in groups],
+                   common)
+
+
+def _grouped(items) -> tuple:
+    """The grouping step of ``_sum_once``: the payloads of (sorted
+    denominator, payload) items, listed per denominator in order of first
+    appearance, as (common, [(den, missing, payloads)]).  ``common`` is the
+    least common multiple of the denominators, the running ``_den_lcm`` of
+    the distinct ones, and each group lacks the factors ``missing =
+    _den_minus(common, den)``, a sorted tuple."""
     common = ()
     by_den: dict = {}
-    for x, y, den in products:
+    for den, x in items:
         group = by_den.get(den)
         if group is None:
             common = _den_lcm(common, den)
-            by_den[den] = [(x, y)]
+            by_den[den] = [x]
         else:
-            group.append((x, y))
-    groups = [(_den_minus(common, den), group)
-              for den, group in by_den.items()]
+            group.append(x)
+    return common, [(den, _den_minus(common, den), group)
+                    for den, group in by_den.items()]
+
+
+def _summed(groups, common) -> BoxFraction:
+    """The summation step of ``_sum_once``: the sum over (missing, pairs)
+    groups of x*y over the pairs (x, y) of Polys, each group lifted by the
+    factors it misses through ``_lifted``, one binomial at a time, as one
+    numerator over ``common``, reduced once."""
     return _raw(*_reduce(_lifted(groups), common))
 
 
@@ -390,34 +413,73 @@ def sum_products(pairs):
     return _sum_once(products)
 
 
-def over_common(values) -> list:
-    """Polys and BoxFractions over their least common denominator, as
-    unreduced BoxFractions; the values as they are when none has a
-    denominator.  Zeros stay as they are.
+def over_common(values) -> tuple:
+    """The least common denominator of Polys and BoxFractions, and the
+    values over it as unreduced BoxFractions; the values as they are when
+    none has a denominator.  Zeros stay as they are.  Each distinct
+    missing product of boxes is expanded once.
 
-    A sum of products with such values, say a column of a matrix product,
-    then hands ``sum_products`` products over one denominator, which it
-    accumulates without multiplying any up, and reduces once.  The value
-    of each sum is that of the sum of the values as they are.  Over
-    multiparameter boxes of distinct letters so is its form, the one
-    reduced form; over other boxes the larger common denominator can
-    reduce to another form of the same value.
+    Every nonzero value then has the same denominator, so the products of
+    such values, say a column of a matrix product, with the values of a
+    row are grouped by the row's denominators alone (``by_denominator``),
+    and ``sum_row_column`` accumulates them without multiplying these
+    values up, and reduces once.  The value of each sum is that of the sum
+    of the values as they are.  Over multiparameter boxes of distinct
+    letters so is its form, the one reduced form; over other boxes the
+    larger common denominator can reduce to another form of the same
+    value.
     """
     parts = [as_part(x) for x in values]
     common = ()
     for _, den in parts:
         common = _den_lcm(common, den)
     if not common:
-        return list(values)
+        return common, list(values)
+    lifts: dict = {}
     out = []
     for x, (n, den) in zip(values, parts):
         if n.is_zero():
             out.append(x)
             continue
         if den != common:
-            n = n * _den_poly(_den_minus(common, den))
+            lift = lifts.get(den)
+            if lift is None:
+                lift = lifts[den] = _den_poly(_den_minus(common, den))
+            n = n * lift
         out.append(_raw(n, common))
-    return out
+    return common, out
+
+
+def by_denominator(values) -> tuple:
+    """The nonzero values among Polys and BoxFractions, grouped by the
+    grouping step of ``_sum_once``: (common, [(den, missing, [(k,
+    numerator)])]), k the index of the value."""
+    parts = ((k, as_part(x)) for k, x in enumerate(values))
+    return _grouped((den, (k, n)) for k, (n, den) in parts
+                    if not n.is_zero())
+
+
+def sum_row_column(row, nums, den) -> BoxFraction:
+    """Sum of x*y over a row of values grouped by ``by_denominator`` and a
+    column over one denominator den (``over_common``), with numerators
+    nums, None at a zero: the ``sum_products`` of the pairs.
+
+    A group of the row over D has its products over D + den, so the row's
+    groups, common denominator and missing factors serve every column, and
+    only the numerator pairs are handed to the summation step ``_summed``.
+    A group that meets only zeros of the column has no product, and so no
+    say in the common denominator: the rest are grouped afresh."""
+    common, groups = row
+    kept = []
+    for d, missing, group in groups:
+        pairs = [(n, nums[k]) for k, n in group if nums[k] is not None]
+        if pairs:
+            kept.append((d, missing, pairs))
+    if len(kept) < len(groups):
+        common, kept = _grouped((d, pair) for d, _, pairs in kept
+                                for pair in pairs)
+    return _summed([(missing, pairs) for _, missing, pairs in kept],
+                   _den_plus(common, den))
 
 
 def _reduce(num: Poly, den: tuple):

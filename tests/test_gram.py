@@ -9,8 +9,8 @@ from quongram.gram import (Basis, DiagOp, GenericOp, GramMatrix, OpExpansion,
                            build_generic, build_degenerate, rhat, mult_factor,
                            q_diag_pair, q_diag_set, q_set, box_diag,
                            factor_A_m, factor_CD, embed_degenerate, q_of_perm)
-from quongram.boxes import BoxFactor, sum_products
-from quongram.inverse import inv_full
+from quongram.boxes import BoxFactor, BoxFraction, as_part, sum_products
+from quongram.inverse import inv_degenerate, inv_full
 
 from conftest import hermitian_assignment, small_weights
 
@@ -436,19 +436,56 @@ def _matmul_by_entry_sums(x, y):
          for b in range(n)] for a in range(n)])
 
 
+def _forms(m):
+    """Each entry's class, numerator and denominator: equal forms print
+    equally, and comparing them spares printing the n = 4 entries of
+    inv * inv, which takes seconds."""
+    return [[(type(e), *as_part(e)) for e in row] for row in m.entries]
+
+
 def test_matmul_columns_over_one_denominator_n4():
-    # in both modes every column of the inverse is lifted to its common
-    # denominator, and each entry is summed once
-    nu = Weight.generic_n(4)
+    # in both modes every column of the right factor is lifted to its
+    # common denominator, each row of the left factor is grouped by
+    # denominator once, and each entry is summed once: every entry prints
+    # as one sum_products of its pairs as they are, in all three operand
+    # orders, and on a degenerate weight, whose inverse is pushed down
     for one_param in (False, True):
+        nu = Weight.generic_n(4)
         A = build_generic(nu, one_param)
         inv = inv_full(nu, "fast", one_param).to_matrix()
-        prod = A.matmul(inv)
-        assert prod.to_json() == _matmul_by_entry_sums(A, inv).to_json()
-        size = A.basis.size
-        assert prod.to_json()["entries"] == [
-            ["1" if i == j else "0" for j in range(size)]
-            for i in range(size)]
+        nu2 = Weight({1: 2, 2: 2})
+        B = build_degenerate(nu2, one_param)
+        inv2 = inv_degenerate(nu2, one_param)
+        for x, y, identity in ((A, inv, True), (inv, A, True),
+                               (inv, inv, False), (inv2, B, True)):
+            prod = x.matmul(y)
+            assert _forms(prod) == _forms(_matmul_by_entry_sums(x, y))
+            if identity:
+                size = x.basis.size
+                assert prod.to_json()["entries"] == [
+                    ["1" if i == j else "0" for j in range(size)]
+                    for i in range(size)]
+
+
+def test_matmul_group_meeting_only_zeros_has_no_say_in_the_denominator():
+    # one-parameter boxes B2 = 1 - q^2 and B3 = 1 - q^6, and B2 divides B3:
+    # row 0 has a group over B3 and one over B2, and column 0 is zero
+    # against the first, so entry (0, 0) sums over B2 alone, as
+    # sum_products does; over the row's common denominator B2*B3 it would
+    # reduce to another form of the same value, (1 + q^2 + q^4) / B3;
+    # entry (1, 1), of Polys alone, is a Poly
+    basis = Basis.of_weight(Weight.generic_n(2))
+    b2 = BoxFactor((1, 2), (1, 2), True)
+    b3 = BoxFactor((1, 2, 3), (1, 2, 3), True)
+    x = GramMatrix(basis, [[BoxFraction(Poly.one(), (b3,)),
+                            BoxFraction(Poly.one(), (b2,))],
+                           [Poly.one(), Poly.zero()]])
+    y = GramMatrix(basis, [[Poly.zero(), Poly.one()],
+                           [Poly.one(), Poly.one()]])
+    prod = x.matmul(y)
+    assert str(prod.entries[0][0]) == "1 / Box{1,2}"
+    assert type(prod.entries[1][1]) is Poly
+    assert _forms(prod) == _forms(_matmul_by_entry_sums(x, y))
 
 
 @pytest.mark.parametrize("one_param", [False, True])
