@@ -15,9 +15,10 @@ and, for n <= 4, the elimination kernel on one slice:
   slice     -- det_univariate (elimination mod p at enough points, then
                interpolation) on the slice q_ij = c_ij q of A_n, slopes
                c_ij drawn from 2..9 by a seeded generator, checked against
-               the formula sliced box by box (0.07 s at n = 4; n = 5 is
-               left out, as it takes about 200 s: 601 points of a
-               120 x 120 matrix modulo 2^3217 - 1)
+               the formula sliced box by box (0.02 s at n = 4; n = 5 is
+               left out, as it takes about 50 s with its points split
+               over two cores: 601 points of a 120 x 120 matrix modulo
+               2^3217 - 1)
 
 Usage:  python scripts/det_strategies.py [--max-n 6]
 """

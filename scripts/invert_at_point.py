@@ -14,6 +14,11 @@ sanity experiment before trusting any n >= 5 coefficient value.
 Each stage line ends with the process's peak resident memory so far
 (``resource.getrusage``), in MB.
 
+From n = 6 on the checks do not finish: det_point's elimination of the
+720 x 720 matrix ran more than 20 minutes and reached 800 MB without an
+answer.  So -n 6 and above exits with code 2 before any work unless
+--skip-verify is given.
+
 Usage:  python scripts/invert_at_point.py [-n 5] [--seed 0] [--skip-verify]
 """
 
@@ -29,6 +34,10 @@ from quongram.gram import build_generic
 from quongram.inverse import inverse_matrix_at
 
 
+# the largest n whose checks finish (n = 5: a 120 x 120 matrix)
+VERIFY_MAX_N = 5
+
+
 def peak_mb() -> str:
     """The peak resident set size of this process so far (Linux: KiB)."""
     kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -42,6 +51,10 @@ def main():
     ap.add_argument("--skip-verify", action="store_true",
                     help="only time the inverse, skip both checks")
     args = ap.parse_args()
+    if args.n > VERIFY_MAX_N and not args.skip_verify:
+        ap.error(f"-n {args.n}: the checks do not finish beyond "
+                 f"n = {VERIFY_MAX_N}; pass --skip-verify to time the "
+                 "inverse alone")
 
     nu = Weight.generic_n(args.n)
     rng = random.Random(args.seed)

@@ -595,6 +595,31 @@ class Poly:
         the k-th prime: distinct monomials take distinct values."""
         return sum(c * _at_primes(m) for m, c in self._t.items())
 
+    def on_line(self, scale) -> list:
+        """The integer coefficients, lowest degree first, of p with every
+        variable v set to scale(v)·t: a term c·∏v^e adds c·∏scale(v)^e to
+        the coefficient of t^{Σe}.  Each packed key's total degree and
+        fields are read in place, as ``Point.value`` reads them, and scale
+        is asked once per variable.  Trailing zeros are dropped; 0 is [0]."""
+        scales = {}
+        out = [0] * (self.degree() + 1)
+        for m, c in self._t.items():
+            key = m
+            for v in _VARS:
+                key >>= _FIELD
+                if not key:
+                    break
+                e = key & _DEGREE
+                if e:
+                    x = scales.get(v)
+                    if x is None:
+                        x = scales[v] = scale(v)
+                    c *= x ** e
+            out[m & _DEGREE] += c
+        while len(out) > 1 and not out[-1]:
+            out.pop()
+        return out
+
     def is_zero(self) -> bool:
         return not self._t
 

@@ -103,6 +103,19 @@ def test_invert_refuses_oversized_bases(capsys, monkeypatch):
         assert "scripts/invert_at_point.py" in err
 
 
+def test_invert_at_point_refuses_checks_that_do_not_finish():
+    # at n = 6 det_point alone ran for more than 20 minutes: the script
+    # exits with code 2 before any work unless the checks are skipped
+    src = os.path.dirname(os.path.dirname(quongram.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts",
+                          "invert_at_point.py")
+    proc = subprocess.run([sys.executable, script, "-n", "6"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "--skip-verify" in proc.stderr
+
+
 def test_det_refuses_oversized_eliminations(capsys, monkeypatch):
     # degenerate weights are eliminated densely: past 6 words (20 with
     # --one-param) they are refused before anything is built

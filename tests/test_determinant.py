@@ -2,7 +2,9 @@ import collections
 import hashlib
 import itertools
 import math
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -610,8 +612,9 @@ def _trim(a):
 def _u_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return _trim(out)
 
 
@@ -692,6 +695,7 @@ def test_univariate_newton_stage_at_large_degree(rng, monkeypatch):
     rows = [[a if i == j else [] for j in range(4)]
             for i, a in enumerate(diagonal)]
     points = []
+    _cpus(monkeypatch, {0})
     _spy_modular_sweep(monkeypatch, points)
     want = [1]
     for a in diagonal:
@@ -700,12 +704,20 @@ def test_univariate_newton_stage_at_large_degree(rng, monkeypatch):
     assert sorted(points) == list(range(321))
 
 
+def _cpus(monkeypatch, cpus):
+    """Make det_univariate see cpus as the CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+
+
 def _spy_modular_sweep(monkeypatch, points=None):
     """Record (upper, left) for every point det_univariate eliminates, one
     per matrix of each _sweep call: (True, whether a pivot vanished) in an
     upper sweep, (False, False) in a general one.  With a list points, also
     record each one's q, read off the batches _at_points evaluates, whose
-    matrices the sweeps take in order."""
+    matrices the sweeps take in order.  Only the points eliminated in this
+    process are recorded: a test that counts every point keeps
+    det_univariate on one CPU (_cpus)."""
     seen, queue = [], collections.deque()
     at_points, sweep = determinant._at_points, determinant._sweep
 
@@ -796,6 +808,7 @@ def _slice_of_degree(rng, n, top):
 def test_univariate_slice_beyond_one_batch(monkeypatch, rng):
     rows = _slice_of_degree(rng, 4, 12)
     points = []
+    _cpus(monkeypatch, {0})
     seen = _spy_modular_sweep(monkeypatch, points)
     assert det_univariate(rows) == _general_sweep(rows)
     sym, left, general = _sweeps(seen, points)
@@ -812,6 +825,7 @@ def test_univariate_zero_pivots_across_a_batch_send_the_rest_general(
     rows = _slice_of_degree(rng, 4, 12)
     rows[0][0] = [0]
     points = []
+    _cpus(monkeypatch, {0})
     seen = _spy_modular_sweep(monkeypatch, points)
     assert det_univariate(rows) == _general_sweep(rows)
     sym, left, general = _sweeps(seen, points)
@@ -983,31 +997,29 @@ def test_univariate_matches_reference(n, g, shape, bound, seed):
         assert want == [0]
 
 
-def _univariate_corpus():
-    """det_univariate on a seeded corpus: Gram and Varchenko slices for
-    n <= 4, the slices of four degenerate weights and of their generic
-    models, 40 random rows (symmetric, non-symmetric, zero leading entry,
-    symmetrizable and graded), and elimination_det for n <= 4."""
-    rng = random.Random(33)
+def _corpus_rows(rng):
+    """The rows of the seeded det_univariate corpus: Gram and Varchenko
+    slices for n <= 4, the slices of four degenerate weights and of their
+    generic models, and 40 random rows (symmetric, non-symmetric, zero
+    leading entry, symmetrizable and graded)."""
     out = []
 
-    def slice_det(matrix, slopes, key=lambda i, j: (i, j)):
-        out.append(det_univariate(
-            [[poly_to_univariate(e, lambda i, j: slopes[key(i, j)])
-              for e in row] for row in matrix.entries]))
+    def slice_rows(matrix, slopes, key=lambda i, j: (i, j)):
+        out.append([[poly_to_univariate(e, lambda i, j: slopes[key(i, j)])
+                     for e in row] for row in matrix.entries])
     for n in (2, 3, 4):
         G, V = build_generic(Weight.generic_n(n)), varchenko_matrix(n)
         for _ in range(2):
             s = {(i, j): rng.randint(2, 9) for i in range(1, n + 1)
                  for j in range(1, n + 1)}
-            slice_det(G, s)
-            slice_det(V, s, lambda i, j: (min(i, j), max(i, j)))
+            slice_rows(G, s)
+            slice_rows(V, s, lambda i, j: (min(i, j), max(i, j)))
     for m in ({1: 2, 2: 1}, {1: 2, 2: 1, 3: 1}, {1: 2, 2: 2}, {1: 3, 2: 1}):
         nu = Weight(m)
         emb = embed_degenerate(nu)
         s = {(i, j): rng.randint(2, 9) for i in nu.labels for j in nu.labels}
-        slice_det(pair_rule(emb.generic_weight, emb.var), s)
-        slice_det(build_degenerate(nu), s)
+        slice_rows(pair_rule(emb.generic_weight, emb.var), s)
+        slice_rows(build_degenerate(nu), s)
     for k in range(40):
         n = 1 + k % 5
         M = [[None] * n for _ in range(n)]
@@ -1024,7 +1036,15 @@ def _univariate_corpus():
             w = [rng.choice((-3, -2, 2, 5)) for _ in range(n)]
             M = [[[0] * (i % 2 + 2 * (j % 2)) + [x * w[j] for x in M[i][j]]
                   for j in range(n)] for i in range(n)]
-        out.append(det_univariate(M))
+        out.append(M)
+    return out
+
+
+def _univariate_corpus():
+    """det_univariate on the rows of _corpus_rows, then elimination_det for
+    n <= 4."""
+    rng = random.Random(33)
+    out = [det_univariate(rows) for rows in _corpus_rows(rng)]
     for n in (2, 3, 4):
         S = contravariant_matrix(n)
         for _ in range(2):
@@ -1039,6 +1059,100 @@ def test_univariate_corpus_digest():
     assert len(out) == 66
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "51349117fd8389702f6e290013418ab9656ce6babde50733ec14378607c74580")
+
+
+@pytest.fixture(scope="module")
+def split_cases():
+    """(rows, the reference determinant) for the corpus rows, a slice
+    whose leading 1x1 minor is 0 at every point, and the diagonal of four
+    polynomials of degree 80 (D = 320, 21 batches)."""
+    rng = random.Random(43)
+    cases = _corpus_rows(random.Random(33))
+    zero_pivot = _slice_of_degree(rng, 4, 12)
+    zero_pivot[0][0] = [0]
+    cases.append(zero_pivot)
+    diagonal = [[rng.choice([-2, -1, 1, 2]) for _ in range(81)]
+                for _ in range(4)]
+    cases.append([[a if i == j else [] for j in range(4)]
+                  for i, a in enumerate(diagonal)])
+    return [(rows, _general_sweep(rows)) for rows in cases]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}, {0, 1, 2}])
+def test_univariate_split_matches_the_general_sweep(monkeypatch, split_cases,
+                                                    cpus):
+    # one process, or the points split between it and one or two forked
+    # children: the same determinants, and no child left behind
+    _cpus(monkeypatch, cpus)
+    points = []
+    _spy_modular_sweep(monkeypatch, points)
+    for rows, want in split_cases:
+        points.clear()
+        assert det_univariate(rows) == want
+    # the diagonal's points t >= 1 batch from t = 1; this process keeps
+    # the first run, through t = 160 of two runs or t = 96 of three
+    stop = {1: 321, 2: 161, 3: 97}[len(cpus)]
+    assert sorted(points) == list(range(stop))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _spoil_sweep(monkeypatch, where):
+    """Make _sweep raise in the forked children, or in this process."""
+    parent, sweep = os.getpid(), determinant._sweep
+
+    def spoiled(mats, p, upper):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ArithmeticError("spoiled sweep")
+        return sweep(mats, p, upper)
+    monkeypatch.setattr(determinant, "_sweep", spoiled)
+
+
+@pytest.mark.parametrize("where, error, message", [
+    # D = 48 in three batches from t = 1: the child takes t = 17..48
+    ("child", ChildProcessError, "t = 17..48 failed in a forked child"),
+    ("parent", ArithmeticError, "spoiled sweep"),
+])
+def test_univariate_split_failure_raises_and_reaps(monkeypatch, rng, where,
+                                                   error, message):
+    _cpus(monkeypatch, {0, 1})
+    _spoil_sweep(monkeypatch, where)
+    with pytest.raises(error, match=message):
+        det_univariate(_slice_of_degree(rng, 4, 12))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("single", ["no fork", "a thread alive"])
+def test_univariate_stays_single(monkeypatch, rng, single):
+    # without os.fork, or with another thread alive, every point is
+    # eliminated in this process
+    _cpus(monkeypatch, {0, 1})
+    rows = _slice_of_degree(rng, 4, 12)
+    points = []
+    _spy_modular_sweep(monkeypatch, points)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    if single == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        waiter.start()
+    try:
+        assert det_univariate(rows) == _general_sweep(rows)
+    finally:
+        stop.set()
+        if waiter.is_alive():
+            waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert sorted(points) == list(range(49))
+
+
+def test_univariate_child_stops_without_its_parent():
+    # a child given a parent pid that is not its parent's stops at its
+    # first batch
+    with pytest.raises(ChildProcessError, match="parent process is gone"):
+        determinant._residues([[{0: 1}]], None, None, range(1), 2 ** 61 - 1,
+                              os.getppid() + 1)
 
 
 def test_bareiss_matches_cofactor(rng):
