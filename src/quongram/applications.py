@@ -203,7 +203,8 @@ def t_laurent(low: int, coeffs) -> TLaurent:
 class BilinearData(namedtuple("BilinearData", "n b")):
     """A symmetric integer matrix b_{ij} = (alpha_i, alpha_j) of simple-root
     inner products; only the off-diagonal entries enter the weight-(1,...,1)
-    form.  b maps each pair (i, j) with i < j to an int."""
+    form.  b maps each pair (i, j) with 1 <= i < j <= n to an int; a bool
+    is not one."""
 
     __slots__ = ()
 
@@ -211,8 +212,12 @@ class BilinearData(namedtuple("BilinearData", "n b")):
         for (i, j), v in b.items():
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad pair {(i, j)}")
-            if not isinstance(v, int):
-                raise ValueError("integer b matrix required")
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"integer b matrix required, not {v!r} at "
+                                 f"{(i, j)}")
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            if pair not in b:
+                raise ValueError(f"b matrix has no value for the pair {pair}")
         return super().__new__(cls, n, b)
 
     @staticmethod

@@ -97,12 +97,13 @@ def _check_fiber_terms(what: str, nu: Weight):
 
 
 # Limits measured on a 2-core VM (Python 3.11), one fresh process each.
-# build: n = 6 (720 words) takes 5 s and 155 MB, 2,2,2,1 (630 words) 44 s
-# and 252 MB (25 s and 24 MB with --one-param); n = 7 has 5 040 words.
+# build: n = 6 (720 words) takes 1.9-2.0 s and 95 MB, 2,2,2,1 (630 words)
+# 12 s and 241 MB (3.1 s and 33 MB with --one-param); n = 7 has 5 040 words.
 BUILD_MAX_WORDS = 720
 # A degenerate Gram matrix (build, det) sums words * |nu|! terms, one per
-# lift (gram.build_degenerate): 2,2,2,1 has 3.2 M (44 s), 4,4 2.8 M (16 s),
-# 10 3.6 M (18 s); 3,3,2 has 560 words but 22.6 M terms.
+# lift (gram.build_degenerate): 2,2,2,1 has 3.2 M (12 s), 4,4 2.8 M
+# (2.4 s), 10 3.6 M (18 s, one word, so one row reads every lift); 3,3,2
+# has 560 words but 22.6 M terms.
 DEGENERATE_MAX_TERMS = 4_000_000
 # det of a degenerate weight eliminates its dense Gram matrix (det_elim).
 # Multiparameter: 6 words take up to 0.6 s (5,1; 2,2 0.2 s), 10 words
@@ -269,6 +270,8 @@ def _load_bdata(path: str, n: int) -> app_mod.BilinearData:
 def cmd_contravariant(args, out) -> int:
     n = args.n
     _check_n("--n", n)
+    if args.b_matrix and not args.det:
+        raise Usage("--b-matrix specializes the determinant; give --det")
     if not args.det:
         _check_size(f"the contravariant form on {n} letters",
                     math.factorial(n), "words", CONTRAVARIANT_MAX_WORDS)

@@ -41,7 +41,7 @@ import itertools
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .ring import Poly, Point, Renaming, SINGLE_Q, pair_var
+from .ring import Poly, Point, Renaming, SINGLE_Q, pair_var, var_key
 from .boxes import (as_part, by_denominator, over_common, sum_products,
                     sum_row_column)
 from .fock import Word, Weight
@@ -488,14 +488,41 @@ def pair_rule(nu: Weight, var) -> GramMatrix:
     and y before x in w_j, that is over ``mask_i & ~mask_j``.  With
     ``var = pair_var`` it is A_n; any other ``var`` specializes A_n.
 
-    Each distinct mask's Poly is built once and shared by every entry with
-    that mask.  Entries are shared by mask, not by Poly value: each entry
-    is one dict lookup on its int mask, and no Poly is hashed.
+    A product's packed key is the sum of its variables' keys
+    (``ring.var_key``), so each distinct mask's key is read from subset-sum
+    tables of its pairs' keys (``_mask_keys``).  Each distinct mask's Poly
+    is built once from its key (``Poly.monomials``) and shared by every
+    entry with that mask; entries are shared by mask, not by Poly value, so
+    no Poly is hashed.
     """
     basis, pairs, masks = _pair_masks(nu)
-    monos = _PairMonomials(var(x, y) for x, y in pairs)
-    return GramMatrix(basis, [[monos[mi & ~mj] for mj in masks]
-                              for mi in masks])
+    key_of = _mask_keys([var_key(var(x, y)) for x, y in pairs])
+    nots = [~m for m in masks]
+    grid = [[mi & nj for nj in nots] for mi in masks]
+    distinct = list(set().union(*grid))
+    monos = dict(zip(distinct, Poly.monomials(map(key_of, distinct))))
+    for row in grid:
+        row[:] = map(monos.__getitem__, row)
+    return GramMatrix(basis, grid)
+
+
+def _mask_keys(keys):
+    """The function taking a bitmask m to the sum of the keys at its set
+    bits.  The keys are cut into three runs, each with a table of its sums
+    over every subset of it, so a sum is three table reads."""
+    width = max(1, -(-len(keys) // 3))
+    low = (1 << width) - 1
+    t0, t1, t2 = (_subset_sums(keys[k * width:(k + 1) * width])
+                  for k in range(3))
+    return lambda m: t0[m & low] + t1[m >> width & low] + t2[m >> 2 * width]
+
+
+def _subset_sums(keys) -> list:
+    """Entry s is the sum of the keys at the set bits of s."""
+    sums = [0]
+    for k in keys:
+        sums += [x + k for x in sums]
+    return sums
 
 
 def _pair_masks(nu: Weight):
@@ -510,32 +537,27 @@ def _pair_masks(nu: Weight):
                           for w in basis.words]
 
 
-class _PairMonomials(dict):
-    """Bitmask over ordered letter pairs -> the product of their variables,
-    built on first lookup and shared after."""
-
-    def __init__(self, variables):
-        super().__init__()
-        self.variable = {1 << k: v for k, v in enumerate(variables)}
-
-    def __missing__(self, mask):
-        variables = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            variables.append(self.variable[low])
-            rest ^= low
-        p = self[mask] = Poly.monomial(variables)
-        return p
+# lifts per chunk of a fiber in build_degenerate: bounds its memory when a
+# fiber is large (the weight 10 has one fiber of 3.6 M lifts)
+_LIFTS = 1 << 15
 
 
 def build_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
     """Gram matrix for a weight with repeated letters: entry (i, j) sums
     q_{i,σ} over all σ with σ·i = j (``q_of_perm``, which the tests compare
-    against).  It is the pair rule pushed down (``Embedding.push_down``):
-    the sum over w̃ ∈ φ⁻¹(w_j) of the monomial of ``mask(ĩ) & ~mask(w̃)``
-    under ``Embedding.var``, or of q in one-parameter mode, each monomial
-    an integer with one digit per variable.  Equal entries share one Poly.
+    against).  It is the pair rule pushed down (see ``Embedding``): the sum
+    over w̃ ∈ φ⁻¹(w_j) of the product of ``Embedding.var(x, y)``, or of q in
+    one-parameter mode, over the fresh pairs with x before y in ĩ and y
+    before x in w̃.
+
+    A word's orientation has one bit per fresh pair {x < y}, set when y
+    comes first, so the pairs that ĩ and w̃ order differently are the bits
+    of the XOR of their orientations.  Each lift's orientation is computed
+    once for all the rows, and each row reads the packed key of a XOR from
+    its own subset-sum tables of the pairs' keys, each pair taken in ĩ's
+    order (``_mask_keys``, as in ``pair_rule``).  A fiber is read in chunks
+    of ``_LIFTS`` lifts, its keys counted into one Poly per entry
+    (``Poly.from_keys``), and equal entries share one Poly.
 
     >>> A = build_degenerate(Weight({1: 2, 3: 1}))
     >>> print(A.entries[0][0])
@@ -545,33 +567,39 @@ def build_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
         return build_generic(nu, one_param)
     emb = embed_degenerate(nu)
     var = (lambda x, y: SINGLE_Q) if one_param else emb.var
-    pairs = list(itertools.permutations(emb.phi, 2))
-    variables = sorted({var(x, y) for x, y in pairs})
-    # one digit per variable, in a base above any exponent
-    base = len(pairs) // 2 + 1
-    digit = {v: base ** k for k, v in enumerate(variables)}
+    pairs = list(itertools.combinations(sorted(emb.phi), 2))
+    flip = {}
+    for k, (x, y) in enumerate(pairs):
+        flip[x, y] = 0
+        flip[y, x] = 1 << k
 
-    def row(ti):
-        before = set(itertools.combinations(ti, 2))
-        # a pair (y, x) of w̃, y first, counts when x comes first in ĩ
-        part = {(y, x): digit[var(x, y)] if (x, y) in before else 0
-                for y, x in pairs}
-        return lambda tw: sum(map(part.__getitem__,
-                                  itertools.combinations(tw, 2)))
+    def orientation(w):
+        return sum(map(flip.__getitem__, itertools.combinations(w, 2)))
 
-    def mono(key):
-        exponents = (key // d % base for d in digit.values())
-        return tuple((v, e) for v, e in zip(variables, exponents) if e)
-
+    basis = Basis.of_weight(nu)
+    rows = []
+    for w in basis.words:
+        o = orientation(emb.lift(w))
+        rows.append((o.__xor__, _mask_keys([
+            var_key(var(y, x) if o >> k & 1 else var(x, y))
+            for k, (x, y) in enumerate(pairs)])))
     shared = {}
 
-    def total(keys):
-        terms = tuple(sorted(Counter(keys).items()))
+    def total(counts):
+        terms = tuple(sorted(counts.items()))
         if terms not in shared:
-            shared[terms] = Poly({mono(k): c for k, c in terms})
+            shared[terms] = Poly.from_keys(counts)
         return shared[terms]
 
-    return emb.push_down(row, total)
+    columns = []
+    for w in basis.words:
+        counts = [Counter() for _ in rows]
+        fiber = emb.fiber(w)
+        while lifts := list(map(orientation, itertools.islice(fiber, _LIFTS))):
+            for c, (xor, key_of) in zip(counts, rows):
+                c.update(map(key_of, map(xor, lifts)))
+        columns.append([total(c) for c in counts])
+    return GramMatrix(basis, [list(row) for row in zip(*columns)])
 
 
 def factor_A_m(nu: Weight, m: int, one_param: bool = False) -> OpExpansion:

@@ -39,7 +39,10 @@ Everything a caller sees is decoded to ``Mono`` tuples, sorted by
 ``mono_key``: ``str``, ``to_json``, ``leading`` and the ``terms`` view do
 not depend on the order in which variables were registered.  Nor does a
 quotient, though the key order does: the quotient of an exact division
-is unique.
+is unique.  Other modules build monomials from keys in one way only:
+``var_key`` gives the key of a variable, a product's key is the sum of
+its factors' keys, and ``Poly.from_keys`` (``Poly.monomials`` for one
+monomial per key) checks such sums and builds Polys from them.
 
 >>> p = Poly.var(1, 2) * Poly.var(2, 1)
 >>> print(Poly.one() - p)
@@ -52,11 +55,10 @@ from __future__ import annotations
 
 __all__ = [
     "ParamVar", "Mono", "Poly", "GaussRat", "NotDivisible",
-    "pair_var", "SINGLE_Q", "mono_key", "Renaming",
+    "pair_var", "var_key", "SINGLE_Q", "mono_key", "Renaming",
     "check_assignment", "Point", "random_hermitian",
 ]
 
-import heapq
 import threading
 from collections.abc import Callable, Mapping
 from fractions import Fraction
@@ -107,8 +109,16 @@ _FIELD_PRIMES: list = []          # field k >= 1 hashes as _FIELD_PRIMES[k - 1]
 _REGISTER = threading.Lock()      # one field per variable, whatever the thread
 
 
-def _unit(v: ParamVar) -> int:
-    """The packed key of the variable v, registering it on first use."""
+def var_key(v: ParamVar) -> int:
+    """The packed key of the variable v, registering it on first use.  The
+    key of a product of variables, repeats allowed, is the sum of their
+    keys, which ``Poly.from_keys`` turns into a Poly.  A key means its
+    monomial only within this process: fields follow registration order.
+
+    >>> k = var_key(pair_var(1, 2))
+    >>> print(Poly.from_keys({2 * k + var_key(SINGLE_Q): 3}))
+    3*q12^2*q
+    """
     u = _UNIT.get(v)
     if u is None:
         global _GUARD
@@ -152,7 +162,7 @@ def _encode(m: Mono) -> int:
     for v, e in m:
         if e < 0:
             raise ValueError(f"negative exponent {e} of {_var_str(v)}")
-        key += e * _unit(v)
+        key += e * var_key(v)
         deg += e
     if deg >= _LIMIT:
         raise OverflowError(f"total degree {deg} reaches 2**15")
@@ -216,7 +226,7 @@ class Renaming:
             if v[0] == "q":
                 image = pair_var(self.letter(v[1]), self.letter(v[2]))
                 if image != v:
-                    t = (_unit(image).bit_length() - 1) // _FIELD
+                    t = (var_key(image).bit_length() - 1) // _FIELD
                     source[t] = k
                     moved |= _LIMIT << (_FIELD * k)
         fields = len(_VARS) + 1
@@ -476,11 +486,11 @@ class Poly:
     @staticmethod
     def var(i, j) -> "Poly":
         """The pair parameter q_ij; ``Poly.single_q()`` is the single q."""
-        return _poly({_unit(pair_var(i, j)): 1})
+        return _poly({var_key(pair_var(i, j)): 1})
 
     @staticmethod
     def single_q() -> "Poly":
-        return _poly({_unit(SINGLE_Q): 1})
+        return _poly({var_key(SINGLE_Q): 1})
 
     @staticmethod
     def from_mono(m: Mono, c: int = 1) -> "Poly":
@@ -489,18 +499,44 @@ class Poly:
     @staticmethod
     def monomial(variables) -> "Poly":
         """The product of the variables, repeats allowed, as one packed key:
-        the sum of their unit keys.
+        the sum of their keys (``var_key``).
 
         >>> print(Poly.monomial([pair_var(1, 2), pair_var(2, 1), SINGLE_Q]))
         q12*q21*q
         """
         key = deg = 0
         for v in variables:
-            key += _unit(v)
+            key += var_key(v)
             deg += 1
         if deg >= _LIMIT:
             raise OverflowError(f"total degree {deg} reaches 2**15")
         return _poly({key: 1})
+
+    @staticmethod
+    def from_keys(counts: Mapping[int, int]) -> "Poly":
+        """The sum of c times the monomial of k over counts k -> c, each key
+        a sum of ``var_key`` values; zero counts drop.  A negative key, or
+        one with a field of no registered variable, raises ValueError, and
+        one with a field that has reached 2**15 OverflowError.
+
+        >>> Poly.from_keys({-1: 1})
+        Traceback (most recent call last):
+        ...
+        ValueError: a key is negative or has an unregistered field
+        """
+        t = dict(counts)
+        _check_keys(t)
+        if 0 in t.values():
+            t = {k: c for k, c in t.items() if c}
+        return _poly(t)
+
+    @staticmethod
+    def monomials(keys) -> list:
+        """The monomial of each key, one Poly per key: ``from_keys`` of
+        ``{k: 1}`` for each, with the keys checked together."""
+        keys = list(keys)
+        _check_keys(keys)
+        return [_poly({k: 1}) for k in keys]
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, o: "Poly") -> "Poly":
@@ -701,7 +737,7 @@ class Poly:
         images coincide merge, and a coefficient that cancels drops."""
         out: dict = {}
         for m, c in self._t.items():
-            key = sum(e * _unit(g(v)) for v, e in _decode(m))
+            key = sum(e * var_key(g(v)) for v, e in _decode(m))
             c += out.get(key, 0)
             if c:
                 out[key] = c
@@ -834,6 +870,18 @@ def _poly(t: dict) -> Poly:
     return p
 
 
+def _check_keys(keys) -> None:
+    """Raise unless every key is a sum of ``var_key`` values (see
+    ``Poly.from_keys``), by one test of the OR of the keys."""
+    bits = 0
+    for k in keys:
+        bits |= k
+    if bits < 0 or bits >> (_FIELD * (len(_VARS) + 1)):
+        raise ValueError("a key is negative or has an unregistered field")
+    if bits & _GUARD:
+        raise OverflowError("a key reaches 2**15 in a field")
+
+
 def _div_general(t: dict, d: dict) -> Poly:
     """Exact quotient by any nonzero d, by heap division on packed keys.
 
@@ -849,6 +897,10 @@ def _div_general(t: dict, d: dict) -> Poly:
     there.  Every new term is below the one taken, so a key is taken at
     most once; keys that cancel stay in the heap and are skipped.
     """
+    # heapq is imported here, its one use: most runs never divide by a
+    # general divisor, and the import costs about 1 ms of every start
+    from heapq import heapify, heappop, heappush
+
     g = _GUARD
     dm = max(d)
     dc = d[dm]
@@ -856,9 +908,9 @@ def _div_general(t: dict, d: dict) -> Poly:
     r = dict(t)
     q = {}
     heap = [-m for m in r]
-    heapq.heapify(heap)
+    heapify(heap)
     while heap:
-        m = -heapq.heappop(heap)
+        m = -heappop(heap)
         c = r.pop(m, 0)
         if not c:
             continue
@@ -877,7 +929,7 @@ def _div_general(t: dict, d: dict) -> Poly:
             v = r.get(mm, 0) - qc * c2
             if v:
                 if mm not in r:
-                    heapq.heappush(heap, -mm)
+                    heappush(heap, -mm)
                 r[mm] = v
             elif mm in r:
                 del r[mm]
@@ -1021,10 +1073,13 @@ class Point:
         return val
 
     def box(self, f) -> tuple:
-        """(q_T, 1 / Box_T) for the box factor f = Box_T = 1 - q_T."""
+        """(q_T, 1 / Box_T) for the box factor f = Box_T = 1 - q_T; a box
+        that vanishes at the point raises ZeroDivisionError naming it."""
         vals = self._boxes.get(f)
         if vals is None:
             b = self.value(f.expand())
+            if b.is_zero():
+                raise ZeroDivisionError(f"{f} vanishes at the point")
             vals = self._boxes[f] = (_ONE - b, _ONE / b)
         return vals
 

@@ -313,19 +313,27 @@ def test_contravariant_b_matrix(tmp_path):
     # size mismatch is a usage error
     code, _ = run("contravariant", "--n", "4", "--det", "--b-matrix", str(f))
     assert code == 2
+    # the b matrix specializes the determinant only: without --det it is
+    # refused, not ignored
+    code, s = run("contravariant", "--n", "3", "--b-matrix", str(f))
+    assert code == 2 and s == ""
 
 
-@pytest.mark.parametrize("text", [
-    "[[0, -2], [-2, 0]]",
-    '{"n": 3, "b": {"1,2": 1.5, "1,3": -2, "2,3": -2}}',
-    '{"n": 3, "b": {"1,2": 1, "2,1": 3, "1,3": -2, "2,3": -2}}',
-], ids=["array", "float", "pair twice"])
-def test_contravariant_b_matrix_rejects_malformed(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, said", [
+    ("[[0, -2], [-2, 0]]", "JSON object"),
+    ('{"n": 3, "b": {"1,2": 1.5, "1,3": -2, "2,3": -2}}', "1.5"),
+    ('{"n": 3, "b": {"1,2": 1, "2,1": 3, "1,3": -2, "2,3": -2}}', "twice"),
+    ('{"n": 3, "b": {"1,2": true, "1,3": -2, "2,3": -2}}', "True"),
+    ('{"n": 3, "b": {"1,2": 1, "2,3": -2}}', "(1, 3)"),
+], ids=["array", "float", "pair twice", "bool", "pair missing"])
+def test_contravariant_b_matrix_rejects_malformed(tmp_path, capsys, text,
+                                                  said):
     f = tmp_path / "b.json"
     f.write_text(text)
     code, s = run("contravariant", "--n", "3", "--det", "--b-matrix", str(f))
     assert code == 2 and s == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and said in err
 
 
 # Byte length and sha256 of the contravariant outputs: the matrix in each

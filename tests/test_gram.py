@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
-from quongram.ring import GaussRat, Poly
+from quongram import gram
+from quongram.ring import GaussRat, Poly, pair_var
 from quongram.fock import Word, Weight, inner_product
 from quongram.perms import Perm, all_perms, cycle, longest_element
 from quongram.gram import (Basis, DiagOp, GenericOp, GramMatrix, OpExpansion,
                            build_generic, build_degenerate, rhat, mult_factor,
                            q_diag_pair, q_diag_set, q_set, box_diag,
-                           factor_A_m, factor_CD, embed_degenerate, q_of_perm)
+                           factor_A_m, factor_CD, embed_degenerate, q_of_perm,
+                           pair_rule)
 from quongram.boxes import BoxFactor, BoxFraction, as_part, sum_products
 from quongram.inverse import inv_degenerate, inv_full
 
@@ -78,6 +80,43 @@ def test_generic_entries_follow_the_pair_rule(n, one_param, distinct):
     assert len({id(e) for e in entries}) == len(set(entries)) == distinct
 
 
+# a degenerate weight of each size, whose fresh labels 1..n give the pair
+# rule one variable for several fresh pairs: from n = 3 on, a product
+# reaches exponent 2 or more in it
+DEGENERATE_OF_SIZE = {2: {1: 2}, 3: {1: 2, 2: 1}, 4: {1: 2, 2: 2},
+                      5: {1: 2, 2: 2, 3: 1}}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pair_rule_keys_match_monomials(n):
+    # pair_rule adds packed keys; each distinct mask's entry must be the
+    # product of its pairs' variables built by Poly.monomial, under A_n's
+    # map, the symmetric Varchenko map and a degenerate model's map
+    nu = Weight.generic_n(n)
+    maps = {"pair_var": pair_var,
+            "symmetric": lambda x, y: pair_var(min(x, y), max(x, y))}
+    if n in DEGENERATE_OF_SIZE:
+        maps["degenerate"] = embed_degenerate(
+            Weight(DEGENERATE_OF_SIZE[n])).var
+    before = [set(itertools.combinations(w, 2))
+              for w in Basis.of_weight(nu).words]
+    for name, var in maps.items():
+        A = pair_rule(nu, var)
+        want = {}
+        for bi, row in zip(before, A.entries):
+            for bj, e in zip(before, row):
+                # x before y in w_i and y before x in w_j
+                mask = frozenset(bi - bj)
+                if mask not in want:
+                    want[mask] = Poly.monomial(var(x, y) for x, y in mask)
+                assert e == want[mask], (name, mask)
+        # one shared Poly per distinct mask
+        assert len({id(e) for row in A.entries for e in row}) == len(want)
+        top = max((e for p in want.values() for m in p.terms for _, e in m),
+                  default=0)
+        assert top >= 2 if name == "degenerate" and n >= 3 else top <= 1
+
+
 def test_evaluate_once_per_distinct_entry(rng):
     A = build_generic(Weight.generic_n(4))
     a = hermitian_assignment(A.basis.weight.labels, rng)
@@ -100,6 +139,29 @@ def test_degenerate_golden_entries():
     assert A.entry(Word.parse("113"), Word.parse("131")) == Poly.parse("q13 + q11*q13")
     assert A.entry(Word.parse("113"), Word.parse("311")) == \
         Poly.parse("q13^2 + q11*q13^2")
+
+
+@pytest.mark.parametrize("lifts", [1, 5])
+def test_degenerate_reads_fibers_in_chunks(monkeypatch, lifts):
+    # a fiber longer than a chunk of lifts is read in several chunks; the
+    # entries do not depend on where the chunks end (2,2,1 has 4 lifts per
+    # fiber, 2,2,2 has 8)
+    for nu in (Weight({1: 2, 2: 2, 3: 1}), Weight({1: 2, 2: 2, 3: 2})):
+        want = build_degenerate(nu)
+        monkeypatch.setattr(gram, "_LIFTS", lifts)
+        assert build_degenerate(nu) == want
+        monkeypatch.undo()
+
+
+def test_one_letter_entry_is_the_q_factorial():
+    # the weight 8 has one word and one fiber of 8! = 40 320 lifts, more
+    # than one chunk: its entry sums q11^inv(σ) over S_8, which is
+    # [8]_q! = prod_m (1 + q11 + ... + q11^(m-1))
+    want = Poly.one()
+    for m in range(1, 9):
+        want = want * Poly.parse(" + ".join(["1"] + [f"q11^{e}"
+                                                     for e in range(1, m)]))
+    assert build_degenerate(Weight({1: 8})).entries == [[want]]
 
 
 @pytest.mark.parametrize("nu", [Weight.generic_n(4),

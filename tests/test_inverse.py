@@ -444,6 +444,15 @@ def test_numeric_inverse_rejects_non_hermitian_point(rng):
         inverse_matrix_at(nu, a, "hermitian")
 
 
+def test_numeric_inverse_names_a_box_that_vanishes():
+    # q12 = q21 = 1 is hermitian, but Box{1,2} = 1 - q12 q21 is 0 there,
+    # so A_2 is singular
+    one = GaussRat.of(1)
+    a = {("q", 1, 2): one, ("q", 2, 1): one}
+    with pytest.raises(ZeroDivisionError, match=r"Box\{1,2\} vanishes"):
+        inverse_matrix_at(Weight.generic_n(2), a, "hermitian")
+
+
 def test_numeric_inverse_keeps_no_stale_values(rng):
     # two points in one process: each call computes from its own point
     nu = Weight.generic_n(3)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from quongram import ring
 from quongram.ring import (Poly, GaussRat, NotDivisible, pair_var, SINGLE_Q,
-                           check_assignment, mono_key)
+                           check_assignment, mono_key, var_key)
 from quongram.boxes import BoxFactor, as_part
 from quongram.fock import Weight
 from quongram.gram import build_generic
@@ -782,6 +782,32 @@ def test_exponent_limit_raises_overflow():
         a, b = b, a
     with pytest.raises(OverflowError):
         (a * b ** (2 ** 15 - 2)).exact_div(a + b ** 3)
+
+
+def test_key_sums_build_monomials_and_bad_keys_are_refused():
+    k12, k21 = var_key(pair_var(1, 2)), var_key(pair_var(2, 1))
+    # a product's key is the sum of its factors' keys; zero counts drop
+    p = Poly.from_keys({2 * k12 + k21: 3, 0: -1, k21: 0})
+    assert p == Poly.parse("3*q12^2*q21 - 1")
+    assert Poly.from_keys({(2 ** 15 - 1) * k12: 1}) == Poly.var(1, 2) ** (
+        2 ** 15 - 1)
+    assert Poly.from_keys({}) == Poly.zero()
+    assert Poly.monomials([k12, 0, 2 * k12]) == [
+        Poly.var(1, 2), Poly.one(), Poly.var(1, 2) ** 2]
+    with pytest.raises(ValueError):
+        Poly.monomials([k12, -k12])
+    with pytest.raises(OverflowError):
+        Poly.monomials([k12, 2 ** 15 * k21])
+    with pytest.raises(ValueError):
+        Poly.from_keys({-k12: 1})
+    # a field no variable has
+    with pytest.raises(ValueError):
+        Poly.from_keys({1 << 16 * 10_000: 1})
+    # a guard bit: the exponent, or the degree, has reached 2**15
+    with pytest.raises(OverflowError):
+        Poly.from_keys({2 ** 15 * k12: 1})
+    with pytest.raises(OverflowError):
+        Poly.from_keys({2 ** 14 * (k12 + k21): 1})
 
 
 def test_terms_view_is_read_only_and_pickles_as_monos():
