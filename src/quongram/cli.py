@@ -185,7 +185,7 @@ def cmd_invert(args, out) -> int:
                 "; for an exact inverse at a point use "
                 "scripts/invert_at_point.py")
     if not nu.generic:
-        mat = inv_mod.inv_degenerate(nu, args.one_param)
+        mat = inv_mod.inv_degenerate(nu, args.one_param, args.method)
         _print_matrix(mat, "json" if args.format == "json" else "text", out)
         return 0
     table = inv_mod.inv_full(nu, args.method, args.one_param)
@@ -210,12 +210,21 @@ def cmd_invert(args, out) -> int:
 # as many.
 TREE_LIKE_MAX_N = 8
 BRACKETINGS_MAX_N = 10
+# count chains and count table print integers, which Python converts to
+# decimal only up to 4 300 digits (sys.get_int_max_str_digits()): c_5625
+# has 4 300 digits and c_5626 4 301, and the largest c_{n,k} first passes
+# 4 300 digits at n = 5629.  At the limits chains takes 0.2 s and 21 MB;
+# table takes 9.7-11.1 s and 24 MB, most of it the binomials, and writes
+# 19 MB.
+CHAINS_MAX_N = 5625
+TABLE_MAX_N = 5628
 
 
 def cmd_count(args, out) -> int:
     n = args.n
     _check_n("--n", n)
     if args.what == "chains":
+        _check_size("count chains", n, "letters", CHAINS_MAX_N)
         out.write(f"{subdiv.schroeder_counts(n)[-1]}\n")
     elif args.what == "bracketings":
         _check_size("count bracketings", n, "letters", BRACKETINGS_MAX_N)
@@ -226,6 +235,7 @@ def cmd_count(args, out) -> int:
         c = sum(1 for g in all_perms(n) if inv_mod.tree_like(g))
         out.write(f"{c}\n")
     elif args.what == "table":
+        _check_size("count table", n, "letters", TABLE_MAX_N)
         for k, c in enumerate(subdiv.catalan_schroeder_poly(n)):
             if c:
                 out.write(f"c_{n},{k} = {c}\n")

@@ -715,9 +715,11 @@ def inverse_matrix_at(nu: Weight, assignment, mode: str = "free") -> list:
 # degenerate weights
 # ---------------------------------------------------------------------------
 
-def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
+def inv_degenerate(nu: Weight, one_param: bool = False,
+                   method: str = "fast") -> GramMatrix:
     """Inverse for a weight with repeated letters: the inverse of the
-    generic model pushed down along φ (``Embedding.push_down``),
+    generic model, computed by ``inv_full`` with the given method, pushed
+    down along φ (``Embedding.push_down``),
 
         [A^(ν)]⁻¹_ij = Σ_{w̃ ∈ φ⁻¹(w_j)} φ([Ã]⁻¹_{ĩ, w̃}),  ĩ any lift of w_i.
 
@@ -727,9 +729,9 @@ def inv_degenerate(nu: Weight, one_param: bool = False) -> GramMatrix:
     mapped along φ and reduced.
     """
     if nu.generic:
-        return inv_full(nu, "fast", one_param).to_matrix()
+        return inv_full(nu, method, one_param).to_matrix()
     emb = embed_degenerate(nu)
-    table = inv_full(emb.generic_weight, "fast", one_param)
+    table = inv_full(emb.generic_weight, method, one_param)
     zero = Poly.zero()
 
     def row(ti):

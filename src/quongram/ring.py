@@ -33,7 +33,9 @@ product of monomials is ``a + b``, and ``b`` divides ``a`` exactly when
 ``((a | G) - b) & G == G``, with ``G`` the guard bits.  No sum carries
 between fields, so the integer order of the keys is a monomial order,
 and exact division by a general divisor walks its terms in it
-(``_div_general``).
+(``_div_general``).  One loop, ``_fields``, reads a key's variables: the
+decode to a ``Mono``, the prime hash, the value at a point, the slice on a
+line, ``variables`` and ``map_vars`` all go through it.
 
 Everything a caller sees is decoded to ``Mono`` tuples, sorted by
 ``mono_key``: ``str``, ``to_json``, ``leading`` and the ``terms`` view do
@@ -63,7 +65,7 @@ import threading
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -106,6 +108,7 @@ _VARS: list = []                  # field k >= 1 holds _VARS[k - 1]
 _UNIT: dict = {}                  # variable -> its packed key, degree 1
 _GUARD = _LIMIT                   # the guard bit of every registered field
 _FIELD_PRIMES: list = []          # field k >= 1 hashes as _FIELD_PRIMES[k - 1]
+_PRIME: dict = {}                 # variable -> the prime of its field
 _REGISTER = threading.Lock()      # one field per variable, whatever the thread
 
 
@@ -126,8 +129,9 @@ def var_key(v: ParamVar) -> int:
             u = _UNIT.get(v)
             if u is None:
                 _VARS.append(v)
-                _FIELD_PRIMES.append(
-                    _next_prime(_FIELD_PRIMES[-1] if _FIELD_PRIMES else 1))
+                p = _next_prime(_FIELD_PRIMES[-1] if _FIELD_PRIMES else 1)
+                _FIELD_PRIMES.append(p)
+                _PRIME[v] = p
                 shift = _FIELD * len(_VARS)
                 # the guard bit is in place before any key can use the field
                 _GUARD |= _LIMIT << shift
@@ -143,17 +147,19 @@ def _next_prime(p: int) -> int:
             return p
 
 
-def _at_primes(key: int) -> int:
-    """The monomial of a packed key with the variable of field k set to
-    the k-th prime, so distinct monomials take distinct values."""
-    val = 1
-    key >>= _FIELD
-    for p in _FIELD_PRIMES:
+def _fields(key: int) -> list:
+    """The (variable, exponent) pairs of the nonzero fields of a packed
+    key, in field order: past the degree field, each 16-bit field in turn
+    until none is left.  The one loop that reads a key's variables."""
+    out = []
+    for v in _VARS:
+        key >>= _FIELD
         if not key:
             break
-        val *= p ** (key & _DEGREE)
-        key >>= _FIELD
-    return val
+        e = key & _DEGREE
+        if e:
+            out.append((v, e))
+    return out
 
 
 def _encode(m: Mono) -> int:
@@ -171,15 +177,7 @@ def _encode(m: Mono) -> int:
 
 def _decode(key: int) -> Mono:
     """The Mono of a packed key, pairs sorted by variable."""
-    out = []
-    key >>= _FIELD
-    for v in _VARS:
-        if not key:
-            break
-        e = key & _DEGREE
-        if e:
-            out.append((v, e))
-        key >>= _FIELD
+    out = _fields(key)
     out.sort()
     return tuple(out)
 
@@ -504,13 +502,7 @@ class Poly:
         >>> print(Poly.monomial([pair_var(1, 2), pair_var(2, 1), SINGLE_Q]))
         q12*q21*q
         """
-        key = deg = 0
-        for v in variables:
-            key += var_key(v)
-            deg += 1
-        if deg >= _LIMIT:
-            raise OverflowError(f"total degree {deg} reaches 2**15")
-        return _poly({key: 1})
+        return _poly({_encode([(v, 1) for v in variables]): 1})
 
     @staticmethod
     def from_keys(counts: Mapping[int, int]) -> "Poly":
@@ -629,28 +621,23 @@ class Poly:
     def value_at_primes(self) -> int:
         """The value with the variable of field k of the packed keys set to
         the k-th prime: distinct monomials take distinct values."""
-        return sum(c * _at_primes(m) for m, c in self._t.items())
+        return sum(c * prod([_PRIME[v] ** e for v, e in _fields(m)])
+                   for m, c in self._t.items())
 
     def on_line(self, scale) -> list:
         """The integer coefficients, lowest degree first, of p with every
         variable v set to scale(v)·t: a term c·∏v^e adds c·∏scale(v)^e to
-        the coefficient of t^{Σe}.  Each packed key's total degree and
-        fields are read in place, as ``Point.value`` reads them, and scale
-        is asked once per variable.  Trailing zeros are dropped; 0 is [0]."""
+        the coefficient of t^{Σe}.  Each packed key's total degree is read
+        in place and its variables through ``_fields``, and scale is asked
+        once per variable.  Trailing zeros are dropped; 0 is [0]."""
         scales = {}
         out = [0] * (self.degree() + 1)
         for m, c in self._t.items():
-            key = m
-            for v in _VARS:
-                key >>= _FIELD
-                if not key:
-                    break
-                e = key & _DEGREE
-                if e:
-                    x = scales.get(v)
-                    if x is None:
-                        x = scales[v] = scale(v)
-                    c *= x ** e
+            for v, e in _fields(m):
+                x = scales.get(v)
+                if x is None:
+                    x = scales[v] = scale(v)
+                c *= x ** e
             out[m & _DEGREE] += c
         while len(out) > 1 and not out[-1]:
             out.pop()
@@ -673,7 +660,7 @@ class Poly:
         return max(map(_DEGREE.__and__, self._t))
 
     def variables(self) -> set:
-        return {v for m in self._t for v, _ in _decode(m)}
+        return {v for m in self._t for v, _ in _fields(m)}
 
     def variable_flags(self) -> int:
         """The variables of the terms as flags, the guard bit of each
@@ -734,10 +721,17 @@ class Poly:
     # -- structure maps ----------------------------------------------------
     def map_vars(self, g: Callable) -> "Poly":
         """Substitute the variable g(v) for every variable v; terms whose
-        images coincide merge, and a coefficient that cancels drops."""
+        images coincide merge, and a coefficient that cancels drops.  g and
+        ``var_key`` are asked once per variable."""
+        images: dict = {}
         out: dict = {}
         for m, c in self._t.items():
-            key = sum(e * var_key(g(v)) for v, e in _decode(m))
+            key = 0
+            for v, e in _fields(m):
+                k = images.get(v)
+                if k is None:
+                    k = images[v] = var_key(g(v))
+                key += e * k
             c += out.get(key, 0)
             if c:
                 out[key] = c
@@ -1050,23 +1044,12 @@ class Point:
     def value(self, p: Poly, den=()) -> GaussRat:
         """The value of p over the product of the box factors in den, each
         sum of products reduced once (``GaussRat.sum_of_products``).  Each
-        packed key's fields are read in place, as ``_decode`` reads them:
-        the product is exact, so the order of its factors does not matter."""
+        packed key's variables are read by ``_fields``, unsorted: the
+        product is exact, so the order of its factors does not matter."""
         var = self.var
-
-        def factors(key):
-            out = []
-            for v in _VARS:
-                key >>= _FIELD
-                if not key:
-                    break
-                e = key & _DEGREE
-                if e:
-                    out += (var(v),) * e
-            return out
-
         val = GaussRat.sum_of_products(
-            (c, factors(m)) for m, c in p._t.items())
+            (c, [x for v, e in _fields(m) for x in (var(v),) * e])
+            for m, c in p._t.items())
         if den:
             val = GaussRat.sum_of_products(
                 [(1, [val] + [self.box(f)[1] for f in den])])

@@ -54,6 +54,42 @@ def test_count_table_sums_to_chain_count(n):
                for line in table.splitlines()) == int(chains)
 
 
+def _largest_table_coefficient(n):
+    """max_k c_{n,k}: c_{n,k+1} / c_{n,k} = (n+k)(n-1-k) / ((k+1)k) falls
+    as k grows, so the largest is at the first k where it drops below 1."""
+    from quongram.subdiv import chain_count_by_size
+    k = 1
+    while k < n - 1 and (n + k) * (n - 1 - k) > (k + 1) * k:
+        k += 1
+    return chain_count_by_size(n, k)
+
+
+def test_count_refuses_numbers_too_long_to_print(capsys, monkeypatch):
+    # Python prints an int of at most 4 300 digits; past the limits no
+    # count is computed, and at them every number prints
+    from quongram import cli, subdiv
+    assert sys.get_int_max_str_digits() == 4300
+    n = cli.CHAINS_MAX_N
+    code, s = run("count", "chains", "--n", str(n))
+    assert code == 0 and s == f"{subdiv.schroeder_counts(n)[-1]}\n"
+    assert len(s) == 4301
+    big = _largest_table_coefficient(cli.TABLE_MAX_N)
+    monkeypatch.setattr(subdiv, "catalan_schroeder_poly", lambda n: [0, big])
+    code, s = run("count", "table", "--n", str(cli.TABLE_MAX_N))
+    assert code == 0 and len(s) == len(f"c_{cli.TABLE_MAX_N},1 = \n") + 4300
+    with pytest.raises(ValueError):
+        str(_largest_table_coefficient(cli.TABLE_MAX_N + 1))
+    with pytest.raises(ValueError):
+        str(subdiv.schroeder_counts(n + 1)[-1])
+    _refuse(monkeypatch, subdiv, ("schroeder_counts",
+                                  "catalan_schroeder_poly"))
+    capsys.readouterr()
+    for what, limit in (("chains", n), ("table", cli.TABLE_MAX_N)):
+        for over in (limit + 1, 50_000):
+            assert run("count", what, "--n", str(over)) == (2, "")
+            assert f"over the limit of {limit}" in capsys.readouterr().err
+
+
 def test_build_formats():
     code, s = run("build", "--n", "2", "--format", "csv")
     assert code == 0
@@ -286,6 +322,15 @@ def test_invert_methods_print_same_expansion():
     ref = run("invert", "--n", "3")
     for m in ("long", "short", "chains", "zagier", "brute"):
         assert run("invert", "--n", "3", "--method", m) == ref
+
+
+def test_invert_degenerate_uses_the_method_asked_for(capsys):
+    fast = run("invert", "--weight", "2,1,1")
+    assert fast[0] == 0
+    assert run("invert", "--weight", "2,1,1", "--method", "zagier") == fast
+    # brute inverts only up to 3 letters, and 2,1,1 has 4
+    assert run("invert", "--weight", "2,1,1", "--method", "brute") == (2, "")
+    assert "beyond 3 letters" in capsys.readouterr().err
 
 
 def test_varchenko():

@@ -128,6 +128,30 @@ def test_only_ring_reads_packed_terms(name):
     assert list(_ring_internals(SOURCES[name])) == []
 
 
+def _field_shifts(tree):
+    """The name of the innermost function around each augmented
+    ``>>= _FIELD``, None for one outside every function."""
+    funcs = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.AugAssign)
+                and isinstance(node.op, ast.RShift)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "_FIELD"):
+            inner = min((f for f in funcs
+                         if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.end_lineno - f.lineno, default=None)
+            yield getattr(inner, "name", None)
+
+
+def test_only_the_field_reader_walks_packed_keys():
+    # the rule for reading a packed key's fields (shift past the degree,
+    # then one 16-bit field per registered variable until the key is
+    # empty) is written once, in ring._fields; every other reader of a
+    # key's variables calls it
+    assert list(_field_shifts(SOURCES["ring"])) == ["_fields"]
+
+
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "ring"])
 def test_only_ring_reads_an_assignment(name):
     # a value at a point is read through one ring.Point, which checks the

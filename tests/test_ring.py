@@ -709,6 +709,64 @@ def test_packed_exact_div_matches_reference(case):
     assert (None if got is None else dict(got.terms)) == want
 
 
+def _ref_eval(p, value):
+    """sum c * prod value(v)^e over the Mono-keyed terms of p."""
+    return [(c, [value(v) for v, e in m for _ in range(e)])
+            for m, c in p.items()]
+
+
+def _ref_map(p, g):
+    out = {}
+    for m, c in p.items():
+        e = {}
+        for v, k in m:
+            e[g(v)] = e.get(g(v), 0) + k
+        image = tuple(sorted(e.items()))
+        out[image] = out.get(image, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _merge(v):
+    # q_ij and q_ji go to one variable, and q to q11
+    return pair_var(min(v[1:]), max(v[1:])) if v[0] == "q" else pair_var(1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_polys)
+def test_key_readers_match_reference(p):
+    # every reader of packed keys agrees with the same reading of the
+    # Mono-keyed terms
+    P = Poly(p)
+    assert P.variables() == {v for m in p for v, _ in m}
+    prime = dict(zip(ring._VARS, ring._FIELD_PRIMES))
+    assert P.value_at_primes() == sum(
+        c * math.prod(f) for c, f in _ref_eval(p, prime.__getitem__))
+    slope = {v: k - 4 for k, v in enumerate(REF_VARS)}
+    line = [0] * (P.degree() + 1)
+    for m, c in p.items():
+        line[sum(e for _, e in m)] += c * math.prod(
+            slope[v] ** e for v, e in m)
+    while len(line) > 1 and not line[-1]:
+        line.pop()
+    assert P.on_line(slope.__getitem__) == line
+    point = {v: GaussRat.of(k - 5, 2 * k - 9) for k, v in enumerate(REF_VARS)}
+    want = GaussRat.of(0)
+    for c, factors in _ref_eval(p, point.__getitem__):
+        for x in factors:
+            c = x * c
+        want = want + c
+    assert ring.Point(point).value(P) == want
+    for g in (_merge, lambda v: pair_var(v[2], v[1]) if v[0] == "q" else v):
+        asked = Counter()
+
+        def counted(v):
+            asked[v] += 1
+            return g(v)
+        assert dict(P.map_vars(counted).terms) == _ref_map(p, g)
+        # each variable's image is asked for once per call
+        assert asked == Counter(P.variables())
+
+
 def _print_poly(order):
     """str, to_json and leading of one Poly in a fresh interpreter that
     registers the variables q_ij for (i, j) in order first, and exact
