@@ -116,6 +116,10 @@ DET_ELIM_ONE_PARAM_MAX_WORDS = 20
 # 10 s / 452 MB.  varchenko --det prints as many edge factors, more cheaply
 # (N = 16: 1.0 s, 61 MB).
 FACTORED_DET_MAX_LETTERS = 14
+# Every total degree stays below 2**15 in ring, and the last box of
+# det --n N --one-param is 1 - q^(N(N-1)): N = 181 (degree 32 580) takes
+# 0.17 s, and N = 182 reaches the bound.
+ONE_PARAM_DET_MAX_DEGREE = 2 ** 15 - 1
 # varchenko builds the n! x n! arrangement form like build: n = 6 (720
 # words) takes 2.4 s and 92 MB.  contravariant builds S twice, by
 # specializing A_n and by the g_i recursion: n = 5 (120 words) takes 0.8 s
@@ -155,7 +159,10 @@ def cmd_det(args, out) -> int:
         _check_size(f"elimination for the determinant of weight {nu}",
                     _words(nu), "words", limit)
         _check_fiber_terms(f"the Gram matrix of weight {nu}", nu)
-    elif not args.one_param:
+    elif args.one_param:
+        _check_size("the one-parameter determinant", nu.size * (nu.size - 1),
+                    "degrees of q in its last box", ONE_PARAM_DET_MAX_DEGREE)
+    else:
         _check_size("the factored determinant", nu.size, "letters",
                     FACTORED_DET_MAX_LETTERS)
     if not nu.generic:
@@ -214,8 +221,8 @@ BRACKETINGS_MAX_N = 10
 # decimal only up to 4 300 digits (sys.get_int_max_str_digits()): c_5625
 # has 4 300 digits and c_5626 4 301, and the largest c_{n,k} first passes
 # 4 300 digits at n = 5629.  At the limits chains takes 0.2 s and 21 MB;
-# table takes 9.7-11.1 s and 24 MB, most of it the binomials, and writes
-# 19 MB.
+# table takes 1.5-1.6 s and 24 MB, nearly all of it converting its 19 MB
+# of output to decimal (the row itself 0.04 s).
 CHAINS_MAX_N = 5625
 TABLE_MAX_N = 5628
 
@@ -299,13 +306,16 @@ def cmd_contravariant(args, out) -> int:
     return 0
 
 
-# A multiparameter coefficient sums lambda_sigma over the bracketings of
-# each subdivision of its reversal sequence, so the widest one sets the
-# cost: at n = 8, 4 blocks (43218765) take 0.1 s, 7 blocks (21345678)
-# 46 s and 310 MB, and the identity, with 8 blocks, runs out of memory
-# under a 1.5 GB cap.  One-parameter coefficients stay cheap (0.16-0.17 s
-# and 29 MB for the identity at n = 8, three runs on a 2-core x86 box).
+# A coefficient sums lambda_sigma over the bracketings of each subdivision
+# of its reversal sequence, so the widest one sets the cost.
+# Multiparameter: at n = 8, 4 blocks (43218765) take 0.1 s, 7 blocks
+# (21345678) 46 s and 310 MB, and the identity, with 8 blocks, runs out of
+# memory under a 1.5 GB cap.  One-parameter (the identity, fresh process
+# on a 2-core VM): 8 blocks take 0.35 s and 29 MB, 9 blocks 1.4 s and
+# 77 MB, 10 blocks 8 s and 336 MB (2,1,3,...,11 alike), 11 blocks 42 s
+# and 1.75 GB.
 COEFF_MAX_BLOCKS = 7
+COEFF_ONE_PARAM_MAX_BLOCKS = 10
 # Without --coeff every coefficient of the inverse is built, as invert
 # builds it, and decided at the identity word.  n = 6 (720 words) takes
 # 0.25-0.30 s and 21 MB in the one-parameter modes and 0.39-0.54 s and
@@ -337,6 +347,10 @@ def cmd_zagier_check(args, out) -> int:
         _check_size(f"zagier-check of the coefficient {coeff}",
                     _widest_subdivision(coeff), "blocks", COEFF_MAX_BLOCKS,
                     "; --mode one-param checks it in one parameter")
+    else:
+        _check_size(f"zagier-check of the coefficient {coeff}",
+                    _widest_subdivision(coeff), "blocks",
+                    COEFF_ONE_PARAM_MAX_BLOCKS)
     report = inv_mod.zagier_check(args.n, mode, coeff)
     if args.format == "json":
         json.dump(report.to_json(), out, indent=2, sort_keys=True)
@@ -605,7 +619,7 @@ def main(argv=None, out=None) -> int:
     except Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -107,25 +107,14 @@ def enumerate_subdivisions(n: int):
 
 
 def less_than(s: Subdivision, t: Subdivision) -> bool:
-    """Reverse refinement: t properly subdivides every nontrivial interval
-    of s (and leaves singletons alone)."""
-    if s.is_discrete():
+    """Reverse refinement on cuts, the ends of the intervals: every cut of
+    s is a cut of t, and t cuts every nontrivial interval of s."""
+    if s.is_discrete() or s.n != t.n:
         return False
-    # walk t's intervals inside each s-interval
-    ti = 0
-    tv = t.intervals
-    for a, b in s.intervals:
-        pieces = []
-        while ti < len(tv) and tv[ti][1] <= b:
-            if tv[ti][0] < a:
-                return False
-            pieces.append(tv[ti])
-            ti += 1
-        if not pieces or pieces[0][0] != a or pieces[-1][1] != b:
-            return False
-        if b > a and len(pieces) == 1:
-            return False  # nontrivial interval must be properly subdivided
-    return ti == len(tv)
+    cuts = {b for _, b in t.intervals}
+    return ({b for _, b in s.intervals} <= cuts
+            and all(not cuts.isdisjoint(range(a, b))
+                    for a, b in s.nontrivial()))
 
 
 def covers(s: Subdivision):
@@ -194,22 +183,12 @@ class Bracketing(namedtuple("Bracketing", "n brackets")):
     __slots__ = ()
 
     def __str__(self):
-        closes: dict = {}
-        for a, b in self.brackets:
-            closes[b] = closes.get(b, 0) + 1
-        # wider brackets open first / close last automatically for laminar
-        # families once we sort the opens by decreasing end
-        by_start: dict = {}
-        for a, b in self.brackets:
-            by_start.setdefault(a, []).append(b)
-        parts = []
-        for x in range(1, self.n + 1):
-            for b in sorted(by_start.get(x, []), reverse=True):
-                parts.append("[")
-            parts.append(str(x))
-            for _ in range(closes.get(x, 0)):
-                parts.append("]")
-        return "".join(parts)
+        # brackets that open (or close) at one letter are nested, so only
+        # their number matters
+        opens = Counter(a for a, _ in self.brackets)
+        closes = Counter(b for _, b in self.brackets)
+        return "".join("[" * opens[x] + str(x) + "]" * closes[x]
+                       for x in range(1, self.n + 1))
 
 
 def chain_to_bracketing(c: Chain) -> Bracketing:
@@ -224,55 +203,27 @@ def chain_to_bracketing(c: Chain) -> Bracketing:
 
 
 def bracketing_to_chain(br: Bracketing) -> Chain:
-    """Invert chain_to_bracketing: peel the laminar family level by level."""
-    n = br.n
-    if (1, n) not in br.brackets and n > 1:
-        raise ValueError("chain bracketings contain the outer bracket")
-    remaining = set(br.brackets)
-    members = [bottom(n)]
+    """Invert chain_to_bracketing: member k holds the brackets that lie
+    inside exactly k others, with single letters elsewhere."""
+    n, brackets = br.n, br.brackets
     if n == 1:
         return Chain((bottom(1),))
-    remaining.discard((1, n))
-    cur = bottom(n)
-    while True:
-        # subdivide every nontrivial interval of cur into its maximal
-        # remaining sub-brackets and singletons
-        pieces = []
-        used = []
-        for a, b in cur.intervals:
-            if a == b:
-                pieces.append((a, a))
-                continue
-            inside = [iv for iv in remaining if a <= iv[0] and iv[1] <= b]
-            maximal = [iv for iv in inside
-                       if not any(o != iv and o[0] <= iv[0] and iv[1] <= o[1]
-                                  for o in inside)]
-            maximal.sort()
-            x = a
-            sub = []
-            for p, q in maximal:
-                for y in range(x, p):
-                    sub.append((y, y))
-                sub.append((p, q))
-                x = q + 1
-            for y in range(x, b + 1):
-                sub.append((y, y))
-            if len(sub) == 1:
-                raise ValueError(f"interval [{a}..{b}] never subdivided")
-            pieces.extend(sub)
-            used.extend(maximal)
-        nxt = Subdivision(tuple(pieces))
-        if nxt.is_discrete() and not used:
-            break
-        members.append(nxt)
-        remaining.difference_update(used)
-        if nxt.is_discrete():
-            break
-        cur = nxt
-    if remaining:
-        raise ValueError(f"brackets left over: {remaining}")
-    if members[-1].is_discrete():
-        members.pop()
+    if (1, n) not in brackets or not all(1 <= a < b <= n
+                                         for a, b in brackets):
+        raise ValueError(f"a chain bracketing holds the outer bracket (1, {n})"
+                         f" and brackets (a, b) with 1 <= a < b <= {n}")
+    depth = {(a, b): sum(p <= a and b <= q for p, q in brackets) - 1
+             for a, b in brackets}
+    members = []
+    for k in range(max(depth.values()) + 1):
+        pieces, x = [], 1
+        for a, b in sorted(iv for iv, d in depth.items() if d == k):
+            pieces += [(y, y) for y in range(x, a)] + [(a, b)]
+            x = b + 1
+        pieces += [(y, y) for y in range(x, n + 1)]
+        members.append(Subdivision(tuple(pieces)))
+    if not all(map(less_than, members, members[1:])):
+        raise ValueError(f"brackets cross: {sorted(brackets)}")
     return Chain(tuple(members))
 
 
@@ -389,10 +340,16 @@ def chain_count_by_size(n: int, k: int) -> int:
 
 
 def catalan_schroeder_poly(n: int):
-    """Coefficient list [c_{n,0}, c_{n,1}, ...] of P_n(z)."""
+    """Coefficient list [c_{n,0}, c_{n,1}, ...] of P_n(z): c_{n,1} = 1, and
+    the closed form gives c_{n,k+1} = c_{n,k} (n+k)(n-1-k) / ((k+1)k)."""
     if n == 1:
         return [1]
-    return [0] + [chain_count_by_size(n, k) for k in range(1, n)]
+    row = [0, 1]
+    for k in range(1, n - 1):
+        c, r = divmod(row[-1] * (n + k) * (n - 1 - k), (k + 1) * k)
+        assert r == 0
+        row.append(c)
+    return row
 
 
 if __name__ == "__main__":

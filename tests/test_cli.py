@@ -216,6 +216,30 @@ def test_det_refuses_oversized_factored_formulas(capsys, monkeypatch):
     assert code == 0 and s.startswith("(1-q^2)^")
 
 
+def test_det_one_param_stays_below_the_degree_bound(capsys, monkeypatch):
+    # the last box 1 - q^(N(N-1)) reaches ring's 2**15 at N = 182
+    code, s = run("det", "--n", "181", "--one-param")
+    assert code == 0 and " * (1-q^32580)^" in s
+    from quongram import determinant
+    _refuse(monkeypatch, determinant, ("det_one_param",))
+    capsys.readouterr()
+    assert run("det", "--n", "182", "--one-param") == (2, "")
+    assert "32942 degrees of q in its last box, over the limit of 32767" in \
+        capsys.readouterr().err
+
+
+def test_overflow_is_a_usage_error_not_a_failed_check(capsys, monkeypatch):
+    # exit 1 is kept for a verification that fails
+    from quongram import determinant
+
+    def overflow(*args):
+        raise OverflowError("a product reaches degree 2**15")
+    monkeypatch.setattr(determinant, "det_formula", overflow)
+    assert run("det", "--n", "3") == (2, "")
+    assert capsys.readouterr().err == \
+        "error: a product reaches degree 2**15\n"
+
+
 def test_arrangement_and_contravariant_refuse_oversized(capsys, monkeypatch,
                                                         tmp_path):
     from quongram import applications
@@ -253,6 +277,10 @@ def test_verify_refuses_max_n_past_every_suite(capsys, monkeypatch):
     ["zagier-check", "--n", "8", "--coeff", "12345678"],
     ["zagier-check", "--n", "8", "--mode", "extended-multi",
      "--coeff", "87654321"],
+    ["zagier-check", "--n", "11", "--mode", "one-param",
+     "--coeff", "1,2,3,4,5,6,7,8,9,10,11"],
+    ["zagier-check", "--n", "12", "--mode", "original-conjecture",
+     "--coeff", "2,1,3,4,5,6,7,8,9,10,11,12"],
     ["count", "tree-like", "--n", "9"],
     ["count", "tree-like", "--n", "11"],
     ["count", "bracketings", "--n", "11"],
@@ -562,6 +590,10 @@ def test_zagier_check_limits_coeff_by_its_widest_subdivision(capsys):
     assert "8 blocks, over the limit of 7" in capsys.readouterr().err
     code, s = run("zagier-check", "--n", "8", "--coeff", "43218765")
     assert code == 0 and "PASS" in s
+    # one-parameter coefficients too: 10 blocks take 8 s, 11 blocks 42 s
+    assert run("zagier-check", "--n", "11", "--mode", "one-param", "--coeff",
+               "1,2,3,4,5,6,7,8,9,10,11") == (2, "")
+    assert "11 blocks, over the limit of 10" in capsys.readouterr().err
 
 
 def test_zagier_check_exit_codes():

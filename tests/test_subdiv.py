@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from quongram.subdiv import (Subdivision, bottom, discrete,
-                             enumerate_subdivisions, less_than,
+from quongram.subdiv import (Subdivision, Bracketing, bottom, discrete,
+                             enumerate_subdivisions, less_than, covers,
                              enumerate_chains, chain_to_bracketing,
                              bracketing_to_chain,
                              enumerate_bracketings, schroeder_counts,
@@ -26,6 +26,15 @@ def test_order_is_reverse_refinement():
     assert less_than(s, t)
     assert not less_than(t, s)
     assert not less_than(discrete(4), bottom(4))
+    # covers builds its subdivisions from compositions, without less_than
+    for n in range(1, 8):
+        subs = enumerate_subdivisions(n)
+        for s in subs:
+            if s.is_discrete():
+                continue
+            above = set(covers(s))
+            for t in subs:
+                assert less_than(s, t) == (t in above)
 
 
 def test_chain_counts_match_recurrence():
@@ -43,7 +52,7 @@ def test_closed_forms_agree():
 
 
 def test_chain_bracketing_bijection():
-    for n in (2, 3, 4, 5):
+    for n in range(2, 8):
         chains = enumerate_chains(n)
         brs = set()
         for c in chains:
@@ -52,6 +61,24 @@ def test_chain_bracketing_bijection():
             brs.add(br.brackets)
         assert len(brs) == len(chains)
         assert brs == set(enumerate_bracketings(n, True))
+
+
+def test_bracketing_to_chain_refuses_non_chain_families():
+    with pytest.raises(ValueError, match="outer bracket"):
+        bracketing_to_chain(Bracketing(4, frozenset({(1, 3), (2, 3)})))
+    # a one-letter bracket is no bracket: no member of a chain shows it
+    with pytest.raises(ValueError):
+        bracketing_to_chain(Bracketing(3, frozenset({(1, 3), (2, 2)})))
+    # [1..3] and [2..4] cross inside the outer bracket
+    with pytest.raises(ValueError):
+        bracketing_to_chain(Bracketing(4, frozenset({(1, 4), (1, 3),
+                                                     (2, 4)})))
+
+
+def test_bracketing_text_counts_opens_and_closes():
+    # three brackets open at 1, and two close at 5
+    br = Bracketing(5, frozenset({(1, 5), (1, 3), (1, 2), (4, 5)}))
+    assert str(br) == "[[[12]3][45]]"
 
 
 def test_bracketing_counts_by_size():
@@ -74,6 +101,12 @@ def test_counting_table_values():
     for n in range(2, 9):
         cat = comb(2 * (n - 1), n - 1) // n
         assert chain_count_by_size(n, n - 1) == cat
+
+
+def test_poly_row_is_the_closed_form():
+    for n in range(1, 61):
+        assert catalan_schroeder_poly(n) == [chain_count_by_size(n, k)
+                                             for k in range(n)]
 
 
 def test_poly_sums_to_schroeder():
