@@ -32,7 +32,6 @@ from quongram.gram import build_generic
 from quongram.determinant import (det_formula, det_factor_chain, det_elim,
                                   det_univariate, peel_exponents,
                                   poly_to_univariate)
-from quongram.boxes import BoxFactor
 
 
 def timed(label, fn):
@@ -46,8 +45,7 @@ def sliced_formula(formula, slope) -> list:
     """The factored determinant on the slice: the product of the sliced
     boxes, each to its exponent, as a coefficient list."""
     out = [1]
-    for letters, e in formula.factors:
-        box = BoxFactor(letters, range(1, len(letters) + 1)).expand()
+    for box, e in formula.pairs():
         box = poly_to_univariate(box, slope)
         for _ in range(e):
             nxt = [0] * (len(out) + len(box) - 1)

@@ -44,8 +44,7 @@ from collections import namedtuple
 from .ring import Poly, pair_var
 from .fock import Weight
 from .gram import Basis, GramMatrix, pair_rule
-from .determinant import (det_formula, det_univariate, _product,
-                          _product_value, _product_str)
+from .determinant import Factored, det_formula, det_univariate
 
 
 # ---------------------------------------------------------------------------
@@ -89,22 +88,17 @@ def varchenko_matrix(n: int) -> GramMatrix:
                      lambda x, y: pair_var(min(x, y), max(x, y)))
 
 
-class VarchenkoDet(namedtuple("VarchenkoDet", "n edges")):
+class VarchenkoDet(Factored, namedtuple("VarchenkoDet", "n edges")):
     """det B_n as a product over the edges of the k-equal arrangements."""
 
     __slots__ = ()
 
-    def expand(self) -> Poly:
-        return _product((e.factor(), e.multiplicity) for e in self.edges)
+    def pairs(self) -> list:
+        return [(e.factor(), e.multiplicity) for e in self.edges]
 
     def evaluate(self, assignment):
         """Exact value under a symmetric-real assignment."""
-        return _product_value(((e.factor(), e.multiplicity)
-                               for e in self.edges), assignment,
-                              "symmetric-real")
-
-    def __str__(self):
-        return _product_str((e.factor(), e.multiplicity) for e in self.edges)
+        return super().evaluate(assignment, "symmetric-real")
 
 
 def varchenko_det(n: int) -> VarchenkoDet:
@@ -289,7 +283,8 @@ def contravariant_matrix(n: int) -> GramMatrix:
     """S on the weight-(1,...,1) space, entries as u-monomials.  S is
     u_all^{-1} * A_n under q_{xy} = q_{yx} = u_{xy}^2: each distinct entry
     of ``varchenko_matrix(n)`` gives exponent +1 to each u_kl whose q_kl it
-    holds and -1 to the rest.  The g_i recursion is asserted to agree.
+    holds and -1 to the rest.  The g_i recursion is checked to agree; a
+    disagreement raises ArithmeticError.
     """
     pairs = tuple(itertools.combinations(range(1, n + 1), 2))
 
@@ -300,8 +295,9 @@ def contravariant_matrix(n: int) -> GramMatrix:
 
     B = varchenko_matrix(n)
     mat = GramMatrix(B.basis, B.map_distinct(specialize))
-    assert mat == contravariant_matrix_operators(n), \
-        "specialized Gram matrix disagrees with the g_i recursion"
+    if mat != contravariant_matrix_operators(n):
+        raise ArithmeticError(
+            "specialized Gram matrix disagrees with the g_i recursion")
     return mat
 
 
@@ -317,8 +313,8 @@ class ContravariantDet(namedtuple("ContravariantDet", "n factors")):
 
     def polynomial(self) -> Poly:
         """P, with the Poly variable x_kl = Poly.var(k, l) for u_kl."""
-        return _product((Poly.one() - Edge(subset, e).weight() ** 4, e)
-                        for subset, e in self.factors)
+        return math.prod(((Poly.one() - Edge(subset, e).weight() ** 4) ** e
+                          for subset, e in self.factors), start=Poly.one())
 
     def laurent_str(self) -> str:
         """u_all^{-n!} * P written out as a Laurent polynomial in the u_kl,

@@ -52,8 +52,9 @@ not on their order.
 
 from __future__ import annotations
 
-__all__ = ["BoxFactor", "BoxFraction", "as_part", "by_denominator",
-           "over_common", "sum_parts", "sum_products", "sum_row_column"]
+__all__ = ["box_poly", "BoxFactor", "BoxFraction", "as_part",
+           "by_denominator", "over_common", "sum_parts", "sum_products",
+           "sum_row_column", "leftover"]
 
 import math
 from fractions import Fraction
@@ -69,7 +70,8 @@ _ONE = Poly.one()
 # a full pass of any benchmark workload (seed 1) leaves at most 26 entries;
 # 1024 holds every box over up to 10 letters, in both modes
 @lru_cache(maxsize=1024)
-def _box_poly(letters: tuple, one_param: bool) -> Poly:
+def box_poly(letters: tuple, one_param: bool) -> Poly:
+    """The expansion of the box over these letters (``BoxFactor``)."""
     k = len(letters)
     if one_param:
         return Poly.one() - Poly.single_q() ** (k * (k - 1))
@@ -120,7 +122,7 @@ class BoxFactor(tuple):
 
     def expand(self) -> Poly:
         """The factor as a polynomial 1 - prod_{a != b} q_{i_a i_b}."""
-        return _box_poly(self[1], self[0])
+        return box_poly(self[1], self[0])
 
     def map_labels(self, f) -> "BoxFactor":
         if self[0]:
@@ -480,6 +482,24 @@ def sum_row_column(row, nums, den) -> BoxFraction:
                                 for pair in pairs)
     return _summed([(missing, pairs) for _, missing, pairs in kept],
                    _den_plus(common, den))
+
+
+def leftover(frac: BoxFraction, candidate) -> BoxFraction | None:
+    """None if frac times the product of the candidate boxes is a
+    polynomial, else that product, reduced, whose denominator is what the
+    candidate leaves.
+
+    A candidate holding every denominator factor as often clears the
+    denominator with no product; any other entry builds it."""
+    candidate = tuple(sorted(candidate))
+    rem_den = _den_minus(frac.den, candidate)
+    if not rem_den:
+        return None
+    num = frac.num
+    for box in _den_minus(candidate, frac.den):
+        num = num * box.expand()
+    left = BoxFraction(num, rem_den)
+    return left if left.den else None
 
 
 def _reduce(num: Poly, den: tuple):

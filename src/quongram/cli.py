@@ -397,8 +397,10 @@ def check_oracle(max_n: int, rng) -> str:
     return "gram entries match the derivative oracle"
 
 
-def check_det(max_n: int, rng) -> str:
+def check_det(max_n: int, rng) -> str | None:
     """Factored determinant equals elimination for small generic weights."""
+    if max_n < 2:
+        return None
     for n in range(2, min(max_n, 3) + 1):
         nu = Weight.generic_n(n)
         if det_mod.det_formula(nu).expand() != det_mod.det_elim(nu):
@@ -411,10 +413,12 @@ def check_det(max_n: int, rng) -> str:
     return "determinant formula matches elimination"
 
 
-def check_methods(max_n: int, rng) -> str:
+def check_methods(max_n: int, rng) -> str | None:
     """The five inversion routes agree and invert the matrix: densely
     (``GramMatrix.matmul``) up to n = 4, and at n = 5 in the twisted group
     algebra (``LambdaTable.inverts_gram``)."""
+    if max_n < 2:
+        return None
     for n in range(2, min(max_n, 4) + 1):
         nu = Weight.generic_n(n)
         ref = inv_mod.inv_full(nu, "fast")
@@ -462,7 +466,9 @@ def check_ccr_suite(max_n: int, rng) -> str:
     return "commutation relations hold on the derivative representation"
 
 
-def check_applications(max_n: int, rng) -> str:
+def check_applications(max_n: int, rng) -> str | None:
+    if max_n < 2:
+        return None
     ns = range(2, min(max_n, 4) + 1)
     for n in ns:
         B = app_mod.varchenko_matrix(n)
@@ -486,7 +492,9 @@ def check_applications(max_n: int, rng) -> str:
     return "arrangement and contravariant translations verified"
 
 
-def check_positivity(max_n: int, rng) -> str:
+def check_positivity(max_n: int, rng) -> str | None:
+    if max_n < 2:
+        return None
     for nu in _weights_up_to(min(max_n, 4)):
         if nu.size < 2:
             continue
@@ -496,6 +504,8 @@ def check_positivity(max_n: int, rng) -> str:
     return "Gram matrices positive definite inside the unit polydisc"
 
 
+# each suite returns its success line, None when --max-n leaves it nothing
+# to compare, or raises VerifyFailure
 SUITES = {
     "oracle": check_oracle,
     "det": check_det,
@@ -526,7 +536,10 @@ def cmd_verify(args, out) -> int:
             ok, msg = True, SUITES[name](args.max_n, rngs[name])
         except VerifyFailure as e:
             ok, msg = False, str(e)
-        out.write(f"{'ok  ' if ok else 'FAIL'} {name}: {msg}\n")
+        label = "ok  " if ok else "FAIL"
+        if msg is None:
+            label, msg = "skip", f"nothing to check at --max-n {args.max_n}"
+        out.write(f"{label} {name}: {msg}\n")
         failed = failed or not ok
     return 1 if failed else 0
 

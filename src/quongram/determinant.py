@@ -8,6 +8,11 @@ The headline identity: for a multiplicity-free weight ν of size n,
 with □_μ = 1 − ∏_{i≠j∈μ} q_{ij}.  Under q_{ij} ↦ q this collapses to
 ∏_{k=2}^n (1−q^{k(k−1)})^{n!(n−k+1)/(k(k−1))}.
 
+A factored record (``DetFormula``, ``OneParamDet`` and the arrangement
+form ``applications.VarchenkoDet``) only lists its (polynomial, exponent)
+pairs; the one product rule that expands, evaluates, measures and prints
+them is their base ``Factored``.
+
 Oracles, all by elimination, in two loops: one fraction-free (Bareiss)
 engine, run over exact polynomials (the dense matrix, and the orbit
 blocks of the cyclic factors I − R̂(t_{a,b})) and over the Gaussian
@@ -79,7 +84,7 @@ from __future__ import annotations
 __all__ = [
     "DetFormula", "OneParamDet", "det_formula", "det_cycle_factor",
     "det_one_param", "one_param_exponents", "positivity_check",
-    "Divisibility", "det_divides",
+    "Factored", "Divisibility", "det_divides",
     "det_poly_bareiss", "det_single_cycle", "det_point", "det_elim",
     "peel_exponents", "det_factor_chain", "det_univariate",
     "poly_to_univariate", "is_inverse",
@@ -95,7 +100,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .ring import Poly, GaussRat, NotDivisible, Point, SINGLE_Q
-from .boxes import _box_poly
+from .boxes import box_poly
 from .fock import Weight
 from .perms import cycle
 from .gram import (Basis, build_degenerate, pair_rule, q_mono,
@@ -106,29 +111,35 @@ from .gram import (Basis, build_degenerate, pair_rule, q_mono,
 # factored formulas
 # ---------------------------------------------------------------------------
 
-def _product(pairs) -> Poly:
-    """∏ p^e over the (Poly p, exponent e) pairs, expanded."""
-    out = Poly.one()
-    for p, e in pairs:
-        out = out * p ** e
-    return out
+class Factored:
+    """A determinant kept factored, as the product of p^e over the (Poly p,
+    exponent e) pairs of its ``pairs()``: the one rule that expands,
+    evaluates, measures and prints such a product."""
+
+    __slots__ = ()
+
+    def expand(self) -> Poly:
+        """∏ p^e, expanded, left to right."""
+        return math.prod((p ** e for p, e in self.pairs()), start=Poly.one())
+
+    def evaluate(self, assignment, mode="hermitian") -> GaussRat:
+        """The exact value of ∏ p^e under the assignment, at one Point; the
+        product runs on unreduced triples and is reduced once."""
+        point = Point(assignment, mode)
+        return GaussRat.sum_of_products([(1, [
+            v for p, e in self.pairs() for v in [point.value(p)] * e])])
+
+    def degree(self) -> int:
+        """The total degree of the expanded product."""
+        return sum(e * p.degree() for p, e in self.pairs())
+
+    def __str__(self):
+        """'(p)^e * ...' in order, '^1' left out; '1' for no pair."""
+        return " * ".join(f"({p})" + (f"^{e}" if e != 1 else "")
+                          for p, e in self.pairs()) or "1"
 
 
-def _product_value(pairs, assignment, mode) -> GaussRat:
-    """The exact value of ∏ p^e under the assignment, at one Point; the
-    product runs on unreduced triples and is reduced once."""
-    point = Point(assignment, mode)
-    return GaussRat.sum_of_products(
-        [(1, [v for p, e in pairs for v in [point.value(p)] * e])])
-
-
-def _product_str(pairs) -> str:
-    """'(p)^e * ...' in the order given, '^1' left out; '1' for no pair."""
-    return " * ".join(f"({p})" + (f"^{e}" if e != 1 else "")
-                      for p, e in pairs) or "1"
-
-
-class DetFormula(namedtuple("DetFormula", "weight factors")):
+class DetFormula(Factored, namedtuple("DetFormula", "weight factors")):
     """Factored determinant: multiset of box factors with exponents.
 
     factors: tuple of (letters: sorted tuple of labels, exponent), kept in
@@ -141,39 +152,21 @@ class DetFormula(namedtuple("DetFormula", "weight factors")):
         return super().__new__(cls, weight, tuple(
             sorted(factors, key=lambda t: (len(t[0]), t[0]))))
 
-    def _boxes(self) -> list:
+    def pairs(self) -> list:
         """(box polynomial, exponent) of each factor, in order."""
-        return [(_box_poly(tuple(m), False), e) for m, e in self.factors]
-
-    def expand(self) -> Poly:
-        return _product(self._boxes())
-
-    def evaluate(self, assignment, mode="hermitian") -> GaussRat:
-        return _product_value(self._boxes(), assignment, mode)
-
-    def degree(self) -> int:
-        return sum(e * len(m) * (len(m) - 1) for m, e in self.factors)
-
-    def __str__(self):
-        return _product_str(self._boxes())
+        return [(box_poly(tuple(m), False), e) for m, e in self.factors]
 
 
-class OneParamDet(namedtuple("OneParamDet", "n factors")):
+class OneParamDet(Factored, namedtuple("OneParamDet", "n factors")):
     """One-parameter factored determinant ∏_k (1−q^{k(k−1)})^{e_k},
     factors = ((k, exponent), ...) with k >= 2."""
 
     __slots__ = ()
 
-    def expand(self) -> Poly:
-        return _product((_box_poly(tuple(range(1, k + 1)), True), e)
-                        for k, e in self.factors)
-
-    def degree(self) -> int:
-        return sum(e * k * (k - 1) for k, e in self.factors)
-
-    def __str__(self):
-        return _product_str((_box_poly(tuple(range(1, k + 1)), True), e)
-                            for k, e in sorted(self.factors))
+    def pairs(self) -> list:
+        """(1 − q^{k(k−1)}, exponent) of each factor, by k."""
+        return [(box_poly(tuple(range(1, k + 1)), True), e)
+                for k, e in sorted(self.factors)]
 
 
 def det_formula(nu: Weight) -> DetFormula:
@@ -247,7 +240,8 @@ def det_one_param(n: int) -> OneParamDet:
     for k in range(2, n + 1):
         num = math.factorial(n) * (n - k + 1)
         den = k * (k - 1)
-        assert num % den == 0
+        if num % den:
+            raise ArithmeticError(f"exponent of k={k} is not an integer")
         factors.append((k, num // den))
     return OneParamDet(n, tuple(factors))
 
@@ -427,7 +421,7 @@ def peel_exponents(p: Poly, nu: Weight):
     out = {}
     for k in range(2, len(labels) + 1):
         for mu in itertools.combinations(labels, k):
-            b = _box_poly(tuple(mu), False)
+            b = box_poly(tuple(mu), False)
             while True:
                 try:
                     p = p.exact_div(b)
@@ -476,7 +470,7 @@ def det_factor_chain(nu: Weight) -> DetFormula:
                     x = math.prod(weights, start=Poly.one())
                     mu = tuple(sorted({i for v in x.variables()
                                        for i in v[1:]}))
-                    if len(mu) < 2 or Poly.one() - x != _box_poly(mu, False):
+                    if len(mu) < 2 or Poly.one() - x != box_poly(mu, False):
                         raise ArithmeticError(f"{variant} factor "
                                               f"t_{k},{level} is not a box "
                                               "product")

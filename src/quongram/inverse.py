@@ -19,7 +19,7 @@ Five independent routes produce the same table:
 
 * ``fast``   -- the two-step Young-factor reversal recursion.  The
   closed-form product (global sign, Q-factors on the odd reversal levels)
-  is asserted against it only where ``lambda_scalar`` runs with its
+  is checked against it only where ``lambda_scalar`` runs with its
   default ``check_closed``: ``zagier_check`` of one coefficient
   (``zagier-check --coeff``), the symbolic-det benchmark workload and the
   tests; ``inv_full`` and ``inverse_matrix_at`` skip it;
@@ -53,12 +53,11 @@ import itertools
 from functools import lru_cache
 
 from .ring import Poly, GaussRat, Point, Renaming, pair_var
-from .boxes import (BoxFactor, BoxFraction, as_part, sum_parts, _den_minus,
-                    _raw)
+from .boxes import BoxFactor, BoxFraction, as_part, leftover, sum_parts
 from .fock import Word, Weight
 from .perms import (Perm, all_perms, longest_element, reversal_record,
                     children, thickened, unimodal_subset)
-from .subdiv import enumerate_bracketings, enumerate_chains, _compositions
+from .subdiv import compositions, enumerate_bracketings, enumerate_chains
 from .gram import (Basis, GramMatrix, GenericOp, q_of_perm, q_set,
                    build_generic, embed_degenerate)
 
@@ -225,7 +224,8 @@ def lambda_scalar(letters, g: Perm, one_param: bool = False,
 
     Computed by the literal two-step reversal recursion; when
     ``check_closed`` is set, the closed-form product over the whole reversal
-    sequence is evaluated independently and asserted equal.
+    sequence is evaluated independently and checked equal; a disagreement
+    raises ArithmeticError.
     """
     letters = tuple(letters)
     if g.n != len(letters):
@@ -254,8 +254,9 @@ def _lambda(letters: tuple, g: Perm, u: Universe, check_closed: bool):
     val = _fast_step(letters, plan, u)
     if check_closed:
         closed = _closed_form(letters, g, u)
-        assert val == closed, (
-            f"closed-form product disagrees with the recursion at {g}")
+        if val != closed:
+            raise ArithmeticError(
+                f"closed-form product disagrees with the recursion at {g}")
     return val
 
 
@@ -362,7 +363,8 @@ def _coefficient(lam: BoxFraction, e, g: Perm, one_param: bool
     again: Lambda(g) is reduced, and a box, with constant term 1 and
     content 1, shares no factor with a monomial, so no box divides the
     product (see boxes._reduce)."""
-    return _raw(lam.num * q_of_perm(e, g.inverse(), one_param), lam.den)
+    return BoxFraction(lam.num * q_of_perm(e, g.inverse(), one_param),
+                       lam.den, reduce=False)
 
 
 class LambdaTable:
@@ -393,7 +395,7 @@ class LambdaTable:
         monomial Q(g), which leaves a reduced fraction reduced."""
         num, den = as_part(self.coefficients[g])
         mono = q_of_perm(self.basis.words[0], g.inverse(), self.one_param)
-        return _raw(num.exact_div(mono), den)
+        return BoxFraction(num.exact_div(mono), den, reduce=False)
 
     def value_at(self, g: Perm, w) -> BoxFraction:
         """Lambda(g) at the word w; zero off the support."""
@@ -508,7 +510,7 @@ def inv_long(nu: Weight, one_param: bool = False) -> GenericOp:
         if (a, b) in memo:
             return memo[(a, b)]
         terms = []
-        for pieces in _compositions(a, b):
+        for pieces in compositions(a, b):
             if len(pieces) == 1:
                 continue
             term = GenericOp.identity(basis)
@@ -789,24 +791,6 @@ class ZagierReport:
         return "\n".join(lines)
 
 
-def _leftover(frac: BoxFraction, candidate) -> BoxFraction | None:
-    """None if frac times the product of the candidate boxes is a
-    polynomial, else that product, reduced, whose denominator is what the
-    candidate leaves.
-
-    A candidate holding every denominator factor as often clears the
-    denominator with no product; any other entry builds it."""
-    candidate = tuple(sorted(candidate))
-    rem_den = _den_minus(frac.den, candidate)
-    if not rem_den:
-        return None
-    num = frac.num
-    for box in _den_minus(candidate, frac.den):
-        num = num * box.expand()
-    left = BoxFraction(num, rem_den)
-    return left if left.den else None
-
-
 def _interval_boxes(letters: tuple, one_param: bool) -> list:
     n = len(letters)
     return [BoxFactor(letters, range(a, b + 1), one_param)
@@ -871,7 +855,7 @@ def zagier_check(n: int, mode: str = "multi", coeff: Perm | None = None
         values = [(coeff, _coefficient(lam, e, coeff, one_param))]
         words = (Word(e),)
     for g, entry in values:
-        left = _leftover(entry, candidate)
+        left = leftover(entry, candidate)
         report.checked += len(words)
         if left is not None:
             report.failures += [

@@ -22,7 +22,7 @@ __all__ = [
     "covers", "less_than", "enumerate_chains", "chain_to_bracketing",
     "bracketing_to_chain", "enumerate_bracketings", "schroeder_counts",
     "schroeder_closed_form_a", "schroeder_closed_form_b",
-    "schroeder_closed_form_c", "chain_count_by_size",
+    "schroeder_closed_form_c", "chain_count_by_size", "compositions",
     "catalan_schroeder_poly",
 ]
 
@@ -87,7 +87,7 @@ def discrete(n: int) -> Subdivision:
     return Subdivision(tuple((k, k) for k in range(1, n + 1)))
 
 
-def _compositions(a: int, b: int):
+def compositions(a: int, b: int):
     """All ways to cut [a..b] into consecutive intervals (including no cut)."""
     inner = range(a, b)
     for cuts in itertools.chain.from_iterable(
@@ -103,7 +103,7 @@ def _compositions(a: int, b: int):
 
 def enumerate_subdivisions(n: int):
     """All 2^(n-1) subdivisions, ordered lexicographically by endpoints."""
-    return [Subdivision(p) for p in sorted(_compositions(1, n))]
+    return [Subdivision(p) for p in sorted(compositions(1, n))]
 
 
 def less_than(s: Subdivision, t: Subdivision) -> bool:
@@ -125,7 +125,7 @@ def covers(s: Subdivision):
         if b == a:
             choices.append([((a, a),)])
         else:
-            choices.append([p for p in _compositions(a, b) if len(p) > 1])
+            choices.append([p for p in compositions(a, b) if len(p) > 1])
     out = []
     for combo in itertools.product(*choices):
         out.append(Subdivision(tuple(itertools.chain.from_iterable(combo))))
@@ -197,7 +197,8 @@ def chain_to_bracketing(c: Chain) -> Bracketing:
     seen = []
     for m in c.members:
         for iv in m.nontrivial():
-            assert iv not in seen, "chain members repeat an interval"
+            if iv in seen:
+                raise ValueError("chain members repeat an interval")
             seen.append(iv)
     return Bracketing(c.n, frozenset(seen))
 
@@ -242,7 +243,7 @@ def enumerate_bracketings(n: int, outer: bool):
     # brackets, each piece longer than one letter carrying one of them, and
     # the letters they leave out as single pieces
     families = []
-    for pieces in _compositions(1, n):
+    for pieces in compositions(1, n):
         if len(pieces) == 1:
             continue
         piecechoices = [
@@ -266,7 +267,8 @@ def schroeder_counts(n_max: int):
     cs = [1, 1]
     for n in range(2, n_max):
         nxt = (3 * (2 * n - 1) * cs[-1] - (n - 2) * cs[-2])
-        assert nxt % (n + 1) == 0
+        if nxt % (n + 1):
+            raise ArithmeticError(f"recurrence leaves a remainder at n={n}")
         cs.append(nxt // (n + 1))
     return cs[:n_max]
 
@@ -281,6 +283,14 @@ def _double_factorial(k: int) -> int:
     return out
 
 
+def _integer(x: Fraction, n: int) -> int:
+    """x, which a closed form at n gives, as an int; ArithmeticError if it
+    is not one."""
+    if x.denominator != 1:
+        raise ArithmeticError(f"closed form is not an integer at n={n}")
+    return int(x)
+
+
 def schroeder_closed_form_a(n: int) -> int:
     """c_n as an alternating double-factorial sum (square-root expansion of
     the algebraic generating function); valid for n >= 2."""
@@ -292,8 +302,7 @@ def schroeder_closed_form_a(n: int) -> int:
                         * 3 ** (n - 2 * v),
                         factorial(v) * factorial(n - 2 * v) * 2 ** (v + 2))
         total += term
-    assert total.denominator == 1
-    return int(total)
+    return _integer(total, n)
 
 
 def schroeder_closed_form_b(n: int) -> int:
@@ -310,8 +319,7 @@ def schroeder_closed_form_b(n: int) -> int:
                           ) / m
     if n >= 2:
         total /= 2
-    assert total.denominator == 1
-    return int(total)
+    return _integer(total, n)
 
 
 def schroeder_closed_form_c(n: int) -> int:
@@ -321,8 +329,7 @@ def schroeder_closed_form_c(n: int) -> int:
         total += Fraction((-1) ** (n - 1 - v) * 2 ** v
                           * comb(2 * v + 1, v) * comb(n + v - 1, n - v - 1),
                           2 * v + 1)
-    assert total.denominator == 1
-    return int(total)
+    return _integer(total, n)
 
 
 def chain_count_by_size(n: int, k: int) -> int:
@@ -335,8 +342,7 @@ def chain_count_by_size(n: int, k: int) -> int:
     if not 1 <= k <= n - 1:
         return 0
     val = Fraction(comb(n + k - 1, k) * comb(n - 2, k - 1), n)
-    assert val.denominator == 1
-    return int(val)
+    return _integer(val, n)
 
 
 def catalan_schroeder_poly(n: int):
@@ -347,7 +353,8 @@ def catalan_schroeder_poly(n: int):
     row = [0, 1]
     for k in range(1, n - 1):
         c, r = divmod(row[-1] * (n + k) * (n - 1 - k), (k + 1) * k)
-        assert r == 0
+        if r:
+            raise ArithmeticError(f"closed form is not an integer at n={n}")
         row.append(c)
     return row
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quongram import applications
 from quongram.ring import Poly, GaussRat, pair_var
 from quongram.fock import Weight
 from quongram.perms import Perm
@@ -168,6 +169,14 @@ def test_contravariant_two_letter_golden():
 def test_contravariant_closed_matches_recursion():
     for n in (2, 3, 4):
         assert contravariant_matrix(n) == contravariant_matrix_operators(n)
+
+
+def test_contravariant_matrix_raises_when_the_recursion_disagrees(
+        monkeypatch):
+    monkeypatch.setattr(applications, "contravariant_matrix_operators",
+                        lambda n: contravariant_matrix_operators(n + 1))
+    with pytest.raises(ArithmeticError, match="g_i recursion"):
+        contravariant_matrix(2)
 
 
 def test_contravariant_symmetric():

@@ -653,6 +653,19 @@ def test_verify_det_certifies_the_factor_chain_up_to_max_n(monkeypatch):
     assert code == 0 and "ok   det:" in s and sizes == [4, 5]
 
 
+def test_verify_labels_suites_that_compare_nothing():
+    # at --max-n 1 these suites have no size to check; an "ok" would claim
+    # a comparison that never ran
+    code, s = run("verify", "--max-n", "1")
+    assert code == 0
+    assert [line for line in s.splitlines() if not line.startswith("ok ")] == [
+        f"skip {name}: nothing to check at --max-n 1"
+        for name in ("applications", "det", "methods", "positivity")]
+    code, s = run("verify", "--max-n", "2")
+    assert code == 0 and all(line.startswith("ok ")
+                             for line in s.splitlines())
+
+
 def test_verify_deterministic_for_seed():
     a = run("--seed", "7", "verify", "--suite", "positivity,oracle",
             "--max-n", "3")

@@ -128,6 +128,36 @@ def test_only_ring_reads_packed_terms(name):
     assert list(_ring_internals(SOURCES[name])) == []
 
 
+def _private_reads(tree):
+    """(module, name, line) of every private name of a sibling module that
+    a module reads: imported by a relative import, or read as an
+    attribute of a name that a relative import binds to the sibling."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module:
+                    yield node.module, alias.name, node.lineno
+                else:
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            yield bound[node.value.id], node.attr, node.lineno
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_another_modules_private_names(name):
+    # a module's private names are its own: every other module goes
+    # through public names, so a private helper can change or go in one
+    # place
+    reads = [(mod, ref, line) for mod, ref, line in
+             _private_reads(SOURCES[name])
+             if ref.startswith("_") and not ref.endswith("__")]
+    assert reads == []
+
+
 def _field_shifts(tree):
     """The name of the innermost function around each augmented
     ``>>= _FIELD``, None for one outside every function."""

@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import json
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -76,6 +79,23 @@ def test_closed_form_checked_on_all_of_s4():
     # reversal-sequence product when check_closed is on
     for g in all_perms(4):
         lambda_scalar((1, 2, 3, 4), g, check_closed=True)
+
+
+def test_closed_form_check_survives_python_o():
+    # a certification check raises rather than asserts, so the check still
+    # runs under python -O, which strips every assert
+    src = str(pathlib.Path(inverse.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from quongram import inverse; from quongram.perms import Perm; "
+            "inverse._closed_form = lambda *a: inverse.Universe().const(7); "
+            "inverse.lambda_scalar((1, 2, 3), Perm((2, 1, 3)), "
+            "check_closed=True)")
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.strip().splitlines()[-1] == (
+        "ArithmeticError: closed-form product disagrees with the recursion"
+        " at 213")
 
 
 def test_thickened_yields_the_subdivisions_of_the_closed_form(monkeypatch):
@@ -590,7 +610,7 @@ def test_denominator_modes_small():
 
 @pytest.mark.parametrize("one_param", [False, True])
 def test_leftover_matches_the_product(one_param):
-    # _leftover skips the product when the candidate holds the whole
+    # leftover skips the product when the candidate holds the whole
     # denominator; the reference always multiplies it in
     rng = random.Random(5)
     table = inv_full(Weight.generic_n(4), "fast", one_param)
@@ -605,7 +625,7 @@ def test_leftover_matches_the_product(one_param):
             for b in cand:
                 num = num * b.expand()
             full = BoxFraction(num, frac.den)
-            left = inverse._leftover(frac, cand)
+            left = inverse.leftover(frac, cand)
             if full.den:
                 assert left == full and left.den
             else:
@@ -635,7 +655,7 @@ def per_word_zagier(n, mode):
     for g, values in table.diagonals():
         for w, lam in zip(table.basis.words, values):
             mono = q_mono(w, g.inverse().inversion_set(), one_param)
-            left = inverse._leftover(lam * mono, candidate(tuple(w)))
+            left = inverse.leftover(lam * mono, candidate(tuple(w)))
             report.checked += 1
             if left is not None:
                 report.failures.append((str(g), str(Word(w)), str(left)))
@@ -645,8 +665,8 @@ def per_word_zagier(n, mode):
 @pytest.mark.parametrize("mode", ZAGIER_MODES)
 def test_zagier_check_decides_each_coefficient_once(monkeypatch, mode):
     calls = []
-    real = inverse._leftover
-    monkeypatch.setattr(inverse, "_leftover",
+    real = inverse.leftover
+    monkeypatch.setattr(inverse, "leftover",
                         lambda *a: calls.append(a) or real(*a))
     rep = zagier_check(5, mode)
     assert rep.passed and rep.checked == 120 * 90

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from quongram.subdiv import (Subdivision, Bracketing, bottom, discrete,
+from quongram.subdiv import (Subdivision, Bracketing, Chain, bottom, discrete,
                              enumerate_subdivisions, less_than, covers,
                              enumerate_chains, chain_to_bracketing,
                              bracketing_to_chain,
@@ -73,6 +73,11 @@ def test_bracketing_to_chain_refuses_non_chain_families():
     with pytest.raises(ValueError):
         bracketing_to_chain(Bracketing(4, frozenset({(1, 4), (1, 3),
                                                      (2, 4)})))
+
+
+def test_chain_to_bracketing_refuses_a_repeated_interval():
+    with pytest.raises(ValueError, match="repeat an interval"):
+        chain_to_bracketing(Chain((bottom(3), bottom(3))))
 
 
 def test_bracketing_text_counts_opens_and_closes():
